@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark module regenerates one table or figure from the paper's
-evaluation (section 8) — see DESIGN.md's experiment index and EXPERIMENTS.md
-for the mapping.  Each benchmark prints the regenerated rows/series with the
+evaluation (section 8) — see docs/paper-map.md for the mapping.  Each
+benchmark prints the regenerated rows/series with the
 ``repro.analysis.report`` formatters, so running::
 
     pytest benchmarks/ --benchmark-only -s

@@ -28,7 +28,7 @@ seed implementation, byte-for-byte on the wire.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from ..net.simulator import Simulator
@@ -330,8 +330,7 @@ class ControlChannel:
         """Send a message from the controller to the middlebox; returns delivery time."""
         if self._mb_handler is None:
             raise RuntimeError(f"channel {self.name} has no middlebox handler bound")
-        self._stamp_reliable("to_mb", message)
-        return self._transmit(message, "to_mb")
+        return self._transmit(self._stamp_reliable("to_mb", message), "to_mb")
 
     def send_many_to_middlebox(self, batch: list) -> float:
         """Deliver several requests as one framed BATCH channel message.
@@ -357,24 +356,26 @@ class ControlChannel:
             if self._controller_detached:
                 return self.sim.now  # unregistered middlebox: drop silently
             raise RuntimeError(f"channel {self.name} has no controller handler bound")
-        self._stamp_reliable("to_controller", message)
-        return self._transmit(message, "to_controller")
+        return self._transmit(self._stamp_reliable("to_controller", message), "to_controller")
 
-    def _stamp_reliable(self, direction: str, message: Message) -> None:
+    def _stamp_reliable(self, direction: str, message: Message) -> Message:
         """Sequence a payload message and track it for retransmission.
 
+        Returns the stamped copy to put on the wire; the caller's object is
+        left alone, so sending it again cannot renumber a tracked entry.
         CHAN_ACK frames stay unsequenced (they are the ack channel itself);
         with the direction's sender half closed (endpoint gone) the message is
         still stamped for receiver-side consistency but no longer tracked.
         """
         if not self.reliable or message.type == MessageType.CHAN_ACK:
-            return
+            return message
         state = self._rel[direction]
-        message.cseq = state.next_cseq
+        stamped = replace(message, cseq=state.next_cseq)
         state.next_cseq += 1
         if not state.closed:
-            state.unacked[message.cseq] = [message, self.sim.now]
+            state.unacked[stamped.cseq] = [stamped, self.sim.now]
             self._arm_retransmit(direction)
+        return stamped
 
     # -- the wire ---------------------------------------------------------------------
 

@@ -93,6 +93,9 @@ class OperationRecord:
     puts_acked: int = 0
     batches_sent: int = 0
     releases_sent: int = 0
+    #: Flows the order-preserving release sweep examined: host work, linear
+    #: in the moved flows (never per release ACK).
+    closure_scan_steps: int = 0
     deleted_chunks: int = 0
     #: Controller shard whose event/ACK loop ran this operation.
     home_shard: int = 0
@@ -763,6 +766,28 @@ class LossFreePolicy(GuaranteePolicy):
                 self.op._forward(event)
 
 
+class _Closure:
+    """One moved flow on its way held → replaying(n) → releasing → released.
+
+    The stages are separate fields because a late chunk (the flow's other
+    state role) can re-hold the flow at any point, and the fresh cycle its
+    ACK starts may overlap a release still in flight.
+    """
+
+    __slots__ = ("replays", "releasing", "released", "reopened")
+
+    def __init__(self) -> None:
+        self.replays = 0  #: replayed events awaiting their destination ACK
+        self.releasing = False  #: a TRANSFER_RELEASE is awaiting its ACK
+        self.released = False
+        self.reopened = False  #: re-held by a chunk not yet ACKed
+
+    @property
+    def held(self) -> bool:
+        """True while nothing in flight will lift the flow's hold."""
+        return not (self.replays or self.releasing or self.released)
+
+
 class OrderPreservingPolicy(LossFreePolicy):
     """ORDER_PRESERVING: replay buffered events in order behind a packet hold.
 
@@ -776,19 +801,22 @@ class OrderPreservingPolicy(LossFreePolicy):
 
     def __init__(self, operation: "MoveOperation") -> None:
         super().__init__(operation)
-        self._replays_pending: Dict[FlowKey, int] = {}
-        self._releasing: Set[FlowKey] = set()
-        self._released: Set[FlowKey] = set()
-        #: Flows re-held by a chunk that arrived after their release started.
-        self._reopened: Set[FlowKey] = set()
+        self._closures: Dict[FlowKey, _Closure] = {}
+        #: Flows that may have become held since the last release sweep.
+        self._unswept: Set[FlowKey] = set()
+        #: Flows mid-replay plus releases in flight; zero means :attr:`drained`.
+        #: Counted on stage transitions only: a duplicated ACK fires a reply
+        #: handler twice and must not be counted twice.
+        self._awaiting = 0
 
     def on_event(self, event: Event) -> None:
         """Buffer per flow until the flow is *released*, not merely ACKed."""
         key = event.key.bidirectional() if event.key is not None else None
+        closure = self._closures.get(key)
         if (
             key is None
             or not self.op.controller.config.buffer_events
-            or key in self._released
+            or (closure is not None and closure.released)
             or self.op.handle.completed.done
         ):
             self.op._forward(event)
@@ -800,20 +828,25 @@ class OrderPreservingPolicy(LossFreePolicy):
 
     def on_flow_acked(self, canonical: FlowKey) -> None:
         """Start the flow's ordered replay-then-release cycle."""
-        self._reopened.discard(canonical)
+        closure = self._closures.get(canonical)
+        if closure is None:
+            self._closures[canonical] = _Closure()
+        else:
+            closure.reopened = False
         self._replay_then_release(canonical)
 
     def on_flow_reopened(self, canonical: FlowKey) -> None:
-        """A later chunk re-held the flow; it will need a fresh release."""
-        # A later chunk re-installs the destination hold, so the flow needs a
-        # fresh release once that chunk is ACKed.
-        self._released.discard(canonical)
-        self._reopened.add(canonical)
+        """A later chunk re-installed the hold; the flow needs a fresh release."""
+        closure = self._closures[canonical]
+        closure.released = False
+        closure.reopened = True
+        self._unswept.add(canonical)
 
     def _replay_then_release(self, canonical: FlowKey) -> None:
         """Replay the flow's buffered events in order, then lift its hold."""
         if self.op._archived:
             return  # the operation failed; the blanket cleanup release covers dst
+        closure = self._closures[canonical]
         buffered = self._buffered.pop(canonical, [])
         sent = 0
         for event in buffered:
@@ -822,19 +855,23 @@ class OrderPreservingPolicy(LossFreePolicy):
             ):
                 sent += 1
         if sent:
-            self._replays_pending[canonical] = self._replays_pending.get(canonical, 0) + sent
-        elif canonical not in self._replays_pending:
+            if not closure.replays:
+                self._awaiting += 1
+            closure.replays += sent
+        elif not closure.replays:
             self._send_release(canonical)
 
     def _on_replay_reply(self, canonical: FlowKey, message: Message) -> None:
         """Count down the flow's in-flight replays; release when they drain."""
         if self.op._archived or message.type not in (MessageType.ACK, MessageType.ERROR):
             return
-        remaining = self._replays_pending.get(canonical, 0) - 1
-        if remaining > 0:
-            self._replays_pending[canonical] = remaining
+        closure = self._closures[canonical]
+        if closure.replays > 1:
+            closure.replays -= 1
             return
-        self._replays_pending.pop(canonical, None)
+        if closure.replays:
+            closure.replays = 0
+            self._awaiting -= 1
         if self._buffered.get(canonical):
             # More events arrived while the replays were in flight; they must
             # be applied before the hold is lifted.
@@ -844,22 +881,27 @@ class OrderPreservingPolicy(LossFreePolicy):
 
     def _send_release(self, canonical: FlowKey) -> None:
         """Send the flow's TRANSFER_RELEASE (once) and track its ACK."""
-        if self.op._archived or canonical in self._releasing or canonical in self._released:
+        closure = self._closures[canonical]
+        if self.op._archived or closure.releasing or closure.released:
             return
-        self._releasing.add(canonical)
+        closure.releasing = True
+        self._awaiting += 1
         self.op.record.releases_sent += 1
 
         def on_reply(message: Message) -> None:
             if self.op._archived or message.type not in (MessageType.ACK, MessageType.ERROR):
                 return
-            self._releasing.discard(canonical)
-            if canonical in self._reopened:
+            if closure.releasing:
+                closure.releasing = False
+                self._awaiting -= 1
+            if closure.reopened:
                 # A later chunk re-held the flow while this release was in
                 # flight; keep it un-released so its re-ACK triggers a fresh
                 # replay + release cycle.
+                self._unswept.add(canonical)
                 self.op._check_complete()
                 return
-            self._released.add(canonical)
+            closure.released = True
             # Events that arrived while the release was in flight race the
             # released packets anyway; forward them immediately (loss-free).
             for event in self._buffered.pop(canonical, []):
@@ -879,23 +921,29 @@ class OrderPreservingPolicy(LossFreePolicy):
         Flows resent by the final round run the replay-then-release cycle
         from their put ACKs; flows that were clean at the freeze were held by
         the blanket TRANSFER_HOLD and would otherwise stay held (and their
-        post-freeze events stay buffered) forever.  Idempotent: flows already
-        released, releasing, or mid-replay are skipped, so snapshot
-        operations — where every flow is released from its ACK — see a no-op.
+        post-freeze events stay buffered) forever.  Runs on every ACK once the
+        stream has drained, so it examines only the flows that may have become
+        held since the last call, and starts those in canonical key order;
+        snapshot operations release every flow from its ACK and find none.
         """
-        for canonical in sorted(self.op.pipeline._all_flows):
-            if (
-                canonical in self._released
-                or canonical in self._releasing
-                or canonical in self._replays_pending
-            ):
-                continue
+        flows = self.op.pipeline._all_flows
+        if len(self._closures) < len(flows):
+            # Flows no final-round put ACKed have no closure record yet.
+            for canonical in flows.difference(self._closures):
+                self._closures[canonical] = _Closure()
+                self._unswept.add(canonical)
+        if not self._unswept:
+            return
+        self.op.record.closure_scan_steps += len(self._unswept)
+        held = sorted(canonical for canonical in self._unswept if self._closures[canonical].held)
+        self._unswept.clear()
+        for canonical in held:
             self._replay_then_release(canonical)
 
     @property
     def drained(self) -> bool:
         """True once no replay or release is awaiting a destination ACK."""
-        return not self._replays_pending and not self._releasing
+        return self._awaiting == 0
 
 
 _POLICIES = {
@@ -1127,8 +1175,9 @@ class MoveOperation(_StatefulOperation):
             # Order-preserving puts installed per-flow packet holds at the
             # destination; release every flow the pipeline touched so a failed
             # move does not blackhole their traffic.  Releasing a flow that
-            # was never held (or already released) is a harmless no-op.
-            held = list(self.pipeline._all_flows)
+            # was never held (or already released) is a harmless no-op.  Key
+            # order, so the cleanup does not vary with PYTHONHASHSEED.
+            held = sorted(self.pipeline._all_flows)
             if held and self.controller.try_send(
                 self.dst, messages.transfer_release(self.dst, held), shard=self.home_shard
             ):

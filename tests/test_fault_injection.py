@@ -183,6 +183,22 @@ class TestReliableDelivery:
         assert [message.body["index"] for message in to_mb] == list(range(1, 16))
         assert [message.body["index"] for message in to_controller] == list(range(1, 16))
 
+    def test_resending_one_message_object_is_two_deliveries_in_order(self):
+        """The sender tracks a stamped copy, not the caller's object: sending
+        it again must not renumber the entry a retransmission re-encodes (the
+        receiver would see the second cseq twice and wait for the first forever)."""
+        sim = Simulator()
+        plan = FaultPlan(1, scripted=[ScriptedFault(kind="drop", direction="to_mb", nth=1)])
+        channel, to_mb, _ = make_channel(sim, faults=plan)
+        again = request(1)
+        for message in (again, request(2), again):
+            channel.send_to_middlebox(message)
+        sim.run(until=1.0)
+        assert channel.to_mb.dropped == 1 and channel.to_mb.retransmits == 1
+        assert [(message.body["index"], message.cseq) for message in to_mb] == [(1, 1), (2, 2), (1, 3)]
+        assert again.cseq is None
+        assert sim.pending_events == 0
+
     def test_retransmissions_stop_after_cumulative_ack(self):
         """Once everything is acked, the channel goes idle (queue drains)."""
         sim = Simulator()

@@ -80,6 +80,9 @@ class TestMoveFailurePaths:
 
         controller, northbound, _, dst = failing_move
         spec = TransferSpec(guarantee=TransferGuarantee.ORDER_PRESERVING)
+        released = []
+        release_flows = dst.release_flows
+        dst.release_flows = lambda keys: (released.append(list(keys)), release_flows(keys))
         handle = northbound.move_internal("fsrc", "fdst", None, spec=spec)
         with pytest.raises(OperationError):
             sim.run_until(handle.completed, limit=100)
@@ -88,6 +91,11 @@ class TestMoveFailurePaths:
         sim.run(until=sim.now + 1.0)
         assert not dst._held_flows
         assert not dst._held_packets
+        # One blanket release, in key order (not the hash-seed-dependent
+        # iteration order of the pipeline's flow set).
+        blanket = [keys for keys in released if len(keys) > 1]
+        assert len(blanket) == 1 and len(blanket[0]) > 5
+        assert blanket[0] == sorted(blanket[0])
 
     def test_late_replies_after_failure_do_not_resurrect_operation(self, sim, failing_move):
         controller, northbound, _, _ = failing_move
