@@ -1,6 +1,7 @@
 """OpenMB core: state taxonomy, southbound and northbound APIs, and the MB controller."""
 
-from .channel import ControlChannel, FaultPlan, FaultProfile, ScriptedFault
+from ..runtime.arq import ScriptedFault
+from .channel import ControlChannel, FaultPlan, FaultProfile
 from .config import HierarchicalConfig
 from .controller import ControllerConfig, MBController
 from .errors import (

@@ -94,25 +94,6 @@ class MiddleboxInterface(abc.ABC):
     # -- per-flow state (sections 4.1.2-4.1.3) ------------------------------------
 
     @abc.abstractmethod
-    def get_perflow(
-        self,
-        role: StateRole,
-        pattern: FlowPattern,
-        *,
-        mark_transfer: bool = False,
-        track_dirty: bool = False,
-        compress: Optional[bool] = None,
-    ) -> List[StateChunk]:
-        """Export sealed per-flow chunks of the given role matching *pattern*.
-
-        With ``mark_transfer`` the exported flows are flagged so subsequent
-        packets touching them raise re-process events.  With ``track_dirty``
-        the store instead arms dirty-key tracking at the snapshot instant (the
-        pre-copy bulk round): the flows stay un-frozen and later mutations are
-        recorded for the delta rounds.  ``compress`` overrides the
-        implementation's payload-compression default for this export.
-        """
-
     def iter_perflow(
         self,
         role: StateRole,
@@ -122,44 +103,20 @@ class MiddleboxInterface(abc.ABC):
         track_dirty: bool = False,
         compress: Optional[bool] = None,
     ) -> Iterator[StateChunk]:
-        """Stream sealed per-flow chunks instead of materialising the list.
+        """Stream sealed per-flow chunks of the given role matching *pattern*.
 
         The southbound agent pumps this iterator in bounded batches so a
-        million-flow export never resides in memory at once.  The default
-        delegates to :meth:`get_perflow`, so implementations that only provide
-        the list form remain correct (they just pay the full materialisation).
-        Implementations whose setup side effects must happen at the *call*
-        (arming dirty tracking, marking flows) should override this with an
-        eager-setup generator.
+        million-flow export never resides in memory at once; callers that want
+        the whole export take ``list(...)`` of it.  ``mark_transfer`` flags the
+        exported flows so later packets touching them raise re-process events;
+        ``track_dirty`` instead arms dirty-key tracking at the snapshot instant
+        (the pre-copy bulk round), leaving the flows un-frozen; ``compress``
+        overrides the payload-compression default for this export.  Setup side
+        effects (arming tracking, marking) must happen at the *call*, not at
+        the first pull: implement this as an eager-setup generator.
         """
-        return iter(
-            self.get_perflow(
-                role,
-                pattern,
-                mark_transfer=mark_transfer,
-                track_dirty=track_dirty,
-                compress=compress,
-            )
-        )
 
-    def get_perflow_dirty(
-        self,
-        role: StateRole,
-        pattern: FlowPattern,
-        *,
-        mark_transfer: bool = False,
-        compress: Optional[bool] = None,
-    ) -> List[StateChunk]:
-        """Export chunks for flows dirtied since the last drain (pre-copy round).
-
-        ``mark_transfer`` makes this the final stop-and-copy round: every flow
-        matching *pattern* is flagged for re-process events and dirty tracking
-        stops.  The default returns nothing, so middleboxes without per-flow
-        stores still accept pre-copy requests (the controller simply sees an
-        always-empty dirty set and freezes immediately).
-        """
-        return []
-
+    @abc.abstractmethod
     def iter_perflow_dirty(
         self,
         role: StateRole,
@@ -168,12 +125,12 @@ class MiddleboxInterface(abc.ABC):
         mark_transfer: bool = False,
         compress: Optional[bool] = None,
     ) -> Iterator[StateChunk]:
-        """Stream the dirty-delta chunks; default delegates to the list form."""
-        return iter(
-            self.get_perflow_dirty(
-                role, pattern, mark_transfer=mark_transfer, compress=compress
-            )
-        )
+        """Stream chunks for flows dirtied since the last drain (pre-copy round).
+
+        ``mark_transfer`` makes this the final stop-and-copy round: every flow
+        matching *pattern* is flagged for re-process events and dirty tracking
+        stops — at the call, like :meth:`iter_perflow`'s setup.
+        """
 
     def dirty_perflow_count(self, role: StateRole, pattern: Optional[FlowPattern] = None) -> int:
         """Number of flows currently dirty in the store of the given role.
@@ -609,13 +566,7 @@ class SouthboundAgent:
 
         def respond() -> None:
             try:
-                # The round kwarg is only passed when tagged, so middlebox
-                # subclasses that override put_perflow with the legacy
-                # single-argument signature keep working for snapshot puts.
-                if round_tag is None:
-                    self.middlebox.put_perflow(chunk)
-                else:
-                    self.middlebox.put_perflow(chunk, round=round_tag)
+                self.middlebox.put_perflow(chunk, round=round_tag)
             except OpenMBError as exc:
                 self._error(message, str(exc))
                 return
@@ -635,10 +586,7 @@ class SouthboundAgent:
             installed = 0
             try:
                 for chunk in chunks:
-                    if round_tag is None:
-                        self.middlebox.put_perflow(chunk)
-                    else:
-                        self.middlebox.put_perflow(chunk, round=round_tag)
+                    self.middlebox.put_perflow(chunk, round=round_tag)
                     installed += 1
             except OpenMBError as exc:
                 self.stats.chunks_received += installed

@@ -343,32 +343,6 @@ class Middlebox(Node, MiddleboxInterface):
             return self.serialize_support, self.deserialize_support
         return self.serialize_report, self.deserialize_report
 
-    def get_perflow(
-        self,
-        role: StateRole,
-        pattern: FlowPattern,
-        *,
-        mark_transfer: bool = False,
-        track_dirty: bool = False,
-        compress: Optional[bool] = None,
-    ) -> List[StateChunk]:
-        """Export sealed chunks matching *pattern*; optionally mark or track them.
-
-        Materialises :meth:`iter_perflow`'s stream — kept for callers that
-        want the full list (tests, small stores).  The southbound agent pumps
-        the iterator directly so a million-flow export never holds a
-        million-chunk list.
-        """
-        return list(
-            self.iter_perflow(
-                role,
-                pattern,
-                mark_transfer=mark_transfer,
-                track_dirty=track_dirty,
-                compress=compress,
-            )
-        )
-
     def iter_perflow(
         self,
         role: StateRole,
@@ -395,7 +369,7 @@ class Middlebox(Node, MiddleboxInterface):
         negotiation).
 
         API busy time accrues per sealed chunk from the stream's start, so
-        the total matches the one-shot accounting whatever the pull pacing.
+        the total is ``get_base + get_per_chunk * chunks`` whatever the pull pacing.
         """
         store = self._store_for(role)
         serialize, _ = self._serializer_for(role)
@@ -422,25 +396,6 @@ class Middlebox(Node, MiddleboxInterface):
 
         return generate()
 
-    def get_perflow_dirty(
-        self,
-        role: StateRole,
-        pattern: FlowPattern,
-        *,
-        mark_transfer: bool = False,
-        compress: Optional[bool] = None,
-    ) -> List[StateChunk]:
-        """Export chunks for the flows dirtied since the last drain (delta round).
-
-        Materialises :meth:`iter_perflow_dirty`'s stream; see there for the
-        drain/freeze semantics.
-        """
-        return list(
-            self.iter_perflow_dirty(
-                role, pattern, mark_transfer=mark_transfer, compress=compress
-            )
-        )
-
     def iter_perflow_dirty(
         self,
         role: StateRole,
@@ -456,7 +411,7 @@ class Middlebox(Node, MiddleboxInterface):
         — with ``mark_transfer``, the final stop-and-copy — every flow
         matching *pattern* is flagged for re-process events and dirty tracking
         stops *before* the first chunk streams out.  The freeze therefore
-        happens at the call, exactly as in the one-shot form; a frozen flow's
+        happens at the call, not at the first pull; a frozen flow's
         state cannot change while the stream is being pulled (updates surface
         as events), so lazy sealing observes the same bytes.  In non-final
         rounds an update landing mid-stream is included in the flow's chunk

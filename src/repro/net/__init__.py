@@ -1,5 +1,6 @@
 """Network substrate: discrete-event simulator, switches, links, SDN controller."""
 
+from ..runtime.arq import ScriptedFault
 from .flowtable import Action, ActionType, FlowRule, FlowTable
 from .links import (
     DEFAULT_BANDWIDTH,
@@ -8,7 +9,6 @@ from .links import (
     LinkFaultPlan,
     LinkFaultProfile,
     LinkStats,
-    ScriptedLinkFault,
 )
 from .monitoring import DeliveryRecorder, LatencyProbe
 from .packet import ACK, FIN, PSH, RST, SYN, Packet, tcp_packet, udp_packet
@@ -27,7 +27,7 @@ __all__ = [
     "LinkFaultPlan",
     "LinkFaultProfile",
     "LinkStats",
-    "ScriptedLinkFault",
+    "ScriptedFault",
     "LinkProtection",
     "ProtectionConfig",
     "ProtectionStats",

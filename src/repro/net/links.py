@@ -14,11 +14,11 @@ keeps the seed's ``free_at`` tick arithmetic bit for bit.
 
 Two opt-in layers make the data plane imperfect and then repair it:
 
-* a seeded :class:`LinkFaultPlan` (mirroring
-  :class:`repro.core.channel.FaultPlan`) injects per-direction random loss,
-  corruption loss, and reordering delay, plus scripted one-shot faults
-  ("corrupt the 7th a→b frame") — all drawn from one ``random.Random(seed)``
-  per link so fault sequences reproduce bit for bit;
+* a seeded :class:`LinkFaultPlan` (the control channel's
+  :class:`~repro.runtime.arq.SeededFaultPlan` with link fault classes) injects
+  per-direction random loss, corruption loss, and reordering delay, plus
+  scripted one-shot faults ("corrupt the 7th a→b frame") — all drawn from one
+  ``random.Random(seed)`` per link so fault sequences reproduce bit for bit;
 * a LinkGuardian-style link-local protection protocol
   (:mod:`repro.net.protection`) between the two endpoints masks those losses
   with sub-RTT retransmission; :meth:`Link.enable_protection` attaches it.
@@ -30,10 +30,10 @@ implementation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
+from ..runtime.arq import Fate, SeededFaultPlan
 from .packet import Packet
 from .simulator import Simulator
 
@@ -79,11 +79,11 @@ class LinkStats:
 
 
 # =========================================================================================
-# Fault model (mirrors core.channel.FaultPlan at the data-plane layer)
+# Fault model
 # =========================================================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkFaultProfile:
     """Random fault probabilities for one direction of a link.
 
@@ -98,83 +98,31 @@ class LinkFaultProfile:
     corruption: float = 0.0
     reorder: float = 0.0
 
-    @property
-    def active(self) -> bool:
-        """True when any fault of this profile can actually fire."""
-        return self.loss > 0 or self.corruption > 0 or self.reorder > 0
 
-
-@dataclass
-class ScriptedLinkFault:
-    """One deterministic, one-shot fault from a scenario's script.
-
-    ``kind`` is ``"drop"`` or ``"corrupt"``; the fault consumes the *nth*
-    data frame (1-based; protection control frames are not counted)
-    transmitted in *direction* (:data:`A_TO_B` or :data:`B_TO_A`).
-    """
-
-    kind: str
-    direction: str = A_TO_B
-    nth: int = 0
-    #: Set once the fault has fired (one-shot bookkeeping).
-    fired: bool = False
-
-
-class LinkFaultPlan:
+class LinkFaultPlan(SeededFaultPlan):
     """A seeded, deterministic fault-injection plan for one link.
 
-    All randomness flows from a single ``random.Random(seed)``, so two runs
-    with the same plan (and the same simulated workload) lose and corrupt
-    byte-for-byte identical frames — the same reproducibility contract as
-    :class:`repro.core.channel.FaultPlan` on the control plane.
+    ``LinkFaultPlan(seed, a_to_b=LinkFaultProfile(...), b_to_a=..., scripted=[...])``
+    or ``LinkFaultPlan.symmetric(seed, corruption=..., ...)``: two runs with
+    the same plan (and the same simulated workload) lose and corrupt
+    byte-for-byte identical frames.  Scripted faults are
+    :class:`~repro.runtime.arq.ScriptedFault` of kind ``"drop"`` or
+    ``"corrupt"``, consuming the *nth* data frame (protection control frames
+    are not counted) sent :data:`A_TO_B` or :data:`B_TO_A`.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        a_to_b: Optional[LinkFaultProfile] = None,
-        b_to_a: Optional[LinkFaultProfile] = None,
-        scripted: Optional[List[ScriptedLinkFault]] = None,
-    ) -> None:
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.a_to_b = a_to_b or LinkFaultProfile()
-        self.b_to_a = b_to_a or LinkFaultProfile()
-        self.scripted: List[ScriptedLinkFault] = list(scripted or [])
+    DIRECTIONS = (A_TO_B, B_TO_A)
+    PROFILE = LinkFaultProfile
 
-    @classmethod
-    def symmetric(
-        cls,
-        seed: int = 0,
-        *,
-        loss: float = 0.0,
-        corruption: float = 0.0,
-        reorder: float = 0.0,
-        scripted: Optional[List[ScriptedLinkFault]] = None,
-    ) -> "LinkFaultPlan":
-        """A plan applying the same fault probabilities in both directions."""
-        return cls(
-            seed,
-            a_to_b=LinkFaultProfile(loss=loss, corruption=corruption, reorder=reorder),
-            b_to_a=LinkFaultProfile(loss=loss, corruption=corruption, reorder=reorder),
-            scripted=scripted,
-        )
-
-    def profile_for(self, direction: str) -> LinkFaultProfile:
-        """The random-fault profile applied to *direction* of the link."""
-        return self.a_to_b if direction == A_TO_B else self.b_to_a
-
-    def take_scripted(self, direction: str, index: int) -> Optional[str]:
-        """Consume a scripted fault for the *index*-th frame of *direction*.
-
-        Returns the fault kind (``"drop"`` / ``"corrupt"``) or None.
-        """
-        for fault in self.scripted:
-            if not fault.fired and fault.direction == direction and fault.nth == index:
-                fault.fired = True
-                return fault.kind
-        return None
+    def draw(self, profile: LinkFaultProfile, at: float, latency: float) -> Fate:
+        """Loss, corruption, reorder — in that order."""
+        rng = self.rng
+        if rng.random() < profile.loss:
+            return "drop", at, False, None
+        if rng.random() < profile.corruption:
+            return "corrupt", at, False, None
+        at, reordered = self.reorder(profile.reorder, at, latency)
+        return None, at, reordered, None
 
 
 # =========================================================================================
@@ -220,9 +168,6 @@ class Link:
             id(node_a): sim.lane(f"{self.name}:{A_TO_B}"),
             id(node_b): sim.lane(f"{self.name}:{B_TO_A}"),
         }
-        #: Data frames transmitted per direction — the index space scripted
-        #: "fault the nth frame" faults refer to (control frames excluded).
-        self._sent = {A_TO_B: 0, B_TO_A: 0}
 
     # -- endpoint helpers -------------------------------------------------------
 
@@ -249,9 +194,6 @@ class Link:
         if node is self.node_b:
             return B_TO_A
         raise ValueError(f"{node.name} is not attached to link {self.name}")
-
-    def _stats_from(self, node: "Node") -> LinkStats:
-        return self.stats_a_to_b if node is self.node_a else self.stats_b_to_a
 
     def stats_for(self, direction: str) -> LinkStats:
         """The counters of one direction by label."""
@@ -295,11 +237,11 @@ class Link:
         every (re)transmission and control frame; unprotected links come here
         straight from :meth:`transmit`.
         """
-        stats = self._stats_from(sender)
+        direction = self.direction_from(sender)
+        stats = self.stats_for(direction)
         if not self.up:
             stats.drops += 1
             return None
-        direction = self.direction_from(sender)
         receiver = self.other_end(sender)
         in_port = self.port_on(receiver)
         serialization = packet.wire_size / self.bandwidth if self.bandwidth else 0.0
@@ -311,57 +253,27 @@ class Link:
         is_ctrl = self.protection is not None and self.protection.is_ctrl(packet)
         if is_ctrl:
             stats.ctrl_frames += 1
-        else:
-            self._sent[direction] += 1
         if self.faults is not None:
-            delivery_time = self._apply_faults(direction, stats, delivery_time, counted=not is_ctrl)
-            if delivery_time is None:
+            lost, delivery_time, reordered, _ = self.faults.decide(direction, not is_ctrl, delivery_time, self.latency)
+            if lost:
+                if lost == "corrupt":
+                    stats.corrupted += 1
+                else:
+                    stats.drops += 1
                 return None
+            if reordered:
+                stats.reordered += 1
         if self.protection is not None:
             wire.dispatch_at(delivery_time, self.protection.on_arrival, packet, receiver, in_port)
         else:
             wire.dispatch_at(delivery_time, receiver.receive, packet, in_port)
         return delivery_time
 
-    def _apply_faults(
-        self, direction: str, stats: LinkStats, delivery_time: float, *, counted: bool
-    ) -> Optional[float]:
-        """Mutate one delivery according to the fault plan; None = lost.
-
-        The random draws happen in a fixed order for every frame (loss,
-        corruption, reorder) so a given seed always produces the same fault
-        sequence regardless of which probabilities are zero.
-        """
-        plan = self.faults
-        if counted:
-            scripted = plan.take_scripted(direction, self._sent[direction])
-            if scripted is not None:
-                if scripted == "corrupt":
-                    stats.corrupted += 1
-                else:
-                    stats.drops += 1
-                return None
-        profile = plan.profile_for(direction)
-        if not profile.active:
-            return delivery_time
-        rng = plan.rng
-        if rng.random() < profile.loss:
-            stats.drops += 1
-            return None
-        if rng.random() < profile.corruption:
-            stats.corrupted += 1
-            return None
-        if rng.random() < profile.reorder:
-            # Push the frame past roughly one successor's delivery window.
-            stats.reordered += 1
-            delivery_time += 2.0 * self.latency * (1.0 + rng.random())
-        return delivery_time
-
     def set_up(self, up: bool) -> None:
         """Bring the link up or down (downed links silently drop traffic)."""
         self.up = up
-        if not up and self.protection is not None:
-            self.protection.on_link_down()
+        if self.protection is not None:
+            self.protection.on_link_change(up)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} latency={self.latency} bw={self.bandwidth}>"

@@ -8,38 +8,37 @@ the two switches adjacent to a lossy link run a small protocol that detects
 a lost frame by sequence gap and re-sends it from a local hold buffer at
 sub-RTT timescales, so the transport above never sees the loss.
 
-:class:`LinkProtection` implements that protocol for one
-:class:`~repro.net.links.Link` (both directions independently):
+:class:`LinkProtection` runs that protocol on one
+:class:`~repro.net.links.Link`, both directions independently.  The state
+machine — sequence numbers, a bounded hold buffer that pauses the sender
+rather than forgetting what it may need to re-send, re-sends on NACK or on a
+sub-RTT timer, duplicate discard — is :class:`repro.runtime.arq.ArqDirection`,
+the one the control channel runs on; this module is its data-plane carrier:
+the ``lg.seq`` annotation on data frames, the ``lg.ctrl`` ACK/NACK frames
+(cumulative plus selective, so holds drain; missing numbers NACKed once per
+RTO), :class:`ProtectionConfig` and the counters.
 
-* the **sender half** stamps every data frame with a per-direction sequence
-  number, keeps a copy in a bounded hold buffer (new frames queue in a
-  backlog while the buffer is full — the protocol pauses the sender rather
-  than forgetting what it may need to re-send), and re-sends on NACK or on a
-  sub-RTT retransmission timer;
-* the **receiver half** detects loss by sequence gap, NACKs exactly the
-  missing sequence numbers (rate-limited per sequence), acknowledges
-  cumulatively-plus-selectively so the sender's holds drain, and discards
-  duplicates;
-* with ``strict_order=True`` the receiver holds out-of-order arrivals in a
-  resequencing buffer and delivers strictly in sequence — loss *and*
-  reordering are masked, at the cost of gap-fill latency; with
-  ``strict_order=False`` frames are delivered the moment they arrive —
-  minimal added latency, but a repaired loss is delivered late (out of
-  order), which is exactly the stressor order-preserving transfers need.
+With ``strict_order=True`` the receiver holds out-of-order arrivals in a
+resequencing buffer and delivers strictly in sequence — loss *and* reordering
+are masked, at the cost of gap-fill latency; with ``strict_order=False``
+frames are delivered the moment they arrive — minimal added latency, but a
+repaired loss is delivered late (out of order), which is exactly the stressor
+order-preserving transfers need.
 
-Control frames (ACK/NACK) travel over the same physical wire in the reverse
-direction and are themselves subject to the link's fault plan; the
-retransmission timer covers every control-loss case.  All protocol state is
-driven by the link's runtime, so the same code runs on the deterministic
-simulator and the wall-clock realtime runtime.
+Control frames travel over the same physical wire in the reverse direction
+and are themselves subject to the link's fault plan; the retransmission timer
+covers every control-loss case.  All protocol state is driven by the link's
+runtime, so the same code runs on the deterministic simulator and the
+wall-clock realtime runtime.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
+from ..runtime.arq import DEFAULT_RTO_LATENCY_MULTIPLE, ArqDirection
+from .links import A_TO_B, B_TO_A
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
@@ -51,11 +50,6 @@ SEQ_KEY = "lg.seq"
 
 #: Annotation key marking (and carrying) a protection control frame.
 CTRL_KEY = "lg.ctrl"
-
-#: Retransmit timeout as a multiple of the one-way link latency.  A link RTT
-#: is two latencies; eight keeps recovery sub-RTT relative to any end-to-end
-#: path of a few hops while riding out serialisation jitter.
-DEFAULT_RTO_LATENCY_MULTIPLE = 8.0
 
 
 @dataclass
@@ -95,53 +89,49 @@ class ProtectionStats:
     abandoned: int = 0
 
 
-class _Direction:
-    """Sender + receiver protocol state for one direction of the link."""
-
-    __slots__ = (
-        "next_seq",
-        "holds",
-        "backlog",
-        "timer_armed",
-        "expected",
-        "pending",
-        "seen",
-        "nacked_at",
-        "stats",
-    )
-
-    def __init__(self) -> None:
-        # Sender half: next sequence to stamp, seq -> [frame copy, last
-        # transmission time, retries], and the pause queue for a full buffer.
-        self.next_seq = 1
-        self.holds: Dict[int, list] = {}
-        self.backlog: Deque[Tuple[Packet, "Node"]] = deque()
-        self.timer_armed = False
-        # Receiver half: next sequence expected, the strict-order
-        # resequencing buffer, the out-of-order-delivered set (loose order),
-        # and the NACK rate limiter (seq -> last time it was NACKed).
-        self.expected = 1
-        self.pending: Dict[int, Tuple[Packet, int]] = {}
-        self.seen: set = set()
-        self.nacked_at: Dict[int, float] = {}
-        self.stats = ProtectionStats()
-
-
 class LinkProtection:
     """The LinkGuardian protocol instance attached to one link."""
 
     def __init__(self, link: "Link", config: ProtectionConfig) -> None:
         self.link = link
         self.config = config
-        self.sim = link.sim
         self.retransmit_timeout = (
             config.retransmit_timeout
             if config.retransmit_timeout is not None
             else max(DEFAULT_RTO_LATENCY_MULTIPLE * link.latency, 1e-6)
         )
-        from .links import A_TO_B, B_TO_A
+        self._stats: Dict[str, ProtectionStats] = {}
+        self._arq: Dict[str, ArqDirection] = {}
+        for direction, sender in ((A_TO_B, link.node_a), (B_TO_A, link.node_b)):
+            self._wire_up(direction, sender)
 
-        self._dirs: Dict[str, _Direction] = {A_TO_B: _Direction(), B_TO_A: _Direction()}
+    def _wire_up(self, direction: str, sender: "Node") -> None:
+        """Bind one direction's engine to its end of the wire and its counters."""
+        link = self.link
+        stats = self._stats[direction] = ProtectionStats()
+        wire_stats = link.stats_for(direction)
+
+        def transmit(packet: Packet, retry: bool) -> Optional[float]:
+            if retry:
+                wire_stats.retransmits += 1
+            return link.transmit_raw(packet, sender)
+
+        def abandon() -> None:
+            stats.abandoned += 1
+
+        config = self.config
+        # The layer above mutates delivered packets (and strips the sequence
+        # annotation), so holds and re-sends are copies.
+        self._arq[direction] = ArqDirection(
+            link.sim,
+            self.retransmit_timeout,
+            transmit,
+            strict=config.strict_order,
+            window=config.hold_buffer,
+            max_retries=config.max_retries,
+            copy=Packet.copy,
+            on_abandon=abandon,
+        )
 
     # -- introspection ----------------------------------------------------------
 
@@ -151,17 +141,11 @@ class LinkProtection:
 
     def stats_for(self, direction: str) -> ProtectionStats:
         """Protocol counters of one direction (by links.A_TO_B / B_TO_A label)."""
-        return self._dirs[direction].stats
-
-    @property
-    def total_retransmits(self) -> int:
-        """Frames re-sent across both directions (from the link's counters)."""
-        return self.link.stats_a_to_b.retransmits + self.link.stats_b_to_a.retransmits
+        return self._stats[direction]
 
     def outstanding(self, direction: str) -> int:
         """Held-plus-backlogged frames the sender half still tracks."""
-        state = self._dirs[direction]
-        return len(state.holds) + len(state.backlog)
+        return self._arq[direction].outstanding
 
     # -- sender half ------------------------------------------------------------
 
@@ -173,178 +157,70 @@ class LinkProtection:
         either way the protocol re-delivers it, so the return value is only
         the optimistic projection an unprotected link would have given).
         """
-        direction = self.link.direction_from(sender)
-        state = self._dirs[direction]
-        packet.annotations[SEQ_KEY] = state.next_seq
-        state.next_seq += 1
-        if len(state.holds) >= self.config.hold_buffer:
-            state.backlog.append((packet, sender))
-            return None
-        return self._launch(state, direction, packet, sender)
-
-    def _launch(self, state: _Direction, direction: str, packet: Packet, sender: "Node") -> Optional[float]:
-        """Hold a copy of *packet* and make its first transmission attempt."""
-        state.holds[packet.annotations[SEQ_KEY]] = [packet.copy(), self.sim.now, 0]
-        self._arm_timer(direction, sender)
-        return self.link.transmit_raw(packet, sender)
-
-    def _drain_backlog(self, state: _Direction, direction: str) -> None:
-        """Move paused frames into freed hold slots (in sequence order)."""
-        while state.backlog and len(state.holds) < self.config.hold_buffer:
-            packet, sender = state.backlog.popleft()
-            self._launch(state, direction, packet, sender)
-
-    def _arm_timer(self, direction: str, sender: "Node") -> None:
-        """Schedule the direction's retransmit check (one timer at a time)."""
-        state = self._dirs[direction]
-        if state.timer_armed:
-            return
-        state.timer_armed = True
-        self.sim.schedule(self.retransmit_timeout, self._timer_check, direction, sender)
-
-    def _timer_check(self, direction: str, sender: "Node") -> None:
-        """Re-send the oldest unacknowledged hold once it ages past the RTO.
-
-        Only the head is re-sent (acks free holds selectively, so the head is
-        the one genuine gap); a frame that exhausts ``max_retries`` is
-        abandoned and counted so persistent loss cannot retry forever.
-        """
-        state = self._dirs[direction]
-        state.timer_armed = False
-        if not self.link.up:
-            self.on_link_down()
-            return
-        if not state.holds and not state.backlog:
-            return
-        if state.holds:
-            head = min(state.holds)
-            entry = state.holds[head]
-            if entry[1] <= self.sim.now - self.retransmit_timeout + 1e-12:
-                if entry[2] >= self.config.max_retries:
-                    del state.holds[head]
-                    state.stats.abandoned += 1
-                    self._drain_backlog(state, direction)
-                else:
-                    self._retransmit(state, direction, head, sender)
-        self._arm_timer(direction, sender)
-
-    def _retransmit(self, state: _Direction, direction: str, seq: int, sender: "Node") -> None:
-        """One retransmission attempt of a held frame."""
-        entry = state.holds.get(seq)
-        if entry is None:
-            return
-        entry[1] = self.sim.now
-        entry[2] += 1
-        self.link.stats_for(direction).retransmits += 1
-        self.link.transmit_raw(entry[0].copy(), sender)
+        arq = self._arq[self.link.direction_from(sender)]
+        packet.annotations[SEQ_KEY] = arq.next_seq
+        return arq.send(packet)
 
     # -- receiver half ----------------------------------------------------------
 
     def on_arrival(self, packet: Packet, receiver: "Node", in_port: int) -> None:
         """Physical arrival at *receiver*: ack/nack absorption or data delivery."""
-        ctrl = packet.annotations.get(CTRL_KEY)
+        annotations = packet.annotations
+        ctrl = annotations.get(CTRL_KEY)
         if ctrl is not None:
             # The control frame acknowledges the data direction *receiver*
             # transmits on (it travelled the reverse wire to get here).
-            self._absorb_ctrl(self.link.direction_from(receiver), ctrl, receiver)
+            self._arq[self.link.direction_from(receiver)].absorb_ack(
+                int(ctrl.get("cum", 0)), ctrl.get("have", ()), ctrl.get("need", ())
+            )
             return
-        direction = self.link.direction_from(self.link.other_end(receiver))
-        state = self._dirs[direction]
-        seq = packet.annotations.get(SEQ_KEY)
+        seq = annotations.get(SEQ_KEY)
         if seq is None:
             receiver.receive(packet, in_port)  # pre-protection frame
             return
-        if seq < state.expected or seq in state.pending or seq in state.seen:
-            state.stats.dup_discards += 1
-            self._send_ctrl(state, receiver)
-            return
-        if self.config.strict_order:
-            state.pending[seq] = (packet, in_port)
-            if seq != state.expected:
-                state.stats.resequenced += 1
-            while state.expected in state.pending:
-                held, held_port = state.pending.pop(state.expected)
-                state.nacked_at.pop(state.expected, None)
-                state.expected += 1
-                self._deliver(state, held, receiver, held_port)
-        else:
-            if seq == state.expected:
-                state.expected += 1
-                while state.expected in state.seen:
-                    state.seen.discard(state.expected)
-                    state.nacked_at.pop(state.expected, None)
-                    state.expected += 1
-            else:
-                state.seen.add(seq)
-                state.stats.out_of_order += 1
-            self._deliver(state, packet, receiver, in_port)
-        self._send_ctrl(state, receiver)
+        direction = self.link.direction_from(self.link.other_end(receiver))
+        arq = self._arq[direction]
+        stats = self._stats[direction]
+        above_gap = seq != arq.expected
 
-    def _deliver(self, state: _Direction, packet: Packet, receiver: "Node", in_port: int) -> None:
-        """Hand one frame up to the node, stripped of protocol annotations."""
-        packet.annotations.pop(SEQ_KEY, None)
-        state.stats.delivered += 1
-        receiver.receive(packet, in_port)
+        def deliver(frame: Packet) -> None:
+            """Hand one frame up to the node, stripped of protocol annotations."""
+            frame.annotations.pop(SEQ_KEY, None)
+            stats.delivered += 1
+            receiver.receive(frame, in_port)
 
-    def _send_ctrl(self, state: _Direction, receiver: "Node") -> None:
-        """Emit one ACK/NACK control frame back toward the data sender.
-
-        ``cum`` acknowledges everything below ``expected``; ``have`` lists
-        sequences buffered or already delivered above the gap (so the sender
-        frees those holds instead of re-sending them); ``need`` NACKs the
-        missing sequences, rate-limited to one NACK per RTO per sequence.
-        """
-        above = state.pending.keys() | state.seen
-        need: List[int] = []
-        if above:
-            horizon = max(above)
-            cutoff = self.sim.now - self.retransmit_timeout
-            for missing in range(state.expected, horizon):
-                if missing in above:
-                    continue
-                if state.nacked_at.get(missing, -1.0) > cutoff:
-                    continue
-                state.nacked_at[missing] = self.sim.now
-                need.append(missing)
-            state.stats.nacked += len(need)
-        ctrl = Packet(
+        if not arq.receive(seq, packet, deliver):
+            stats.dup_discards += 1
+        elif above_gap and self.config.strict_order:
+            stats.resequenced += 1
+        elif above_gap:
+            stats.out_of_order += 1
+        # One ACK/NACK control frame back toward the data sender.
+        cum, have, need = arq.ack_state()
+        stats.nacked += len(need)
+        ctrl_frame = Packet(
             nw_src="0.0.0.0",
             nw_dst="0.0.0.0",
             nw_proto=0,
-            annotations={CTRL_KEY: {"cum": state.expected - 1, "have": sorted(above), "need": need}},
+            annotations={CTRL_KEY: {"cum": cum, "have": have, "need": need}},
         )
-        self.link.transmit_raw(ctrl, receiver)
-
-    # -- sender half, control absorption ----------------------------------------
-
-    def _absorb_ctrl(self, direction: str, ctrl: dict, sender: "Node") -> None:
-        """Free acknowledged holds and service NACKs for one data direction."""
-        state = self._dirs[direction]
-        cum = int(ctrl.get("cum", 0))
-        for seq in [seq for seq in state.holds if seq <= cum]:
-            del state.holds[seq]
-        for seq in ctrl.get("have", ()):
-            state.holds.pop(seq, None)
-        for seq in ctrl.get("need", ()):
-            if seq in state.holds:
-                self._retransmit(state, direction, seq, sender)
-        self._drain_backlog(state, direction)
+        self.link.transmit_raw(ctrl_frame, receiver)
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def on_link_down(self) -> None:
-        """The link went administratively down: stop recovering, count losses.
+    def on_link_change(self, up: bool) -> None:
+        """The link went administratively down (or came back up: tracking resumes).
 
-        Held and backlogged frames die with the link (recorded as drops on
-        their direction) — retransmission timers must not keep a dead wire's
-        event queue alive forever.
+        Held and backlogged frames die with the link, recorded as drops on
+        their direction; frames sent while it stays down are not held at all —
+        the wire counts each as a drop itself — so no retransmission timer
+        keeps a dead wire's event queue alive.
         """
-        for direction, state in self._dirs.items():
-            lost = len(state.holds) + len(state.backlog)
-            if lost:
-                self.link.stats_for(direction).drops += lost
-            state.holds.clear()
-            state.backlog.clear()
+        for direction, arq in self._arq.items():
+            if up:
+                arq.closed = False
+            else:
+                self.link.stats_for(direction).drops += arq.close()
 
 
 @dataclass
@@ -380,8 +256,6 @@ class ProtectionSummary:
 
 def summarize(link: "Link") -> ProtectionSummary:
     """Build a :class:`ProtectionSummary` from a (protected) link's counters."""
-    from .links import A_TO_B, B_TO_A
-
     summary = ProtectionSummary()
     for direction in (A_TO_B, B_TO_A):
         stats = link.stats_for(direction)

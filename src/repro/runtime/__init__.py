@@ -5,6 +5,9 @@
   kernel (lives in :mod:`repro.net`; registered as a virtual subclass).
 * :class:`RealtimeRuntime` — wall-clock asyncio implementation.
 * :class:`RuntimeConfig` / :func:`create_runtime` — the selection knob.
+* :mod:`repro.runtime.arq` — sequenced reliable delivery and seeded fault
+  plans, written against this interface only; control channels and link
+  protection both run on it.
 """
 
 from .config import RUNTIME_MODES, RuntimeConfig, create_runtime

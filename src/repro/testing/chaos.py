@@ -550,13 +550,7 @@ def run_chaos(spec: ChaosSpec, *, runtime=None) -> ChaosResult:
     retried = bool(getattr(handle, "retried", False))
     result.retried_on_standby = retried
 
-    # -- channel accounting ----------------------------------------------------------
-    for channel in channels.values():
-        result.messages += channel.total_messages
-        result.drops += channel.total_dropped
-        result.retransmits += channel.total_retransmits
-        result.dedup_discards += channel.to_mb.dedup_discards + channel.to_controller.dedup_discards
-        result.duplicates += channel.to_mb.duplicated + channel.to_controller.duplicated
+    _account_channels(result, channels)
     if data_paths is not None:
         _account_data_paths(result, data_paths)
 
@@ -585,6 +579,16 @@ def run_chaos(spec: ChaosSpec, *, runtime=None) -> ChaosResult:
         if killed != SRC:
             _check_source_retention(result, sent, mbs[SRC].flow_seqs())
     return result
+
+
+def _account_channels(result: ChaosResult, channels: Dict[str, ControlChannel]) -> None:
+    """Fold every control channel's fault/recovery counters into the result."""
+    for channel in channels.values():
+        result.messages += channel.total_messages
+        result.drops += channel.total_dropped
+        result.retransmits += channel.total_retransmits
+        result.dedup_discards += channel.to_mb.dedup_discards + channel.to_controller.dedup_discards
+        result.duplicates += channel.to_mb.duplicated + channel.to_controller.duplicated
 
 
 def _account_data_paths(result: ChaosResult, paths: Dict[str, _DataPath]) -> None:
@@ -786,13 +790,7 @@ def run_federated_chaos(spec: ChaosSpec) -> ChaosResult:
             InvariantViolation("lost-updates", f"{FED_AUX} lost {len(missing)} per-flow entries in the takeover")
         )
 
-    # -- channel accounting ----------------------------------------------------------
-    for channel in channels.values():
-        result.messages += channel.total_messages
-        result.drops += channel.total_dropped
-        result.retransmits += channel.total_retransmits
-        result.dedup_discards += channel.to_mb.dedup_discards + channel.to_controller.dedup_discards
-        result.duplicates += channel.to_mb.duplicated + channel.to_controller.duplicated
+    _account_channels(result, channels)
 
     # -- invariants 2-4 on the workload move -----------------------------------------
     tag_suspects = {DST} if result.outcome == "failed" else set()

@@ -11,6 +11,7 @@ verify end-to-end reproducibility of representative workloads.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 
@@ -88,6 +89,25 @@ class TestNoAmbientRandomness:
             "asyncio.sleep outside src/repro/runtime/ bypasses the shared "
             "scheduling interface; use runtime.schedule/timeout instead:\n" + "\n".join(offenders)
         )
+
+
+class TestEngineLayering:
+    def test_the_arq_engine_imports_nothing_from_core_or_net(self):
+        """``core`` and ``net`` both import the engine, so it may import neither.
+
+        Relative imports are resolved against the module's own package
+        (``repro.runtime``), so ``from ..core import x`` is caught as well.
+        """
+        path = SRC_ROOT / "repro" / "runtime" / "arq.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                package = ["repro", "runtime"][: 2 - (node.level - 1)] if node.level else []
+                imported.add(".".join(package + ([node.module] if node.module else [])))
+        offenders = sorted(name for name in imported if name.split(".")[0] == "repro")
+        assert not offenders, f"repro.runtime.arq needs only the standard library, but imports {offenders}"
 
 
 class TestSeededReproducibility:

@@ -65,7 +65,7 @@ class TestSouthboundAgentErrors:
         other = PassiveMonitor(sim, "other")
         controller.register(other)
         monitor.process_packet(tcp_packet("10.0.0.1", "192.0.2.1", 1, 80))
-        chunk = monitor.get_perflow(StateRole.REPORTING, FlowPattern.wildcard())[0]
+        chunk = list(monitor.iter_perflow(StateRole.REPORTING, FlowPattern.wildcard()))[0]
         chunk.blob = b"\x00" * len(chunk.blob)
         replies = self._collect_replies(sim, controller, "other", messages.put_perflow("other", chunk))
         assert replies[0].type == MessageType.ERROR

@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.channel import (
-    ControlChannel,
-    FaultPlan,
-    FaultProfile,
-    ScriptedFault,
-)
+from repro.core.channel import ControlChannel, FaultPlan, FaultProfile
 from repro.core.messages import Message, MessageType
 from repro.net import Simulator
+from repro.runtime.arq import ScriptedFault
 
 
 def make_channel(sim, **kwargs):
@@ -125,11 +121,6 @@ class TestRandomFaults:
         assert channel.to_mb.retransmits == 1
         assert [message.body["index"] for message in to_mb] == [1, 2, 3]
         assert [message.body["index"] for message in to_controller] == [1, 2, 3]
-
-    def test_kill_faults_are_exposed_to_the_runner(self):
-        plan = FaultPlan(1, scripted=[ScriptedFault(kind="kill", mb="dst", at=0.002)])
-        kills = plan.kill_faults()
-        assert len(kills) == 1 and kills[0].mb == "dst"
 
     def test_same_seed_injects_identical_faults(self):
         outcomes = []

@@ -195,7 +195,7 @@ class TestStateMigration:
         split = len(records) // 2
         for record in records[:split]:
             old.process_packet(record.to_packet())
-        for chunk in old.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard()):
+        for chunk in list(old.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard())):
             new.put_perflow(chunk)
         old.del_perflow(StateRole.SUPPORTING, FlowPattern.wildcard())
         for record in records[split:]:

@@ -6,7 +6,7 @@ from repro.net import (
     LinkFaultPlan,
     LinkFaultProfile,
     ProtectionConfig,
-    ScriptedLinkFault,
+    ScriptedFault,
     Simulator,
     Topology,
     udp_packet,
@@ -80,7 +80,7 @@ class TestLinkFaultPlan:
 
     def test_scripted_fault_hits_exactly_the_nth_frame(self):
         sim = Simulator()
-        plan = LinkFaultPlan(seed=0, scripted=[ScriptedLinkFault("drop", A_TO_B, nth=2)])
+        plan = LinkFaultPlan(seed=0, scripted=[ScriptedFault("drop", A_TO_B, nth=2)])
         topo, h1, h2, link = _pair(sim, faults=plan)
         _burst(h1, 4)
         sim.run()
@@ -90,7 +90,7 @@ class TestLinkFaultPlan:
 
     def test_scripted_fault_is_direction_scoped(self):
         sim = Simulator()
-        plan = LinkFaultPlan(seed=0, scripted=[ScriptedLinkFault("corrupt", B_TO_A, nth=1)])
+        plan = LinkFaultPlan(seed=0, scripted=[ScriptedFault("corrupt", B_TO_A, nth=1)])
         topo, h1, h2, link = _pair(sim, faults=plan)
         _burst(h1, 2)
         _burst(h2, 2, reverse=True)
@@ -203,6 +203,27 @@ class TestLinkProtection:
         assert protection.outstanding(A_TO_B) == 0
         assert protection.outstanding(B_TO_A) == 0
 
+    def test_frames_sent_on_a_down_link_are_counted_as_dropped_once(self):
+        sim = Simulator()
+        topo, h1, h2, link = _pair(sim)
+        protection = link.enable_protection()
+        link.set_up(False)
+        _burst(h1, 5)
+        sim.run()  # nothing is held for a dead wire, so no timer is left to run
+        assert h2.received == []
+        assert link.stats_a_to_b.drops == 5
+        assert protection.outstanding(A_TO_B) == 0
+
+    def test_holds_lost_to_a_link_going_down_are_recorded_as_drops(self):
+        sim = Simulator()
+        topo, h1, h2, link = _pair(sim, faults=LinkFaultPlan(seed=0, a_to_b=LinkFaultProfile(loss=1.0)))
+        link.enable_protection()
+        _burst(h1, 5)  # 5 attempts lost on the wire, 5 frames left in the hold table
+        link.set_up(False)
+        sim.run()
+        assert link.stats_a_to_b.drops == 5 + 5
+        assert link.stats_a_to_b.retransmits == 0
+
     def test_abandons_after_max_retries_on_persistent_loss(self):
         sim = Simulator()
         plan = LinkFaultPlan(seed=0, a_to_b=LinkFaultProfile(loss=1.0))
@@ -219,7 +240,7 @@ class TestLinkProtection:
         # The 3rd a→b *data* frame must be hit even though protection ACKs
         # (b→a ctrl) and retransmissions interleave on the wire.
         sim = Simulator()
-        plan = LinkFaultPlan(seed=0, scripted=[ScriptedLinkFault("corrupt", A_TO_B, nth=3)])
+        plan = LinkFaultPlan(seed=0, scripted=[ScriptedFault("corrupt", A_TO_B, nth=3)])
         topo, h1, h2, link = _pair(sim, faults=plan)
         link.enable_protection()
         _burst(h1, 5)

@@ -111,7 +111,7 @@ class TestSouthboundState:
 
     def test_get_perflow_exports_sealed_chunks(self):
         _, mb = self._populated()
-        chunks = mb.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard())
+        chunks = list(mb.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard()))
         assert len(chunks) == 10
         assert all(chunk.blob for chunk in chunks)
         assert all(b"packets" not in chunk.blob for chunk in chunks)
@@ -119,7 +119,7 @@ class TestSouthboundState:
     def test_put_perflow_imports_into_peer(self):
         sim, mb = self._populated()
         peer = EchoMB(sim, "echo2")
-        for chunk in mb.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard()):
+        for chunk in list(mb.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard())):
             peer.put_perflow(chunk)
         assert len(peer.support_store) == 10
         key = FlowKey(6, "10.0.0.1", "192.0.2.1", 1000, 80)
@@ -127,7 +127,7 @@ class TestSouthboundState:
 
     def test_get_with_mark_transfer_flags_flows(self):
         _, mb = self._populated()
-        mb.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True)
+        list(mb.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True))
         assert mb.transferred_flow_count() == 10
         mb.end_transfer()
         assert mb.transferred_flow_count() == 0
@@ -204,7 +204,7 @@ class TestEvents:
         mb.receive(make_packet(0), 1)
         sim.run()
         assert not any(event.is_reprocess for event in events)
-        mb.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True)
+        list(mb.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True))
         mb.receive(make_packet(0), 1)
         sim.run()
         assert any(event.is_reprocess for event in events)
@@ -215,7 +215,7 @@ class TestEvents:
         events = []
         mb.set_event_sink(events.append)
         mb.process_packet(make_packet(0))
-        mb.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True)
+        list(mb.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True))
         mb.receive(make_packet(0, payload=b"replay-me"), 1)
         sim.run()
         reprocess = [event for event in events if event.is_reprocess]

@@ -97,7 +97,7 @@ class TestStateExport:
         sim = Simulator()
         src, dst = PassiveMonitor(sim, "a"), PassiveMonitor(sim, "b")
         feed(src, count=6)
-        chunks = src.get_perflow(StateRole.REPORTING, FlowPattern.wildcard())
+        chunks = list(src.iter_perflow(StateRole.REPORTING, FlowPattern.wildcard()))
         for chunk in chunks:
             dst.put_perflow(chunk)
         assert len(dst.report_store) == 6

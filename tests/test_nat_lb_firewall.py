@@ -63,7 +63,7 @@ class TestNAT:
         old = NAT(sim, "nat-old")
         new = NAT(sim, "nat-new")
         outbound = old.process_packet(tcp_packet("10.0.0.5", "8.8.8.8", 5555, 80)).packet
-        for chunk in old.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard()):
+        for chunk in list(old.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard())):
             new.put_perflow(chunk)
         reply = tcp_packet("8.8.8.8", outbound.nw_src, 80, outbound.tp_src)
         translated = new.process_packet(reply).packet
@@ -142,7 +142,7 @@ class TestLoadBalancer:
         old = LoadBalancer(sim, "lb-old", backends=["10.10.0.1", "10.10.0.2"])
         new = LoadBalancer(sim, "lb-new", backends=["10.10.0.1", "10.10.0.2"])
         first = old.process_packet(tcp_packet("10.0.0.1", "198.51.100.10", 1001, 80))
-        for chunk in old.get_perflow(StateRole.SUPPORTING, FlowPattern(nw_src="10.0.0.1")):
+        for chunk in list(old.iter_perflow(StateRole.SUPPORTING, FlowPattern(nw_src="10.0.0.1"))):
             new.put_perflow(chunk)
         second = new.process_packet(tcp_packet("10.0.0.1", "198.51.100.10", 1001, 80))
         assert second.packet.nw_dst == first.packet.nw_dst
@@ -154,8 +154,8 @@ class TestLoadBalancer:
         lb = self._lb()
         lb.process_packet(tcp_packet("10.0.0.1", "198.51.100.10", 1001, 80))
         with pytest.raises(GranularityError):
-            lb.get_perflow(StateRole.SUPPORTING, FlowPattern(nw_dst="198.51.100.10"))
-        assert len(lb.get_perflow(StateRole.SUPPORTING, FlowPattern(nw_src="10.0.0.1"))) == 1
+            list(lb.iter_perflow(StateRole.SUPPORTING, FlowPattern(nw_dst="198.51.100.10")))
+        assert len(list(lb.iter_perflow(StateRole.SUPPORTING, FlowPattern(nw_src="10.0.0.1")))) == 1
 
     def test_reconfigure_backends(self):
         lb = self._lb()
@@ -241,7 +241,7 @@ class TestFirewall:
         old = self._fw()
         new = Firewall(sim, "fw-new", rules=old.rules())
         old.process_packet(tcp_packet("10.0.0.1", "192.0.2.5", 1000, 80))
-        for chunk in old.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard()):
+        for chunk in list(old.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard())):
             new.put_perflow(chunk)
         reply = tcp_packet("192.0.2.5", "10.0.0.1", 80, 1000)
         from repro.middleboxes.base import Verdict

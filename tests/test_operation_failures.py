@@ -27,11 +27,11 @@ class FailingDestination(DummyMiddlebox):
         self._accept = accept
         self.puts_seen = 0
 
-    def put_perflow(self, chunk):
+    def put_perflow(self, chunk, *, round=None):
         self.puts_seen += 1
         if self.puts_seen > self._accept:
             raise StateError("destination import failed (simulated)")
-        super().put_perflow(chunk)
+        super().put_perflow(chunk, round=round)
 
 
 @pytest.fixture
@@ -137,7 +137,7 @@ class TestUnregisterCleanup:
         # stale binding (and must not crash the simulation).
         sim.run(until=sim.now + 1.0)
         assert not future.done
-        assert channel._controller_handler is None
+        assert channel._handlers["to_controller"] is None
 
     def test_unregistered_middlebox_events_are_dropped(self, sim, controller, monitor_pair):
         mon1, _ = monitor_pair

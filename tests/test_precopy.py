@@ -122,7 +122,7 @@ class TestDirtyTracking:
         mb.support_store.get_or_create(mb.flow_key_for(1), dict)
         from repro.core.flowspace import FlowPattern
 
-        chunks = mb.get_perflow_dirty(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True)
+        chunks = list(mb.iter_perflow_dirty(StateRole.SUPPORTING, FlowPattern.wildcard(), mark_transfer=True))
         assert [chunk.key for chunk in chunks] == [mb.flow_key_for(1).bidirectional()]
         assert mb.transferred_flow_count() == 3  # every match frozen, not just the dirty one
         assert not mb.support_store.tracking_dirty

@@ -337,7 +337,7 @@ class TestBatchedDispatch:
         src, dst = boxes[0]
         channel = controller.channel_for(dst.name)
         delivered = []
-        original = channel._mb_handler
+        original = channel._handlers["to_mb"]
         channel.bind_middlebox(lambda message: (delivered.append(message.type), original(message)))
         controller.send(dst.name, messages.put_perflow(dst.name, _sealed_chunks(1)[0]))
         # A get issued in the same instant must not overtake the queued put:
@@ -387,4 +387,4 @@ def _sealed_chunks(count: int):
     from repro.core.state import StateRole
 
     exporter = DummyMiddlebox(Simulator(), "chunk-source", chunk_count=count)
-    return exporter.get_perflow(StateRole.SUPPORTING, FlowPattern.wildcard())[:count]
+    return list(exporter.iter_perflow(StateRole.SUPPORTING, FlowPattern.wildcard()))[:count]

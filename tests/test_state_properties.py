@@ -15,7 +15,9 @@ import pytest
 
 from repro.core.errors import GranularityError
 from repro.core.flowspace import FlowKey, FlowPattern
-from repro.core.state import DictPerFlowStateStore, PerFlowStateStore
+from repro.core.state import PerFlowStateStore
+
+from dict_store_oracle import DictPerFlowStateStore
 
 #: Deliberately collision-rich universe so random sequences hit the same flow
 #: repeatedly (put-over-put, remove-of-present, reverse-direction lookups).

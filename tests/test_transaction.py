@@ -34,11 +34,11 @@ class FailingDestination(DummyMiddlebox):
         self._accept = accept
         self.puts_seen = 0
 
-    def put_perflow(self, chunk):
+    def put_perflow(self, chunk, *, round=None):
         self.puts_seen += 1
         if self.puts_seen > self._accept:
             raise StateError("destination import failed (simulated)")
-        super().put_perflow(chunk)
+        super().put_perflow(chunk, round=round)
 
 
 def monitor_scenario(**kwargs):
