@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional
 
 from ..net.simulator import Simulator
 from ..runtime.arq import DEFAULT_RTO_LATENCY_MULTIPLE, ArqDirection, Fate, SeededFaultPlan
-from .messages import Message, MessageType, batch_message, chan_ack
+from .messages import Message, MessageType, batch_message, chan_ack, parse
 
 #: Default one-way control-channel latency (seconds): a LAN round trip share.
 DEFAULT_CONTROL_LATENCY = 200e-6
@@ -317,7 +317,7 @@ class ControlChannel:
             return  # crashed middlebox / detached controller: discard silently
         reverse = REVERSE[direction]
         if message.type == MessageType.CHAN_ACK:
-            self._arq[reverse].absorb_ack(int(message.body.get("cum", 0)))
+            self._arq[reverse].absorb_ack(parse(message)["cum"])
             return
         if not self.reliable or message.cseq is None:
             handler(message)

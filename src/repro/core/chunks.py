@@ -4,9 +4,9 @@ Per-flow and shared state cross the southbound API as *sealed chunks*: the
 middlebox serialises its native state object to bytes, encrypts it with its
 type-wide sealing key, and hands the controller an opaque blob tagged only
 with the flow key (for per-flow state) and the state role.  This module holds
-the serialisation format (a JSON envelope with explicit support for ``bytes``
-and a small set of registered object codecs) and the helpers that turn native
-objects into :class:`~repro.core.state.StateChunk` /
+the serialisation format (a JSON envelope with explicit support for ``bytes``,
+tuples and flow keys) and the helpers that turn native objects into
+:class:`~repro.core.state.StateChunk` /
 :class:`~repro.core.state.SharedChunk` instances and back.
 """
 
@@ -16,76 +16,44 @@ import base64
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Optional
 
 from . import crypto
 from .errors import SealError, StateError
 from .flowspace import FlowKey
 from .state import SharedChunk, StateChunk, StateRole
 
-#: Registry of object codecs: tag -> (type, to_plain, from_plain).
-_CODECS: Dict[str, Tuple[type, Callable[[Any], Any], Callable[[Any], Any]]] = {}
 
-
-def register_codec(tag: str, cls: type, to_plain: Callable[[Any], Any], from_plain: Callable[[Any], Any]) -> None:
-    """Register a codec so instances of *cls* can appear inside chunk payloads.
-
-    Middlebox modules register their state classes at import time; the tag is
-    embedded in the serialised form so the receiving instance reconstructs the
-    same type.
-    """
-    _CODECS[tag] = (cls, to_plain, from_plain)
-
-
-def _encode_value(value: Any) -> Any:
+def encode_value(value: Any) -> Any:
     """Recursively convert a payload value to JSON-encodable form."""
     if isinstance(value, bytes):
         return {"__bytes__": base64.b64encode(value).decode("ascii")}
     if isinstance(value, tuple):
-        return {"__tuple__": [_encode_value(item) for item in value]}
+        return {"__tuple__": [encode_value(item) for item in value]}
     if isinstance(value, FlowKey):
         return {"__flowkey__": value.as_dict()}
     if isinstance(value, dict):
-        return {str(key): _encode_value(item) for key, item in value.items()}
+        return {str(key): encode_value(item) for key, item in value.items()}
     if isinstance(value, (list,)):
-        return [_encode_value(item) for item in value]
-    for tag, (cls, to_plain, _) in _CODECS.items():
-        if isinstance(value, cls):
-            return {"__obj__": tag, "data": _encode_value(to_plain(value))}
+        return [encode_value(item) for item in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     raise StateError(f"cannot serialise value of type {type(value).__name__} in a state chunk")
 
 
-def _decode_value(value: Any) -> Any:
-    """Inverse of :func:`_encode_value`."""
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value`."""
     if isinstance(value, dict):
         if "__bytes__" in value and len(value) == 1:
             return base64.b64decode(value["__bytes__"])
         if "__tuple__" in value and len(value) == 1:
-            return tuple(_decode_value(item) for item in value["__tuple__"])
+            return tuple(decode_value(item) for item in value["__tuple__"])
         if "__flowkey__" in value and len(value) == 1:
             return FlowKey.from_dict(value["__flowkey__"])
-        if "__obj__" in value and "data" in value and len(value) == 2:
-            tag = value["__obj__"]
-            if tag not in _CODECS:
-                raise StateError(f"no codec registered for serialised object tag {tag!r}")
-            _, _, from_plain = _CODECS[tag]
-            return from_plain(_decode_value(value["data"]))
-        return {key: _decode_value(item) for key, item in value.items()}
+        return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
-        return [_decode_value(item) for item in value]
+        return [decode_value(item) for item in value]
     return value
-
-
-def encode_value(value: Any) -> Any:
-    """Public helper: convert a payload value to JSON-encodable form."""
-    return _encode_value(value)
-
-
-def decode_value(value: Any) -> Any:
-    """Public helper: inverse of :func:`encode_value`."""
-    return _decode_value(value)
 
 
 def serialize_payload(payload: Any, *, compress: bool = False) -> bytes:
@@ -94,7 +62,7 @@ def serialize_payload(payload: Any, *, compress: bool = False) -> bytes:
     Compression reproduces the paper's section 8.3 optimisation where state is
     compressed by roughly 38 % to reduce controller-side transfer time.
     """
-    raw = json.dumps(_encode_value(payload), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    raw = json.dumps(encode_value(payload), sort_keys=True, separators=(",", ":")).encode("utf-8")
     if compress:
         return b"Z" + zlib.compress(raw, level=6)
     return b"R" + raw
@@ -109,7 +77,7 @@ def deserialize_payload(data: bytes) -> Any:
         body = zlib.decompress(body)
     elif marker != b"R":
         raise StateError(f"unknown payload marker {marker!r}")
-    return _decode_value(json.loads(body.decode("utf-8")))
+    return decode_value(json.loads(body.decode("utf-8")))
 
 
 @dataclass

@@ -28,16 +28,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..net.simulator import Future, Simulator
+from ..net.simulator import Future, Simulator, all_of
 from . import messages
 from .channel import DEFAULT_CONTROL_BANDWIDTH, DEFAULT_CONTROL_LATENCY, ControlChannel
 from .errors import (
     InstanceDeadError,
     OperationAbortedError,
     OperationError,
+    ProtocolError,
     UnknownMiddleboxError,
 )
-from .events import Event
+from .events import Event, EventCode
 from .flowspace import FlowKey, FlowPattern
 from .messages import BATCHABLE_REQUESTS, Message, MessageType
 from .operations import (
@@ -46,6 +47,7 @@ from .operations import (
     MoveOperation,
     OperationHandle,
     OperationRecord,
+    StandbyRetryHandle,
     _StatefulOperation,
 )
 from .sharding import ControllerShard, ShardCoordinator
@@ -264,8 +266,6 @@ class MBController:
             return False
         self.stats.instances_declared_dead += 1
         self.unregister(name, dead=True)
-        from .events import EventCode
-
         event = Event(
             mb_name=name,
             code=EventCode.INSTANCE_DOWN,
@@ -398,9 +398,9 @@ class MBController:
         the middlebox's hash-assigned shard.
         """
         if message.type == MessageType.EVENT:
-            key = message.body.get("key")
+            key = messages.parse(message, "key")["key"]
             if key is not None:
-                return self.coordinator.shard_for_key(FlowKey.from_dict(key))
+                return self.coordinator.shard_for_key(key)
             return self.coordinator.shard_for_name(mb_name)
         if message.reply_to is not None:
             entry = self._reply_handlers.get((mb_name, message.reply_to))
@@ -417,23 +417,32 @@ class MBController:
         if message.type == MessageType.HEARTBEAT:
             self.stats.heartbeats_received += 1
             return  # liveness beacon only; nothing to dispatch
-        shard = self._shard_for_message(mb_name, message)
+        try:
+            shard = self._shard_for_message(mb_name, message)
+        except ProtocolError:
+            return  # an event with a malformed key: dropped, counted as received only
         cost = self.config.per_event_cost if message.type == MessageType.EVENT else self.config.per_message_cost
         shard.on_cpu(cost, lambda: self._dispatch(mb_name, message, shard))
 
     def _dispatch(self, mb_name: str, message: Message, shard: ControllerShard) -> None:
-        if message.type == MessageType.EVENT:
-            self._handle_event(mb_name, message, shard)
-            return
-        if message.reply_to is not None:
-            entry = self._reply_handlers.get((mb_name, message.reply_to))
-            if entry is not None:
-                entry[1](message)
-                return
-        # Unsolicited non-event messages are ignored but counted as received.
+        """Hand an event to the operations, a reply to the handler of its request.
 
-    def _handle_event(self, mb_name: str, message: Message, shard: ControllerShard) -> None:
-        event = messages.decode_event(message)
+        Malformed events and unsolicited non-event messages are ignored but
+        counted as received; reply handlers read bodies through
+        :func:`messages.parse_reply`, where a malformed one reads as an ERROR.
+        """
+        if message.type == MessageType.EVENT:
+            try:
+                event = messages.decode_event(message)
+            except ProtocolError:
+                return
+            self._handle_event(mb_name, event, shard)
+            return
+        entry = self._reply_handlers.get((mb_name, message.reply_to))
+        if entry is not None:
+            entry[1](message)
+
+    def _handle_event(self, mb_name: str, event: Event, shard: ControllerShard) -> None:
         self.stats.events_received += 1
         shard.stats.events += 1
         if event.is_reprocess:
@@ -543,51 +552,45 @@ class MBController:
 
     # -- simple northbound operations --------------------------------------------------------------------
 
+    def _request(
+        self, mb_name: str, message: Message, name: str, expect: str = MessageType.ACK, extract: str = ""
+    ) -> Future:
+        """Send *message* and return a future for its one reply.
+
+        The future yields the reply's *extract* field (True when none is
+        named) once a reply of type *expect* arrives, and fails with
+        :class:`OperationError` on ERROR.
+        """
+        future = self.sim.event(name=name)
+
+        def on_reply(reply: Message) -> None:
+            kind, fields = messages.parse_reply(reply)
+            if kind == expect:
+                future.succeed(fields[extract] if extract else True)
+            elif kind == MessageType.ERROR:
+                future.fail(OperationError(fields["reason"] or f"{message.type} failed"))
+
+        self.send(mb_name, message, on_reply=on_reply)
+        return future
+
     def read_config(self, mb_name: str, key: str = "*") -> Future:
         """readConfig: fetch a middlebox's configuration subtree."""
-        future = self.sim.event(name=f"readConfig({mb_name},{key})")
-
-        def on_reply(message: Message) -> None:
-            if message.type == MessageType.CONFIG_VALUE:
-                future.succeed(message.body.get("values", {}))
-            elif message.type == MessageType.ERROR:
-                future.fail(OperationError(message.body.get("reason", "readConfig failed")))
-
-        self.send(mb_name, messages.get_config(mb_name, key), on_reply=on_reply)
-        return future
+        request = messages.get_config(mb_name, key)
+        return self._request(mb_name, request, f"readConfig({mb_name},{key})", MessageType.CONFIG_VALUE, "values")
 
     def write_config(self, mb_name: str, key: str, values: list) -> Future:
         """writeConfig: set configuration values on a middlebox."""
-        future = self.sim.event(name=f"writeConfig({mb_name},{key})")
-
-        def on_reply(message: Message) -> None:
-            if message.type == MessageType.ACK:
-                future.succeed(True)
-            elif message.type == MessageType.ERROR:
-                future.fail(OperationError(message.body.get("reason", "writeConfig failed")))
-
-        self.send(mb_name, messages.set_config(mb_name, key, values), on_reply=on_reply)
-        return future
+        return self._request(mb_name, messages.set_config(mb_name, key, values), f"writeConfig({mb_name},{key})")
 
     def write_config_tree(self, mb_name: str, values: Dict[str, list]) -> Future:
         """writeConfig with a whole exported configuration tree (key ``"*"`` usage)."""
         futures = [self.write_config(mb_name, key, list(entry)) for key, entry in values.items()]
-        from ..net.simulator import all_of
-
         return all_of(self.sim, futures)
 
     def query_stats(self, mb_name: str, pattern: Optional[FlowPattern] = None) -> Future:
         """stats: how much state matching *pattern* exists at a middlebox."""
-        future = self.sim.event(name=f"stats({mb_name})")
-
-        def on_reply(message: Message) -> None:
-            if message.type == MessageType.STATS_REPLY:
-                future.succeed(message.body.get("stats", {}))
-            elif message.type == MessageType.ERROR:
-                future.fail(OperationError(message.body.get("reason", "stats failed")))
-
-        self.send(mb_name, messages.get_stats(mb_name, pattern or FlowPattern.wildcard()), on_reply=on_reply)
-        return future
+        request = messages.get_stats(mb_name, pattern or FlowPattern.wildcard())
+        return self._request(mb_name, request, f"stats({mb_name})", MessageType.STATS_REPLY, "stats")
 
     def enable_events(
         self,
@@ -597,16 +600,8 @@ class MBController:
         until: Optional[float] = None,
     ) -> Future:
         """Enable introspection events with *code* at a middlebox."""
-        future = self.sim.event(name=f"enableEvents({mb_name},{code})")
-
-        def on_reply(message: Message) -> None:
-            if message.type == MessageType.ACK:
-                future.succeed(True)
-            elif message.type == MessageType.ERROR:
-                future.fail(OperationError(message.body.get("reason", "enable_events failed")))
-
-        self.send(mb_name, messages.enable_events(mb_name, code, pattern, until), on_reply=on_reply)
-        return future
+        request = messages.enable_events(mb_name, code, pattern, until)
+        return self._request(mb_name, request, f"enableEvents({mb_name},{code})")
 
     def end_transfer(self, mb_name: str) -> Future:
         """Tell a middlebox that an in-progress clone/merge transfer is over.
@@ -616,29 +611,12 @@ class MBController:
         any related configuration switch) has taken effect; the controller also
         sends it automatically after the quiescence timeout as a fallback.
         """
-        future = self.sim.event(name=f"endTransfer({mb_name})")
-
-        def on_reply(message: Message) -> None:
-            if message.type == MessageType.ACK:
-                future.succeed(True)
-            elif message.type == MessageType.ERROR:
-                future.fail(OperationError(message.body.get("reason", "end_transfer failed")))
-
-        self.send(mb_name, messages.transfer_end(mb_name), on_reply=on_reply)
-        return future
+        return self._request(mb_name, messages.transfer_end(mb_name), f"endTransfer({mb_name})")
 
     def disable_events(self, mb_name: str, code: str, pattern: Optional[FlowPattern] = None) -> Future:
         """Disable introspection events with *code* at a middlebox."""
-        future = self.sim.event(name=f"disableEvents({mb_name},{code})")
-
-        def on_reply(message: Message) -> None:
-            if message.type == MessageType.ACK:
-                future.succeed(True)
-            elif message.type == MessageType.ERROR:
-                future.fail(OperationError(message.body.get("reason", "disable_events failed")))
-
-        self.send(mb_name, messages.disable_events(mb_name, code, pattern), on_reply=on_reply)
-        return future
+        request = messages.disable_events(mb_name, code, pattern)
+        return self._request(mb_name, request, f"disableEvents({mb_name},{code})")
 
     # -- stateful northbound operations --------------------------------------------------------------------
 
@@ -669,8 +647,6 @@ class MBController:
         self._registration(dst)
         if standby is not None:
             self._registration(standby)
-            from .operations import StandbyRetryHandle
-
             return StandbyRetryHandle(self, src, dst, pattern, spec, standby)
         operation = MoveOperation(self, src, dst, pattern, spec)
         return self._start(operation)

@@ -61,29 +61,6 @@ class Event:
     def is_reprocess(self) -> bool:
         return self.code == EventCode.REPROCESS
 
-    def to_wire(self) -> dict:
-        """JSON-encodable form used by the southbound message protocol."""
-        wire: dict = {
-            "mb": self.mb_name,
-            "code": self.code,
-            "event_id": self.event_id,
-            "raised_at": self.raised_at,
-            "shared": self.shared,
-            "values": dict(self.values),
-        }
-        if self.key is not None:
-            wire["key"] = self.key.as_dict()
-        if self.packet is not None:
-            wire["packet"] = {
-                "nw_src": self.packet.nw_src,
-                "nw_dst": self.packet.nw_dst,
-                "nw_proto": self.packet.nw_proto,
-                "tp_src": self.packet.tp_src,
-                "tp_dst": self.packet.tp_dst,
-                "payload_len": self.packet.payload_size,
-            }
-        return wire
-
 
 class EventFilter:
     """Controls which introspection events a middlebox generates.

@@ -123,6 +123,15 @@ class FlowKey:
             return self
         return self.reversed()
 
+    def token(self) -> str:
+        """The ``proto|src|dst|sport|dport`` string of this key as given.
+
+        Taken of the :meth:`bidirectional` key it is the canonical flow token
+        that the shard ring, the state store's shard index and the federation's
+        ownership directory all hash or index by.
+        """
+        return f"{self.nw_proto}|{self.nw_src}|{self.nw_dst}|{self.tp_src}|{self.tp_dst}"
+
     def as_dict(self) -> dict:
         """Return a plain-dict form suitable for JSON messages."""
         return {

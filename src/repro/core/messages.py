@@ -14,7 +14,7 @@ import base64
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from .errors import ProtocolError
 from .flowspace import FlowKey, FlowPattern
@@ -90,25 +90,6 @@ class MessageType:
     FED_MOVE_DONE = "fed_move_done"
 
 
-#: Request types whose ACK the controller waits for.
-ACKED_REQUESTS = frozenset(
-    {
-        MessageType.SET_CONFIG,
-        MessageType.DEL_CONFIG,
-        MessageType.PUT_PERFLOW,
-        MessageType.PUT_PERFLOW_BATCH,
-        MessageType.DEL_PERFLOW,
-        MessageType.TRANSFER_HOLD,
-        MessageType.TRANSFER_RELEASE,
-        MessageType.PUT_SHARED,
-        MessageType.REPROCESS_PACKET,
-        MessageType.TRANSFER_END,
-        MessageType.ENABLE_EVENTS,
-        MessageType.DISABLE_EVENTS,
-    }
-)
-
-
 @dataclass
 class Message:
     """One southbound protocol message."""
@@ -172,14 +153,6 @@ class Message:
 
 
 # -- body encoding helpers -------------------------------------------------------
-
-
-def encode_pattern(pattern: FlowPattern) -> dict:
-    return pattern.as_dict()
-
-
-def decode_pattern(body: dict) -> FlowPattern:
-    return FlowPattern.parse(body)
 
 
 def encode_chunk(chunk: StateChunk) -> dict:
@@ -258,7 +231,7 @@ def get_perflow(
     negotiation).  Both fields are omitted from the wire when False so
     plain snapshot transfers stay byte-identical to the seed protocol.
     """
-    body: Dict[str, Any] = {"role": role.value, "pattern": encode_pattern(pattern), "transfer": transfer}
+    body: Dict[str, Any] = {"role": role.value, "pattern": pattern.as_dict(), "transfer": transfer}
     if track_dirty:
         body["track_dirty"] = True
     if compress:
@@ -292,7 +265,7 @@ def get_perflow_delta(
     """
     body: Dict[str, Any] = {
         "role": role.value,
-        "pattern": encode_pattern(pattern),
+        "pattern": pattern.as_dict(),
         "round": list(round),
     }
     if final:
@@ -398,7 +371,7 @@ def del_perflow(mb: str, role: StateRole, pattern: FlowPattern) -> Message:
     return Message(
         MessageType.DEL_PERFLOW,
         mb=mb,
-        body={"role": role.value, "pattern": encode_pattern(pattern)},
+        body={"role": role.value, "pattern": pattern.as_dict()},
     )
 
 
@@ -411,13 +384,13 @@ def put_shared(mb: str, chunk: SharedChunk) -> Message:
 
 
 def get_stats(mb: str, pattern: FlowPattern) -> Message:
-    return Message(MessageType.GET_STATS, mb=mb, body={"pattern": encode_pattern(pattern)})
+    return Message(MessageType.GET_STATS, mb=mb, body={"pattern": pattern.as_dict()})
 
 
 def enable_events(mb: str, code: str, pattern: Optional[FlowPattern] = None, until: Optional[float] = None) -> Message:
     body: Dict[str, Any] = {"code": code}
     if pattern is not None:
-        body["pattern"] = encode_pattern(pattern)
+        body["pattern"] = pattern.as_dict()
     if until is not None:
         body["until"] = until
     return Message(MessageType.ENABLE_EVENTS, mb=mb, body=body)
@@ -426,7 +399,7 @@ def enable_events(mb: str, code: str, pattern: Optional[FlowPattern] = None, unt
 def disable_events(mb: str, code: str, pattern: Optional[FlowPattern] = None) -> Message:
     body: Dict[str, Any] = {"code": code}
     if pattern is not None:
-        body["pattern"] = encode_pattern(pattern)
+        body["pattern"] = pattern.as_dict()
     return Message(MessageType.DISABLE_EVENTS, mb=mb, body=body)
 
 
@@ -464,6 +437,43 @@ def heartbeat(mb: str) -> Message:
     return Message(MessageType.HEARTBEAT, mb=mb)
 
 
+# -- reply constructors: each carries ``reply_to``, the xid of the request it answers ---------
+
+
+def ack(mb: str, reply_to: int, **receipt: Any) -> Message:
+    """Acknowledge a request; *receipt* is its small result (``count``, ``removed``, ``key``/``role``)."""
+    return Message(MessageType.ACK, reply_to=reply_to, mb=mb, body=receipt)
+
+
+def error(mb: str, reply_to: int, reason: str) -> Message:
+    """Refuse a request: it was malformed, unsupported, or the middlebox call failed."""
+    return Message(MessageType.ERROR, reply_to=reply_to, mb=mb, body={"reason": reason})
+
+
+def config_value(mb: str, reply_to: int, values: dict) -> Message:
+    return Message(MessageType.CONFIG_VALUE, reply_to=reply_to, mb=mb, body={"values": values})
+
+
+def stats_reply(mb: str, reply_to: int, stats: dict) -> Message:
+    return Message(MessageType.STATS_REPLY, reply_to=reply_to, mb=mb, body={"stats": stats})
+
+
+def state_chunk(mb: str, reply_to: int, chunk: StateChunk) -> Message:
+    return Message(MessageType.STATE_CHUNK, reply_to=reply_to, mb=mb, body={"chunk": encode_chunk(chunk)})
+
+
+def shared_state(mb: str, reply_to: int, chunk: SharedChunk) -> Message:
+    return Message(MessageType.SHARED_STATE, reply_to=reply_to, mb=mb, body={"chunk": encode_shared_chunk(chunk)})
+
+
+def get_complete(mb: str, reply_to: int, role: StateRole, count: int, dirty: Optional[int] = None) -> Message:
+    """End of a chunk stream of *count* chunks; ``dirty`` (pre-copy rounds only) is omitted when None."""
+    body: Dict[str, Any] = {"role": role.value, "count": count}
+    if dirty is not None:
+        body["dirty"] = dirty
+    return Message(MessageType.GET_COMPLETE, reply_to=reply_to, mb=mb, body=body)
+
+
 # -- batched southbound dispatch ------------------------------------------------------
 
 #: Request types the controller's batched dispatcher may coalesce into one
@@ -495,19 +505,18 @@ def decode_batch(message: Message) -> list:
     """Unpack a BATCH frame into its inner messages, in dispatch order."""
     if message.type != MessageType.BATCH:
         raise ProtocolError(f"not a batch message: {message.type!r}")
-    return [Message.from_wire(wire) for wire in message.body.get("frames", [])]
+    return parse(message)["frames"]
 
 
 # -- packet and event codecs ----------------------------------------------------------
 
 from ..net.packet import Packet  # noqa: E402  (placed here to keep the dependency local)
+from .chunks import decode_value, encode_value  # noqa: E402
 from .events import Event  # noqa: E402
 
 
 def encode_packet(packet: Packet) -> dict:
     """Encode a full packet (payload, flags, and middlebox annotations) for transport."""
-    from .chunks import encode_value
-
     wire = {
         "nw_src": packet.nw_src,
         "nw_dst": packet.nw_dst,
@@ -527,8 +536,6 @@ def encode_packet(packet: Packet) -> dict:
 
 
 def decode_packet(body: dict) -> Packet:
-    from .chunks import decode_value
-
     try:
         packet = Packet(
             nw_src=body["nw_src"],
@@ -567,19 +574,11 @@ def event_message(event: Event) -> Message:
 
 
 def decode_event(message: Message) -> Event:
-    """Reconstruct an :class:`Event` from an EVENT message."""
-    body = message.body
-    key = FlowKey.from_dict(body["key"]) if "key" in body else None
-    packet = decode_packet(body["packet"]) if "packet" in body else None
-    return Event(
-        mb_name=message.mb,
-        code=body.get("code", ""),
-        key=key,
-        packet=packet,
-        values=dict(body.get("values", {})),
-        raised_at=float(body.get("raised_at", 0.0)),
-        shared=bool(body.get("shared", False)),
-    )
+    """Reconstruct an :class:`Event` from an EVENT message.
+
+    The receiver numbers it afresh; the wire ``event_id`` is not read.
+    """
+    return Event(mb_name=message.mb, **parse(message))
 
 
 def reprocess_message(
@@ -645,7 +644,7 @@ def fed_move_request(peer: str, domain: str, instance: str) -> Message:
 
 def fed_move_grant(request: Message, peer: str, domain: str, *, granted: bool, reason: str = "") -> Message:
     """Answer a FED_MOVE_REQUEST; ``reason`` is omitted from the wire when empty."""
-    body: Dict[str, Any] = {"domain": domain, "instance": request.body.get("instance", ""), "granted": granted}
+    body: Dict[str, Any] = {"domain": domain, "instance": parse(request)["instance"], "granted": granted}
     if reason:
         body["reason"] = reason
     return Message(MessageType.FED_MOVE_GRANT, reply_to=request.xid, mb=peer, body=body)
@@ -654,3 +653,115 @@ def fed_move_grant(request: Message, peer: str, domain: str, *, granted: bool, r
 def fed_move_done(peer: str, domain: str, instance: str, *, ok: bool) -> Message:
     """Return a lent instance to its home domain after the move finished/aborted."""
     return Message(MessageType.FED_MOVE_DONE, mb=peer, body={"domain": domain, "instance": instance, "ok": ok})
+
+
+# -- body parsers -------------------------------------------------------------------------
+#
+# The one description of every message body: type -> ((field, converter,
+# default), ...).  A converter turns the wire value into the typed field and
+# raises on an ill-typed one; an absent (or null) optional field takes its
+# default through the same converter, so mutable defaults are never shared.
+
+REQUIRED = object()
+
+
+def _typed(*types: type) -> Callable[[Any], Any]:
+    """A converter that passes instances of *types* through and rejects the rest."""
+
+    def check(value: Any) -> Any:
+        if not isinstance(value, types):
+            raise TypeError(f"expected {types[0].__name__}, got {value!r}")
+        return value
+
+    return check
+
+
+def _each(convert: Callable[[Any], Any]) -> Callable[[Any], list]:
+    return lambda raw: [convert(item) for item in raw]
+
+
+_str, _flag, _int, _number = _typed(str), _typed(bool), _typed(int), _typed(int, float)
+_ROLE = ("role", StateRole, REQUIRED)
+_PATTERN = ("pattern", FlowPattern.parse, {})
+_OPTIONAL_PATTERN = ("pattern", FlowPattern.parse, None)
+_COMPRESS = ("compress", _flag, False)
+_KEY = ("key", FlowKey.from_dict, None)
+_KEYS = (("keys", _each(FlowKey.from_dict), ()),)
+_PACKET = ("packet", decode_packet, None)
+_SHARED = ("shared", _flag, False)
+_PUT_TAGS = (("hold", _flag, False), ("seq", _int, None), ("round", tuple, None))
+_LENT = (("domain", _str, None), ("instance", _str, ""))
+#: Gossip digest sections are validated as sequences and passed through uncopied.
+_DIGEST = tuple((section, _typed(list, tuple), ()) for section in ("membership", "liveness", "ownership"))
+
+SCHEMAS: Dict[str, tuple] = {
+    MessageType.BATCH: (("frames", _each(Message.from_wire), ()),),
+    MessageType.GET_CONFIG: (("key", _str, "*"),),
+    MessageType.SET_CONFIG: (("key", _str, REQUIRED), ("values", list, ())),
+    MessageType.DEL_CONFIG: (("key", _str, REQUIRED),),
+    MessageType.GET_PERFLOW: (_ROLE, _PATTERN, ("transfer", _flag, False), ("track_dirty", _flag, False), _COMPRESS),
+    MessageType.GET_PERFLOW_DELTA: (_ROLE, _PATTERN, ("round", tuple, None), ("final", _flag, False), _COMPRESS),
+    MessageType.PUT_PERFLOW: (("chunk", decode_chunk, REQUIRED), *_PUT_TAGS),
+    MessageType.PUT_PERFLOW_BATCH: (("chunks", _each(decode_chunk), ()), *_PUT_TAGS, ("compressed", _flag, False)),
+    MessageType.DEL_PERFLOW: (_ROLE, _PATTERN),
+    MessageType.TRANSFER_HOLD: _KEYS,
+    MessageType.TRANSFER_RELEASE: _KEYS,
+    MessageType.GET_SHARED: (_ROLE, ("transfer", _flag, False)),
+    MessageType.PUT_SHARED: (("chunk", decode_shared_chunk, REQUIRED),),
+    MessageType.GET_STATS: (_PATTERN,),
+    MessageType.ENABLE_EVENTS: (("code", _str, REQUIRED), _OPTIONAL_PATTERN, ("until", _number, None)),
+    MessageType.DISABLE_EVENTS: (("code", _str, REQUIRED), _OPTIONAL_PATTERN),
+    MessageType.TRANSFER_END: (("dirty_only", _flag, False), ("shared_only", _flag, False)),
+    MessageType.REPROCESS_PACKET: (_PACKET, _SHARED, _KEY, ("seq", _int, None)),
+    MessageType.CONFIG_VALUE: (("values", dict, {}),),
+    MessageType.STATE_CHUNK: (("chunk", decode_chunk, REQUIRED),),
+    MessageType.SHARED_STATE: (("chunk", decode_shared_chunk, REQUIRED),),
+    MessageType.GET_COMPLETE: (("role", _str, None), ("count", _int, 0), ("dirty", _int, None)),
+    MessageType.STATS_REPLY: (("stats", dict, {}),),
+    MessageType.ACK: (("removed", _int, 0), ("count", _int, 0), _KEY, ("role", _str, None)),
+    MessageType.ERROR: (("reason", _str, ""),),
+    MessageType.EVENT: (("code", _str, ""), ("raised_at", float, 0.0), _SHARED, ("values", dict, {}), _KEY, _PACKET),
+    MessageType.HEARTBEAT: (),
+    MessageType.CHAN_ACK: (("cum", _int, 0),),
+    MessageType.FED_GOSSIP: (("domain", _str, ""), ("sent_at", _number, None), *_DIGEST),
+    MessageType.FED_MOVE_REQUEST: _LENT,
+    MessageType.FED_MOVE_GRANT: (*_LENT, ("granted", _flag, False), ("reason", _str, "denied")),
+    MessageType.FED_MOVE_DONE: (*_LENT, ("ok", _flag, False)),
+}
+
+
+def parse(message: Message, *only: str) -> Dict[str, Any]:
+    """Return *message*'s body as typed fields, one per schema entry (or just those named in *only*).
+
+    Raises ProtocolError for a type with no schema, a missing required field,
+    or a field its converter rejects — the only exception a body can cause.
+    """
+    schema, body = SCHEMAS.get(message.type), message.body
+    if schema is None or not isinstance(body, dict):
+        raise ProtocolError(f"cannot parse a {message.type!r} message")
+    fields: Dict[str, Any] = {}
+    for name, convert, default in schema:
+        if only and name not in only:
+            continue
+        raw = body.get(name)
+        if raw is None:
+            raw = default
+        if raw is REQUIRED:
+            raise ProtocolError(f"{message.type} is missing field {name!r}")
+        try:
+            fields[name] = None if raw is None else convert(raw)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ProtocolError(f"{message.type} has a malformed {name!r}: {exc!r}") from exc
+    return fields
+
+
+def parse_reply(reply: Message) -> tuple:
+    """``(type, typed fields)`` of a reply; one whose body is malformed reads as an ERROR saying so.
+
+    What lets a reply handler fail its future or operation on a garbage body
+    exactly as it does on a refusal, with no exception to catch.
+    """
+    try:
+        return reply.type, parse(reply)
+    except ProtocolError as exc:
+        return MessageType.ERROR, {"reason": f"malformed {reply.type} reply: {exc}"}

@@ -45,6 +45,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..net.simulator import Future
 from . import messages
+from .errors import OperationError, UnknownMiddleboxError
 from .events import Event
 from .flowspace import FlowKey, FlowPattern
 from .messages import Message, MessageType
@@ -247,8 +248,6 @@ class StandbyRetryHandle:
 
     def _should_retry(self, exc: BaseException) -> bool:
         """Retry exactly once, when the dst died but src and standby live on."""
-        from .errors import UnknownMiddleboxError
-
         if self.retried or not isinstance(exc, UnknownMiddleboxError):
             return False
         failed_dst = self.attempts[-1].record.dst
@@ -418,6 +417,14 @@ class _StatefulOperation:
         if not self.handle.finalized.done:
             self.handle.finalized.fail(exc)
         self._finish()
+
+    def _fail_on_error(self, reply: Message, where: str) -> Optional[dict]:
+        """Fail the operation when *reply* is an ERROR (or malformed) from *where*; otherwise its typed fields."""
+        kind, fields = messages.parse_reply(reply)
+        if kind != MessageType.ERROR:
+            return fields
+        self._fail(OperationError(f"{self.op_type.value} failed at {where}: {fields['reason']}"))
+        return None
 
     def abort(self, exc: Exception) -> bool:
         """Abort on behalf of a failing transaction; returns True when acted.
@@ -641,16 +648,8 @@ class ChunkPipeline:
         """Book an ACK (or fail on ERROR) for the put covering *keys*."""
         if self.op._archived:
             return  # late reply for a failed operation
-        if message.type == MessageType.ERROR:
-            from .errors import OperationError
-
-            self.op._fail(
-                OperationError(
-                    f"move failed at destination {self.op.dst}: {message.body.get('reason')}"
-                )
-            )
-            return
         if message.type != MessageType.ACK:
+            self.op._fail_on_error(message, f"destination {self.op.dst}")
             return
         self._in_flight -= 1
         self.op.record.puts_acked += len(keys)
@@ -1147,25 +1146,24 @@ class MoveOperation(_StatefulOperation):
         """Absorb the source's chunk stream, round completions, and errors."""
         if self._archived:
             return  # late reply for a failed operation
+        fields = self._fail_on_error(message, f"source {self.src}")
+        if fields is None:
+            return
         if message.type == MessageType.STATE_CHUNK:
-            chunk = messages.decode_chunk(message.body["chunk"])
+            chunk = fields["chunk"]
             self.record.chunks_transferred += 1
             self.record.bytes_transferred += chunk.size
             self._round_chunks += 1
             self._round_bytes += chunk.size
             self.pipeline.add_chunk(chunk)
         elif message.type == MessageType.GET_COMPLETE:
-            if "dirty" in message.body:
-                self._round_dirty[str(message.body.get("role"))] = int(message.body["dirty"])
+            if fields["dirty"] is not None:
+                self._round_dirty[fields["role"]] = fields["dirty"]
             self._gets_outstanding -= 1
             if self._gets_outstanding == 0:
                 self._gets_complete = True
                 self.pipeline.source_done()
                 self._check_complete()
-        elif message.type == MessageType.ERROR:
-            from .errors import OperationError
-
-            self._fail(OperationError(f"move failed at source {self.src}: {message.body.get('reason')}"))
 
     # -- failure cleanup -----------------------------------------------------------------
 
@@ -1282,7 +1280,7 @@ class MoveOperation(_StatefulOperation):
             if message.type not in (MessageType.ACK, MessageType.ERROR):
                 return
             if message.type == MessageType.ACK:
-                self.record.deleted_chunks += int(message.body.get("removed", 0))
+                self.record.deleted_chunks += messages.parse_reply(message)[1].get("removed", 0)
             pending["count"] -= 1
             if pending["count"] == 0:
                 self._mark_finalized()
@@ -1326,13 +1324,12 @@ class CloneOperation(_StatefulOperation):
             # the transfer runs (and is recorded) as a snapshot.
             spec = replace(spec, mode=TransferMode.SNAPSHOT)
         super().__init__(controller, src, dst, pattern=None, spec=spec)
-        self._shared_put_pending = False
+        #: Shared puts sent to the destination and not yet ACKed.
+        self._shared_put_pending = 0
         self._buffered_events: List[Event] = []
 
-    @property
-    def _roles(self) -> List[StateRole]:
-        """Shared-state roles this operation transfers (supporting only)."""
-        return [StateRole.SUPPORTING]
+    #: Shared-state roles this operation transfers (supporting only).
+    _roles: Tuple[StateRole, ...] = (StateRole.SUPPORTING,)
 
     def start(self) -> None:
         """Request the source's shared state for every transferred role."""
@@ -1346,14 +1343,17 @@ class CloneOperation(_StatefulOperation):
             )
 
     def _on_src_reply(self, message: Message) -> None:
-        """Forward the source's shared chunk to the destination (or fail)."""
+        """Forward each of the source's shared chunks to the destination (or fail)."""
         if self._archived:
             return  # late reply for a failed operation
+        fields = self._fail_on_error(message, self.src)
+        if fields is None:
+            return
         if message.type == MessageType.SHARED_STATE:
-            chunk = messages.decode_shared_chunk(message.body["chunk"])
+            chunk = fields["chunk"]
             self.record.chunks_transferred += 1
             self.record.bytes_transferred += chunk.size
-            self._shared_put_pending = True
+            self._shared_put_pending += 1
             self.controller.send(
                 self.dst, messages.put_shared(self.dst, chunk), on_reply=self._on_put_reply, shard=self.home_shard
             )
@@ -1362,24 +1362,16 @@ class CloneOperation(_StatefulOperation):
             # The source had no shared state of this role; nothing to transfer.
             self._gets_outstanding -= 1
             self._maybe_complete()
-        elif message.type == MessageType.ERROR:
-            from .errors import OperationError
-
-            self._fail(OperationError(f"{self.op_type.value} failed at {self.src}: {message.body.get('reason')}"))
 
     def _on_put_reply(self, message: Message) -> None:
-        """Absorb the destination's put ACK and try to complete."""
+        """Absorb one of the destination's put ACKs and try to complete."""
         if self._archived:
             return  # late reply for a failed operation
-        if message.type == MessageType.ERROR:
-            from .errors import OperationError
-
-            self._fail(OperationError(f"{self.op_type.value} failed at {self.dst}: {message.body.get('reason')}"))
-            return
         if message.type != MessageType.ACK:
+            self._fail_on_error(message, self.dst)
             return
         self.record.puts_acked += 1
-        self._shared_put_pending = False
+        self._shared_put_pending -= 1
         self._maybe_complete()
 
     def _maybe_complete(self) -> None:
@@ -1439,38 +1431,4 @@ class MergeOperation(CloneOperation):
     """mergeInternal: merge shared supporting and reporting state into the destination."""
 
     op_type = OperationType.MERGE
-
-    def __init__(
-        self, controller: "MBController", src: str, dst: str, spec: Optional[TransferSpec] = None
-    ) -> None:
-        super().__init__(controller, src, dst, spec=spec)
-        self._pending_put_count = 0
-
-    @property
-    def _roles(self) -> List[StateRole]:
-        """Merges transfer both shared supporting and shared reporting state."""
-        return [StateRole.SUPPORTING, StateRole.REPORTING]
-
-    def _on_src_reply(self, message: Message) -> None:
-        """Put each streamed shared chunk, tracking the outstanding count."""
-        if message.type == MessageType.SHARED_STATE:
-            chunk = messages.decode_shared_chunk(message.body["chunk"])
-            self.record.chunks_transferred += 1
-            self.record.bytes_transferred += chunk.size
-            self._pending_put_count += 1
-            self._shared_put_pending = True
-            self.controller.send(
-                self.dst, messages.put_shared(self.dst, chunk), on_reply=self._on_put_reply, shard=self.home_shard
-            )
-            self._gets_outstanding -= 1
-        else:
-            super()._on_src_reply(message)
-
-    def _on_put_reply(self, message: Message) -> None:
-        """Count down the outstanding shared puts before completing."""
-        if message.type == MessageType.ACK:
-            self._pending_put_count -= 1
-            if self._pending_put_count > 0:
-                self.record.puts_acked += 1
-                return
-        super()._on_put_reply(message)
+    _roles = (StateRole.SUPPORTING, StateRole.REPORTING)

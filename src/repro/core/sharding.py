@@ -106,8 +106,7 @@ class ShardRing:
     @staticmethod
     def canonical_token(key: FlowKey) -> str:
         """The ring token of a flow: its canonical (bidirectional) five-tuple."""
-        k = key.bidirectional()
-        return f"{k.nw_proto}|{k.nw_src}|{k.nw_dst}|{k.tp_src}|{k.tp_dst}"
+        return key.bidirectional().token()
 
     def shard_for_key(self, key: FlowKey) -> int:
         """Owning shard of a concrete flow (both packet directions agree)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, List, Optional
 
@@ -26,9 +27,9 @@ from ..net.packet import Packet
 from ..net.simulator import Simulator
 from . import messages
 from .channel import ControlChannel
-from .errors import GranularityError, MiddleboxError, OpenMBError, StateError
+from .errors import ConfigError, OpenMBError, ProtocolError
 from .events import Event
-from .flowspace import FlowPattern
+from .flowspace import FlowKey, FlowPattern
 from .messages import Message, MessageType
 from .state import SharedChunk, StateChunk, StateRole
 
@@ -238,6 +239,11 @@ class MiddleboxInterface(abc.ABC):
         """Register where raised events are delivered (the southbound agent)."""
 
 
+#: Returned by a request's work when it schedules its own reply (a chunk
+#: stream, a serialisation delay) instead of handing one back.
+_STREAMED = object()
+
+
 @dataclass
 class AgentStats:
     """Counters kept by a southbound agent."""
@@ -247,7 +253,6 @@ class AgentStats:
     chunks_received: int = 0
     events_sent: int = 0
     errors_sent: int = 0
-    gets_in_progress: int = 0
 
 
 class SouthboundAgent:
@@ -306,17 +311,17 @@ class SouthboundAgent:
     def _send(self, message: Message) -> None:
         self.channel.send_to_controller(message)
 
-    def _ack(self, request: Message, body: Optional[dict] = None) -> None:
-        self._send(Message(MessageType.ACK, reply_to=request.xid, mb=self.middlebox.name, body=body or {}))
+    def _ack(self, request: Message, **receipt: object) -> Message:
+        return messages.ack(self.middlebox.name, request.xid, **receipt)
 
     def _error(self, request: Message, reason: str) -> None:
         self.stats.errors_sent += 1
-        self._send(Message(MessageType.ERROR, reply_to=request.xid, mb=self.middlebox.name, body={"reason": reason}))
+        self._send(messages.error(self.middlebox.name, request.xid, reason))
 
-    # -- controller -> middlebox -------------------------------------------------------
+    # -- controller -> middlebox: the serve skeleton -----------------------------------------
 
     def handle_message(self, message: Message) -> None:
-        """Dispatch one request from the controller.
+        """Serve one request from the controller.
 
         A BATCH frame is pure framing: it is not counted as a request itself
         (its inner messages are, as they re-enter here), so
@@ -325,116 +330,105 @@ class SouthboundAgent:
         """
         if message.type != MessageType.BATCH:
             self.stats.requests_handled += 1
-        handler = {
-            MessageType.BATCH: self._handle_batch,
-            MessageType.GET_CONFIG: self._handle_get_config,
-            MessageType.SET_CONFIG: self._handle_set_config,
-            MessageType.DEL_CONFIG: self._handle_del_config,
-            MessageType.GET_PERFLOW: self._handle_get_perflow,
-            MessageType.GET_PERFLOW_DELTA: self._handle_get_perflow_delta,
-            MessageType.PUT_PERFLOW: self._handle_put_perflow,
-            MessageType.PUT_PERFLOW_BATCH: self._handle_put_perflow_batch,
-            MessageType.DEL_PERFLOW: self._handle_del_perflow,
-            MessageType.TRANSFER_HOLD: self._handle_transfer_hold,
-            MessageType.TRANSFER_RELEASE: self._handle_transfer_release,
-            MessageType.GET_SHARED: self._handle_get_shared,
-            MessageType.PUT_SHARED: self._handle_put_shared,
-            MessageType.GET_STATS: self._handle_get_stats,
-            MessageType.ENABLE_EVENTS: self._handle_enable_events,
-            MessageType.DISABLE_EVENTS: self._handle_disable_events,
-            MessageType.TRANSFER_END: self._handle_transfer_end,
-            MessageType.REPROCESS_PACKET: self._handle_reprocess,
-        }.get(message.type)
+        self._respond(message, self._accept, (message,), {})
+
+    def _accept(self, request: Message) -> object:
+        """Parse *request* and hand its typed fields to the handler for its type."""
+        handler = self._HANDLERS.get(request.type)
         if handler is None:
-            self._error(message, f"unsupported message type {message.type!r}")
-            return
-        try:
-            handler(message)
-        except (StateError, GranularityError, MiddleboxError) as exc:
-            self._error(message, str(exc))
+            raise ProtocolError(f"unsupported message type {request.type!r}")
+        handler(self, request, **messages.parse(request))
+        return _STREAMED
 
-    def _handle_batch(self, message: Message) -> None:
-        """Unframe a BATCH and dispatch its inner requests in order.
+    def _serve(
+        self, request: Message, cost: Optional[float], work: Callable, *args: object, lane=None, **receipt: object
+    ) -> None:
+        """Charge *cost*, then answer *request* with the outcome of ``work(*args)``.
 
-        Each inner message runs through the normal handler table, so costs,
-        ACKs, and error replies are identical to the unbatched case — the
-        batch only saved the channel round-trips.
+        The cost is a plain delay, or serialised time on *lane*; None runs the
+        work at once.  *receipt* is the body of the ACK sent when the work
+        returns no reply of its own (middlebox calls' results are not replies).
         """
-        for inner in messages.decode_batch(message):
+        if cost is None:
+            self._respond(request, work, args, receipt)
+        elif lane is None:
+            self.sim.schedule(cost, self._respond, request, work, args, receipt)
+        else:
+            lane.submit(cost, partial(self._respond, request, work, args, receipt))
+
+    def _respond(self, request: Message, work: Callable, args: tuple, receipt: dict) -> None:
+        """The one reply policy: the Message the work returns, otherwise an ACK — or one ERROR.
+
+        A malformed request (``ProtocolError``) and a middlebox refusal (any
+        other ``OpenMBError``) both end here.
+        """
+        try:
+            reply = work(*args)
+        except OpenMBError as exc:
+            self._error(request, str(exc))
+            return
+        if reply is not _STREAMED:
+            self._send(reply if isinstance(reply, Message) else self._ack(request, **receipt))
+
+    def _batch(self, request: Message, frames: List[Message]) -> None:
+        """Unframe a BATCH and serve its inner requests in order.
+
+        Each inner message runs through the normal skeleton, so costs, ACKs,
+        and error replies are identical to the unbatched case — the batch
+        only saved the channel round-trips.
+        """
+        for inner in frames:
             self.handle_message(inner)
 
     # configuration ---------------------------------------------------------------------
 
-    def _handle_get_config(self, message: Message) -> None:
-        def respond() -> None:
-            try:
-                values = self.middlebox.get_config(message.body.get("key", "*"))
-            except Exception as exc:  # config errors become protocol errors
-                self._error(message, str(exc))
-                return
-            self._send(
-                Message(
-                    MessageType.CONFIG_VALUE,
-                    reply_to=message.xid,
-                    mb=self.middlebox.name,
-                    body={"values": values},
-                )
-            )
+    def _config(self, call: Callable, *args: object) -> object:
+        """Run a configuration call; whatever it raises is a refusal.
 
-        self.sim.schedule(self.middlebox.costs.config_op, respond)
+        Configuration hooks interpret operator-supplied values (``int(None)``,
+        ``values[0]`` of an empty list), so any exception means a bad value.
+        """
+        try:
+            return call(*args)
+        except Exception as exc:  # config errors become protocol errors
+            raise ConfigError(str(exc)) from exc
 
-    def _handle_set_config(self, message: Message) -> None:
-        def respond() -> None:
-            try:
-                self.middlebox.set_config(message.body["key"], list(message.body.get("values", [])))
-            except Exception as exc:
-                self._error(message, str(exc))
-                return
-            self._ack(message)
+    def _get_config(self, request: Message, key: str) -> None:
+        reply = lambda: messages.config_value(
+            self.middlebox.name, request.xid, self._config(self.middlebox.get_config, key)
+        )
+        self._serve(request, self.middlebox.costs.config_op, reply)
 
-        self.sim.schedule(self.middlebox.costs.config_op, respond)
+    def _set_config(self, request: Message, key: str, values: list) -> None:
+        self._serve(request, self.middlebox.costs.config_op, self._config, self.middlebox.set_config, key, values)
 
-    def _handle_del_config(self, message: Message) -> None:
-        def respond() -> None:
-            try:
-                self.middlebox.del_config(message.body["key"])
-            except Exception as exc:
-                self._error(message, str(exc))
-                return
-            self._ack(message)
-
-        self.sim.schedule(self.middlebox.costs.config_op, respond)
+    def _del_config(self, request: Message, key: str) -> None:
+        self._serve(request, self.middlebox.costs.config_op, self._config, self.middlebox.del_config, key)
 
     # per-flow state ----------------------------------------------------------------------
 
-    def _handle_get_perflow(self, message: Message) -> None:
-        role = StateRole(message.body["role"])
-        pattern = FlowPattern.parse(message.body.get("pattern"))
-        mark_transfer = bool(message.body.get("transfer", False))
-        track_dirty = bool(message.body.get("track_dirty", False))
-        compress = True if message.body.get("compress") else None
-        costs = self.middlebox.costs
-        scan_cost = costs.get_base + costs.get_scan_per_entry * self.middlebox.perflow_count(role)
-        self.stats.gets_in_progress += 1
+    def _get_perflow(
+        self, request: Message, role: StateRole, pattern: FlowPattern, transfer: bool, track_dirty: bool, compress: bool
+    ) -> None:
+        export = partial(
+            self.middlebox.iter_perflow,
+            role,
+            pattern,
+            mark_transfer=transfer,
+            track_dirty=track_dirty,
+            compress=compress or None,
+        )
+        self._serve_get(request, role, self.middlebox.perflow_count(role), export, pattern if track_dirty else None)
 
-        def run_get() -> None:
-            try:
-                chunks = self.middlebox.iter_perflow(
-                    role,
-                    pattern,
-                    mark_transfer=mark_transfer,
-                    track_dirty=track_dirty,
-                    compress=compress,
-                )
-            except OpenMBError as exc:
-                self.stats.gets_in_progress -= 1
-                self._error(message, str(exc))
-                return
-            self._pump_chunks(message, role, chunks, pattern if track_dirty else None)
-
-        self.sim.schedule(scan_cost, run_get)
-
-    def _handle_get_perflow_delta(self, message: Message) -> None:
+    def _get_perflow_delta(
+        self,
+        request: Message,
+        role: StateRole,
+        pattern: FlowPattern,
+        round: Optional[tuple],
+        final: bool,
+        compress: bool,
+    ) -> None:
         """One pre-copy round: stream the dirtied chunks, report residual dirt.
 
         ``final`` requests the stop-and-copy round (mark-transfer the pattern,
@@ -449,28 +443,18 @@ class SouthboundAgent:
         O(dirtied) — that is what keeps the stop-and-copy freeze window flat
         as the store scales.
         """
-        role = StateRole(message.body["role"])
-        pattern = FlowPattern.parse(message.body.get("pattern"))
-        final = bool(message.body.get("final", False))
-        compress = True if message.body.get("compress") else None
-        costs = self.middlebox.costs
-        scan_cost = costs.get_base + costs.get_scan_per_entry * self.middlebox.dirty_perflow_count(
-            role, pattern
+        export = partial(
+            self.middlebox.iter_perflow_dirty, role, pattern, mark_transfer=final, compress=compress or None
         )
-        self.stats.gets_in_progress += 1
+        self._serve_get(request, role, self.middlebox.dirty_perflow_count(role, pattern), export, pattern)
 
-        def run_get() -> None:
-            try:
-                chunks = self.middlebox.iter_perflow_dirty(
-                    role, pattern, mark_transfer=final, compress=compress
-                )
-            except OpenMBError as exc:
-                self.stats.gets_in_progress -= 1
-                self._error(message, str(exc))
-                return
-            self._pump_chunks(message, role, chunks, pattern)
-
-        self.sim.schedule(scan_cost, run_get)
+    def _serve_get(
+        self, request: Message, role: StateRole, scanned: int, export: Callable, dirty_pattern: Optional[FlowPattern]
+    ) -> None:
+        """Charge the pre-scan over *scanned* entries, then open *export* and stream it."""
+        costs = self.middlebox.costs
+        scan_cost = costs.get_base + costs.get_scan_per_entry * scanned
+        self._serve(request, scan_cost, lambda: self._pump_chunks(request, role, export(), dirty_pattern))
 
     #: Chunks drawn from a middlebox export iterator per pump step.  Bounds the
     #: agent's resident set during a get to one batch of sealed chunks, however
@@ -479,12 +463,12 @@ class SouthboundAgent:
 
     def _pump_chunks(
         self,
-        message: Message,
+        request: Message,
         role: StateRole,
         chunks: Iterator[StateChunk],
         dirty_pattern: Optional[FlowPattern],
         sent: int = 0,
-    ) -> None:
+    ) -> object:
         """Stream an export iterator in bounded batches.
 
         Draws up to :data:`GET_STREAM_BATCH` chunks, schedules each one chunk
@@ -493,244 +477,147 @@ class SouthboundAgent:
         identical to materialising the whole list up front — chunk *j* still
         leaves at ``t0 + (j + 1) * get_per_chunk`` and GET_COMPLETE at
         ``t0 + n * get_per_chunk`` — but peak memory is O(batch), not O(flows).
+        A step the middlebox fails ends the get with one ERROR.
         """
         costs = self.middlebox.costs
-        try:
-            batch = list(islice(chunks, self.GET_STREAM_BATCH))
-        except OpenMBError as exc:
-            self.stats.gets_in_progress -= 1
-            self._error(message, str(exc))
-            return
+        batch = list(islice(chunks, self.GET_STREAM_BATCH))
         for index, chunk in enumerate(batch):
-            self.sim.schedule(costs.get_per_chunk * (index + 1), self._send_chunk, message, chunk)
+            self.sim.schedule(costs.get_per_chunk * (index + 1), self._send_chunk, request, chunk)
         sent += len(batch)
         if len(batch) == self.GET_STREAM_BATCH:
+            step = (request, role, chunks, dirty_pattern, sent)
+            self.sim.schedule(costs.get_per_chunk * len(batch), self._respond, request, self._pump_chunks, step, {})
+        else:
             self.sim.schedule(
-                costs.get_per_chunk * len(batch),
-                self._pump_chunks,
-                message,
-                role,
-                chunks,
-                dirty_pattern,
-                sent,
+                costs.get_per_chunk * len(batch), self._send_get_complete, request, role, sent, dirty_pattern
             )
-            return
-        self.sim.schedule(
-            costs.get_per_chunk * len(batch),
-            self._send_get_complete,
-            message,
-            role,
-            sent,
-            dirty_pattern,
-        )
+        return _STREAMED
 
     def _send_chunk(self, request: Message, chunk: StateChunk) -> None:
         self.stats.chunks_sent += 1
-        reply = messages.Message(
-            MessageType.STATE_CHUNK,
-            reply_to=request.xid,
-            mb=self.middlebox.name,
-            body={"chunk": messages.encode_chunk(chunk)},
-        )
-        self._send(reply)
+        self._send(messages.state_chunk(self.middlebox.name, request.xid, chunk))
 
     def _send_get_complete(
         self, request: Message, role: StateRole, count: int, dirty_pattern: Optional[FlowPattern] = None
     ) -> None:
-        self.stats.gets_in_progress -= 1
-        body = {"role": role.value, "count": count}
-        if dirty_pattern is not None:
-            # Dirt that accumulated while the chunks were being exported —
-            # restricted to the transfer's pattern — is the controller's
-            # signal for whether another pre-copy round pays off.
-            body["dirty"] = self.middlebox.dirty_perflow_count(role, dirty_pattern)
-        self._send(
-            Message(
-                MessageType.GET_COMPLETE,
-                reply_to=request.xid,
-                mb=self.middlebox.name,
-                body=body,
-            )
-        )
+        # Dirt that accumulated while the chunks were being exported —
+        # restricted to the transfer's pattern — is the controller's signal
+        # for whether another pre-copy round pays off.
+        dirty = None if dirty_pattern is None else self.middlebox.dirty_perflow_count(role, dirty_pattern)
+        self._send(messages.get_complete(self.middlebox.name, request.xid, role, count, dirty))
 
-    @staticmethod
-    def _round_tag(message: Message) -> Optional[tuple]:
-        """Decode a put's pre-copy round tag (None for snapshot puts)."""
-        raw = message.body.get("round")
-        return tuple(raw) if raw is not None else None
+    def _put_perflow(
+        self, request: Message, chunk: StateChunk, hold: bool, seq: Optional[int], round: Optional[tuple]
+    ) -> None:
+        cost = self.middlebox.costs.put_per_chunk
+        receipt = {"key": chunk.key.as_dict(), "role": chunk.role.value}
+        self._serve(request, cost, self._install, [chunk], hold, round, lane=self._import, **receipt)
 
-    def _handle_put_perflow(self, message: Message) -> None:
-        chunk = messages.decode_chunk(message.body["chunk"])
-        hold = bool(message.body.get("hold", False))
-        round_tag = self._round_tag(message)
-
-        def respond() -> None:
-            try:
-                self.middlebox.put_perflow(chunk, round=round_tag)
-            except OpenMBError as exc:
-                self._error(message, str(exc))
-                return
-            if hold:
-                self.middlebox.hold_flows([chunk.key])
-            self.stats.chunks_received += 1
-            self._ack(message, {"key": chunk.key.as_dict(), "role": chunk.role.value})
-
-        self._import.submit(self.middlebox.costs.put_per_chunk, respond)
-
-    def _handle_put_perflow_batch(self, message: Message) -> None:
-        chunks = [messages.decode_chunk(body) for body in message.body.get("chunks", [])]
-        hold = bool(message.body.get("hold", False))
-        round_tag = self._round_tag(message)
-
-        def respond() -> None:
-            installed = 0
-            try:
-                for chunk in chunks:
-                    self.middlebox.put_perflow(chunk, round=round_tag)
-                    installed += 1
-            except OpenMBError as exc:
-                self.stats.chunks_received += installed
-                self._error(message, str(exc))
-                return
-            if hold:
-                self.middlebox.hold_flows([chunk.key for chunk in chunks])
-            self.stats.chunks_received += len(chunks)
-            self._ack(message, {"count": len(chunks)})
-
+    def _put_perflow_batch(
+        self,
+        request: Message,
+        chunks: List[StateChunk],
+        hold: bool,
+        seq: Optional[int],
+        round: Optional[tuple],
+        compressed: bool,
+    ) -> None:
         # Importing a batch occupies the single import thread for the sum of the
         # per-chunk costs, but produces a single ACK.
-        self._import.submit(self.middlebox.costs.put_per_chunk * max(1, len(chunks)), respond)
+        cost = self.middlebox.costs.put_per_chunk * max(1, len(chunks))
+        self._serve(request, cost, self._install, chunks, hold, round, lane=self._import, count=len(chunks))
 
-    def _handle_del_perflow(self, message: Message) -> None:
-        role = StateRole(message.body["role"])
-        pattern = FlowPattern.parse(message.body.get("pattern"))
+    def _install(self, chunks: List[StateChunk], hold: bool, round: Optional[tuple]) -> None:
+        """Import *chunks* in order, counting each one that made it, then hold their flows."""
+        for chunk in chunks:
+            self.middlebox.put_perflow(chunk, round=round)
+            self.stats.chunks_received += 1
+        if hold:
+            self.middlebox.hold_flows([chunk.key for chunk in chunks])
 
-        def respond() -> None:
-            try:
-                removed = self.middlebox.del_perflow(role, pattern)
-            except OpenMBError as exc:
-                self._error(message, str(exc))
-                return
-            self._ack(message, {"removed": removed})
-
+    def _del_perflow(self, request: Message, role: StateRole, pattern: FlowPattern) -> None:
         # Model the deletion cost as proportional to the number of entries scanned.
         cost = self.middlebox.costs.del_per_chunk * max(1, self.middlebox.perflow_count(role))
-        self.sim.schedule(cost, respond)
+        self._serve(request, cost, lambda: self._ack(request, removed=self.middlebox.del_perflow(role, pattern)))
 
     # shared state --------------------------------------------------------------------------
 
-    def _handle_get_shared(self, message: Message) -> None:
-        role = StateRole(message.body["role"])
-        mark_transfer = bool(message.body.get("transfer", False))
-        costs = self.middlebox.costs
+    def _get_shared(self, request: Message, role: StateRole, transfer: bool) -> None:
+        self._serve(request, self.middlebox.costs.shared_get_base, self._export_shared, request, role, transfer)
 
-        def respond() -> None:
-            chunk = self.middlebox.get_shared(role, mark_transfer=mark_transfer)
-            if chunk is None:
-                self._send(
-                    Message(
-                        MessageType.GET_COMPLETE,
-                        reply_to=message.xid,
-                        mb=self.middlebox.name,
-                        body={"role": role.value, "count": 0},
-                    )
-                )
-                return
-            delay = costs.shared_get_per_byte * chunk.size
-            self.sim.schedule(
-                delay,
-                self._send,
-                Message(
-                    MessageType.SHARED_STATE,
-                    reply_to=message.xid,
-                    mb=self.middlebox.name,
-                    body={"chunk": messages.encode_shared_chunk(chunk)},
-                ),
-            )
+    def _export_shared(self, request: Message, role: StateRole, transfer: bool) -> object:
+        chunk = self.middlebox.get_shared(role, mark_transfer=transfer)
+        if chunk is None:
+            return messages.get_complete(self.middlebox.name, request.xid, role, 0)
+        reply = messages.shared_state(self.middlebox.name, request.xid, chunk)
+        self.sim.schedule(self.middlebox.costs.shared_get_per_byte * chunk.size, self._send, reply)
+        return _STREAMED
 
-        self.sim.schedule(costs.shared_get_base, respond)
-
-    def _handle_put_shared(self, message: Message) -> None:
-        chunk = messages.decode_shared_chunk(message.body["chunk"])
+    def _put_shared(self, request: Message, chunk: SharedChunk) -> None:
         costs = self.middlebox.costs
         delay = costs.shared_put_base + costs.shared_put_per_byte * chunk.size
-
-        def respond() -> None:
-            try:
-                self.middlebox.put_shared(chunk)
-            except OpenMBError as exc:
-                self._error(message, str(exc))
-                return
-            self._ack(message, {"role": chunk.role.value})
-
-        self.sim.schedule(delay, respond)
+        self._serve(request, delay, self.middlebox.put_shared, chunk, role=chunk.role.value)
 
     # statistics, events, transfers -------------------------------------------------------------
 
-    def _handle_get_stats(self, message: Message) -> None:
-        pattern = FlowPattern.parse(message.body.get("pattern"))
+    def _get_stats(self, request: Message, pattern: FlowPattern) -> None:
+        reply = lambda: messages.stats_reply(self.middlebox.name, request.xid, self.middlebox.state_stats(pattern))
+        self._serve(request, self.middlebox.costs.config_op, reply)
 
-        def respond() -> None:
-            try:
-                stats = self.middlebox.state_stats(pattern)
-            except OpenMBError as exc:
-                self._error(message, str(exc))
-                return
-            self._send(
-                Message(
-                    MessageType.STATS_REPLY,
-                    reply_to=message.xid,
-                    mb=self.middlebox.name,
-                    body={"stats": stats},
-                )
-            )
+    def _enable_events(
+        self, request: Message, code: str, pattern: Optional[FlowPattern], until: Optional[float]
+    ) -> None:
+        self._serve(request, None, self.middlebox.enable_events, code, pattern, until)
 
-        self.sim.schedule(self.middlebox.costs.config_op, respond)
+    def _disable_events(self, request: Message, code: str, pattern: Optional[FlowPattern]) -> None:
+        self._serve(request, None, self.middlebox.disable_events, code, pattern)
 
-    def _handle_enable_events(self, message: Message) -> None:
-        pattern = FlowPattern.parse(message.body.get("pattern")) if "pattern" in message.body else None
-        self.middlebox.enable_events(message.body["code"], pattern, message.body.get("until"))
-        self._ack(message)
-
-    def _handle_disable_events(self, message: Message) -> None:
-        pattern = FlowPattern.parse(message.body.get("pattern")) if "pattern" in message.body else None
-        self.middlebox.disable_events(message.body["code"], pattern)
-        self._ack(message)
-
-    def _handle_transfer_end(self, message: Message) -> None:
-        if message.body.get("dirty_only", False):
+    def _transfer_end(self, request: Message, dirty_only: bool, shared_only: bool) -> None:
+        if dirty_only:
             # Scoped pre-copy cleanup: stop dirty tracking, leave transfer
             # markers owned by concurrent operations untouched.
-            self.middlebox.end_dirty_tracking()
-        elif message.body.get("shared_only", False):
+            end = self.middlebox.end_dirty_tracking
+        elif shared_only:
             # A finalizing clone/merge only ever armed the shared flag; it
             # must not clear per-flow markers owned by a concurrent move.
-            self.middlebox.end_shared_transfer()
+            end = self.middlebox.end_shared_transfer
         else:
-            self.middlebox.end_transfer()
-        self._ack(message)
+            end = self.middlebox.end_transfer
+        self._serve(request, None, end)
 
-    def _handle_transfer_hold(self, message: Message) -> None:
-        from .flowspace import FlowKey
+    def _transfer_hold(self, request: Message, keys: List[FlowKey]) -> None:
+        self._serve(request, None, self.middlebox.hold_flows, keys, count=len(keys))
 
-        keys = [FlowKey.from_dict(body) for body in message.body.get("keys", [])]
-        self.middlebox.hold_flows(keys)
-        self._ack(message, {"count": len(keys)})
+    def _transfer_release(self, request: Message, keys: List[FlowKey]) -> None:
+        self._serve(request, None, self.middlebox.release_flows, keys, count=len(keys))
 
-    def _handle_transfer_release(self, message: Message) -> None:
-        from .flowspace import FlowKey
+    def _reprocess_packet(
+        self, request: Message, packet: Optional[Packet], shared: bool, key: Optional[FlowKey], seq: Optional[int]
+    ) -> None:
+        self._serve(request, self.middlebox.costs.reprocess_packet, self._replay, packet, shared)
 
-        keys = [FlowKey.from_dict(body) for body in message.body.get("keys", [])]
-        self.middlebox.release_flows(keys)
-        self._ack(message, {"count": len(keys)})
+    def _replay(self, packet: Optional[Packet], shared: bool) -> None:
+        if packet is not None:
+            self.middlebox.reprocess(packet, shared=shared)
 
-    def _handle_reprocess(self, message: Message) -> None:
-        packet = messages.decode_packet(message.body["packet"]) if "packet" in message.body else None
-        shared = bool(message.body.get("shared", False))
-
-        def respond() -> None:
-            if packet is not None:
-                self.middlebox.reprocess(packet, shared=shared)
-            self._ack(message)
-
-        self.sim.schedule(self.middlebox.costs.reprocess_packet, respond)
+    #: Request type -> handler, called as ``handler(agent, request, **parsed fields)``.
+    _HANDLERS = {
+        MessageType.BATCH: _batch,
+        MessageType.GET_CONFIG: _get_config,
+        MessageType.SET_CONFIG: _set_config,
+        MessageType.DEL_CONFIG: _del_config,
+        MessageType.GET_PERFLOW: _get_perflow,
+        MessageType.GET_PERFLOW_DELTA: _get_perflow_delta,
+        MessageType.PUT_PERFLOW: _put_perflow,
+        MessageType.PUT_PERFLOW_BATCH: _put_perflow_batch,
+        MessageType.DEL_PERFLOW: _del_perflow,
+        MessageType.TRANSFER_HOLD: _transfer_hold,
+        MessageType.TRANSFER_RELEASE: _transfer_release,
+        MessageType.GET_SHARED: _get_shared,
+        MessageType.PUT_SHARED: _put_shared,
+        MessageType.GET_STATS: _get_stats,
+        MessageType.ENABLE_EVENTS: _enable_events,
+        MessageType.DISABLE_EVENTS: _disable_events,
+        MessageType.TRANSFER_END: _transfer_end,
+        MessageType.REPROCESS_PACKET: _reprocess_packet,
+    }

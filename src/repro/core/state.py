@@ -242,8 +242,8 @@ class PerFlowStateStore(Generic[T]):
     granularity raise :class:`GranularityError`, as required by the paper.
 
     Entries live in ``shard_count`` hash shards keyed by the canonical flow
-    token (the format :meth:`~repro.core.sharding.ShardRing.canonical_token`
-    hashes with :func:`~repro.core.sharding.stable_hash`, so placement is
+    token (:meth:`~repro.core.flowspace.FlowKey.token`, which the shard ring
+    also hashes with :func:`~repro.core.sharding.stable_hash`, so placement is
     stable across processes).  Pattern lookups scan shard by shard — the same
     linear cost as the paper's prototype for partial patterns on a default
     store — but a fully specified concrete pattern is routed to its single
@@ -307,11 +307,7 @@ class PerFlowStateStore(Generic[T]):
         """Owning shard of a canonical key (stable token hash, as the ring's)."""
         if self.shard_count == 1:
             return 0
-        token = (
-            f"{canonical.nw_proto}|{canonical.nw_src}|{canonical.nw_dst}"
-            f"|{canonical.tp_src}|{canonical.tp_dst}"
-        )
-        return _stable_hash(token) % self.shard_count
+        return _stable_hash(canonical.token()) % self.shard_count
 
     def _shard_of(self, canonical: FlowKey) -> Dict[FlowKey, T]:
         """The shard dict holding (or destined to hold) *canonical*."""

@@ -105,13 +105,6 @@ class ControllerStats:
 
     # -- queries used by benchmarks and reports --------------------------------------
 
-    def records_of_type(self, op_type: OperationType) -> List[OperationRecord]:
-        return [record for record in self.records if record.type is op_type]
-
-    def records_of_guarantee(self, guarantee: str) -> List[OperationRecord]:
-        """Archived operations that ran under the given transfer guarantee."""
-        return [record for record in self.records if record.guarantee == guarantee]
-
     def by_guarantee(self) -> Dict[str, Dict[str, float]]:
         """Per-guarantee aggregates: operation count, mean duration, event fate."""
         summary: Dict[str, Dict[str, float]] = {}

@@ -3,7 +3,7 @@
 Every stateful flow in the federation has exactly one owning domain — the
 domain whose controller brokered the last move of its state.  The directory
 is a :class:`~repro.federation.gossip.VersionedMap` keyed by the **canonical
-flow token** (:meth:`repro.core.sharding.ShardRing.canonical_token`, the
+flow token** (:meth:`repro.core.flowspace.FlowKey.token` of the
 bidirectional five-tuple), so both packet directions of a flow resolve to the
 same entry and the federation agrees with the intra-controller shard ring on
 what "one flow" means.
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..core.flowspace import FlowKey
-from ..core.sharding import ShardRing
 from .gossip import VersionedMap
 
 
@@ -35,7 +34,7 @@ class OwnershipDirectory:
     @staticmethod
     def token_of(key: FlowKey) -> str:
         """The directory token of a flow: its canonical bidirectional tuple."""
-        return ShardRing.canonical_token(key)
+        return key.bidirectional().token()
 
     def claim(self, key: FlowKey, domain: str, now: float) -> str:
         """Author a new ownership version for one flow; returns its token."""
@@ -50,11 +49,6 @@ class OwnershipDirectory:
     def owner_of(self, key: FlowKey) -> Optional[str]:
         """The domain owning *key*'s state, or None when unknown."""
         value = self._map.value_of(self.token_of(key))
-        return value.get("domain") if value else None
-
-    def owner_of_token(self, token: str) -> Optional[str]:
-        """Like :meth:`owner_of` but for an already-canonical token."""
-        value = self._map.value_of(token)
         return value.get("domain") if value else None
 
     def tokens_owned_by(self, domain: str) -> List[str]:

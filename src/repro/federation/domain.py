@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core import messages
 from ..core.channel import ControlChannel, FaultPlan
 from ..core.controller import ControllerConfig, MBController
+from ..core.errors import ProtocolError
 from ..core.events import EventCode
 from ..core.messages import Message, MessageType
 from ..core.stats import ControllerStats
@@ -398,26 +399,30 @@ class FederatedDomain:
             if peer in self.takeovers:
                 self._revert_takeover(peer)
             self._arm_gossip()
+        try:
+            fields = messages.parse(message)
+        except ProtocolError:
+            return  # a malformed federation message is dropped
         if message.type == MessageType.FED_GOSSIP:
-            self._absorb_digest(message)
+            self._absorb_digest(**fields)
         elif message.type == MessageType.FED_MOVE_REQUEST:
-            self._on_move_request(peer, message)
+            self._on_move_request(peer, message, **fields)
         elif message.type == MessageType.FED_MOVE_GRANT:
-            self._on_move_grant(peer, message)
+            self._on_move_grant(peer, message, fields["granted"], fields["reason"])
         elif message.type == MessageType.FED_MOVE_DONE:
-            self._on_move_done(message)
+            self._on_move_done(fields["instance"])
 
-    def _absorb_digest(self, message: Message) -> None:
-        body = message.body
+    def _absorb_digest(
+        self, domain: str, sent_at: Optional[float], membership: list, liveness: list, ownership: list
+    ) -> None:
         now = self.sim.now
         self.digests_received += 1
-        sender = str(body.get("domain", ""))
-        link = self._peers.get(sender)
-        if link is not None:
-            link.observe(now - float(body.get("sent_at", now)))
-        membership_changes = self.gossip.membership.merge(body.get("membership", []), now)
-        self.gossip.liveness.merge(body.get("liveness", []), now)
-        self.directory.merge(body.get("ownership", []), now)
+        link = self._peers.get(domain)
+        if link is not None and sent_at is not None:
+            link.observe(now - sent_at)
+        membership_changes = self.gossip.membership.merge(membership, now)
+        self.gossip.liveness.merge(liveness, now)
+        self.directory.merge(ownership, now)
         for changed in membership_changes:
             value = self.gossip.membership.value_of(changed) or {}
             if changed != self.name and not value.get("alive"):
@@ -485,9 +490,8 @@ class FederatedDomain:
         link.send(request)
         return future
 
-    def _on_move_request(self, peer: str, message: Message) -> None:
+    def _on_move_request(self, peer: str, message: Message, domain: Optional[str], instance: str) -> None:
         """Home-domain side: lend the requested instance (or refuse)."""
-        instance = str(message.body.get("instance", ""))
         link = self._peers[peer]
         if not self.controller.is_registered(instance) or instance in self._lent:
             link.send(
@@ -500,17 +504,17 @@ class FederatedDomain:
         # duration of the move (its object stays in ``_instances`` so it can
         # come home on FED_MOVE_DONE).
         self.controller.unregister(instance)
-        self._lent[instance] = str(message.body.get("domain", peer))
+        self._lent[instance] = domain or peer
         link.send(messages.fed_move_grant(message, peer, self.name, granted=True))
 
-    def _on_move_grant(self, peer: str, message: Message) -> None:
+    def _on_move_grant(self, peer: str, message: Message, granted: bool, reason: str) -> None:
         """Borrowing side: run the WAN move once the lend is granted."""
         pending = self._outbound.pop(message.reply_to or -1, None)
         if pending is None:
             return
         future: Future = pending["future"]
-        if not message.body.get("granted"):
-            future.fail(RuntimeError(f"cross-domain move refused: {message.body.get('reason', 'denied')}"))
+        if not granted:
+            future.fail(RuntimeError(f"cross-domain move refused: {reason}"))
             return
         dst = pending["dst"]
         obj = self._resolve_instance(dst)
@@ -557,9 +561,8 @@ class FederatedDomain:
         else:
             future.fail(done.exception)
 
-    def _on_move_done(self, message: Message) -> None:
+    def _on_move_done(self, instance: str) -> None:
         """Home-domain side: the lent instance comes back, state and all."""
-        instance = str(message.body.get("instance", ""))
         self._lent.pop(instance, None)
         obj = self._instances.get(instance)
         if obj is not None and not self.controller.is_registered(instance):

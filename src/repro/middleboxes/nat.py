@@ -206,12 +206,6 @@ class NAT(Middlebox):
             self.raise_event(EVENT_MAPPING_EXPIRED, key=key)
         return len(expired)
 
-    def rebuild_reverse_table(self) -> None:
-        """Rebuild the reverse lookup table from per-flow state (after imports)."""
-        self._reverse = {
-            (mapping.external_ip, mapping.external_port): key for key, mapping in self.support_store.items()
-        }
-
     def put_perflow(self, chunk, *, round=None) -> None:  # type: ignore[override]
         super().put_perflow(chunk, round=round)
         mapping = self.support_store.get(chunk.key)

@@ -60,10 +60,6 @@ class LatencyProbe:
             return 0.0
         return max(sample.latency for sample in self.samples)
 
-    def latencies_between(self, start: float, end: float) -> List[float]:
-        """Latencies of packets received within a simulated-time window."""
-        return [s.latency for s in self.samples if start <= s.received_at <= end]
-
 
 class DeliveryRecorder:
     """Counts packets delivered to a host, bucketed by flow pattern."""

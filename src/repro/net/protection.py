@@ -247,12 +247,6 @@ class ProtectionSummary:
         offered = self.delivered + self.abandoned
         return self.abandoned / offered if offered else 0.0
 
-    @property
-    def wire_loss_rate(self) -> float:
-        """Raw per-attempt loss the wire inflicted (drops + corruption over
-        physical data frames sent, retransmissions included)."""
-        return self.lost_on_wire / self.sent if self.sent else 0.0
-
 
 def summarize(link: "Link") -> ProtectionSummary:
     """Build a :class:`ProtectionSummary` from a (protected) link's counters."""

@@ -108,10 +108,6 @@ class SDNController:
 
     # -- packet-in handling -------------------------------------------------------
 
-    def adopt_switch(self, switch: Switch) -> None:
-        """Register a switch added to the topology after the controller was built."""
-        switch.set_packet_in_handler(self._on_packet_in)
-
     def _on_packet_in(self, switch: Switch, packet: Packet, in_port: int) -> None:
         self.packet_ins.append(packet)
 

@@ -78,9 +78,6 @@ class Switch(Node):
     def remove_rules_by_cookie(self, cookie: str) -> int:
         return self.table.remove_by_cookie(cookie)
 
-    def remove_rule(self, rule: FlowRule) -> bool:
-        return self.table.remove(rule)
-
     # -- buffering (used by the Split/Merge baseline) -----------------------------
 
     def buffer_pattern(self, pattern: FlowPattern) -> None:

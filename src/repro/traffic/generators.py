@@ -57,10 +57,6 @@ class FlowSpec:
     upload_bytes: int = 0
     download_bytes: int = 0
 
-    @property
-    def is_http(self) -> bool:
-        return bool(self.requests)
-
 
 def _chunks(total: int, chunk: int = MAX_SEGMENT) -> List[int]:
     """Split *total* bytes into segment sizes."""

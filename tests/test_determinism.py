@@ -109,6 +109,24 @@ class TestEngineLayering:
         offenders = sorted(name for name in imported if name.split(".")[0] == "repro")
         assert not offenders, f"repro.runtime.arq needs only the standard library, but imports {offenders}"
 
+    def test_only_the_messages_module_reads_a_message_body(self):
+        """The wire format of every body lives behind ``core/messages.py``.
+
+        Anywhere else a ``.body`` attribute access — ``.body[...]``,
+        ``.body.get(...)`` or an alias taken of it — is a second copy of the
+        format; the other modules take typed fields from ``messages.parse``
+        and build messages with the constructors (``body=`` keywords are not
+        attribute accesses).
+        """
+        offenders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            if path.relative_to(SRC_ROOT) == pathlib.PurePath("repro", "core", "messages.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "body":
+                    offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno}")
+        assert not offenders, "message bodies read outside core/messages.py:\n" + "\n".join(offenders)
+
 
 class TestSeededReproducibility:
     def test_traffic_generators_reproduce_from_seed(self):

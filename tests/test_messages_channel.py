@@ -72,7 +72,8 @@ class TestChunkCodecs:
 
     def test_pattern_roundtrip(self):
         pattern = FlowPattern(nw_src="10.0.0.0/8", tp_dst=80)
-        assert messages.decode_pattern(messages.encode_pattern(pattern)) == pattern
+        request = Message.decode(messages.get_stats("mb", pattern).encode())
+        assert messages.parse(request)["pattern"] == pattern
 
 
 class TestPacketAndEventCodecs:

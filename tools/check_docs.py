@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks runnable with the standard library alone.
 
-Three checks, mirroring the CI docs job:
+Four checks, mirroring the CI docs job:
 
 * **docstring coverage** over the public northbound surface (the same
   modules CI runs ``interrogate --fail-under 100`` on), counted the same way
@@ -13,7 +13,10 @@ Three checks, mirroring the CI docs job:
 * **code-block reference check** over ``docs/``: every ``repro.*`` module or
   attribute named inside a fenced python code block must actually exist in
   ``src/`` (imports and dotted references are resolved statically with
-  ``ast``), so the guides cannot drift away from the code they describe.
+  ``ast``), so the guides cannot drift away from the code they describe;
+* **protocol table check**: the "Southbound protocol" table in
+  ``docs/architecture.md`` has exactly one row per ``MessageType`` constant,
+  so a message cannot be added (or removed) undocumented.
 
 Exit status is non-zero when any check fails, so the script doubles as a
 pre-commit / CI gate where interrogate is unavailable.
@@ -244,12 +247,30 @@ def check_code_blocks() -> bool:
     return ok
 
 
+#: First cell of a protocol-table row: | `message_type` | ...
+_PROTOCOL_ROW_RE = re.compile(r"^\| `(\w+)` \|", re.MULTILINE)
+
+
+def check_protocol_table() -> bool:
+    """One row per ``MessageType`` constant in the Southbound protocol table."""
+    tree = ast.parse((SRC_ROOT / "repro" / "core" / "messages.py").read_text(encoding="utf-8"))
+    enum = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "MessageType")
+    names = [node.value.value for node in enum.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)]
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    section = text.partition("## Southbound protocol")[2].partition("\n## ")[0]
+    rows = _PROTOCOL_ROW_RE.findall(section)
+    problems = [f"no single row for message type {name!r}" for name in names if rows.count(name) != 1]
+    problems += [f"row {name!r} names no MessageType constant" for name in rows if name not in names]
+    for problem in problems:
+        print(f"protocol table in docs/architecture.md: {problem}")
+    print(f"protocol table: {len(rows)} rows for {len(names)} message types")
+    return not problems
+
+
 def main() -> int:
-    """Run all three checks; returns a shell exit status."""
-    docstrings_ok = check_docstrings()
-    links_ok = check_links()
-    code_blocks_ok = check_code_blocks()
-    return 0 if (docstrings_ok and links_ok and code_blocks_ok) else 1
+    """Run all four checks; returns a shell exit status."""
+    results = [check_docstrings(), check_links(), check_code_blocks(), check_protocol_table()]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":
