@@ -123,7 +123,6 @@ def test_wallclock_concurrent_moves(once):
         assert result["puts_acked"] == expected
         # The runtime shut down without leaking scheduled work.
         assert result["close"]["processes_leaked"] == 0
-        assert result["close"]["lane_backlog"] == 0
         # Internal consistency: record-derived makespan happened inside the
         # wall bracket, and the clock actually advanced (real time, not ticks).
         assert 0 < result["makespan"] <= result["wall_elapsed"] * 1.05

@@ -52,7 +52,7 @@ def realtime_controller_with_dummies(
     """The wall-clock twin of :func:`controller_with_dummies`.
 
     Same controller + dummy-pair topology, but on a :class:`RealtimeRuntime`
-    (``RuntimeConfig(mode="realtime")``): delays are real ``asyncio`` sleeps
+    (``RuntimeConfig(mode="realtime")``): every delay is really waited out
     and ``runtime.now`` tracks the monotonic clock, so every duration the
     ``bench_wallclock_*`` family reports is measured wall time.  Callers own
     the runtime and must call ``runtime.close()`` when done.

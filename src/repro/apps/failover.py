@@ -44,6 +44,10 @@ DEFAULT_CONFIG_KEYS: Tuple[str, ...] = (
     "NAT.InternalPrefix",
 )
 
+#: Coalescing window for background standby syncs: mappings created within
+#: one window cost a single configuration write.
+SYNC_DELAY = 1e-3
+
 
 class FailureRecoveryApp(ControlApplication):
     """Keep a live shadow of a NAT's critical state and restore it on failure."""
@@ -58,7 +62,6 @@ class FailureRecoveryApp(ControlApplication):
         protected_mb: str,
         standby_mb: Optional[str] = None,
         sdn: Optional[SDNController] = None,
-        sync_delay: float = 1e-3,
     ) -> None:
         super().__init__(sim, northbound, sdn)
         self.protected_mb = protected_mb
@@ -66,9 +69,6 @@ class FailureRecoveryApp(ControlApplication):
         #: Shadow of critical state: flow key -> (external ip, external port).
         self.shadow: Dict[FlowKey, Tuple[str, int]] = {}
         self.events_seen = 0
-        #: Coalescing window for background standby syncs: mappings created
-        #: within one window cost a single configuration write.
-        self.sync_delay = sync_delay
         #: What the standby currently holds (key -> mapping), per the last
         #: acknowledged sync write.  Recovery replays ``shadow - _synced``.
         self._synced: Dict[FlowKey, Tuple[str, int]] = {}
@@ -147,7 +147,7 @@ class FailureRecoveryApp(ControlApplication):
         if self._sync_scheduled:
             return
         self._sync_scheduled = True
-        self.sim.schedule(self.sync_delay, self._flush_sync)
+        self.sim.schedule(SYNC_DELAY, self._flush_sync)
 
     def _flush_sync(self) -> None:
         """Write the current shadow to the standby's static-mapping config."""

@@ -28,25 +28,20 @@ from typing import Dict, Generator, List
 from ..net.simulator import Simulator
 from .base import ControlApplication
 
+#: Convergence is polled this often, for at most :data:`SETTLE_LIMIT` seconds.
+POLL_INTERVAL = 1e-3
+SETTLE_LIMIT = 1.0
+
 
 class FederationOverseerApp(ControlApplication):
     """Wait for a federation to converge, then report fleet-wide state."""
 
     name = "federation-overseer"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        federation,
-        *,
-        poll_interval: float = 1e-3,
-        settle_limit: float = 1.0,
-    ) -> None:
+    def __init__(self, sim: Simulator, federation) -> None:
         # The overseer spans domains, so it has no single northbound API.
         super().__init__(sim, northbound=None)
         self.federation = federation
-        self.poll_interval = poll_interval
-        self.settle_limit = settle_limit
 
     # -- audit helpers -----------------------------------------------------------------------------
 
@@ -83,11 +78,11 @@ class FederationOverseerApp(ControlApplication):
 
     def steps(self) -> Generator:
         self._log("waiting for gossip views to converge")
-        deadline = self.sim.now + self.settle_limit
+        deadline = self.sim.now + SETTLE_LIMIT
         polls = 0
         while not self.federation.converged() and self.sim.now < deadline:
             polls += 1
-            yield self.sim.timeout(self.poll_interval)
+            yield self.sim.timeout(POLL_INTERVAL)
         converged = self.federation.converged()
         self._log(f"views {'converged' if converged else 'DID NOT converge'} after {polls} polls")
 

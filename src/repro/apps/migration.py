@@ -46,7 +46,6 @@ class REMigrationApp(ControlApplication):
         dc_b_prefix: str = "1.1.2.0/24",
         update_routing: RoutingCallback,
         sdn: Optional[SDNController] = None,
-        wait_for_clone_quiescence: bool = False,
     ) -> None:
         super().__init__(sim, northbound, sdn)
         self.encoder = encoder
@@ -55,7 +54,6 @@ class REMigrationApp(ControlApplication):
         self.dc_a_prefix = dc_a_prefix
         self.dc_b_prefix = dc_b_prefix
         self.update_routing = update_routing
-        self.wait_for_clone_quiescence = wait_for_clone_quiescence
 
     def steps(self) -> Generator:
         txn = self.nb.transaction()
@@ -78,10 +76,7 @@ class REMigrationApp(ControlApplication):
             after=[second_cache, (clone, "installed")],
             label=f"reroute({self.dc_b_prefix})",
         )
-        # 5. Switch the encoder's cache selection; optionally wait for the
-        #    clone's re-process events to quiesce first.
-        if self.wait_for_clone_quiescence:
-            txn.barrier([clone], finalized=True)
+        # 5. Switch the encoder's cache selection.
         txn.write_config(self.encoder, "CacheFlows", [self.dc_a_prefix, self.dc_b_prefix])
         # 6. The clone transaction is over: routing and the cache selection are
         #    in place, so the original decoder stops replaying its own (DC A)

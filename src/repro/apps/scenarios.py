@@ -271,7 +271,6 @@ def build_re_migration_scenario(
     dc_b_prefix: str = "1.1.2.0/24",
     quiescence_timeout: float = 0.5,
     controller_config: Optional[ControllerConfig] = None,
-    install_initial_routes: bool = True,
 ) -> REMigrationScenario:
     """Build the RE live-migration topology of Figure 6(a)."""
     sim = sim or Simulator()
@@ -322,9 +321,8 @@ def build_re_migration_scenario(
         dc_a_prefix=dc_a_prefix,
         dc_b_prefix=dc_b_prefix,
     )
-    if install_initial_routes:
-        scenario.install_initial_routes()
-        sim.run(until=sim.now + 0.05)
+    scenario.install_initial_routes()
+    sim.run(until=sim.now + 0.05)
     return scenario
 
 

@@ -134,7 +134,6 @@ class ControlChannel:
         bandwidth: float = DEFAULT_CONTROL_BANDWIDTH,
         faults: Optional[FaultPlan] = None,
         reliable: Optional[bool] = None,
-        retransmit_timeout: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -145,11 +144,7 @@ class ControlChannel:
         #: a lossy channel without retransmission would wedge every ACK-gated
         #: operation, and a clean channel needs no sequencing overhead.
         self.reliable = (faults is not None) if reliable is None else reliable
-        self.retransmit_timeout = (
-            retransmit_timeout
-            if retransmit_timeout is not None
-            else max(DEFAULT_RTO_LATENCY_MULTIPLE * latency, 1e-4)
-        )
+        self.retransmit_timeout = max(DEFAULT_RTO_LATENCY_MULTIPLE * latency, 1e-4)
         self.to_mb = ChannelStats()
         self.to_controller = ChannelStats()
         #: Sequencing state per direction: unbounded window, never gives up,
@@ -163,7 +158,6 @@ class ControlChannel:
         self._receivers = {direction: partial(self._receive, direction) for direction in REVERSE}
         #: Serialisation points: one runtime lane per direction models wire
         #: occupancy (``reserve``) and delivers in order (``dispatch_at``).
-        #: On the realtime runtime each direction is its own asyncio task.
         self._wire = {direction: sim.lane(f"{name}:{direction}") for direction in REVERSE}
 
     def _new_direction(self, direction: str) -> ArqDirection:

@@ -1034,24 +1034,13 @@ class MoveOperation(_StatefulOperation):
     # -- starting ---------------------------------------------------------------------
 
     def start(self) -> None:
-        """Issue the first per-role gets (bulk round for pre-copy transfers)."""
-        if self._precopy:
-            self._begin_copy_round()
-            return
-        self.record.freeze_started_at = self.record.started_at
-        for role in (StateRole.SUPPORTING, StateRole.REPORTING):
-            self._gets_outstanding += 1
-            self.controller.send(
-                self.src,
-                messages.get_perflow(
-                    self.src, role, self.pattern, transfer=True, compress=self.spec.compress
-                ),
-                on_reply=self._on_src_reply,
-                shard=self.home_shard,
-            )
+        """Issue the first per-role gets: round 0, the only round of a snapshot."""
+        if not self._precopy:
+            self.record.freeze_started_at = self.record.started_at
+        self._begin_copy_round()
 
     def _begin_copy_round(self) -> None:
-        """Start one pre-copy round: bulk (round 0), delta, or final stop-and-copy."""
+        """Start one copy round: bulk (round 0), delta, or final stop-and-copy."""
         self._round_started_at = self.sim.now
         self._round_chunks = 0
         self._round_bytes = 0
@@ -1061,12 +1050,14 @@ class MoveOperation(_StatefulOperation):
         for role in (StateRole.SUPPORTING, StateRole.REPORTING):
             self._gets_outstanding += 1
             if self._round == 0:
+                # A snapshot's bulk get freezes the flows behind re-process
+                # events; a pre-copy's arms dirty tracking and lets them run.
                 message = messages.get_perflow(
                     self.src,
                     role,
                     self.pattern,
-                    transfer=False,
-                    track_dirty=True,
+                    transfer=not self._precopy,
+                    track_dirty=self._precopy,
                     compress=self.spec.compress,
                 )
             else:

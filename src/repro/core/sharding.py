@@ -176,8 +176,8 @@ class ControllerShard:
         self.shard_id = shard_id
         self.stats = ShardStats()
         #: This shard's CPU: a runtime lane serialising all message handling.
-        #: On the simulator it is tick arithmetic; on the realtime runtime it
-        #: is this shard's own asyncio task — shards genuinely run in parallel.
+        #: Watermark arithmetic on the runtime's clock: shards overlap in
+        #: (simulated or wall) time, the one kernel thread runs their work.
         self._cpu = sim.lane(f"shard-{shard_id}")
         #: Source middlebox name -> operations registered for its events.
         self._interest: Dict[str, List["_StatefulOperation"]] = {}

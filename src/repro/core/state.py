@@ -271,13 +271,11 @@ class PerFlowStateStore(Generic[T]):
         granularity: Tuple[str, ...] = ("nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst"),
         *,
         indexed: bool = False,
-        bidirectional: bool = True,
         shard_count: int = DEFAULT_SHARD_COUNT,
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         self.granularity = tuple(granularity)
-        self.bidirectional = bidirectional
         self.shard_count = shard_count
         self._shards: List[Dict[FlowKey, T]] = [{} for _ in range(shard_count)]
         self._count = 0
@@ -443,7 +441,7 @@ class PerFlowStateStore(Generic[T]):
 
     def canonical_key(self, key: FlowKey) -> FlowKey:
         """Key under which state for *key* is stored (bidirectional canonical form)."""
-        return key.bidirectional() if self.bidirectional else key
+        return key.bidirectional()
 
     def _index_add(self, canonical: FlowKey) -> None:
         """Add a freshly inserted canonical key to every secondary index."""

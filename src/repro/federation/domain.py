@@ -53,6 +53,10 @@ from .directory import OwnershipDirectory
 from .election import elect_successor
 from .gossip import GossipConfig, GossipState, choose_peers
 
+#: WAN pacing: one-way delays at or below this look like a LAN and get no
+#: pacing; the pacing gain grows with the measured excess over it.
+LAN_DELAY_REFERENCE = 1e-3
+
 
 @dataclass(frozen=True)
 class FederationConfig:
@@ -63,11 +67,6 @@ class FederationConfig:
     #: takeover election runs).  Should cover several gossip intervals so a
     #: lossy channel's drops do not look like a death.
     suspicion_timeout: float = 2e-2
-    #: Whether the elected survivor actually adopts a dead domain's orphans.
-    takeover: bool = True
-    #: WAN pacing: one-way delays at or below this look like a LAN and get no
-    #: pacing; the pacing gain grows with the measured excess over it.
-    lan_delay_reference: float = 1e-3
     #: Upper bound on the adaptive ``wan_pacing`` gain.
     max_pacing_gain: float = 4.0
 
@@ -317,7 +316,7 @@ class FederatedDomain:
         if dead_domain in self.takeovers:
             return
         winner = elect_successor(dead_domain, self.gossip.live_domains())
-        if winner == self.name and self.config.takeover:
+        if winner == self.name:
             self._take_over(dead_domain)
 
     def _take_over(self, dead_domain: str) -> None:
@@ -449,7 +448,7 @@ class FederatedDomain:
         if link is None or link.srtt is None:
             return 0.0
         effective = link.srtt + 4.0 * link.jitter
-        gain = effective / self.config.lan_delay_reference - 1.0
+        gain = effective / LAN_DELAY_REFERENCE - 1.0
         return max(0.0, min(self.config.max_pacing_gain, gain))
 
     def move_to(

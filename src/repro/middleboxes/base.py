@@ -110,13 +110,12 @@ class Middlebox(Node, MiddleboxInterface):
         costs: Optional[ProcessingCosts] = None,
         granularity: Sequence[str] = FULL_GRANULARITY,
         indexed_store: bool = False,
-        compress_chunks: bool = False,
     ) -> None:
         Node.__init__(self, sim, name)
         self.mb_type = self.MB_TYPE
         self.costs = costs or ProcessingCosts()
         self.config = HierarchicalConfig()
-        self.codec = ChunkCodec.for_mb_type(self.mb_type, compress=compress_chunks)
+        self.codec = ChunkCodec.for_mb_type(self.mb_type)
         self.support_store: PerFlowStateStore = PerFlowStateStore(tuple(granularity), indexed=indexed_store)
         self.report_store: PerFlowStateStore = PerFlowStateStore(tuple(granularity), indexed=indexed_store)
         #: Shared supporting / reporting slots; subclasses assign these when they have shared state.

@@ -8,9 +8,9 @@ per-packet latency measurements in the evaluation.
 
 Each direction of the wire is a :meth:`~repro.runtime.Runtime.lane` — the
 same serialisation abstraction the control channels and controller shards run
-on — so the realtime runtime drives data-plane wires exactly like control
-wires (one asyncio task per direction), while the deterministic simulator
-keeps the seed's ``free_at`` tick arithmetic bit for bit.
+on — so both runtimes drive data-plane wires exactly like control wires:
+the seed's ``free_at`` arithmetic, bit for bit on the simulator and on the
+wall clock under the realtime runtime.
 
 Two opt-in layers make the data plane imperfect and then repair it:
 
@@ -162,8 +162,7 @@ class Link:
         self.protection: Optional["LinkProtection"] = None
         #: One serialisation lane per direction, keyed by endpoint *identity*
         #: (never by name: two nodes that happen to share a name must not
-        #: share a transmitter).  On the realtime runtime each direction is
-        #: its own asyncio task, exactly like a control-channel wire.
+        #: share a transmitter).
         self._wires = {
             id(node_a): sim.lane(f"{self.name}:{A_TO_B}"),
             id(node_b): sim.lane(f"{self.name}:{B_TO_A}"),

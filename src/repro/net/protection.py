@@ -62,9 +62,6 @@ class ProtectionConfig:
     #: Maximum frames the sender half keeps for retransmission; new frames
     #: queue in a backlog while the buffer is full.
     hold_buffer: int = 128
-    #: Seconds before an unacknowledged hold is re-sent; None derives
-    #: ``DEFAULT_RTO_LATENCY_MULTIPLE`` × the link's one-way latency.
-    retransmit_timeout: Optional[float] = None
     #: Retransmissions per frame before the sender gives up (keeps a link
     #: that eats every frame from retrying forever); the abandonment is
     #: counted, never silent.
@@ -95,11 +92,8 @@ class LinkProtection:
     def __init__(self, link: "Link", config: ProtectionConfig) -> None:
         self.link = link
         self.config = config
-        self.retransmit_timeout = (
-            config.retransmit_timeout
-            if config.retransmit_timeout is not None
-            else max(DEFAULT_RTO_LATENCY_MULTIPLE * link.latency, 1e-6)
-        )
+        #: Seconds before an unacknowledged hold is re-sent.
+        self.retransmit_timeout = max(DEFAULT_RTO_LATENCY_MULTIPLE * link.latency, 1e-6)
         self._stats: Dict[str, ProtectionStats] = {}
         self._arq: Dict[str, ArqDirection] = {}
         for direction, sender in ((A_TO_B, link.node_a), (B_TO_A, link.node_b)):

@@ -20,7 +20,9 @@ scheduling interface** (see :mod:`repro.runtime`): every component schedules
 exclusively through ``now`` / ``schedule`` / ``schedule_at`` / ``event`` /
 ``timeout`` / ``process`` / ``lane`` / ``run`` / ``run_until``, so the same
 controller, channels, and middleboxes run unchanged on the wall-clock
-:class:`~repro.runtime.RealtimeRuntime`.
+:class:`~repro.runtime.RealtimeRuntime` — a subclass that keeps this kernel
+and replaces only the clock and the wait (futures are therefore created
+through :meth:`Simulator.event`, the seam it overrides).
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def all_of(sim: "Simulator", futures: Iterable[Future]) -> Future:
     failure fails the combined future.
     """
     futures = list(futures)
-    combined = Future(sim, name="all_of")
+    combined = sim.event("all_of")
     if not futures:
         combined.succeed([])
         return combined
@@ -158,10 +160,10 @@ class SimulatedLane:
     simulator this is plain tick arithmetic over a ``free_at`` watermark —
     exactly the pattern the seed embedded in :class:`ControllerShard` and
     :class:`ControlChannel` — so routing those components through lanes keeps
-    the simulated schedule bit-for-bit identical.  On the
-    :class:`~repro.runtime.RealtimeRuntime` each lane is backed by its own
-    asyncio task, which is what turns "per-shard simulated CPU" into real
-    concurrency.
+    the simulated schedule bit-for-bit identical.  The
+    :class:`~repro.runtime.RealtimeRuntime` inherits this class unchanged:
+    the same arithmetic on the wall clock, so independent lanes overlap in
+    time while the one kernel thread executes their work.
     """
 
     __slots__ = ("sim", "name", "_free_at")
@@ -197,12 +199,6 @@ class SimulatedLane:
         """Earliest time at which this lane's queue is (projected to be) empty."""
         return max(self.sim.now, self._free_at)
 
-    @property
-    def pending(self) -> int:
-        """Work items queued but not yet executed (always 0 here: the
-        simulator's lane schedules straight onto the global event queue)."""
-        return 0
-
 
 class _Process:
     """Driver for a generator-based simulation process.
@@ -218,7 +214,7 @@ class _Process:
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         self.sim = sim
         self.generator = generator
-        self.future = Future(sim, name=name or getattr(generator, "__name__", "process"))
+        self.future = sim.event(name or getattr(generator, "__name__", "process"))
         sim.schedule(0.0, self._step, None, None)
 
     def _step(self, value: Any, exception: Optional[BaseException]) -> None:
@@ -301,7 +297,7 @@ class Simulator:
 
     def timeout(self, delay: float, result: Any = None) -> Future:
         """Return a future that completes after *delay* simulated seconds."""
-        future = Future(self, name=f"timeout({delay})")
+        future = self.event(f"timeout({delay})")
         self.schedule(delay, future.succeed, result)
         return future
 
@@ -363,18 +359,19 @@ class Simulator:
         name = future.name or f"0x{id(future):x}"
         waiters = len(future._callbacks)
         depth = self.pending_events
+        now = self.now
         if reason == "limit-exceeded":
             detail = f"next event is past the limit t={limit}"
         else:
             detail = "the event queue drained"
         return StuckFutureError(
-            f"future {name!r} stuck at t={self._now:.6f}: {detail} "
+            f"future {name!r} stuck at t={now:.6f}: {detail} "
             f"(pending waiters={waiters}, queue depth={depth})",
             future_name=name,
             reason=reason,
             waiters=waiters,
             queue_depth=depth,
-            at=self._now,
+            at=now,
             limit=limit,
         )
 

@@ -3,7 +3,7 @@
 * :class:`Runtime` — the abstract contract (see :mod:`repro.runtime.interface`).
 * :class:`~repro.net.simulator.Simulator` — deterministic discrete-event
   kernel (lives in :mod:`repro.net`; registered as a virtual subclass).
-* :class:`RealtimeRuntime` — wall-clock asyncio implementation.
+* :class:`RealtimeRuntime` — that kernel paced by the monotonic wall clock.
 * :class:`RuntimeConfig` / :func:`create_runtime` — the selection knob.
 * :mod:`repro.runtime.arq` — sequenced reliable delivery and seeded fault
   plans, written against this interface only; control channels and link
@@ -12,12 +12,11 @@
 
 from .config import RUNTIME_MODES, RuntimeConfig, create_runtime
 from .interface import Runtime
-from .realtime import RealtimeFuture, RealtimeLane, RealtimeRuntime
+from .realtime import RealtimeFuture, RealtimeRuntime
 
 __all__ = [
     "RUNTIME_MODES",
     "RealtimeFuture",
-    "RealtimeLane",
     "RealtimeRuntime",
     "Runtime",
     "RuntimeConfig",

@@ -27,24 +27,15 @@ class RuntimeConfig:
 
     ``mode``
         ``"simulated"`` (default; deterministic discrete-event kernel) or
-        ``"realtime"`` (asyncio on the monotonic wall clock).
+        ``"realtime"`` (the same kernel paced by the monotonic wall clock).
     ``time_scale``
         Realtime only: wall seconds per runtime second.  ``0.5`` runs
         scenarios at double speed (half the wall time), ``2.0`` at half
         speed; ignored in simulated mode, where time is free.
-    ``min_sleep``
-        Realtime only: CPU costs below this (in runtime seconds) accumulate
-        as debt and are slept in one chunk — the OS timer cannot honour a
-        40 µs sleep, so sub-granularity costs are coalesced.
-    ``poll_interval``
-        Realtime only: idle-probe period for quiescence detection in
-        ``run()`` / ``run_until()``.
     """
 
     mode: str = "simulated"
     time_scale: float = 1.0
-    min_sleep: float = 1e-3
-    poll_interval: float = 2e-3
 
     def __post_init__(self) -> None:
         if self.mode not in RUNTIME_MODES:
@@ -53,8 +44,6 @@ class RuntimeConfig:
             )
         if self.time_scale <= 0:
             raise ValidationError(f"time_scale must be > 0, got {self.time_scale}")
-        if self.min_sleep < 0 or self.poll_interval <= 0:
-            raise ValidationError("min_sleep must be >= 0 and poll_interval > 0")
 
     def create(self):
         """Instantiate the configured runtime."""
@@ -64,11 +53,7 @@ class RuntimeConfig:
             return Simulator()
         from .realtime import RealtimeRuntime
 
-        return RealtimeRuntime(
-            time_scale=self.time_scale,
-            min_sleep=self.min_sleep,
-            poll_interval=self.poll_interval,
-        )
+        return RealtimeRuntime(time_scale=self.time_scale)
 
 
 def create_runtime(config: Optional[RuntimeConfig] = None):

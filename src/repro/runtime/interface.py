@@ -9,11 +9,11 @@ implementations exist:
   kernel.  The default, and the only runtime the golden/chaos test matrices
   run on: the same seed always produces the same callback schedule, bit for
   bit.
-* :class:`~repro.runtime.realtime.RealtimeRuntime` — real concurrency on
-  asyncio: delays are monotonic-clock sleeps, every :meth:`Runtime.lane`
-  (a controller shard's CPU, one direction of a control channel) is backed by
-  its own asyncio task, and every :meth:`Runtime.process` generator drives an
-  asyncio task of its own.  This is the runtime the ``bench_wallclock_*``
+* :class:`~repro.runtime.realtime.RealtimeRuntime` — the same kernel under a
+  second clock: ``now`` is the scaled monotonic clock, the drive loop waits for
+  each deadline instead of jumping to it, and ``schedule`` / future completion
+  are safe to call from other threads.  Lanes, processes and the event heap
+  are the simulator's own.  This is the runtime the ``bench_wallclock_*``
   family measures real ops/sec and latency percentiles on.
 
 The contract, precisely:
@@ -31,7 +31,7 @@ The contract, precisely:
 ``lane(name)``
     A serialisation point executing submitted work strictly one item at a
     time (``submit(cost, work)``, ``reserve(cost)``, ``dispatch_at(time,
-    cb, *args)``, ``idle_at``, ``pending``).
+    cb, *args)``, ``idle_at``).
 ``run(until)`` / ``run_until(future, limit)``
     Drive the runtime; ``run_until`` raises
     :class:`~repro.core.errors.StuckFutureError` when the future can never

@@ -1,58 +1,52 @@
-"""Wall-clock asyncio runtime implementing the Simulator scheduling interface.
+"""Wall-clock runtime: the simulator's event kernel paced by the monotonic clock.
 
-:class:`RealtimeRuntime` runs the same controller/channel/middlebox code the
-deterministic :class:`~repro.net.simulator.Simulator` runs, but on real
-concurrency:
+:class:`RealtimeRuntime` subclasses :class:`~repro.net.simulator.Simulator`
+and inherits the kernel — the ``(time, seq)`` heap with FIFO tie-breaking,
+cancellable handles, watermark lanes, generator processes, ``timeout`` /
+``all_of``, the stuck-future diagnosis.  It overrides what the clock changes:
 
-* delays are **monotonic-clock sleeps** (``time.monotonic`` via the asyncio
-  event loop) instead of tick arithmetic — ``now`` is scaled wall time since
-  runtime construction;
-* every :meth:`RealtimeRuntime.lane` — one controller shard's CPU, one
-  direction of a control channel — is backed by **its own asyncio task**
-  that executes its work strictly in order, so shards genuinely run
-  concurrently with each other instead of sharing one event queue;
-* every :meth:`RealtimeRuntime.process` generator drives an asyncio task;
-* :class:`RealtimeFuture` completion is **thread-safe**: a future completed
-  from a foreign thread marshals its done-callbacks onto the runtime's event
-  loop instead of running them on the completing thread.
+* ``now`` is scaled ``time.monotonic()``, so it moves between any two statements;
+* ``schedule`` / ``schedule_at`` clamp a just-passed deadline to "now" instead
+  of raising, and may be called from **any thread**: a foreign thread's entry
+  is posted to the owner thread, which puts it on the heap;
+* ``event`` hands out :class:`RealtimeFuture`: completion is thread-safe and
+  done-callbacks always run on the owner thread;
+* the drive loop behind ``run`` / ``run_until`` *waits* for the head's deadline
+  instead of jumping to it — asleep while it is far, spinning on the clock
+  below the OS timer's resolution — and wakes early when a foreign thread posts.
 
-Scheduling-order guarantees are preserved where the components rely on them:
-callbacks scheduled for the same runtime time fire in scheduling order (the
-timer heap tie-breaks on a sequence counter, exactly like the simulator's),
-and a lane's work never interleaves with itself.  *Timings*, of course,
-differ — which is why the differential harness
-(:mod:`repro.testing.equivalence`) compares observable outcomes only.
-
-Two fidelity knobs (see :class:`~repro.runtime.config.RuntimeConfig`):
-``time_scale`` stretches/compresses runtime seconds into wall seconds, and
-``min_sleep`` coalesces sub-granularity CPU costs (the event loop cannot
-sleep 40 µs accurately; costs accumulate as debt and are paid in chunks the
-OS timer can actually honour).
+Everything executes on the thread that constructed the runtime: independent
+lanes overlap in *time* (watermark arithmetic on the wall clock), not in
+execution.  Timings differ from the simulator's, which is why the differential
+harness (:mod:`repro.testing.equivalence`) compares observable outcomes only.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
-import itertools
+import math
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Optional
 
-from ..core.errors import SimulationError, StuckFutureError
-from ..net.simulator import Future, ScheduledCall, all_of
-from .interface import Runtime
+from ..core.errors import SimulationError
+from ..net.simulator import Future, ScheduledCall, Simulator
+
+#: Wall seconds before a deadline at which the drive loop stops sleeping and
+#: spins on the clock: a timed wait overshoots by about this much.
+_SPIN_BELOW = 2e-4
+#: Wall seconds an empty queue is given before the drive loop calls it
+#: quiescent — in that window only a foreign thread could still post work.
+_IDLE_GRACE = 5e-3
 
 
 class RealtimeFuture(Future):
     """A :class:`~repro.net.simulator.Future` with thread-safe completion.
 
-    Completion (``succeed``/``fail``) may race between threads: the state
-    transition happens under a lock exactly once, and when the completing
-    thread is not the runtime's owner thread the done-callbacks are marshalled
-    onto the runtime's event loop instead of running on the foreign thread —
-    callbacks therefore always observe runtime state from the loop's thread.
+    Completion may race between threads: the state transition happens under a
+    lock exactly once, and a foreign completing thread posts the done-callbacks
+    to the owner thread, so they always observe runtime state from there.
     """
 
     def __init__(self, runtime: "RealtimeRuntime", name: str = "") -> None:
@@ -67,16 +61,15 @@ class RealtimeFuture(Future):
             self._result = result
             self._exception = exception
             callbacks, self._callbacks = self._callbacks, []
-        runtime: "RealtimeRuntime" = self.sim
 
         def fire() -> None:
             for callback in callbacks:
                 callback(self)
 
-        if runtime._on_owner_thread():
+        if self.sim._on_owner_thread():
             fire()
         else:
-            runtime._call_in_loop(fire)
+            self.sim.schedule(0.0, fire)
 
     def add_done_callback(self, callback: Callable[[Future], None]) -> None:
         """Register *callback* (thread-safe); runs immediately if already done."""
@@ -87,183 +80,35 @@ class RealtimeFuture(Future):
         callback(self)
 
 
-class RealtimeLane:
-    """One serialisation point backed by a dedicated asyncio task.
+class RealtimeRuntime(Simulator):
+    """The simulator's kernel on the wall clock (see the module docstring).
 
-    A lane plays two roles, mirroring :class:`~repro.net.simulator.SimulatedLane`:
-
-    * **CPU** (:meth:`submit`): work items queue FIFO; the lane's task sleeps
-      for each item's cost (coalesced through the runtime's ``min_sleep``
-      debt) and then runs it.  Two lanes never block each other — this is the
-      "one asyncio task per controller shard" concurrency.
-    * **wire** (:meth:`reserve` + :meth:`dispatch_at`): occupancy is tracked
-      by watermark arithmetic on the wall clock, and deliveries are dispatched
-      by the lane's task in deadline order with FIFO tie-breaking — the "one
-      asyncio task per control channel direction" delivery loop.
+    Driven from the constructing thread by :meth:`run` / :meth:`run_until`,
+    exactly how the simulator is driven: a callback that raises propagates out
+    of the drive call at that callback, and the next drive call carries on.
+    Call :meth:`close` when done; it reports what was still outstanding.
     """
 
-    def __init__(self, runtime: "RealtimeRuntime", name: str = "") -> None:
-        self.runtime = runtime
-        self.name = name
-        self._free_at = 0.0
-        self._cpu_queue: Deque[Tuple[float, Callable[[], None]]] = deque()
-        self._timed: List[Tuple[float, int, ScheduledCall]] = []
-        self._seq = itertools.count()
-        self._wake = asyncio.Event()
-        self._task: Optional[asyncio.Task] = None
-        self._executing = False
-        self._cost_debt = 0.0
-
-    # -- interface -----------------------------------------------------------------
-
-    def reserve(self, cost: float) -> float:
-        """Claim *cost* seconds of this lane's serialised time; returns the finish time."""
-        start = max(self.runtime.now, self._free_at)
-        finish = start + cost
-        self._free_at = finish
-        return finish
-
-    def submit(self, cost: float, work: Callable[[], None]) -> float:
-        """Queue *work* behind everything already submitted; costs *cost* seconds."""
-        finish = self.reserve(cost)
-        self.runtime._call_in_loop(self._enqueue_cpu, cost, work)
-        return finish
-
-    def dispatch_at(self, time_: float, callback: Callable, *args: Any) -> None:
-        """Deliver ``callback(*args)`` at absolute runtime time *time_*, in
-        deadline order with FIFO tie-breaking."""
-        entry = ScheduledCall(time_, callback, args)
-        self.runtime._call_in_loop(self._enqueue_timed, entry)
-
-    @property
-    def idle_at(self) -> float:
-        """Earliest runtime time at which this lane is (projected to be) idle."""
-        now = self.runtime.now
-        if not self.pending:
-            return now
-        horizon = max(now + self.runtime._poll, self._free_at)
-        if self._timed:
-            horizon = max(horizon, self._timed[0][0])
-        return horizon
-
-    @property
-    def pending(self) -> int:
-        """Queued-but-unexecuted work items on this lane."""
-        backlog = len(self._cpu_queue) + sum(1 for _, _, e in self._timed if not e.cancelled)
-        return backlog + (1 if self._executing else 0)
-
-    # -- the lane task -------------------------------------------------------------
-
-    def _enqueue_cpu(self, cost: float, work: Callable[[], None]) -> None:
-        self._cpu_queue.append((cost, work))
-        self._kick()
-
-    def _enqueue_timed(self, entry: ScheduledCall) -> None:
-        heapq.heappush(self._timed, (entry.time, next(self._seq), entry))
-        self._kick()
-
-    def _kick(self) -> None:
-        if self._task is None:
-            self._task = self.runtime._spawn_infra(self._run(), f"lane:{self.name}")
-        self._wake.set()
-
-    async def _run(self) -> None:
-        runtime = self.runtime
-        while True:
-            # Timed deliveries that are due fire first, in deadline order.
-            while self._timed and self._timed[0][0] <= runtime.now:
-                _, _, entry = heapq.heappop(self._timed)
-                if entry.cancelled:
-                    continue
-                runtime.executed_events += 1
-                self._executing = True
-                try:
-                    entry.callback(*entry.args)
-                except BaseException as exc:  # surface to the drive loop
-                    runtime._record_crash(exc)
-                finally:
-                    self._executing = False
-            # One unit of serialised CPU work, paying its (coalesced) cost.
-            if self._cpu_queue:
-                cost, work = self._cpu_queue.popleft()
-                self._executing = True
-                try:
-                    self._cost_debt += cost
-                    if self._cost_debt >= runtime._min_sleep:
-                        debt, self._cost_debt = self._cost_debt, 0.0
-                        await asyncio.sleep(runtime._wall(debt))
-                    runtime.executed_events += 1
-                    work()
-                except BaseException as exc:
-                    runtime._record_crash(exc)
-                finally:
-                    self._executing = False
-                continue
-            # Idle: wait for the next deadline, or for new work.
-            self._wake.clear()
-            if self._cpu_queue or (self._timed and self._timed[0][0] <= runtime.now):
-                continue  # work arrived while draining
-            if self._timed:
-                delay = max(0.0, runtime._wall(self._timed[0][0] - runtime.now))
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await self._wake.wait()
-
-
-class RealtimeRuntime(Runtime):
-    """Real-concurrency implementation of the runtime scheduling interface.
-
-    Owns a private asyncio event loop, driven from the constructing thread by
-    :meth:`run` / :meth:`run_until` (exactly how the simulator is driven).
-    The global timer heap is serviced by one pump task; every lane and every
-    process gets a task of its own.  Call :meth:`close` when done — it
-    cancels the runtime's tasks and reports what was still outstanding, which
-    the soak test uses to assert nothing leaked.
-    """
-
-    def __init__(
-        self,
-        *,
-        time_scale: float = 1.0,
-        min_sleep: float = 1e-3,
-        poll_interval: float = 2e-3,
-    ) -> None:
+    def __init__(self, *, time_scale: float = 1.0) -> None:
         if time_scale <= 0:
             raise SimulationError(f"time_scale must be > 0, got {time_scale}")
+        super().__init__()
         self._scale = time_scale
-        self._min_sleep = min_sleep
-        self._poll = poll_interval
-        self._loop = asyncio.new_event_loop()
-        self._owner_thread = threading.get_ident()
         self._origin = time.monotonic()
-        self._heap: List[Tuple[float, int, ScheduledCall]] = []
-        self._seq = itertools.count()
-        self._wake = asyncio.Event()
-        self._lanes: List[RealtimeLane] = []
+        self._owner_thread = threading.get_ident()
+        #: Entries scheduled by foreign threads, not yet in the heap.
+        self._posted: Deque[ScheduledCall] = deque()
+        self._wake = threading.Event()
         self._processes: set = set()
-        self._infra: List[asyncio.Task] = []
-        self._crash: Optional[BaseException] = None
         self._closed = False
-        #: Callbacks executed so far (informational on this runtime: the
-        #: count is real but not reproducible across runs).
-        self.executed_events = 0
-        self._pump_task = self._spawn_infra(self._pump(), "timer-pump")
-
-    # -- clock ---------------------------------------------------------------------
 
     @property
     def now(self) -> float:
         """Runtime seconds: scaled monotonic wall time since construction."""
         return (time.monotonic() - self._origin) / self._scale
 
-    def _wall(self, delta: float) -> float:
-        """Convert a runtime-seconds delta into wall-clock seconds."""
-        return delta * self._scale
-
-    # -- scheduling ------------------------------------------------------------------
+    def _on_owner_thread(self) -> bool:
+        return threading.get_ident() == self._owner_thread
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> ScheduledCall:
         """Run ``callback(*args)`` *delay* runtime seconds from now."""
@@ -274,272 +119,112 @@ class RealtimeRuntime(Runtime):
     def schedule_at(self, time_: float, callback: Callable, *args: Any) -> ScheduledCall:
         """Run ``callback(*args)`` at absolute runtime time *time_*.
 
-        Unlike the simulator, a time slightly in the past is clamped to "now"
-        instead of raising: the wall clock keeps moving between computing a
-        deadline and scheduling it, so exact-past times are unavoidable here.
+        A time already past is clamped to "now", not refused as the simulator
+        does: the wall clock moves between computing a deadline and this call.
         """
         return self._push(ScheduledCall(max(time_, self.now), callback, args))
 
     def _push(self, entry: ScheduledCall) -> ScheduledCall:
-        self._call_in_loop(self._push_in_loop, entry)
+        if self._on_owner_thread():
+            heapq.heappush(self._queue, (entry.time, next(self._sequence), entry))
+        else:
+            self._posted.append(entry)
+            self._wake.set()
         return entry
-
-    def _push_in_loop(self, entry: ScheduledCall) -> None:
-        heapq.heappush(self._heap, (entry.time, next(self._seq), entry))
-        self._wake.set()
 
     def event(self, name: str = "") -> RealtimeFuture:
         """Create a pending thread-safe future bound to this runtime."""
         return RealtimeFuture(self, name=name)
 
-    def timeout(self, delay: float, result: Any = None) -> RealtimeFuture:
-        """A future that completes with *result* after *delay* runtime seconds."""
-        future = RealtimeFuture(self, name=f"timeout({delay})")
-        self.schedule(delay, future.succeed, result)
+    def process(self, generator: Generator, name: str = "") -> Future:
+        """Spawn a generator-based process, tracked for :meth:`close`'s leak report."""
+        future = super().process(generator, name=name)
+        self._processes.add(future)
+        future.add_done_callback(self._processes.discard)
         return future
-
-    def lane(self, name: str = "") -> RealtimeLane:
-        """A new serialisation lane backed by its own asyncio task."""
-        lane = RealtimeLane(self, name=name)
-        self._lanes.append(lane)
-        return lane
-
-    def process(self, generator: Generator, name: str = "") -> RealtimeFuture:
-        """Drive *generator* as its own asyncio task; returns its result future."""
-        future = self.event(name or getattr(generator, "__name__", "process"))
-        self._call_in_loop(self._spawn_process, generator, future)
-        return future
-
-    def _spawn_process(self, generator: Generator, future: RealtimeFuture) -> None:
-        task = self._loop.create_task(self._drive_process(generator, future))
-        self._processes.add(task)
-        task.add_done_callback(self._processes.discard)
-
-    async def _drive_process(self, generator: Generator, future: RealtimeFuture) -> None:
-        value: Any = None
-        exc: Optional[BaseException] = None
-        while True:
-            try:
-                yielded = generator.throw(exc) if exc is not None else generator.send(value)
-            except StopIteration as stop:
-                future.succeed(stop.value)
-                return
-            except BaseException as error:  # propagate process failure to waiters
-                future.fail(error)
-                return
-            value, exc = None, None
-            try:
-                if yielded is None:
-                    await asyncio.sleep(0)
-                elif isinstance(yielded, (int, float)):
-                    await asyncio.sleep(self._wall(float(yielded)))
-                elif isinstance(yielded, Future):
-                    value = await self._await_future(yielded)
-                elif isinstance(yielded, (list, tuple)):
-                    value = await self._await_future(all_of(self, yielded))
-                else:
-                    exc = SimulationError(f"process yielded unsupported value {yielded!r}")
-            except asyncio.CancelledError:
-                generator.close()
-                raise
-            except BaseException as error:
-                exc = error
-
-    async def _await_future(self, future: Future) -> Any:
-        if not future.done:
-            done = asyncio.Event()
-            future.add_done_callback(lambda _future: done.set())
-            await done.wait()
-        if future.exception is not None:
-            raise future.exception
-        return future._result
-
-    # -- the timer pump ---------------------------------------------------------------
-
-    async def _pump(self) -> None:
-        while True:
-            while self._heap and self._heap[0][0] <= self.now:
-                _, _, entry = heapq.heappop(self._heap)
-                if entry.cancelled:
-                    continue
-                self.executed_events += 1
-                try:
-                    entry.callback(*entry.args)
-                except BaseException as exc:
-                    self._record_crash(exc)
-            self._wake.clear()
-            if self._heap and self._heap[0][0] <= self.now:
-                continue  # new immediate work arrived while draining
-            if self._heap:
-                delay = max(0.0, self._wall(self._heap[0][0] - self.now))
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await self._wake.wait()
 
     # -- driving ----------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drive the loop to runtime time *until*, or (without it) to quiescence.
+        """Execute callbacks as they fall due, up to runtime time *until*.
 
-        Quiescence means two consecutive idle probes observed no pending
-        timers, no lane backlog, and no live processes — with periodic work
-        armed (heartbeats), prefer ``run(until=...)`` exactly as with the
-        simulator.
+        Without *until*, runs to quiescence: the queue is empty and stayed
+        empty for the idle grace.  With periodic work armed (heartbeats),
+        prefer ``run(until=...)`` exactly as with the simulator.
         """
-        if until is not None:
-            remaining = self._wall(until - self.now)
-            if remaining > 0:
-                self._drive(asyncio.sleep(remaining))
-            self._drive(self._settle_due())
-            return self.now
-        self._drive(self._drain())
+        self._drive(None, math.inf if until is None else until)
         return self.now
 
-    def _has_due_timers(self) -> bool:
-        """True while some timer (global or lane delivery) is already due."""
-        now = self.now
-        if self._heap and self._heap[0][0] <= now:
-            return True
-        return any(lane._timed and lane._timed[0][0] <= now for lane in self._lanes)
-
-    async def _settle_due(self) -> None:
-        """Let the pump/lane tasks execute every already-due timer.
-
-        ``run(until=T)`` must not return with callbacks due at <= T still
-        unexecuted (the simulator's ``run(until=...)`` executes them): the
-        main sleep future and the pump's timer can resolve in the same loop
-        iteration, and ``wait_for`` resumption costs extra iterations — so
-        yield until the due work is drained.
-        """
-        while self._has_due_timers():
-            self._wake.set()
-            for lane in self._lanes:
-                if lane._timed and lane._timed[0][0] <= self.now:
-                    lane._wake.set()
-            await asyncio.sleep(0)
-
-    async def _drain(self) -> None:
-        quiet = 0
-        while quiet < 2:
-            quiet = quiet + 1 if self.pending_events == 0 else 0
-            await asyncio.sleep(self._poll)
-
     def run_until(self, future: Future, limit: float = 1e9) -> Any:
-        """Drive the loop until *future* completes (or runtime time passes *limit*).
+        """Drive until *future* completes; returns its result.
 
-        Raises :class:`StuckFutureError` — with the same diagnosis shape as
-        the simulator's — when the future can never complete: either the
-        limit passed, or the runtime went quiescent (no timers, no lane
-        backlog, no processes) with the future still pending.
+        Raises the simulator's :class:`~repro.core.errors.StuckFutureError`
+        when it cannot: ``limit-exceeded`` once the clock reached *limit* with
+        nothing due, ``queue-drained`` once the queue sat empty for the idle grace.
         """
-        if not future.done:
-            self._drive(self._wait_future_done(future, limit))
+        reason = self._drive(future, limit)
+        if reason is not None:
+            raise self._stuck(future, reason=reason, limit=limit if reason == "limit-exceeded" else None)
         return future.result
 
-    async def _wait_future_done(self, future: Future, limit: float) -> None:
-        done = asyncio.Event()
-        future.add_done_callback(lambda _future: done.set())
-        quiet = 0
-        while not future.done:
-            if self.now > limit:
-                raise self._stuck(future, reason="limit-exceeded", limit=limit)
-            if self.pending_events == 0:
-                quiet += 1
-                if quiet >= 3:
-                    raise self._stuck(future, reason="queue-drained")
-            else:
-                quiet = 0
-            try:
-                await asyncio.wait_for(done.wait(), timeout=self._poll)
-            except asyncio.TimeoutError:
-                pass
+    def _drive(self, future: Optional[Future], horizon: float) -> Optional[str]:
+        """The one drive loop: each pass runs one due callback, stops, or waits.
 
-    def _stuck(self, future: Future, *, reason: str, limit: Optional[float] = None) -> StuckFutureError:
-        name = future.name or f"0x{id(future):x}"
-        waiters = len(future._callbacks)
-        depth = self.pending_events
-        detail = f"runtime time passed the limit t={limit}" if reason == "limit-exceeded" else "the runtime went quiescent"
-        return StuckFutureError(
-            f"future {name!r} stuck at t={self.now:.6f}: {detail} (pending waiters={waiters}, queue depth={depth})",
-            future_name=name,
-            reason=reason,
-            waiters=waiters,
-            queue_depth=depth,
-            at=self.now,
-            limit=limit,
-        )
-
-    def _drive(self, coro) -> Any:
-        """Run *coro* to completion on the owner thread, surfacing crashes."""
+        *horizon* bounds the waiting, not the running: whatever is already due
+        runs, however far the clock overshot; what falls due later stays queued.
+        Returns ``None`` once *future* is done, else why the loop stopped:
+        nothing was due and the clock had reached *horizon*, or the queue sat
+        empty for the idle grace (``run(until=...)`` waits its horizon out).
+        """
         if self._closed:
             raise SimulationError("runtime is closed")
         if not self._on_owner_thread():
             raise SimulationError("the realtime runtime must be driven from its owner thread")
-        self._check_crash()
-        try:
-            return self._loop.run_until_complete(coro)
-        finally:
-            self._check_crash()
-
-    def _record_crash(self, exc: BaseException) -> None:
-        """Remember the first callback crash; re-raised by the drive methods."""
-        if self._crash is None:
-            self._crash = exc
-
-    def _check_crash(self) -> None:
-        if self._crash is not None:
-            crash, self._crash = self._crash, None
-            raise crash
-
-    # -- introspection / shutdown ------------------------------------------------------
-
-    @property
-    def pending_events(self) -> int:
-        """Live timers + lane backlogs + live processes (quiescence probe)."""
-        timers = sum(1 for _, _, entry in self._heap if not entry.cancelled)
-        lanes = sum(lane.pending for lane in self._lanes)
-        return timers + lanes + len(self._processes)
-
-    def _on_owner_thread(self) -> bool:
-        return threading.get_ident() == self._owner_thread
-
-    def _call_in_loop(self, fn: Callable, *args: Any) -> None:
-        """Run *fn* on the loop thread: inline when we are it, marshalled otherwise."""
-        if self._on_owner_thread():
-            fn(*args)
-        else:
-            self._loop.call_soon_threadsafe(fn, *args)
-
-    def _spawn_infra(self, coro, name: str) -> asyncio.Task:
-        task = self._loop.create_task(coro, name=name)
-        self._infra.append(task)
-        return task
+        queue, posted = self._queue, self._posted
+        idle_until: Optional[float] = None
+        while future is None or not future.done:
+            while posted:
+                entry = posted.popleft()
+                heapq.heappush(queue, (entry.time, next(self._sequence), entry))
+            while queue and queue[0][2].cancelled:
+                heapq.heappop(queue)
+            now = self.now
+            wake_at = horizon
+            if queue:
+                idle_until = None
+                if queue[0][0] <= now:
+                    entry = heapq.heappop(queue)[2]
+                    self.executed_events += 1
+                    entry.callback(*entry.args)
+                    continue
+                wake_at = min(wake_at, queue[0][0])
+            elif future is not None or horizon == math.inf:
+                if idle_until is None:
+                    idle_until = now + _IDLE_GRACE / self._scale
+                if now >= idle_until:
+                    return "queue-drained"
+                wake_at = min(wake_at, idle_until)
+            if now >= horizon:
+                return "limit-exceeded"
+            asleep = (wake_at - now) * self._scale - _SPIN_BELOW
+            if asleep > 0:
+                self._wake.clear()
+                if not posted:  # else: posted between the drain above and the clear
+                    self._wake.wait(asleep)
+        return None
 
     def close(self) -> dict:
-        """Cancel the runtime's tasks and close the loop.
-
-        Returns a leak report: processes that were still alive, lane work
-        items never executed, and timers never fired.  A cleanly quiesced
-        runtime reports zeros everywhere — the soak test's shutdown assertion.
-        """
+        """Refuse further drive calls; report processes that never finished
+        and timers that never fired (all zeros after a clean quiesce — the
+        soak test's shutdown assertion)."""
         if self._closed:
-            return {"processes_leaked": 0, "lane_backlog": 0, "timers_pending": 0}
-        report = {
-            "processes_leaked": sum(1 for task in self._processes if not task.done()),
-            "lane_backlog": sum(lane.pending for lane in self._lanes),
-            "timers_pending": sum(1 for _, _, entry in self._heap if not entry.cancelled),
-        }
-        doomed = [task for task in (*self._processes, *self._infra) if not task.done()]
-        for task in doomed:
-            task.cancel()
-        if doomed:
-            self._loop.run_until_complete(asyncio.gather(*doomed, return_exceptions=True))
-        self._loop.close()
+            return {"processes_leaked": 0, "timers_pending": 0}
         self._closed = True
-        return report
+        pending = [entry for _, _, entry in self._queue] + list(self._posted)
+        return {
+            "processes_leaked": len(self._processes),
+            "timers_pending": sum(1 for entry in pending if not entry.cancelled),
+        }
 
 
-__all__ = ["RealtimeFuture", "RealtimeLane", "RealtimeRuntime"]
+__all__ = ["RealtimeFuture", "RealtimeRuntime"]

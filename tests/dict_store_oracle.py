@@ -30,10 +30,8 @@ class DictPerFlowStateStore(Generic[T]):
         granularity: Tuple[str, ...] = ("nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst"),
         *,
         indexed: bool = False,
-        bidirectional: bool = True,
     ) -> None:
         self.granularity = tuple(granularity)
-        self.bidirectional = bidirectional
         self._entries: Dict[FlowKey, T] = {}
         self._indexed = indexed
         self._by_src: Dict[str, set] = {}
@@ -106,7 +104,7 @@ class DictPerFlowStateStore(Generic[T]):
 
     def canonical_key(self, key: FlowKey) -> FlowKey:
         """Key under which state for *key* is stored (bidirectional canonical form)."""
-        return key.bidirectional() if self.bidirectional else key
+        return key.bidirectional()
 
     def put(self, key: FlowKey, value: T) -> None:
         """Insert or replace the state object for a flow."""

@@ -27,14 +27,25 @@ GLOBAL_RANDOM = re.compile(r"(?<![.\w])random\.(?!Random\b)\w+\s*\(")
 #: Generator (seeded object construction).
 GLOBAL_NP_RANDOM = re.compile(r"np\.random\.(?!default_rng\b|Generator\b)\w+\s*\(")
 
-#: Wall-clock reads and asyncio sleeps: only the realtime runtime package may
-#: touch the wall clock or the event loop; everywhere else must schedule
-#: through the shared runtime interface to keep simulated runs deterministic.
-WALL_CLOCK = re.compile(r"(?<![.\w])time\.(time|monotonic|perf_counter)\s*\(")
-ASYNC_SLEEP = re.compile(r"(?<![.\w])asyncio\.sleep\s*\(")
+#: Wall-clock reads, real sleeps and threads: only the realtime runtime
+#: package may touch them; everywhere else must schedule through the shared
+#: runtime interface to keep simulated runs deterministic.
+WALL_CLOCK = re.compile(r"(?<![.\w])time\.(time|monotonic|perf_counter|sleep)\s*\(")
 
-#: The one package allowed to read the wall clock / drive asyncio.
+#: The one package allowed to read the wall clock / block / use threads.
 RUNTIME_PACKAGE = pathlib.PurePath("repro", "runtime")
+
+
+def _imported_modules(tree: ast.AST, package: list) -> set:
+    """Absolute dotted names a module imports (relative ones resolved against *package*)."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - (node.level - 1)] if node.level else []
+            imported.add(".".join(base + ([node.module] if node.module else [])))
+    return imported
 
 
 def _source_lines():
@@ -75,20 +86,20 @@ class TestNoAmbientRandomness:
             if WALL_CLOCK.search(line) and RUNTIME_PACKAGE not in path.parents
         ]
         assert not offenders, (
-            "wall-clock reads outside src/repro/runtime/ break simulated-mode "
-            "determinism; use the runtime's `now` instead:\n" + "\n".join(offenders)
+            "wall-clock reads or sleeps outside src/repro/runtime/ break simulated-mode "
+            "determinism; use the runtime's `now`/`schedule` instead:\n" + "\n".join(offenders)
         )
 
-    def test_no_asyncio_sleep_outside_the_runtime_package(self):
-        offenders = [
-            f"{path}:{number}: {line.strip()}"
-            for path, number, line in _source_lines()
-            if ASYNC_SLEEP.search(line) and RUNTIME_PACKAGE not in path.parents
-        ]
-        assert not offenders, (
-            "asyncio.sleep outside src/repro/runtime/ bypasses the shared "
-            "scheduling interface; use runtime.schedule/timeout instead:\n" + "\n".join(offenders)
-        )
+    def test_no_asyncio_anywhere_and_no_threads_outside_the_runtime_package(self):
+        """There is one event kernel (a second event loop is a second
+        scheduler), and only its wall-clock half may know about threads."""
+        offenders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            relative = path.relative_to(SRC_ROOT)
+            roots = {name.split(".")[0] for name in _imported_modules(ast.parse(path.read_text()), [])}
+            if "asyncio" in roots or ("threading" in roots and RUNTIME_PACKAGE not in relative.parents):
+                offenders.append(str(relative))
+        assert not offenders, f"asyncio / threading imported where it may not be: {offenders}"
 
 
 class TestEngineLayering:
@@ -99,15 +110,33 @@ class TestEngineLayering:
         (``repro.runtime``), so ``from ..core import x`` is caught as well.
         """
         path = SRC_ROOT / "repro" / "runtime" / "arq.py"
-        imported = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                package = ["repro", "runtime"][: 2 - (node.level - 1)] if node.level else []
-                imported.add(".".join(package + ([node.module] if node.module else [])))
+        imported = _imported_modules(ast.parse(path.read_text()), ["repro", "runtime"])
         offenders = sorted(name for name in imported if name.split(".")[0] == "repro")
         assert not offenders, f"repro.runtime.arq needs only the standard library, but imports {offenders}"
+
+    def test_the_realtime_runtime_is_the_simulator_kernel_under_another_clock(self):
+        """One heap, one lane, one process driver, one stuck diagnosis.
+
+        ``RealtimeRuntime`` may override what the clock changes (``now``,
+        ``schedule``/``schedule_at``, ``event``, the drive loop) but must
+        inherit the rest of the kernel, and no second copy of a kernel class
+        may appear anywhere under ``src/``.
+        """
+        definitions: dict = {}
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    definitions.setdefault(node.name, []).append((path.relative_to(SRC_ROOT), node))
+        for name in ("SimulatedLane", "_Process", "all_of", "ScheduledCall", "RealtimeRuntime"):
+            where = [str(path) for path, _ in definitions.get(name, [])]
+            assert len(where) == 1, f"{name} must be defined exactly once under src/, found {where}"
+        (module, runtime_class), = definitions["RealtimeRuntime"]
+        assert [ast.unparse(base) for base in runtime_class.bases] == ["Simulator"]
+        classes = [n.name for n in ast.parse((SRC_ROOT / module).read_text()).body if isinstance(n, ast.ClassDef)]
+        assert classes == ["RealtimeFuture", "RealtimeRuntime"], f"{module} defines {classes}"
+        own = {node.name for node in runtime_class.body if isinstance(node, ast.FunctionDef)}
+        reimplemented = own & {"lane", "timeout", "_stuck", "pending_events"}
+        assert not reimplemented, f"RealtimeRuntime re-implements inherited kernel parts: {sorted(reimplemented)}"
 
     def test_only_the_messages_module_reads_a_message_body(self):
         """The wire format of every body lives behind ``core/messages.py``.

@@ -1,7 +1,7 @@
 """Differential equivalence matrix: Simulator vs RealtimeRuntime, same observables.
 
 Each test runs one move-under-load scenario on the deterministic simulator
-and on the wall-clock asyncio runtime and asserts identical observable
+and on the same kernel paced by the wall clock and asserts identical observable
 outcomes via :mod:`repro.testing.equivalence` — final state maps,
 per-guarantee invariants, operation outcomes.  Timings are deliberately not
 compared (see the harness's module docstring).

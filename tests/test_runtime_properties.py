@@ -11,17 +11,20 @@ the three properties every component implicitly relies on:
    completion raises and does not overwrite the first.
 
 Every test runs against the deterministic :class:`Simulator` and the
-wall-clock :class:`RealtimeRuntime` through the same interface.
+wall-clock :class:`RealtimeRuntime` through the same interface — one kernel
+under two clocks, so these are also the checks that the second clock's drive
+loop keeps the kernel's ordering, failure and diagnosis semantics.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 
-from repro.core.errors import SimulationError
+from repro.core.errors import SimulationError, StuckFutureError
 from repro.net.simulator import Simulator
 from repro.runtime import RealtimeRuntime, Runtime, RuntimeConfig
 
@@ -191,6 +194,142 @@ class TestProcesses:
         assert sorted(results) == list(range(6))
         for future in futures:
             assert future.done and future.exception is None
+
+
+class TestFailingCallback:
+    def test_exception_surfaces_at_the_raising_callback(self, runtime):
+        # The drive call raises *that* exception before anything later runs,
+        # and the runtime stays drivable: the next call picks up the rest.
+        executed = []
+        base = runtime.now + HORIZON
+
+        def bomb():
+            raise RuntimeError("first")
+
+        def second_bomb():
+            executed.append("second-bomb")
+            raise RuntimeError("second")
+
+        runtime.schedule_at(base, bomb)
+        runtime.schedule_at(base + 0.01, second_bomb)
+        runtime.schedule_at(base + 0.02, executed.append, "later")
+        with pytest.raises(RuntimeError, match="first"):
+            drain(runtime)
+        assert executed == []
+        with pytest.raises(RuntimeError, match="second"):
+            drain(runtime)
+        assert executed == ["second-bomb"]
+        drain(runtime)
+        assert executed == ["second-bomb", "later"]
+
+
+class TestStuckFutureDiagnosis:
+    def test_drained_queue_raises_queue_drained(self, runtime):
+        stuck = runtime.event("never-completed")
+        stuck.add_done_callback(lambda f: None)
+        runtime.schedule(0.005, lambda: None)  # unrelated work that drains first
+        with pytest.raises(StuckFutureError) as excinfo:
+            runtime.run_until(stuck, limit=runtime.now + 5.0)
+        error = excinfo.value
+        assert (error.reason, error.future_name, error.waiters, error.queue_depth) == (
+            "queue-drained",
+            "never-completed",
+            1,
+            0,
+        )
+
+    def test_passing_the_limit_raises_and_keeps_the_boundary_event(self, runtime):
+        gate = runtime.event("late")
+        start = runtime.now
+        runtime.schedule_at(start + 0.2, gate.succeed, "finally")
+        with pytest.raises(StuckFutureError) as excinfo:
+            runtime.run_until(gate, limit=start + 0.01)
+        assert excinfo.value.reason == "limit-exceeded"
+        assert excinfo.value.queue_depth == 1
+        assert runtime.run_until(gate, limit=start + 5.0) == "finally"
+
+
+@pytest.fixture
+def realtime():
+    rt = RuntimeConfig(mode="realtime").create()
+    yield rt
+    rt.close()
+
+
+def _from_thread(fn):
+    """Run *fn* on a foreign thread a few ms from now; returns the started thread."""
+    thread = threading.Thread(target=lambda: (time.sleep(0.005), fn()))
+    thread.start()
+    return thread
+
+
+class TestThreadSafeScheduling:
+    """Realtime-only: the post seam a socket reader thread would use."""
+
+    def test_foreign_schedule_wakes_a_sleeping_drive_loop(self, realtime):
+        # The owner sleeps toward a far horizon on an empty queue; the posted
+        # callback must run on the owner thread now, not at the horizon.
+        ran = []
+        start = realtime.now
+        thread = _from_thread(
+            lambda: realtime.schedule(0.0, lambda: ran.append((realtime.now - start, threading.get_ident())))
+        )
+        realtime.run(until=start + 0.5)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(ran) == 1
+        assert ran[0][0] < 0.25, f"posted callback waited for the horizon: ran at +{ran[0][0]:.3f}s"
+        assert ran[0][1] == threading.get_ident()
+
+    def test_foreign_schedule_interrupts_the_wait_for_a_far_timer(self, realtime):
+        order = []
+        start = realtime.now
+        realtime.schedule_at(start + 0.3, order.append, "far")
+        thread = _from_thread(lambda: realtime.schedule(0.0, order.append, "posted"))
+        realtime.run(until=start + 0.1)
+        thread.join(timeout=5.0)
+        assert order == ["posted"]
+        realtime.run(until=start + 0.35)
+        assert order == ["posted", "far"]
+
+    def test_foreign_cancel_before_the_deadline_prevents_the_callback(self, realtime):
+        start = realtime.now
+        handles = []
+        poster = _from_thread(
+            lambda: handles.append(realtime.schedule(0.1, lambda: pytest.fail("cancelled callback ran")))
+        )
+        realtime.run(until=start + 0.03)
+        poster.join(timeout=5.0)
+        owner_handle = realtime.schedule(0.05, lambda: pytest.fail("cancelled callback ran"))
+        canceller = _from_thread(lambda: (handles[0].cancel(), owner_handle.cancel()))
+        realtime.run(until=start + 0.2)
+        canceller.join(timeout=5.0)
+        assert not poster.is_alive() and not canceller.is_alive()
+        assert realtime.close() == {"processes_leaked": 0, "timers_pending": 0}
+
+    def test_only_the_owner_thread_may_drive(self, realtime):
+        errors = []
+
+        def drive():
+            try:
+                realtime.run(until=realtime.now + 0.01)
+            except SimulationError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert len(errors) == 1 and "owner thread" in str(errors[0])
+
+    def test_a_closed_runtime_cannot_be_driven(self):
+        rt = RuntimeConfig(mode="realtime").create()
+        rt.schedule(10.0, lambda: None)
+        assert rt.close() == {"processes_leaked": 0, "timers_pending": 1}
+        assert rt.close() == {"processes_leaked": 0, "timers_pending": 0}
+        with pytest.raises(SimulationError, match="closed"):
+            rt.run(until=rt.now + 0.01)
+        with pytest.raises(SimulationError, match="closed"):
+            rt.run_until(rt.event("never"))
 
 
 class TestThreadSafeCompletion:

@@ -14,7 +14,7 @@ chaos invariants are checked from state alone:
    moves intact);
 4. **conservation** — exactly one instance holds each flow, no packet holds,
    dirty tracking, or install tags leak — and the runtime's shutdown report
-   shows **zero leaked asyncio tasks**.
+   shows **zero leaked processes**.
 
 The 30-second variant is marked ``slow`` and gated behind ``RUN_SLOW=1``; a
 ~2-second variant runs in tier-1 so the soak path itself cannot rot.
@@ -151,8 +151,7 @@ def _assert_soak_clean(result: Dict[str, object], min_cycles: int) -> None:
     assert not result["violations"], "\n".join(str(v) for v in result["violations"])
     assert result["cycles"] >= min_cycles, f"only {result['cycles']} cycles completed"
     close = result["close"]
-    assert close["processes_leaked"] == 0, f"leaked asyncio tasks at shutdown: {close}"
-    assert close["lane_backlog"] == 0, f"unexecuted lane work at shutdown: {close}"
+    assert close["processes_leaked"] == 0, f"leaked processes at shutdown: {close}"
 
 
 def test_soak_quick_two_seconds():

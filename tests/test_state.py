@@ -64,11 +64,6 @@ class TestPerFlowStateStore:
         assert store.get(key(0).reversed()) == "value"
         assert key(0).reversed() in store
 
-    def test_unidirectional_mode(self):
-        store = PerFlowStateStore(bidirectional=False)
-        store.put(key(0), "value")
-        assert store.get(key(0).reversed()) is None
-
     def test_get_or_create(self):
         store = PerFlowStateStore()
         created = store.get_or_create(key(1), lambda: {"n": 0})
