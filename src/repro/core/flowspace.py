@@ -16,6 +16,7 @@ operation applies to).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Tuple
 
 #: Header fields recognised in a pattern, in canonical order.
@@ -28,9 +29,19 @@ PROTO_ICMP = 1
 
 _PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
 
+#: Distinct address strings whose parse :func:`ip_to_int` remembers: enough for
+#: the addresses of a ten-thousand-flow store scan, a few megabytes at most.
+ADDRESS_MEMO_SIZE = 16384
 
+
+@lru_cache(maxsize=ADDRESS_MEMO_SIZE)
 def ip_to_int(address: str) -> int:
-    """Convert a dotted-quad IPv4 address to its 32-bit integer value."""
+    """Convert a dotted-quad IPv4 address to its 32-bit integer value.
+
+    Memoised: pattern matching parses the same few addresses per packet and
+    per store entry.  A malformed address raises on every call (an exception
+    is never cached).
+    """
     parts = address.split(".")
     if len(parts) != 4:
         raise ValueError(f"not an IPv4 address: {address!r}")

@@ -29,7 +29,6 @@ every OpenMB-enabled middlebox uses internally:
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
@@ -163,6 +162,11 @@ DEFAULT_SHARD_COUNT = 16
 #: Accounted overhead per resident entry beyond the value object itself: the
 #: canonical ``FlowKey`` (slotted, five fields) plus its shard-dict slot.
 ENTRY_SLOT_BYTES = 176
+#: Accounted size of one resident value: a small native state object (a dict
+#: header with its first key table plus a few short members on CPython 3.11).
+#: A constant, so an entry is refunded exactly what it was charged however the
+#: object grew in place in between.
+VALUE_SLOT_BYTES = 350
 #: Accounted overhead per dirty-set entry (key reference, version int, slot).
 DIRTY_SLOT_BYTES = 120
 #: Accounted overhead per pre-copy install tag (key reference, tuple, slot).
@@ -176,40 +180,20 @@ INDEX_POSTING_BYTES = 96
 _MISSING = object()
 
 
-def _estimate_value_bytes(value: object) -> int:
-    """Shallow-plus-one-level byte estimate of a native state object.
-
-    ``sys.getsizeof`` alone under-reports containers (a dict's items live
-    outside its header), so one level of contained objects is added.  The
-    estimate is taken at :meth:`PerFlowStateStore.put` /
-    :meth:`~PerFlowStateStore.get_or_create` boundaries; in-place growth of a
-    handed-out object between those points is not observed, which keeps the
-    accounting O(1) per operation and is documented in docs/state-engine.md.
-    """
-    size = sys.getsizeof(value)
-    if isinstance(value, dict):
-        for item_key, item in value.items():
-            size += sys.getsizeof(item_key) + sys.getsizeof(item)
-    elif isinstance(value, (list, tuple, set, frozenset)):
-        for item in value:
-            size += sys.getsizeof(item)
-    return size
-
-
 @dataclass(frozen=True)
 class StoreMemoryStats:
     """Byte-level accounting snapshot of one :class:`PerFlowStateStore`.
 
-    All byte figures are *accounted* estimates (entry slots plus a
-    shallow-plus-one-level measure of each value object), maintained
-    incrementally so reading them is O(1).  ``peak_total_bytes`` is the
-    high-water mark of ``total_bytes`` over the store's lifetime — the number
-    the million-flow tier bounds against resident state size.
+    All byte figures are *accounted* estimates — a per-slot constant times a
+    population count — so reading them is O(1) and removing everything always
+    returns them to zero.  ``peak_total_bytes`` is the high-water mark of
+    ``total_bytes`` over the store's lifetime — the number the million-flow
+    tier bounds against resident state size.
     """
 
     #: Resident per-flow entries.
     entries: int
-    #: Accounted bytes of resident entries (keys, slots, value estimates).
+    #: Accounted bytes of resident entries (keys, slots, values).
     entry_bytes: int
     #: Flows currently in the dirty set (pre-copy tracking).
     dirty_entries: int
@@ -261,9 +245,9 @@ class PerFlowStateStore(Generic[T]):
     starts from a clean slate.  Dirty tracking is O(affected): nothing in the
     drain path touches the resident entry population.
 
-    Byte-level memory accounting is maintained incrementally on every
-    mutation; :meth:`memory_stats` returns an O(1) snapshot including the
-    lifetime peak.
+    Byte-level memory accounting is per-slot constants times population
+    counts; :meth:`memory_stats` returns an O(1) snapshot including the
+    lifetime peak, which every mutation keeps up to date.
     """
 
     def __init__(
@@ -295,8 +279,6 @@ class PerFlowStateStore(Generic[T]):
         #: Pre-copy install ordering at a destination: canonical key -> the
         #: round tag of the last tagged install; pruned with the entry itself.
         self._install_rounds: Dict[FlowKey, Tuple[int, ...]] = {}
-        #: Incrementally maintained accounted bytes of resident entries.
-        self._entry_bytes = 0
         self._peak_total_bytes = 0
 
     # -- sharding --------------------------------------------------------------
@@ -316,7 +298,7 @@ class PerFlowStateStore(Generic[T]):
     def _current_total_bytes(self) -> int:
         """Current accounted footprint across entries, dirt, tags, indexes."""
         return (
-            self._entry_bytes
+            self._count * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES)
             + len(self._dirty) * DIRTY_SLOT_BYTES
             + len(self._install_rounds) * TAG_SLOT_BYTES
             + self._index_postings * INDEX_POSTING_BYTES
@@ -332,7 +314,7 @@ class PerFlowStateStore(Generic[T]):
         """O(1) snapshot of the store's accounted memory footprint."""
         return StoreMemoryStats(
             entries=self._count,
-            entry_bytes=self._entry_bytes,
+            entry_bytes=self._count * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES),
             dirty_entries=len(self._dirty),
             dirty_bytes=len(self._dirty) * DIRTY_SLOT_BYTES,
             install_tags=len(self._install_rounds),
@@ -475,15 +457,11 @@ class PerFlowStateStore(Generic[T]):
         """Insert or replace the state object for a flow."""
         key = self.canonical_key(key)
         shard = self._shard_of(key)
-        old = shard.get(key, _MISSING)
-        if old is _MISSING:
+        if key not in shard:
             self._count += 1
             if self._indexed:
                 self._index_add(key)
-        else:
-            self._entry_bytes -= ENTRY_SLOT_BYTES + _estimate_value_bytes(old)
         shard[key] = value
-        self._entry_bytes += ENTRY_SLOT_BYTES + _estimate_value_bytes(value)
         self.mark_dirty(key)
         self._note_memory()
 
@@ -517,7 +495,6 @@ class PerFlowStateStore(Generic[T]):
         if value is _MISSING:
             return None
         self._count -= 1
-        self._entry_bytes -= ENTRY_SLOT_BYTES + _estimate_value_bytes(value)
         self.mark_dirty(canonical)
         if self._indexed:
             self._index_discard(canonical)
@@ -529,7 +506,6 @@ class PerFlowStateStore(Generic[T]):
         for shard in self._shards:
             shard.clear()
         self._count = 0
-        self._entry_bytes = 0
         self._by_src.clear()
         self._by_port.clear()
         self._index_postings = 0

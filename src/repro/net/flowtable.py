@@ -11,12 +11,17 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..core.flowspace import FlowPattern
 from .packet import Packet
 
 _rule_ids = itertools.count(1)
+
+#: Distinct header tuples a :class:`FlowTable` remembers between two table
+#: changes.  Reaching the bound clears the cache wholesale: the hit path
+#: carries no recency bookkeeping, and a miss only costs the linear scan.
+EXACT_MATCH_CACHE_LIMIT = 4096
 
 
 class ActionType(enum.Enum):
@@ -75,10 +80,25 @@ class FlowRule:
 
 
 class FlowTable:
-    """A prioritized rule list with longest-priority-first matching."""
+    """A prioritized rule list with longest-priority-first matching.
+
+    :meth:`lookup` is fronted by an OVS-style exact-match cache: the packet's
+    five header values map to the winning rule (or ``None`` for a miss), so
+    only the first packet of a flow after a table change pays the linear scan.
+    The key is exactly the fields :meth:`FlowPattern.matches
+    <repro.core.flowspace.FlowPattern.matches>` reads — a match field added
+    there must join the key — and a rule's pattern and priority must not
+    change while it is installed.  Every mutator drops the whole cache through
+    :meth:`_invalidate`, the one invalidation point.
+    """
 
     def __init__(self) -> None:
         self._rules: List[FlowRule] = []
+        self._cache: Dict[tuple, Optional[FlowRule]] = {}
+
+    def _invalidate(self) -> None:
+        """The rule list changed: forget every cached lookup."""
+        self._cache.clear()
 
     def add(self, rule: FlowRule) -> FlowRule:
         """Install *rule*, keeping the table ordered by descending priority.
@@ -88,6 +108,7 @@ class FlowTable:
         """
         self._rules.append(rule)
         self._rules.sort(key=lambda r: (-r.priority, -r.pattern.specificity, -r.rule_id))
+        self._invalidate()
         return rule
 
     def remove(self, rule: FlowRule) -> bool:
@@ -96,26 +117,36 @@ class FlowTable:
             self._rules.remove(rule)
         except ValueError:
             return False
+        self._invalidate()
         return True
 
     def remove_by_cookie(self, cookie: str) -> int:
         """Remove every rule with the given cookie; returns how many were removed."""
         before = len(self._rules)
         self._rules = [rule for rule in self._rules if rule.cookie != cookie]
+        self._invalidate()
         return before - len(self._rules)
 
     def remove_matching(self, pattern: FlowPattern) -> int:
         """Remove every rule whose pattern equals *pattern*."""
         before = len(self._rules)
         self._rules = [rule for rule in self._rules if rule.pattern != pattern]
+        self._invalidate()
         return before - len(self._rules)
 
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
         """Return the matching rule with the highest priority, or None on a miss."""
-        for rule in self._rules:
-            if rule.matches(packet):
-                return rule
-        return None
+        key = (packet.nw_proto, packet.nw_src, packet.nw_dst, packet.tp_src, packet.tp_dst)
+        cache = self._cache
+        try:
+            return cache[key]
+        except KeyError:
+            pass
+        winner = next((rule for rule in self._rules if rule.matches(packet)), None)
+        if len(cache) >= EXACT_MATCH_CACHE_LIMIT:
+            cache.clear()
+        cache[key] = winner
+        return winner
 
     def rules(self) -> List[FlowRule]:
         """The installed rules in match order (a copy)."""

@@ -131,7 +131,14 @@ class LinkFaultPlan(SeededFaultPlan):
 
 
 class Link:
-    """A bidirectional point-to-point link."""
+    """A bidirectional point-to-point link.
+
+    What a frame needs from its sending end — direction label, that
+    direction's :class:`LinkStats`, the receiving node, its in-port and the
+    direction's serialisation lane — depends on the two attached ends only, so
+    it is resolved once at construction (``_ends``) and a transmission pays one
+    lookup by sender identity.
+    """
 
     def __init__(
         self,
@@ -160,12 +167,12 @@ class Link:
         self.stats_b_to_a = LinkStats()
         #: LinkGuardian-style link-local protection; None = unprotected.
         self.protection: Optional["LinkProtection"] = None
-        #: One serialisation lane per direction, keyed by endpoint *identity*
-        #: (never by name: two nodes that happen to share a name must not
-        #: share a transmitter).
-        self._wires = {
-            id(node_a): sim.lane(f"{self.name}:{A_TO_B}"),
-            id(node_b): sim.lane(f"{self.name}:{B_TO_A}"),
+        #: Per sending end ``(direction, stats, receiver, in_port, lane)``, keyed
+        #: by endpoint *identity* (never by name: two nodes that happen to share
+        #: a name must not share a transmitter).
+        self._ends = {
+            id(node_a): (A_TO_B, self.stats_a_to_b, node_b, port_b, sim.lane(f"{self.name}:{A_TO_B}")),
+            id(node_b): (B_TO_A, self.stats_b_to_a, node_a, port_a, sim.lane(f"{self.name}:{B_TO_A}")),
         }
 
     # -- endpoint helpers -------------------------------------------------------
@@ -236,20 +243,19 @@ class Link:
         every (re)transmission and control frame; unprotected links come here
         straight from :meth:`transmit`.
         """
-        direction = self.direction_from(sender)
-        stats = self.stats_for(direction)
+        end = self._ends.get(id(sender))
+        if end is None:
+            raise ValueError(f"{sender.name} is not attached to link {self.name}")
+        direction, stats, receiver, in_port, wire = end
         if not self.up:
             stats.drops += 1
             return None
-        receiver = self.other_end(sender)
-        in_port = self.port_on(receiver)
-        serialization = packet.wire_size / self.bandwidth if self.bandwidth else 0.0
-        wire = self._wires[id(sender)]
-        finish = wire.reserve(serialization)
-        delivery_time = finish + self.latency
+        size = packet.wire_size
+        delivery_time = wire.reserve(size / self.bandwidth if self.bandwidth else 0.0) + self.latency
         stats.packets += 1
-        stats.bytes += packet.wire_size
-        is_ctrl = self.protection is not None and self.protection.is_ctrl(packet)
+        stats.bytes += size
+        protection = self.protection
+        is_ctrl = protection is not None and protection.is_ctrl(packet)
         if is_ctrl:
             stats.ctrl_frames += 1
         if self.faults is not None:
@@ -262,8 +268,8 @@ class Link:
                 return None
             if reordered:
                 stats.reordered += 1
-        if self.protection is not None:
-            wire.dispatch_at(delivery_time, self.protection.on_arrival, packet, receiver, in_port)
+        if protection is not None:
+            wire.dispatch_at(delivery_time, protection.on_arrival, packet, receiver, in_port, direction)
         else:
             wire.dispatch_at(delivery_time, receiver.receive, packet, in_port)
         return delivery_time

@@ -9,7 +9,7 @@ annotations such as redundancy-elimination shims).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, FrozenSet, Optional
 
 from ..core.flowspace import PROTO_TCP, PROTO_UDP, FlowKey
@@ -79,10 +79,15 @@ class Packet:
     def copy(self) -> "Packet":
         """Return an independent copy with a fresh packet id.
 
-        Used by baselines that duplicate traffic and by the RE encoder when it
-        emits an encoded version of a packet.
+        Used by baselines that duplicate traffic, by the RE encoder when it
+        emits an encoded version of a packet, and by link protection for every
+        held frame — so it walks the dataclass's own field list (a field added
+        later cannot be missed) without re-running ``__init__``.
         """
-        duplicate = replace(self, packet_id=next(_packet_ids))
+        duplicate = object.__new__(type(self))
+        for name in _FIELD_NAMES:
+            setattr(duplicate, name, getattr(self, name))
+        duplicate.packet_id = next(_packet_ids)
         duplicate.annotations = dict(self.annotations)
         return duplicate
 
@@ -105,6 +110,10 @@ class Packet:
             f"<Packet #{self.packet_id} {self.nw_src}:{self.tp_src}->"
             f"{self.nw_dst}:{self.tp_dst} proto={self.nw_proto} len={self.payload_size} {flags}>"
         )
+
+
+#: What :meth:`Packet.copy` carries across, in declaration order.
+_FIELD_NAMES = tuple(f.name for f in fields(Packet))
 
 
 def tcp_packet(

@@ -35,7 +35,7 @@ wall-clock realtime runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..runtime.arq import DEFAULT_RTO_LATENCY_MULTIPLE, ArqDirection
 from .links import A_TO_B, B_TO_A
@@ -50,6 +50,9 @@ SEQ_KEY = "lg.seq"
 
 #: Annotation key marking (and carrying) a protection control frame.
 CTRL_KEY = "lg.ctrl"
+
+#: Annotation key carrying the session epoch on data and control frames alike.
+EPOCH_KEY = "lg.epoch"
 
 
 @dataclass
@@ -94,16 +97,26 @@ class LinkProtection:
         self.config = config
         #: Seconds before an unacknowledged hold is re-sent.
         self.retransmit_timeout = max(DEFAULT_RTO_LATENCY_MULTIPLE * link.latency, 1e-6)
-        self._stats: Dict[str, ProtectionStats] = {}
+        #: Session number, bumped each time the link comes back up; a frame
+        #: stamped with another one is a straggler of a session that is gone.
+        self.epoch = 0
+        self._stats: Dict[str, ProtectionStats] = {A_TO_B: ProtectionStats(), B_TO_A: ProtectionStats()}
         self._arq: Dict[str, ArqDirection] = {}
-        for direction, sender in ((A_TO_B, link.node_a), (B_TO_A, link.node_b)):
-            self._wire_up(direction, sender)
+        self._deliver: Dict[str, Callable[[Packet], None]] = {}
+        self._wire_up()
 
-    def _wire_up(self, direction: str, sender: "Node") -> None:
-        """Bind one direction's engine to its end of the wire and its counters."""
+    def _wire_up(self) -> None:
+        """Start a session: a fresh engine per direction, bound to its end of the wire."""
+        for direction, sender in ((A_TO_B, self.link.node_a), (B_TO_A, self.link.node_b)):
+            self._wire_up_direction(direction, sender)
+
+    def _wire_up_direction(self, direction: str, sender: "Node") -> None:
+        """One direction's engine, bound to its sender, its receiver and both sets of counters."""
         link = self.link
-        stats = self._stats[direction] = ProtectionStats()
+        stats = self._stats[direction]
         wire_stats = link.stats_for(direction)
+        receiver = link.other_end(sender)
+        in_port = link.port_on(receiver)
 
         def transmit(packet: Packet, retry: bool) -> Optional[float]:
             if retry:
@@ -113,6 +126,13 @@ class LinkProtection:
         def abandon() -> None:
             stats.abandoned += 1
 
+        def deliver(frame: Packet) -> None:
+            """Hand one frame up to the node, stripped of protocol annotations."""
+            del frame.annotations[SEQ_KEY], frame.annotations[EPOCH_KEY]
+            stats.delivered += 1
+            receiver.receive(frame, in_port)
+
+        self._deliver[direction] = deliver
         config = self.config
         # The layer above mutates delivered packets (and strips the sequence
         # annotation), so holds and re-sends are copies.
@@ -153,13 +173,18 @@ class LinkProtection:
         """
         arq = self._arq[self.link.direction_from(sender)]
         packet.annotations[SEQ_KEY] = arq.next_seq
+        packet.annotations[EPOCH_KEY] = self.epoch
         return arq.send(packet)
 
     # -- receiver half ----------------------------------------------------------
 
-    def on_arrival(self, packet: Packet, receiver: "Node", in_port: int) -> None:
-        """Physical arrival at *receiver*: ack/nack absorption or data delivery."""
+    def on_arrival(self, packet: Packet, receiver: "Node", in_port: int, direction: str) -> None:
+        """Physical arrival at *receiver* of a frame that travelled *direction*:
+        ack/nack absorption or data delivery."""
         annotations = packet.annotations
+        if annotations.get(EPOCH_KEY, self.epoch) != self.epoch:
+            self.link.stats_for(direction).drops += 1  # outlived its session (link flap)
+            return
         ctrl = annotations.get(CTRL_KEY)
         if ctrl is not None:
             # The control frame acknowledges the data direction *receiver*
@@ -172,18 +197,10 @@ class LinkProtection:
         if seq is None:
             receiver.receive(packet, in_port)  # pre-protection frame
             return
-        direction = self.link.direction_from(self.link.other_end(receiver))
         arq = self._arq[direction]
         stats = self._stats[direction]
         above_gap = seq != arq.expected
-
-        def deliver(frame: Packet) -> None:
-            """Hand one frame up to the node, stripped of protocol annotations."""
-            frame.annotations.pop(SEQ_KEY, None)
-            stats.delivered += 1
-            receiver.receive(frame, in_port)
-
-        if not arq.receive(seq, packet, deliver):
+        if not arq.receive(seq, packet, self._deliver[direction]):
             stats.dup_discards += 1
         elif above_gap and self.config.strict_order:
             stats.resequenced += 1
@@ -196,25 +213,29 @@ class LinkProtection:
             nw_src="0.0.0.0",
             nw_dst="0.0.0.0",
             nw_proto=0,
-            annotations={CTRL_KEY: {"cum": cum, "have": have, "need": need}},
+            annotations={CTRL_KEY: {"cum": cum, "have": have, "need": need}, EPOCH_KEY: self.epoch},
         )
         self.link.transmit_raw(ctrl_frame, receiver)
 
     # -- lifecycle ---------------------------------------------------------------
 
     def on_link_change(self, up: bool) -> None:
-        """The link went administratively down (or came back up: tracking resumes).
+        """The link went administratively down, or came back up.
 
-        Held and backlogged frames die with the link, recorded as drops on
-        their direction; frames sent while it stays down are not held at all —
-        the wire counts each as a drop itself — so no retransmission timer
-        keeps a dead wire's event queue alive.
+        Down: held and backlogged frames die with the link, recorded as drops
+        on their direction; frames sent while it stays down are not held at
+        all — the wire counts each as a drop itself — so no retransmission
+        timer keeps a dead wire's event queue alive.  Up: both directions
+        start a fresh session — new sequence space, counters kept — under the
+        next :attr:`epoch`, so nothing waits on numbers that died with the
+        link and an old-epoch frame still in flight is dropped on arrival.
         """
-        for direction, arq in self._arq.items():
-            if up:
-                arq.closed = False
-            else:
+        if not up:
+            for direction, arq in self._arq.items():
                 self.link.stats_for(direction).drops += arq.close()
+        elif self._arq[A_TO_B].closed:  # both directions close together
+            self.epoch += 1
+            self._wire_up()
 
 
 @dataclass

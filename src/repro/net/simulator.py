@@ -166,18 +166,21 @@ class SimulatedLane:
     time while the one kernel thread executes their work.
     """
 
-    __slots__ = ("sim", "name", "_free_at")
+    __slots__ = ("sim", "name", "_free_at", "dispatch_at")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
         self._free_at = 0.0
+        #: ``dispatch_at(time, callback, *args)``: deliver at absolute *time*,
+        #: in time order, equal times in dispatch order — which is the kernel's
+        #: ``schedule_at`` itself, bound once.
+        self.dispatch_at = sim.schedule_at
 
     def reserve(self, cost: float) -> float:
         """Claim *cost* seconds of this lane's serialised time; returns the finish time."""
-        start = max(self.sim.now, self._free_at)
-        finish = start + cost
-        self._free_at = finish
+        now, free_at = self.sim.now, self._free_at
+        self._free_at = finish = (now if now > free_at else free_at) + cost
         return finish
 
     def submit(self, cost: float, work: Callable[[], None]) -> float:
@@ -185,14 +188,6 @@ class SimulatedLane:
         finish = self.reserve(cost)
         self.sim.schedule_at(finish, work)
         return finish
-
-    def dispatch_at(self, time: float, callback: Callable, *args: Any) -> None:
-        """Deliver ``callback(*args)`` at absolute *time*, in time order.
-
-        Equal times preserve dispatch order (FIFO tie-breaking) — on the
-        simulator this is simply :meth:`Simulator.schedule_at`.
-        """
-        self.sim.schedule_at(time, callback, *args)
 
     @property
     def idle_at(self) -> float:

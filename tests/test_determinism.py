@@ -138,6 +138,62 @@ class TestEngineLayering:
         reimplemented = own & {"lane", "timeout", "_stuck", "pending_events"}
         assert not reimplemented, f"RealtimeRuntime re-implements inherited kernel parts: {sorted(reimplemented)}"
 
+    def test_what_a_frame_reuses_has_one_writer(self):
+        """The per-frame path trusts two resolved-once structures.
+
+        ``FlowTable``'s exact-match cache is right only while every change to
+        ``_rules`` drops it: each method that assigns to, deletes from or
+        calls a mutating list method on ``self._rules`` must call
+        ``self._invalidate()``, and nothing outside ``FlowTable`` may touch
+        ``_rules`` at all.  ``Link._ends`` is right only while it cannot
+        change: it is written in ``Link.__init__`` and nowhere else.
+        """
+        mutating = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
+
+        def is_attr(node, name):
+            return isinstance(node, ast.Attribute) and node.attr == name
+
+        def writes(tree, name):
+            """Nodes under *tree* that rebind, delete from or mutate ``<obj>.<name>``."""
+            found = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr in mutating | {"update", "setdefault"} and is_attr(node.func.value, name):
+                        found.append(node)
+                elif isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
+                    target = node.value if isinstance(node, ast.Subscript) else node
+                    if is_attr(target, name):
+                        found.append(node)
+            return found
+
+        trees = {path: ast.parse(path.read_text()) for path in sorted(SRC_ROOT.rglob("*.py"))}
+
+        def methods(path, class_name):
+            (cls,) = [n for n in trees[path].body if isinstance(n, ast.ClassDef) and n.name == class_name]
+            return cls, {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+        flowtable = SRC_ROOT / "repro" / "net" / "flowtable.py"
+        links = SRC_ROOT / "repro" / "net" / "links.py"
+        table_class, table_methods = methods(flowtable, "FlowTable")
+        mutators = {name for name, node in table_methods.items() if name != "__init__" and writes(node, "_rules")}
+        assert {"add", "remove", "remove_by_cookie", "remove_matching"} <= mutators
+        for name in sorted(mutators):
+            calls = [n for n in ast.walk(table_methods[name]) if isinstance(n, ast.Call) and is_attr(n.func, "_invalidate")]
+            assert calls, f"FlowTable.{name} changes _rules without calling _invalidate()"
+        inside = {id(node) for node in ast.walk(table_class)}
+        _, link_methods = methods(links, "Link")
+        in_link_init = {id(node) for node in ast.walk(link_methods["__init__"])}
+        assert writes(link_methods["__init__"], "_ends")
+        offenders = []
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if is_attr(node, "_rules") and id(node) not in inside:
+                    offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno} touches _rules")
+            for node in writes(tree, "_ends"):
+                if path != links or id(node) not in in_link_init:
+                    offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno} writes _ends")
+        assert not offenders, "\n".join(offenders)
+
     def test_only_the_messages_module_reads_a_message_body(self):
         """The wire format of every body lives behind ``core/messages.py``.
 

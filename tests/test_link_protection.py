@@ -24,10 +24,10 @@ def _pair(sim, *, faults=None, latency=50e-6, bandwidth=125e6):
     return topo, h1, h2, link
 
 
-def _burst(host, count, *, payload=100, reverse=False):
+def _burst(host, count, *, payload=100, reverse=False, start=0):
     """Send *count* indexed packets so tests can check delivery order."""
     src, dst = ("10.0.0.2", "10.0.0.1") if reverse else ("10.0.0.1", "10.0.0.2")
-    for index in range(count):
+    for index in range(start, start + count):
         packet = udp_packet(src, dst, 1, 2, payload=bytes(payload))
         packet.annotations["index"] = index
         host.send(packet)
@@ -223,6 +223,58 @@ class TestLinkProtection:
         sim.run()
         assert link.stats_a_to_b.drops == 5 + 5
         assert link.stats_a_to_b.retransmits == 0
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_link_down_then_up_carries_traffic_again(self, strict):
+        # A reopened link used to resume the old sequence space: under strict
+        # order everything sent after the flap was ACKed and then sat in the
+        # resequencer forever, behind the numbers that died with the link.
+        sim = Simulator()
+        topo, h1, h2, link = _pair(sim)
+        protection = link.enable_protection(ProtectionConfig(strict_order=strict))
+        link.set_up(True)  # already up: not a new session
+        _burst(h1, 3)
+        sim.run()
+        link.set_up(False)
+        _burst(h1, 3, start=3)
+        sim.run()
+        assert link.stats_a_to_b.drops == 3  # sent into the dead wire, each counted once
+        link.set_up(True)
+        _burst(h1, 4, start=6)
+        sim.run()  # drains: nothing waits on a number that will never come
+        assert _indexes(h2) == [0, 1, 2, 6, 7, 8, 9]
+        assert link.stats_a_to_b.drops == 3
+        stats = protection.stats_for(A_TO_B)  # counters survive the reopen
+        assert (stats.delivered, stats.abandoned, stats.nacked) == (7, 0, 0)
+        assert (stats.resequenced, stats.out_of_order, stats.dup_discards) == (0, 0, 0)
+        assert protection.outstanding(A_TO_B) == 0
+        assert protection.outstanding(B_TO_A) == 0
+        assert protection.epoch == 1  # one real down -> up transition
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_stragglers_of_the_old_session_are_dropped_on_arrival(self, strict):
+        sim = Simulator()
+        topo, h1, h2, link = _pair(sim)
+        protection = link.enable_protection(ProtectionConfig(strict_order=strict))
+        _burst(h1, 3)
+        sim.run(until=52e-6)  # frame 0 has arrived and its ACK is in flight; so are frames 1 and 2
+        assert _indexes(h2) == [0]
+        link.set_up(False)  # the three unacknowledged holds die with the link
+        link.set_up(True)
+        _burst(h1, 4, start=3)
+        sim.run()
+        # Old frames 1 and 2 carry the new session's numbers 2 and 3, and the
+        # old ACK acknowledges its number 1: each is discarded and counted,
+        # and the new session neither delivers, discards nor frees anything
+        # on their account.
+        assert _indexes(h2) == [0, 3, 4, 5, 6]
+        assert link.stats_a_to_b.drops == 3 + 2
+        assert link.stats_b_to_a.drops == 1
+        stats = protection.stats_for(A_TO_B)
+        assert (stats.delivered, stats.dup_discards, stats.nacked) == (5, 0, 0)
+        assert (stats.resequenced, stats.out_of_order) == (0, 0)
+        assert link.stats_a_to_b.retransmits == 0
+        assert protection.outstanding(A_TO_B) == 0
 
     def test_abandons_after_max_retries_on_persistent_loss(self):
         sim = Simulator()

@@ -1,8 +1,13 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import dataclasses
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.net.flowtable as flowtable_module
 from repro.core import crypto
 from repro.core.chunks import ChunkCodec, deserialize_payload, serialize_payload
 from repro.core.config import HierarchicalConfig
@@ -10,6 +15,8 @@ from repro.core.flowspace import FlowKey, FlowPattern, IPv4Prefix, int_to_ip, ip
 from repro.core.state import PerFlowStateStore, StateRole
 from repro.middleboxes.monitor import MonitorStats
 from repro.middleboxes.re import PacketCache
+from repro.net.flowtable import Action, FlowRule, FlowTable
+from repro.net.packet import Packet
 
 # -- strategies -----------------------------------------------------------------------------------
 
@@ -50,6 +57,19 @@ payloads = st.recursive(
 @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
 def test_ip_int_roundtrip(value):
     assert ip_to_int(int_to_ip(value)) == value
+
+
+@given(ip_addresses)
+def test_memoised_address_parse_equals_the_plain_parse(address):
+    assert ip_to_int(address) == ip_to_int.__wrapped__(address)
+    assert ip_to_int(address) == ip_to_int.__wrapped__(address)  # now served from the memo
+
+
+@pytest.mark.parametrize("malformed", ["1.2.3", "256.0.0.1", "a.b.c.d"])
+def test_malformed_address_raises_on_every_call(malformed):
+    for _ in range(3):  # a failure is never memoised
+        with pytest.raises(ValueError):
+            ip_to_int(malformed)
 
 
 @given(ip_addresses, st.integers(min_value=0, max_value=32))
@@ -231,3 +251,110 @@ def test_identical_insert_sequences_keep_caches_identical(contents, extra):
     a.insert(extra)
     b.insert(extra)
     assert a.to_payload() == b.to_payload()
+
+
+# -- per-frame fast path: exact-match cache and packet copies ------------------------------------------------
+
+# A small universe, so rules overlap, tie on priority and shadow one another:
+# /0, /8, /24 and /32 source prefixes, port and protocol pins, three cookies.
+_rule_sources = st.sampled_from([None, "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/24", "10.0.0.1/32", "10.0.0.1"])
+_rule_patterns = st.builds(
+    FlowPattern,
+    nw_proto=st.sampled_from([None, 6, 17]),
+    nw_src=_rule_sources,
+    nw_dst=st.sampled_from([None, "10.0.0.0/24", "10.0.0.2"]),
+    tp_src=st.sampled_from([None, 1000]),
+    tp_dst=st.sampled_from([None, 80]),
+)
+#: Every lookup probes all of these, so each one is looked up before and after
+#: every table change — a cache entry that outlives its invalidation shows.
+_PROBES = [
+    Packet(nw_src=src, nw_dst=dst, nw_proto=proto, tp_src=tp_src, tp_dst=80)
+    for src, dst, proto, tp_src in [
+        ("10.0.0.1", "10.0.0.2", 6, 1000),
+        ("10.0.0.1", "10.0.0.2", 17, 1000),
+        ("10.0.0.1", "10.0.0.3", 6, 1001),
+        ("10.0.0.7", "10.0.0.2", 6, 1000),
+        ("10.0.9.1", "10.0.0.3", 6, 1001),
+        ("11.0.0.1", "12.0.0.1", 17, 1001),
+    ]
+]
+_table_adds = st.tuples(st.just("add"), _rule_patterns, st.sampled_from([50, 100, 100, 200]), st.sampled_from("abc"))
+_table_ops = st.one_of(
+    _table_adds,
+    _table_adds,  # twice: keep tables populated, so removals usually hit a rule some probe resolves to
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("remove_by_cookie"), st.sampled_from("abc")),
+    st.tuples(st.just("remove_matching"), st.integers(min_value=0, max_value=30)),
+)
+
+
+@given(st.lists(_table_ops, min_size=6, max_size=40), st.sampled_from([1, 4, flowtable_module.EXACT_MATCH_CACHE_LIMIT]))
+@settings(max_examples=200, deadline=None)
+def test_cached_lookup_returns_the_rule_a_linear_scan_finds(ops, bound):
+    """Under any interleaving of mutators and lookups the cached ``lookup``
+    returns the very rule object a from-scratch scan would, and the cache
+    respects its bound (also when the bound is crossed again and again)."""
+    table = FlowTable()
+    model = []  # the oracle's own rule list, in installation order
+
+    def check_lookups():
+        ordered = sorted(model, key=lambda r: (-r.priority, -r.pattern.specificity, -r.rule_id))
+        for _ in range(2):  # the second pass is answered from the cache (bound permitting)
+            for probe in _PROBES:
+                expected = next((rule for rule in ordered if rule.pattern.matches(probe.flow_key())), None)
+                assert table.lookup(probe) is expected
+                assert len(table._cache) <= bound
+        assert len(table) == len(model)
+
+    with mock.patch.object(flowtable_module, "EXACT_MATCH_CACHE_LIMIT", bound):
+        check_lookups()
+        for op, *args in ops:
+            if op == "add":
+                pattern, priority, cookie = args
+                model.append(table.add(FlowRule(pattern, [Action.drop()], priority=priority, cookie=cookie)))
+            elif op == "remove":
+                victim = model[args[0] % len(model)] if model else FlowRule(FlowPattern(), [])
+                assert table.remove(victim) == (victim in model)
+                model = [rule for rule in model if rule is not victim]
+            elif op == "remove_by_cookie":
+                assert table.remove_by_cookie(args[0]) == sum(rule.cookie == args[0] for rule in model)
+                model = [rule for rule in model if rule.cookie != args[0]]
+            else:  # the pattern of an installed rule, so that it usually removes something
+                pattern = model[args[0] % len(model)].pattern if model else FlowPattern(tp_dst=81)
+                assert table.remove_matching(pattern) == sum(rule.pattern == pattern for rule in model)
+                model = [rule for rule in model if rule.pattern != pattern]
+            check_lookups()
+
+
+_packets = st.builds(
+    Packet,
+    nw_src=ip_addresses,
+    nw_dst=ip_addresses,
+    nw_proto=protocols,
+    tp_src=ports,
+    tp_dst=ports,
+    payload=st.binary(max_size=64),
+    flags=st.frozensets(st.sampled_from(["SYN", "ACK", "FIN"])),
+    seq=st.integers(min_value=0, max_value=2**32),
+    created_at=st.floats(min_value=0, max_value=1e6),
+    annotations=st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=4),
+    encoded_size=st.none() | st.integers(min_value=0, max_value=1500),
+)
+
+
+@given(_packets)
+def test_packet_copy_carries_every_field(packet):
+    first, second = packet.copy(), packet.copy()
+    assert packet.packet_id < first.packet_id < second.packet_id  # fresh, strictly increasing
+    # Iterating the dataclass's own field list: a field added later and not
+    # carried across by copy() fails here.
+    for field in dataclasses.fields(Packet):
+        if field.name != "packet_id":
+            assert getattr(first, field.name) == getattr(packet, field.name), field.name
+    assert vars(first).keys() == vars(packet).keys()
+    assert first.annotations is not packet.annotations
+    first.annotations["copy-only"] = 1
+    packet.annotations["original-only"] = 2
+    assert "copy-only" not in packet.annotations and "original-only" not in first.annotations
+    assert second.annotations == {k: v for k, v in packet.annotations.items() if k != "original-only"}

@@ -117,6 +117,54 @@ class TestCancellation:
         drain(runtime)
 
 
+class TestScheduledCallHandle:
+    """What callers read from, and do with, the handle ``schedule`` returns."""
+
+    def test_fields_stay_readable(self, runtime):
+        due = runtime.now + HORIZON
+        handle = runtime.schedule_at(due, print, "a", 2)
+        assert (handle.time, handle.callback, handle.args, handle.cancelled) == (due, print, ("a", 2), False)
+        handle.cancel()
+        assert handle.cancelled and handle.time == due
+        drain(runtime)
+
+    def test_a_cancelled_entry_is_not_an_executed_event(self, runtime):
+        executed = []
+        kept = runtime.schedule(HORIZON, executed.append, "kept")
+        dropped = runtime.schedule(HORIZON, executed.append, "dropped")
+        dropped.cancel()
+        before = runtime.executed_events
+        drain(runtime)
+        assert executed == ["kept"]
+        assert runtime.executed_events == before + 1
+        assert not kept.cancelled
+
+    def test_cancel_after_the_callback_ran_is_a_no_op(self, runtime):
+        executed = []
+        handle = runtime.schedule(HORIZON, executed.append, "ran")
+        drain(runtime)
+        events = runtime.executed_events
+        handle.cancel()
+        handle.cancel()
+        drain(runtime)
+        assert executed == ["ran"]
+        assert runtime.executed_events == events
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_entries_sharing_a_time_order_by_sequence_never_by_callback(self, runtime, seed):
+        # Functions do not support "<": if the queue's ordering ever fell
+        # through to the callback (or the handle), pushing the second entry
+        # for one time would raise TypeError.
+        rng = random.Random(seed)
+        due = runtime.now + HORIZON
+        executed = []
+        handles = [runtime.schedule_at(due, (lambda i=i: executed.append(i))) for i in range(12)]
+        for victim in rng.sample(range(12), 4):
+            handles[victim].cancel()  # a cancelled entry must not disturb the order either
+        drain(runtime)
+        assert executed == [i for i in range(12) if not handles[i].cancelled]
+
+
 class TestFutureSingleCompletion:
     def test_second_succeed_raises_and_does_not_overwrite(self, runtime):
         future = runtime.event("once")

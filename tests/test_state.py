@@ -191,6 +191,28 @@ class TestPerFlowStateStore:
         store.clear()
         assert len(store) == 0
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_accounting_refunds_exactly_what_it_charged(self, indexed):
+        # Values handed out by get_or_create grow in place (that is what it is
+        # for); a refund measured at removal time used to exceed the charge
+        # taken at insertion and drive an empty store's entry_bytes negative.
+        store = PerFlowStateStore(indexed=indexed)
+        store.begin_dirty_tracking()
+        for i in range(8):
+            record = store.get_or_create(key(i), dict)
+            record.update((f"field{n}", n) for n in range(50))
+        store.put(key(0), {"replaced": True})  # replacing a grown value refunds it too
+        populated = store.memory_stats()
+        assert populated.entries == 8 and populated.entry_bytes > 0
+        for i in range(8):
+            assert store.remove(key(i)) is not None
+        store.end_dirty_tracking()
+        empty = store.memory_stats()
+        assert empty.entries == 0
+        assert empty.entry_bytes == 0
+        assert empty.total_bytes == 0
+        assert empty.peak_total_bytes >= populated.total_bytes
+
     def test_keys_and_items(self):
         store = PerFlowStateStore()
         store.put(key(0), "a")
