@@ -87,9 +87,8 @@ class TwoInstanceScenario(ScenarioBase):
         self.routes.append(forward)
         futures = [forward.installed]
         if bidirectional:
-            reverse_pattern = self._reverse(pattern)
             reverse = self.sdn.route(
-                reverse_pattern, self.server_gw, self.client_gw, waypoints=[name], priority=priority
+                pattern.reversed(), self.server_gw, self.client_gw, waypoints=[name], priority=priority
             )
             self.routes.append(reverse)
             futures.append(reverse.installed)
@@ -104,17 +103,6 @@ class TwoInstanceScenario(ScenarioBase):
     ) -> OperationHandle:
         """moveInternal mb1 -> mb2 under a specific transfer spec."""
         return self.northbound.move_internal(self.mb1.name, self.mb2.name, pattern, spec=spec)
-
-    @staticmethod
-    def _reverse(pattern: FlowPattern) -> FlowPattern:
-        fields = pattern.as_dict()
-        return FlowPattern(
-            nw_proto=fields.get("nw_proto"),
-            nw_src=fields.get("nw_dst"),
-            nw_dst=fields.get("nw_src"),
-            tp_src=fields.get("tp_dst"),
-            tp_dst=fields.get("tp_src"),
-        )
 
     # -- traffic -------------------------------------------------------------------------------------
 

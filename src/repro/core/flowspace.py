@@ -293,6 +293,33 @@ class FlowPattern:
         present = self.as_dict()
         return tuple(field for field in FIELDS if field in present)
 
+    def pinned_hosts(self) -> Tuple[Optional[str], Optional[str]]:
+        """``(source, destination)``: the bare address where the field pins one
+        host, else None.  Asked of the parsed prefix, so ``"10.0.0.1/32"`` and
+        ``"10.0.0.1"`` are the same host — the form flow keys carry."""
+        return tuple(
+            int_to_ip(prefix.network) if prefix is not None and prefix.length == 32 else None
+            for prefix in (self._src_prefix, self._dst_prefix)
+        )
+
+    def exact_key(self) -> Optional[FlowKey]:
+        """The single concrete flow this pattern pins, or None when it spans many.
+
+        A pattern is exact when all five header fields are constrained and
+        both addresses are hosts (:meth:`pinned_hosts`).  The one definition
+        the shard ring and the per-flow stores share: were they to disagree,
+        the controller would home an operation on one shard while the store
+        scanned all of them.
+        """
+        src, dst = self.pinned_hosts()
+        if None in (self.nw_proto, src, dst, self.tp_src, self.tp_dst):
+            return None
+        return FlowKey(self.nw_proto, src, dst, self.tp_src, self.tp_dst)
+
+    def reversed(self) -> "FlowPattern":
+        """The pattern matching the opposite packet direction of the same flows."""
+        return FlowPattern(self.nw_proto, self._dst_text, self._src_text, self.tp_dst, self.tp_src)
+
     # -- matching -------------------------------------------------------------
 
     def matches(self, key: FlowKey) -> bool:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..net.simulator import Future, Simulator
-from .flowspace import FlowKey, FlowPattern, int_to_ip
+from .flowspace import FlowKey, FlowPattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operations import _StatefulOperation
@@ -112,38 +112,17 @@ class ShardRing:
         """Owning shard of a concrete flow (both packet directions agree)."""
         return self.shard_for_token(self.canonical_token(key))
 
-    @staticmethod
-    def exact_key_of(pattern: Optional[FlowPattern]) -> Optional[FlowKey]:
-        """The single concrete flow a pattern pins, or None when it spans many.
-
-        A pattern is exact when all five header fields are constrained and
-        both address fields are host (/32) values rather than prefixes.  The
-        addresses are normalised through the parsed prefix — a host written
-        as ``"10.0.0.1/32"`` must produce the same ring token as the bare
-        ``"10.0.0.1"`` carried by the flow's keys, or the operation would be
-        homed/watched on a different shard than its events.
-        """
-        if pattern is None or pattern.specificity < 5:
-            return None
-        if pattern._src_prefix.length != 32 or pattern._dst_prefix.length != 32:
-            return None
-        return FlowKey(
-            pattern.nw_proto,
-            int_to_ip(pattern._src_prefix.network),
-            int_to_ip(pattern._dst_prefix.network),
-            pattern.tp_src,
-            pattern.tp_dst,
-        )
-
     def shards_for_pattern(self, pattern: Optional[FlowPattern]) -> Tuple[int, ...]:
         """Shard ids that could own flows matching *pattern*.
 
         A fully specified five-tuple lives on exactly one shard; any wildcard
         or prefix pattern is hash-spread over the whole ring, so pattern-
         scoped work (event interest, gets, deletes) is broadcast to every
-        shard.
+        shard.  "Exact" is :meth:`FlowPattern.exact_key`: a host written as
+        ``"10.0.0.1/32"`` yields the same ring token as the bare address the
+        flow's keys carry, so an operation is homed where its events arrive.
         """
-        exact = self.exact_key_of(pattern)
+        exact = pattern.exact_key() if pattern is not None else None
         if exact is not None:
             return (self.shard_for_key(exact),)
         return tuple(range(self.num_shards))

@@ -547,32 +547,6 @@ class PerFlowStateStore(Generic[T]):
                 f"extra fields {sorted(finer)}; available {sorted(available)}"
             )
 
-    def _exact_key(self, pattern: FlowPattern) -> Optional[FlowKey]:
-        """The single concrete FlowKey named by *pattern*, or None.
-
-        A pattern that pins all five tuple fields with no address prefixes
-        names at most two resident keys (itself and its reverse); both share
-        one canonical form, so the scan can be restricted to the owning shard
-        regardless of whether the store maintains secondary indexes.
-        """
-        if (
-            pattern.nw_proto is None
-            or pattern.tp_src is None
-            or pattern.tp_dst is None
-            or pattern.nw_src is None
-            or pattern.nw_dst is None
-            or "/" in pattern.nw_src
-            or "/" in pattern.nw_dst
-        ):
-            return None
-        return FlowKey(
-            nw_proto=pattern.nw_proto,
-            nw_src=pattern.nw_src,
-            nw_dst=pattern.nw_dst,
-            tp_src=pattern.tp_src,
-            tp_dst=pattern.tp_dst,
-        )
-
     def query(self, pattern: FlowPattern) -> List[Tuple[FlowKey, T]]:
         """Return all (key, value) pairs whose flow matches *pattern*.
 
@@ -606,7 +580,10 @@ class PerFlowStateStore(Generic[T]):
                     if key in shard and pattern.matches_either_direction(key):
                         yield key, shard[key]
                 return
-        exact = self._exact_key(pattern)
+        # A pattern that pins one flow names at most two resident keys (itself
+        # and its reverse); both share one canonical form, so the scan is
+        # restricted to the owning shard whether or not the store is indexed.
+        exact = pattern.exact_key()
         if exact is not None:
             canonical = self.canonical_key(exact)
             shard = self._shard_of(canonical)
@@ -635,15 +612,15 @@ class PerFlowStateStore(Generic[T]):
     def _index_candidates(self, pattern: FlowPattern) -> Optional[set]:
         """Smallest usable secondary-index posting set, or None when no index applies.
 
-        Exact (non-prefix) source/destination addresses consult the address
-        index; pinned transport ports consult the port index.  When several
+        Host (/32, however written) source/destination addresses consult the
+        address index; pinned transport ports consult the port index.  When several
         indexed fields are pinned the smallest posting set wins, keeping the
         candidate filter pass minimal.
         """
         best: Optional[set] = None
-        for text in (pattern.nw_src, pattern.nw_dst):
-            if text is not None and "/" not in text:
-                postings = self._by_src.get(text, set())
+        for host in pattern.pinned_hosts():
+            if host is not None:
+                postings = self._by_src.get(host, set())
                 if best is None or len(postings) < len(best):
                     best = postings
         for port in (pattern.tp_src, pattern.tp_dst):

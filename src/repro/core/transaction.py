@@ -179,93 +179,26 @@ class _CallStep(_Step):
             self._succeed(result)
 
 
-class _CloneConfigStep(_Step):
-    """Duplicate a configuration (sub)tree from one middlebox onto another."""
-
-    def __init__(self, txn: "Transaction", src: str, dst: str, key: str) -> None:
-        super().__init__(txn, f"clone_config({src}->{dst})")
-        self.src, self.dst, self.key = src, dst, key
-
-    def run(self) -> None:
-        """Issue the read+write composition through the northbound API."""
-        self._resolve_future(self.txn.nb.clone_config(self.src, self.dst, self.key))
-
-
-class _WriteConfigStep(_Step):
-    """Set configuration values on one middlebox."""
-
-    def __init__(self, txn: "Transaction", mb: str, key: str, values) -> None:
-        super().__init__(txn, f"write_config({mb},{key})")
-        self.mb, self.key, self.values = mb, key, values
-
-    def run(self) -> None:
-        """Issue the writeConfig call."""
-        self._resolve_future(self.txn.nb.write_config(self.mb, self.key, self.values))
-
-
-class _StatsStep(_Step):
-    """Query state statistics; the reply lands in the step's ``detail``."""
-
-    def __init__(self, txn: "Transaction", mb: str, pattern) -> None:
-        super().__init__(txn, f"stats({mb})")
-        self.mb, self.pattern = mb, pattern
-
-    def run(self) -> None:
-        """Issue the stats query and stash its reply on success."""
-
-        def stash(future: Future) -> None:
-            if future.exception is None:
-                self.record.detail["stats"] = future.result
-
-        future = self.txn.nb.stats(self.mb, self.pattern)
-        future.add_done_callback(stash)
-        self._resolve_future(future)
-
-
-class _EndTransferStep(_Step):
-    """Tell a middlebox an in-progress clone/merge transfer has completed."""
-
-    def __init__(self, txn: "Transaction", mb: str) -> None:
-        super().__init__(txn, f"end_transfer({mb})")
-        self.mb = mb
-
-    def run(self) -> None:
-        """Issue the endTransfer call."""
-        self._resolve_future(self.txn.nb.end_transfer(self.mb))
-
-
 class _OperationStep(_Step):
-    """A stateful operation (move/clone/merge) as one step."""
+    """A stateful operation (move/clone/merge) as one step.
+
+    *launch* issues the northbound call and returns the operation's handle;
+    everything keyed on that handle — the record, abort, rollback, what
+    ``barrier(finalized=True)`` and ``after=`` see — is shared with the
+    re-balance step, whose operation is only chosen at run time.
+    """
 
     def __init__(
-        self,
-        txn: "Transaction",
-        kind: str,
-        src: str,
-        dst: str,
-        pattern: Optional[FlowPattern] = None,
-        spec: Optional[TransferSpec] = None,
-        wait_finalized: bool = False,
+        self, txn: "Transaction", name: str, launch: Optional[Callable[[], OperationHandle]] = None, wait_finalized: bool = False
     ) -> None:
-        super().__init__(txn, f"{kind}({src}->{dst})")
-        self.kind = kind
-        self.src, self.dst = src, dst
-        self.pattern = pattern
-        self.spec = spec
+        super().__init__(txn, name)
+        self.launch = launch
         self.wait_finalized = wait_finalized
         self.handle: Optional[OperationHandle] = None
 
     def run(self) -> None:
         """Start the operation and bridge its futures to the step's own."""
-        nb = self.txn.nb
-        if self.kind == "move":
-            self.handle = nb.move_internal(self.src, self.dst, self.pattern, spec=self.spec)
-        elif self.kind == "clone":
-            self.handle = nb.clone_support(self.src, self.dst, spec=self.spec)
-        elif self.kind == "merge":
-            self.handle = nb.merge_internal(self.src, self.dst, spec=self.spec)
-        else:  # pragma: no cover - builder only produces the three kinds
-            raise TransactionError(f"unknown operation kind {self.kind!r}")
+        self.handle = self.launch()
         self.record.detail["operation"] = self.handle.record
         # Bridge the operation's state-installed point to the step's own
         # future so coordinated reroutes can be declared before the operation
@@ -279,7 +212,8 @@ class _OperationStep(_Step):
 
     @property
     def operation_record(self):
-        """The operation's measurement record (None before the step runs)."""
+        """The operation's measurement record (None before the step runs, or
+        when a re-balance needed no move)."""
         return None if self.handle is None else self.handle.record
 
     def abort_inflight(self, exc: Exception) -> None:
@@ -398,9 +332,9 @@ class _BarrierStep(_Step):
             self._succeed(None)
 
 
-class _RebalanceStep(_Step):
+class _RebalanceStep(_OperationStep):
     """Dynamic composite: measure load, move state off the busiest replica,
-    and re-route once the moved state is installed."""
+    and re-route once the moved state is installed (no move when balanced)."""
 
     def __init__(
         self,
@@ -418,7 +352,6 @@ class _RebalanceStep(_Step):
         self.update_routing = update_routing
         self.spec = spec
         self.min_imbalance = min_imbalance
-        self.handle: Optional[OperationHandle] = None
 
     def run(self) -> None:
         """Measure per-replica load, then decide whether (and what) to move."""
@@ -470,26 +403,6 @@ class _RebalanceStep(_Step):
 
         self.handle.state_installed.add_done_callback(reroute)
         self._resolve_future(all_of(self.txn.sim, [self.handle.completed, routed]))
-
-    @property
-    def operation_record(self):
-        """The re-balancing move's record (None when no move was needed)."""
-        return None if self.handle is None else self.handle.record
-
-    def abort_inflight(self, exc: Exception) -> None:
-        """Fail the in-flight re-balancing move."""
-        if self.handle is not None:
-            self.txn.controller.abort_operation(self.handle, str(exc))
-
-    def rollback(self) -> None:
-        """Cancel the completed move's pending post-quiescence source delete.
-
-        Mirrors ``_OperationStep.rollback`` so the busiest replica keeps its
-        state when a later step aborts the transaction.
-        """
-        if self.handle is not None:
-            if self.txn.controller.abort_operation(self.handle, "transaction rolled back"):
-                self.record.status = StepStatus.ROLLED_BACK
 
 
 # =========================================================================================
@@ -580,7 +493,7 @@ class Transaction:
         for dep in after:
             if isinstance(dep, tuple):
                 edges.append(dep)
-            elif isinstance(dep, (_OperationStep, _RebalanceStep)):
+            elif isinstance(dep, _OperationStep):
                 edges.append((dep, op_mode))
             else:
                 edges.append((dep, "done"))
@@ -606,19 +519,31 @@ class Transaction:
 
     def clone_config(self, src: str, dst: str, key: str = "*", *, after=None) -> _Step:
         """Duplicate *src*'s configuration (sub)tree onto *dst*."""
-        return self._add(_CloneConfigStep(self, src, dst, key), after)
+        return self.call(lambda: self.nb.clone_config(src, dst, key), name=f"clone_config({src}->{dst})", after=after)
 
     def write_config(self, mb: str, key: str, values, *, after=None) -> _Step:
         """Set configuration values on a middlebox."""
-        return self._add(_WriteConfigStep(self, mb, key, values), after)
+        return self.call(lambda: self.nb.write_config(mb, key, values), name=f"write_config({mb},{key})", after=after)
 
     def stats(self, mb: str, pattern: PatternLike = None, *, after=None) -> _Step:
         """Query state statistics (result lands in the step's ``detail``)."""
-        return self._add(_StatsStep(self, mb, self._pattern(pattern)), after)
+        resolved = self._pattern(pattern)
+
+        def query() -> Future:
+            def stash(future: Future) -> None:
+                if future.exception is None:
+                    step.record.detail["stats"] = future.result
+
+            future = self.nb.stats(mb, resolved)
+            future.add_done_callback(stash)
+            return future
+
+        step = self.call(query, name=f"stats({mb})", after=after)
+        return step
 
     def end_transfer(self, mb: str, *, after=None) -> _Step:
         """Tell *mb* an in-progress clone/merge transfer has completed."""
-        return self._add(_EndTransferStep(self, mb), after)
+        return self.call(lambda: self.nb.end_transfer(mb), name=f"end_transfer({mb})", after=after)
 
     def move(
         self,
@@ -631,16 +556,21 @@ class Transaction:
         after=None,
     ) -> _OperationStep:
         """moveInternal as a step; exposes ``installed`` for coordinated reroutes."""
-        spec = TransferSpec.parse(spec)
-        return self._add(_OperationStep(self, "move", src, dst, self._pattern(pattern), spec, wait_finalized), after)
+        spec, pattern = TransferSpec.parse(spec), self._pattern(pattern)
+        launch = lambda: self.nb.move_internal(src, dst, pattern, spec=spec)
+        return self._add(_OperationStep(self, f"move({src}->{dst})", launch, wait_finalized), after)
 
     def clone(self, src: str, dst: str, *, spec=None, wait_finalized: bool = False, after=None) -> _OperationStep:
         """cloneSupport as a step."""
-        return self._add(_OperationStep(self, "clone", src, dst, None, TransferSpec.parse(spec), wait_finalized), after)
+        spec = TransferSpec.parse(spec)
+        launch = lambda: self.nb.clone_support(src, dst, spec=spec)
+        return self._add(_OperationStep(self, f"clone({src}->{dst})", launch, wait_finalized), after)
 
     def merge(self, src: str, dst: str, *, spec=None, wait_finalized: bool = False, after=None) -> _OperationStep:
         """mergeInternal as a step."""
-        return self._add(_OperationStep(self, "merge", src, dst, None, TransferSpec.parse(spec), wait_finalized), after)
+        spec = TransferSpec.parse(spec)
+        launch = lambda: self.nb.merge_internal(src, dst, spec=spec)
+        return self._add(_OperationStep(self, f"merge({src}->{dst})", launch, wait_finalized), after)
 
     def reroute(
         self,

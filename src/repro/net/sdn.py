@@ -134,9 +134,7 @@ class SDNController:
         prepared = self._prepare_rules(pattern, names, priority, f"route-{route_id}")
         handle, pending = self._register_route(route_id, pattern, names, prepared)
         if bidirectional:
-            reverse = self.install_route(
-                self._reverse_pattern(pattern), list(reversed(names)), priority=priority
-            )
+            reverse = self.install_route(pattern.reversed(), list(reversed(names)), priority=priority)
             handle.rules.extend(reverse.rules)
             if reverse.installed is not None:
                 pending.append(reverse.installed)
@@ -331,14 +329,3 @@ class SDNController:
         """
         path = self.topology.path_through(ingress, list(waypoints), egress)
         return self.install_route(pattern, path, priority=priority, bidirectional=bidirectional)
-
-    @staticmethod
-    def _reverse_pattern(pattern: FlowPattern) -> FlowPattern:
-        fields = pattern.as_dict()
-        return FlowPattern(
-            nw_proto=fields.get("nw_proto"),
-            nw_src=fields.get("nw_dst"),
-            nw_dst=fields.get("nw_src"),
-            tp_src=fields.get("tp_dst"),
-            tp_dst=fields.get("tp_src"),
-        )

@@ -1,4 +1,4 @@
-"""Testing harnesses: deterministic chaos injection + differential runtime equivalence."""
+"""Testing harnesses: deterministic chaos injection, the invariant auditor, differential runtime equivalence."""
 
 from .chaos import (
     FAULT_PROFILES,
@@ -8,8 +8,13 @@ from .chaos import (
     ChaosResult,
     ChaosSpec,
     InvariantViolation,
+    audit_conservation,
+    audit_journals,
+    audit_source_retention,
+    lost_updates,
     run_chaos,
     run_federated_chaos,
+    strictly_increasing,
 )
 from .equivalence import EquivalenceReport, compare_results, run_equivalence
 
@@ -22,8 +27,13 @@ __all__ = [
     "ChaosSpec",
     "EquivalenceReport",
     "InvariantViolation",
+    "audit_conservation",
+    "audit_journals",
+    "audit_source_retention",
     "compare_results",
+    "lost_updates",
     "run_chaos",
     "run_equivalence",
     "run_federated_chaos",
+    "strictly_increasing",
 ]

@@ -2,8 +2,11 @@
 
 The paper's guarantees — loss-free and order-preserving state transfers — are
 only meaningful if they hold when the control channel and the instances
-misbehave.  This module wraps a complete move-under-load scenario (controller,
-source/destination middleboxes, live traffic) with:
+misbehave.  This module holds **one** scenario program (:class:`_Scenario`: a
+complete move-under-load — source/destination middleboxes, live traffic) that
+runs on a *topology* — one controller owning every instance
+(:func:`run_chaos`), or three gossiping domains one of which dies
+(:func:`run_federated_chaos`) — and wraps it with:
 
 * **fault injection** — per-channel seeded
   :class:`~repro.core.channel.FaultPlan` (drops, duplicates, latency jitter,
@@ -13,7 +16,9 @@ source/destination middleboxes, live traffic) with:
   declaration or the controller's heartbeat liveness sweep; optionally retry
   the move against a registered standby;
 * **invariant checking** — after the run, four global invariants are
-  evaluated and any violation is reported:
+  evaluated by the auditor (:func:`audit_journals`, :func:`audit_conservation`,
+  :func:`audit_source_retention`: pure functions of what was sent and what the
+  instances hold, usable by any scenario) and any violation is reported:
 
   1. **termination** — every operation reaches a terminal state (completed or
      cleanly failed, with its ``finalized`` future resolved) within the
@@ -39,9 +44,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core import ControllerConfig, MBController, NorthboundAPI
+from ..core import ControllerConfig, MBController
 from ..core.channel import ControlChannel, FaultPlan
 from ..core.events import EventCode
 from ..core.flowspace import FlowKey, FlowPattern
@@ -55,7 +60,7 @@ from ..net.packet import tcp_packet
 from ..net.protection import ProtectionConfig
 from ..net.simulator import Simulator
 from ..net.switch import Switch
-from ..net.topology import Host, Topology
+from ..net.topology import Topology
 
 #: Named fault profiles for the chaos matrix.  ``lossy`` is the acceptance
 #: profile from the issue: 1 % control-message drop plus up-to-2x latency
@@ -86,11 +91,17 @@ FED_AUX = "chaos-fed-aux"
 #: Domain names of the federated chaos topology (the workload runs in dc0;
 #: dc2 is the domain whose controller the scenario kills).
 FED_DOMAINS = ("chaos-dc0", "chaos-dc1", "chaos-dc2")
+#: When the move is issued (leaves room for pre-move traffic).
+MOVE_AT = 1e-3
+#: Silence window the traffic driver observes around a routing flip or an
+#: instance death (sender back-off while the network reconverges).
+SWITCH_GAP = 8e-3
 
 
 @dataclass
 class ChaosSpec:
-    """One fully determined chaos scenario (a point of the chaos matrix)."""
+    """One fully determined chaos scenario (a point of the chaos matrix); every
+    field means the same on both topologies — the entry point picks the topology."""
 
     seed: int = 0
     #: Transfer guarantee: ``no_guarantee`` / ``loss_free`` / ``order_preserving``.
@@ -109,12 +120,13 @@ class ChaosSpec:
     flows: int = 10
     packets: int = 40
     interval: float = 2e-4
-    #: When the move is issued (leaves room for pre-move traffic).
-    move_at: float = 1e-3
     #: Scripted crash: which instance dies ("src" / "dst" / None), when
     #: (a simulated time, or "after N pre-copy rounds finished"), and how the
     #: controller finds out ("declare" = immediately, "liveness" = via the
-    #: heartbeat sweep).
+    #: heartbeat sweep).  ``kill_time`` has two readings: the instance's kill
+    #: time (default 2 ms, when ``kill`` is set and ``kill_at_round`` is not)
+    #: and, on the three-domain topology, also the moment the victim domain's
+    #: controller is crashed (default 4 ms).
     kill: Optional[str] = None
     kill_time: Optional[float] = None
     kill_at_round: Optional[int] = None
@@ -125,9 +137,6 @@ class ChaosSpec:
     #: Defaults to True for order-preserving scenarios (exercising the packet
     #: holds), False otherwise (None = that default).
     reroute: Optional[bool] = None
-    #: Silence window the traffic driver observes around a routing flip or an
-    #: instance death (sender back-off while the network reconverges).
-    switch_gap: float = 8e-3
     quiescence: float = 0.02
     #: Hard simulated-time budget; blowing it is a termination violation.
     limit: float = 30.0
@@ -359,13 +368,19 @@ class _TrafficDriver:
         self._paused_until = max(self._paused_until, until)
 
     def mark_dead(self, name: str) -> None:
-        """Stop delivering to a crashed instance."""
+        """Stop delivering to a crashed instance and back off while routing reconverges."""
         self._dead.add(name)
+        self.pause(self.sim.now + SWITCH_GAP)
+
+    def on_state_installed(self, future) -> None:
+        """Reroute scenarios: follow the state to the destination once it is installed."""
+        if future.exception is None and DST not in self._dead:
+            self.switch_to(DST)
 
     def switch_to(self, name: str) -> None:
         """Flip the traffic target (after the scenario's convergence gap)."""
         self.target = name
-        self.pause(self.sim.now + self.spec.switch_gap)
+        self.pause(self.sim.now + SWITCH_GAP)
 
     def _tick(self) -> None:
         if self._index >= self.spec.packets:
@@ -402,8 +417,372 @@ class _TrafficDriver:
         return self._index >= self.spec.packets
 
 
+# -- the auditor: the four invariants as pure functions of any scenario's journals ------
+
+
+def strictly_increasing(seqs: Sequence[int]) -> bool:
+    """The one ordering predicate: every seq is greater than the one before it."""
+    return all(earlier < later for earlier, later in zip(seqs, seqs[1:]))
+
+
+def _missing(sent: Mapping, journals: Mapping) -> Iterator[Tuple[object, Set[int]]]:
+    """``(key, seqs sent but absent from the key's journal)`` in key order."""
+    for key, expected in sorted(sent.items()):
+        yield key, set(expected) - set(journals.get(key, ()))
+
+
+def lost_updates(sent: Mapping, journals: Mapping) -> int:
+    """How many sent seqs the journals do not hold (legitimate only under ``no_guarantee``)."""
+    return sum(len(missing) for _, missing in _missing(sent, journals))
+
+
+def audit_journals(guarantee: str, sent: Mapping, journals: Mapping, *, owner: str = "owner") -> List[InvariantViolation]:
+    """Invariants 2 + 3: the surviving owner's journals against what was sent.
+
+    *sent* and *journals* map a flow (any sortable key) to the seqs delivered
+    to it and the seqs *owner* holds for it.  Per flow, in this order: a
+    double-applied seq and a fabricated one are violations under every
+    guarantee; a missing one under ``loss_free`` and ``order_preserving``; a
+    journal that is not strictly increasing under ``order_preserving``.
+    """
+    violations: List[InvariantViolation] = []
+    for key, expected in sorted(sent.items()):
+        seqs = journals.get(key, [])
+        unique = set(seqs)
+        if len(unique) != len(seqs):
+            doubled = sorted({seq for seq in seqs if seqs.count(seq) > 1})
+            violations.append(InvariantViolation("lost-updates", f"{owner} double-applied seqs {doubled} for {key}"))
+        fabricated = unique - set(expected)
+        if fabricated:
+            violations.append(InvariantViolation("conservation", f"{owner} fabricated seqs {sorted(fabricated)} for {key}"))
+        missing = set(expected) - unique
+        if missing and guarantee in ("loss_free", "order_preserving"):
+            violations.append(
+                InvariantViolation("lost-updates", f"{owner} lost {len(missing)} update(s) for {key}: {sorted(missing)[:6]}")
+            )
+        if guarantee == "order_preserving" and not strictly_increasing(seqs):
+            violations.append(InvariantViolation("reordering", f"{owner} applied {key} out of order: {seqs}"))
+    return violations
+
+
+def audit_source_retention(sent: Mapping, journals: Mapping) -> List[InvariantViolation]:
+    """Invariant 4b: after a crash-aborted move the (alive) source retains every update."""
+    return [
+        InvariantViolation("conservation", f"aborted move lost {len(missing)} update(s) at the source for {key}")
+        for key, missing in _missing(sent, journals)
+        if missing
+    ]
+
+
+def audit_conservation(instances: Mapping[str, DummyMiddlebox], tag_suspects: Iterable[str] = ()) -> List[InvariantViolation]:
+    """Invariant 4a: no instance leaks holds, queued packets, armed dirty
+    tracking, or — for the instances named in *tag_suspects* (killed/orphaned
+    ones and a failed move's destination) — ``(op_id, round)`` install tags."""
+    violations: List[InvariantViolation] = []
+    for name, middlebox in instances.items():
+        if middlebox._held_flows or middlebox._held_packets:
+            queued = sum(len(q) for q in middlebox._held_packets.values())
+            violations.append(
+                InvariantViolation("conservation", f"{name} leaked packet holds: flows={len(middlebox._held_flows)} queued={queued}")
+            )
+        for role, store in (("support", middlebox.support_store), ("report", middlebox.report_store)):
+            if store.tracking_dirty:
+                violations.append(InvariantViolation("conservation", f"{name}.{role} store left with dirty tracking armed"))
+        if name in tag_suspects:
+            tags = middlebox.support_store.install_round_count + middlebox.report_store.install_round_count
+            if tags:
+                violations.append(InvariantViolation("conservation", f"{name} holds {tags} orphaned (op_id, round) install tags"))
+    return violations
+
+
+# -- topologies: where the scenario's instances live ------------------------------------
+
+
+class _OneController:
+    """One controller owns every instance; nothing beyond the workload happens.
+
+    A topology builds the control plane (its fault streams come off the master
+    Random before any instance channel's), names the workload's ``controller``
+    and how instances ``register``, and adds five hooks — all empty here.
+    """
+
+    def __init__(self, sim: Simulator, spec: ChaosSpec, config: ControllerConfig, master: random.Random) -> None:
+        self.controller = MBController(sim, config)
+        self.register = self.controller.register
+
+    def add_instances(self, add: Callable, source: ChaosMiddlebox) -> None:
+        """Extra instances (none)."""
+
+    def script(self) -> None:
+        """Extra scripted events (none)."""
+
+    def settled(self) -> bool:
+        """Extra settle condition (none)."""
+        return True
+
+    def drain(self) -> int:
+        """Extra drain (none); returns the gossip rounds the topology ran."""
+        return 0
+
+    def audit(self, result: ChaosResult) -> None:
+        """Extra invariants (none)."""
+
+
+class _ThreeDomains:
+    """Three gossiping domains over WAN links carrying the spec's fault profile.
+
+    The workload runs entirely inside ``chaos-dc0`` — so the four classic
+    invariants apply to it unchanged — while ``chaos-dc2``, home of the
+    populated orphan-to-be :data:`FED_AUX`, has its controller crashed at
+    ``spec.kill_time``.  The survivors must suspect the death, elect the
+    unique rendezvous successor and adopt the orphan via the crash-safe purge
+    path with its per-flow state intact, the ownership directory re-homed and
+    their gossip views converged.
+    """
+
+    def __init__(self, sim: Simulator, spec: ChaosSpec, config: ControllerConfig, master: random.Random) -> None:
+        self.sim, self.spec = sim, spec
+        profile = FAULT_PROFILES[spec.profile]
+        fed_config = FederationConfig(
+            gossip=GossipConfig(fanout=2, interval=1e-3, ttl=0.25, seed=master.randrange(2**31)),
+            # Above the worst single-retransmit stall of the reliable WAN channel
+            # (a dropped digest head-of-line blocks in-order delivery for about a
+            # retransmit timeout, ~15 ms at 2 ms base latency) so false suspicion
+            # between survivors stays rare; the obituary-healing path in
+            # FederatedDomain covers the residual double-drop cases.
+            suspicion_timeout=2.5e-2,
+        )
+        self.federation = federation = Federation(sim, fed_config)
+        for domain_name in FED_DOMAINS:
+            federation.add_domain(domain_name, controller_config=config)
+        for i, a in enumerate(FED_DOMAINS):
+            for b in FED_DOMAINS[i + 1 :]:
+                plan = FaultPlan.symmetric(master.randrange(2**31), **profile) if profile else None
+                federation.connect(a, b, latency=2e-3, bandwidth=12.5e6, faults=plan)
+        self.workload, self.victim = federation.domains[FED_DOMAINS[0]], federation.domains[FED_DOMAINS[2]]
+        self.controller = self.workload.controller
+        self.register = self.workload.register
+
+    def add_instances(self, add: Callable, source: ChaosMiddlebox) -> None:
+        """The victim domain's populated instance; both domains claim their flows."""
+        self.aux = aux = add(FED_AUX, flows=self.spec.flows, subnet="10.9", register=self.victim.register)
+        for domain, middlebox in ((self.workload, source), (self.victim, aux)):
+            domain.claim_flows([middlebox.flow_key_for(i).bidirectional() for i in range(self.spec.flows)])
+        self.aux_expected = set(aux.flow_seqs())
+
+    def script(self) -> None:
+        """Crash the victim domain's controller at ``kill_time`` (default 4 ms)."""
+        crash_at = self.spec.kill_time if self.spec.kill_time is not None else 4e-3
+        self.sim.schedule(crash_at, lambda: self.federation.crash_domain(self.victim.name))
+
+    def settled(self) -> bool:
+        """Some survivor adopted the dead domain and the gossip views agree."""
+        return any(domain.takeovers for domain in self.federation.live_domains()) and self.federation.converged()
+
+    def drain(self) -> int:
+        """Wait out membership churn, then freeze the federation and count its rounds.
+
+        A rare false suspicion between the survivors (a WAN retransmit stall)
+        may churn the membership views during the drain; the healing path always
+        re-converges them, and stop() at a diverged instant would fossilise it.
+        """
+        sim, federation = self.sim, self.federation
+        while sim.now < self.spec.limit and not federation.converged() and sim.pending_events:
+            sim.run(until=min(self.spec.limit, sim.now + 0.01))
+        federation.stop()
+        sim.run(until=sim.now + 0.05)
+        return sum(domain.gossip_rounds for domain in federation.live_domains())
+
+    def audit(self, result: ChaosResult) -> None:
+        """Exactly one elected adopter, the orphan re-homed intact, views converged."""
+        federation, victim = self.federation, self.victim.name
+
+        def violated(invariant: str, detail: str) -> None:
+            result.violations.append(InvariantViolation(invariant, detail))
+
+        adopters = sorted(domain.name for domain in federation.live_domains() if victim in domain.takeovers)
+        if len(adopters) != 1:
+            violated("takeover", f"expected exactly one elected adopter of {victim}, got {adopters}")
+        else:
+            result.takeover_by = adopters[0]
+            adopter = federation.domains[adopters[0]]
+            if not adopter.controller.is_registered(FED_AUX):
+                violated("takeover", f"{adopters[0]} elected but never re-homed {FED_AUX}")
+            orphan_tokens = adopter.directory.tokens_owned_by(victim)
+            if orphan_tokens:
+                violated("takeover", f"{len(orphan_tokens)} ownership entries still homed in dead {victim}")
+        result.federation_converged = federation.converged()
+        if not result.federation_converged:
+            violated("takeover", "surviving domains' gossip views never converged")
+        missing = self.aux_expected - set(self.aux.flow_seqs())
+        if missing:
+            violated("lost-updates", f"{FED_AUX} lost {len(missing)} per-flow entries in the takeover")
+
+
+# -- the scenario program ---------------------------------------------------------------
+
+
+class _Scenario:
+    """The one scenario program: build the world from the single master Random,
+    load it, start the move, script the crash, drive to quiescence, capture, audit."""
+
+    def __init__(self, spec: ChaosSpec, topology_class: type, runtime) -> None:
+        self.spec = spec
+        self.sim = sim = runtime if runtime is not None else Simulator()
+        master = random.Random(spec.seed)
+        self.liveness = spec.kill is not None and spec.detect == "liveness"
+        config = ControllerConfig(
+            quiescence_timeout=spec.quiescence,
+            num_shards=spec.shards,
+            heartbeat_interval=1e-3 if self.liveness else None,
+            liveness_timeout=4e-3,
+        )
+        profile = FAULT_PROFILES[spec.profile]
+        # Master Random draw order: the topology's streams, then one plan per
+        # control channel in registration order, then one per data path.
+        self.topology = topology = topology_class(sim, spec, config, master)
+        self.controller = topology.controller
+        self.mbs: Dict[str, ChaosMiddlebox] = {}
+        self.channels: Dict[str, ControlChannel] = {}
+
+        def add(name: str, *, flows: int = 0, subnet: str = "10.7", register: Callable = topology.register) -> ChaosMiddlebox:
+            middlebox = ChaosMiddlebox(sim, name, flows=flows, subnet=subnet)
+            channel = None
+            if profile is not None:
+                # Every channel gets its own fault stream, but all seeds derive
+                # from the single master Random — the reproducibility contract.
+                plan = FaultPlan.symmetric(master.randrange(2**31), **profile)
+                channel = ControlChannel(sim, f"chan-{name}", faults=plan)
+            # Keep our own reference: killed/unregistered instances disappear
+            # from the controller, but their channels' fault counters must still
+            # be part of the result's accounting.
+            self.channels[name] = register(middlebox, channel=channel)
+            self.mbs[name] = middlebox
+            return middlebox
+
+        source = add(SRC, flows=spec.flows)
+        add(DST)
+        if spec.standby:
+            add(STANDBY)
+        topology.add_instances(add, source)
+        self.data_paths = _build_data_paths(sim, spec, self.mbs, master)
+        self.driver = _TrafficDriver(sim, spec, self.mbs, paths=self.data_paths)
+        self.handle = None
+        self.killed: Optional[str] = None
+
+    def run(self) -> ChaosResult:
+        """Run the scenario to quiescence and evaluate the invariants."""
+        sim, spec, driver = self.sim, self.spec, self.driver
+        driver.start()
+        self.controller.subscribe_events(self._on_introspection)
+        sim.schedule(MOVE_AT, self._start_move)
+        self._script_crash()
+        self.topology.script()
+        while sim.now < spec.limit and not self._settled() and (sim.pending_events or sim.now == 0.0):
+            sim.run(until=min(spec.limit, sim.now + 0.01))
+        # Let retransmission timers, releases, and late replays drain fully.
+        sim.run(until=sim.now + 3 * spec.quiescence + 0.05)
+        gossip_rounds = self.topology.drain()
+        result = ChaosResult(spec, settled_at=sim.now, executed_events=sim.executed_events, gossip_rounds=gossip_rounds)
+        result.delivered = driver.delivered
+        result.final_state = {
+            name: {str(key): list(seqs) for key, seqs in sorted(middlebox.flow_seqs().items(), key=lambda kv: str(kv[0]))}
+            for name, middlebox in self.mbs.items()
+        }
+        self._audit(result)
+        return result
+
+    def _on_introspection(self, event) -> None:
+        if event.code == EventCode.INSTANCE_DOWN:
+            self.driver.mark_dead(event.mb_name)
+
+    def _start_move(self) -> None:
+        standby = STANDBY if self.spec.standby else None
+        self.handle = self.controller.move_internal(SRC, DST, FlowPattern.wildcard(), self.spec.transfer_spec(), standby=standby)
+        if self.spec.reroute_enabled:
+            self.handle.state_installed.add_done_callback(self.driver.on_state_installed)
+
+    def _script_crash(self) -> None:
+        """Kill ``spec.kill`` at ``kill_time``, or once ``kill_at_round`` pre-copy rounds finished."""
+        sim, spec = self.sim, self.spec
+        target = {"src": SRC, "dst": DST}.get(spec.kill or "", None)
+        if target is None:
+            return
+
+        def do_kill() -> None:
+            if self.killed is None:
+                self.killed = target
+                self.driver.mark_dead(target)
+                self.controller.kill(target, declare=not self.liveness)
+
+        def round_probe() -> None:
+            handle = self.handle
+            if self.killed is not None:
+                return
+            if handle is not None and handle.completed.done:
+                return  # the move finished before the scripted round
+            if handle is not None and len(handle.record.rounds) >= spec.kill_at_round:
+                do_kill()
+                return
+            sim.schedule(2e-4, round_probe)
+
+        if spec.kill_at_round is not None:
+            sim.schedule(MOVE_AT, round_probe)
+        else:
+            sim.schedule(spec.kill_time if spec.kill_time is not None else 2e-3, do_kill)
+
+    def _settled(self) -> bool:
+        handle = self.handle
+        terminal = handle is not None and handle.completed.done and handle.finalized.done
+        return terminal and self.driver.finished and self.topology.settled()
+
+    def _audit(self, result: ChaosResult) -> None:
+        """Fill in outcome, counters and every invariant violation, in a fixed order."""
+        handle, spec, mbs, violations = self.handle, self.spec, self.mbs, result.violations
+        # -- invariant 1: termination ------------------------------------------------
+        if handle is None or not handle.completed.done:
+            violations.append(
+                InvariantViolation("termination", f"operation did not reach a terminal state by t={self.sim.now:.3f}")
+            )
+            return
+        if handle.completed.exception is None:
+            result.outcome = "completed"
+            result.move_duration = handle.record.duration
+            result.freeze_window = handle.record.freeze_window
+        else:
+            result.outcome = "failed"
+            result.error = str(handle.completed.exception)
+        if not handle.finalized.done:
+            violations.append(InvariantViolation("termination", "completed but never finalized (quiescence step stuck)"))
+        result.retried_on_standby = bool(getattr(handle, "retried", False))
+        self.topology.audit(result)
+        _account_channels(result, self.channels)
+        if self.data_paths is not None:
+            _account_data_paths(result, self.data_paths)
+        # -- invariant 4a: no leaked holds / tags / tracking ---------------------------
+        violations += audit_conservation(mbs, tag_suspects={self.killed, DST if result.outcome == "failed" else None})
+        # -- invariants 2 + 3: update fate ---------------------------------------------
+        sent = self.driver.sent
+        if result.outcome == "completed":
+            owner = STANDBY if result.retried_on_standby else DST
+            journals = mbs[owner].flow_seqs()
+            violations += audit_journals(spec.guarantee, sent, journals, owner=owner)
+            result.lost_updates = lost_updates(sent, journals)
+            if spec.guarantee in ("loss_free", "order_preserving") and handle.finalized.exception is None:
+                # The move finalised: the source must have handed everything off.
+                leftovers = sum(len(seqs) for seqs in mbs[SRC].flow_seqs().values())
+                if leftovers:
+                    violations.append(InvariantViolation("conservation", f"source retained {leftovers} seqs after finalize"))
+        elif self.killed != SRC:
+            # A failed (crash-aborted) move must leave the source authoritative:
+            # every update delivered to a then-alive source survives there.
+            journals = mbs[SRC].flow_seqs()
+            violations += audit_source_retention(sent, journals)
+            result.lost_updates = lost_updates(sent, journals)
+
+
 def run_chaos(spec: ChaosSpec, *, runtime=None) -> ChaosResult:
-    """Run one chaos scenario to quiescence and evaluate the four invariants.
+    """Run one chaos scenario under a single controller and evaluate the four invariants.
 
     Args:
         spec: the scenario.
@@ -414,171 +793,17 @@ def run_chaos(spec: ChaosSpec, *, runtime=None) -> ChaosResult:
             :class:`~repro.runtime.RealtimeRuntime` runs the same scenario on
             the wall clock (the caller owns its lifecycle, i.e. ``close()``).
     """
-    master = random.Random(spec.seed)
-    sim = runtime if runtime is not None else Simulator()
-    liveness = spec.kill is not None and spec.detect == "liveness"
-    config = ControllerConfig(
-        quiescence_timeout=spec.quiescence,
-        num_shards=spec.shards,
-        heartbeat_interval=1e-3 if liveness else None,
-        liveness_timeout=4e-3,
-    )
-    controller = MBController(sim, config)
-    northbound = NorthboundAPI(controller)
-    profile = FAULT_PROFILES[spec.profile]
-    mbs: Dict[str, ChaosMiddlebox] = {}
-    channels: Dict[str, ControlChannel] = {}
+    return _Scenario(spec, _OneController, runtime).run()
 
-    def add(name: str, flows: int = 0) -> ChaosMiddlebox:
-        middlebox = ChaosMiddlebox(sim, name, flows=flows)
-        channel = None
-        if profile is not None:
-            # Every channel gets its own fault stream, but all seeds derive
-            # from the single master Random — the reproducibility contract.
-            plan = FaultPlan.symmetric(master.randrange(2**31), **profile)
-            channel = ControlChannel(sim, f"chan-{name}", faults=plan)
-        # Keep our own reference: killed/unregistered instances disappear
-        # from the controller, but their channels' fault counters must still
-        # be part of the result's accounting.
-        channels[name] = controller.register(middlebox, channel=channel)
-        mbs[name] = middlebox
-        return middlebox
 
-    add(SRC, flows=spec.flows)
-    add(DST)
-    if spec.standby:
-        add(STANDBY)
+def run_federated_chaos(spec: ChaosSpec, *, runtime=None) -> ChaosResult:
+    """Run the same scenario inside a three-domain federation one domain of which dies.
 
-    data_paths = _build_data_paths(sim, spec, mbs, master)
-    driver = _TrafficDriver(sim, spec, mbs, paths=data_paths)
-    driver.start()
-
-    result = ChaosResult(spec=spec)
-    state: Dict[str, object] = {"handle": None, "killed": None}
-
-    def on_introspection(event) -> None:
-        if event.code == EventCode.INSTANCE_DOWN:
-            driver.mark_dead(event.mb_name)
-            driver.pause(sim.now + spec.switch_gap)
-
-    northbound.subscribe_events(on_introspection)
-
-    def start_move() -> None:
-        handle = controller.move_internal(
-            SRC,
-            DST,
-            FlowPattern.wildcard(),
-            spec.transfer_spec(),
-            standby=STANDBY if spec.standby else None,
-        )
-        state["handle"] = handle
-        if spec.reroute_enabled:
-            def on_installed(future) -> None:
-                if future.exception is None and DST not in driver._dead:
-                    driver.switch_to(DST)
-
-            handle.state_installed.add_done_callback(on_installed)
-
-    sim.schedule(spec.move_at, start_move)
-
-    # -- scripted crash -----------------------------------------------------------
-    kill_target = {"src": SRC, "dst": DST}.get(spec.kill or "", None)
-
-    def do_kill() -> None:
-        if state["killed"] is not None:
-            return
-        state["killed"] = kill_target
-        driver.mark_dead(kill_target)
-        driver.pause(sim.now + spec.switch_gap)
-        controller.kill(kill_target, declare=not liveness)
-
-    if kill_target is not None:
-        if spec.kill_at_round is not None:
-            def round_probe() -> None:
-                handle = state["handle"]
-                if state["killed"] is not None:
-                    return
-                if handle is not None and handle.completed.done:
-                    return  # the move finished before the scripted round
-                if handle is not None and len(handle.record.rounds) >= spec.kill_at_round:
-                    do_kill()
-                    return
-                sim.schedule(2e-4, round_probe)
-
-            sim.schedule(spec.move_at, round_probe)
-        else:
-            sim.schedule(spec.kill_time if spec.kill_time is not None else 2e-3, do_kill)
-
-    # -- drive to quiescence --------------------------------------------------------
-    def settled() -> bool:
-        handle = state["handle"]
-        return (
-            handle is not None
-            and handle.completed.done
-            and handle.finalized.done
-            and driver.finished
-        )
-
-    while sim.now < spec.limit and not settled() and (sim.pending_events or sim.now == 0.0):
-        sim.run(until=min(spec.limit, sim.now + 0.01))
-    # Let retransmission timers, releases, and late replays drain fully.
-    sim.run(until=sim.now + 3 * spec.quiescence + 0.05)
-
-    result.settled_at = sim.now
-    result.executed_events = sim.executed_events
-    result.delivered = driver.delivered
-    _capture_final_state(result, mbs)
-    handle = state["handle"]
-
-    # -- invariant 1: termination ----------------------------------------------------
-    if handle is None or not handle.completed.done:
-        result.violations.append(
-            InvariantViolation("termination", f"operation did not reach a terminal state by t={sim.now:.3f}")
-        )
-        return result
-    if handle.completed.exception is None:
-        result.outcome = "completed"
-        result.move_duration = handle.record.duration
-        result.freeze_window = handle.record.freeze_window
-    else:
-        result.outcome = "failed"
-        result.error = str(handle.completed.exception)
-    if not handle.finalized.done:
-        result.violations.append(
-            InvariantViolation("termination", "completed but never finalized (quiescence step stuck)")
-        )
-    retried = bool(getattr(handle, "retried", False))
-    result.retried_on_standby = retried
-
-    _account_channels(result, channels)
-    if data_paths is not None:
-        _account_data_paths(result, data_paths)
-
-    # -- invariant 4a: no leaked holds / tags / tracking ------------------------------
-    killed = state["killed"]
-    tag_suspects = {name for name in (killed,) if name is not None}
-    if result.outcome == "failed":
-        tag_suspects.add(DST)
-    _check_conservation(result, mbs, tag_suspects)
-
-    # -- invariants 2 + 3: update fate ------------------------------------------------
-    sent = driver.sent
-    if result.outcome == "completed":
-        owner_name = STANDBY if retried else DST
-        _check_owner_state(result, spec, sent, mbs[owner_name].flow_seqs(), owner_name)
-        if spec.guarantee in ("loss_free", "order_preserving") and handle.finalized.exception is None:
-            # The move finalised: the source must have handed everything off.
-            leftovers = sum(len(seqs) for seqs in mbs[SRC].flow_seqs().values())
-            if leftovers:
-                result.violations.append(
-                    InvariantViolation("conservation", f"source retained {leftovers} seqs after finalize")
-                )
-    else:
-        # A failed (crash-aborted) move must leave the source authoritative:
-        # every update delivered to a then-alive source survives there.
-        if killed != SRC:
-            _check_source_retention(result, sent, mbs[SRC].flow_seqs())
-    return result
+    Same program, *spec* fields and *runtime* argument as :func:`run_chaos`; the
+    topology (:class:`_ThreeDomains`) adds the lossy inter-domain WAN, the orphan
+    :data:`FED_AUX`, the domain crash at ``spec.kill_time`` and the takeover invariants.
+    """
+    return _Scenario(spec, _ThreeDomains, runtime).run()
 
 
 def _account_channels(result: ChaosResult, channels: Dict[str, ControlChannel]) -> None:
@@ -602,263 +827,3 @@ def _account_data_paths(result: ChaosResult, paths: Dict[str, _DataPath]) -> Non
         result.data_retransmits += summary.retransmits
         result.data_abandoned += summary.abandoned
         result.data_reordered += path.link.stats_a_to_b.reordered + path.link.stats_b_to_a.reordered
-
-
-def _capture_final_state(result: ChaosResult, mbs: Dict[str, ChaosMiddlebox]) -> None:
-    """Record every instance's seq journals (the equivalence-comparison material)."""
-    result.final_state = {
-        name: {str(key): list(seqs) for key, seqs in sorted(middlebox.flow_seqs().items(), key=lambda kv: str(kv[0]))}
-        for name, middlebox in mbs.items()
-    }
-
-
-def _check_conservation(result: ChaosResult, mbs: Dict[str, ChaosMiddlebox], tag_suspects) -> None:
-    """Invariant 4a: no instance leaks holds, queued packets, armed dirty
-    tracking, or — for the instances in *tag_suspects* (killed/orphaned ones
-    and a failed move's destination) — ``(op_id, round)`` install tags."""
-    for name, middlebox in mbs.items():
-        if middlebox._held_flows or middlebox._held_packets:
-            result.violations.append(
-                InvariantViolation(
-                    "conservation",
-                    f"{name} leaked packet holds: flows={len(middlebox._held_flows)} "
-                    f"queued={sum(len(q) for q in middlebox._held_packets.values())}",
-                )
-            )
-        for role, store in (("support", middlebox.support_store), ("report", middlebox.report_store)):
-            if store.tracking_dirty:
-                result.violations.append(
-                    InvariantViolation("conservation", f"{name}.{role} store left with dirty tracking armed")
-                )
-        if name in tag_suspects:
-            tags = middlebox.support_store.install_round_count + middlebox.report_store.install_round_count
-            if tags:
-                result.violations.append(
-                    InvariantViolation("conservation", f"{name} holds {tags} orphaned (op_id, round) install tags")
-                )
-
-
-def run_federated_chaos(spec: ChaosSpec) -> ChaosResult:
-    """Run the federated chaos scenario: domain death under a lossy WAN.
-
-    Three controller domains gossip over inter-domain channels faulted with
-    the spec's profile (the "lossy inter-domain channel" axis).  The standard
-    move-under-load workload runs entirely inside ``chaos-dc0`` — so the four
-    classic invariants apply to it unchanged — while ``chaos-dc2``'s
-    controller is crashed mid-run.  The surviving domains must suspect the
-    death, elect the unique rendezvous successor, and adopt the victim's
-    orphan instance (:data:`FED_AUX`) via the crash-safe purge path, with its
-    populated per-flow state intact, the ownership directory re-homed, and
-    the survivors' gossip views converged.  All of it is seeded by the same
-    single master ``random.Random`` discipline as :func:`run_chaos`.
-    """
-    master = random.Random(spec.seed)
-    sim = Simulator()
-    profile = FAULT_PROFILES[spec.profile]
-    fed_config = FederationConfig(
-        gossip=GossipConfig(fanout=2, interval=1e-3, ttl=0.25, seed=master.randrange(2**31)),
-        # Above the worst single-retransmit stall of the reliable WAN channel
-        # (a dropped digest head-of-line blocks in-order delivery for about a
-        # retransmit timeout, ~15 ms at 2 ms base latency) so false suspicion
-        # between survivors stays rare; the obituary-healing path in
-        # FederatedDomain covers the residual double-drop cases.
-        suspicion_timeout=2.5e-2,
-    )
-    federation = Federation(sim, fed_config)
-    controller_config = ControllerConfig(quiescence_timeout=spec.quiescence, num_shards=spec.shards)
-    for domain_name in FED_DOMAINS:
-        federation.add_domain(domain_name, controller_config=controller_config)
-    for i, a in enumerate(FED_DOMAINS):
-        for b in FED_DOMAINS[i + 1 :]:
-            plan = FaultPlan.symmetric(master.randrange(2**31), **profile) if profile else None
-            federation.connect(a, b, latency=2e-3, bandwidth=12.5e6, faults=plan)
-    workload, victim = federation.domains[FED_DOMAINS[0]], federation.domains[FED_DOMAINS[2]]
-
-    mbs: Dict[str, ChaosMiddlebox] = {}
-    channels: Dict[str, ControlChannel] = {}
-
-    def add(domain, name: str, flows: int = 0, subnet: str = "10.7") -> ChaosMiddlebox:
-        middlebox = ChaosMiddlebox(sim, name, flows=flows, subnet=subnet)
-        channel = None
-        if profile is not None:
-            plan = FaultPlan.symmetric(master.randrange(2**31), **profile)
-            channel = ControlChannel(sim, f"chan-{name}", faults=plan)
-        channels[name] = domain.register(middlebox, channel=channel)
-        mbs[name] = middlebox
-        return middlebox
-
-    source = add(workload, SRC, flows=spec.flows)
-    add(workload, DST)
-    aux = add(victim, FED_AUX, flows=spec.flows, subnet="10.9")
-    workload.claim_flows([key.bidirectional() for key in (source.flow_key_for(i) for i in range(spec.flows))])
-    victim.claim_flows([key.bidirectional() for key in (aux.flow_key_for(i) for i in range(spec.flows))])
-    aux_expected = {key: dict(record) for key, record in aux.support_store.items()}
-
-    driver = _TrafficDriver(sim, spec, mbs)
-    driver.start()
-
-    result = ChaosResult(spec=spec)
-    state: Dict[str, object] = {"handle": None}
-
-    def start_move() -> None:
-        state["handle"] = workload.controller.move_internal(SRC, DST, FlowPattern.wildcard(), spec.transfer_spec())
-
-    sim.schedule(spec.move_at, start_move)
-    crash_at = spec.kill_time if spec.kill_time is not None else 4e-3
-    sim.schedule(crash_at, lambda: federation.crash_domain(victim.name))
-
-    def adopted() -> bool:
-        return any(domain.takeovers for domain in federation.live_domains())
-
-    def settled() -> bool:
-        handle = state["handle"]
-        return (
-            handle is not None
-            and handle.completed.done
-            and handle.finalized.done
-            and driver.finished
-            and adopted()
-            and federation.converged()
-        )
-
-    while sim.now < spec.limit and not settled() and (sim.pending_events or sim.now == 0.0):
-        sim.run(until=min(spec.limit, sim.now + 0.01))
-    sim.run(until=sim.now + 3 * spec.quiescence + 0.05)
-    # A rare false suspicion between the survivors (a WAN retransmit stall)
-    # may have churned the membership views during the drain; the healing
-    # path always re-converges them, so wait for that before freezing the
-    # federation — stop() at a diverged instant would fossilise the churn.
-    while sim.now < spec.limit and not federation.converged() and sim.pending_events:
-        sim.run(until=min(spec.limit, sim.now + 0.01))
-    federation.stop()
-    sim.run(until=sim.now + 0.05)
-
-    result.settled_at = sim.now
-    result.executed_events = sim.executed_events
-    result.delivered = driver.delivered
-    result.gossip_rounds = sum(domain.gossip_rounds for domain in federation.live_domains())
-    _capture_final_state(result, mbs)
-    handle = state["handle"]
-
-    # -- invariant 1: termination (workload move + takeover + convergence) -----------
-    if handle is None or not handle.completed.done:
-        result.violations.append(
-            InvariantViolation("termination", f"operation did not reach a terminal state by t={sim.now:.3f}")
-        )
-        return result
-    if handle.completed.exception is None:
-        result.outcome = "completed"
-        result.move_duration = handle.record.duration
-        result.freeze_window = handle.record.freeze_window
-    else:
-        result.outcome = "failed"
-        result.error = str(handle.completed.exception)
-    if not handle.finalized.done:
-        result.violations.append(
-            InvariantViolation("termination", "completed but never finalized (quiescence step stuck)")
-        )
-
-    # -- federated invariants: elected takeover, adoption, convergence ---------------
-    adopters = sorted(domain.name for domain in federation.live_domains() if victim.name in domain.takeovers)
-    if len(adopters) != 1:
-        result.violations.append(
-            InvariantViolation("takeover", f"expected exactly one elected adopter of {victim.name}, got {adopters}")
-        )
-    else:
-        result.takeover_by = adopters[0]
-        adopter = federation.domains[adopters[0]]
-        if not adopter.controller.is_registered(FED_AUX):
-            result.violations.append(
-                InvariantViolation("takeover", f"{adopters[0]} elected but never re-homed {FED_AUX}")
-            )
-        orphan_tokens = adopter.directory.tokens_owned_by(victim.name)
-        if orphan_tokens:
-            result.violations.append(
-                InvariantViolation(
-                    "takeover", f"{len(orphan_tokens)} ownership entries still homed in dead {victim.name}"
-                )
-            )
-    result.federation_converged = federation.converged()
-    if not result.federation_converged:
-        result.violations.append(
-            InvariantViolation("takeover", "surviving domains' gossip views never converged")
-        )
-    observed_aux = {key: record for key, record in aux.support_store.items()}
-    missing = [key for key in aux_expected if key not in observed_aux]
-    if missing:
-        result.violations.append(
-            InvariantViolation("lost-updates", f"{FED_AUX} lost {len(missing)} per-flow entries in the takeover")
-        )
-
-    _account_channels(result, channels)
-
-    # -- invariants 2-4 on the workload move -----------------------------------------
-    tag_suspects = {DST} if result.outcome == "failed" else set()
-    _check_conservation(result, mbs, tag_suspects)
-    if result.outcome == "completed":
-        _check_owner_state(result, spec, driver.sent, mbs[DST].flow_seqs(), DST)
-        if spec.guarantee in ("loss_free", "order_preserving") and handle.finalized.exception is None:
-            leftovers = sum(len(seqs) for seqs in mbs[SRC].flow_seqs().values())
-            if leftovers:
-                result.violations.append(
-                    InvariantViolation("conservation", f"source retained {leftovers} seqs after finalize")
-                )
-    else:
-        _check_source_retention(result, driver.sent, mbs[SRC].flow_seqs())
-    return result
-
-
-def _check_owner_state(
-    result: ChaosResult,
-    spec: ChaosSpec,
-    sent: Dict[FlowKey, List[int]],
-    observed: Dict[FlowKey, List[int]],
-    owner_name: str,
-) -> None:
-    """Compare the surviving owner's seq journals against what was delivered."""
-    lost_total = 0
-    for key, expected in sorted(sent.items()):
-        seqs = observed.get(key, [])
-        unique = set(seqs)
-        if len(unique) != len(seqs):
-            doubled = sorted({seq for seq in seqs if seqs.count(seq) > 1})
-            result.violations.append(
-                InvariantViolation("lost-updates", f"{owner_name} double-applied seqs {doubled} for {key}")
-            )
-        fabricated = unique - set(expected)
-        if fabricated:
-            result.violations.append(
-                InvariantViolation("conservation", f"{owner_name} fabricated seqs {sorted(fabricated)} for {key}")
-            )
-        missing = set(expected) - unique
-        lost_total += len(missing)
-        if missing and spec.guarantee in ("loss_free", "order_preserving"):
-            result.violations.append(
-                InvariantViolation(
-                    "lost-updates",
-                    f"{owner_name} lost {len(missing)} update(s) for {key}: {sorted(missing)[:6]}",
-                )
-            )
-        if spec.guarantee == "order_preserving":
-            if any(later <= earlier for earlier, later in zip(seqs, seqs[1:])):
-                result.violations.append(
-                    InvariantViolation("reordering", f"{owner_name} applied {key} out of order: {seqs}")
-                )
-    result.lost_updates = lost_total
-
-
-def _check_source_retention(
-    result: ChaosResult, sent: Dict[FlowKey, List[int]], observed: Dict[FlowKey, List[int]]
-) -> None:
-    """After a crash-aborted move the (alive) source must retain every update."""
-    for key, expected in sorted(sent.items()):
-        seqs = observed.get(key, [])
-        missing = set(expected) - set(seqs)
-        if missing:
-            result.violations.append(
-                InvariantViolation(
-                    "conservation",
-                    f"aborted move lost {len(missing)} update(s) at the source for {key}",
-                )
-            )
-        result.lost_updates += len(missing)

@@ -18,7 +18,8 @@ each runtime and compares every **observable outcome**:
   the unsynchronised window are allowed to be lost), so only termination,
   conservation, and the owner-holds-a-subset property are compared;
 * per-run internal consistency: under ``order_preserving`` each flow's
-  journal must be strictly increasing *within each run*.
+  journal must be strictly increasing *within each run* (the auditor's
+  :func:`~repro.testing.chaos.strictly_increasing`, on every instance).
 
 What is deliberately **not** compared: timings (durations, freeze windows,
 settle times), event counts (``executed_events`` is schedule-dependent),
@@ -30,6 +31,11 @@ Scenarios run with the ``clean`` fault profile: fault injection draws from a
 seeded RNG *in delivery order*, which differs across runtimes by design, so a
 faulted differential comparison would compare two different fault sequences.
 Fault behaviour on the realtime runtime is covered by the soak test instead.
+
+:func:`compare_results` compares two results of one spec,
+whichever entry point produced them: ``run_federated_chaos`` takes the same
+``runtime=`` argument, so the three-domain topology is compared the same way
+(``tests/test_runtime_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Dict, List, Optional
 
 from ..net.simulator import Simulator
 from ..runtime import RuntimeConfig
-from .chaos import DST, SRC, ChaosResult, ChaosSpec, run_chaos
+from .chaos import DST, SRC, ChaosResult, ChaosSpec, run_chaos, strictly_increasing
 
 
 @dataclass
@@ -69,22 +75,13 @@ def _seq_sets(state: Dict[str, List[int]]) -> Dict[str, frozenset]:
     return {flow: frozenset(seqs) for flow, seqs in state.items() if seqs}
 
 
-def _check_monotonic(result: ChaosResult, runtime_name: str, mismatches: List[str]) -> None:
-    """Order-preserving runs: every journal must be strictly increasing per run."""
-    for name, flows in result.final_state.items():
-        for flow, seqs in flows.items():
-            if any(later <= earlier for earlier, later in zip(seqs, seqs[1:])):
-                mismatches.append(
-                    f"[{runtime_name}] {name} journal for {flow} not strictly increasing: {seqs}"
-                )
-
-
 def compare_results(spec: ChaosSpec, simulated: ChaosResult, realtime: ChaosResult) -> EquivalenceReport:
     """Compare the observable outcomes of the two runs of *spec*."""
     report = EquivalenceReport(spec=spec, simulated=simulated, realtime=realtime)
     mismatches = report.mismatches
 
-    for runtime_name, result in (("simulated", simulated), ("realtime", realtime)):
+    runs = (("simulated", simulated), ("realtime", realtime))
+    for runtime_name, result in runs:
         for violation in result.violations:
             mismatches.append(f"[{runtime_name}] invariant violated: {violation}")
 
@@ -94,8 +91,13 @@ def compare_results(spec: ChaosSpec, simulated: ChaosResult, realtime: ChaosResu
         )
 
     if spec.guarantee == "order_preserving":
-        _check_monotonic(simulated, "simulated", mismatches)
-        _check_monotonic(realtime, "realtime", mismatches)
+        mismatches += [
+            f"[{runtime_name}] {name} journal for {flow} not strictly increasing: {seqs}"
+            for runtime_name, result in runs
+            for name, flows in result.final_state.items()
+            for flow, seqs in flows.items()
+            if not strictly_increasing(seqs)
+        ]
 
     if spec.guarantee in ("loss_free", "order_preserving"):
         # The guarantee pins the final state exactly: every delivered update
@@ -117,7 +119,7 @@ def compare_results(spec: ChaosSpec, simulated: ChaosResult, realtime: ChaosResu
         # fabricated — each run's owner seqs must be a subset of what that
         # run's driver delivered (enforced per run by the chaos invariants),
         # and both runs must have handed the source's journals off.
-        for runtime_name, result in (("simulated", simulated), ("realtime", realtime)):
+        for runtime_name, result in runs:
             if result.outcome == "completed":
                 src_left = sum(len(seqs) for seqs in result.final_state.get(SRC, {}).values())
                 if src_left:

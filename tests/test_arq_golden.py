@@ -20,15 +20,12 @@ Re-record it (only when the protocol is meant to change) with
 """
 
 import dataclasses
-import itertools
 import json
 from pathlib import Path
 
 import pytest
+from conftest import pin_ids
 
-import repro.core.events as events_module
-import repro.core.messages as messages_module
-import repro.core.operations as operations_module
 from repro.net import LinkFaultPlan, ProtectionConfig, ScriptedFault, Simulator, Topology, udp_packet
 from repro.net.links import A_TO_B, B_TO_A
 from repro.testing import ChaosSpec, run_chaos
@@ -67,11 +64,9 @@ REVERSE_FRAMES = 40
 
 
 def chaos_fingerprint(label: str) -> dict:
-    # Pin the process-wide id counters: their digit count is part of every
-    # message's wire size, hence of transfer times and of the durations below.
-    messages_module._xids = itertools.count(1)
-    events_module._event_ids = itertools.count(1)
-    operations_module._operation_ids = itertools.count(1)
+    # Their digit count is part of every message's wire size, hence of
+    # transfer times and of the durations below.
+    pin_ids()
     result = run_chaos(CHAOS_SPECS[label])
     result.assert_ok()
     return {name: getattr(result, name) for name in CHAOS_FIELDS}

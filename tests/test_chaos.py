@@ -14,6 +14,12 @@ chaos harness (:mod:`repro.testing.chaos`) and checks four invariants:
 The default matrix runs guarantee (3) x mode (2) x shards (1/4) x fault
 profile (4) x ``CHAOS_SEEDS`` seeds (default 5) = 240 seeded scenarios; the
 CI chaos job raises the seed count for a deeper fixed-seed sweep.
+
+Topology is a further axis, not a second program: ``run_federated_chaos`` runs
+the *same* scenario — every ``ChaosSpec`` field included — inside a
+three-domain federation one domain of which dies, and the four invariants are
+the auditor functions exported from :mod:`repro.testing`, unit-tested here on
+hand-built journals.
 """
 
 from __future__ import annotations
@@ -21,11 +27,23 @@ from __future__ import annotations
 import os
 
 import pytest
+from conftest import pin_ids
 
 from repro.core import ControllerConfig, MBController, NorthboundAPI
 from repro.middleboxes import NAT
 from repro.net import Simulator, tcp_packet
-from repro.testing import ChaosSpec, run_chaos, run_federated_chaos
+from repro.testing import (
+    ChaosMiddlebox,
+    ChaosSpec,
+    audit_conservation,
+    audit_journals,
+    audit_source_retention,
+    lost_updates,
+    run_chaos,
+    run_federated_chaos,
+    strictly_increasing,
+)
+from repro.testing.chaos import DST, SRC
 
 GUARANTEES = ("no_guarantee", "loss_free", "order_preserving")
 MODES = ("snapshot", "precopy")
@@ -89,6 +107,65 @@ class TestFederatedChaosProfile:
             assert result.federation_converged
             assert result.lost_updates == 0
 
+    @pytest.mark.parametrize("profile", ("lossy", "chaotic"))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_order_preserving_reroute_inside_the_federation(self, mode, profile):
+        """Reachable since the federated scenario is the one scenario program:
+        an ``order_preserving`` move re-routes live traffic mid-transfer (its
+        packet holds see packets) while a domain dies on a faulted WAN."""
+        for index in range(SEEDS):
+            spec = ChaosSpec(seed=index * 613 + 7, guarantee="order_preserving", mode=mode, profile=profile)
+            assert spec.reroute_enabled
+            result = run_federated_chaos(spec)
+            result.assert_ok()  # covers reordering at the owner
+            assert result.outcome == "completed"
+            assert result.takeover_by is not None
+            assert result.federation_converged
+            assert result.lost_updates == 0
+
+    @pytest.mark.parametrize("detect", ("declare", "liveness"))
+    def test_destination_kill_with_standby_and_domain_death_in_one_run(self, detect):
+        """dst-kill at round 1 retried on the standby *and* a domain death, on
+        ``jittery`` — the profile the benchmark runs its kill scenarios on
+        until ROADMAP 3(a) (false death verdicts under drops) lands."""
+        for index in range(SEEDS):
+            spec = ChaosSpec(
+                seed=index * 613 + 7,
+                guarantee="loss_free",
+                mode="precopy",
+                profile="jittery",
+                kill="dst",
+                kill_at_round=1,
+                detect=detect,
+                standby=True,
+            )
+            result = run_federated_chaos(spec)
+            result.assert_ok()
+            assert result.outcome == "completed"
+            assert result.retried_on_standby
+            assert result.takeover_by is not None
+            assert result.federation_converged
+            assert result.lost_updates == 0
+
+    def test_federated_move_over_a_faulted_data_plane(self):
+        wire_losses = 0
+        for index in range(min(SEEDS, 4)):
+            spec = ChaosSpec(
+                seed=index * 613 + 7,
+                guarantee="order_preserving",
+                mode="precopy",
+                profile="lossy",
+                data_profile="lossy-data-plane",
+                packets=150,
+                interval=1e-4,
+            )
+            result = run_federated_chaos(spec)
+            result.assert_ok()
+            assert result.outcome == "completed" and result.takeover_by is not None
+            assert result.lost_updates == 0 and result.data_abandoned == 0
+            wire_losses += result.data_wire_losses
+        assert wire_losses > 0, "the data-plane fault plan never fired"
+
     def test_federated_runs_are_seed_deterministic(self):
         spec = ChaosSpec(seed=29, guarantee="loss_free", mode="precopy", profile="chaotic")
         first = run_federated_chaos(spec)
@@ -101,6 +178,103 @@ class TestFederatedChaosProfile:
             second.retransmits,
         )
         assert first.takeover_by == second.takeover_by
+
+
+class TestTopologyBlindness:
+    """The workload cannot tell which topology it runs in.
+
+    On the clean profile the same spec under one controller and inside the
+    three-domain federation (gossip, a domain death and a takeover going on
+    around it) must produce the same move: outcome, deliveries, losses and the
+    source's and destination's final journals exactly; duration and freeze
+    window to 1 µs.  They are *not* bit-equal: gossip frames advance the
+    process-global xid counter, so the workload's messages carry xids with a
+    different digit count and travel tens of nanoseconds longer.  That is
+    ROADMAP 4(c)'s leak (process-wide id counters), not a topology effect.
+    """
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("guarantee", GUARANTEES)
+    def test_same_spec_same_move_under_both_topologies(self, guarantee, mode, shards):
+        spec = ChaosSpec(seed=5, guarantee=guarantee, mode=mode, shards=shards, profile="clean")
+        pin_ids()
+        plain = run_chaos(spec)
+        pin_ids()
+        federated = run_federated_chaos(spec)
+        plain.assert_ok()
+        federated.assert_ok()
+        assert federated.takeover_by is not None and plain.takeover_by is None
+        assert plain.outcome == federated.outcome == "completed"
+        assert plain.delivered == federated.delivered
+        assert plain.lost_updates == federated.lost_updates
+        for name in (SRC, DST):
+            assert plain.final_state[name] == federated.final_state[name]
+        assert plain.move_duration == pytest.approx(federated.move_duration, abs=1e-6)
+        assert plain.freeze_window == pytest.approx(federated.freeze_window, abs=1e-6)
+
+
+class TestInvariantAuditor:
+    """The four invariants as pure functions, on hand-built journals."""
+
+    SENT = {"flow-a": [1, 3, 5], "flow-b": [2, 4, 6]}
+
+    def kinds(self, guarantee, **journals):
+        held = {"flow-a": [1, 3, 5], "flow-b": [2, 4, 6], **{f"flow-{k}": v for k, v in journals.items()}}
+        return [violation.invariant for violation in audit_journals(guarantee, self.SENT, held, owner="dst")]
+
+    @pytest.mark.parametrize("guarantee", GUARANTEES)
+    def test_faithful_journals_are_clean(self, guarantee):
+        assert self.kinds(guarantee) == []
+
+    def test_doubled_seq_is_one_lost_updates_violation(self):
+        # Exactly-once is owed under every guarantee; under order_preserving a
+        # repeat is also, necessarily, not strictly increasing.
+        assert self.kinds("no_guarantee", a=[1, 3, 3, 5]) == ["lost-updates"]
+        assert self.kinds("loss_free", a=[1, 3, 3, 5]) == ["lost-updates"]
+        assert self.kinds("order_preserving", a=[1, 3, 3, 5]) == ["lost-updates", "reordering"]
+        (violation,) = audit_journals("loss_free", self.SENT, {"flow-a": [1, 3, 3, 5], "flow-b": [2, 4, 6]}, owner="dst")
+        assert "dst double-applied seqs [3] for flow-a" in str(violation)
+
+    @pytest.mark.parametrize("guarantee", GUARANTEES)
+    def test_fabricated_seq_is_one_conservation_violation_under_every_guarantee(self, guarantee):
+        assert self.kinds(guarantee, b=[2, 4, 6, 99]) == ["conservation"]
+
+    def test_missing_seq_is_a_violation_only_where_loss_is_not_legitimate(self):
+        assert self.kinds("no_guarantee", a=[1, 5]) == []
+        assert self.kinds("loss_free", a=[1, 5]) == ["lost-updates"]
+        assert self.kinds("order_preserving", a=[1, 5]) == ["lost-updates"]
+        assert self.kinds("loss_free", a=[]) == ["lost-updates"]
+        assert lost_updates(self.SENT, {"flow-a": [1, 5]}) == 4  # one of flow-a's, all of flow-b's
+
+    def test_swapped_seqs_are_a_violation_only_under_order_preserving(self):
+        assert self.kinds("no_guarantee", b=[2, 6, 4]) == []
+        assert self.kinds("loss_free", b=[2, 6, 4]) == []
+        assert self.kinds("order_preserving", b=[2, 6, 4]) == ["reordering"]
+
+    def test_violations_come_per_flow_in_key_order_then_check_order(self):
+        kinds = self.kinds("order_preserving", a=[3, 1], b=[2, 2, 4, 6, 7])
+        assert kinds == ["lost-updates", "reordering", "lost-updates", "conservation", "reordering"]
+
+    def test_strictly_increasing_is_strict(self):
+        assert strictly_increasing([]) and strictly_increasing([7]) and strictly_increasing([1, 2, 9])
+        assert not strictly_increasing([1, 1]) and not strictly_increasing([2, 1])
+
+    def test_source_retention_names_each_flow_that_lost_updates(self):
+        assert audit_source_retention(self.SENT, {"flow-a": [1, 3, 5], "flow-b": [6, 4, 2, 8]}) == []
+        (violation,) = audit_source_retention(self.SENT, {"flow-a": [1, 3, 5], "flow-b": [2]})
+        assert violation.invariant == "conservation" and "lost 2 update(s) at the source for flow-b" in violation.detail
+
+    def test_conservation_on_a_hand_built_instance(self):
+        sim = Simulator()
+        quiet, leaky = ChaosMiddlebox(sim, "quiet", flows=2), ChaosMiddlebox(sim, "leaky", flows=2)
+        instances = {"quiet": quiet, "leaky": leaky}
+        assert audit_conservation(instances, tag_suspects=instances) == []
+        leaky.support_store.begin_dirty_tracking()
+        leaky.hold_flows([leaky.flow_key_for(0)])
+        details = [violation.detail for violation in audit_conservation(instances)]
+        assert len(details) == 2 and all(detail.startswith("leaky") for detail in details)
+        assert "packet holds" in details[0] and "dirty tracking" in details[1]
 
 
 class TestMillionFlowSmokeProfile:

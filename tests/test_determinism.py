@@ -194,6 +194,75 @@ class TestEngineLayering:
                     offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno} writes _ends")
         assert not offenders, "\n".join(offenders)
 
+    def test_one_scenario_program_and_one_auditor_under_every_topology(self):
+        """Topology is an axis of the chaos harness, not a second program.
+
+        Under ``src/repro/testing/`` exactly one function starts the workload
+        move; ``run_chaos`` and ``run_federated_chaos`` are a docstring and one
+        call each (they hand the one program a topology); nothing in
+        ``chaos.py`` takes or branches on a ``federated`` flag — topologies
+        differ through their hooks; and the neighbour comparison behind "no
+        reordering" (``... for a, b in zip(seqs, seqs[1:])``) is written once
+        under ``src/``, in the auditor's ``strictly_increasing``.
+        """
+        testing = SRC_ROOT / "repro" / "testing"
+        trees = {path: ast.parse(path.read_text()) for path in sorted(SRC_ROOT.rglob("*.py"))}
+
+        def functions(tree):
+            return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+        def calls(function, name):
+            return [
+                node
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == name
+            ]
+
+        movers = [
+            f"{path.relative_to(SRC_ROOT)}:{function.name}"
+            for path, tree in trees.items()
+            if testing in path.parents
+            for function in functions(tree)
+            if calls(function, "move_internal")
+        ]
+        assert len(movers) == 1, f"exactly one function under repro/testing may start the move, found {movers}"
+
+        chaos = trees[testing / "chaos.py"]
+        entry_points = {function.name: function for function in chaos.body if isinstance(function, ast.FunctionDef)}
+        for name in ("run_chaos", "run_federated_chaos"):
+            docstring, only = entry_points[name].body
+            assert isinstance(docstring.value, ast.Constant) and isinstance(docstring.value.value, str)
+            assert isinstance(only, ast.Return) and isinstance(only.value, ast.Call), f"{name} must be one call"
+            assert [arg.arg for arg in entry_points[name].args.kwonlyargs] == ["runtime"]
+        flagged = [
+            f"chaos.py:{node.lineno}"
+            for node in ast.walk(chaos)
+            if (isinstance(node, ast.arg) and node.arg == "federated")
+            or (isinstance(node, ast.Name) and node.id == "federated")
+            or (isinstance(node, ast.Attribute) and node.attr == "federated")
+        ]
+        assert not flagged, f"a federated flag is threaded through the scenario program: {flagged}"
+
+        def compares_neighbours(node):
+            """A comprehension over ``zip(x, x[1:])`` that compares each pair."""
+            if not isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+                return False
+            for generator in node.generators:
+                call = generator.iter
+                if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "zip" and len(call.args) == 2):
+                    continue
+                if ast.unparse(call.args[1]) == f"{ast.unparse(call.args[0])}[1:]":
+                    return any(isinstance(part, ast.Compare) for part in [node.elt, *generator.ifs])
+            return False
+
+        sites = [
+            f"{path.relative_to(SRC_ROOT)}:{function.name}"
+            for path, tree in trees.items()
+            for function in functions(tree)
+            if any(compares_neighbours(node) for node in ast.walk(function))
+        ]
+        assert sites == ["repro/testing/chaos.py:strictly_increasing"], sites
+
     def test_only_the_messages_module_reads_a_message_body(self):
         """The wire format of every body lives behind ``core/messages.py``.
 

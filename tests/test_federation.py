@@ -21,6 +21,7 @@ import itertools
 import random
 
 import pytest
+from conftest import pin_ids
 
 from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI
 from repro.core.channel import FaultPlan, FaultProfile
@@ -431,7 +432,7 @@ class TestWanPacingSpec:
         writes to land inside the dirty-tracking window — the delta round
         (the one pacing schedules) must actually run.
         """
-        TestSingleDomainGoldenEquivalence._reset_wire_counters()
+        pin_ids()
         sim = Simulator()
         controller = MBController(sim, ControllerConfig(quiescence_timeout=0.02))
         nb = NorthboundAPI(controller)
@@ -514,18 +515,8 @@ class TestSingleDomainGoldenEquivalence:
     events, and no timing perturbation.
     """
 
-    @staticmethod
-    def _reset_wire_counters():
-        import repro.core.events as events_module
-        import repro.core.messages as messages_module
-        import repro.core.operations as operations_module
-
-        messages_module._xids = itertools.count(1)
-        events_module._event_ids = itertools.count(1)
-        operations_module._operation_ids = itertools.count(1)
-
     def _workload(self, concurrency, chunks, events_rate=0.0):
-        self._reset_wire_counters()
+        pin_ids()
         sim = Simulator()
         federation = Federation(sim, FederationConfig())
         domain = federation.add_domain(

@@ -181,3 +181,23 @@ class TestFlowPatternRelations:
     def test_specified_fields_in_canonical_order(self):
         pattern = FlowPattern(tp_dst=80, nw_src="10.0.0.0/8", nw_proto=6)
         assert pattern.specified_fields() == ("nw_proto", "nw_src", "tp_dst")
+
+    def test_exact_key_is_the_one_flow_a_pattern_pins_however_hosts_are_written(self):
+        key = FlowKey(6, "10.0.0.1", "192.0.2.10", 12345, 80)
+        assert FlowPattern.from_flow(key).exact_key() == key
+        assert FlowPattern(6, "10.0.0.1/32", "192.0.2.10/32", 12345, 80).exact_key() == key
+        assert FlowPattern(6, "10.0.0.1/32", "192.0.2.10", 12345, 80).pinned_hosts() == ("10.0.0.1", "192.0.2.10")
+        # A prefix, or any open field, spans many flows.
+        assert FlowPattern(6, "10.0.0.0/24", "192.0.2.10", 12345, 80).exact_key() is None
+        assert FlowPattern(6, "10.0.0.1", "192.0.2.10", 12345).exact_key() is None
+        assert FlowPattern(nw_src="10.0.0.0/24", nw_dst="192.0.2.10").pinned_hosts() == (None, "192.0.2.10")
+        assert FlowPattern.wildcard().exact_key() is None
+
+    def test_reversed_matches_the_opposite_direction_of_the_same_flows(self):
+        pattern = FlowPattern(6, "10.0.0.0/24", "192.0.2.10", None, 80)
+        assert pattern.reversed() == FlowPattern(6, "192.0.2.10", "10.0.0.0/24", 80, None)
+        assert pattern.reversed().reversed() == pattern
+        key = FlowKey(6, "10.0.0.7", "192.0.2.10", 4242, 80)
+        assert pattern.matches(key) and pattern.reversed().matches(key.reversed())
+        assert not pattern.reversed().matches(key)
+        assert FlowPattern.wildcard().reversed().is_wildcard

@@ -16,9 +16,8 @@ dispatcher (framing, per-channel FIFO, reply routing).
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
+from conftest import pin_ids
 
 from repro.core import (
     ControllerConfig,
@@ -233,20 +232,8 @@ class TestSingleShardEquivalence:
     bit-for-bit.
     """
 
-    @staticmethod
-    def _reset_wire_counters():
-        """Pin the global xid/event-id counters so message sizes (and hence
-        channel transfer times) match the capture environment exactly."""
-        import repro.core.events as events_module
-        import repro.core.messages as messages_module
-        import repro.core.operations as operations_module
-
-        messages_module._xids = itertools.count(1)
-        events_module._event_ids = itertools.count(1)
-        operations_module._operation_ids = itertools.count(1)
-
     def _workload(self, concurrency, chunks, events_rate=0.0, **config):
-        self._reset_wire_counters()
+        pin_ids()  # message sizes (hence transfer times) must match the capture environment
         sim = Simulator()
         controller = MBController(sim, ControllerConfig(quiescence_timeout=0.1, **config))
         nb = NorthboundAPI(controller)

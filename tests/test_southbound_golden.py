@@ -31,11 +31,10 @@ import types
 from pathlib import Path
 
 import pytest
+from conftest import pin_ids
 
 import repro.core.crypto as crypto_module
-import repro.core.events as events_module
 import repro.core.messages as messages_module
-import repro.core.operations as operations_module
 from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI, TransferGuarantee, TransferSpec
 from repro.core.messages import Message, MessageType
 from repro.core.state import StateRole
@@ -68,10 +67,7 @@ class Scenario:
     """One controller whose every control channel is tapped at the wire."""
 
     def __init__(self, dispatch_tick) -> None:
-        # Pin the process-wide id counters: their digits are wire bytes.
-        messages_module._xids = itertools.count(1)
-        events_module._event_ids = itertools.count(1)
-        operations_module._operation_ids = itertools.count(1)
+        pin_ids()  # their digits are wire bytes
         self.sim = Simulator()
         self.controller = MBController(
             self.sim, ControllerConfig(quiescence_timeout=0.05, dispatch_tick=dispatch_tick)

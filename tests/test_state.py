@@ -185,6 +185,34 @@ class TestPerFlowStateStore:
         # Only the owning shard was walked — a small fraction of the store.
         assert 0 < store.scan_steps < total / 2
 
+    @staticmethod
+    def _two_thousand(store):
+        for i in range(2000):
+            store.put(FlowKey(6, f"10.0.{i // 250}.{i % 250 + 1}", "192.0.2.10", 1000 + i, 80), i)
+        store.scan_steps = 0
+        return store
+
+    @pytest.mark.parametrize("suffix", ["", "/32"])
+    def test_slash32_five_tuple_scans_one_shard_like_the_bare_spelling(self, suffix):
+        """Regression: the store tested ``"/" in text`` where the shard ring
+        asked the parsed prefix, so a host written ``a.b.c.d/32`` was homed on
+        one shard by the controller and scanned across all 2 000 entries by
+        the store.  Both now ask :meth:`FlowPattern.exact_key`."""
+        store = self._two_thousand(PerFlowStateStore())
+        pattern = FlowPattern(6, "10.0.0.6" + suffix, "192.0.2.10" + suffix, 1005, 80)
+        assert [value for _, value in store.query(pattern)] == [5]
+        assert 0 < store.scan_steps <= 115
+
+    @pytest.mark.parametrize("suffix", ["", "/32"])
+    def test_slash32_host_uses_the_address_index_like_the_bare_spelling(self, suffix):
+        """Regression companion on an indexed store: ``nw_src="10.0.0.6/32"``
+        fell through the address index to a 2 000-step linear scan."""
+        store = self._two_thousand(PerFlowStateStore(indexed=True))
+        assert [value for _, value in store.query(FlowPattern(nw_src="10.0.0.6" + suffix))] == [5]
+        assert 0 < store.scan_steps <= 2
+        # A real prefix still spans many hosts and must not consult the host index.
+        assert len(store.query(FlowPattern(nw_src="10.0.0.0/24"))) == 250
+
     def test_clear(self):
         store = PerFlowStateStore()
         store.put(key(0), 1)

@@ -261,6 +261,45 @@ class TestAbortAndRollback:
         assert step.handle.record.finalized_at is None
         assert len(scenario.mb1.report_store) == state_before
 
+    def test_finalized_barrier_covers_a_rebalance_steps_move(self, sim):
+        """A rebalance step shares the operation step's handle plumbing, so
+        ``barrier(finalized=True)`` waits for its move's post-quiescence
+        finalisation exactly as it does for a declared move."""
+        scenario = monitor_scenario(quiescence_timeout=0.3)
+        feed(scenario.sim, scenario.mb1, 30, flows=10)
+        scenario.sim.run(until=0.1)
+        txn = scenario.northbound.transaction()
+        step = txn.rebalance(
+            ["mon1", "mon2"], {"mon1": FlowPattern(nw_src="10.1.1.0/24")}, lambda mb, pattern: scenario.sim.timeout(1e-4)
+        )
+        txn.barrier([step], finalized=True)
+        handle = txn.commit()
+        scenario.sim.run_until(handle.done, limit=100)
+        assert handle.status == "committed"
+        assert step.handle is not None and step.handle.finalized.done
+        assert step.handle.record.finalized_at is not None
+        assert handle.operation_records == [step.handle.record]
+
+    def test_pass_through_steps_keep_their_names_and_the_stats_detail(self, sim):
+        scenario = monitor_scenario()
+        feed(scenario.sim, scenario.mb1, 30, flows=10)
+        scenario.sim.run(until=0.1)
+        txn = scenario.northbound.transaction()
+        txn.clone_config("mon1", "mon2")
+        txn.write_config("mon2", "sample_rate", [2])
+        stats = txn.stats("mon1", {"nw_src": "10.1.1.0/24"})
+        txn.end_transfer("mon2")
+        handle = txn.commit()
+        scenario.sim.run_until(handle.done, limit=100)
+        assert [record.name for record in handle.steps] == [
+            "clone_config(mon1->mon2)",
+            "write_config(mon2,sample_rate)",
+            "stats(mon1)",
+            "end_transfer(mon2)",
+        ]
+        assert all(record.status is StepStatus.DONE for record in handle.steps)
+        assert stats.record.detail["stats"]["perflow_reporting"] > 0
+
     def test_abort_cancels_source_delete_of_completed_move(self, sim):
         scenario = monitor_scenario(quiescence_timeout=0.3)
         feed(scenario.sim, scenario.mb1, 30, flows=10)
