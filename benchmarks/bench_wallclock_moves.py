@@ -23,12 +23,13 @@ from __future__ import annotations
 import time
 
 from repro.analysis import format_table, print_block
+from repro.runtime import RuntimeConfig
 
 try:
-    from benchmarks.conftest import realtime_controller_with_dummies
+    from benchmarks.conftest import controller_with_dummies
     from benchmarks._results import duration_stats, write_results
 except ModuleNotFoundError:  # invoked as a script: benchmarks/ is sys.path[0]
-    from conftest import realtime_controller_with_dummies
+    from conftest import controller_with_dummies
     from _results import duration_stats, write_results
 
 #: Simultaneous moveInternal operations per measured level.
@@ -41,8 +42,8 @@ SHARDS = 2
 
 def run_concurrent_moves(concurrency: int, *, chunks: int = CHUNKS_PER_PAIR, shards: int = SHARDS) -> dict:
     """Run *concurrency* simultaneous wall-clock moves; returns the measurements."""
-    runtime, controller, northbound, pairs = realtime_controller_with_dummies(
-        [chunks] * concurrency, shards=shards
+    runtime, controller, northbound, pairs = controller_with_dummies(
+        [chunks] * concurrency, runtime=RuntimeConfig(mode="realtime").create(), shards=shards, quiescence=0.01
     )
     try:
         wall_start = time.monotonic()

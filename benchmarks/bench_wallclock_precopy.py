@@ -20,12 +20,13 @@ import time
 
 from repro.analysis import format_table, print_block
 from repro.core import TransferSpec
+from repro.runtime import RuntimeConfig
 
 try:
-    from benchmarks.conftest import realtime_controller_with_dummies
+    from benchmarks.conftest import controller_with_dummies
     from benchmarks._results import duration_stats, freeze_stats, write_results
 except ModuleNotFoundError:  # invoked as a script: benchmarks/ is sys.path[0]
-    from conftest import realtime_controller_with_dummies
+    from conftest import controller_with_dummies
     from _results import duration_stats, freeze_stats, write_results
 
 #: Per-pair chunk count (the move transfers 2x this: supporting + reporting).
@@ -40,7 +41,9 @@ REPEATS = 5
 def run_move_under_load(mode: str, *, chunks: int = CHUNKS, rate: float = TRAFFIC_RATE) -> dict:
     """One loss-free wall-clock move while live packets update the source."""
     spec = TransferSpec.precopy() if mode == "precopy" else TransferSpec.default()
-    runtime, controller, northbound, pairs = realtime_controller_with_dummies([chunks])
+    runtime, controller, northbound, pairs = controller_with_dummies(
+        [chunks], runtime=RuntimeConfig(mode="realtime").create(), quiescence=0.01
+    )
     try:
         src, dst = pairs[0]
         injected = src.drive_traffic_at_rate(rate, TRAFFIC_DURATION)

@@ -18,46 +18,22 @@ import pytest
 from repro.core import ControllerConfig, MBController, NorthboundAPI
 from repro.middleboxes import DummyMiddlebox
 from repro.net import Simulator
-from repro.runtime import RuntimeConfig
 
 
-def controller_with_dummies(chunk_counts, *, quiescence: float = 0.1, per_message_cost: float = 40e-6):
+def controller_with_dummies(
+    chunk_counts, *, runtime=None, shards: int = 1, quiescence: float = 0.1, per_message_cost: float = 40e-6
+):
     """Build a controller plus (src, dst) dummy middlebox pairs.
 
     ``chunk_counts`` is a list of per-pair chunk counts; returns
-    (sim, controller, northbound, [(src, dst), ...]).
+    (runtime, controller, northbound, [(src, dst), ...]).  *runtime* defaults
+    to a fresh :class:`Simulator`; the ``bench_wallclock_*`` family passes a
+    :class:`RealtimeRuntime` (``RuntimeConfig(mode="realtime").create()``), on
+    which every delay is really waited out, so the durations it reports are
+    measured wall time — such a caller owns the runtime and must
+    ``runtime.close()`` it when done.
     """
-    sim = Simulator()
-    controller = MBController(
-        sim, ControllerConfig(quiescence_timeout=quiescence, per_message_cost=per_message_cost)
-    )
-    northbound = NorthboundAPI(controller)
-    pairs = []
-    for index, count in enumerate(chunk_counts):
-        src = DummyMiddlebox(sim, f"dummy-src-{index}", chunk_count=count)
-        dst = DummyMiddlebox(sim, f"dummy-dst-{index}")
-        controller.register(src)
-        controller.register(dst)
-        pairs.append((src, dst))
-    return sim, controller, northbound, pairs
-
-
-def realtime_controller_with_dummies(
-    chunk_counts,
-    *,
-    shards: int = 1,
-    quiescence: float = 0.01,
-    per_message_cost: float = 40e-6,
-):
-    """The wall-clock twin of :func:`controller_with_dummies`.
-
-    Same controller + dummy-pair topology, but on a :class:`RealtimeRuntime`
-    (``RuntimeConfig(mode="realtime")``): every delay is really waited out
-    and ``runtime.now`` tracks the monotonic clock, so every duration the
-    ``bench_wallclock_*`` family reports is measured wall time.  Callers own
-    the runtime and must call ``runtime.close()`` when done.
-    """
-    runtime = RuntimeConfig(mode="realtime").create()
+    runtime = runtime if runtime is not None else Simulator()
     controller = MBController(
         runtime,
         ControllerConfig(quiescence_timeout=quiescence, per_message_cost=per_message_cost, num_shards=shards),

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from ..core.chunks import serialize_payload
 from ..core.flowspace import FlowPattern
-from ..core.state import StateRole
+from ..core.state import TAXONOMY
 from ..middleboxes.base import Middlebox
 
 
@@ -45,20 +45,8 @@ class SnapshotReport:
 
 def _serialized_size(middlebox: Middlebox, pattern: Optional[FlowPattern] = None) -> int:
     """Serialised size of a middlebox's state, optionally restricted to a flow pattern."""
-    pattern = pattern or FlowPattern.wildcard()
-    total = len(serialize_payload(middlebox.config.export()))
-    for role in (StateRole.SUPPORTING, StateRole.REPORTING):
-        store = middlebox.support_store if role is StateRole.SUPPORTING else middlebox.report_store
-        serialize = (
-            middlebox.serialize_support if role is StateRole.SUPPORTING else middlebox.serialize_report
-        )
-        for key, obj in store.items():
-            if pattern.matches_either_direction(key):
-                total += len(serialize_payload(serialize(key, obj)))
-    for slot, role in ((middlebox.shared_support, StateRole.SUPPORTING), (middlebox.shared_report, StateRole.REPORTING)):
-        if slot is not None:
-            total += len(serialize_payload(middlebox.serialize_shared(role, slot.clone_value())))
-    return total
+    cells = sum(middlebox.cell_size_bytes(*cell, pattern) for cell, entry in TAXONOMY.items() if entry.movable)
+    return len(serialize_payload(middlebox.config.export())) + cells
 
 
 def snapshot_size(middlebox: Middlebox, pattern: Optional[FlowPattern] = None) -> int:

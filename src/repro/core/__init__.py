@@ -33,7 +33,6 @@ from .southbound import MiddleboxInterface, ProcessingCosts, SouthboundAgent
 from .state import (
     AccessMode,
     PerFlowStateStore,
-    SharedChunk,
     SharedStateSlot,
     StateChunk,
     StateRole,
@@ -73,7 +72,6 @@ __all__ = [
     "ShardStats",
     "AccessMode",
     "PerFlowStateStore",
-    "SharedChunk",
     "SharedStateSlot",
     "StateChunk",
     "StateRole",

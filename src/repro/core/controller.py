@@ -326,7 +326,9 @@ class MBController:
 
         Returns the request xid.  The reply handler is invoked for *every*
         message the middlebox sends with ``reply_to`` equal to that xid
-        (chunk streams produce many).  *shard* names the controller shard
+        (chunk streams produce many) up to and including the reply that ends
+        the request — anything but a ``STATE_CHUNK`` — after which the handler
+        is forgotten.  *shard* names the controller shard
         whose loop the replies are charged to — stateful operations pass
         their home shard; by default the middlebox's hash-assigned shard is
         used.  With ``dispatch_tick`` configured, hot-path request types are
@@ -438,8 +440,14 @@ class MBController:
                 return
             self._handle_event(mb_name, event, shard)
             return
-        entry = self._reply_handlers.get((mb_name, message.reply_to))
+        request = (mb_name, message.reply_to)
+        entry = self._reply_handlers.get(request)
         if entry is not None:
+            if message.type != MessageType.STATE_CHUNK:
+                # Every reply but a chunk of a stream ends its request: forget
+                # the handler with it, or a long-lived controller retains every
+                # operation it ever ran (and a duplicated reply is handled twice).
+                del self._reply_handlers[request]
             entry[1](message)
 
     def _handle_event(self, mb_name: str, event: Event, shard: ControllerShard) -> None:

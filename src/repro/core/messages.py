@@ -14,11 +14,12 @@ import base64
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from .errors import ProtocolError
 from .flowspace import FlowKey, FlowPattern
-from .state import SharedChunk, StateChunk, StateRole
+from .state import StateChunk, StateRole
 
 _xids = itertools.count(1)
 
@@ -156,45 +157,28 @@ class Message:
 
 
 def encode_chunk(chunk: StateChunk) -> dict:
-    """Encode a per-flow chunk for transport inside a STATE_CHUNK message."""
-    return {
-        "key": chunk.key.as_dict(),
+    """Encode a chunk for transport; a shared chunk (``key is None``) carries no ``key``."""
+    body = {
         "role": chunk.role.value,
         "blob": base64.b64encode(chunk.blob).decode("ascii"),
         "metadata": chunk.metadata,
     }
+    if chunk.key is not None:
+        body["key"] = chunk.key.as_dict()
+    return body
 
 
-def decode_chunk(body: dict) -> StateChunk:
+def decode_chunk(body: dict, *, shared: bool = False) -> StateChunk:
+    """Inverse of :func:`encode_chunk`: per-flow messages require the ``key``, *shared* ones carry none."""
     try:
         return StateChunk(
-            key=FlowKey.from_dict(body["key"]),
+            key=None if shared else FlowKey.from_dict(body["key"]),
             role=StateRole(body["role"]),
             blob=base64.b64decode(body["blob"]),
             metadata=dict(body.get("metadata", {})),
         )
     except (KeyError, ValueError) as exc:
         raise ProtocolError(f"malformed state chunk: {exc}") from exc
-
-
-def encode_shared_chunk(chunk: SharedChunk) -> dict:
-    """Encode a shared-state chunk for transport inside a SHARED_STATE message."""
-    return {
-        "role": chunk.role.value,
-        "blob": base64.b64encode(chunk.blob).decode("ascii"),
-        "metadata": chunk.metadata,
-    }
-
-
-def decode_shared_chunk(body: dict) -> SharedChunk:
-    try:
-        return SharedChunk(
-            role=StateRole(body["role"]),
-            blob=base64.b64decode(body["blob"]),
-            metadata=dict(body.get("metadata", {})),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ProtocolError(f"malformed shared chunk: {exc}") from exc
 
 
 # -- request constructors -----------------------------------------------------------
@@ -379,8 +363,8 @@ def get_shared(mb: str, role: StateRole, *, transfer: bool = False) -> Message:
     return Message(MessageType.GET_SHARED, mb=mb, body={"role": role.value, "transfer": transfer})
 
 
-def put_shared(mb: str, chunk: SharedChunk) -> Message:
-    return Message(MessageType.PUT_SHARED, mb=mb, body={"chunk": encode_shared_chunk(chunk)})
+def put_shared(mb: str, chunk: StateChunk) -> Message:
+    return Message(MessageType.PUT_SHARED, mb=mb, body={"chunk": encode_chunk(chunk)})
 
 
 def get_stats(mb: str, pattern: FlowPattern) -> Message:
@@ -462,8 +446,8 @@ def state_chunk(mb: str, reply_to: int, chunk: StateChunk) -> Message:
     return Message(MessageType.STATE_CHUNK, reply_to=reply_to, mb=mb, body={"chunk": encode_chunk(chunk)})
 
 
-def shared_state(mb: str, reply_to: int, chunk: SharedChunk) -> Message:
-    return Message(MessageType.SHARED_STATE, reply_to=reply_to, mb=mb, body={"chunk": encode_shared_chunk(chunk)})
+def shared_state(mb: str, reply_to: int, chunk: StateChunk) -> Message:
+    return Message(MessageType.SHARED_STATE, reply_to=reply_to, mb=mb, body={"chunk": encode_chunk(chunk)})
 
 
 def get_complete(mb: str, reply_to: int, role: StateRole, count: int, dirty: Optional[int] = None) -> Message:
@@ -689,6 +673,7 @@ _KEY = ("key", FlowKey.from_dict, None)
 _KEYS = (("keys", _each(FlowKey.from_dict), ()),)
 _PACKET = ("packet", decode_packet, None)
 _SHARED = ("shared", _flag, False)
+_SHARED_CHUNK = ("chunk", partial(decode_chunk, shared=True), REQUIRED)
 _PUT_TAGS = (("hold", _flag, False), ("seq", _int, None), ("round", tuple, None))
 _LENT = (("domain", _str, None), ("instance", _str, ""))
 #: Gossip digest sections are validated as sequences and passed through uncopied.
@@ -707,7 +692,7 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.TRANSFER_HOLD: _KEYS,
     MessageType.TRANSFER_RELEASE: _KEYS,
     MessageType.GET_SHARED: (_ROLE, ("transfer", _flag, False)),
-    MessageType.PUT_SHARED: (("chunk", decode_shared_chunk, REQUIRED),),
+    MessageType.PUT_SHARED: (_SHARED_CHUNK,),
     MessageType.GET_STATS: (_PATTERN,),
     MessageType.ENABLE_EVENTS: (("code", _str, REQUIRED), _OPTIONAL_PATTERN, ("until", _number, None)),
     MessageType.DISABLE_EVENTS: (("code", _str, REQUIRED), _OPTIONAL_PATTERN),
@@ -715,7 +700,7 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.REPROCESS_PACKET: (_PACKET, _SHARED, _KEY, ("seq", _int, None)),
     MessageType.CONFIG_VALUE: (("values", dict, {}),),
     MessageType.STATE_CHUNK: (("chunk", decode_chunk, REQUIRED),),
-    MessageType.SHARED_STATE: (("chunk", decode_shared_chunk, REQUIRED),),
+    MessageType.SHARED_STATE: (_SHARED_CHUNK,),
     MessageType.GET_COMPLETE: (("role", _str, None), ("count", _int, 0), ("dirty", _int, None)),
     MessageType.STATS_REPLY: (("stats", dict, {}),),
     MessageType.ACK: (("removed", _int, 0), ("count", _int, 0), _KEY, ("role", _str, None)),

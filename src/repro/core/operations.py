@@ -49,7 +49,7 @@ from .errors import OperationError, UnknownMiddleboxError
 from .events import Event
 from .flowspace import FlowKey, FlowPattern
 from .messages import Message, MessageType
-from .state import StateChunk, StateRole
+from .state import TAXONOMY, StateChunk, StateRole, StateScope
 from .transfer import TransferGuarantee, TransferMode, TransferSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -323,6 +323,11 @@ class StandbyRetryHandle:
             self.completed.fail(future.exception)
         if not self.finalized.done:
             self.finalized.fail(future.exception)
+
+
+def _roles_where(scope: StateScope, permitted: str) -> Tuple[StateRole, ...]:
+    """Roles whose *scope* cell Table 1 marks *permitted* (``movable`` / ``cloneable`` / ``mergeable``), in its order."""
+    return tuple(cell.role for cell in TAXONOMY.values() if cell.scope is scope and getattr(cell, permitted))
 
 
 class _StatefulOperation:
@@ -976,6 +981,7 @@ class MoveOperation(_StatefulOperation):
     """
 
     op_type = OperationType.MOVE
+    _roles = _roles_where(StateScope.PER_FLOW, "movable")
 
     def __init__(
         self,
@@ -1047,7 +1053,7 @@ class MoveOperation(_StatefulOperation):
         self._round_dirty = {}
         self._gets_complete = False
         self.pipeline.begin_round()
-        for role in (StateRole.SUPPORTING, StateRole.REPORTING):
+        for role in self._roles:
             self._gets_outstanding += 1
             if self._round == 0:
                 # A snapshot's bulk get freezes the flows behind re-process
@@ -1265,7 +1271,7 @@ class MoveOperation(_StatefulOperation):
 
     def _finalize(self) -> None:
         """After quiescence: delete the moved state at the source."""
-        pending = {"count": 2}
+        pending = {"count": len(self._roles)}
 
         def on_delete_reply(message: Message) -> None:
             if message.type not in (MessageType.ACK, MessageType.ERROR):
@@ -1276,7 +1282,7 @@ class MoveOperation(_StatefulOperation):
             if pending["count"] == 0:
                 self._mark_finalized()
 
-        for role in (StateRole.SUPPORTING, StateRole.REPORTING):
+        for role in self._roles:
             # The source may have been terminated (e.g. scale-down) before
             # quiescence; there is nothing left to delete then.
             if not self.controller.try_send(
@@ -1319,8 +1325,7 @@ class CloneOperation(_StatefulOperation):
         self._shared_put_pending = 0
         self._buffered_events: List[Event] = []
 
-    #: Shared-state roles this operation transfers (supporting only).
-    _roles: Tuple[StateRole, ...] = (StateRole.SUPPORTING,)
+    _roles = _roles_where(StateScope.SHARED, "cloneable")  # supporting only: cloned reports double-count
 
     def start(self) -> None:
         """Request the source's shared state for every transferred role."""
@@ -1422,4 +1427,4 @@ class MergeOperation(CloneOperation):
     """mergeInternal: merge shared supporting and reporting state into the destination."""
 
     op_type = OperationType.MERGE
-    _roles = (StateRole.SUPPORTING, StateRole.REPORTING)
+    _roles = _roles_where(StateScope.SHARED, "mergeable")

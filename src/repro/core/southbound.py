@@ -31,7 +31,7 @@ from .errors import ConfigError, OpenMBError, ProtocolError
 from .events import Event
 from .flowspace import FlowKey, FlowPattern
 from .messages import Message, MessageType
-from .state import SharedChunk, StateChunk, StateRole
+from .state import StateChunk, StateRole
 
 
 @dataclass
@@ -156,11 +156,11 @@ class MiddleboxInterface(abc.ABC):
     # -- shared state ---------------------------------------------------------------
 
     @abc.abstractmethod
-    def get_shared(self, role: StateRole, *, mark_transfer: bool = False) -> Optional[SharedChunk]:
+    def get_shared(self, role: StateRole, *, mark_transfer: bool = False) -> Optional[StateChunk]:
         """Export the sealed shared state of the given role (None when the MB has none)."""
 
     @abc.abstractmethod
-    def put_shared(self, chunk: SharedChunk) -> None:
+    def put_shared(self, chunk: StateChunk) -> None:
         """Import shared state, merging with any existing shared state."""
 
     # -- statistics, events, transfers ----------------------------------------------
@@ -553,7 +553,7 @@ class SouthboundAgent:
         self.sim.schedule(self.middlebox.costs.shared_get_per_byte * chunk.size, self._send, reply)
         return _STREAMED
 
-    def _put_shared(self, request: Message, chunk: SharedChunk) -> None:
+    def _put_shared(self, request: Message, chunk: StateChunk) -> None:
         costs = self.middlebox.costs
         delay = costs.shared_put_base + costs.shared_put_per_byte * chunk.size
         self._serve(request, delay, self.middlebox.put_shared, chunk, role=chunk.role.value)

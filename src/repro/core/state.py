@@ -22,8 +22,12 @@ every OpenMB-enabled middlebox uses internally:
   "wildcard match techniques" the paper suggests as an improvement.  The store
   also keeps byte-level memory accounting (:class:`StoreMemoryStats`) so a
   million-flow transfer can assert its resident and peak footprint.
-* :class:`SharedStateSlot` — a single shared state object with clone and merge
-  hooks supplied by the middlebox.
+* :class:`SharedStateSlot` — a single shared state object with the merge hook
+  supplied by the middlebox.
+
+The taxonomy is the code: a middlebox declares which native type it keeps in
+each :data:`TAXONOMY` cell, and :class:`StateClass` is where the controller's
+operations read which cells a move, a clone or a merge may act on.
 """
 
 from __future__ import annotations
@@ -91,6 +95,14 @@ class StateClass:
             return False
         return not (self.role is StateRole.REPORTING and self.scope is StateScope.SHARED)
 
+    @property
+    def mergeable(self) -> bool:
+        """Whether ``mergeInternal`` combines this state: every movable *shared* class.
+
+        Per-flow state is never merged — it is partitioned by flow, so it moves.
+        """
+        return self.movable and self.scope is StateScope.SHARED
+
 
 #: The taxonomy of paper Table 1, keyed by (role, scope).
 TAXONOMY: Dict[Tuple[StateRole, StateScope], StateClass] = {
@@ -122,28 +134,16 @@ def state_class(role: StateRole, scope: StateScope) -> StateClass:
 
 @dataclass
 class StateChunk:
-    """A unit of exported per-flow state: a flow key and a sealed value blob.
+    """A unit of exported state: a flow key (per-flow state) and a sealed value blob.
 
     This is the ``[HeaderFieldList : EncryptedChunk]`` pair of the paper's
     southbound API.  The blob is opaque to the controller; the only visible
-    metadata are the flow key, the role, and the blob size.
+    metadata are the flow key, the role, and the blob size.  A chunk of
+    *shared* state — one blob for the whole middlebox — is a chunk whose
+    ``key`` is ``None``.
     """
 
-    key: FlowKey
-    role: StateRole
-    blob: bytes
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        """Size of the sealed blob in bytes."""
-        return len(self.blob)
-
-
-@dataclass
-class SharedChunk:
-    """A unit of exported shared state: a single sealed blob for the whole MB."""
-
+    key: Optional[FlowKey]
     role: StateRole
     blob: bytes
     metadata: dict = field(default_factory=dict)
@@ -634,25 +634,16 @@ class PerFlowStateStore(Generic[T]):
 
 
 class SharedStateSlot(Generic[T]):
-    """Holder for one piece of shared state with clone/merge hooks.
+    """Holder for one piece of shared state with the middlebox's merge hook.
 
     The middlebox supplies the merge function (the paper keeps merge logic
-    inside the middlebox because it depends on state semantics) and optionally
-    a clone function (defaulting to a deep copy performed by the serializer at
-    export time, so the default here is identity pass-through of whatever the
-    caller provides).
+    inside the middlebox because it depends on state semantics).  Export needs
+    no hook: serialising the value is what copies it.
     """
 
-    def __init__(
-        self,
-        initial: T,
-        *,
-        merge: Optional[Callable[[T, T], T]] = None,
-        clone: Optional[Callable[[T], T]] = None,
-    ) -> None:
+    def __init__(self, initial: T, *, merge: Optional[Callable[[T, T], T]] = None) -> None:
         self.value: T = initial
         self._merge = merge
-        self._clone = clone
         #: Number of times external state has been merged into this slot.
         self.merge_count = 0
 
@@ -674,7 +665,5 @@ class SharedStateSlot(Generic[T]):
         self.merge_count += 1
 
     def clone_value(self) -> T:
-        """Return a copy of the shared state suitable for export."""
-        if self._clone is not None:
-            return self._clone(self.value)
+        """Return the shared state for export (the serialiser copies it)."""
         return self.value

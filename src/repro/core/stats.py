@@ -9,7 +9,7 @@ aggregates those measurements; every completed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from .operations import OperationRecord, OperationType
@@ -71,65 +71,58 @@ class ControllerStats:
         operation archives are concatenated (in argument order), so the
         derived queries — :meth:`by_guarantee`, :meth:`by_mode`,
         :meth:`mean_duration`, :meth:`summary` — report across the whole
-        federation exactly as they would for a single controller.  Merging is
+        federation exactly as they would for a single controller.  The counters
+        are whatever ``dataclasses.fields`` lists, so one added here — or by a
+        subclass, whose type the aggregate keeps — is never dropped.  Merging is
         associative and merging with a fresh instance is the identity, so
         multi-domain benchmarks can fold domains in any grouping.
         """
-        merged = ControllerStats()
+        merged = type(self)()
         for stats in (self, *others):
-            for field_name in (
-                "messages_received",
-                "messages_sent",
-                "batches_dispatched",
-                "messages_coalesced",
-                "events_received",
-                "events_forwarded",
-                "events_buffered",
-                "events_dropped",
-                "introspection_events",
-                "heartbeats_received",
-                "instances_killed",
-                "instances_declared_dead",
-                "standby_retries",
-                "operations_started",
-                "operations_completed",
-                "operations_failed",
-                "precopy_operations",
-                "precopy_rounds_total",
-                "precopy_delta_chunks",
-                "precopy_delta_bytes",
-            ):
-                setattr(merged, field_name, getattr(merged, field_name) + getattr(stats, field_name))
+            for counter in fields(self):
+                if counter.name != "records":
+                    setattr(merged, counter.name, getattr(merged, counter.name) + getattr(stats, counter.name))
             merged.records.extend(stats.records)
         return merged
 
     # -- queries used by benchmarks and reports --------------------------------------
 
+    def _grouped(self, group_by: str, columns: Dict[str, str]) -> Dict[str, Dict[str, float]]:
+        """Records bucketed by one attribute: ``operations`` plus *columns* (name -> record attribute).
+
+        A ``mean_*`` column averages its attribute over the bucket's records
+        where it is set (0.0 when none is); any other column sums it.
+        """
+        summary: Dict[str, Dict[str, float]] = {}
+        samples: Dict[tuple, int] = {}
+        for record in self.records:
+            group = getattr(record, group_by)
+            if group not in summary:
+                zeros = {column: 0.0 if column.startswith("mean_") else 0 for column in columns}
+                summary[group] = {"operations": 0, **zeros}
+            bucket = summary[group]
+            bucket["operations"] += 1
+            for column, attribute in columns.items():
+                value = getattr(record, attribute)
+                if value is not None:
+                    bucket[column] += value
+                    samples[group, column] = samples.get((group, column), 0) + 1
+        for (group, column), count in samples.items():
+            if column.startswith("mean_"):
+                summary[group][column] /= count
+        return summary
+
     def by_guarantee(self) -> Dict[str, Dict[str, float]]:
         """Per-guarantee aggregates: operation count, mean duration, event fate."""
-        summary: Dict[str, Dict[str, float]] = {}
-        completed: Dict[str, int] = {}
-        for record in self.records:
-            bucket = summary.setdefault(
-                record.guarantee,
-                {
-                    "operations": 0,
-                    "mean_duration": 0.0,
-                    "events_buffered": 0,
-                    "events_forwarded": 0,
-                    "events_dropped": 0,
-                },
-            )
-            bucket["operations"] += 1
-            bucket["events_buffered"] += record.events_buffered
-            bucket["events_forwarded"] += record.events_forwarded
-            bucket["events_dropped"] += record.events_dropped
-            if record.duration is not None:
-                bucket["mean_duration"] += record.duration
-                completed[record.guarantee] = completed.get(record.guarantee, 0) + 1
-        for guarantee, count in completed.items():
-            summary[guarantee]["mean_duration"] /= count
-        return summary
+        return self._grouped(
+            "guarantee",
+            {
+                "mean_duration": "duration",
+                "events_buffered": "events_buffered",
+                "events_forwarded": "events_forwarded",
+                "events_dropped": "events_dropped",
+            },
+        )
 
     def records_of_mode(self, mode: str) -> List[OperationRecord]:
         """Archived operations that ran under the given copy mode."""
@@ -143,34 +136,15 @@ class ControllerStats:
         transfers — so comparing ``mean_freeze_window`` across the two modes
         quantifies what the iterative discipline buys.
         """
-        summary: Dict[str, Dict[str, float]] = {}
-        durations: Dict[str, int] = {}
-        freezes: Dict[str, int] = {}
-        for record in self.records:
-            bucket = summary.setdefault(
-                record.mode,
-                {
-                    "operations": 0,
-                    "mean_duration": 0.0,
-                    "mean_freeze_window": 0.0,
-                    "rounds": 0,
-                    "events_buffered": 0,
-                },
-            )
-            bucket["operations"] += 1
-            bucket["rounds"] += record.precopy_rounds
-            bucket["events_buffered"] += record.events_buffered
-            if record.duration is not None:
-                bucket["mean_duration"] += record.duration
-                durations[record.mode] = durations.get(record.mode, 0) + 1
-            if record.freeze_window is not None:
-                bucket["mean_freeze_window"] += record.freeze_window
-                freezes[record.mode] = freezes.get(record.mode, 0) + 1
-        for mode, count in durations.items():
-            summary[mode]["mean_duration"] /= count
-        for mode, count in freezes.items():
-            summary[mode]["mean_freeze_window"] /= count
-        return summary
+        return self._grouped(
+            "mode",
+            {
+                "mean_duration": "duration",
+                "mean_freeze_window": "freeze_window",
+                "rounds": "precopy_rounds",
+                "events_buffered": "events_buffered",
+            },
+        )
 
     def mean_duration(self, op_type: Optional[OperationType] = None) -> float:
         """Mean completion time of archived operations (seconds), 0.0 when none."""

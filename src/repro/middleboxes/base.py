@@ -8,7 +8,7 @@ provides:
   processed after a simulated per-packet cost, and are forwarded onward);
 * the internal state containers of the taxonomy — a hierarchical configuration
   tree, per-flow supporting and reporting stores, and optional shared
-  supporting/reporting slots;
+  supporting/reporting slots — resolved through one lookup per Table 1 cell;
 * a full implementation of the southbound
   :class:`~repro.core.southbound.MiddleboxInterface`: sealed export/import of
   per-flow and shared chunks, deletes, statistics, event subscriptions,
@@ -18,18 +18,19 @@ provides:
   re-process event carrying the packet (paper section 4.2.1);
 * introspection event generation subject to the middlebox's event filter.
 
-Subclasses implement the middlebox-specific packet-processing logic
-(:meth:`process_packet`) plus the (de)serialisation hooks for their native
-state objects — exactly the split of responsibility the paper prescribes.
+Subclasses *declare* which native type they keep in each taxonomy cell
+(:attr:`Middlebox.STATE`) and implement the middlebox-specific
+packet-processing logic (:meth:`process_packet`) — the paper's "small
+modification": export and import are derived from the declaration.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.chunks import ChunkCodec
+from ..core.chunks import ChunkCodec, payload_codec, serialize_payload
 from ..core.config import HierarchicalConfig
 from ..core.errors import MiddleboxError, StateError
 from ..core.events import Event, EventCode, EventFilter
@@ -37,16 +38,37 @@ from ..core.flowspace import FlowKey, FlowPattern
 from ..core.southbound import MiddleboxInterface, ProcessingCosts
 from ..core.state import (
     PerFlowStateStore,
-    SharedChunk,
     SharedStateSlot,
     StateChunk,
     StateRole,
+    StateScope,
+    state_class,
 )
 from ..net.packet import Packet
 from ..net.simulator import Simulator
 from ..net.topology import Node
 
 FULL_GRANULARITY = ("nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst")
+
+#: A taxonomy cell: (role, scope), a key of :data:`~repro.core.state.TAXONOMY`.
+Cell = Tuple[StateRole, StateScope]
+#: The instance attribute holding each transferable cell's store or slot — a
+#: plain attribute read at every use, so callers may assign a fresh store.
+_CELL_ATTRS: Dict[Cell, str] = {
+    (StateRole.SUPPORTING, StateScope.PER_FLOW): "support_store",
+    (StateRole.REPORTING, StateScope.PER_FLOW): "report_store",
+    (StateRole.SUPPORTING, StateScope.SHARED): "shared_support",
+    (StateRole.REPORTING, StateScope.SHARED): "shared_report",
+}
+_PERFLOW_ATTRS = tuple(attr for (_, scope), attr in _CELL_ATTRS.items() if scope is StateScope.PER_FLOW)
+
+
+def _resolve_cells(owner: str, declared: Mapping[Cell, type]) -> Dict[Cell, tuple]:
+    """Check a declaration against the taxonomy; return ``(attribute, encode, decode)`` per cell."""
+    for role, scope in declared:
+        if not state_class(role, scope).movable:
+            raise StateError(f"{owner}: {role.value} state is written by the controller, not declared")
+    return {cell: (attr, *payload_codec(declared.get(cell))) for cell, attr in _CELL_ATTRS.items()}
 
 
 class Verdict(enum.Enum):
@@ -102,6 +124,19 @@ class Middlebox(Node, MiddleboxInterface):
     #: Default middlebox type string; subclasses override.
     MB_TYPE = "generic"
 
+    #: The middlebox's Table 1 declaration: taxonomy cell -> the native type it
+    #: keeps there (a dataclass, or a class with ``to_payload``/``from_payload``).
+    #: Export and import of a declared cell go through that type's
+    #: :func:`~repro.core.chunks.payload_codec`; an undeclared cell holds
+    #: plain payload values (dicts, lists, scalars) and is passed through.
+    STATE: Mapping[Cell, type] = {}
+    _cells = _resolve_cells("Middlebox", STATE)
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        """Validate the subclass's declaration at class creation; resolve each cell's codec once."""
+        super().__init_subclass__(**kwargs)
+        cls._cells = _resolve_cells(cls.__name__, cls.STATE)
+
     def __init__(
         self,
         sim: Simulator,
@@ -147,22 +182,6 @@ class Middlebox(Node, MiddleboxInterface):
     def process_packet(self, packet: Packet) -> ProcessResult:
         """Middlebox-specific packet processing; subclasses must implement."""
         raise NotImplementedError
-
-    def serialize_support(self, key: FlowKey, obj: object) -> object:
-        """Convert a native per-flow supporting object into a chunk payload."""
-        return obj
-
-    def deserialize_support(self, key: FlowKey, payload: object) -> object:
-        """Reconstruct a native per-flow supporting object from a chunk payload."""
-        return payload
-
-    def serialize_report(self, key: FlowKey, obj: object) -> object:
-        """Convert a native per-flow reporting object into a chunk payload."""
-        return obj
-
-    def deserialize_report(self, key: FlowKey, payload: object) -> object:
-        """Reconstruct a native per-flow reporting object from a chunk payload."""
-        return payload
 
     def on_config_changed(self, key: str) -> None:
         """Hook invoked after the controller changes configuration state."""
@@ -244,7 +263,7 @@ class Middlebox(Node, MiddleboxInterface):
         """
         if not result.updated_flows:
             return
-        for store in (self.support_store, self.report_store):
+        for store in self._perflow_stores():
             if not store.tracking_dirty:
                 continue
             for key in result.updated_flows:
@@ -330,17 +349,17 @@ class Middlebox(Node, MiddleboxInterface):
     # Southbound API: per-flow state
     # =====================================================================================
 
-    def _store_for(self, role: StateRole) -> PerFlowStateStore:
-        if role is StateRole.SUPPORTING:
-            return self.support_store
-        if role is StateRole.REPORTING:
-            return self.report_store
-        raise StateError(f"per-flow operations do not apply to {role.value} state")
+    def _cell(self, role: StateRole, scope: StateScope) -> tuple:
+        """The one cell lookup: ``(store or slot, encode, decode)`` of a taxonomy cell."""
+        try:
+            attr, encode, decode = self._cells[(role, scope)]
+        except KeyError:
+            raise StateError(f"{scope.value} operations do not apply to {role.value} state") from None
+        return getattr(self, attr), encode, decode
 
-    def _serializer_for(self, role: StateRole) -> Tuple[Callable, Callable]:
-        if role is StateRole.SUPPORTING:
-            return self.serialize_support, self.deserialize_support
-        return self.serialize_report, self.deserialize_report
+    def _perflow_stores(self) -> List[PerFlowStateStore]:
+        """The store of every per-flow cell, as assigned right now."""
+        return [getattr(self, attr) for attr in _PERFLOW_ATTRS]
 
     def iter_perflow(
         self,
@@ -370,8 +389,7 @@ class Middlebox(Node, MiddleboxInterface):
         API busy time accrues per sealed chunk from the stream's start, so
         the total is ``get_base + get_per_chunk * chunks`` whatever the pull pacing.
         """
-        store = self._store_for(role)
-        serialize, _ = self._serializer_for(role)
+        store, encode, _ = self._cell(role, StateScope.PER_FLOW)
         if track_dirty:
             # Arm tracking before the query so every mutation after this
             # instant is either inside the snapshot or in the dirty set.
@@ -383,8 +401,7 @@ class Middlebox(Node, MiddleboxInterface):
         def generate() -> Iterator[StateChunk]:
             sealed = 0
             for key, obj in matches:
-                payload = serialize(key, obj)
-                chunk = self.codec.seal_perflow(key, payload, role, compress=compress)
+                chunk = self.codec.seal_perflow(key, encode(obj), role, compress=compress)
                 if mark_transfer:
                     self._transferred_flows.add(key.bidirectional())
                 sealed += 1
@@ -417,8 +434,7 @@ class Middlebox(Node, MiddleboxInterface):
         *and* re-dirties it for the next round — a harmless resend, never a
         loss.  Chunks for flows removed between drain and pull are skipped.
         """
-        store = self._store_for(role)
-        serialize, _ = self._serializer_for(role)
+        store, encode, _ = self._cell(role, StateScope.PER_FLOW)
         drained: List[FlowKey] = []
         for key in store.drain_dirty():
             if not pattern.matches_either_direction(key):
@@ -438,7 +454,7 @@ class Middlebox(Node, MiddleboxInterface):
                 obj = store.get(key)
                 if obj is None:
                     continue  # removed after it was dirtied; nothing to resend
-                chunk = self.codec.seal_perflow(key, serialize(key, obj), role, compress=compress)
+                chunk = self.codec.seal_perflow(key, encode(obj), role, compress=compress)
                 sealed += 1
                 self._note_api_activity_absolute(
                     start + self.costs.get_base + self.costs.get_per_chunk * sealed
@@ -454,7 +470,7 @@ class Middlebox(Node, MiddleboxInterface):
         convergence signal for a pattern-restricted pre-copy move must not be
         inflated by background traffic on flows the move will never transfer.
         """
-        store = self._store_for(role)
+        store = self._cell(role, StateScope.PER_FLOW)[0]
         if pattern is None or pattern.is_wildcard:
             return store.dirty_count
         return sum(1 for key in store.dirty_keys() if pattern.matches_either_direction(key))
@@ -468,20 +484,16 @@ class Middlebox(Node, MiddleboxInterface):
         stale round can never overwrite newer destination state.  Untagged
         puts (snapshot transfers) always install.
         """
-        store = self._store_for(chunk.role)
+        store, _, decode = self._cell(chunk.role, StateScope.PER_FLOW)
         if round is not None and not store.install_round(chunk.key, tuple(round)):
             self.counters.stale_round_puts += 1
             self._note_api_activity(self.costs.put_per_chunk)
             return
-        _, deserialize = self._serializer_for(chunk.role)
-        payload = self.codec.unseal_perflow(chunk)
-        obj = deserialize(chunk.key, payload)
-        store.put(chunk.key, obj)
+        store.put(chunk.key, decode(self.codec.unseal_perflow(chunk)))
         self._note_api_activity(self.costs.put_per_chunk)
 
     def del_perflow(self, role: StateRole, pattern: FlowPattern) -> int:
-        store = self._store_for(role)
-        removed = store.remove_matching(pattern)
+        removed = self._cell(role, StateScope.PER_FLOW)[0].remove_matching(pattern)
         for key, obj in removed:
             self.on_perflow_deleted(role, key, obj)
             self._transferred_flows.discard(key.bidirectional())
@@ -499,39 +511,21 @@ class Middlebox(Node, MiddleboxInterface):
     # Southbound API: shared state
     # =====================================================================================
 
-    def _shared_slot(self, role: StateRole) -> Optional[SharedStateSlot]:
-        if role is StateRole.SUPPORTING:
-            return self.shared_support
-        if role is StateRole.REPORTING:
-            return self.shared_report
-        raise StateError(f"shared operations do not apply to {role.value} state")
-
-    def serialize_shared(self, role: StateRole, value: object) -> object:
-        """Convert native shared state into a chunk payload (subclasses may override)."""
-        return value
-
-    def deserialize_shared(self, role: StateRole, payload: object) -> object:
-        """Reconstruct native shared state from a chunk payload (subclasses may override)."""
-        return payload
-
-    def get_shared(self, role: StateRole, *, mark_transfer: bool = False) -> Optional[SharedChunk]:
-        slot = self._shared_slot(role)
+    def get_shared(self, role: StateRole, *, mark_transfer: bool = False) -> Optional[StateChunk]:
+        slot, encode, _ = self._cell(role, StateScope.SHARED)
         if slot is None:
             return None
-        payload = self.serialize_shared(role, slot.clone_value())
-        chunk = self.codec.seal_shared(payload, role)
+        chunk = self.codec.seal_perflow(None, encode(slot.clone_value()), role)
         if mark_transfer:
             self._shared_transfer_active = True
         self._note_api_activity(self.costs.shared_get_base + self.costs.shared_get_per_byte * chunk.size)
         return chunk
 
-    def put_shared(self, chunk: SharedChunk) -> None:
-        slot = self._shared_slot(chunk.role)
+    def put_shared(self, chunk: StateChunk) -> None:
+        slot, _, decode = self._cell(chunk.role, StateScope.SHARED)
         if slot is None:
             raise StateError(f"{self.name} has no shared {chunk.role.value} state to import into")
-        payload = self.codec.unseal_shared(chunk)
-        value = self.deserialize_shared(chunk.role, payload)
-        slot.merge_in(value)
+        slot.merge_in(decode(self.codec.unseal_perflow(chunk)))
         self._note_api_activity(self.costs.shared_put_base + self.costs.shared_put_per_byte * chunk.size)
 
     # =====================================================================================
@@ -539,15 +533,15 @@ class Middlebox(Node, MiddleboxInterface):
     # =====================================================================================
 
     def state_stats(self, pattern: FlowPattern) -> dict:
-        support_matches = self.support_store.query(pattern)
-        report_matches = self.report_store.query(pattern)
-        return {
-            "perflow_supporting": len(support_matches),
-            "perflow_reporting": len(report_matches),
-            "shared_supporting": 1 if self.shared_support is not None else 0,
-            "shared_reporting": 1 if self.shared_report is not None else 0,
-            "config_keys": len(self.config.keys()),
-        }
+        stats = {}
+        for (role, scope), attr in _CELL_ATTRS.items():
+            held = getattr(self, attr)
+            if scope is StateScope.PER_FLOW:
+                stats[f"perflow_{role.value}"] = len(held.query(pattern))
+            else:
+                stats[f"shared_{role.value}"] = 0 if held is None else 1
+        stats["config_keys"] = len(self.config.keys())
+        return stats
 
     def end_transfer(self) -> None:
         # Note: per-flow packet holds are deliberately NOT cleared here.  They
@@ -569,8 +563,8 @@ class Middlebox(Node, MiddleboxInterface):
         nothing else: transfer markers, holds, and install tags owned by
         concurrent operations survive.
         """
-        self.support_store.end_dirty_tracking()
-        self.report_store.end_dirty_tracking()
+        for store in self._perflow_stores():
+            store.end_dirty_tracking()
 
     def end_shared_transfer(self) -> None:
         """Clear only the shared-transfer flag (a finalizing clone/merge).
@@ -594,12 +588,13 @@ class Middlebox(Node, MiddleboxInterface):
         packet hold, processing queued packets in arrival order (the
         order-preserving release at a destination).
         """
+        stores = self._perflow_stores()
         for key in keys:
             canonical = key.bidirectional()
             self._transferred_flows.discard(canonical)
             self._held_flows.discard(canonical)
-            self.support_store.clear_install_round(canonical)
-            self.report_store.clear_install_round(canonical)
+            for store in stores:
+                store.clear_install_round(canonical)
             for packet, in_port in self._held_packets.pop(canonical, []):
                 self._process_and_forward(packet, in_port)
 
@@ -621,7 +616,7 @@ class Middlebox(Node, MiddleboxInterface):
         self._held_flows.clear()
         self._transferred_flows.clear()
         self._shared_transfer_active = False
-        for store in (self.support_store, self.report_store):
+        for store in self._perflow_stores():
             store.end_dirty_tracking()
             store.clear_install_rounds()
         if dropped:
@@ -648,7 +643,20 @@ class Middlebox(Node, MiddleboxInterface):
         self._after_processing(packet, result, in_port=None, suppress_side_effects=True)
 
     def perflow_count(self, role: StateRole) -> int:
-        return len(self._store_for(role))
+        return len(self._cell(role, StateScope.PER_FLOW)[0])
+
+    def cell_size_bytes(self, role: StateRole, scope: StateScope, pattern: Optional[FlowPattern] = None) -> int:
+        """Serialised size of one cell's state (per-flow: of the entries matching *pattern*).
+
+        Size accounting for the evaluation (the VM-snapshot comparison); not a southbound call.
+        """
+        held, encode, _ = self._cell(role, scope)
+        if scope is StateScope.SHARED:
+            return 0 if held is None else len(serialize_payload(encode(held.value)))
+        pattern = pattern or FlowPattern.wildcard()
+        return sum(
+            len(serialize_payload(encode(obj))) for key, obj in held.items() if pattern.matches_either_direction(key)
+        )
 
     # =====================================================================================
     # Helpers for subclasses and the southbound agent

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 
 from ..core.flowspace import FlowKey, FlowPattern
 from ..core.southbound import ProcessingCosts
+from ..core.state import StateRole, StateScope
 from ..net.packet import Packet
 from ..net.simulator import Simulator
 from .base import Middlebox, ProcessResult, Verdict
@@ -49,22 +50,12 @@ class ConnectionEntry:
     admitted_at: float = 0.0
     packets: int = 0
 
-    def to_payload(self) -> dict:
-        return {"key": self.key, "admitted_at": self.admitted_at, "packets": self.packets}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ConnectionEntry":
-        return cls(
-            key=payload["key"],
-            admitted_at=float(payload.get("admitted_at", 0.0)),
-            packets=int(payload.get("packets", 0)),
-        )
-
 
 class Firewall(Middlebox):
     """A stateful firewall with an ordered allow/deny rule list."""
 
     MB_TYPE = "firewall"
+    STATE = {(StateRole.SUPPORTING, StateScope.PER_FLOW): ConnectionEntry}
 
     DEFAULT_COSTS = ProcessingCosts(packet_processing=70e-6, get_per_chunk=130e-6, put_per_chunk=25e-6)
 
@@ -122,12 +113,3 @@ class Firewall(Middlebox):
             if rule.pattern.matches(key):
                 return rule.allow
         return self.default_allow
-
-    # -- state (de)serialisation --------------------------------------------------------------------
-
-    def serialize_support(self, key: FlowKey, obj: object) -> object:
-        assert isinstance(obj, ConnectionEntry)
-        return obj.to_payload()
-
-    def deserialize_support(self, key: FlowKey, payload: object) -> object:
-        return ConnectionEntry.from_payload(payload)  # type: ignore[arg-type]

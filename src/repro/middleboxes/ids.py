@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.flowspace import PROTO_TCP, FlowKey
+from ..core.flowspace import PROTO_TCP, FlowKey, FlowPattern
 from ..core.southbound import ProcessingCosts
-from ..core.state import SharedStateSlot, StateRole
+from ..core.state import SharedStateSlot, StateRole, StateScope
 from ..net.packet import ACK, FIN, RST, SYN, Packet
 from ..net.simulator import Simulator
 from .base import FULL_GRANULARITY, Middlebox, ProcessResult, Verdict
@@ -60,29 +60,6 @@ class HttpTransaction:
     response_bytes: int = 0
     complete: bool = False
 
-    def to_payload(self) -> dict:
-        return {
-            "method": self.method,
-            "uri": self.uri,
-            "host": self.host,
-            "status": self.status,
-            "request_bytes": self.request_bytes,
-            "response_bytes": self.response_bytes,
-            "complete": self.complete,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "HttpTransaction":
-        return cls(
-            method=payload.get("method", ""),
-            uri=payload.get("uri", ""),
-            host=payload.get("host", ""),
-            status=int(payload.get("status", 0)),
-            request_bytes=int(payload.get("request_bytes", 0)),
-            response_bytes=int(payload.get("response_bytes", 0)),
-            complete=bool(payload.get("complete", False)),
-        )
-
 
 @dataclass
 class Connection:
@@ -101,41 +78,6 @@ class Connection:
     http: List[HttpTransaction] = field(default_factory=list)
     moved: bool = False
     logged: bool = False
-
-    def to_payload(self) -> dict:
-        return {
-            "key": self.key,
-            "state": self.state,
-            "orig_packets": self.orig_packets,
-            "resp_packets": self.resp_packets,
-            "orig_bytes": self.orig_bytes,
-            "resp_bytes": self.resp_bytes,
-            "start_time": self.start_time,
-            "last_time": self.last_time,
-            "history": self.history,
-            "service": self.service,
-            "http": [txn.to_payload() for txn in self.http],
-            "moved": self.moved,
-            "logged": self.logged,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Connection":
-        return cls(
-            key=payload["key"],
-            state=payload["state"],
-            orig_packets=int(payload["orig_packets"]),
-            resp_packets=int(payload["resp_packets"]),
-            orig_bytes=int(payload["orig_bytes"]),
-            resp_bytes=int(payload["resp_bytes"]),
-            start_time=float(payload["start_time"]),
-            last_time=float(payload["last_time"]),
-            history=payload.get("history", ""),
-            service=payload.get("service", ""),
-            http=[HttpTransaction.from_payload(item) for item in payload.get("http", [])],
-            moved=bool(payload.get("moved", False)),
-            logged=bool(payload.get("logged", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -182,13 +124,6 @@ class ScanTable:
             destinations.append(destination)
         return len(destinations)
 
-    def to_payload(self) -> dict:
-        return {"contacted": {src: list(dsts) for src, dsts in self.contacted.items()}}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ScanTable":
-        return cls(contacted={src: list(dsts) for src, dsts in payload.get("contacted", {}).items()})
-
     @staticmethod
     def merge(existing: "ScanTable", incoming: "ScanTable") -> "ScanTable":
         merged = ScanTable(contacted={src: list(dsts) for src, dsts in existing.contacted.items()})
@@ -202,6 +137,10 @@ class IDS(Middlebox):
     """A Bro-like intrusion detection middlebox."""
 
     MB_TYPE = "ids"
+    STATE = {
+        (StateRole.SUPPORTING, StateScope.PER_FLOW): Connection,
+        (StateRole.SUPPORTING, StateScope.SHARED): ScanTable,
+    }
 
     #: Deep per-flow state makes gets and puts the most expensive of our middleboxes.
     DEFAULT_COSTS = ProcessingCosts(
@@ -410,22 +349,8 @@ class IDS(Middlebox):
         return [entry for entry in self.conn_log if entry.conn_state == STATE_INCOMPLETE]
 
     # =====================================================================================
-    # State (de)serialisation and move integration
+    # Move integration
     # =====================================================================================
-
-    def serialize_support(self, key: FlowKey, obj: object) -> object:
-        assert isinstance(obj, Connection)
-        return obj.to_payload()
-
-    def deserialize_support(self, key: FlowKey, payload: object) -> object:
-        return Connection.from_payload(payload)  # type: ignore[arg-type]
-
-    def serialize_shared(self, role: StateRole, value: object) -> object:
-        assert isinstance(value, ScanTable)
-        return value.to_payload()
-
-    def deserialize_shared(self, role: StateRole, payload: object) -> object:
-        return ScanTable.from_payload(payload)  # type: ignore[arg-type]
 
     def on_perflow_deleted(self, role: StateRole, key: FlowKey, obj: object) -> None:
         """A controller delete after a successful move: mark the connection moved."""
@@ -436,14 +361,6 @@ class IDS(Middlebox):
     # State-size accounting (used by the VM-snapshot comparison)
     # =====================================================================================
 
-    def state_size_bytes(self, pattern: Optional[object] = None) -> int:
+    def state_size_bytes(self, pattern: Optional[FlowPattern] = None) -> int:
         """Approximate size of resident per-flow supporting state in bytes."""
-        from ..core.chunks import serialize_payload
-        from ..core.flowspace import FlowPattern
-
-        flow_pattern = pattern if isinstance(pattern, FlowPattern) else FlowPattern.wildcard()
-        total = 0
-        for key, connection in self.support_store.items():
-            if flow_pattern.matches_either_direction(key):
-                total += len(serialize_payload(connection.to_payload()))
-        return total
+        return self.cell_size_bytes(StateRole.SUPPORTING, StateScope.PER_FLOW, pattern)

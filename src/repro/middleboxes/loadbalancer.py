@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.errors import MiddleboxError
-from ..core.flowspace import FlowKey
 from ..core.southbound import ProcessingCosts
+from ..core.state import StateRole, StateScope
 from ..net.packet import Packet
 from ..net.simulator import Simulator
 from .base import Middlebox, ProcessResult, Verdict
@@ -36,22 +36,12 @@ class Assignment:
     assigned_at: float = 0.0
     packets: int = 0
 
-    def to_payload(self) -> dict:
-        return {"backend": self.backend, "assigned_at": self.assigned_at, "packets": self.packets}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Assignment":
-        return cls(
-            backend=payload["backend"],
-            assigned_at=float(payload.get("assigned_at", 0.0)),
-            packets=int(payload.get("packets", 0)),
-        )
-
 
 class LoadBalancer(Middlebox):
     """A round-robin connection load balancer fronting a pool of servers."""
 
     MB_TYPE = "loadbalancer"
+    STATE = {(StateRole.SUPPORTING, StateScope.PER_FLOW): Assignment}
 
     DEFAULT_COSTS = ProcessingCosts(packet_processing=60e-6, get_per_chunk=120e-6, put_per_chunk=25e-6)
 
@@ -116,15 +106,6 @@ class LoadBalancer(Middlebox):
         if created and not self.is_reprocessing:
             self.raise_event(EVENT_FLOW_ASSIGNED, key=key, backend=assignment.backend)
         return ProcessResult(verdict=Verdict.FORWARD, packet=rewritten, updated_flows=[key])
-
-    # -- state (de)serialisation --------------------------------------------------------------------
-
-    def serialize_support(self, key: FlowKey, obj: object) -> object:
-        assert isinstance(obj, Assignment)
-        return obj.to_payload()
-
-    def deserialize_support(self, key: FlowKey, payload: object) -> object:
-        return Assignment.from_payload(payload)  # type: ignore[arg-type]
 
     def assignments(self) -> List[Assignment]:
         """All flow-to-backend assignments currently resident at this instance."""

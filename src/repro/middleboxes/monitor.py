@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.flowspace import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FlowKey
 from ..core.southbound import ProcessingCosts
-from ..core.state import SharedStateSlot, StateRole
+from ..core.state import SharedStateSlot, StateRole, StateScope
 from ..net.packet import Packet, SYN
 from ..net.simulator import Simulator
 from .base import FULL_GRANULARITY, Middlebox, ProcessResult, Verdict
@@ -54,29 +54,6 @@ class FlowRecord:
     service: Optional[str] = None
     syn_seen: bool = False
 
-    def to_payload(self) -> dict:
-        return {
-            "key": self.key,
-            "packets": self.packets,
-            "bytes": self.bytes,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-            "service": self.service,
-            "syn_seen": self.syn_seen,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FlowRecord":
-        return cls(
-            key=payload["key"],
-            packets=int(payload["packets"]),
-            bytes=int(payload["bytes"]),
-            first_seen=float(payload["first_seen"]),
-            last_seen=float(payload["last_seen"]),
-            service=payload.get("service"),
-            syn_seen=bool(payload.get("syn_seen", False)),
-        )
-
 
 @dataclass
 class MonitorStats:
@@ -99,30 +76,6 @@ class MonitorStats:
         services.append(service)
         services.sort()
         return True
-
-    def to_payload(self) -> dict:
-        return {
-            "total_packets": self.total_packets,
-            "total_bytes": self.total_bytes,
-            "tcp_packets": self.tcp_packets,
-            "udp_packets": self.udp_packets,
-            "icmp_packets": self.icmp_packets,
-            "flows_seen": self.flows_seen,
-            "assets": {host: list(services) for host, services in self.assets.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MonitorStats":
-        stats = cls(
-            total_packets=int(payload["total_packets"]),
-            total_bytes=int(payload["total_bytes"]),
-            tcp_packets=int(payload["tcp_packets"]),
-            udp_packets=int(payload["udp_packets"]),
-            icmp_packets=int(payload["icmp_packets"]),
-            flows_seen=int(payload["flows_seen"]),
-        )
-        stats.assets = {host: sorted(services) for host, services in payload.get("assets", {}).items()}
-        return stats
 
     @staticmethod
     def merge(existing: "MonitorStats", incoming: "MonitorStats") -> "MonitorStats":
@@ -151,6 +104,10 @@ class PassiveMonitor(Middlebox):
     """A PRADS-like passive monitoring middlebox."""
 
     MB_TYPE = "monitor"
+    STATE = {
+        (StateRole.REPORTING, StateScope.PER_FLOW): FlowRecord,
+        (StateRole.REPORTING, StateScope.SHARED): MonitorStats,
+    }
 
     #: Default cost model: shallow per-flow state, so gets/puts are cheaper than the IDS.
     DEFAULT_COSTS = ProcessingCosts(
@@ -229,22 +186,6 @@ class PassiveMonitor(Middlebox):
             updated_flows=[key],
             updated_shared=not self.is_reprocessing,
         )
-
-    # -- state (de)serialisation --------------------------------------------------------------
-
-    def serialize_report(self, key: FlowKey, obj: object) -> object:
-        assert isinstance(obj, FlowRecord)
-        return obj.to_payload()
-
-    def deserialize_report(self, key: FlowKey, payload: object) -> object:
-        return FlowRecord.from_payload(payload)  # type: ignore[arg-type]
-
-    def serialize_shared(self, role: StateRole, value: object) -> object:
-        assert isinstance(value, MonitorStats)
-        return value.to_payload()
-
-    def deserialize_shared(self, role: StateRole, payload: object) -> object:
-        return MonitorStats.from_payload(payload)  # type: ignore[arg-type]
 
     # -- monitor-specific reporting --------------------------------------------------------------
 

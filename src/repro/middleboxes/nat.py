@@ -16,6 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..core.errors import MiddleboxError
 from ..core.flowspace import FlowKey
 from ..core.southbound import ProcessingCosts
+from ..core.state import StateRole, StateScope
 from ..net.packet import Packet
 from ..net.simulator import Simulator
 from .base import FULL_GRANULARITY, Middlebox, ProcessResult, Verdict
@@ -38,32 +39,12 @@ class NatMapping:
     created_at: float = 0.0
     last_used: float = 0.0
 
-    def to_payload(self) -> dict:
-        return {
-            "internal_ip": self.internal_ip,
-            "internal_port": self.internal_port,
-            "external_ip": self.external_ip,
-            "external_port": self.external_port,
-            "created_at": self.created_at,
-            "last_used": self.last_used,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "NatMapping":
-        return cls(
-            internal_ip=payload["internal_ip"],
-            internal_port=int(payload["internal_port"]),
-            external_ip=payload["external_ip"],
-            external_port=int(payload["external_port"]),
-            created_at=float(payload.get("created_at", 0.0)),
-            last_used=float(payload.get("last_used", 0.0)),
-        )
-
 
 class NAT(Middlebox):
     """A source NAT translating internal addresses to one external address."""
 
     MB_TYPE = "nat"
+    STATE = {(StateRole.SUPPORTING, StateScope.PER_FLOW): NatMapping}
 
     DEFAULT_COSTS = ProcessingCosts(packet_processing=80e-6, get_per_chunk=150e-6, put_per_chunk=30e-6)
 
@@ -213,12 +194,3 @@ class NAT(Middlebox):
             self._reverse[(mapping.external_ip, mapping.external_port)] = self.support_store.canonical_key(chunk.key)
             # Keep port allocation clear of imported mappings.
             self._next_port = max(self._next_port, mapping.external_port + 1)
-
-    # -- state (de)serialisation -------------------------------------------------------------------
-
-    def serialize_support(self, key: FlowKey, obj: object) -> object:
-        assert isinstance(obj, NatMapping)
-        return obj.to_payload()
-
-    def deserialize_support(self, key: FlowKey, payload: object) -> object:
-        return NatMapping.from_payload(payload)  # type: ignore[arg-type]

@@ -25,10 +25,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.errors import MiddleboxError
+from ..core.errors import MiddleboxError, StateError
 from ..core.flowspace import IPv4Prefix
 from ..core.southbound import ProcessingCosts
-from ..core.state import SharedStateSlot, StateRole
+from ..core.state import SharedStateSlot, StateRole, StateScope
 from ..net.packet import Packet
 from ..net.simulator import Simulator
 from .base import Middlebox, ProcessResult, Verdict
@@ -111,11 +111,17 @@ class PacketCache:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PacketCache":
-        cache = cls(int(payload["capacity"]))
-        content = payload["buffer"]
+        capacity, content, position, wrapped = (
+            payload[name] for name in ("capacity", "buffer", "current_pos", "max_reached")
+        )
+        cache = cls(capacity)
+        if not isinstance(content, bytes) or type(position) is not int or type(wrapped) is not bool:
+            raise StateError("ill-typed packet cache field")
+        if not 0 <= position <= capacity or len(content) != (capacity if wrapped else position):
+            raise StateError("packet cache content does not fit its geometry")
         cache._buffer[: len(content)] = content
-        cache.current_pos = int(payload["current_pos"])
-        cache.max_reached = bool(payload["max_reached"])
+        cache.current_pos = position
+        cache.max_reached = wrapped
         return cache
 
 
@@ -125,16 +131,6 @@ class DecoderCacheState:
 
     cache: PacketCache = field(default_factory=PacketCache)
 
-    def clone(self) -> "DecoderCacheState":
-        return DecoderCacheState(cache=self.cache.clone())
-
-    def to_payload(self) -> dict:
-        return {"cache": self.cache.to_payload()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DecoderCacheState":
-        return cls(cache=PacketCache.from_payload(payload["cache"]))
-
 
 @dataclass
 class EncoderCacheState:
@@ -142,28 +138,6 @@ class EncoderCacheState:
 
     caches: Dict[int, PacketCache] = field(default_factory=dict)
     fingerprints: Dict[int, Dict[str, int]] = field(default_factory=dict)
-
-    def clone(self) -> "EncoderCacheState":
-        return EncoderCacheState(
-            caches={cache_id: cache.clone() for cache_id, cache in self.caches.items()},
-            fingerprints={cache_id: dict(table) for cache_id, table in self.fingerprints.items()},
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "caches": {str(cache_id): cache.to_payload() for cache_id, cache in self.caches.items()},
-            "fingerprints": {str(cache_id): dict(table) for cache_id, table in self.fingerprints.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "EncoderCacheState":
-        return cls(
-            caches={int(cache_id): PacketCache.from_payload(data) for cache_id, data in payload["caches"].items()},
-            fingerprints={
-                int(cache_id): {fp: int(offset) for fp, offset in table.items()}
-                for cache_id, table in payload.get("fingerprints", {}).items()
-            },
-        )
 
 
 def _chunk_regions(payload: bytes) -> List[Tuple[int, bytes]]:
@@ -175,6 +149,7 @@ class REEncoder(Middlebox):
     """The RE encoder middlebox."""
 
     MB_TYPE = "re-encoder"
+    STATE = {(StateRole.SUPPORTING, StateScope.SHARED): EncoderCacheState}
 
     DEFAULT_COSTS = ProcessingCosts(packet_processing=180e-6)
 
@@ -189,7 +164,7 @@ class REEncoder(Middlebox):
         super().__init__(sim, name, costs=costs or ProcessingCosts(**vars(self.DEFAULT_COSTS)))
         self.cache_capacity = cache_capacity
         state = EncoderCacheState(caches={1: PacketCache(cache_capacity)}, fingerprints={1: {}})
-        self.shared_support = SharedStateSlot(state, clone=EncoderCacheState.clone)
+        self.shared_support = SharedStateSlot(state)
         self.config.set("NumCaches", [1])
         self.config.set("CacheFlows", ["0.0.0.0/0"])
         self.config.set("CacheSize", [cache_capacity])
@@ -282,20 +257,12 @@ class REEncoder(Middlebox):
             updated_shared=True,
         )
 
-    # -- shared-state (de)serialisation ----------------------------------------------------------
-
-    def serialize_shared(self, role: StateRole, value: object) -> object:
-        assert isinstance(value, EncoderCacheState)
-        return value.to_payload()
-
-    def deserialize_shared(self, role: StateRole, payload: object) -> object:
-        return EncoderCacheState.from_payload(payload)  # type: ignore[arg-type]
-
 
 class REDecoder(Middlebox):
     """The RE decoder middlebox."""
 
     MB_TYPE = "re-decoder"
+    STATE = {(StateRole.SUPPORTING, StateScope.SHARED): DecoderCacheState}
 
     DEFAULT_COSTS = ProcessingCosts(packet_processing=150e-6)
 
@@ -309,9 +276,7 @@ class REDecoder(Middlebox):
     ) -> None:
         super().__init__(sim, name, costs=costs or ProcessingCosts(**vars(self.DEFAULT_COSTS)))
         self.cache_capacity = cache_capacity
-        self.shared_support = SharedStateSlot(
-            DecoderCacheState(cache=PacketCache(cache_capacity)), clone=DecoderCacheState.clone
-        )
+        self.shared_support = SharedStateSlot(DecoderCacheState(cache=PacketCache(cache_capacity)))
         self.config.set("CacheSize", [cache_capacity])
         #: Accounting used by Table 3.
         self.decoded_packets = 0
@@ -363,12 +328,3 @@ class REDecoder(Middlebox):
             updated_flows=[packet.flow_key()],
             updated_shared=True,
         )
-
-    # -- shared-state (de)serialisation -----------------------------------------------------------
-
-    def serialize_shared(self, role: StateRole, value: object) -> object:
-        assert isinstance(value, DecoderCacheState)
-        return value.to_payload()
-
-    def deserialize_shared(self, role: StateRole, payload: object) -> object:
-        return DecoderCacheState.from_payload(payload)  # type: ignore[arg-type]

@@ -138,8 +138,9 @@ class TestChunkCodec:
 
     def test_shared_roundtrip(self):
         codec = ChunkCodec.for_mb_type("re-decoder")
-        chunk = codec.seal_shared({"cache": b"\x01" * 100}, StateRole.SUPPORTING)
-        assert codec.unseal_shared(chunk)["cache"] == b"\x01" * 100
+        chunk = codec.seal_perflow(None, {"cache": b"\x01" * 100}, StateRole.SUPPORTING)
+        assert chunk.key is None
+        assert codec.unseal_perflow(chunk)["cache"] == b"\x01" * 100
 
     def test_compressed_codec_roundtrip(self):
         codec = ChunkCodec.for_mb_type("monitor", compress=True)

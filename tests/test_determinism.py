@@ -281,6 +281,46 @@ class TestEngineLayering:
                     offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno}")
         assert not offenders, "message bodies read outside core/messages.py:\n" + "\n".join(offenders)
 
+    def test_table_1_is_declared_once_and_the_payload_format_lives_in_one_module(self):
+        """A middlebox states its cells; nothing restates the taxonomy or the payload format.
+
+        Under ``src/repro/middleboxes/`` no function is named ``serialize_*`` /
+        ``deserialize_*``; ``to_payload`` / ``from_payload`` are defined only by
+        classes whose wire form is not their fields (``PacketCache``); the second
+        chunk type and its seal / wire pairs are gone from ``src/``; the tuple
+        ``(StateRole.SUPPORTING, StateRole.REPORTING)`` is spelled nowhere
+        outside ``core/state.py`` — roles come from the taxonomy, which therefore
+        has readers in ``middleboxes/base.py`` and ``core/operations.py``.
+        """
+        explicit_pair_allowed = {"PacketCache"}
+        gone = {"SharedChunk", "seal_shared", "unseal_shared", "encode_shared_chunk", "decode_shared_chunk"}
+        state_module = pathlib.PurePath("repro", "core", "state.py")
+        offenders, taxonomy_readers = [], set()
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            relative = path.relative_to(SRC_ROOT)
+            text = path.read_text()
+            tree = ast.parse(text)
+            offenders.extend(f"{relative} names {name}" for name in sorted(gone) if name in text)
+            for owner in ast.walk(tree):
+                for node in ast.iter_child_nodes(owner):
+                    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    hook = node.name.startswith(("serialize_", "deserialize_")) and "middleboxes" in relative.parts
+                    pair = node.name in ("to_payload", "from_payload") and not (
+                        isinstance(owner, ast.ClassDef) and owner.name in explicit_pair_allowed
+                    )
+                    if hook or pair:
+                        offenders.append(f"{relative}:{node.lineno} defines {node.name}")
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and node.id in ("TAXONOMY", "state_class"):
+                    taxonomy_readers.add(relative)
+                if isinstance(node, ast.Tuple) and relative != state_module:
+                    if [ast.unparse(item) for item in node.elts] == ["StateRole.SUPPORTING", "StateRole.REPORTING"]:
+                        offenders.append(f"{relative}:{node.lineno} enumerates the two roles by hand")
+        assert not offenders, "\n".join(offenders)
+        for reader in ("middleboxes/base.py", "core/operations.py"):
+            assert pathlib.PurePath("repro", reader) in taxonomy_readers, f"{reader} no longer reads the taxonomy"
+
 
 class TestSeededReproducibility:
     def test_traffic_generators_reproduce_from_seed(self):

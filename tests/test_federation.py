@@ -17,6 +17,7 @@ Covers the federation tentpole end to end with fixed seeds throughout:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -499,6 +500,18 @@ class TestControllerStatsMerge:
         assert left.messages_sent == right.messages_sent == 7
         assert left.events_received == right.events_received == 5
         assert left.instances_killed == right.instances_killed == 1
+
+    def test_merge_enumerates_the_fields_so_an_added_counter_is_not_dropped(self):
+        @dataclasses.dataclass
+        class Extended(ControllerStats):
+            gossip_rounds: int = 0
+
+        merged = Extended(messages_sent=1, gossip_rounds=2).merge(Extended(messages_sent=2, gossip_rounds=5))
+        assert type(merged) is Extended
+        assert (merged.messages_sent, merged.gossip_rounds) == (3, 7)
+        every = {field.name: 1 for field in dataclasses.fields(ControllerStats) if field.name != "records"}
+        doubled = ControllerStats(**every).merge(ControllerStats(**every))
+        assert all(getattr(doubled, name) == 2 for name in every) and len(every) == 20
 
 
 # =========================================================================================

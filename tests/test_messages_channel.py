@@ -8,7 +8,7 @@ from repro.core.errors import ProtocolError
 from repro.core.events import Event, EventCode
 from repro.core.flowspace import FlowKey, FlowPattern
 from repro.core.messages import Message, MessageType
-from repro.core.state import SharedChunk, StateChunk, StateRole
+from repro.core.state import StateChunk, StateRole
 from repro.net.packet import tcp_packet
 from repro.net.simulator import Simulator
 
@@ -61,10 +61,21 @@ class TestChunkCodecs:
         assert decoded.metadata == {"n": 1}
 
     def test_shared_chunk_roundtrip(self):
-        chunk = SharedChunk(role=StateRole.REPORTING, blob=b"shared-bytes")
-        decoded = messages.decode_shared_chunk(messages.encode_shared_chunk(chunk))
+        """A shared chunk is the keyless case: no ``key`` on the wire, none after decoding."""
+        chunk = StateChunk(key=None, role=StateRole.REPORTING, blob=b"shared-bytes")
+        wire = messages.encode_chunk(chunk)
+        assert sorted(wire) == ["blob", "metadata", "role"]
+        decoded = messages.decode_chunk(wire, shared=True)
+        assert decoded.key is None
         assert decoded.role is StateRole.REPORTING
         assert decoded.blob == b"shared-bytes"
+
+    def test_perflow_message_requires_the_key_a_shared_one_ignores_it(self):
+        keyless = messages.put_perflow("mb", StateChunk(key=None, role=StateRole.SUPPORTING, blob=b"x"))
+        with pytest.raises(ProtocolError):
+            messages.parse(Message.decode(keyless.encode()))
+        keyed = messages.put_shared("mb", StateChunk(key=KEY, role=StateRole.SUPPORTING, blob=b"x"))
+        assert messages.parse(Message.decode(keyed.encode()))["chunk"].key is None
 
     def test_malformed_chunk_rejected(self):
         with pytest.raises(ProtocolError):

@@ -5,7 +5,6 @@ from repro.core.flowspace import FlowPattern
 from repro.core.state import StateRole
 from repro.middleboxes.monitor import (
     EVENT_ASSET_DETECTED,
-    FlowRecord,
     MonitorStats,
     PassiveMonitor,
     combined_statistics,
@@ -49,12 +48,6 @@ class TestFlowRecords:
         monitor.process_packet(tcp_packet("10.0.0.1", "192.0.2.10", 1000, 443, b""))
         assert monitor.flow_records()[0].service == "https"
 
-    def test_flow_record_payload_roundtrip(self):
-        monitor = PassiveMonitor(Simulator(), "mon")
-        feed(monitor, count=1)
-        record = monitor.flow_records()[0]
-        assert FlowRecord.from_payload(record.to_payload()) == record
-
 
 class TestSharedStats:
     def test_protocol_counters(self):
@@ -85,11 +78,6 @@ class TestSharedStats:
         b = MonitorStats(total_packets=3)
         MonitorStats.merge(a, b)
         assert a.total_packets == 5 and b.total_packets == 3
-
-    def test_stats_payload_roundtrip(self):
-        stats = MonitorStats(total_packets=10, tcp_packets=7, flows_seen=4)
-        stats.record_asset("192.0.2.1", "http")
-        assert MonitorStats.from_payload(stats.to_payload()).to_payload() == stats.to_payload()
 
 
 class TestStateExport:

@@ -6,7 +6,7 @@ from repro.core.flowspace import FlowPattern
 from repro.core.state import StateRole
 from repro.middleboxes.firewall import Firewall, FirewallRule
 from repro.middleboxes.loadbalancer import LoadBalancer
-from repro.middleboxes.nat import EVENT_MAPPING_CREATED, NAT, NatMapping
+from repro.middleboxes.nat import EVENT_MAPPING_CREATED, NAT
 from repro.net import Simulator, tcp_packet
 
 
@@ -92,10 +92,6 @@ class TestNAT:
 
         with pytest.raises(MiddleboxError):
             nat.process_packet(tcp_packet("10.0.0.3", "8.8.8.8", 1, 80))
-
-    def test_mapping_payload_roundtrip(self):
-        mapping = NatMapping("10.0.0.5", 5555, "203.0.113.1", 10000, created_at=1.0, last_used=2.0)
-        assert NatMapping.from_payload(mapping.to_payload()) == mapping
 
 
 class TestLoadBalancer:

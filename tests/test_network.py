@@ -15,7 +15,6 @@ from repro.net import (
     Topology,
     tcp_packet,
 )
-from repro.net.addresses import SubnetAllocator, mac_for_index, same_subnet
 from repro.net.links import Link
 from repro.net.topology import Node
 
@@ -29,35 +28,6 @@ class _Sink(Node):
 
     def receive(self, packet, in_port):
         self.received.append((packet, in_port, self.sim.now))
-
-
-class TestAddresses:
-    def test_allocator_hands_out_consecutive_hosts(self):
-        allocator = SubnetAllocator("10.1.1.0/24")
-        assert allocator.allocate() == "10.1.1.1"
-        assert allocator.allocate() == "10.1.1.2"
-        assert allocator.contains("10.1.1.77")
-        assert not allocator.contains("10.1.2.1")
-
-    def test_allocator_exhaustion(self):
-        allocator = SubnetAllocator("10.1.1.0/30")
-        allocator.allocate()
-        allocator.allocate()
-        with pytest.raises(ValueError):
-            allocator.allocate()
-
-    def test_allocate_many(self):
-        allocator = SubnetAllocator("10.2.0.0/16")
-        assert len(allocator.allocate_many(5)) == 5
-
-    def test_mac_for_index_is_deterministic_and_local(self):
-        assert mac_for_index(5) == mac_for_index(5)
-        assert mac_for_index(5).startswith("02:")
-        assert mac_for_index(5) != mac_for_index(6)
-
-    def test_same_subnet(self):
-        assert same_subnet("10.1.1.4", "10.1.1.200", 24)
-        assert not same_subnet("10.1.1.4", "10.1.2.4", 24)
 
 
 class TestLink:

@@ -8,13 +8,21 @@ Covers the satellite fixes of the transfer-strategy refactor:
 * ``unregister`` drops the removed middlebox's reply handlers and detaches the
   channel's controller binding so late replies are discarded;
 * replay-dedup tokens in ``_forwarded_events`` are pruned when an operation
-  finishes instead of growing without bound.
+  finishes instead of growing without bound;
+* the request table (``_reply_handlers``) forgets a request with the reply
+  that ends it, so a finished operation is collectable and a duplicated reply
+  reaches its handler once.
 """
+
+import gc
+import weakref
 
 import pytest
 
-from repro.core import ControllerConfig, MBController, NorthboundAPI, TransferSpec
-from repro.core.errors import OperationError, StateError
+from repro.core import ControllerConfig, MBController, NorthboundAPI, TransferSpec, messages
+from repro.core.channel import ControlChannel, FaultPlan, FaultProfile
+from repro.core.errors import OperationError, StateError, TransactionAbortedError
+from repro.core.messages import MessageType
 from repro.middleboxes import DummyMiddlebox
 from repro.net import tcp_packet
 
@@ -124,6 +132,59 @@ class TestMoveFailurePaths:
         assert handle.finalized.exception is not None
         sim.run(until=sim.now + 10 * controller.config.quiescence_timeout)
         assert len(controller.stats.records) == 1
+
+
+class TestRequestTableShrinks:
+    """Every reply type but ``STATE_CHUNK`` ends its request; the handler goes with it."""
+
+    def test_empty_after_a_finalized_move_and_the_operation_is_collectable(self, sim, controller, northbound):
+        controller.register(DummyMiddlebox(sim, "src", chunk_count=1000))
+        controller.register(DummyMiddlebox(sim, "dst"))
+        handle = northbound.move_internal("src", "dst", None)
+        operation = weakref.ref(next(iter(controller._active_by_src["src"])))
+        sim.run_until(handle.finalized, limit=100)
+        sim.run()
+        assert handle.record.chunks_transferred == 2000
+        assert controller._reply_handlers == {}
+        del handle
+        gc.collect()
+        assert operation() is None
+
+    def test_empty_after_a_finalized_clone_and_merge(self, sim, controller, northbound, monitor_pair, ids_pair):
+        handles = [northbound.merge_internal("mon1", "mon2"), northbound.clone_support("ids1", "ids2")]
+        for handle in handles:
+            sim.run_until(handle.finalized, limit=100)
+        sim.run()
+        assert controller._reply_handlers == {}
+
+    def test_empty_after_a_failed_move(self, sim, failing_move):
+        controller, northbound, _, _ = failing_move
+        handle = northbound.move_internal("fsrc", "fdst", None)
+        with pytest.raises(OperationError):
+            sim.run_until(handle.completed, limit=100)
+        sim.run()  # the replies still owed to the failed operation arrive and are forgotten too
+        assert controller._reply_handlers == {}
+
+    def test_empty_after_an_aborted_transaction(self, sim, failing_move):
+        controller, northbound, _, _ = failing_move
+        txn = northbound.transaction()
+        txn.call(lambda: None, name="never", after=txn.move("fsrc", "fdst", None))
+        handle = txn.commit()
+        with pytest.raises(TransactionAbortedError):
+            sim.run_until(handle.done, limit=100)
+        sim.run()
+        assert handle.status == "aborted" and controller._reply_handlers == {}
+
+    def test_a_duplicated_ack_reaches_its_handler_once(self, sim, controller):
+        plan = FaultPlan(1, to_controller=FaultProfile(duplicate=1.0))
+        channel = ControlChannel(sim, name="chan-dup", faults=plan, reliable=False)
+        controller.register(DummyMiddlebox(sim, "dup"), channel=channel)
+        replies = []
+        controller.send("dup", messages.set_config("dup", "Some.Key", [1]), on_reply=replies.append)
+        sim.run()
+        assert channel.to_controller.duplicated == 1  # the ACK crossed the wire twice
+        assert [reply.type for reply in replies] == [MessageType.ACK]
+        assert controller._reply_handlers == {}
 
 
 class TestUnregisterCleanup:

@@ -6,7 +6,6 @@ from repro.core.state import StateRole
 from repro.middleboxes.re import (
     CHUNK_SIZE,
     SHIM_BYTES,
-    DecoderCacheState,
     EncoderCacheState,
     PacketCache,
     REDecoder,
@@ -126,9 +125,12 @@ class TestEncoder:
         encoder = REEncoder(Simulator(), "enc")
         encoder.process_packet(packet_to("1.1.1.1", b"F" * CHUNK_SIZE * 2))
         chunk = encoder.get_shared(StateRole.SUPPORTING)
-        restored = encoder.deserialize_shared(StateRole.SUPPORTING, encoder.codec.unseal_shared(chunk))
-        assert isinstance(restored, EncoderCacheState)
+        peer = REEncoder(Simulator(), "peer")
+        peer.put_shared(chunk)
+        restored = peer.shared_support.value
+        assert isinstance(restored, EncoderCacheState) and restored is not encoder.shared_support.value
         assert restored.caches[1].current_pos == encoder.shared_support.value.caches[1].current_pos
+        assert restored.fingerprints == encoder.shared_support.value.fingerprints
 
 
 class TestDecoder:
@@ -201,8 +203,3 @@ class TestDecoder:
         assert decoded.payload == payload
         assert new_decoder.undecodable_bytes == 0
 
-    def test_decoder_state_payload_roundtrip(self):
-        state = DecoderCacheState(cache=PacketCache(512))
-        state.cache.insert(b"cached")
-        restored = DecoderCacheState.from_payload(state.to_payload())
-        assert restored.cache.read(0, 6) == b"cached"

@@ -1,9 +1,12 @@
 """Unit tests for the state taxonomy and state stores."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.errors import GranularityError, StateError
 from repro.core.flowspace import FlowKey, FlowPattern
+from repro.core.operations import CloneOperation, MergeOperation, MoveOperation
 from repro.core.state import (
     AccessMode,
     PerFlowStateStore,
@@ -47,6 +50,31 @@ class TestTaxonomy:
     def test_no_per_flow_configuration_class(self):
         with pytest.raises(StateError):
             state_class(StateRole.CONFIGURING, StateScope.PER_FLOW)
+
+    def test_only_movable_shared_state_is_mergeable(self):
+        assert {cell for cell, cls in TAXONOMY.items() if cls.mergeable} == {
+            (StateRole.SUPPORTING, StateScope.SHARED),
+            (StateRole.REPORTING, StateScope.SHARED),
+        }
+
+    def test_the_operations_take_their_roles_from_the_taxonomy(self):
+        both = (StateRole.SUPPORTING, StateRole.REPORTING)
+        assert (MoveOperation._roles, CloneOperation._roles, MergeOperation._roles) == (both, both[:1], both)
+
+    def test_the_documented_table_states_the_same_flags(self):
+        """``docs/state-engine.md`` "State taxonomy": access and movable / cloneable / mergeable per cell."""
+        text = (Path(__file__).parent.parent / "docs" / "state-engine.md").read_text()
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in text.partition("## State taxonomy")[2].partition("\n### ")[0].splitlines()
+            if line.startswith("| ") and not line.startswith("| role")
+        ]
+        access = {AccessMode.READ: "read", AccessMode.WRITE: "write", AccessMode.READ_WRITE: "read/write"}
+        documented = {(row[0], row[1]): (row[2], *(flag.split()[0] == "yes" for flag in row[3:6])) for row in rows}
+        assert documented == {
+            (role.value, scope.value): (access[cls.mb_access], cls.movable, cls.cloneable, cls.mergeable)
+            for (role, scope), cls in TAXONOMY.items()
+        }
 
 
 class TestPerFlowStateStore:
@@ -265,12 +293,6 @@ class TestSharedStateSlot:
         slot = SharedStateSlot({"count": 1})
         slot.merge_in({"count": 9})
         assert slot.value == {"count": 9}
-
-    def test_clone_value_with_hook(self):
-        slot = SharedStateSlot({"items": [1, 2]}, clone=lambda value: {"items": list(value["items"])})
-        cloned = slot.clone_value()
-        cloned["items"].append(3)
-        assert slot.value == {"items": [1, 2]}
 
     def test_clone_value_default_returns_same_object(self):
         slot = SharedStateSlot({"x": 1})

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks runnable with the standard library alone.
 
-Four checks, mirroring the CI docs job:
+Five checks, mirroring the CI docs job:
 
 * **docstring coverage** over the public northbound surface (the same
   modules CI runs ``interrogate --fail-under 100`` on), counted the same way
@@ -16,7 +16,11 @@ Four checks, mirroring the CI docs job:
   ``ast``), so the guides cannot drift away from the code they describe;
 * **protocol table check**: the "Southbound protocol" table in
   ``docs/architecture.md`` has exactly one row per ``MessageType`` constant,
-  so a message cannot be added (or removed) undocumented.
+  so a message cannot be added (or removed) undocumented;
+* **taxonomy table check**: the "State taxonomy" table in
+  ``docs/state-engine.md`` has exactly one row per ``TAXONOMY`` cell, and each
+  middlebox column shows that class's ``STATE`` declaration (read statically
+  from ``src/repro/middleboxes/``).
 
 Exit status is non-zero when any check fails, so the script doubles as a
 pre-commit / CI gate where interrogate is unavailable.
@@ -267,9 +271,52 @@ def check_protocol_table() -> bool:
     return not problems
 
 
+def _cell_tuples(node: ast.AST) -> list[tuple[str, str]]:
+    """``(role, scope)`` value pairs of the ``(StateRole.X, StateScope.Y)`` keys of a dict literal."""
+    values = {"PER_FLOW": "per-flow"}  # the one enum value that is not its lowered name
+    return [tuple(values.get(part.attr, part.attr.lower()) for part in key.elts) for key in node.keys]
+
+
+def check_taxonomy_table() -> bool:
+    """One row per ``TAXONOMY`` cell; each middlebox column equals that class's ``STATE`` declaration."""
+    state = ast.parse((SRC_ROOT / "repro" / "core" / "state.py").read_text(encoding="utf-8"))
+    taxonomy = next(
+        node.value for node in state.body if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "TAXONOMY"
+    )
+    cells = _cell_tuples(taxonomy)
+    declared: dict[str, dict[tuple[str, str], str]] = {}
+    for module in sorted((SRC_ROOT / "repro" / "middleboxes").glob("*.py")):
+        for cls in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "STATE":
+                    natives = [ast.unparse(value) for value in node.value.values]
+                    declared[cls.name] = dict(zip(_cell_tuples(node.value), natives))
+    text = (REPO_ROOT / "docs" / "state-engine.md").read_text(encoding="utf-8")
+    table = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in text.partition("## State taxonomy")[2].partition("\n### ")[0].splitlines()
+        if line.startswith("|") and not line.startswith("|---")
+    ]
+    header, documented = table[0], [(row[0], row[1]) for row in table[1:]]
+    rows = dict(zip(documented, table[1:]))
+    columns = {name.strip("`"): index for index, name in enumerate(header) if name.startswith("`")}
+    problems = [f"no single row for cell {cell}" for cell in cells if documented.count(cell) != 1]
+    problems += [f"row {cell} is no TAXONOMY cell" for cell in rows if cell not in cells]
+    problems += [f"no column for {name}, which declares state" for name in declared if name not in columns]
+    for name, index in columns.items():
+        for cell, row in rows.items():
+            expected = declared.get(name, {}).get(cell)
+            if row[index] != (f"`{expected}`" if expected else "—"):
+                problems.append(f"{name} {cell}: table says {row[index]}, the class declares {expected}")
+    for problem in problems:
+        print(f"taxonomy table in docs/state-engine.md: {problem}")
+    print(f"taxonomy table: {len(rows)} rows for {len(cells)} cells, {len(columns)} middlebox columns")
+    return not problems
+
+
 def main() -> int:
-    """Run all four checks; returns a shell exit status."""
-    results = [check_docstrings(), check_links(), check_code_blocks(), check_protocol_table()]
+    """Run all five checks; returns a shell exit status."""
+    results = [check_docstrings(), check_links(), check_code_blocks(), check_protocol_table(), check_taxonomy_table()]
     return 0 if all(results) else 1
 
 
