@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 #: Result documents live next to the benchmark sources.
 RESULTS_DIR = Path(__file__).resolve().parent

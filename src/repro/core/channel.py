@@ -27,7 +27,7 @@ seed implementation, byte-for-byte on the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional
 
@@ -263,7 +263,7 @@ class ControlChannel:
         if not self.reliable or message.type == MessageType.CHAN_ACK:
             return self._transmit(direction, message)
         arq = self._arq[direction]
-        return arq.send(replace(message, cseq=arq.next_seq))
+        return arq.send(message.stamped(arq.next_seq))
 
     # -- the wire ---------------------------------------------------------------------
 

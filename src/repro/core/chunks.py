@@ -155,8 +155,14 @@ def payload_codec(native: Optional[type]) -> Codec:
     return encode, decode
 
 
+#: Exactly these types are JSON scalars as they stand; most payload leaves are.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def encode_value(value: Any) -> Any:
     """Recursively convert a payload value to JSON-encodable form."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, bytes):
         return {"__bytes__": base64.b64encode(value).decode("ascii")}
     if isinstance(value, tuple):
@@ -174,6 +180,8 @@ def encode_value(value: Any) -> Any:
 
 def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value`."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, dict):
         if "__bytes__" in value and len(value) == 1:
             return base64.b64decode(value["__bytes__"])
@@ -252,7 +260,7 @@ class ChunkCodec:
         """
         use_compress = self.compress if compress is None else compress
         blob = crypto.seal(self.key, serialize_payload(payload, compress=use_compress))
-        return StateChunk(key=flow_key, role=role, blob=blob, metadata=dict(metadata or {}))
+        return StateChunk(key=flow_key, role=role, blob=blob, metadata=dict(metadata) if metadata else {})
 
     def unseal_perflow(self, chunk: StateChunk) -> Any:
         """Decrypt and deserialise one chunk (per-flow or shared)."""

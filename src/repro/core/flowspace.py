@@ -155,13 +155,16 @@ class FlowKey:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FlowKey":
-        return cls(
-            int(data["nw_proto"]),
-            str(data["nw_src"]),
-            str(data["nw_dst"]),
-            int(data["tp_src"]),
-            int(data["tp_dst"]),
-        )
+        """Inverse of :meth:`as_dict`; strict, because *data* comes off the wire.
+
+        Protocol and ports must be ``int`` (not ``bool``) and addresses ``str``:
+        anything else raises ``ValueError`` rather than being coerced into the
+        key of a different flow.
+        """
+        proto, src, dst, sport, dport = data["nw_proto"], data["nw_src"], data["nw_dst"], data["tp_src"], data["tp_dst"]
+        if not (type(proto) is type(sport) is type(dport) is int and type(src) is type(dst) is str):
+            raise ValueError(f"ill-typed flow key: {dict(data)!r}")
+        return cls(proto, src, dst, sport, dport)
 
     def __str__(self) -> str:
         proto = _PROTO_NAMES.get(self.nw_proto, str(self.nw_proto))

@@ -15,13 +15,69 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from .errors import ProtocolError
 from .flowspace import FlowKey, FlowPattern
 from .state import StateChunk, StateRole
 
 _xids = itertools.count(1)
+
+
+# -- the wire encoder ---------------------------------------------------------------
+#
+# A message's wire form is canonical JSON: keys sorted, no whitespace, ASCII
+# only.  It is assembled by splicing.  Text this module has already built (a
+# chunk, an array of chunks, a BATCH's inner frames) is a :class:`_Json`
+# fragment and is concatenated as is; everything else goes through
+# :func:`_json`.  ``tests/test_messages_channel.py`` holds the oracle: for
+# every constructor the bytes equal one ``json.dumps`` of the plain nested dict.
+
+
+class _Json(str):
+    """Canonical JSON text of one value, built here; :func:`_json` passes it through unparsed."""
+
+    __slots__ = ()
+
+
+def _json(value: Any) -> str:
+    """Canonical JSON text of *value* (what ``json.dumps`` gives, by construction)."""
+    kind = type(value)
+    if kind is _Json:
+        return value
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is dict and not value:
+        return "{}"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _array(items: Iterable[str]) -> _Json:
+    """The JSON array of already-encoded *items*."""
+    return _Json("[" + ",".join(items) + "]")
+
+
+def _body_json(body: Any) -> str:
+    """A body that holds a fragment is joined member by member, in key order; any other is one ``json.dumps``.
+
+    Fragments are spliced at the top level of a body only: nested inside a
+    generic value one would be encoded as the string it subclasses.
+    """
+    if type(body) is dict:
+        for value in body.values():
+            if type(value) is _Json:
+                parts: list = []
+                for name in sorted(body):
+                    parts += (",", _quote(name), ":", _json(body[name]))
+                parts[0] = "{"
+                parts.append("}")
+                return "".join(parts)
+    return _json(body)
 
 
 class MessageType:
@@ -107,14 +163,12 @@ class Message:
     #: whenever reliability is off.
     cseq: Optional[int] = None
 
-    def as_wire(self) -> Dict[str, Any]:
-        """Return the JSON-serialisable wire dict (used directly for batch frames)."""
-        wire: Dict[str, Any] = {"type": self.type, "xid": self.xid, "mb": self.mb, "body": self.body}
-        if self.reply_to is not None:
-            wire["reply_to"] = self.reply_to
-        if self.cseq is not None:
-            wire["cseq"] = self.cseq
-        return wire
+    def stamped(self, cseq: int) -> "Message":
+        """A shallow copy numbered *cseq* (no ``__init__`` re-run); this message stays as it is."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        copy.cseq = cseq
+        return copy
 
     @classmethod
     def from_wire(cls, wire: Dict[str, Any]) -> "Message":
@@ -131,12 +185,25 @@ class Message:
             cseq=wire.get("cseq"),
         )
 
-    def encode(self) -> bytes:
-        """Encode to the JSON wire form."""
+    def wire_text(self) -> str:
+        """The wire form as text: the fixed envelope, in key order, around the body.
+
+        ``reply_to`` and ``cseq`` are omitted when None.  Raises ProtocolError
+        — and nothing else — for a value JSON cannot carry.
+        """
         try:
-            return json.dumps(self.as_wire(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+            cseq = "" if self.cseq is None else f'"cseq":{_json(self.cseq)},'
+            reply_to = "" if self.reply_to is None else f'"reply_to":{_json(self.reply_to)},'
+            return (
+                f'{{"body":{_body_json(self.body)},{cseq}"mb":{_json(self.mb)},{reply_to}'
+                f'"type":{_json(self.type)},"xid":{_json(self.xid)}}}'
+            )
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"cannot encode message {self.type}: {exc}") from exc
+
+    def encode(self) -> bytes:
+        """Encode to the JSON wire form."""
+        return self.wire_text().encode("utf-8")
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
@@ -156,28 +223,52 @@ class Message:
 # -- body encoding helpers -------------------------------------------------------
 
 
-def encode_chunk(chunk: StateChunk) -> dict:
-    """Encode a chunk for transport; a shared chunk (``key is None``) carries no ``key``."""
-    body = {
-        "role": chunk.role.value,
-        "blob": base64.b64encode(chunk.blob).decode("ascii"),
-        "metadata": chunk.metadata,
-    }
-    if chunk.key is not None:
-        body["key"] = chunk.key.as_dict()
-    return body
+def _key_json(key: FlowKey) -> str:
+    """``key.as_dict()`` as wire text; the scalars of a well-typed key are placed directly."""
+    proto, src, dst, sport, dport = key.nw_proto, key.nw_src, key.nw_dst, key.tp_src, key.tp_dst
+    if type(proto) is type(sport) is type(dport) is int and type(src) is type(dst) is str:
+        return f'{{"nw_dst":{_quote(dst)},"nw_proto":{proto},"nw_src":{_quote(src)},"tp_dst":{dport},"tp_src":{sport}}}'
+    return _json(key.as_dict())
+
+
+def encode_chunk(chunk: StateChunk) -> _Json:
+    """The wire text of a chunk, built once per hop and spliced into whichever message carries it.
+
+    ``{"blob":…,"key":…,"metadata":…,"role":…}``; a shared chunk (``key is
+    None``) carries no ``key``.  Base64 text needs no escaping, so only a
+    non-empty ``metadata`` costs a ``json.dumps``.
+    """
+    try:
+        blob = base64.b64encode(chunk.blob).decode("ascii")
+        key = "" if chunk.key is None else f'"key":{_key_json(chunk.key)},'
+        return _Json(f'{{"blob":"{blob}",{key}"metadata":{_json(chunk.metadata)},"role":{_json(chunk.role.value)}}}')
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"cannot encode state chunk: {exc}") from exc
+
+
+_ROLES = {role.value: role for role in StateRole}
+
+
+def _role(raw: Any) -> StateRole:
+    try:
+        return _ROLES[raw]
+    except (KeyError, TypeError):
+        raise ValueError(f"{raw!r} is not a valid StateRole") from None
 
 
 def decode_chunk(body: dict, *, shared: bool = False) -> StateChunk:
-    """Inverse of :func:`encode_chunk`: per-flow messages require the ``key``, *shared* ones carry none."""
+    """Inverse of :func:`encode_chunk` (parsed): per-flow messages require the ``key``, *shared* ones carry none."""
     try:
+        metadata = body.get("metadata", {})
+        if type(metadata) is not dict:
+            raise ValueError(f"metadata must be an object, got {metadata!r:.40}")
         return StateChunk(
             key=None if shared else FlowKey.from_dict(body["key"]),
-            role=StateRole(body["role"]),
+            role=_role(body["role"]),
             blob=base64.b64decode(body["blob"]),
-            metadata=dict(body.get("metadata", {})),
+            metadata=dict(metadata) if metadata else {},
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"malformed state chunk: {exc}") from exc
 
 
@@ -307,7 +398,7 @@ def put_perflow_batch(
     omitted from the wire when False so uncompressed transfers stay
     byte-identical to the seed framing.
     """
-    body: Dict[str, Any] = {"chunks": [encode_chunk(chunk) for chunk in chunks]}
+    body: Dict[str, Any] = {"chunks": _array([encode_chunk(chunk) for chunk in chunks])}
     if hold:
         body["hold"] = True
     if seq is not None:
@@ -482,7 +573,7 @@ def batch_message(mb: str, frames: list) -> Message:
     requests; each inner message keeps its own xid, so replies and ACKs route
     exactly as they would have unbatched.
     """
-    return Message(MessageType.BATCH, mb=mb, body={"frames": [frame.as_wire() for frame in frames]})
+    return Message(MessageType.BATCH, mb=mb, body={"frames": _array([frame.wire_text() for frame in frames])})
 
 
 def decode_batch(message: Message) -> list:
@@ -665,7 +756,7 @@ def _each(convert: Callable[[Any], Any]) -> Callable[[Any], list]:
 
 
 _str, _flag, _int, _number = _typed(str), _typed(bool), _typed(int), _typed(int, float)
-_ROLE = ("role", StateRole, REQUIRED)
+_ROLE = ("role", _role, REQUIRED)
 _PATTERN = ("pattern", FlowPattern.parse, {})
 _OPTIONAL_PATTERN = ("pattern", FlowPattern.parse, None)
 _COMPRESS = ("compress", _flag, False)

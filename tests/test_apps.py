@@ -251,7 +251,6 @@ class TestFailureRecoveryApp:
         app = FailureRecoveryApp(sim, nb, protected_mb="nat-old")
         sim.run_until(app.arm())
         # Live traffic creates critical state (mappings) at the protected NAT.
-        outbound = []
         for index in range(5):
             packet = tcp_packet(f"10.0.0.{index + 1}", "8.8.8.8", 6000 + index, 443)
             nat_old.receive(packet, 1)

@@ -95,7 +95,7 @@ class TestInterleavedMoveAndClone:
         packets_before = sum(rec.packets for _, rec in src.report_store.items())
 
         move = northbound.move_internal("coord-src", "coord-dst", None)
-        merge = northbound.merge_internal("coord-src", "coord-dst")
+        northbound.merge_internal("coord-src", "coord-dst")
         feed(sim, src, 40, spacing=0.0005)
         sim.run_until(move.finalized, limit=100)
         sim.run(until=sim.now + 1.0)

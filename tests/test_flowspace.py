@@ -79,6 +79,16 @@ class TestFlowKey:
         key = FlowKey(PROTO_UDP, "10.0.0.1", "192.0.2.1", 53, 5353)
         assert FlowKey.from_dict(key.as_dict()) == key
 
+    @pytest.mark.parametrize(
+        "member, value",
+        [("tp_src", 80.9), ("tp_dst", True), ("nw_proto", "6"), ("tp_src", None), ("nw_src", 167837953), ("nw_dst", None)],
+    )
+    def test_from_dict_refuses_an_ill_typed_member_instead_of_coercing_it(self, member, value):
+        wire = FlowKey(PROTO_TCP, "1.1.1.1", "2.2.2.2", 80, 443).as_dict()
+        wire[member] = value
+        with pytest.raises(ValueError, match="ill-typed flow key"):
+            FlowKey.from_dict(wire)
+
     def test_str_contains_protocol_name(self):
         key = FlowKey(PROTO_TCP, "10.0.0.1", "192.0.2.1", 1234, 80)
         assert "tcp" in str(key)

@@ -1,15 +1,22 @@
 """Unit tests for the southbound wire protocol and control channels."""
 
+import base64
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import messages
 from repro.core.channel import ControlChannel
+from repro.core.chunks import encode_value
 from repro.core.errors import ProtocolError
 from repro.core.events import Event, EventCode
 from repro.core.flowspace import FlowKey, FlowPattern
-from repro.core.messages import Message, MessageType
+from repro.core.messages import BATCHABLE_REQUESTS, SCHEMAS, Message, MessageType
 from repro.core.state import StateChunk, StateRole
-from repro.net.packet import tcp_packet
+from repro.net.packet import Packet, tcp_packet
 from repro.net.simulator import Simulator
 
 KEY = FlowKey(6, "10.0.0.1", "192.0.2.1", 1000, 80)
@@ -54,7 +61,7 @@ class TestMessageEncoding:
 class TestChunkCodecs:
     def test_perflow_chunk_roundtrip(self):
         chunk = StateChunk(key=KEY, role=StateRole.SUPPORTING, blob=b"\x00\x01binary", metadata={"n": 1})
-        decoded = messages.decode_chunk(messages.encode_chunk(chunk))
+        decoded = messages.decode_chunk(json.loads(messages.encode_chunk(chunk)))
         assert decoded.key == KEY
         assert decoded.role is StateRole.SUPPORTING
         assert decoded.blob == chunk.blob
@@ -63,7 +70,7 @@ class TestChunkCodecs:
     def test_shared_chunk_roundtrip(self):
         """A shared chunk is the keyless case: no ``key`` on the wire, none after decoding."""
         chunk = StateChunk(key=None, role=StateRole.REPORTING, blob=b"shared-bytes")
-        wire = messages.encode_chunk(chunk)
+        wire = json.loads(messages.encode_chunk(chunk))
         assert sorted(wire) == ["blob", "metadata", "role"]
         decoded = messages.decode_chunk(wire, shared=True)
         assert decoded.key is None
@@ -85,6 +92,482 @@ class TestChunkCodecs:
         pattern = FlowPattern(nw_src="10.0.0.0/8", tp_dst=80)
         request = Message.decode(messages.get_stats("mb", pattern).encode())
         assert messages.parse(request)["pattern"] == pattern
+
+
+# =========================================================================================
+# The spliced encoder against its oracle
+# =========================================================================================
+#
+# ``Message.encode`` assembles the wire text by splicing pre-encoded fragments.
+# The reference encoding lives here: every constructor's body written out as
+# the plain nested dict it stands for, encoded by one ``json.dumps``.  The two
+# must agree byte for byte, for well-typed values (which must also parse back
+# to what was put in) and for *wild* ones (a bool, float or huge int where an
+# int belongs, a number where a string does) that the receiver will refuse.
+
+T = MessageType
+CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+
+texts = st.text(max_size=12)  # any code point but a surrogate: quotes, backslashes, controls, non-ASCII
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
+json_objects = st.dictionaries(st.text(max_size=6), json_values, max_size=3)
+patterns = st.sampled_from(
+    [FlowPattern(), FlowPattern(nw_src="10.0.0.0/8", tp_dst=80), FlowPattern(6, "10.0.0.1", "192.0.2.1/32", 1000, 80)]
+)
+roles = st.sampled_from(list(StateRole))
+#: What turns up where an int belongs: exact ints of any size when well typed, anything numeric when wild.
+wild_numbers = st.one_of(st.integers(), st.booleans(), st.floats(), st.integers(min_value=2**53), st.integers(max_value=-1))
+
+
+class Draw:
+    """The strategies one example draws from; *wild* swaps scalars for ill-typed look-alikes."""
+
+    def __init__(self, draw, wild: bool) -> None:
+        self.draw, self.wild = draw, wild
+
+    def __call__(self, strategy):
+        return self.draw(strategy)
+
+    def int(self):
+        return self.draw(wild_numbers if self.wild else st.integers())
+
+    def flag(self):
+        return self.draw(st.one_of(st.booleans(), st.integers(0, 1)) if self.wild else st.booleans())
+
+    def text(self):
+        return self.draw(st.one_of(texts, st.integers()) if self.wild else texts)
+
+    def maybe(self, value):
+        """*value* or None: an optional field present and absent."""
+        return value if self.draw(st.booleans()) else None
+
+    def key(self) -> FlowKey:
+        return FlowKey(self.int(), self.text(), self.text(), self.int(), self.int())
+
+    def keys(self) -> list:
+        return [self.key() for _ in range(self.draw(st.integers(0, 3)))]
+
+    def chunk(self, *, shared: bool = False) -> StateChunk:
+        return StateChunk(
+            key=None if shared else self.key(),
+            role=self.draw(roles),
+            blob=self.draw(st.binary(max_size=40)),
+            metadata=self.draw(json_objects),
+        )
+
+    def packet(self) -> Packet:
+        packet = Packet(
+            nw_src=self.draw(texts),
+            nw_dst=self.draw(texts),
+            nw_proto=self.draw(st.integers()),
+            tp_src=self.draw(st.integers()),
+            tp_dst=self.draw(st.integers()),
+            payload=self.draw(st.binary(max_size=20)),
+            flags=frozenset(self.draw(st.lists(texts, max_size=3))),
+            seq=self.draw(st.integers()),
+            created_at=self.draw(st.floats(allow_nan=False)),
+            encoded_size=self.maybe(self.draw(st.integers())),
+        )
+        packet.annotations = self.draw(st.dictionaries(texts, st.one_of(json_leaves, st.binary(max_size=6)), max_size=2))
+        return packet
+
+    def round(self):
+        return self.maybe((self.int(), self.int()))
+
+
+def plain_chunk(chunk: StateChunk) -> dict:
+    plain = {"role": chunk.role.value, "blob": base64.b64encode(chunk.blob).decode("ascii"), "metadata": chunk.metadata}
+    if chunk.key is not None:
+        plain["key"] = chunk.key.as_dict()
+    return plain
+
+
+def plain_packet(packet: Packet) -> dict:
+    plain = {
+        "nw_src": packet.nw_src,
+        "nw_dst": packet.nw_dst,
+        "nw_proto": packet.nw_proto,
+        "tp_src": packet.tp_src,
+        "tp_dst": packet.tp_dst,
+        "payload": base64.b64encode(packet.payload).decode("ascii"),
+        "flags": sorted(packet.flags),
+        "seq": packet.seq,
+        "created_at": packet.created_at,
+    }
+    if packet.annotations:
+        plain["annotations"] = encode_value(dict(packet.annotations))
+    if packet.encoded_size is not None:
+        plain["encoded_size"] = packet.encoded_size
+    return plain
+
+
+def present(**members) -> dict:
+    """The optional members a constructor puts on the wire: those that are not None."""
+    return {name: value for name, value in members.items() if value is not None}
+
+
+def raised(**flags) -> dict:
+    """The flags a constructor puts on the wire: ``True`` for each one set, nothing for the rest."""
+    return {name: True for name, flag in flags.items() if flag}
+
+
+def plain_wire(message: Message, body) -> dict:
+    """The whole message as the nested dict ``json.dumps`` is the reference encoder of."""
+    wire = {"type": message.type, "xid": message.xid, "mb": message.mb, "body": body}
+    wire.update(present(reply_to=message.reply_to, cseq=message.cseq))
+    return wire
+
+
+# One case per message type: (message built by the constructor, its plain body, the fields parse() returns).
+
+
+def case_get_config(d):
+    key = d.text()
+    return messages.get_config(d.text(), key), {"key": key}, {"key": key}
+
+
+def case_set_config(d):
+    key, values = d.text(), d(st.lists(json_values, max_size=3))
+    return messages.set_config(d.text(), key, values), {"key": key, "values": values}, {"key": key, "values": values}
+
+
+def case_del_config(d):
+    key = d.text()
+    return messages.del_config(d.text(), key), {"key": key}, {"key": key}
+
+
+def case_get_perflow(d):
+    role, pattern, transfer, track_dirty, compress = d(roles), d(patterns), d.flag(), d(st.booleans()), d(st.booleans())
+    message = messages.get_perflow(d.text(), role, pattern, transfer=transfer, track_dirty=track_dirty, compress=compress)
+    body = {"role": role.value, "pattern": pattern.as_dict(), "transfer": transfer}
+    body.update(raised(track_dirty=track_dirty, compress=compress))
+    return message, body, dict(role=role, pattern=pattern, transfer=transfer, track_dirty=track_dirty, compress=compress)
+
+
+def case_get_perflow_delta(d):
+    role, pattern, round_, final, compress = d(roles), d(patterns), (d.int(), d.int()), d(st.booleans()), d(st.booleans())
+    message = messages.get_perflow_delta(d.text(), role, pattern, round=round_, final=final, compress=compress)
+    body = {"role": role.value, "pattern": pattern.as_dict(), "round": list(round_), **raised(final=final, compress=compress)}
+    return message, body, dict(role=role, pattern=pattern, round=round_, final=final, compress=compress)
+
+
+def case_put_perflow(d):
+    chunk, hold, seq, round_ = d.chunk(), d(st.booleans()), d.maybe(d.int()), d.round()
+    message = messages.put_perflow(d.text(), chunk, hold=hold, seq=seq, round=round_)
+    body = {"chunk": plain_chunk(chunk), **raised(hold=hold), **present(seq=seq, round=None if round_ is None else list(round_))}
+    return message, body, dict(chunk=chunk, hold=hold, seq=seq, round=round_)
+
+
+def case_put_perflow_batch(d):
+    chunks = [d.chunk() for _ in range(d(st.integers(0, 3)))]
+    hold, seq, round_, compressed = d(st.booleans()), d.maybe(d.int()), d.round(), d(st.booleans())
+    message = messages.put_perflow_batch(d.text(), chunks, hold=hold, seq=seq, round=round_, compressed=compressed)
+    tags = {**raised(hold=hold, compressed=compressed), **present(seq=seq, round=None if round_ is None else list(round_))}
+    body = {"chunks": [plain_chunk(chunk) for chunk in chunks], **tags}
+    return message, body, dict(chunks=chunks, hold=hold, seq=seq, round=round_, compressed=compressed)
+
+
+def case_del_perflow(d):
+    role, pattern = d(roles), d(patterns)
+    body = {"role": role.value, "pattern": pattern.as_dict()}
+    return messages.del_perflow(d.text(), role, pattern), body, dict(role=role, pattern=pattern)
+
+
+def _case_keys(constructor):
+    def case(d):
+        keys = d.keys()
+        return constructor(d.text(), keys), {"keys": [key.as_dict() for key in keys]}, {"keys": keys}
+
+    return case
+
+
+def case_get_shared(d):
+    role, transfer = d(roles), d.flag()
+    message = messages.get_shared(d.text(), role, transfer=transfer)
+    return message, {"role": role.value, "transfer": transfer}, dict(role=role, transfer=transfer)
+
+
+def case_put_shared(d):
+    chunk = d.chunk(shared=True)
+    return messages.put_shared(d.text(), chunk), {"chunk": plain_chunk(chunk)}, {"chunk": chunk}
+
+
+def case_get_stats(d):
+    pattern = d(patterns)
+    return messages.get_stats(d.text(), pattern), {"pattern": pattern.as_dict()}, {"pattern": pattern}
+
+
+def case_enable_events(d):
+    code, pattern, until = d.text(), d.maybe(d(patterns)), d.maybe(d(st.floats(allow_nan=False)))
+    message = messages.enable_events(d.text(), code, pattern, until)
+    body = {"code": code, **present(pattern=None if pattern is None else pattern.as_dict(), until=until)}
+    return message, body, dict(code=code, pattern=pattern, until=until)
+
+
+def case_disable_events(d):
+    code, pattern = d.text(), d.maybe(d(patterns))
+    body = {"code": code, **present(pattern=None if pattern is None else pattern.as_dict())}
+    return messages.disable_events(d.text(), code, pattern), body, dict(code=code, pattern=pattern)
+
+
+def case_transfer_end(d):
+    dirty_only, shared_only = d(st.booleans()), d(st.booleans())
+    message = messages.transfer_end(d.text(), dirty_only=dirty_only, shared_only=shared_only)
+    return message, raised(dirty_only=dirty_only, shared_only=shared_only), dict(dirty_only=dirty_only, shared_only=shared_only)
+
+
+def case_reprocess_packet(d):
+    event = Event("src", EventCode.REPROCESS, key=d.maybe(d.key()), packet=d.maybe(d.packet()), shared=d(st.booleans()))
+    shared, seq = d.maybe(d.flag()), d.maybe(d.int())
+    message = messages.reprocess_message(d.text(), event, shared=shared, seq=seq)
+    sent_shared = event.shared if shared is None else shared
+    body = {"shared": sent_shared, **present(seq=seq)}
+    if event.key is not None:
+        body["key"] = event.key.as_dict()
+    if event.packet is not None:
+        body["packet"] = plain_packet(event.packet)
+    return message, body, dict(packet=event.packet, shared=sent_shared, key=event.key, seq=seq)
+
+
+def case_config_value(d):
+    values = d(json_objects)
+    return messages.config_value(d.text(), d.int(), values), {"values": values}, {"values": values}
+
+
+def _case_chunk_reply(constructor, *, shared):
+    def case(d):
+        chunk = d.chunk(shared=shared)
+        return constructor(d.text(), d.int(), chunk), {"chunk": plain_chunk(chunk)}, {"chunk": chunk}
+
+    return case
+
+
+def case_get_complete(d):
+    role, count, dirty = d(roles), d.int(), d.maybe(d.int())
+    message = messages.get_complete(d.text(), d.int(), role, count, dirty)
+    return message, {"role": role.value, "count": count, **present(dirty=dirty)}, dict(role=role.value, count=count, dirty=dirty)
+
+
+def case_stats_reply(d):
+    stats = d(json_objects)
+    return messages.stats_reply(d.text(), d.int(), stats), {"stats": stats}, {"stats": stats}
+
+
+def case_ack(d):
+    key = d.maybe(d.key())
+    receipt = present(count=d.maybe(d.int()), removed=d.maybe(d.int()), role=d.maybe(d.text()))
+    wire_receipt = dict(receipt, **present(key=None if key is None else key.as_dict()))
+    fields = {"removed": 0, "count": 0, "role": None, **receipt, "key": key}
+    return messages.ack(d.text(), d.int(), **wire_receipt), wire_receipt, fields
+
+
+def case_error(d):
+    reason = d.text()
+    return messages.error(d.text(), d.int(), reason), {"reason": reason}, {"reason": reason}
+
+
+def case_event(d):
+    event = Event(
+        d(texts),
+        d.text(),
+        key=d.maybe(d.key()),
+        packet=d.maybe(d.packet()),
+        values=d(json_objects),
+        raised_at=d(st.floats(allow_nan=False)),
+        shared=d.flag(),
+    )
+    body = {"code": event.code, "event_id": event.event_id, "raised_at": event.raised_at, "shared": event.shared}
+    body["values"] = event.values
+    if event.key is not None:
+        body["key"] = event.key.as_dict()
+    if event.packet is not None:
+        body["packet"] = plain_packet(event.packet)
+    fields = dict(code=event.code, raised_at=event.raised_at, shared=event.shared, values=event.values)
+    return messages.event_message(event), body, dict(fields, key=event.key, packet=event.packet)
+
+
+def case_heartbeat(d):
+    return messages.heartbeat(d.text()), {}, {}
+
+
+def case_chan_ack(d):
+    cumulative = d.int()
+    return messages.chan_ack(d.text(), cumulative), {"cum": cumulative}, {"cum": cumulative}
+
+
+def case_fed_gossip(d):
+    domain, sent_at = d.text(), d(st.floats(allow_nan=False))
+    sections = {name: d(st.lists(json_objects, max_size=2)) for name in ("membership", "liveness", "ownership")}
+    message = messages.fed_gossip(d.text(), domain, sent_at, **sections)
+    return message, {"domain": domain, "sent_at": sent_at, **sections}, dict(domain=domain, sent_at=sent_at, **sections)
+
+
+def case_fed_move_request(d):
+    domain, instance = d.text(), d.text()
+    body = {"domain": domain, "instance": instance}
+    return messages.fed_move_request(d.text(), domain, instance), body, dict(body)
+
+
+def case_fed_move_grant(d):
+    request = Message.decode(messages.fed_move_request("peer", "home", d(texts)).encode())
+    domain, granted, reason = d.text(), d.flag(), d(texts)
+    message = messages.fed_move_grant(request, d.text(), domain, granted=granted, reason=reason)
+    instance = request.body["instance"]
+    body = {"domain": domain, "instance": instance, "granted": granted, **present(reason=reason or None)}
+    assert message.reply_to == request.xid
+    return message, body, dict(domain=domain, instance=instance, granted=granted, reason=reason or "denied")
+
+
+def case_fed_move_done(d):
+    domain, instance, ok = d.text(), d.text(), d.flag()
+    body = {"domain": domain, "instance": instance, "ok": ok}
+    return messages.fed_move_done(d.text(), domain, instance, ok=ok), body, dict(body)
+
+
+BATCHABLE_CASES = {
+    T.PUT_PERFLOW: case_put_perflow,
+    T.PUT_PERFLOW_BATCH: case_put_perflow_batch,
+    T.REPROCESS_PACKET: case_reprocess_packet,
+    T.TRANSFER_RELEASE: _case_keys(messages.transfer_release),
+    T.DEL_PERFLOW: case_del_perflow,
+}
+
+
+def case_batch(d):
+    """An empty batch, or a BATCH of BATCHable frames, each stamped like any other message."""
+    inner = [stamped(d, *BATCHABLE_CASES[d(st.sampled_from(sorted(BATCHABLE_CASES)))](d)) for _ in range(d(st.integers(0, 3)))]
+    message = messages.batch_message(d.text(), [frame for frame, _, _ in inner])
+    body = {"frames": [plain_wire(frame, frame_body) for frame, frame_body, _ in inner]}
+    return message, body, {"frames": [(frame.type, frame.xid, frame.mb, frame.cseq, fields) for frame, _, fields in inner]}
+
+
+CASES = {
+    T.BATCH: case_batch,
+    T.GET_CONFIG: case_get_config,
+    T.SET_CONFIG: case_set_config,
+    T.DEL_CONFIG: case_del_config,
+    T.GET_PERFLOW: case_get_perflow,
+    T.GET_PERFLOW_DELTA: case_get_perflow_delta,
+    T.PUT_PERFLOW: case_put_perflow,
+    T.PUT_PERFLOW_BATCH: case_put_perflow_batch,
+    T.DEL_PERFLOW: case_del_perflow,
+    T.TRANSFER_HOLD: _case_keys(messages.transfer_hold),
+    T.TRANSFER_RELEASE: _case_keys(messages.transfer_release),
+    T.GET_SHARED: case_get_shared,
+    T.PUT_SHARED: case_put_shared,
+    T.GET_STATS: case_get_stats,
+    T.ENABLE_EVENTS: case_enable_events,
+    T.DISABLE_EVENTS: case_disable_events,
+    T.TRANSFER_END: case_transfer_end,
+    T.REPROCESS_PACKET: case_reprocess_packet,
+    T.CONFIG_VALUE: case_config_value,
+    T.STATE_CHUNK: _case_chunk_reply(messages.state_chunk, shared=False),
+    T.SHARED_STATE: _case_chunk_reply(messages.shared_state, shared=True),
+    T.GET_COMPLETE: case_get_complete,
+    T.STATS_REPLY: case_stats_reply,
+    T.ACK: case_ack,
+    T.ERROR: case_error,
+    T.EVENT: case_event,
+    T.HEARTBEAT: case_heartbeat,
+    T.CHAN_ACK: case_chan_ack,
+    T.FED_GOSSIP: case_fed_gossip,
+    T.FED_MOVE_REQUEST: case_fed_move_request,
+    T.FED_MOVE_GRANT: case_fed_move_grant,
+    T.FED_MOVE_DONE: case_fed_move_done,
+}
+
+
+def stamped(d: Draw, message: Message, body, fields):
+    """Give the envelope drawn scalars too: ``cseq`` present and absent, ``reply_to`` where a constructor set one."""
+    message.xid = d.int()
+    message.cseq = d.maybe(d.int())
+    if message.reply_to is not None:
+        message.reply_to = d.int()
+    return message, body, fields
+
+
+def comparable(value):
+    """Parsed fields with what a decoder numbers afresh (packet ids) or unwraps (inner frames) made comparable."""
+    if isinstance(value, Packet):
+        return dataclasses.replace(value, packet_id=0)
+    if isinstance(value, Message):
+        return (value.type, value.xid, value.mb, value.cseq, comparable(messages.parse(value)))
+    if isinstance(value, dict):
+        return {name: comparable(item) for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(comparable(item) for item in value)
+    return value
+
+
+class TestSplicedEncoderAgainstTheOracle:
+    def test_every_message_type_has_a_case(self):
+        assert set(CASES) == set(SCHEMAS)
+        assert set(BATCHABLE_CASES) == set(BATCHABLE_REQUESTS)
+
+    @pytest.mark.parametrize("type_", sorted(SCHEMAS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_well_typed_messages_encode_as_the_oracle_does_and_parse_back(self, type_, data):
+        message, body, fields = stamped(Draw(data.draw, wild=False), *CASES[type_](Draw(data.draw, wild=False)))
+        assert message.type == type_
+        encoded = message.encode()
+        assert encoded == json.dumps(plain_wire(message, body), **CANONICAL).encode()
+        decoded = Message.decode(encoded)
+        assert (decoded.type, decoded.xid, decoded.mb, decoded.reply_to, decoded.cseq) == (
+            message.type, message.xid, message.mb, message.reply_to, message.cseq
+        )  # fmt: skip
+        assert comparable(messages.parse(decoded)) == comparable(fields)
+
+    @pytest.mark.parametrize("type_", sorted(SCHEMAS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ill_typed_scalars_still_encode_as_the_oracle_does(self, type_, data):
+        message, body, _ = stamped(Draw(data.draw, wild=True), *CASES[type_](Draw(data.draw, wild=True)))
+        encoded = message.encode()
+        assert encoded == json.dumps(plain_wire(message, body), **CANONICAL).encode()
+        Message.decode(encoded)  # still one JSON object with a type and an xid
+
+    @pytest.mark.parametrize("body", [None, 7, "text", [1, {"a": 2}], True, 1.5])
+    def test_a_body_that_is_not_a_dict_is_encoded_as_it_stands_and_refused_by_parse(self, body):
+        message = Message(T.PUT_PERFLOW, mb="mb", body=body, cseq=3)
+        assert message.encode() == json.dumps(plain_wire(message, body), **CANONICAL).encode()
+        with pytest.raises(ProtocolError):
+            messages.parse(Message.decode(message.encode()))
+
+    def test_a_value_edited_in_after_construction_is_what_goes_on_the_wire(self):
+        """The body dict is read at encode time: a replaced member is encoded, fragments beside it untouched."""
+        chunk = StateChunk(key=KEY, role=StateRole.SUPPORTING, blob=b"x", metadata={"é": ['"', "\\"]})
+        message = messages.put_perflow("mb", chunk, seq=1)
+        message.body["seq"] = {"nested": [1.5, None]}
+        message.body['quo"te'] = " "
+        plain = {"chunk": plain_chunk(chunk), "seq": {"nested": [1.5, None]}, 'quo"te': " "}
+        assert message.encode() == json.dumps(plain_wire(message, plain), **CANONICAL).encode()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Message(T.ACK, body={"bad": object()}),
+            lambda: Message(T.ACK, mb=object()),
+            lambda: Message(T.ACK, xid={1, 2}),
+            lambda: Message(T.ACK, body={"a": 1, 2: 3}),  # keys that do not sort
+            lambda: messages.put_perflow("mb", StateChunk(KEY, StateRole.SUPPORTING, b"x", {"bad": b"bytes"})),
+            lambda: messages.put_perflow("mb", StateChunk(KEY, StateRole.SUPPORTING, b"x"), seq=object()),
+            lambda: messages.state_chunk("mb", 1, StateChunk(KEY, StateRole.SUPPORTING, "not bytes")),
+            lambda: messages.state_chunk("mb", 1, StateChunk(FlowKey(6, object(), "b", 1, 2), StateRole.SUPPORTING, b"x")),
+            lambda: messages.put_perflow_batch("mb", [StateChunk(None, StateRole.SUPPORTING, b"x", {"bad": {1, 2}})]),
+            lambda: messages.batch_message("mb", [Message(T.DEL_PERFLOW, body={"bad": object()})]),
+        ],
+    )
+    def test_an_unencodable_value_raises_protocol_error_and_nothing_else(self, build):
+        with pytest.raises(ProtocolError):
+            build().encode()
 
 
 class TestPacketAndEventCodecs:

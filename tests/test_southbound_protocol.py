@@ -67,6 +67,14 @@ def sample_requests(source: DummyMiddlebox) -> dict:
 REQUEST_TYPES = sorted(sample_requests(DummyMiddlebox(Simulator(), "probe", chunk_count=1)))
 
 
+def as_received(message: Message) -> Message:
+    """*message* as its receiver sees it: the body a plain parsed dict a test can take members out of.
+
+    A constructor's own body holds chunks as pre-encoded wire text.
+    """
+    return Message.decode(message.encode())
+
+
 def rejected_value(convert):
     """A JSON value the field converter refuses (ints pass ``7``, most others ``"bogus"``)."""
     for garbage in (7, "bogus"):
@@ -135,11 +143,33 @@ class TestMalformedRequestsAreAnswered:
     @pytest.mark.parametrize("type_", [T.PUT_PERFLOW, T.PUT_PERFLOW_BATCH, T.PUT_SHARED])
     def test_a_chunk_with_a_member_missing_gets_one_error(self, type_):
         wire = Wire()
-        request = sample_requests(wire.middlebox)[type_]
+        request = as_received(sample_requests(wire.middlebox)[type_])
         chunk = request.body["chunks"][0] if type_ == T.PUT_PERFLOW_BATCH else request.body["chunk"]
         del chunk["key" if "key" in chunk else "role"]
         (reply,) = wire.final_replies(request)
         assert reply.type == T.ERROR and wire.agent.stats.chunks_received == 0
+
+    @pytest.mark.parametrize(
+        "member, value",
+        [("tp_src", 80.9), ("tp_dst", True), ("nw_proto", "6"), ("tp_src", None), ("nw_src", 167837953), ("nw_dst", ["192.0.2.10"])],
+    )
+    @pytest.mark.parametrize("type_", [T.PUT_PERFLOW, T.PUT_PERFLOW_BATCH, T.TRANSFER_HOLD, T.TRANSFER_RELEASE, T.REPROCESS_PACKET])
+    def test_an_ill_typed_flow_key_is_refused_not_repaired(self, type_, member, value):
+        """``int()`` / ``str()`` coercion used to turn ``tp_src: 80.9, tp_dst: true`` into ports 80 and 1:
+        the state of one flow installed under the key of another.  Now the request gets its ERROR."""
+        wire = Wire()
+        request = as_received(sample_requests(wire.middlebox)[type_])
+        body = request.body
+        holder = {T.PUT_PERFLOW: lambda: body["chunk"]["key"], T.PUT_PERFLOW_BATCH: lambda: body["chunks"][0]["key"]}.get(
+            type_, lambda: body["keys"][0] if "keys" in body else body["key"]
+        )()
+        holder[member] = value
+        flows_before = len(wire.middlebox.support_store)
+        (reply,) = wire.final_replies(request)
+        assert (reply.type, reply.reply_to) == (T.ERROR, request.xid)
+        assert "ill-typed flow key" in messages.parse(reply)["reason"]
+        assert wire.agent.stats.chunks_received == 0 and len(wire.middlebox.support_store) == flows_before
+        assert not wire.middlebox._held_packets and wire.middlebox.counters.packets_received == 0
 
     def test_role_bogus_and_keys_seven(self):
         wire = Wire()
@@ -156,7 +186,8 @@ class TestMalformedRequestsAreAnswered:
         samples = sample_requests(wire.middlebox)
         empty = Message(T.PUT_PERFLOW, mb="mb", body={})
         ill_typed = Message(T.DEL_PERFLOW, mb="mb", body={"role": "bogus"})
-        keyless = messages.put_perflow("mb", next(wire.middlebox.iter_perflow(StateRole.REPORTING, FlowPattern.wildcard())))
+        reporting = next(wire.middlebox.iter_perflow(StateRole.REPORTING, FlowPattern.wildcard()))
+        keyless = as_received(messages.put_perflow("mb", reporting))
         del keyless.body["chunk"]["key"]
         frame = [samples[T.TRANSFER_HOLD], empty, samples[T.PUT_PERFLOW], ill_typed, keyless, samples[T.TRANSFER_RELEASE]]
         replies = wire.final_replies(*frame, framed=True)
