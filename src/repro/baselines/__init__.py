@@ -1,14 +1,14 @@
 """Baseline systems the paper compares OpenMB against."""
 
 from . import config_routing, split_merge, vm_snapshot
-from .config_routing import ConfigRoutingREMigration, HoldUpReport, hold_up_from_trace, scale_down_hold_up
+from .config_routing import ConfigRoutingREMigration, HoldUpReport, scale_down_hold_up
 from .split_merge import (
     SplitMergeMigration,
     SuspensionReport,
     expected_added_latency,
     expected_buffered_packets,
 )
-from .vm_snapshot import SnapshotReport, clone_via_snapshot, snapshot_migration_report, snapshot_size
+from .vm_snapshot import clone_via_snapshot, snapshot_size
 
 #: Table 2: applicability of each control scheme to each dynamic scenario.
 APPLICABILITY_MATRIX = {
@@ -21,15 +21,12 @@ APPLICABILITY_MATRIX = {
 __all__ = [
     "ConfigRoutingREMigration",
     "HoldUpReport",
-    "hold_up_from_trace",
     "scale_down_hold_up",
     "SplitMergeMigration",
     "SuspensionReport",
     "expected_added_latency",
     "expected_buffered_packets",
-    "SnapshotReport",
     "clone_via_snapshot",
-    "snapshot_migration_report",
     "snapshot_size",
     "APPLICABILITY_MATRIX",
 ]

@@ -24,7 +24,6 @@ import numpy as np
 from ..apps.base import ControlApplication
 from ..apps.scenarios import REMigrationScenario
 from ..traffic.distributions import fraction_exceeding
-from ..traffic.records import Trace
 
 
 # ---------------------------------------------------------------------------------------------------
@@ -53,24 +52,6 @@ def scale_down_hold_up(flow_durations: Sequence[float], *, decision_time: float 
     return HoldUpReport(
         active_flows=int(remaining.size),
         held_up_seconds=held_up,
-        fraction_over_1500s=fraction_exceeding(durations, 1500.0),
-    )
-
-
-def hold_up_from_trace(trace: Trace, *, decision_time: float = 0.0) -> HoldUpReport:
-    """Hold-up computed from a packet trace: a flow is active until its last packet."""
-    last_seen = {}
-    first_seen = {}
-    for record in trace.records:
-        key = record.flow_key().bidirectional()
-        first_seen.setdefault(key, record.time)
-        last_seen[key] = record.time
-    durations = [last_seen[key] - first_seen[key] for key in last_seen]
-    ends = [last_seen[key] for key in last_seen if last_seen[key] > decision_time]
-    held_up = max(ends) - decision_time if ends else 0.0
-    return HoldUpReport(
-        active_flows=len(ends),
-        held_up_seconds=float(held_up),
         fraction_over_1500s=fraction_exceeding(durations, 1500.0),
     )
 

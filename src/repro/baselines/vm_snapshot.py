@@ -16,7 +16,6 @@ snapshot sizes can be compared with the amount of state OpenMB actually moves.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.chunks import serialize_payload
@@ -25,33 +24,10 @@ from ..core.state import TAXONOMY
 from ..middleboxes.base import Middlebox
 
 
-@dataclass
-class SnapshotReport:
-    """Sizes involved in one snapshot-based migration."""
-
-    base_bytes: int
-    full_bytes: int
-    needed_bytes: int
-    unneeded_bytes: int
-
-    @property
-    def overhead_ratio(self) -> float:
-        """Unneeded bytes as a fraction of the full snapshot delta."""
-        delta = self.full_bytes - self.base_bytes
-        if delta <= 0:
-            return 0.0
-        return self.unneeded_bytes / delta
-
-
-def _serialized_size(middlebox: Middlebox, pattern: Optional[FlowPattern] = None) -> int:
-    """Serialised size of a middlebox's state, optionally restricted to a flow pattern."""
-    cells = sum(middlebox.cell_size_bytes(*cell, pattern) for cell, entry in TAXONOMY.items() if entry.movable)
-    return len(serialize_payload(middlebox.config.export())) + cells
-
-
 def snapshot_size(middlebox: Middlebox, pattern: Optional[FlowPattern] = None) -> int:
     """Size in bytes of a snapshot of *middlebox* (optionally only state matching *pattern*)."""
-    return _serialized_size(middlebox, pattern)
+    cells = sum(middlebox.cell_size_bytes(*cell, pattern) for cell, entry in TAXONOMY.items() if entry.movable)
+    return len(serialize_payload(middlebox.config.export())) + cells
 
 
 def clone_via_snapshot(source: Middlebox, target: Middlebox) -> int:
@@ -77,25 +53,6 @@ def clone_via_snapshot(source: Middlebox, target: Middlebox) -> int:
     if source.shared_report is not None and target.shared_report is not None:
         target.shared_report.replace(copy.deepcopy(source.shared_report.value))
     return copied
-
-
-def snapshot_migration_report(
-    source: Middlebox,
-    *,
-    base_size: int,
-    migrated_pattern: FlowPattern,
-) -> SnapshotReport:
-    """Size accounting for migrating the flows matching *migrated_pattern* via a snapshot.
-
-    ``base_size`` is the size of a freshly booted instance (the paper's BASE
-    image); the *needed* state is the per-flow state matching the migrated
-    pattern; everything else carried by the snapshot is unneeded.
-    """
-    full = snapshot_size(source)
-    needed = snapshot_size(source, migrated_pattern) - snapshot_size(source, FlowPattern(nw_src="255.255.255.255"))
-    needed = max(needed, 0)
-    unneeded = max(full - base_size - needed, 0)
-    return SnapshotReport(base_bytes=base_size, full_bytes=full, needed_bytes=needed, unneeded_bytes=unneeded)
 
 
 #: Applicability of the VM-snapshot approach to the paper's scenarios (Table 2).

@@ -687,29 +687,29 @@ def fed_gossip(
     domain: str,
     sent_at: float,
     *,
+    heard: float,
+    summary: Sequence[str],
     membership: Sequence[Dict[str, Any]],
     liveness: Sequence[Dict[str, Any]],
     ownership: Sequence[Dict[str, Any]],
+    resync: bool = False,
 ) -> Message:
     """Build one anti-entropy gossip digest for an inter-domain channel.
 
     ``sent_at`` is the sender's (shared simulated) clock at transmission time;
     the receiver turns it into a one-way delay sample that feeds the smoothed
-    WAN latency/jitter estimate used for cross-domain precopy pacing.  The
-    three digest sections are the wire form of the sender's versioned maps
-    (:class:`repro.federation.gossip.VersionedMap`).
+    WAN latency/jitter estimate used for cross-domain precopy pacing, and
+    echoes the latest one back as ``heard``.  The three sections carry the
+    entries of the sender's versioned maps the peer is not known to have
+    (:class:`repro.federation.gossip.VersionedMap`), ``summary`` each whole
+    map's constant-size count + checksum in section order; ``resync`` (on
+    the wire only when set) asks the peer for its differing maps in full.
     """
-    return Message(
-        MessageType.FED_GOSSIP,
-        mb=peer,
-        body={
-            "domain": domain,
-            "sent_at": sent_at,
-            "membership": list(membership),
-            "liveness": list(liveness),
-            "ownership": list(ownership),
-        },
-    )
+    body = {"domain": domain, "sent_at": sent_at, "heard": heard, "summary": list(summary)}
+    body.update(membership=list(membership), liveness=list(liveness), ownership=list(ownership))
+    if resync:
+        body["resync"] = True
+    return Message(MessageType.FED_GOSSIP, mb=peer, body=body)
 
 
 def fed_move_request(peer: str, domain: str, instance: str) -> Message:
@@ -767,8 +767,33 @@ _SHARED = ("shared", _flag, False)
 _SHARED_CHUNK = ("chunk", partial(decode_chunk, shared=True), REQUIRED)
 _PUT_TAGS = (("hold", _flag, False), ("seq", _int, None), ("round", tuple, None))
 _LENT = (("domain", _str, None), ("instance", _str, ""))
-#: Gossip digest sections are validated as sequences and passed through uncopied.
-_DIGEST = tuple((section, _typed(list, tuple), ()) for section in ("membership", "liveness", "ownership"))
+
+
+def _clock(value: Any) -> float:
+    """A timestamp, exactly an int or a float: a bool is not a number here, nothing is read out of a string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+_DIGEST_ENTRY = (("key", str), ("origin", str), ("version", int), ("value", dict), ("at", int, float))
+
+
+def _digest_entry(raw: Any) -> Dict[str, Any]:
+    """One gossip digest entry, passed through uncopied once every field is exactly typed."""
+    if type(raw) is not dict or any(type(raw.get(name)) not in types for name, *types in _DIGEST_ENTRY) or raw["version"] < 1:
+        raise TypeError(f"malformed digest entry {raw!r}")
+    return raw
+
+
+def _summaries(raw: Any) -> list:
+    if type(raw) is not list or len(raw) != len(_DIGEST) or any(type(item) is not str for item in raw):
+        raise TypeError(f"expected one summary string per digest section, got {raw!r}")
+    return raw
+
+
+_DIGEST = tuple((section, _each(_digest_entry), ()) for section in ("membership", "liveness", "ownership"))
+_GOSSIP = (("sent_at", _clock, REQUIRED), ("heard", _clock, REQUIRED), ("summary", _summaries, REQUIRED), ("resync", _flag, False))
 
 SCHEMAS: Dict[str, tuple] = {
     MessageType.BATCH: (("frames", _each(Message.from_wire), ()),),
@@ -799,7 +824,7 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.EVENT: (("code", _str, ""), ("raised_at", float, 0.0), _SHARED, ("values", dict, {}), _KEY, _PACKET),
     MessageType.HEARTBEAT: (),
     MessageType.CHAN_ACK: (("cum", _int, 0),),
-    MessageType.FED_GOSSIP: (("domain", _str, ""), ("sent_at", _number, None), *_DIGEST),
+    MessageType.FED_GOSSIP: (("domain", _str, ""), *_GOSSIP, *_DIGEST),
     MessageType.FED_MOVE_REQUEST: _LENT,
     MessageType.FED_MOVE_GRANT: (*_LENT, ("granted", _flag, False), ("reason", _str, "denied")),
     MessageType.FED_MOVE_DONE: (*_LENT, ("ok", _flag, False)),

@@ -16,7 +16,7 @@ deterministically on every replica.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from ..core.flowspace import FlowKey
 from .gossip import VersionedMap
@@ -26,10 +26,11 @@ class OwnershipDirectory:
     """The versioned map of flow-key tokens to owning domains."""
 
     def __init__(self) -> None:
-        self._map = VersionedMap()
+        #: The gossip layer merges, summarises and ships this map directly.
+        self.map = VersionedMap()
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self.map)
 
     @staticmethod
     def token_of(key: FlowKey) -> str:
@@ -39,7 +40,7 @@ class OwnershipDirectory:
     def claim(self, key: FlowKey, domain: str, now: float) -> str:
         """Author a new ownership version for one flow; returns its token."""
         token = self.token_of(key)
-        self._map.put(token, domain, {"domain": domain}, now)
+        self.map.put(token, domain, {"domain": domain}, now)
         return token
 
     def claim_flows(self, keys: Iterable[FlowKey], domain: str, now: float) -> List[str]:
@@ -48,35 +49,16 @@ class OwnershipDirectory:
 
     def owner_of(self, key: FlowKey) -> Optional[str]:
         """The domain owning *key*'s state, or None when unknown."""
-        value = self._map.value_of(self.token_of(key))
+        value = self.map.value_of(self.token_of(key))
         return value.get("domain") if value else None
 
     def tokens_owned_by(self, domain: str) -> List[str]:
         """Every token currently mapped to *domain*, sorted."""
-        return sorted(token for token, entry in self._map.items() if entry.value.get("domain") == domain)
+        return sorted(token for token, entry in self.map.items() if entry.value.get("domain") == domain)
 
     def reassign(self, from_domain: str, to_domain: str, now: float) -> List[str]:
         """Re-home every flow of *from_domain* (takeover); returns the tokens."""
         tokens = self.tokens_owned_by(from_domain)
         for token in tokens:
-            self._map.put(token, to_domain, {"domain": to_domain}, now)
+            self.map.put(token, to_domain, {"domain": to_domain}, now)
         return tokens
-
-    def assign_token(self, token: str, domain: str, now: float) -> None:
-        """Author a new ownership version for one existing token (the
-        takeover-revert path hands specific tokens back to a healed domain)."""
-        self._map.put(token, domain, {"domain": domain}, now)
-
-    # -- gossip plumbing ---------------------------------------------------------------
-
-    def merge(self, digest: Sequence[Dict[str, Any]], now: float) -> List[str]:
-        """Fold a peer's ownership digest in; returns the tokens that changed."""
-        return self._map.merge(digest, now)
-
-    def digest(self) -> List[Dict[str, Any]]:
-        """The wire form of the directory (deterministic token order)."""
-        return self._map.digest()
-
-    def fingerprint(self):
-        """Hashable convergence summary (see :meth:`VersionedMap.fingerprint`)."""
-        return self._map.fingerprint()

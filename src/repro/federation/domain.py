@@ -53,6 +53,12 @@ from .directory import OwnershipDirectory
 from .election import elect_successor
 from .gossip import GossipConfig, GossipState, choose_peers
 
+#: The digest sections of a ``fed_gossip`` frame, in summary order, and the
+#: most entries a frame carries per section (the rest follows next round):
+#: ~17 kB, so a bulk re-homing holds the heartbeat up for a round or two at most.
+SECTIONS = ("membership", "liveness", "ownership")
+MAX_SECTION_ENTRIES = 128
+
 #: WAN pacing: one-way delays at or below this look like a LAN and get no
 #: pacing; the pacing gain grows with the measured excess over it.
 LAN_DELAY_REFERENCE = 1e-3
@@ -80,7 +86,7 @@ class PeerLink:
     digest carries the sender's simulated send time, and :meth:`observe`
     folds the resulting one-way delay sample into RFC 6298-style smoothed
     delay (``srtt``) and jitter estimates — the measurement the cross-domain
-    precopy pacing adapts to.
+    precopy pacing adapts to — and the link holds what the peer is believed to know.
     """
 
     def __init__(self, peer: str, channel: ControlChannel, side: str, *, latency: float, bandwidth: float) -> None:
@@ -94,6 +100,12 @@ class PeerLink:
         self.srtt: Optional[float] = None
         self.jitter: float = 0.0
         self.samples = 0
+        #: Section -> revision of this domain's map the peer was sent up to
+        #: (absent: nothing yet, or forgotten after a summary mismatch).
+        self.sent: Dict[str, int] = {}
+        #: When the peer was last sent entries; the latest ``sent_at`` merged
+        #: from it (echoed as ``heard``); whether to ask it to forget its marks.
+        self.told_at, self.heard, self.ask = 0.0, 0.0, False
 
     def send(self, message: Message) -> None:
         """Transmit *message* towards the peer over this link's direction."""
@@ -159,6 +171,10 @@ class FederatedDomain:
         self._gossip_armed = False
         self.gossip_rounds = 0
         self.digests_received = 0
+        self.frames_refused = 0  # inter-domain frames ``messages.parse`` refused
+        #: (name, map, tombstone TTL — None where nothing is garbage collected) per section.
+        maps = (self.gossip.membership, self.gossip.liveness, self.directory.map)
+        self._sections = tuple(zip(SECTIONS, maps, (None, self.config.gossip.ttl, None)))
         #: Dead domains this domain adopted (takeover audit trail).
         self.takeovers: List[str] = []
         #: Undo log per takeover: dead domain -> (instances adopted here,
@@ -263,10 +279,7 @@ class FederatedDomain:
         self._gossip_armed = False
         if not self._running:
             return
-        now = self.sim.now
-        ttl = self.config.gossip.ttl
-        self.gossip.liveness.expire(now, ttl)
-        self._check_suspicions(now)
+        self._check_suspicions(self.sim.now)
         # Target selection deliberately ignores the membership view for
         # directly-connected peers: a digest to a truly crashed peer is
         # dropped at its closed channel half, while one to a falsely-suspected
@@ -282,17 +295,25 @@ class FederatedDomain:
         if self._peers:
             self._arm_gossip()
 
+    def summaries(self) -> List[str]:
+        """Each section's constant-size summary as of now (due tombstones dropped first)."""
+        self.gossip.liveness.expire(self.sim.now, self.config.gossip.ttl)
+        return [versioned.summary for _, versioned, _ in self._sections]
+
     def _send_digest(self, peer: str) -> None:
-        self._peers[peer].send(
-            messages.fed_gossip(
-                peer,
-                self.name,
-                self.sim.now,
-                membership=self.gossip.membership.digest(),
-                liveness=self.gossip.liveness.digest(),
-                ownership=self.directory.digest(),
-            )
-        )
+        """One frame to *peer*: every section's summary and the entries installed since
+        its mark that it did not send itself — oldest first, up to the frame cap."""
+        link, now = self._peers[peer], self.sim.now
+        summary, sections = self.summaries(), {}
+        for name, versioned, _ in self._sections:
+            newer = list(versioned.newer(link.sent.get(name, 0), peer))
+            entries = newer[-MAX_SECTION_ENTRIES:]
+            link.sent[name] = entries[0].rev if len(newer) > len(entries) else versioned.revision
+            sections[name] = [entry.as_wire() for entry in entries]
+            if entries:
+                link.told_at = now
+        link.send(messages.fed_gossip(peer, self.name, now, heard=link.heard, summary=summary, resync=link.ask, **sections))
+        link.ask = False
 
     def _check_suspicions(self, now: float) -> None:
         """Declare silent direct peers dead and run the takeover election."""
@@ -370,7 +391,7 @@ class FederatedDomain:
                     obj.set_event_sink(registration.agent.send_event)
             self.gossip.liveness.put(name, self.name, {"domain": peer, "alive": True}, now)
         for token in tokens:
-            self.directory.assign_token(token, peer, now)
+            self.directory.map.put(token, peer, {"domain": peer}, now)
         for other in self._live_peers():
             self._send_digest(other)
 
@@ -401,9 +422,10 @@ class FederatedDomain:
         try:
             fields = messages.parse(message)
         except ProtocolError:
-            return  # a malformed federation message is dropped
+            self.frames_refused += 1
+            return  # a malformed federation message is dropped, and counted
         if message.type == MessageType.FED_GOSSIP:
-            self._absorb_digest(**fields)
+            self._absorb_digest(self._peers[peer], **fields)
         elif message.type == MessageType.FED_MOVE_REQUEST:
             self._on_move_request(peer, message, **fields)
         elif message.type == MessageType.FED_MOVE_GRANT:
@@ -412,17 +434,14 @@ class FederatedDomain:
             self._on_move_done(fields["instance"])
 
     def _absorb_digest(
-        self, domain: str, sent_at: Optional[float], membership: list, liveness: list, ownership: list
+        self, link: PeerLink, domain: str, sent_at: float, heard: float, summary: list, resync: bool, **sections: list
     ) -> None:
         now = self.sim.now
         self.digests_received += 1
-        link = self._peers.get(domain)
-        if link is not None and sent_at is not None:
-            link.observe(now - sent_at)
-        membership_changes = self.gossip.membership.merge(membership, now)
-        self.gossip.liveness.merge(liveness, now)
-        self.directory.merge(ownership, now)
-        for changed in membership_changes:
+        link.observe(now - sent_at)
+        link.heard = max(link.heard, sent_at)
+        changes = [versioned.merge(sections[name], now, ttl=ttl, source=link.peer) for name, versioned, ttl in self._sections]
+        for changed in changes[0]:  # membership
             value = self.gossip.membership.value_of(changed) or {}
             if changed != self.name and not value.get("alive"):
                 # An obituary arrived by gossip before our own suspicion
@@ -433,6 +452,29 @@ class FederatedDomain:
             # A peer suspected us while we were merely slow; re-assert life
             # with a higher version so the false obituary cannot win.
             self.gossip.membership.put(self.name, self.name, {"alive": True}, now)
+        # A section filled to the cap has more to follow: not yet comparable.
+        if all(len(entries) < MAX_SECTION_ENTRIES for entries in sections.values()):
+            self._reconcile(link, sent_at, heard, summary, resync)
+
+    def _reconcile(self, link: PeerLink, sent_at: float, heard: float, summary: list, resync: bool) -> None:
+        """Detect a delta that never arrived: the peer's summaries against ours.
+
+        A difference means nothing while it can be news on its way: ours (the
+        peer had not *heard* our last entries when it sent, or entries wait for
+        its next digest) or a tombstone deadline between its sending and now.
+        Otherwise a delta was lost, whatever the channel promised: forget what
+        the peer was believed to know (the differing maps go out again) and ask
+        it to do the same; asked, forget even with entries pending.
+        """
+        differing = [name for name, ours, theirs in zip(SECTIONS, self.summaries(), summary) if ours != theirs]
+        if not differing or heard < link.told_at or sent_at <= self.gossip.liveness.expired_to:
+            return
+        if resync or not any(
+            next(versioned.newer(link.sent.get(name, 0), link.peer), None) for name, versioned, _ in self._sections
+        ):
+            for name in differing:
+                link.sent.pop(name, None)
+            link.ask = not resync
 
     # -- cross-domain moves ------------------------------------------------------------
 
@@ -654,18 +696,10 @@ class Federation:
         return stats[0].merge(*stats[1:]) if stats else ControllerStats()
 
     def converged(self) -> bool:
-        """True when every live domain agrees on membership, liveness, and
-        ownership (identical versioned fingerprints)."""
-        live = self.live_domains()
-        if len(live) <= 1:
-            return True
-        first = live[0]
-        return all(
-            domain.gossip.membership.fingerprint() == first.gossip.membership.fingerprint()
-            and domain.gossip.liveness.fingerprint() == first.gossip.liveness.fingerprint()
-            and domain.directory.fingerprint() == first.directory.fingerprint()
-            for domain in live[1:]
-        )
+        """True when every live domain agrees on membership, liveness, and ownership:
+        equal summaries (count + checksum of every entry) — O(1) per domain."""
+        views = [domain.summaries() for domain in self.live_domains()]
+        return all(view == views[0] for view in views[1:])
 
     def run_until_converged(self, *, max_rounds: int = 200) -> int:
         """Drive the simulator one gossip interval at a time until every live

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import settings
 
 import repro.core.events as events_module
 import repro.core.messages as messages_module
@@ -12,6 +13,11 @@ import repro.core.operations as operations_module
 from repro.core import ControllerConfig, FlowKey, MBController, NorthboundAPI
 from repro.middleboxes import IDS, DummyMiddlebox, PassiveMonitor
 from repro.net import Simulator, tcp_packet
+
+
+#: The deeper search the CI chaos job asks for with ``--hypothesis-profile=ci``;
+#: tests that pin their own ``max_examples`` keep it.
+settings.register_profile("ci", max_examples=1000, stateful_step_count=80, deadline=None)
 
 
 @pytest.fixture

@@ -10,15 +10,13 @@ from repro.baselines import (
     clone_via_snapshot,
     expected_added_latency,
     expected_buffered_packets,
-    hold_up_from_trace,
     scale_down_hold_up,
-    snapshot_migration_report,
     snapshot_size,
 )
 from repro.core import FlowPattern
 from repro.middleboxes import IDS, PassiveMonitor
 from repro.net import Simulator
-from repro.traffic import datacenter_flow_durations, datacenter_trace, enterprise_cloud_trace, redundancy_trace
+from repro.traffic import datacenter_flow_durations, enterprise_cloud_trace, redundancy_trace
 
 
 class TestApplicabilityMatrix:
@@ -75,14 +73,6 @@ class TestVMSnapshot:
         with pytest.raises(ValueError):
             clone_via_snapshot(ids, PassiveMonitor(sim, "mon"))
 
-    def test_migration_report_accounts_unneeded_state(self):
-        sim, ids = self._populated_ids()
-        base = snapshot_size(IDS(sim, "fresh"))
-        report = snapshot_migration_report(ids, base_size=base, migrated_pattern=FlowPattern(tp_dst=80))
-        assert report.full_bytes > report.base_bytes
-        assert report.unneeded_bytes > 0
-        assert 0 < report.overhead_ratio <= 1.0
-
     def test_snapshot_migration_produces_incorrect_log_entries(self):
         """Both snapshot copies log anomalies for the flows the other copy now handles."""
         sim = Simulator()
@@ -115,12 +105,6 @@ class TestConfigRouting:
         report = scale_down_hold_up(durations)
         assert 0.05 < report.fraction_over_1500s < 0.13
         assert report.held_up_seconds > 1500.0
-
-    def test_hold_up_from_trace(self):
-        trace = datacenter_trace(flows=50, seed=31)
-        report = hold_up_from_trace(trace, decision_time=5.0)
-        assert report.active_flows > 0
-        assert report.held_up_seconds > 0
 
     def test_re_migration_without_cloning_leaves_bytes_undecodable(self):
         scenario = build_re_migration_scenario(cache_capacity=64 * 1024)

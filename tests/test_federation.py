@@ -19,14 +19,21 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import math
+import os
 import random
 
 import pytest
 from conftest import pin_ids
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI
+from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI, messages
 from repro.core.channel import FaultPlan, FaultProfile
-from repro.core.errors import SpecError
+from repro.core.errors import ProtocolError, SpecError
+from repro.core.messages import Message
 from repro.core.southbound import ProcessingCosts
 from repro.core.stats import ControllerStats
 from repro.core.transfer import TransferSpec
@@ -41,6 +48,8 @@ from repro.federation import (
     ranked_successors,
     takeover_score,
 )
+from repro.federation import domain as domain_module
+from repro.federation.domain import MAX_SECTION_ENTRIES, SECTIONS
 from repro.middleboxes import DummyMiddlebox
 from repro.net import Simulator, tcp_packet
 from repro.testing import ChaosMiddlebox
@@ -51,17 +60,25 @@ from repro.testing import ChaosMiddlebox
 # =========================================================================================
 
 
+def fingerprint(versioned: VersionedMap):
+    """The structural view a summary stands for: every entry's identity and payload, key-sorted."""
+    return tuple(
+        (key, entry.version, entry.origin, json.dumps(entry.value, sort_keys=True)) for key, entry in versioned.items()
+    )
+
+
 class TestVersionedMap:
-    def _digest_of(self, *entries):
-        return [{"key": k, "origin": o, "version": v, "value": dict(val)} for k, o, v, val in entries]
+    def _digest_of(self, *entries, at=0.0):
+        return [{"key": k, "origin": o, "version": v, "value": dict(val), "at": at} for k, o, v, val in entries]
 
     def test_merge_is_idempotent(self):
         target = VersionedMap()
         digest = self._digest_of(("a", "dc0", 2, {"alive": True}), ("b", "dc1", 1, {"alive": False}))
         assert sorted(target.merge(digest, now=1.0)) == ["a", "b"]
-        before = target.fingerprint()
+        before = fingerprint(target)
         assert target.merge(digest, now=2.0) == []  # re-merge: no winners change
-        assert target.fingerprint() == before
+        assert fingerprint(target) == before
+        assert target.summary == "00000002" + target.summary[8:]  # two entries, counted once each
 
     def test_merge_is_commutative(self):
         d1 = self._digest_of(("a", "dc0", 2, {"alive": True}), ("b", "dc2", 5, {"alive": True}))
@@ -71,7 +88,8 @@ class TestVersionedMap:
         forward.merge(d2, 2.0)
         backward.merge(d2, 1.0)
         backward.merge(d1, 2.0)
-        assert forward.fingerprint() == backward.fingerprint()
+        assert fingerprint(forward) == fingerprint(backward)
+        assert forward.summary == backward.summary
 
     def test_equal_versions_break_ties_towards_the_smaller_origin(self):
         left, right = VersionedMap(), VersionedMap()
@@ -81,7 +99,7 @@ class TestVersionedMap:
         left.merge(entry_b, 2.0)
         right.merge(entry_b, 1.0)
         right.merge(entry_a, 2.0)
-        assert left.fingerprint() == right.fingerprint()
+        assert fingerprint(left) == fingerprint(right)
         assert left.get("k").origin == "dc0"  # smaller origin wins the tie
 
     def test_put_bumps_the_version_monotonically(self):
@@ -97,13 +115,52 @@ class TestVersionedMap:
         assert versioned.expire(now=0.3, ttl=0.25) == ["dead"]
         assert "live" in versioned and "dead" not in versioned
 
-    def test_exact_re_receipt_refreshes_the_tombstone_stamp(self):
+    def test_exact_re_receipt_does_not_refresh_a_tombstone(self):
+        """The TTL runs from the authoring time in the entry; hearing the fact again is not news."""
         versioned = VersionedMap()
         versioned.put("dead", "dc0", {"alive": False}, 0.0)
-        digest = versioned.digest()
-        versioned.merge(digest, now=0.2)  # same (version, origin): refresh only
-        assert versioned.expire(now=0.4, ttl=0.25) == []  # stamp moved to 0.2
-        assert versioned.expire(now=0.5, ttl=0.25) == ["dead"]
+        before = versioned.summary
+        assert versioned.merge(versioned.digest(), now=0.2) == []  # same (version, origin)
+        assert versioned.summary == before and versioned.get("dead").at == 0.0
+        assert versioned.expire(now=0.25, ttl=0.25) == []  # the deadline itself is not past it
+        assert versioned.expire(now=0.3, ttl=0.25) == ["dead"]
+        assert versioned.summary == VersionedMap().summary and versioned.expired_to == 0.25
+
+    def test_a_tombstone_arriving_past_its_ttl_is_applied_and_never_installed(self):
+        versioned, late = VersionedMap(), VersionedMap()
+        versioned.put("mb", "dc0", {"alive": True}, 0.0)
+        late.merge(versioned.digest(), now=0.0)
+        versioned.put("mb", "dc0", {"alive": False}, 0.1)
+        tombstone = versioned.digest()
+        assert late.merge(tombstone, now=0.5, ttl=0.25) == ["mb"]  # what it beats goes...
+        assert "mb" not in late and late.summary == VersionedMap().summary  # ...and it is not kept
+        assert late.merge(tombstone, now=0.5, ttl=0.25) == []
+        assert VersionedMap().merge(tombstone, now=0.2, ttl=0.25) == ["mb"]  # still inside its TTL: installed
+
+    def test_newer_walks_back_from_the_newest_install_to_the_mark(self):
+        versioned = VersionedMap()
+        for index in range(5):
+            versioned.put(f"k{index}", "dc0", {"alive": True}, 0.0)
+        mark = versioned.revision
+        assert list(versioned.newer(mark)) == []
+        versioned.put("k1", "dc0", {"alive": True}, 1.0)
+        versioned.merge(self._digest_of(("k9", "dc1", 1, {"alive": True})), 1.0, source="dc1")
+        assert [entry.key for entry in versioned.newer(mark)] == ["k9", "k1"]  # newest first
+        assert [entry.key for entry in versioned.newer(mark, "dc1")] == ["k1"]  # never echoed to its source
+        assert len(list(versioned.newer(0))) == len(versioned.digest()) == 6
+
+    def test_the_summary_is_constant_size_and_order_independent(self):
+        forward, backward = VersionedMap(), VersionedMap()
+        facts = [(f"flow-{index}", "dc0", index % 3 + 1, {"domain": "dc0"}) for index in range(200)]
+        forward.merge(self._digest_of(*facts), 0.0)
+        backward.merge(self._digest_of(*reversed(facts)), 0.0)
+        assert forward.summary == backward.summary and len(forward.summary) == len(VersionedMap().summary) == 24
+        # The pair a XOR of per-entry CRCs cannot tell apart: two keys swapping versions.
+        swapped = VersionedMap()
+        swapped.merge(self._digest_of(("a", "dc0", 1, {}), ("b", "dc0", 2, {})), 0.0)
+        straight = VersionedMap()
+        straight.merge(self._digest_of(("a", "dc0", 2, {}), ("b", "dc0", 1, {})), 0.0)
+        assert swapped.summary != straight.summary
 
 
 class TestChoosePeers:
@@ -182,12 +239,12 @@ class TestOwnershipDirectory:
         authoritative, replica = OwnershipDirectory(), OwnershipDirectory()
         keys = [mb.flow_key_for(i) for i in range(5)]
         authoritative.claim_flows(keys, "dc2", now=0.0)
-        replica.merge(authoritative.digest(), 0.0)
+        replica.map.merge(authoritative.map.digest(), 0.0)
         moved = authoritative.reassign("dc2", "dc0", now=1.0)
         assert len(moved) == 5
         assert authoritative.tokens_owned_by("dc2") == []
-        replica.merge(authoritative.digest(), 2.0)  # higher versions win
-        assert replica.fingerprint() == authoritative.fingerprint()
+        replica.map.merge(authoritative.map.digest(), 2.0)  # higher versions win
+        assert fingerprint(replica.map) == fingerprint(authoritative.map)
         assert replica.tokens_owned_by("dc0") == moved
 
 
@@ -241,6 +298,29 @@ class TestConvergence:
         for name, domain in federation.domains.items():
             domain.register(DummyMiddlebox(sim, f"mb-{name}", chunk_count=2))
         assert federation.run_until_converged(max_rounds=100) <= 30
+
+
+    @pytest.mark.parametrize("domains", (2, 3))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_an_unreliable_mesh_converges_on_the_summaries_alone(self, seed, domains):
+        """No ARQ under the gossip: a fifth of the digests vanish, others arrive
+        twice or out of order.  Delivery is not assumed — a lost delta shows as
+        a summary mismatch and is repaired by one full exchange."""
+        plan = FaultPlan.symmetric(seed, drop=0.2, duplicate=0.1, reorder=0.2, jitter=1.0)
+        sim, federation = build_federation(domains, seed=seed, suspicion=10.0)
+        for channel in (link.channel for domain in federation.domains.values() for link in domain._peers.values()):
+            channel.faults, channel.reliable = plan, False
+        for index, (name, domain) in enumerate(sorted(federation.domains.items())):
+            mb = DummyMiddlebox(sim, f"mb-{name}", chunk_count=30, subnet=f"10.{index + 20}")
+            domain.register(mb)
+            domain.claim_flows([mb.flow_key_for(i) for i in range(30)])
+        assert federation.run_until_converged(max_rounds=100) <= 40
+        sim.run(until=sim.now + 0.05)  # late duplicates and reordered stragglers change nothing
+        assert federation.converged()
+        views = [[fingerprint(versioned) for _, versioned, _ in domain._sections] for domain in federation.domains.values()]
+        assert all(view == views[0] for view in views[1:]) and len(views[0][2]) == 30 * domains
+        dropped = sum(link.channel.total_dropped for domain in federation.domains.values() for link in domain._peers.values())
+        assert dropped > 0, "the fault plan never fired"
 
 
 class TestSingleDomainIsInert:
@@ -566,3 +646,390 @@ class TestSingleDomainGoldenEquivalence:
         durations, received, sent, executed = self._workload(1, 80)
         assert durations == [pytest.approx(0.013291392, abs=1e-9)]
         assert (received, sent, executed) == (322, 162, 1130)
+
+
+# =========================================================================================
+# Delta gossip: convergence and volume as properties, dissemination as a bound
+# =========================================================================================
+
+
+class ScriptedWire:
+    """*count* stopped domains whose digests go where the test says.
+
+    Every ``fed_gossip`` frame a domain builds lands in ``outbox`` after a
+    trip through ``Message.encode`` / ``decode``; the test then delivers,
+    drops, duplicates or holds it.  Nothing is scheduled: a round happens
+    when the test calls :meth:`send`, the clock moves when it runs the
+    simulator.
+    """
+
+    def __init__(self, count: int, *, ttl: float = 1.0) -> None:
+        self.sim = Simulator()
+        self.federation = Federation(self.sim, FederationConfig(gossip=GossipConfig(ttl=ttl)))
+        self.domains = [self.federation.add_domain(f"dc{index}") for index in range(count)]
+        self.federation.connect_all()
+        self.federation.stop()
+        self.outbox: list = []
+        for domain in self.domains:
+            for peer, link in domain._peers.items():
+                link.send = lambda message, _src=domain.name, _dst=peer: self.outbox.append(
+                    (_src, _dst, Message.decode(message.encode()))
+                )
+
+    def send(self, src: int, dst: int):
+        """One digest from *src* to *dst*, captured: ``(src name, dst name, frame)``."""
+        self.domains[src]._send_digest(self.domains[dst].name)
+        return self.outbox.pop()
+
+    def deliver(self, frame) -> None:
+        src, dst, message = frame
+        self.federation.domains[dst]._on_peer_message(src, message)
+
+    def clean_round(self) -> int:
+        """Every ordered pair exchanges one digest, delivered at once; returns the entries carried."""
+        carried = 0
+        for src in range(len(self.domains)):
+            for dst in range(len(self.domains)):
+                if src != dst:
+                    frame = self.send(src, dst)
+                    carried += entries_in(frame)
+                    self.deliver(frame)
+        return carried
+
+    def views(self):
+        return [tuple(fingerprint(versioned) for _, versioned, _ in domain._sections) for domain in self.domains]
+
+
+def entries_in(frame) -> int:
+    fields = messages.parse(frame[2])
+    return sum(len(fields[section]) for section in SECTIONS)
+
+
+#: Clean all-to-all rounds the convergence property allows after an arbitrary
+#: schedule.  Round 1 delivers every entry still pending at its author (it
+#: sends to everyone) and shows every receiver a summary; a receiver whose
+#: last entries the sender had already heard forgets it there and then.  The
+#: full maps travel in round 2 (with the ask) and, where the asked side holds
+#: entries the asker lacks, back in round 3 — by which time every pair has
+#: compared summaries with nothing in flight, so round 3 ends equal.  Each of
+#: the three takes as many rounds as a map needs frames (``MAX_SECTION_ENTRIES``
+#: per section and frame; the machine also runs with a cap of 3).
+CLEAN_ROUNDS = 3
+
+
+class DeltaGossipMachine(RuleBasedStateMachine):
+    """Three to five replicas, local puts and tombstones, and a wire that
+    drops, duplicates, or holds and reorders digests.  The oracle is the
+    protocol this one replaced, kept here: every authored entry folded through
+    plain full-digest ``merge``.  The TTL's standing assumption is modelled,
+    not tested: nothing is held on the wire across a TTL (``age`` settles the
+    replicas, then discards what is still held), and a retired key is not
+    authored again.
+    """
+
+    TTL = 1.0
+    KEYS = [f"k{index}" for index in range(6)]
+
+    @initialize(count=st.integers(3, 5), cap=st.sampled_from([3, MAX_SECTION_ENTRIES]))
+    def build(self, count, cap):
+        domain_module.MAX_SECTION_ENTRIES = cap
+        self.frames_per_map = -(-len(self.KEYS) // cap)
+        self.wire = ScriptedWire(count, ttl=self.TTL)
+        self.count = count
+        self.held: list = []
+        self.retired: set = set()
+        self.oracle = []  # per replica, per section: the entries it authored, full-digest merged in settle()
+        for domain in self.wire.domains:
+            self.oracle.append({name: VersionedMap() for name in SECTIONS})
+            for name, versioned, _ in domain._sections:  # what construction and peering authored
+                self.oracle[-1][name].merge(versioned.digest(), 0.0)
+
+    def _author(self, replica: int, section: str, key: str, value: dict) -> None:
+        domain = self.wire.domains[replica]
+        versioned = {name: versioned for name, versioned, _ in domain._sections}[section]
+        entry = versioned.put(key, domain.name, value, self.wire.sim.now)
+        self.oracle[replica][section].merge([entry.as_wire()], 0.0)
+
+    @rule(replica=st.integers(0, 4), key=st.sampled_from(KEYS), section=st.sampled_from(["liveness", "ownership"]))
+    def put(self, replica, key, section):
+        if replica < self.count and (section, key) not in self.retired:
+            self._author(replica, section, key, {"domain": f"dc{replica}", "alive": True})
+
+    @rule(replica=st.integers(0, 4), key=st.sampled_from(KEYS))
+    def tombstone(self, replica, key):
+        if replica < self.count:
+            self.retired.add(("liveness", key))
+            self._author(replica, "liveness", key, {"domain": f"dc{replica}", "alive": False})
+
+    @rule(src=st.integers(0, 4), dst=st.integers(0, 4), fate=st.sampled_from(["deliver", "drop", "duplicate", "hold"]))
+    def send(self, src, dst, fate):
+        if src >= self.count or dst >= self.count or src == dst:
+            return
+        frame = self.wire.send(src, dst)
+        if fate == "hold":
+            self.held.append(frame)
+        for _ in range({"deliver": 1, "duplicate": 2}.get(fate, 0)):
+            self.wire.deliver(frame)
+
+    @rule(index=st.integers(0, 50))
+    def release(self, index):
+        if self.held:
+            self.wire.deliver(self.held.pop(index % len(self.held)))  # any order: reordering
+
+    @rule(dt=st.floats(1e-4, 5e-3))
+    def advance(self, dt):
+        self.wire.sim.run(until=self.wire.sim.now + dt)
+
+    @rule()
+    def age(self):
+        """Settle, then let every tombstone authored so far pass its deadline."""
+        self.settle()
+        self.held.clear()
+        self.wire.sim.run(until=self.wire.sim.now + self.TTL + 1e-3)
+        self.settle()
+
+    def settle(self):
+        for _ in range(CLEAN_ROUNDS * self.frames_per_map):
+            self.wire.clean_round()
+        assert self.wire.federation.converged()
+        views = self.wire.views()
+        assert all(view == views[0] for view in views[1:])
+        # The old protocol: everyone pushes its whole maps to everyone (twice: a
+        # full mesh needs one push, the second shows nothing changes any more).
+        for _ in range(2):
+            for source in self.oracle:
+                for target in self.oracle:
+                    for name in SECTIONS:
+                        target[name].merge(source[name].digest(), 0.0)
+        for oracle in self.oracle:
+            oracle["liveness"].expire(self.wire.sim.now, self.TTL)
+        assert views[0] == tuple(fingerprint(self.oracle[0][name]) for name in SECTIONS)
+        assert self.wire.clean_round() == 0  # and a converged federation has nothing left to say
+
+    def teardown(self):
+        try:
+            if hasattr(self, "wire"):
+                self.settle()
+        finally:
+            domain_module.MAX_SECTION_ENTRIES = MAX_SECTION_ENTRIES
+
+
+#: A fifth of the loaded profile: 20 schedules in tier-1, 200 under the
+#: chaos job's ``--hypothesis-profile=ci`` (tests/conftest.py).
+DeltaGossipMachine.TestCase.settings = settings(max_examples=settings.default.max_examples // 5, deadline=None)
+TestDeltaGossipConverges = DeltaGossipMachine.TestCase
+
+
+class TestGossipVolume:
+    """What a round costs is a function of what changed since the peer's last digest:
+    entries carried <= entries installed since (and not learned from that peer);
+    frame bytes = a constant + those entries."""
+
+    def _settled_pair(self, flows: int) -> ScriptedWire:
+        wire = ScriptedWire(2)
+        source = DummyMiddlebox(wire.sim, "mb")
+        wire.domains[0].claim_flows([source.flow_key_for(index) for index in range(flows)])
+        rounds = 1
+        while wire.clean_round():
+            rounds += 1
+        # One frame carries at most MAX_SECTION_ENTRIES per section; then one round in which nothing is said.
+        assert rounds == -(-flows // MAX_SECTION_ENTRIES) + 1
+        assert wire.federation.converged() and len(wire.domains[1].directory) == flows
+        return wire
+
+    def test_a_zero_change_digest_is_the_same_size_at_50_and_at_2000_resident_flows(self):
+        sizes = {}
+        for flows in (50, 2000):
+            wire = self._settled_pair(flows)
+            pin_ids()
+            frame = wire.send(0, 1)
+            assert entries_in(frame) == 0
+            sizes[flows] = len(frame[2].encode())
+        assert sizes[50] == sizes[2000] < 300
+
+    @settings(max_examples=20, deadline=None)
+    @given(changes=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 59)), max_size=30))
+    def test_after_k_changes_a_round_carries_at_most_k_entries_per_peer(self, changes):
+        wire = self._settled_pair(40)
+        source = DummyMiddlebox(wire.sim, "mb")
+        for author, flow in changes:  # re-claims of resident flows and claims of new ones, from either side
+            wire.domains[author].claim_flows([source.flow_key_for(flow)])
+        authored = [len({flow for author, flow in changes if author == side}) for side in (0, 1)]
+        for side in (0, 1):
+            frame = wire.send(side, 1 - side)
+            assert entries_in(frame) <= authored[side] <= len(changes)  # fewer when the peer's claim already beat ours
+            wire.deliver(frame)
+        assert entries_in(wire.send(0, 1)) == entries_in(wire.send(1, 0)) == 0  # what it learned is not echoed
+        assert wire.federation.converged()
+
+    def test_a_lost_delta_costs_the_side_that_holds_the_news_its_map_exactly_once(self):
+        wire = self._settled_pair(40)
+        wire.domains[0].claim_flows([DummyMiddlebox(wire.sim, "mb").flow_key_for(99)])
+        assert entries_in(wire.send(0, 1)) == 1  # ...and the wire loses it
+        carried = []
+        for _ in range(4):
+            frames = [wire.send(0, 1), None]
+            wire.deliver(frames[0])
+            frames[1] = wire.send(1, 0)
+            wire.deliver(frames[1])
+            carried.append([entries_in(frame) for frame in frames])
+            for frame in frames:  # only the map that differs is resynchronised
+                fields = messages.parse(frame[2])
+                assert fields["membership"] == fields["liveness"] == []
+        # dc1 sees the mismatch first and asks; all it holds came from dc0, so it has
+        # nothing to send back, and dc0 answers with its 41.
+        assert carried == [[0, 0], [41, 0], [0, 0], [0, 0]]
+        assert wire.federation.converged() and len(wire.domains[1].directory) == 41
+
+
+def dissemination_bound(domains: int, fanout: int) -> int:
+    """Rounds within which push gossip informs all *domains* (Pittel's two
+    phases, as Femminella et al. and De Florio & Blondia use them): the
+    informed set grows by a factor ``1 + fanout`` per round, then the last
+    uninformed peers are hit like coupons, ``ln N / fanout`` rounds in
+    expectation — doubled for the tail — plus the round the fact waits for
+    and the one it travels in."""
+    return math.ceil(math.log(domains) / math.log(1 + fanout)) + math.ceil(2 * math.log(domains) / fanout) + 2
+
+
+class TestDissemination:
+    @pytest.mark.parametrize("fanout", (1, 2, 3))
+    @pytest.mark.parametrize("domains", (3, 5, 8))
+    def test_one_fact_reaches_every_domain_within_the_push_gossip_bound(self, domains, fanout):
+        interval, latency = 2e-3, 1e-4
+        for seed in range(int(os.environ.get("CHAOS_SEEDS", "4"))):
+            sim = Simulator()
+            gossip = GossipConfig(fanout=fanout, interval=interval, ttl=0.5, seed=seed)
+            federation = Federation(sim, FederationConfig(gossip=gossip, suspicion_timeout=10.0))
+            for index in range(domains):
+                federation.add_domain(f"dc{index}")
+            federation.connect_all(latency=latency)
+            federation.run_until_converged(max_rounds=100)
+            start = sim.now
+            federation.domains["dc0"].gossip.liveness.put("fact", "dc0", {"domain": "dc0", "alive": True}, start)
+            sim.run(until=start + dissemination_bound(domains, fanout) * interval + 2 * latency)
+            uninformed = [name for name, domain in federation.domains.items() if "fact" not in domain.gossip.liveness]
+            assert not uninformed, (seed, uninformed)
+
+
+class TestTombstoneExpiry:
+    """The TTL is a property of the entry: every replica drops a tombstone at
+    ``authored + ttl`` on the shared clock, and nothing brings it back."""
+
+    TTL, INTERVAL = 0.05, 2e-3
+
+    def _federation_with_a_tombstone(self):
+        sim = Simulator()
+        gossip = GossipConfig(fanout=2, interval=self.INTERVAL, ttl=self.TTL, seed=5)
+        federation = Federation(sim, FederationConfig(gossip=gossip, suspicion_timeout=10.0))
+        for index in range(3):
+            federation.add_domain(f"dc{index}", controller_config=FAST)
+        federation.connect_all(latency=2e-3)
+        federation.domains["dc0"].register(DummyMiddlebox(sim, "mb"))
+        federation.run_until_converged(max_rounds=20)
+        federation.domains["dc0"].unregister("mb")
+        return sim, federation, sim.now
+
+    def _holders(self, federation):
+        return [name for name, domain in federation.domains.items() if "mb" in domain.gossip.liveness]
+
+    def test_gone_everywhere_one_interval_after_the_deadline_with_converged_true_across_it(self):
+        sim, federation, authored = self._federation_with_a_tombstone()
+        sim.run(until=authored + self.TTL / 2)
+        tombstones = {name: domain.gossip.liveness.get("mb") for name, domain in federation.domains.items()}
+        assert all(entry.value["alive"] is False and entry.at == authored for entry in tombstones.values())
+        polls = 0
+        while sim.now < authored + self.TTL + 3 * self.INTERVAL:  # every 0.1 ms, in and out of phase with the ticks
+            sim.run(until=sim.now + 1e-4)
+            assert federation.converged(), sim.now
+            polls += 1
+            if sim.now > authored + self.TTL + self.INTERVAL:
+                assert self._holders(federation) == []
+        assert polls > 250
+        sim.run(until=authored + 20 * self.TTL)  # the parent still held it here, stamp tracking now
+        assert self._holders(federation) == [] and federation.converged()
+
+    def test_neither_a_forced_resync_nor_a_digest_delayed_past_the_ttl_resurrects_it(self):
+        sim, federation, authored = self._federation_with_a_tombstone()
+        dc0, dc1 = federation.domains["dc0"], federation.domains["dc1"]
+        sim.run(until=authored + self.TTL / 2)
+        link = dc0.peer_link("dc1")
+        late = messages.fed_gossip(
+            "dc1", "dc0", sim.now, heard=link.heard, summary=dc0.summaries(),
+            membership=[], liveness=[dc0.gossip.liveness.get("mb").as_wire()], ownership=[],
+        )  # fmt: skip
+        sim.run(until=authored + self.TTL + 2 * self.INTERVAL)
+        assert self._holders(federation) == []
+        for domain in federation.domains.values():  # everyone forgets what every peer knows: full maps next round
+            for peer in domain._peers.values():
+                peer.sent.clear()
+        sim.run(until=sim.now + 5 * self.INTERVAL)
+        assert self._holders(federation) == [] and federation.converged()
+        dc1._on_peer_message("dc0", Message.decode(late.encode()))  # sent inside the TTL, arrives after it
+        assert self._holders(federation) == [] and federation.converged()
+        sim.run(until=sim.now + 5 * self.INTERVAL)
+        assert self._holders(federation) == [] and federation.converged()
+        # The stale summary in the late digest was not taken for a lost delta: nobody forgot anything.
+        assert all(set(peer.sent) == set(SECTIONS) for domain in federation.domains.values() for peer in domain._peers.values())
+
+
+class TestMalformedDigestsAreRefused:
+    """A frame ``messages.parse`` refuses is dropped and counted; nothing
+    escapes ``sim.run()``, nothing is coerced, no map changes."""
+
+    GOOD = {"key": "b", "origin": "dc0", "version": 9, "value": {"alive": False}, "at": 0.0}
+    SHAPES = {
+        "no key": {"origin": "dc0", "version": 9, "value": {}, "at": 0.0},
+        "null version": dict(GOOD, version=None),
+        "not a dict": ["b", "dc0", 9],
+        "version in a string": dict(GOOD, version="9"),  # the parent read an obituary out of it
+        "numeric key, fractional version": dict(GOOD, key=7, version=7.9),  # the parent: key "7", version 7
+        "boolean version": dict(GOOD, version=True),
+        "version zero": dict(GOOD, version=0),
+        "origin not a string": dict(GOOD, origin=0),
+        "value not a dict": dict(GOOD, value=[]),
+        "authoring time in a string": dict(GOOD, at="0.0"),
+        "no authoring time": {name: value for name, value in GOOD.items() if name != "at"},
+    }
+
+    def _frame(self, **overrides) -> Message:
+        body = {"domain": "dc0", "sent_at": 0.0, "heard": 0.0, "summary": ["", "", ""]}
+        body.update({section: [] for section in SECTIONS}, **overrides)
+        return Message(messages.MessageType.FED_GOSSIP, mb="dc1", body=body)
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_an_ill_typed_entry_refuses_the_frame(self, shape, section):
+        sim, federation = build_federation(2)
+        receiver = federation.domains["dc1"]
+        federation.run_until_converged(max_rounds=20)
+        before = receiver.summaries()
+        # Over the real channel, through sim.run(): a well-formed entry beside the bad one is not merged either.
+        federation.domains["dc0"].peer_link("dc1").send(self._frame(**{section: [dict(self.GOOD, key="ok"), self.SHAPES[shape]]}))
+        sim.run(until=sim.now + 0.05)
+        assert receiver.frames_refused == 1 and receiver.summaries() == before
+        assert all("ok" not in versioned and "b" not in versioned for _, versioned, _ in receiver._sections)
+        assert receiver.digests_received > 0 and federation.converged()  # the well-formed ones still flow
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"summary": ["", ""]},
+            {"summary": ["", "", 3]},
+            {"summary": None},
+            {"sent_at": None},
+            {"sent_at": True},
+            {"heard": "0.0"},
+            {"resync": 1},
+            {"ownership": {"key": "b"}},
+        ],
+    )
+    def test_an_ill_typed_frame_field_refuses_the_frame(self, overrides):
+        with pytest.raises(ProtocolError):
+            messages.parse(Message.decode(self._frame(**overrides).encode()))
+
+    def test_the_well_typed_frame_beside_them_is_absorbed(self):
+        sim, federation = build_federation(2)
+        receiver = federation.domains["dc1"]
+        receiver._on_peer_message("dc0", Message.decode(self._frame(liveness=[self.GOOD]).encode()))
+        assert receiver.frames_refused == 0 and receiver.gossip.liveness.get("b").version == 9

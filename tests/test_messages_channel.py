@@ -403,10 +403,18 @@ def case_chan_ack(d):
 
 
 def case_fed_gossip(d):
-    domain, sent_at = d.text(), d(st.floats(allow_nan=False))
-    sections = {name: d(st.lists(json_objects, max_size=2)) for name in ("membership", "liveness", "ownership")}
-    message = messages.fed_gossip(d.text(), domain, sent_at, **sections)
-    return message, {"domain": domain, "sent_at": sent_at, **sections}, dict(domain=domain, sent_at=sent_at, **sections)
+    def entry():
+        version = d.int() if d.wild else d(st.integers(min_value=1))
+        return {"key": d.text(), "origin": d.text(), "version": version, "value": d(json_objects), "at": d(st.floats(allow_nan=False))}
+
+    domain, sent_at, heard, resync = d.text(), d(st.floats(allow_nan=False)), d(st.floats(allow_nan=False)), d.flag()
+    summary = [d.text() for _ in range(3)]
+    sections = {name: [entry() for _ in range(d(st.integers(0, 2)))] for name in ("membership", "liveness", "ownership")}
+    message = messages.fed_gossip(d.text(), domain, sent_at, heard=heard, summary=summary, resync=resync, **sections)
+    body = {"domain": domain, "sent_at": sent_at, "heard": heard, "summary": summary, **sections}
+    if resync:
+        body["resync"] = True  # on the wire only when set
+    return message, body, dict(body, resync=resync)
 
 
 def case_fed_move_request(d):
