@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import sys
 import typing
 import zlib
 from dataclasses import dataclass
@@ -41,13 +42,15 @@ def _or_none(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
 def _checked(hint: type, accepted: Tuple[type, ...]) -> Codec:
     """A leaf codec: passes instances of *accepted* through, rejects the rest.
 
-    ``bool`` is only ever accepted as ``bool`` (it is an ``int`` to Python, not
-    to a counter); the one coercion is a JSON integer read into a ``float`` field.
+    ``bool`` is only ever accepted as ``bool`` (it is an ``int`` to Python, not to a
+    counter); the one coercion is a JSON integer read into the ``float`` that equals it.
     """
 
     def decode(raw: Any) -> Any:
         if not isinstance(raw, accepted) or (isinstance(raw, bool) and hint is not bool):
             raise StateError(f"expected {hint.__name__}, got {raw!r:.40}")
+        if hint is float and type(raw) is not float and (abs(raw) > sys.float_info.max or float(raw) != raw):
+            raise StateError(f"expected float, got an integer no float equals: {raw!r:.40}")
         return float(raw) if hint is float else raw
 
     return _identity, decode

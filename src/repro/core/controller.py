@@ -424,7 +424,7 @@ class MBController:
         except ProtocolError:
             return  # an event with a malformed key: dropped, counted as received only
         cost = self.config.per_event_cost if message.type == MessageType.EVENT else self.config.per_message_cost
-        shard.on_cpu(cost, lambda: self._dispatch(mb_name, message, shard))
+        shard.on_cpu(cost, self._dispatch, mb_name, message, shard)
 
     def _dispatch(self, mb_name: str, message: Message, shard: ControllerShard) -> None:
         """Hand an event to the operations, a reply to the handler of its request.

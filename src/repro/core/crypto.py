@@ -101,8 +101,3 @@ def unseal(key: SealingKey, blob: bytes) -> bytes:
     if not hmac.compare_digest(tag, expected):
         raise SealError("sealed blob failed authentication")
     return _xor(ciphertext, _keystream(key.enc_key, nonce, len(ciphertext)))
-
-
-def sealed_size(plaintext_length: int) -> int:
-    """Size in bytes of the sealed form of a plaintext of the given length."""
-    return plaintext_length + _NONCE_LEN + _MAC_LEN

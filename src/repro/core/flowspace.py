@@ -362,31 +362,6 @@ class FlowPattern:
                 return False
         return True
 
-    def is_finer_than(self, other: "FlowPattern") -> bool:
-        """Return True when this pattern constrains fields *other* leaves open.
-
-        Used to enforce the paper's rule that requests at a granularity finer
-        than the middlebox maintains must return an error.
-        """
-        mine = set(self.specified_fields())
-        theirs = set(other.specified_fields())
-        return bool(mine - theirs)
-
-    def intersects(self, other: "FlowPattern") -> bool:
-        """Return True when some flow could match both patterns."""
-        if self.nw_proto is not None and other.nw_proto is not None and self.nw_proto != other.nw_proto:
-            return False
-        if self.tp_src is not None and other.tp_src is not None and self.tp_src != other.tp_src:
-            return False
-        if self.tp_dst is not None and other.tp_dst is not None and self.tp_dst != other.tp_dst:
-            return False
-        for mine, theirs in ((self._src_prefix, other._src_prefix), (self._dst_prefix, other._dst_prefix)):
-            if mine is None or theirs is None:
-                continue
-            if not (mine.contains_prefix(theirs) or theirs.contains_prefix(mine)):
-                return False
-        return True
-
     # -- dunder protocol ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -163,11 +163,11 @@ class ControllerShard:
 
     # -- CPU model ---------------------------------------------------------------------
 
-    def on_cpu(self, cost: float, work: Callable[[], None]) -> None:
-        """Run *work* after *cost* seconds of this shard's (serialised) CPU time."""
+    def on_cpu(self, cost: float, work: Callable, *args: object) -> None:
+        """Run ``work(*args)`` after *cost* seconds of this shard's (serialised) CPU time."""
         self.stats.messages += 1
         self.stats.busy_time += cost
-        self._cpu.submit(cost, work)
+        self._cpu.submit(cost, work, *args)
 
     @property
     def idle_at(self) -> float:

@@ -354,7 +354,7 @@ class SouthboundAgent:
         elif lane is None:
             self.sim.schedule(cost, self._respond, request, work, args, receipt)
         else:
-            lane.submit(cost, partial(self._respond, request, work, args, receipt))
+            lane.submit(cost, self._respond, request, work, args, receipt)
 
     def _respond(self, request: Message, work: Callable, args: tuple, receipt: dict) -> None:
         """The one reply policy: the Message the work returns, otherwise an ACK — or one ERROR.

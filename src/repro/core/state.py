@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Collection, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from .errors import GranularityError, StateError
 from .flowspace import FlowKey, FlowPattern
@@ -171,8 +171,8 @@ VALUE_SLOT_BYTES = 350
 DIRTY_SLOT_BYTES = 120
 #: Accounted overhead per pre-copy install tag (key reference, tuple, slot).
 TAG_SLOT_BYTES = 168
-#: Accounted overhead per secondary-index posting (set member plus its share
-#: of the field-value bucket).
+#: Accounted overhead per secondary-index posting (a bucket-map slot holding the
+#: key itself, or a set member plus its share of the set and that slot).
 INDEX_POSTING_BYTES = 96
 
 #: Sentinel distinguishing "absent" from a stored ``None`` value inside shard
@@ -265,9 +265,10 @@ class PerFlowStateStore(Generic[T]):
         self._count = 0
         self._indexed = indexed
         #: Address index: nw_src *and* nw_dst of every canonical key map to it.
-        self._by_src: Dict[str, set] = {}
+        #: A bucket is one ``FlowKey`` or a ``set`` of two or more (``_index_add``).
+        self._by_src: Dict[str, object] = {}
         #: Port index: tp_src and tp_dst of every canonical key map to it.
-        self._by_port: Dict[int, set] = {}
+        self._by_port: Dict[int, object] = {}
         self._index_postings = 0
         #: Linear-scan step counter; exposed so benchmarks can verify the
         #: access pattern without timing noise.
@@ -425,33 +426,57 @@ class PerFlowStateStore(Generic[T]):
         """Key under which state for *key* is stored (bidirectional canonical form)."""
         return key.bidirectional()
 
+    def _index_fields(self, canonical: FlowKey) -> Tuple[Tuple[dict, object], ...]:
+        """The four (bucket map, field value) pairs a canonical key is posted under."""
+        by_src, by_port = self._by_src, self._by_port
+        return (
+            (by_src, canonical.nw_src),
+            (by_src, canonical.nw_dst),
+            (by_port, canonical.tp_src),
+            (by_port, canonical.tp_dst),
+        )
+
     def _index_add(self, canonical: FlowKey) -> None:
-        """Add a freshly inserted canonical key to every secondary index."""
-        for bucket_map, bucket_key in (
-            (self._by_src, canonical.nw_src),
-            (self._by_src, canonical.nw_dst),
-            (self._by_port, canonical.tp_src),
-            (self._by_port, canonical.tp_dst),
-        ):
-            postings = bucket_map.setdefault(bucket_key, set())
-            if canonical not in postings:
-                postings.add(canonical)
-                self._index_postings += 1
+        """Add a freshly inserted canonical key to every secondary index.
+
+        A bucket is the key itself while its value names one flow — a client
+        address, an ephemeral port: nearly all of them — and becomes a ``set``
+        when a second posting arrives.  The resident key goes in first, so the
+        set iterates (and a move exports) as one built by the same insertions.
+        """
+        for bucket_map, value in self._index_fields(canonical):
+            bucket = bucket_map.get(value)
+            if bucket is None:
+                bucket_map[value] = canonical
+            elif bucket is canonical or (type(bucket) is set and canonical in bucket):
+                # Posted a moment ago: one value in two fields (tp_src == tp_dst).
+                # A fresh key is in no bucket otherwise, so identity is enough.
+                continue
+            elif type(bucket) is set:
+                bucket.add(canonical)
+            else:
+                bucket_map[value] = {bucket, canonical}
+            self._index_postings += 1
 
     def _index_discard(self, canonical: FlowKey) -> None:
         """Remove a deleted canonical key from every secondary index."""
-        for bucket_map, bucket_key in (
-            (self._by_src, canonical.nw_src),
-            (self._by_src, canonical.nw_dst),
-            (self._by_port, canonical.tp_src),
-            (self._by_port, canonical.tp_dst),
-        ):
-            postings = bucket_map.get(bucket_key)
-            if postings is not None and canonical in postings:
-                postings.discard(canonical)
-                self._index_postings -= 1
-                if not postings:
-                    del bucket_map[bucket_key]
+        for bucket_map, value in self._index_fields(canonical):
+            bucket = bucket_map.get(value)
+            if type(bucket) is set and canonical in bucket:
+                bucket.discard(canonical)
+                if len(bucket) == 1:
+                    (bucket_map[value],) = bucket
+            elif bucket is canonical or (type(bucket) is FlowKey and bucket == canonical):
+                del bucket_map[value]
+            else:
+                continue  # already gone: one value in two fields
+            self._index_postings -= 1
+
+    @staticmethod
+    def _postings(bucket_map: dict, value: object) -> Collection[FlowKey]:
+        """The postings of one field value, whichever of the two shapes its bucket has."""
+        bucket = bucket_map.get(value, ())
+        return (bucket,) if type(bucket) is FlowKey else bucket
 
     def put(self, key: FlowKey, value: T) -> None:
         """Insert or replace the state object for a flow."""
@@ -576,9 +601,11 @@ class PerFlowStateStore(Generic[T]):
             if candidates is not None:
                 self.scan_steps += len(candidates)
                 for key in candidates:
-                    shard = self._shard_of(key)
-                    if key in shard and pattern.matches_either_direction(key):
-                        yield key, shard[key]
+                    # Pattern first: a rejected candidate's shard is never hashed for.
+                    if pattern.matches_either_direction(key):
+                        shard = self._shard_of(key)
+                        if key in shard:
+                            yield key, shard[key]
                 return
         # A pattern that pins one flow names at most two resident keys (itself
         # and its reverse); both share one canonical form, so the scan is
@@ -605,10 +632,6 @@ class PerFlowStateStore(Generic[T]):
             self.remove(key)
         return matches
 
-    def count_matching(self, pattern: FlowPattern) -> int:
-        """Number of entries matching *pattern* (used by the stats call)."""
-        return len(self.query(pattern))
-
     def _index_candidates(self, pattern: FlowPattern) -> Optional[set]:
         """Smallest usable secondary-index posting set, or None when no index applies.
 
@@ -617,15 +640,15 @@ class PerFlowStateStore(Generic[T]):
         indexed fields are pinned the smallest posting set wins, keeping the
         candidate filter pass minimal.
         """
-        best: Optional[set] = None
+        best: Optional[Collection[FlowKey]] = None
         for host in pattern.pinned_hosts():
             if host is not None:
-                postings = self._by_src.get(host, set())
+                postings = self._postings(self._by_src, host)
                 if best is None or len(postings) < len(best):
                     best = postings
         for port in (pattern.tp_src, pattern.tp_dst):
             if port is not None:
-                postings = self._by_port.get(port, set())
+                postings = self._postings(self._by_port, port)
                 if best is None or len(postings) < len(best):
                     best = postings
         if best is None:

@@ -452,8 +452,10 @@ class FederatedDomain:
             # A peer suspected us while we were merely slow; re-assert life
             # with a higher version so the false obituary cannot win.
             self.gossip.membership.put(self.name, self.name, {"alive": True}, now)
-        # A section filled to the cap has more to follow: not yet comparable.
-        if all(len(entries) < MAX_SECTION_ENTRIES for entries in sections.values()):
+        # A section filled to the cap has more to follow: not yet comparable.  An
+        # ask is honoured all the same — it rides on the first frame of the peer's
+        # own resend, which is full whenever its map needs more than one.
+        if resync or all(len(entries) < MAX_SECTION_ENTRIES for entries in sections.values()):
             self._reconcile(link, sent_at, heard, summary, resync)
 
     def _reconcile(self, link: PeerLink, sent_at: float, heard: float, summary: list, resync: bool) -> None:

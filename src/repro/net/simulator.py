@@ -183,10 +183,10 @@ class SimulatedLane:
         self._free_at = finish = (now if now > free_at else free_at) + cost
         return finish
 
-    def submit(self, cost: float, work: Callable[[], None]) -> float:
-        """Run *work* after *cost* seconds of this lane's serialised time."""
+    def submit(self, cost: float, work: Callable, *args: Any) -> float:
+        """Run ``work(*args)`` after *cost* seconds of this lane's serialised time."""
         finish = self.reserve(cost)
-        self.sim.schedule_at(finish, work)
+        self.sim.schedule_at(finish, work, *args)
         return finish
 
     @property

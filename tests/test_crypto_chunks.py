@@ -53,10 +53,6 @@ class TestSealUnseal:
         with pytest.raises(crypto.SealError):
             crypto.unseal(self.key, b"short")
 
-    def test_sealed_size_accounts_for_overhead(self):
-        sealed = crypto.seal(self.key, b"a" * 100)
-        assert len(sealed) == crypto.sealed_size(100)
-
     def test_nonce_must_be_correct_length(self):
         with pytest.raises(ValueError):
             crypto.seal(self.key, b"data", nonce=b"short")

@@ -820,6 +820,19 @@ DeltaGossipMachine.TestCase.settings = settings(max_examples=settings.default.ma
 TestDeltaGossipConverges = DeltaGossipMachine.TestCase
 
 
+def test_a_resync_ask_on_a_full_frame_is_not_dropped():
+    """A schedule hypothesis found: dc2 misses dc0's three membership entries twice,
+    so it forgets its marks and asks — on the first frame of its own resend, which
+    a map of exactly ``cap`` entries fills.  The receiver skipped a full frame's
+    summary *and its ask*, dc2 asked again every round, and nobody ever resent."""
+    machine = DeltaGossipMachine()
+    machine.build(count=3, cap=3)
+    machine.send(src=0, dst=1, fate="deliver")
+    machine.send(src=0, dst=2, fate="drop")
+    machine.send(src=1, dst=2, fate="drop")
+    machine.teardown()  # settles within CLEAN_ROUNDS x frames_per_map rounds, or fails
+
+
 class TestGossipVolume:
     """What a round costs is a function of what changed since the peer's last digest:
     entries carried <= entries installed since (and not learned from that peer);

@@ -164,19 +164,6 @@ class TestFlowPatternRelations:
     def test_wildcard_covers_all(self):
         assert FlowPattern.wildcard().covers(FlowPattern(nw_src="10.0.0.1", tp_dst=80))
 
-    def test_is_finer_than(self):
-        finer = FlowPattern(nw_src="10.0.0.1", tp_src=99)
-        coarser = FlowPattern(nw_src="10.0.0.0/8")
-        assert finer.is_finer_than(coarser)
-        assert not coarser.is_finer_than(finer)
-
-    def test_intersects(self):
-        a = FlowPattern(nw_src="10.0.0.0/8")
-        b = FlowPattern(nw_src="10.1.0.0/16", tp_dst=80)
-        c = FlowPattern(nw_src="11.0.0.0/8")
-        assert a.intersects(b)
-        assert not a.intersects(c)
-
     def test_equality_and_hash(self):
         a = FlowPattern(nw_src="10.0.0.0/8", tp_dst=80)
         b = FlowPattern(tp_dst=80, nw_src="10.0.0.0/8")

@@ -137,12 +137,6 @@ class TestPerFlowStateStore:
         assert len(removed) == 5
         assert len(store) == 5
 
-    def test_count_matching(self):
-        store = PerFlowStateStore()
-        for i in range(8):
-            store.put(key(i), i)
-        assert store.count_matching(FlowPattern(nw_dst="192.0.2.10")) == 8
-
     def test_linear_scan_counts_steps(self):
         store = PerFlowStateStore()
         for i in range(20):

@@ -17,7 +17,7 @@ import dataclasses
 from typing import Dict, List, Optional, Set
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_state_payload_golden import WORLDS, export
 
@@ -177,16 +177,35 @@ def test_well_typed_leaves_round_trip_exactly(leaves):
     assert DECODE_LEAVES(deserialize_payload(serialize_payload(ENCODE_LEAVES(leaves)))) == leaves
 
 
+def float_equals(value: int) -> bool:
+    try:
+        return float(value) == value
+    except OverflowError:
+        return False
+
+
 @given(st.sampled_from(sorted(ACCEPTS)), st.integers() | FINITE | st.booleans() | st.text() | st.none())
+@example("ratio", 2**53)  # the last integer before the gaps: a float equals it
+@example("ratio", 2**53 + 1)  # float() rounds it to 2**53: a different number, so refused
+@example("ratio", 10**400)  # float() raises OverflowError: refused as a StateError, like anything else
 def test_a_leaf_accepts_its_own_type_and_nothing_else(field, value):
-    """The one coercion is int -> float; a bool is never a number, and nothing is parsed out of a string."""
+    """The one coercion is an int -> the float that equals it; a bool is never a number,
+    and nothing is parsed out of a string."""
     accepted, returned = ACCEPTS[field]
-    if type(value) in accepted:
+    if type(value) in accepted and (returned is not float or type(value) is float or float_equals(value)):
         restored = getattr(DECODE_LEAVES({**VALID, field: value}), field)
         assert restored == value and type(restored) is returned
     else:
         with pytest.raises(StateError, match=f"Leaves.{field}"):
             DECODE_LEAVES({**VALID, field: value})
+
+
+@pytest.mark.parametrize("ratio", [2**53 + 1, 10**400])
+def test_an_integer_no_float_equals_is_refused_on_the_way_in_from_the_wire(ratio):
+    """json reads both as ints; ``float()`` rounds the first and raises OverflowError on the second."""
+    payload = deserialize_payload(serialize_payload({**VALID, "ratio": ratio}))
+    with pytest.raises(StateError, match="Leaves.ratio: expected float, got an integer no float equals"):
+        DECODE_LEAVES(payload)
 
 
 @pytest.mark.parametrize(

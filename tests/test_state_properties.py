@@ -12,6 +12,9 @@ engine (or a deliberate semantic change that must be called out explicitly).
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.errors import GranularityError
 from repro.core.flowspace import FlowKey, FlowPattern
@@ -172,3 +175,114 @@ class TestDifferentialRandomSequences:
         assert len(sharded) == len(oracle) == 0
         assert canonical_sorted(sharded.query(FlowPattern())) == []
         assert sharded.memory_stats().entry_bytes == 0
+
+
+# =========================================================================================
+# Compact index buckets: a posting is a key until there are two
+# =========================================================================================
+
+#: Skewed on purpose, like a middlebox's flow table: two servers and two service
+#: ports name many flows, a client address or an ephemeral port names a few —
+#: from universes small enough that every bucket walks 0 -> 1 -> 2 -> 1 -> 0
+#: many times in one run.  A client may also pick a service port or talk to
+#: itself, so one key can be posted twice under one value.
+SERVERS, SERVICES = ["192.0.2.10", "192.0.2.11"], [80, 443]
+CLIENTS = [f"10.1.0.{host}" for host in range(1, 7)]
+EPHEMERAL = [40000, 40001, 40002, 40003, 80]
+skewed_keys = st.builds(
+    FlowKey,
+    nw_proto=st.just(6),
+    nw_src=st.sampled_from(CLIENTS),
+    nw_dst=st.sampled_from(SERVERS + CLIENTS[:2]),
+    tp_src=st.sampled_from(EPHEMERAL),
+    tp_dst=st.sampled_from(SERVICES),
+)
+PINNED = (
+    [FlowPattern(nw_dst=address) for address in SERVERS]
+    + [FlowPattern(nw_src=address) for address in CLIENTS]
+    + [FlowPattern(tp_dst=port) for port in SERVICES]
+    + [FlowPattern(tp_src=port) for port in EPHEMERAL]
+    + [FlowPattern(nw_src="10.1.0.0/30"), FlowPattern(nw_dst="192.0.2.10", tp_src=40001)]
+)
+
+
+def expected_postings(keys):
+    """``(by address, by port)``: field value -> the resident keys carrying it."""
+    by_src, by_port = {}, {}
+    for key in keys:
+        for bucket_map, value in ((by_src, key.nw_src), (by_src, key.nw_dst), (by_port, key.tp_src), (by_port, key.tp_dst)):
+            bucket_map.setdefault(value, set()).add(key)
+    return by_src, by_port
+
+
+class CompactBucketMachine(RuleBasedStateMachine):
+    """An indexed store against the single-dict oracle under the skewed universe."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = PerFlowStateStore(indexed=True, shard_count=4)
+        self.oracle = DictPerFlowStateStore(indexed=True)
+
+    @rule(key=skewed_keys, value=st.integers(0, 9), reverse=st.booleans())
+    def put(self, key, value, reverse):
+        key = key.reversed() if reverse else key
+        self.store.put(key, value)
+        self.oracle.put(key, value)
+
+    @rule(key=skewed_keys, reverse=st.booleans())
+    def remove(self, key, reverse):
+        """By a freshly built key: equal to the one a bucket holds, never that object."""
+        key = key.reversed() if reverse else key
+        assert self.store.remove(key) == self.oracle.remove(key)
+
+    @rule(pattern=st.sampled_from(PINNED))
+    def remove_matching(self, pattern):
+        assert canonical_sorted(self.store.remove_matching(pattern)) == canonical_sorted(self.oracle.remove_matching(pattern))
+
+    @rule()
+    def clear(self):
+        self.store.clear()
+        self.oracle.clear()
+
+    @invariant()
+    def answers_like_the_oracle(self):
+        assert len(self.store) == len(self.oracle)
+        for pattern in PINNED:
+            assert canonical_sorted(self.store.query(pattern)) == canonical_sorted(self.oracle.query(pattern)), pattern
+
+    @invariant()
+    def a_bucket_is_a_key_or_a_set_of_two_or_more(self):
+        """Read through the private maps: the one test allowed to know the two shapes."""
+        postings = 0
+        for actual, expected in zip((self.store._by_src, self.store._by_port), expected_postings(self.store.keys())):
+            assert actual.keys() == expected.keys()  # an emptied bucket is gone, not an empty set
+            for value, bucket in actual.items():
+                if type(bucket) is set:
+                    assert len(bucket) >= 2 and bucket == expected[value], value
+                else:
+                    assert type(bucket) is FlowKey and {bucket} == expected[value], value
+                postings += len(expected[value])
+        # The oracle indexes source addresses only, so the count is made here:
+        # distinct (field value, key) pairs over the resident keys.
+        assert self.store.memory_stats().index_postings == postings
+
+
+CompactBucketMachine.TestCase.settings = settings(max_examples=settings.default.max_examples // 2, stateful_step_count=40, deadline=None)
+TestCompactBuckets = CompactBucketMachine.TestCase
+
+
+def test_a_promoted_bucket_exports_in_the_order_of_a_set_built_by_the_same_insertions():
+    """Iteration order of a posting set is chunk export order, i.e. wire order.  A
+    bucket that grew 1 -> 2 -> N must iterate as the plain ``set`` the store kept
+    before (copied once, as ``_index_candidates`` copies it).  Which of two keys
+    comes first depends on insertion order only when they collide in the set's
+    table, and string hashes differ per process, so 64 buckets are walked: at
+    least one collides (all but 0.02 % of hash seeds)."""
+    store = PerFlowStateStore(indexed=True)
+    for server in range(64):
+        address, plain = f"192.0.2.{server}", set()
+        for client in range(12):
+            key = FlowKey(6, f"10.{server}.{client}.1", address, 40000 + 64 * client + server, 80)
+            store.put(key, client)
+            plain.add(store.canonical_key(key))
+            assert [key for key, _ in store.query(FlowPattern(nw_dst=address))] == list(set(plain)), (server, client)

@@ -21,7 +21,8 @@ import tracemalloc
 
 import pytest
 
-from repro.core import ControllerConfig, MBController, NorthboundAPI, TransferSpec
+from repro.core import ControllerConfig, FlowKey, MBController, NorthboundAPI, TransferSpec
+from repro.core.state import INDEX_POSTING_BYTES, PerFlowStateStore
 from repro.middleboxes import DummyMiddlebox
 from repro.net import Simulator
 
@@ -111,6 +112,28 @@ class TestMillionFlowSmoke:
         assert cleared.entries == 0
         assert cleared.entry_bytes == 0
         assert cleared.peak_total_bytes >= stats.total_bytes
+
+    def test_an_indexed_entry_really_costs_no_more_index_than_it_is_charged(self):
+        """``tracemalloc`` against the accounting: what 20 000 entries allocate in an
+        indexed store beyond what they allocate in a plain one, per entry, must fit the
+        four postings the entry is charged.  The keys are a middlebox's: one server
+        address and port name every flow, a client address or an ephemeral port names
+        one — two of every four buckets were a 216-byte ``set`` of one (692 B an
+        entry); a lone posting is the key itself now (260 B)."""
+        keys = [FlowKey(6, f"10.1.{index // 250}.{index % 250 + 1}", "192.0.2.10", 1024 + index, 80) for index in range(20_000)]
+
+        def allocated(indexed: bool) -> int:
+            store = PerFlowStateStore(indexed=indexed)
+            tracemalloc.start()
+            for key in keys:
+                store.put(key, None)
+            grown, _ = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert store.memory_stats().index_postings == (4 * len(keys) if indexed else 0)
+            return grown
+
+        per_entry = (allocated(True) - allocated(False)) / len(keys)
+        assert 0 < per_entry <= 4 * INDEX_POSTING_BYTES, per_entry
 
 
 @pytest.mark.slow
