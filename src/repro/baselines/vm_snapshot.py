@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from ..core.chunks import serialize_payload
 from ..core.flowspace import FlowPattern
-from ..core.state import TAXONOMY
+from ..core.state import TAXONOMY, StateScope
 from ..middleboxes.base import Middlebox
 
 
@@ -42,16 +42,16 @@ def clone_via_snapshot(source: Middlebox, target: Middlebox) -> int:
     target.config = source.config.clone()
     target.on_config_changed("*")
     copied = 0
-    for key, obj in source.support_store.items():
-        target.support_store.put(key, copy.deepcopy(obj))
-        copied += 1
-    for key, obj in source.report_store.items():
-        target.report_store.put(key, copy.deepcopy(obj))
-        copied += 1
-    if source.shared_support is not None and target.shared_support is not None:
-        target.shared_support.replace(copy.deepcopy(source.shared_support.value))
-    if source.shared_report is not None and target.shared_report is not None:
-        target.shared_report.replace(copy.deepcopy(source.shared_report.value))
+    for (role, scope), entry in TAXONOMY.items():
+        if not entry.movable:
+            continue
+        held, into = source._cell(role, scope)[0], target._cell(role, scope)[0]
+        if scope is StateScope.PER_FLOW:
+            for key, obj in held.items():
+                into.put(key, copy.deepcopy(obj))
+                copied += 1
+        elif held is not None and into is not None:
+            into.replace(copy.deepcopy(held.value))
     return copied
 
 

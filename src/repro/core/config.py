@@ -11,7 +11,6 @@ control applications (``readConfig(mb, "*")``), and cloning.
 from __future__ import annotations
 
 import copy
-import json
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import ConfigError
@@ -181,22 +180,6 @@ class HierarchicalConfig:
     def keys(self) -> List[str]:
         """Return all leaf keys in sorted order."""
         return sorted(join_key(parts) for parts, _ in self._walk(self._root, ()))
-
-    def to_json(self) -> str:
-        """Serialise the configuration as a JSON document."""
-        return json.dumps(self.export(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HierarchicalConfig":
-        config = cls()
-        config.import_flat(json.loads(text))
-        return config
-
-    @classmethod
-    def from_flat(cls, flat: Dict[str, Sequence[ConfigValue]]) -> "HierarchicalConfig":
-        config = cls()
-        config.import_flat(flat)
-        return config
 
     # -- internals -------------------------------------------------------------
 

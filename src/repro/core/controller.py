@@ -55,6 +55,9 @@ from .southbound import MiddleboxInterface, SouthboundAgent
 from .stats import ControllerStats
 from .transfer import TransferSpec
 
+#: CPU time the controller spends forwarding one event (buffer lookup plus send).
+PER_EVENT_COST = 25e-6
+
 
 @dataclass
 class ControllerConfig:
@@ -69,10 +72,8 @@ class ControllerConfig:
     buffer_events: bool = True
     #: CPU time the controller spends handling one received message.
     per_message_cost: float = 40e-6
-    #: CPU time spent forwarding one event (buffer lookup plus send).
-    per_event_cost: float = 25e-6
-    #: Control-channel latency and bandwidth used for newly registered middleboxes.
-    channel_latency: float = DEFAULT_CONTROL_LATENCY
+    #: Control-channel bandwidth used for newly registered middleboxes (their
+    #: latency is the channel's ``DEFAULT_CONTROL_LATENCY``).
     channel_bandwidth: float = DEFAULT_CONTROL_BANDWIDTH
     #: Number of controller shards (event/ACK loops).  1 reproduces the seed's
     #: single-CPU serialisation bit-for-bit; N > 1 partitions the flow space
@@ -168,7 +169,7 @@ class MBController:
             channel = ControlChannel(
                 self.sim,
                 name=f"chan-{middlebox.name}",
-                latency=self.config.channel_latency,
+                latency=DEFAULT_CONTROL_LATENCY,
                 bandwidth=self.config.channel_bandwidth,
             )
         channel.bind_controller(lambda message, mb=middlebox.name: self._receive(mb, message))
@@ -423,7 +424,7 @@ class MBController:
             shard = self._shard_for_message(mb_name, message)
         except ProtocolError:
             return  # an event with a malformed key: dropped, counted as received only
-        cost = self.config.per_event_cost if message.type == MessageType.EVENT else self.config.per_message_cost
+        cost = PER_EVENT_COST if message.type == MessageType.EVENT else self.config.per_message_cost
         shard.on_cpu(cost, self._dispatch, mb_name, message, shard)
 
     def _dispatch(self, mb_name: str, message: Message, shard: ControllerShard) -> None:

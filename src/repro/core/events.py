@@ -88,9 +88,6 @@ class EventFilter:
         ]
         return before - len(self._subscriptions)
 
-    def disable_all(self) -> None:
-        self._subscriptions.clear()
-
     def allows(self, event: Event, now: float = 0.0) -> bool:
         """Return True when *event* should be generated at simulated time *now*."""
         if event.is_reprocess:
@@ -103,7 +100,3 @@ class EventFilter:
             if event.key is None or pattern.matches_either_direction(event.key):
                 return True
         return False
-
-    @property
-    def subscription_count(self) -> int:
-        return len(self._subscriptions)

@@ -92,12 +92,6 @@ class IPv4Prefix:
         """Return True when *address* falls inside this prefix."""
         return (ip_to_int(address) & self.mask) == self.network
 
-    def contains_prefix(self, other: "IPv4Prefix") -> bool:
-        """Return True when *other* is fully contained in this prefix."""
-        if other.length < self.length:
-            return False
-        return (other.network & self.mask) == self.network
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{int_to_ip(self.network)}/{self.length}"
 
@@ -346,21 +340,6 @@ class FlowPattern:
         by pattern must consider both packet directions.
         """
         return self.matches(key) or self.matches(key.reversed())
-
-    def covers(self, other: "FlowPattern") -> bool:
-        """Return True when every flow matched by *other* is matched by self."""
-        if self.nw_proto is not None and other.nw_proto != self.nw_proto:
-            return False
-        if self.tp_src is not None and other.tp_src != self.tp_src:
-            return False
-        if self.tp_dst is not None and other.tp_dst != self.tp_dst:
-            return False
-        for mine, theirs in ((self._src_prefix, other._src_prefix), (self._dst_prefix, other._dst_prefix)):
-            if mine is None:
-                continue
-            if theirs is None or not mine.contains_prefix(theirs):
-                return False
-        return True
 
     # -- dunder protocol ------------------------------------------------------
 

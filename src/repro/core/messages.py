@@ -576,13 +576,6 @@ def batch_message(mb: str, frames: list) -> Message:
     return Message(MessageType.BATCH, mb=mb, body={"frames": _array([frame.wire_text() for frame in frames])})
 
 
-def decode_batch(message: Message) -> list:
-    """Unpack a BATCH frame into its inner messages, in dispatch order."""
-    if message.type != MessageType.BATCH:
-        raise ProtocolError(f"not a batch message: {message.type!r}")
-    return parse(message)["frames"]
-
-
 # -- packet and event codecs ----------------------------------------------------------
 
 from ..net.packet import Packet  # noqa: E402  (placed here to keep the dependency local)

@@ -69,7 +69,7 @@ class ControllerStats:
         Returns a **new** :class:`ControllerStats`; neither ``self`` nor any
         of *others* is mutated.  Every integer counter is summed and the
         operation archives are concatenated (in argument order), so the
-        derived queries — :meth:`by_guarantee`, :meth:`by_mode`,
+        derived queries — :meth:`by_mode`,
         :meth:`mean_duration`, :meth:`summary` — report across the whole
         federation exactly as they would for a single controller.  The counters
         are whatever ``dataclasses.fields`` lists, so one added here — or by a
@@ -87,64 +87,39 @@ class ControllerStats:
 
     # -- queries used by benchmarks and reports --------------------------------------
 
-    def _grouped(self, group_by: str, columns: Dict[str, str]) -> Dict[str, Dict[str, float]]:
-        """Records bucketed by one attribute: ``operations`` plus *columns* (name -> record attribute).
-
-        A ``mean_*`` column averages its attribute over the bucket's records
-        where it is set (0.0 when none is); any other column sums it.
-        """
-        summary: Dict[str, Dict[str, float]] = {}
-        samples: Dict[tuple, int] = {}
-        for record in self.records:
-            group = getattr(record, group_by)
-            if group not in summary:
-                zeros = {column: 0.0 if column.startswith("mean_") else 0 for column in columns}
-                summary[group] = {"operations": 0, **zeros}
-            bucket = summary[group]
-            bucket["operations"] += 1
-            for column, attribute in columns.items():
-                value = getattr(record, attribute)
-                if value is not None:
-                    bucket[column] += value
-                    samples[group, column] = samples.get((group, column), 0) + 1
-        for (group, column), count in samples.items():
-            if column.startswith("mean_"):
-                summary[group][column] /= count
-        return summary
-
-    def by_guarantee(self) -> Dict[str, Dict[str, float]]:
-        """Per-guarantee aggregates: operation count, mean duration, event fate."""
-        return self._grouped(
-            "guarantee",
-            {
-                "mean_duration": "duration",
-                "events_buffered": "events_buffered",
-                "events_forwarded": "events_forwarded",
-                "events_dropped": "events_dropped",
-            },
-        )
-
-    def records_of_mode(self, mode: str) -> List[OperationRecord]:
-        """Archived operations that ran under the given copy mode."""
-        return [record for record in self.records if record.mode == mode]
-
     def by_mode(self) -> Dict[str, Dict[str, float]]:
         """Per-mode aggregates: count, mean duration, mean freeze window, rounds.
 
         The freeze window is the event-buffering span — the whole operation
         for snapshot transfers, only the stop-and-copy round for pre-copy
         transfers — so comparing ``mean_freeze_window`` across the two modes
-        quantifies what the iterative discipline buys.
+        quantifies what the iterative discipline buys.  A ``mean_*`` column
+        averages its attribute over the mode's records where it is set (0.0
+        when none is); any other column sums it.
         """
-        return self._grouped(
-            "mode",
-            {
-                "mean_duration": "duration",
-                "mean_freeze_window": "freeze_window",
-                "rounds": "precopy_rounds",
-                "events_buffered": "events_buffered",
-            },
-        )
+        columns = {
+            "mean_duration": "duration",
+            "mean_freeze_window": "freeze_window",
+            "rounds": "precopy_rounds",
+            "events_buffered": "events_buffered",
+        }
+        summary: Dict[str, Dict[str, float]] = {}
+        samples: Dict[tuple, int] = {}
+        for record in self.records:
+            if record.mode not in summary:
+                zeros = {column: 0.0 if column.startswith("mean_") else 0 for column in columns}
+                summary[record.mode] = {"operations": 0, **zeros}
+            bucket = summary[record.mode]
+            bucket["operations"] += 1
+            for column, attribute in columns.items():
+                value = getattr(record, attribute)
+                if value is not None:
+                    bucket[column] += value
+                    samples[record.mode, column] = samples.get((record.mode, column), 0) + 1
+        for (mode, column), count in samples.items():
+            if column.startswith("mean_"):
+                summary[mode][column] /= count
+        return summary
 
     def mean_duration(self, op_type: Optional[OperationType] = None) -> float:
         """Mean completion time of archived operations (seconds), 0.0 when none."""

@@ -265,24 +265,3 @@ class TransferSpec:
         ``SNAPSHOT`` behaviour, so it reports False here.
         """
         return self.mode is TransferMode.PRECOPY and self.max_rounds > 0
-
-    def describe(self) -> str:
-        """Short human-readable tag used in benchmark tables and records."""
-        parts = [self.guarantee.value]
-        if self.is_precopy:
-            parts.append(f"precopy{self.max_rounds}")
-            if self.dirty_threshold > 0:
-                parts.append(f"thr{self.dirty_threshold}")
-            if self.wan_pacing > 0:
-                parts.append(f"wan{self.wan_pacing:g}")
-        if self.parallelism == 1:
-            parts.append("seq")
-        elif self.parallelism > 1:
-            parts.append(f"par{self.parallelism}")
-        if self.batch_size > 1:
-            parts.append(f"batch{self.batch_size}")
-        if self.early_release:
-            parts.append("early-release")
-        if self.compress:
-            parts.append("zlib")
-        return "+".join(parts)

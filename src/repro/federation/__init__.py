@@ -6,7 +6,7 @@ See :mod:`repro.federation.domain` for the architecture overview and
 
 from .directory import OwnershipDirectory
 from .domain import FederatedDomain, Federation, FederationConfig, PeerLink
-from .election import elect_successor, ranked_successors, takeover_score
+from .election import elect_successor, takeover_score
 from .gossip import GossipConfig, GossipState, VersionedEntry, VersionedMap, choose_peers
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "VersionedMap",
     "choose_peers",
     "elect_successor",
-    "ranked_successors",
     "takeover_score",
 ]

@@ -20,7 +20,7 @@ update gossips back).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.sharding import stable_hash
 
@@ -42,10 +42,3 @@ def elect_successor(dead_domain: str, candidates: Sequence[str]) -> Optional[str
     if not field:
         return None
     return min(field, key=lambda candidate: (takeover_score(dead_domain, candidate), candidate))
-
-
-def ranked_successors(dead_domain: str, candidates: Sequence[str]) -> List[str]:
-    """All candidates in takeover order (first = elected; rest = fallbacks
-    should the winner itself die before completing the adoption)."""
-    field = sorted(c for c in candidates if c != dead_domain)
-    return sorted(field, key=lambda candidate: (takeover_score(dead_domain, candidate), candidate))

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from ..core.chunks import ChunkCodec, payload_codec, serialize_payload
 from ..core.config import HierarchicalConfig
-from ..core.errors import MiddleboxError, StateError
+from ..core.errors import StateError
 from ..core.events import Event, EventCode, EventFilter
 from ..core.flowspace import FlowKey, FlowPattern
 from ..core.southbound import MiddleboxInterface, ProcessingCosts
@@ -691,12 +691,3 @@ class Middlebox(Node, MiddleboxInterface):
         pulls the whole export at once or pumps it in bounded batches.
         """
         self._api_busy_until = max(self._api_busy_until, until)
-
-    def launch_like(self, other: "Middlebox") -> None:
-        """Copy configuration from another instance (used when launching replicas)."""
-        if other.mb_type != self.mb_type:
-            raise MiddleboxError(
-                f"cannot launch {self.name} ({self.mb_type}) from {other.name} ({other.mb_type})"
-            )
-        self.config = other.config.clone()
-        self.on_config_changed("*")

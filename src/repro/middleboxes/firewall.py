@@ -79,11 +79,6 @@ class Firewall(Middlebox):
         """The configured rule list, in evaluation order."""
         return [FirewallRule.from_config_value(str(value)) for value in self.config.get_values("FW.Rules")]
 
-    def add_rule(self, rule: FirewallRule) -> None:
-        values = self.config.get_values("FW.Rules")
-        values.append(rule.to_config_value())
-        self.config.set("FW.Rules", values)
-
     @property
     def default_allow(self) -> bool:
         return bool(self.config.get_scalar("FW.DefaultAllow", False))

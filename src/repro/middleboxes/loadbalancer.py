@@ -75,10 +75,6 @@ class LoadBalancer(Middlebox):
     def backends(self) -> List[str]:
         return [str(value) for value in self.config.get_values("LB.Backends")]
 
-    def set_backends(self, backends: Sequence[str]) -> None:
-        """Replace the back-end pool (e.g. after migrating some servers away)."""
-        self.config.set("LB.Backends", list(backends))
-
     # -- packet processing -----------------------------------------------------------------------
 
     def _pick_backend(self) -> str:
@@ -106,7 +102,3 @@ class LoadBalancer(Middlebox):
         if created and not self.is_reprocessing:
             self.raise_event(EVENT_FLOW_ASSIGNED, key=key, backend=assignment.backend)
         return ProcessResult(verdict=Verdict.FORWARD, packet=rewritten, updated_flows=[key])
-
-    def assignments(self) -> List[Assignment]:
-        """All flow-to-backend assignments currently resident at this instance."""
-        return [assignment for _, assignment in self.support_store.items()]

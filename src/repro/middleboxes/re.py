@@ -43,6 +43,10 @@ SHIM_BYTES = 11
 #: simulated default is smaller so tests run quickly, and benchmarks scale it up.
 DEFAULT_CACHE_CAPACITY = 256 * 1024
 
+#: Largest capacity a packet-cache payload may name: the paper's 500 MB cache,
+#: rounded up.  A decoder refuses anything larger before allocating a byte.
+MAX_CACHE_CAPACITY = 512 * 1024 * 1024
+
 
 def _checksum(data: bytes) -> int:
     """A 32-bit checksum of a content region, carried in each shim."""
@@ -114,11 +118,13 @@ class PacketCache:
         capacity, content, position, wrapped = (
             payload[name] for name in ("capacity", "buffer", "current_pos", "max_reached")
         )
-        cache = cls(capacity)
-        if not isinstance(content, bytes) or type(position) is not int or type(wrapped) is not bool:
+        if type(capacity) is not int or type(position) is not int or not isinstance(content, bytes) or type(wrapped) is not bool:
             raise StateError("ill-typed packet cache field")
+        if not 0 < capacity <= MAX_CACHE_CAPACITY:
+            raise StateError(f"packet cache capacity is outside 1..{MAX_CACHE_CAPACITY}")
         if not 0 <= position <= capacity or len(content) != (capacity if wrapped else position):
             raise StateError("packet cache content does not fit its geometry")
+        cache = cls(capacity)  # allocated only once the payload is known to describe a possible cache
         cache._buffer[: len(content)] = content
         cache.current_pos = position
         cache.max_reached = wrapped

@@ -10,7 +10,6 @@ from .links import (
     LinkFaultProfile,
     LinkStats,
 )
-from .monitoring import DeliveryRecorder, LatencyProbe
 from .packet import ACK, FIN, PSH, RST, SYN, Packet, tcp_packet, udp_packet
 from .protection import LinkProtection, ProtectionConfig, ProtectionStats, ProtectionSummary, summarize
 from .sdn import DEFAULT_RULE_INSTALL_LATENCY, RouteHandle, SDNController
@@ -36,8 +35,6 @@ __all__ = [
     "DEFAULT_BANDWIDTH",
     "DEFAULT_LATENCY",
     "DEFAULT_RULE_INSTALL_LATENCY",
-    "DeliveryRecorder",
-    "LatencyProbe",
     "Packet",
     "tcp_packet",
     "udp_packet",

@@ -52,11 +52,6 @@ class Action:
     def to_controller(cls) -> "Action":
         return cls(ActionType.CONTROLLER)
 
-    @classmethod
-    def buffer(cls) -> "Action":
-        """Hold matching packets at the switch (used by the Split/Merge baseline)."""
-        return cls(ActionType.BUFFER)
-
 
 @dataclass
 class FlowRule:

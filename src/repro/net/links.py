@@ -6,7 +6,7 @@ succession queue behind one another on the link (a simple store-and-forward
 serialisation model), which is what produces the queueing component of the
 per-packet latency measurements in the evaluation.
 
-Each direction of the wire is a :meth:`~repro.runtime.Runtime.lane` — the
+Each direction of the wire is a :meth:`~repro.net.simulator.Simulator.lane` — the
 same serialisation abstraction the control channels and controller shards run
 on — so both runtimes drive data-plane wires exactly like control wires:
 the seed's ``free_at`` arithmetic, bit for bit on the simulator and on the

@@ -66,14 +66,6 @@ class Packet:
     def has_flag(self, flag: str) -> bool:
         return flag in self.flags
 
-    @property
-    def is_tcp(self) -> bool:
-        return self.nw_proto == PROTO_TCP
-
-    @property
-    def is_udp(self) -> bool:
-        return self.nw_proto == PROTO_UDP
-
     # -- construction helpers --------------------------------------------------
 
     def copy(self) -> "Packet":

@@ -251,17 +251,6 @@ class ProtectionSummary:
     dup_discards: int = 0
     details: Dict[str, ProtectionStats] = field(default_factory=dict)
 
-    @property
-    def effective_loss_rate(self) -> float:
-        """Loss the layer above still sees: abandoned over offered frames.
-
-        ``sent`` counts physical attempts (retransmissions included), so the
-        denominator here is the *offered* load — frames the protocol either
-        delivered or gave up on.
-        """
-        offered = self.delivered + self.abandoned
-        return self.abandoned / offered if offered else 0.0
-
 
 def summarize(link: "Link") -> ProtectionSummary:
     """Build a :class:`ProtectionSummary` from a (protected) link's counters."""

@@ -175,16 +175,6 @@ class Topology:
         """Return a node by name."""
         return self._resolve(name)
 
-    def hosts(self) -> List[Host]:
-        return [node for node in self.nodes.values() if isinstance(node, Host)]
-
-    def host_by_ip(self, ip: str) -> Host:
-        """Find the host owning an IP address."""
-        for host in self.hosts():
-            if host.ip == ip:
-                return host
-        raise NetworkError(f"no host with IP {ip}")
-
     def shortest_path(self, source: Node | str, target: Node | str) -> List[str]:
         """Latency-weighted shortest path between two nodes (names)."""
         source = self._resolve(source).name
@@ -204,16 +194,6 @@ class Topology:
                 leg = leg[1:]
             full_path.extend(leg)
         return full_path
-
-    def link_between(self, node_a: Node | str, node_b: Node | str) -> Link:
-        """The link directly connecting two nodes."""
-        node_a = self._resolve(node_a)
-        node_b = self._resolve(node_b)
-        for link in self.links:
-            endpoints = {link.node_a, link.node_b}
-            if endpoints == {node_a, node_b}:
-                return link
-        raise NetworkError(f"{node_a.name} and {node_b.name} are not directly connected")
 
     def __contains__(self, name: str) -> bool:
         return name in self.nodes

@@ -17,7 +17,7 @@ here:
   ``random.Random(seed)`` in one place (:meth:`SeededFaultPlan.decide`), so a
   seed reproduces the same fault sequence bit for bit.
 
-This module programs against ``Runtime.now`` and ``Runtime.schedule`` only and
+This module programs against the runtime's ``now`` and ``schedule`` only and
 imports nothing from ``repro.core`` or ``repro.net``.
 """
 

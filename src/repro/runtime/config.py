@@ -13,7 +13,6 @@ for benchmarks and soak tests that need real ops/sec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.errors import ValidationError
 
@@ -56,9 +55,4 @@ class RuntimeConfig:
         return RealtimeRuntime(time_scale=self.time_scale)
 
 
-def create_runtime(config: Optional[RuntimeConfig] = None):
-    """Instantiate a runtime from *config* (default: deterministic simulator)."""
-    return (config or RuntimeConfig()).create()
-
-
-__all__ = ["RUNTIME_MODES", "RuntimeConfig", "create_runtime"]
+__all__ = ["RUNTIME_MODES", "RuntimeConfig"]

@@ -786,8 +786,8 @@ def run_chaos(spec: ChaosSpec, *, runtime=None) -> ChaosResult:
 
     Args:
         spec: the scenario.
-        runtime: scheduler to run on — any :class:`~repro.runtime.Runtime`
-            implementation.  ``None`` (the default) builds a fresh
+        runtime: scheduler to run on — the simulator or its wall-clock
+            subclass.  ``None`` (the default) builds a fresh
             deterministic :class:`Simulator`, preserving the chaos matrix's
             bit-for-bit reproducibility.  Passing a
             :class:`~repro.runtime.RealtimeRuntime` runs the same scenario on

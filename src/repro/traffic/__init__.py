@@ -1,6 +1,6 @@
 """Workloads: synthetic trace generators, distributions, and replay."""
 
-from .distributions import FlowDurationModel, FlowSizeModel, empirical_cdf, fraction_exceeding, quantile
+from .distributions import FlowDurationModel, FlowSizeModel, fraction_exceeding, quantile
 from .generators import (
     FlowSpec,
     constant_rate_trace,
@@ -18,7 +18,6 @@ from .replay import ReplayStats, TraceReplayer, replay_trace_through
 __all__ = [
     "FlowDurationModel",
     "FlowSizeModel",
-    "empirical_cdf",
     "fraction_exceeding",
     "quantile",
     "FlowSpec",

@@ -68,15 +68,6 @@ class FlowSizeModel:
         return np.maximum(sizes, self.minimum_bytes).astype(np.int64)
 
 
-def empirical_cdf(values: Sequence[float]) -> tuple:
-    """Return (sorted values, cumulative probabilities) for plotting a CDF."""
-    ordered = np.sort(np.asarray(values, dtype=float))
-    if ordered.size == 0:
-        return np.array([]), np.array([])
-    probabilities = np.arange(1, ordered.size + 1) / ordered.size
-    return ordered, probabilities
-
-
 def quantile(values: Sequence[float], q: float) -> float:
     """The *q*-quantile of *values* (0 <= q <= 1)."""
     array = np.asarray(values, dtype=float)

@@ -6,17 +6,11 @@ are produced by the generators in :mod:`repro.traffic.generators` (our
 synthetic stand-ins for the paper's captured enterprise, data-center, and
 high-redundancy traces) and consumed by :mod:`repro.traffic.replay`, which
 turns records back into packets on the simulated network.
-
-Traces can be saved to and loaded from JSON-lines files so benchmark workloads
-are reproducible artifacts rather than in-memory accidents.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List
 
 from ..core.flowspace import PROTO_TCP, FlowKey
@@ -51,37 +45,6 @@ class TraceRecord:
             payload=self.payload,
             flags=frozenset(self.flags),
             seq=self.seq,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time": self.time,
-                "nw_src": self.nw_src,
-                "nw_dst": self.nw_dst,
-                "tp_src": self.tp_src,
-                "tp_dst": self.tp_dst,
-                "nw_proto": self.nw_proto,
-                "payload": base64.b64encode(self.payload).decode("ascii"),
-                "flags": list(self.flags),
-                "seq": self.seq,
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceRecord":
-        data = json.loads(text)
-        return cls(
-            time=float(data["time"]),
-            nw_src=data["nw_src"],
-            nw_dst=data["nw_dst"],
-            tp_src=int(data["tp_src"]),
-            tp_dst=int(data["tp_dst"]),
-            nw_proto=int(data.get("nw_proto", PROTO_TCP)),
-            payload=base64.b64decode(data.get("payload", "")),
-            flags=list(data.get("flags", [])),
-            seq=int(data.get("seq", 0)),
         )
 
 
@@ -121,57 +84,9 @@ class Trace:
     def flow_count(self) -> int:
         return len(self.flows())
 
-    def filter(self, predicate) -> "Trace":
-        """A new trace containing only the records for which *predicate* is true."""
-        return Trace(records=[record for record in self.records if predicate(record)], metadata=dict(self.metadata))
-
     def merged_with(self, other: "Trace") -> "Trace":
         """A new trace interleaving this trace and *other* by timestamp."""
         return Trace(records=list(self.records) + list(other.records), metadata=dict(self.metadata))
-
-    def time_shifted(self, offset: float) -> "Trace":
-        """A copy of the trace with every timestamp shifted by *offset* seconds."""
-        shifted = [
-            TraceRecord(
-                time=record.time + offset,
-                nw_src=record.nw_src,
-                nw_dst=record.nw_dst,
-                tp_src=record.tp_src,
-                tp_dst=record.tp_dst,
-                nw_proto=record.nw_proto,
-                payload=record.payload,
-                flags=list(record.flags),
-                seq=record.seq,
-            )
-            for record in self.records
-        ]
-        return Trace(records=shifted, metadata=dict(self.metadata))
-
-    # -- persistence ----------------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write the trace as JSON lines (first line: metadata)."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"metadata": self.metadata}) + "\n")
-            for record in self.records:
-                handle.write(record.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        path = Path(path)
-        records: List[TraceRecord] = []
-        metadata: Dict[str, object] = {}
-        with path.open("r", encoding="utf-8") as handle:
-            first = handle.readline()
-            if first:
-                header = json.loads(first)
-                metadata = dict(header.get("metadata", {}))
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(TraceRecord.from_json(line))
-        return cls(records=records, metadata=metadata)
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord], **metadata: object) -> "Trace":

@@ -438,6 +438,55 @@ class TestAcceptanceScenarios:
             assert result.retried_on_standby
             assert result.lost_updates == 0
 
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(
+                197976,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="false death verdicts: the standby and then the source are declared dead (55 / 62 ms) after the "
+                    "retry completed, so the source delete never reaches the source -- source retained 200 seqs after finalize",
+                ),
+            ),
+            pytest.param(
+                340518,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="false death verdict: the standby is declared dead at 16 ms, before the dst at 19 ms, "
+                    "so no retry runs and the move fails",
+                ),
+            ),
+        ],
+    )
+    def test_liveness_with_standby_under_chaotic_drops(self, seed):
+        """Liveness detection must not declare live instances dead when the channel drops frames.
+
+        Seeds ``7919 * i + 1`` for ``i < 60`` at this size: 0 fail on ``lossy``,
+        these two fail on ``chaotic`` (identically under any ``PYTHONHASHSEED``,
+        after ``pin_ids()``).  They pass once the liveness sweep counts ARQ ack
+        progress instead of silence alone.
+        """
+        pin_ids()
+        spec = ChaosSpec(
+            seed=seed,
+            mode="precopy",
+            profile="chaotic",
+            kill="dst",
+            kill_at_round=1,
+            detect="liveness",
+            standby=True,
+            flows=200,
+            packets=200,
+            batch_size=8,
+        )
+        result = run_chaos(spec)
+        result.assert_ok()
+        assert result.outcome == "completed" and result.retried_on_standby
+        assert result.lost_updates == 0
+
     def test_same_seed_reproduces_bit_for_bit(self):
         """One seed fully determines the run: schedule, faults, and outcome."""
         spec = ChaosSpec(seed=4242, guarantee="order_preserving", mode="precopy", profile="chaotic")

@@ -45,7 +45,6 @@ from repro.federation import (
     VersionedMap,
     choose_peers,
     elect_successor,
-    ranked_successors,
     takeover_score,
 )
 from repro.federation import domain as domain_module
@@ -200,6 +199,7 @@ class TestElection:
         candidates = ["dc0", "dc1", "dc3"]
         winner = elect_successor("dc2", candidates)
         assert winner in candidates
+        assert takeover_score("dc2", winner) == min(takeover_score("dc2", d) for d in candidates)
         for shuffled in itertools.permutations(candidates):
             assert elect_successor("dc2", list(shuffled)) == winner
 
@@ -207,15 +207,6 @@ class TestElection:
         assert elect_successor("dc2", ["dc2"]) is None
         assert elect_successor("dc2", []) is None
         assert elect_successor("dc2", ["dc2", "dc0"]) == "dc0"
-
-    def test_ranked_successors_lead_with_the_winner(self):
-        candidates = ["dc0", "dc1", "dc3"]
-        ranking = ranked_successors("dc2", candidates)
-        assert ranking[0] == elect_successor("dc2", candidates)
-        assert sorted(ranking) == sorted(candidates)
-        assert [takeover_score("dc2", d) for d in ranking] == sorted(
-            takeover_score("dc2", d) for d in candidates
-        )
 
 
 # =========================================================================================
@@ -493,11 +484,10 @@ class TestCrossDomainMove:
 
 
 class TestWanPacingSpec:
-    def test_parse_describe_and_validation(self):
+    def test_parse_and_validation(self):
         spec = TransferSpec.parse({"mode": "precopy", "max_rounds": 2, "wan_pacing": 1.5})
         assert spec.wan_pacing == 1.5
-        assert "wan1.5" in spec.describe()
-        assert "wan" not in TransferSpec.precopy().describe()
+        assert TransferSpec.precopy().wan_pacing == 0
         with pytest.raises(ValueError):
             TransferSpec.precopy(wan_pacing=-0.1)
         with pytest.raises(SpecError):

@@ -53,12 +53,6 @@ class TestIPv4Prefix:
         assert prefix.contains_ip("8.8.8.8")
         assert prefix.contains_ip("10.0.0.1")
 
-    def test_contains_prefix(self):
-        outer = IPv4Prefix.parse("10.0.0.0/8")
-        inner = IPv4Prefix.parse("10.1.0.0/16")
-        assert outer.contains_prefix(inner)
-        assert not inner.contains_prefix(outer)
-
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
             IPv4Prefix(0, 33)
@@ -155,15 +149,6 @@ class TestFlowPatternMatching:
 
 
 class TestFlowPatternRelations:
-    def test_covers_broader_prefix_covers_narrower(self):
-        broad = FlowPattern(nw_src="10.0.0.0/8")
-        narrow = FlowPattern(nw_src="10.1.0.0/16")
-        assert broad.covers(narrow)
-        assert not narrow.covers(broad)
-
-    def test_wildcard_covers_all(self):
-        assert FlowPattern.wildcard().covers(FlowPattern(nw_src="10.0.0.1", tp_dst=80))
-
     def test_equality_and_hash(self):
         a = FlowPattern(nw_src="10.0.0.0/8", tp_dst=80)
         b = FlowPattern(tp_dst=80, nw_src="10.0.0.0/8")

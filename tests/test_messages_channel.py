@@ -716,16 +716,7 @@ class TestEventFilter:
         filt.enable("a")
         filt.enable("a", FlowPattern(tp_dst=80))
         assert filt.disable("a") == 2
-        assert filt.subscription_count == 0
-
-    def test_disable_all(self):
-        from repro.core.events import EventFilter
-
-        filt = EventFilter()
-        filt.enable("a")
-        filt.enable("b")
-        filt.disable_all()
-        assert filt.subscription_count == 0
+        assert not filt.allows(Event(mb_name="mb", code="a", key=KEY))
 
     def test_event_without_key_matches_any_pattern_subscription(self):
         from repro.core.events import EventFilter

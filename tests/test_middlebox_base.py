@@ -178,21 +178,6 @@ class TestSouthboundState:
         mb.del_config("Echo.Threshold")
         assert "Echo.Threshold" not in mb.get_config("*")
 
-    def test_launch_like_copies_configuration(self):
-        sim, mb = self._populated(1)
-        mb.set_config("Echo.Threshold", [9])
-        replica = EchoMB(sim, "echo2")
-        replica.launch_like(mb)
-        assert replica.config.get_scalar("Echo.Threshold") == 9
-
-    def test_launch_like_rejects_other_types(self):
-        sim, mb = self._populated(1)
-        from repro.middleboxes import PassiveMonitor
-        from repro.core.errors import MiddleboxError
-
-        with pytest.raises(MiddleboxError):
-            PassiveMonitor(sim, "mon").launch_like(mb)
-
 
 class TestEvents:
     def test_reprocess_event_raised_only_for_transferred_flows(self):

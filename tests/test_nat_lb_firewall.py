@@ -155,7 +155,7 @@ class TestLoadBalancer:
 
     def test_reconfigure_backends(self):
         lb = self._lb()
-        lb.set_backends(["10.20.0.1"])
+        lb.set_config("LB.Backends", ["10.20.0.1"])
         result = lb.process_packet(tcp_packet("10.0.0.9", "198.51.100.10", 1001, 80))
         assert result.packet.nw_dst == "10.20.0.1"
 
@@ -226,10 +226,14 @@ class TestFirewall:
         assert restored.pattern == rule.pattern
         assert restored.allow is False
 
-    def test_add_rule(self):
+    def test_a_rule_added_through_set_config_takes_effect(self):
         fw = self._fw()
-        fw.add_rule(FirewallRule(FlowPattern(tp_dst=8080), allow=True))
+        added = FirewallRule(FlowPattern(tp_dst=8080), allow=True)
+        fw.set_config("FW.Rules", fw.get_config("FW.Rules")["FW.Rules"] + [added.to_config_value()])
         assert len(fw.rules()) == 3
+        from repro.middleboxes.base import Verdict
+
+        assert fw.process_packet(tcp_packet("10.0.0.1", "198.51.100.7", 1000, 8080)).verdict is Verdict.FORWARD
 
     def test_established_state_moves_between_instances(self):
         """Without moving connection state, return traffic of admitted flows would be dropped."""

@@ -1,4 +1,4 @@
-"""Unit tests for links, topology, switches, SDN controller, and monitoring probes."""
+"""Unit tests for links, topology, switches and the SDN controller."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.core.errors import NetworkError
 from repro.core.flowspace import FlowPattern
 from repro.net import (
     Action,
-    DeliveryRecorder,
     FlowRule,
-    LatencyProbe,
     SDNController,
     Simulator,
     Switch,
@@ -197,20 +195,26 @@ class TestTopology:
         with pytest.raises(NetworkError):
             topo.shortest_path("h1", "h2")
 
-    def test_host_by_ip(self):
-        topo = Topology(Simulator())
-        host = topo.add_host("h1", "10.0.0.1")
-        assert topo.host_by_ip("10.0.0.1") is host
-        with pytest.raises(NetworkError):
-            topo.host_by_ip("10.9.9.9")
-
-    def test_link_between(self):
+    def test_connect_returns_the_link_it_registers(self):
         sim = Simulator()
         topo = Topology(sim)
         h1 = topo.add_host("h1", "10.0.0.1")
         h2 = topo.add_host("h2", "10.0.0.2")
-        topo.connect(h1, h2)
-        assert topo.link_between(h1, h2) is topo.links[0]
+        link = topo.connect(h1, h2)
+        assert topo.links == [link]
+        assert {link.node_a, link.node_b} == {h1, h2}
+
+    def test_host_delivery_pays_link_latency(self):
+        sim = Simulator()
+        topo = Topology(sim)
+        h1 = topo.add_host("h1", "10.0.0.1")
+        h2 = topo.add_host("h2", "192.0.2.1")
+        topo.connect(h1, h2, latency=2e-3)
+        latencies = []
+        h2.on_receive(lambda packet: latencies.append(sim.now - packet.created_at))
+        h1.send(tcp_packet("10.0.0.1", "192.0.2.1", 1, 80))
+        sim.run()
+        assert len(latencies) == 1 and latencies[0] >= 2e-3
 
 
 class TestSwitch:
@@ -401,44 +405,3 @@ class TestSDNController:
         h2.send(tcp_packet("192.0.2.1", "10.0.0.5", 80, 1))
         sim.run()
         assert len(h1.received) == 1
-
-
-class TestMonitoringProbes:
-    def test_latency_probe_records_deliveries(self):
-        sim = Simulator()
-        topo = Topology(sim)
-        h1 = topo.add_host("h1", "10.0.0.1")
-        h2 = topo.add_host("h2", "192.0.2.1")
-        topo.connect(h1, h2, latency=2e-3)
-        probe = LatencyProbe(sim, h2)
-        h1.send(tcp_packet("10.0.0.1", "192.0.2.1", 1, 80))
-        sim.run()
-        assert probe.count == 1
-        assert probe.mean_latency() >= 2e-3
-        assert probe.max_latency() >= probe.mean_latency()
-
-    def test_latency_probe_pattern_filter(self):
-        sim = Simulator()
-        topo = Topology(sim)
-        h1 = topo.add_host("h1", "10.0.0.1")
-        h2 = topo.add_host("h2", "192.0.2.1")
-        topo.connect(h1, h2)
-        probe = LatencyProbe(sim, h2, FlowPattern(tp_dst=443))
-        h1.send(tcp_packet("10.0.0.1", "192.0.2.1", 1, 80))
-        sim.run()
-        assert probe.count == 0
-
-    def test_delivery_recorder_buckets_by_pattern(self):
-        sim = Simulator()
-        topo = Topology(sim)
-        h1 = topo.add_host("h1", "10.0.0.1")
-        h2 = topo.add_host("h2", "192.0.2.1")
-        topo.connect(h1, h2)
-        recorder = DeliveryRecorder(h2, {"http": FlowPattern(tp_dst=80), "ssh": FlowPattern(tp_dst=22)})
-        h1.send(tcp_packet("10.0.0.1", "192.0.2.1", 1, 80))
-        h1.send(tcp_packet("10.0.0.1", "192.0.2.1", 1, 443))
-        sim.run()
-        assert recorder.counts["http"] == 1
-        assert recorder.counts["ssh"] == 0
-        assert recorder.unmatched == 1
-        assert recorder.total() == 2

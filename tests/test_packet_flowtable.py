@@ -27,8 +27,8 @@ class TestPacket:
 
     def test_udp_packet_protocol(self):
         packet = udp_packet("10.0.0.1", "192.0.2.1", 53, 5353)
-        assert packet.is_udp and not packet.is_tcp
         assert packet.nw_proto == PROTO_UDP
+        assert packet.flow_key().nw_proto == PROTO_UDP
 
     def test_copy_gets_fresh_id_and_independent_annotations(self):
         packet = tcp_packet("10.0.0.1", "192.0.2.1", 1, 2)
@@ -55,7 +55,6 @@ class TestActions:
         assert Action.output(3).type is ActionType.OUTPUT and Action.output(3).port == 3
         assert Action.drop().type is ActionType.DROP
         assert Action.to_controller().type is ActionType.CONTROLLER
-        assert Action.buffer().type is ActionType.BUFFER
 
 
 class TestFlowTable:

@@ -40,11 +40,11 @@ class TestPrecopySpec:
         assert spec.mode is TransferMode.SNAPSHOT
         assert not spec.is_precopy
 
-    def test_precopy_constructor_and_describe(self):
+    def test_precopy_constructor(self):
         spec = TransferSpec.precopy(max_rounds=2, dirty_threshold=5)
         assert spec.mode is TransferMode.PRECOPY
         assert spec.is_precopy
-        assert spec.describe() == "loss_free+precopy2+thr5"
+        assert (spec.guarantee, spec.max_rounds, spec.dirty_threshold) == (TransferGuarantee.LOSS_FREE, 2, 5)
 
     def test_precopy_with_zero_rounds_is_not_iterative(self):
         assert not TransferSpec.precopy(max_rounds=0).is_precopy
@@ -430,6 +430,6 @@ class TestPrecopyMove:
         sim.run_until(handle.done, limit=100)
         sim.run(until=sim.now + 0.5)
         assert handle.status == "committed"
-        records = controller.stats.records_of_mode("precopy")
+        records = [record for record in controller.stats.records if record.mode == "precopy"]
         assert len(records) == 1 and records[0].precopy_rounds >= 1
         assert len(dst.support_store) == 60

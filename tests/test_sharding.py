@@ -291,16 +291,10 @@ class TestBatchedDispatch:
         chunk_msg = messages.put_perflow("mb", chunk, seq=7)
         release_msg = messages.transfer_release("mb", [chunk.key])
         frame = messages.batch_message("mb", [chunk_msg, release_msg])
-        inner = messages.decode_batch(messages.Message.decode(frame.encode()))
+        inner = messages.parse(messages.Message.decode(frame.encode()))["frames"]
         assert [m.type for m in inner] == [MessageType.PUT_PERFLOW, MessageType.TRANSFER_RELEASE]
         assert inner[0].xid == chunk_msg.xid and inner[1].xid == release_msg.xid
         assert inner[0].body["seq"] == 7
-
-    def test_decode_batch_rejects_non_batch(self):
-        from repro.core.errors import ProtocolError
-
-        with pytest.raises(ProtocolError):
-            messages.decode_batch(messages.transfer_end("mb"))
 
     def test_same_tick_puts_coalesce_into_one_channel_message(self):
         sim, controller, nb, boxes = build(1, pairs=1, chunks=0, dispatch_tick=0.0)

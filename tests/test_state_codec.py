@@ -14,6 +14,7 @@
 """
 
 import dataclasses
+import tracemalloc
 from typing import Dict, List, Optional, Set
 
 import pytest
@@ -44,6 +45,7 @@ from repro.middleboxes import (
     REEncoder,
 )
 from repro.middleboxes.base import _CELL_ATTRS
+from repro.middleboxes.re import MAX_CACHE_CAPACITY
 from repro.net import Simulator
 
 KEY = FlowKey(6, "10.0.0.1", "192.0.2.10", 12345, 80)
@@ -250,6 +252,31 @@ def test_a_packet_cache_payload_must_describe_a_possible_cache(change):
         decode({**encode(cache), **change})
     with pytest.raises(StateError):
         decode({name: value for name, value in encode(cache).items() if name not in change})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"capacity": 10**30},  # bytearray() raised OverflowError
+        {"capacity": 2**62},  # bytearray() raised MemoryError
+        {"capacity": 200_000_000, "max_reached": True},  # 200 MB allocated from a ~70-byte payload, then refused
+        {"capacity": MAX_CACHE_CAPACITY + 1},
+        {"capacity": True},
+        {"capacity": 2.0},
+    ],
+)
+def test_a_packet_cache_payload_is_refused_before_its_capacity_is_allocated(change):
+    encode, decode = payload_codec(DecoderCacheState)
+    payload = encode(DecoderCacheState(cache=PacketCache(64)))
+    payload["cache"] = {**payload["cache"], **change}
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateError):
+            decode(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("data", [b"R{not json", b"Znot zlib", b'R{"__flowkey__":{}}', b'R{"__bytes__":"abc"}', b"R\xff"])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.middleboxes import PassiveMonitor
 from repro.net import Simulator
-from repro.net.packet import ACK, FIN, SYN
+from repro.net.packet import FIN, SYN
 from repro.traffic import (
     FlowDurationModel,
     FlowSizeModel,
@@ -16,7 +16,6 @@ from repro.traffic import (
     constant_rate_trace,
     datacenter_flow_durations,
     datacenter_trace,
-    empirical_cdf,
     enterprise_cloud_trace,
     fraction_exceeding,
     http_flow_records,
@@ -33,11 +32,6 @@ class TestTraceRecord:
         assert packet.payload == b"abc"
         assert packet.has_flag(SYN)
         assert packet.flow_key() == record.flow_key()
-
-    def test_json_roundtrip(self):
-        record = TraceRecord(2.5, "10.0.0.1", "192.0.2.1", 1000, 80, payload=b"\x00\x01", flags=[ACK], seq=7)
-        restored = TraceRecord.from_json(record.to_json())
-        assert restored == record
 
 
 class TestTrace:
@@ -62,26 +56,12 @@ class TestTrace:
         trace = self._trace()
         assert trace.flow_count() == 2
 
-    def test_filter(self):
+    def test_merge_interleaves_by_time(self):
         trace = self._trace()
-        http_only = trace.filter(lambda record: record.tp_dst == 80)
-        assert len(http_only) == 2
-
-    def test_merge_and_shift(self):
-        trace = self._trace()
-        shifted = trace.time_shifted(10.0)
-        merged = trace.merged_with(shifted)
-        assert len(merged) == 6
-        assert merged.records[-1].time == 13.0
-
-    def test_save_and_load(self, tmp_path):
-        trace = self._trace()
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert len(loaded) == len(trace)
-        assert loaded.metadata == {"kind": "test"}
-        assert loaded.records[0].payload == b"a"
+        later = Trace(records=[TraceRecord(1.5, "10.0.0.3", "192.0.2.1", 1002, 80, payload=b"d")])
+        merged = trace.merged_with(later)
+        assert [record.time for record in merged] == [1.0, 1.5, 2.0, 3.0]
+        assert merged.metadata == {"kind": "test"}
 
 
 class TestDistributions:
@@ -98,11 +78,6 @@ class TestDistributions:
     def test_size_model_respects_minimum(self):
         sizes = FlowSizeModel(minimum_bytes=500).sample(500, np.random.default_rng(0))
         assert sizes.min() >= 500
-
-    def test_empirical_cdf_monotone(self):
-        values, probabilities = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert list(probabilities) == pytest.approx([1 / 3, 2 / 3, 1.0])
 
     def test_fraction_exceeding(self):
         assert fraction_exceeding([1, 2, 3, 4], 2.5) == 0.5
@@ -144,13 +119,12 @@ class TestGenerators:
     def test_enterprise_trace_deterministic_for_seed(self):
         a = enterprise_cloud_trace(http_flows=5, other_flows=2, seed=9)
         b = enterprise_cloud_trace(http_flows=5, other_flows=2, seed=9)
-        assert [record.to_json() for record in a] == [record.to_json() for record in b]
+        assert a.records == b.records
 
     def test_enterprise_trace_http_distinct_from_other(self):
         trace = enterprise_cloud_trace(http_flows=10, other_flows=10, seed=2)
-        http = trace.filter(lambda record: 80 in (record.tp_dst, record.tp_src))
-        other = trace.filter(lambda record: 80 not in (record.tp_dst, record.tp_src))
-        assert len(http) > 0 and len(other) > 0
+        http = [record for record in trace if 80 in (record.tp_dst, record.tp_src)]
+        assert 0 < len(http) < len(trace)
 
     def test_leave_open_fraction(self):
         closed = enterprise_cloud_trace(http_flows=20, other_flows=0, seed=3, leave_open_fraction=0.0)
