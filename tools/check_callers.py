@@ -86,12 +86,12 @@ def _import_lines(tree: ast.Module) -> set[int]:
     return {line for node in imports for line in range(node.lineno, node.end_lineno + 1)}
 
 
-def audit() -> list[str]:
-    """One line per public name without a caller, plus one per stale :data:`KEEP` entry."""
+def audit(root: Path = REPO_ROOT, keep: dict[str, str] = KEEP) -> list[str]:
+    """One line per public name under ``root`` without a caller, plus one per stale ``keep`` entry."""
     definitions = []  # (qualified name, path, first line, last line)
     uses: dict[str, list[tuple[Path, int]]] = {}
     for base in CALLER_ROOTS:
-        for path in sorted((REPO_ROOT / base).rglob("*.py")):
+        for path in sorted((root / base).rglob("*.py")):
             text = path.read_text(encoding="utf-8")
             tree = ast.parse(text, filename=str(path))
             skipped = _import_lines(tree) if path.name == "__init__.py" else set()
@@ -104,13 +104,13 @@ def audit() -> list[str]:
     for qualified, path, first, last in definitions:
         bare = qualified.rpartition(".")[2]
         called = any(where != path or not first <= line <= last for where, line in uses.get(bare, []))
-        if called and qualified in KEEP:
+        if called and qualified in keep:
             called_keeps.add(qualified)
-        elif not called and qualified not in KEEP:
-            shown = path.relative_to(REPO_ROOT)
+        elif not called and qualified not in keep:
+            shown = path.relative_to(root)
             findings.append(f"{shown}:{first}: {qualified} ({last - first + 1} lines) is named by no code outside tests")
     defined = {qualified for qualified, *_ in definitions}
-    findings += [f"KEEP: {name} is not defined in {DEFINED_IN}/; drop the entry" for name in sorted(set(KEEP) - defined)]
+    findings += [f"KEEP: {name} is not defined in {DEFINED_IN}/; drop the entry" for name in sorted(set(keep) - defined)]
     findings += [f"KEEP: {name} has a caller now; drop the entry" for name in sorted(called_keeps)]
     return findings
 
