@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from typing import Callable, Dict, Optional
 
 from ..net.simulator import Simulator
@@ -159,6 +160,7 @@ class ControlChannel:
         #: Serialisation points: one runtime lane per direction models wire
         #: occupancy (``reserve``) and delivers in order (``dispatch_at``).
         self._wire = {direction: sim.lane(f"{name}:{direction}") for direction in REVERSE}
+        self._xids = count(1)  # numbers the channel's own frames: BATCH and CHAN_ACK
 
     def _new_direction(self, direction: str) -> ArqDirection:
         return ArqDirection(self.sim, self.retransmit_timeout, partial(self._transmit, direction))
@@ -241,6 +243,7 @@ class ControlChannel:
         if len(batch) == 1:
             return self.send_to_middlebox(batch[0])
         frame = batch_message(batch[0].mb, batch)
+        frame.xid = next(self._xids)
         self.to_mb.batches += 1
         self.to_mb.framed_messages += len(batch)
         return self.send_to_middlebox(frame)
@@ -323,7 +326,9 @@ class ControlChannel:
             self._stats_for(direction).dedup_discards += 1
         if not self._arq[reverse].closed:  # nobody left on the other end to ack to
             self._stats_for(reverse).chan_acks += 1
-            self._transmit(reverse, chan_ack(self.name, arq.expected - 1))
+            ack = chan_ack(self.name, arq.expected - 1)
+            ack.xid = next(self._xids)
+            self._transmit(reverse, ack)
 
     # -- accounting ------------------------------------------------------------------
 

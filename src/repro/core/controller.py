@@ -135,6 +135,9 @@ class MBController:
         #: relative order of a flow's last install and an event's last replay
         #: decides whether the event must be replayed (again).
         self._transfer_seq = itertools.count(1)
+        #: Ids it numbers: its requests, the events it decodes, its operations and transactions.
+        self._xids, self._event_ids = itertools.count(1), itertools.count(1)
+        self.op_ids, self.txn_ids = itertools.count(1), itertools.count(1)
         #: (event id, destination) -> sequence token of the most recent replay.
         #: An event routed to several concurrent operations (e.g. a move and a
         #: merge sharing the same source) is replayed once per state install —
@@ -272,6 +275,7 @@ class MBController:
             code=EventCode.INSTANCE_DOWN,
             values={"reason": reason},
             raised_at=self.sim.now,
+            event_id=next(self._event_ids),
         )
         for subscriber in self._event_subscribers:
             subscriber(event)
@@ -342,6 +346,7 @@ class MBController:
         registration = self._registration(mb_name)
         if shard is None:
             shard = self.coordinator.shard_for_name(mb_name)
+        message.xid = next(self._xids)
         if on_reply is not None:
             self._reply_handlers[(mb_name, message.xid)] = (shard.shard_id, on_reply)
         self.stats.messages_sent += 1
@@ -439,6 +444,7 @@ class MBController:
                 event = messages.decode_event(message)
             except ProtocolError:
                 return
+            event.event_id = next(self._event_ids)
             self._handle_event(mb_name, event, shard)
             return
         request = (mb_name, message.reply_to)

@@ -17,14 +17,11 @@ middleboxes when they establish or manipulate state:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .flowspace import FlowKey, FlowPattern
 from ..net.packet import Packet
-
-_event_ids = itertools.count(1)
 
 
 class EventCode:
@@ -53,7 +50,7 @@ class Event:
     packet: Optional[Packet] = None
     values: Dict[str, object] = field(default_factory=dict)
     raised_at: float = 0.0
-    event_id: int = field(default_factory=lambda: next(_event_ids))
+    event_id: int = 0  # numbered by whoever raises (or decodes) it
     #: True for shared-state re-process events (no per-flow key applies).
     shared: bool = False
 

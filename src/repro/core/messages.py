@@ -11,7 +11,6 @@ controller-performance results (Figures 10a/10b).
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -21,8 +20,6 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 from .errors import ProtocolError
 from .flowspace import FlowKey, FlowPattern
 from .state import StateChunk, StateRole
-
-_xids = itertools.count(1)
 
 
 # -- the wire encoder ---------------------------------------------------------------
@@ -152,7 +149,7 @@ class Message:
     """One southbound protocol message."""
 
     type: str
-    xid: int = field(default_factory=lambda: next(_xids))
+    xid: int = 0  # numbered by the endpoint that sends it: unique per sender
     #: xid of the request this message responds to (for responses/acks).
     reply_to: Optional[int] = None
     mb: str = ""
@@ -644,7 +641,7 @@ def event_message(event: Event) -> Message:
 def decode_event(message: Message) -> Event:
     """Reconstruct an :class:`Event` from an EVENT message.
 
-    The receiver numbers it afresh; the wire ``event_id`` is not read.
+    The wire ``event_id`` is not read: the receiver numbers the event itself.
     """
     return Event(mb_name=message.mb, **parse(message))
 

@@ -38,7 +38,6 @@ loss-free with puts issued as chunks stream in.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
@@ -54,8 +53,6 @@ from .transfer import TransferGuarantee, TransferMode, TransferSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import MBController
-
-_operation_ids = itertools.count(1)
 
 
 class OperationType(enum.Enum):
@@ -356,7 +353,7 @@ class _StatefulOperation:
         #: interest is broadcast to all of them (wildcards span the ring).
         self.shards = controller.coordinator.shards_for_pattern(pattern)
         self.record = OperationRecord(
-            op_id=next(_operation_ids),
+            op_id=next(controller.op_ids),
             type=self.op_type,
             src=src,
             dst=dst,

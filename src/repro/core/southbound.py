@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator, List, Optional
 
 from ..net.packet import Packet
@@ -270,6 +270,7 @@ class SouthboundAgent:
         #: Liveness beacon period; None (the default) sends no heartbeats, so
         #: the seed's event schedule is untouched unless liveness is enabled.
         self._heartbeat_interval: Optional[float] = None
+        self._xids = count(1)  # of every message this agent sends
         channel.bind_middlebox(self.handle_message)
         middlebox.set_event_sink(self.send_event)
 
@@ -298,7 +299,7 @@ class SouthboundAgent:
         if self.channel.middlebox_down or self.channel.controller_detached:
             self._heartbeat_interval = None
             return
-        self.channel.send_to_controller(messages.heartbeat(self.middlebox.name))
+        self._send(messages.heartbeat(self.middlebox.name))
         self.sim.schedule(self._heartbeat_interval, self._heartbeat_tick)
 
     # -- middlebox -> controller -------------------------------------------------------
@@ -306,9 +307,10 @@ class SouthboundAgent:
     def send_event(self, event: Event) -> None:
         """Forward an event raised by the middlebox to the controller."""
         self.stats.events_sent += 1
-        self.channel.send_to_controller(messages.event_message(event))
+        self._send(messages.event_message(event))
 
     def _send(self, message: Message) -> None:
+        message.xid = next(self._xids)
         self.channel.send_to_controller(message)
 
     def _ack(self, request: Message, **receipt: object) -> Message:

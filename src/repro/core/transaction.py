@@ -38,7 +38,6 @@ each is semantically a single-step transaction.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,8 +46,6 @@ from .errors import TransactionAbortedError, TransactionError
 from .flowspace import FlowPattern
 from .operations import OperationHandle
 from .transfer import TransferSpec
-
-_txn_ids = itertools.count(1)
 
 
 class StepStatus(enum.Enum):
@@ -465,7 +462,7 @@ class Transaction:
         self.nb = northbound
         self.controller = northbound.controller
         self.sim = self.controller.sim
-        self.txn_id = next(_txn_ids)
+        self.txn_id = next(self.controller.txn_ids)
         self.steps: List[_Step] = []
         self.status = "building"
         self.handle: Optional[TransactionHandle] = None

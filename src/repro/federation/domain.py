@@ -36,6 +36,7 @@ equivalence test mirrors ``tests/test_sharding.py``'s N=1 pattern).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional, Tuple
@@ -166,6 +167,7 @@ class FederatedDomain:
         self._lent: Dict[str, str] = {}
         #: Outbound cross-domain moves keyed by FED_MOVE_REQUEST xid.
         self._outbound: Dict[int, Dict[str, Any]] = {}
+        self._xids = itertools.count(1)  # numbers every frame this domain sends
         self._running = True
         self._crashed = False
         self._gossip_armed = False
@@ -254,6 +256,12 @@ class FederatedDomain:
         self.gossip.membership.put(link.peer, self.name, {"alive": True}, self.sim.now)
         self._arm_gossip()
 
+    def _send(self, link: PeerLink, message: Message) -> Message:
+        """Number *message* as this domain's next frame and send it over *link*."""
+        message.xid = next(self._xids)
+        link.send(message)
+        return message
+
     def peer_link(self, peer: str) -> PeerLink:
         """The link object for *peer* (KeyError when not connected)."""
         return self._peers[peer]
@@ -312,7 +320,7 @@ class FederatedDomain:
             sections[name] = [entry.as_wire() for entry in entries]
             if entries:
                 link.told_at = now
-        link.send(messages.fed_gossip(peer, self.name, now, heard=link.heard, summary=summary, resync=link.ask, **sections))
+        self._send(link, messages.fed_gossip(peer, self.name, now, heard=link.heard, summary=summary, resync=link.ask, **sections))
         link.ask = False
 
     def _check_suspicions(self, now: float) -> None:
@@ -520,7 +528,7 @@ class FederatedDomain:
         if link is None:
             future.fail(ValueError(f"domain {self.name!r} has no peer {peer!r}"))
             return future
-        request = messages.fed_move_request(peer, self.name, dst_instance)
+        request = self._send(link, messages.fed_move_request(peer, self.name, dst_instance))
         self._outbound[request.xid] = {
             "future": future,
             "peer": peer,
@@ -530,25 +538,20 @@ class FederatedDomain:
             "spec": spec,
             "faults": faults,
         }
-        link.send(request)
         return future
 
     def _on_move_request(self, peer: str, message: Message, domain: Optional[str], instance: str) -> None:
         """Home-domain side: lend the requested instance (or refuse)."""
         link = self._peers[peer]
         if not self.controller.is_registered(instance) or instance in self._lent:
-            link.send(
-                messages.fed_move_grant(
-                    message, peer, self.name, granted=False, reason=f"{instance!r} unavailable"
-                )
-            )
+            self._send(link, messages.fed_move_grant(message, peer, self.name, granted=False, reason=f"{instance!r} unavailable"))
             return
         # Clean unregister: the instance leaves this controller for the
         # duration of the move (its object stays in ``_instances`` so it can
         # come home on FED_MOVE_DONE).
         self.controller.unregister(instance)
         self._lent[instance] = domain or peer
-        link.send(messages.fed_move_grant(message, peer, self.name, granted=True))
+        self._send(link, messages.fed_move_grant(message, peer, self.name, granted=True))
 
     def _on_move_grant(self, peer: str, message: Message, granted: bool, reason: str) -> None:
         """Borrowing side: run the WAN move once the lend is granted."""
@@ -598,7 +601,7 @@ class FederatedDomain:
             self.controller.unregister(dst)
         link = self._peers.get(peer)
         if link is not None:
-            link.send(messages.fed_move_done(peer, self.name, dst, ok=ok))
+            self._send(link, messages.fed_move_done(peer, self.name, dst, ok=ok))
         if ok:
             future.succeed(handle.record)
         else:

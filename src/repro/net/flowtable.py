@@ -9,14 +9,11 @@ routing decision in a single call.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.flowspace import FlowPattern
 from .packet import Packet
-
-_rule_ids = itertools.count(1)
 
 #: Distinct header tuples a :class:`FlowTable` remembers between two table
 #: changes.  Reaching the bound clears the cache wholesale: the hit path
@@ -53,15 +50,14 @@ class Action:
         return cls(ActionType.CONTROLLER)
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowRule:
-    """One flow-table entry."""
+    """One flow-table entry; two rules are equal only when they are the same object."""
 
     pattern: FlowPattern
     actions: List[Action]
     priority: int = 100
     cookie: str = ""
-    rule_id: int = field(default_factory=lambda: next(_rule_ids))
     packets_matched: int = 0
     bytes_matched: int = 0
     installed_at: float = 0.0
@@ -101,8 +97,8 @@ class FlowTable:
         Ties break toward the more specific pattern, then toward the most
         recently installed rule (so a re-route of the same pattern wins).
         """
-        self._rules.append(rule)
-        self._rules.sort(key=lambda r: (-r.priority, -r.pattern.specificity, -r.rule_id))
+        self._rules.insert(0, rule)  # the sort is stable: ahead of every equal rule installed before it
+        self._rules.sort(key=lambda r: (-r.priority, -r.pattern.specificity))
         self._invalidate()
         return rule
 

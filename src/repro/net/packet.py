@@ -8,7 +8,6 @@ annotations such as redundancy-elimination shims).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 from typing import Dict, FrozenSet, Optional
 
@@ -16,8 +15,6 @@ from ..core.flowspace import PROTO_TCP, PROTO_UDP, FlowKey
 
 #: Bytes of layer-2/3/4 headers accounted for in a packet's wire size.
 HEADER_BYTES = 54
-
-_packet_ids = itertools.count(1)
 
 #: TCP flag names used by the simulated middleboxes.
 SYN = "SYN"
@@ -40,7 +37,6 @@ class Packet:
     flags: FrozenSet[str] = frozenset()
     seq: int = 0
     created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
     #: Free-form annotations added by middleboxes (e.g. RE shim descriptors).
     annotations: Dict[str, object] = field(default_factory=dict)
     #: Overrides the wire size when a middlebox shrank the payload (RE encoding).
@@ -69,7 +65,7 @@ class Packet:
     # -- construction helpers --------------------------------------------------
 
     def copy(self) -> "Packet":
-        """Return an independent copy with a fresh packet id.
+        """Return an independent copy (its annotations are its own).
 
         Used by baselines that duplicate traffic, by the RE encoder when it
         emits an encoded version of a packet, and by link protection for every
@@ -79,7 +75,6 @@ class Packet:
         duplicate = object.__new__(type(self))
         for name in _FIELD_NAMES:
             setattr(duplicate, name, getattr(self, name))
-        duplicate.packet_id = next(_packet_ids)
         duplicate.annotations = dict(self.annotations)
         return duplicate
 
@@ -99,7 +94,7 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(sorted(flag[0] for flag in self.flags))
         return (
-            f"<Packet #{self.packet_id} {self.nw_src}:{self.tp_src}->"
+            f"<Packet {self.nw_src}:{self.tp_src}->"
             f"{self.nw_dst}:{self.tp_dst} proto={self.nw_proto} len={self.payload_size} {flags}>"
         )
 

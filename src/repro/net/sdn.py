@@ -30,8 +30,6 @@ from .topology import Node, Topology
 #: Time for a switch to apply a newly pushed flow rule (seconds).
 DEFAULT_RULE_INSTALL_LATENCY = 2e-3
 
-_route_ids = itertools.count(1)
-
 
 @dataclass
 class RouteHandle:
@@ -95,6 +93,7 @@ class SDNController:
         self.topology = topology
         self.rule_install_latency = rule_install_latency
         self.routes: Dict[int, RouteHandle] = {}
+        self._route_ids = itertools.count(1)
         self.packet_ins: List[Packet] = []
         self.rules_installed = 0
         self.routing_updates = 0
@@ -130,7 +129,7 @@ class SDNController:
         applied its rule.
         """
         names = [node.name if isinstance(node, Node) else node for node in path]
-        route_id = next(_route_ids)
+        route_id = next(self._route_ids)
         prepared = self._prepare_rules(pattern, names, priority, f"route-{route_id}")
         handle, pending = self._register_route(route_id, pattern, names, prepared)
         if bidirectional:
@@ -237,7 +236,7 @@ class SDNController:
         prepared: List[tuple] = []
         for pattern, path in changes:
             names = [node.name if isinstance(node, Node) else node for node in path]
-            route_id = next(_route_ids)
+            route_id = next(self._route_ids)
             rules = self._prepare_rules(pattern, names, priority, f"route-{route_id}")
             prepared.append((pattern, names, route_id, rules))
 

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import settings
 
-import repro.core.events as events_module
-import repro.core.messages as messages_module
-import repro.core.operations as operations_module
 from repro.core import ControllerConfig, FlowKey, MBController, NorthboundAPI
 from repro.middleboxes import IDS, DummyMiddlebox, PassiveMonitor
 from repro.net import Simulator, tcp_packet
@@ -73,20 +68,6 @@ def dummy_pair(sim: Simulator, controller: MBController):
     controller.register(src)
     controller.register(dst)
     return src, dst
-
-
-def pin_ids() -> None:
-    """Restart the process-wide id counters (``from conftest import pin_ids``).
-
-    Message xids, event ids and operation ids are wire bytes: their digit
-    count is part of every message's size, hence of transfer times, durations
-    and event counts.  Every golden test calls this before it builds its world
-    so the figures it pins do not depend on what ran earlier in the process
-    (the one place ROADMAP 4(c) has to delete once ids are per controller).
-    """
-    messages_module._xids = itertools.count(1)
-    events_module._event_ids = itertools.count(1)
-    operations_module._operation_ids = itertools.count(1)
 
 
 def run_until(sim: Simulator, future, limit: float = 1000.0):

@@ -24,7 +24,6 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import pin_ids
 
 from repro.net import LinkFaultPlan, ProtectionConfig, ScriptedFault, Simulator, Topology, udp_packet
 from repro.net.links import A_TO_B, B_TO_A
@@ -64,9 +63,6 @@ REVERSE_FRAMES = 40
 
 
 def chaos_fingerprint(label: str) -> dict:
-    # Their digit count is part of every message's wire size, hence of
-    # transfer times and of the durations below.
-    pin_ids()
     result = run_chaos(CHAOS_SPECS[label])
     result.assert_ok()
     return {name: getattr(result, name) for name in CHAOS_FIELDS}

@@ -33,7 +33,6 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import pin_ids
 
 from repro.testing import ChaosResult, ChaosSpec, run_chaos, run_federated_chaos
 
@@ -88,7 +87,6 @@ SCENARIOS = scenarios()
 def fingerprint(label: str) -> dict:
     """Every ChaosResult field of one scenario, JSON-shaped."""
     runner, spec = SCENARIOS[label]
-    pin_ids()
     result = runner(spec)
     out = {}
     for field in dataclasses.fields(ChaosResult):

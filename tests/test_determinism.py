@@ -12,6 +12,7 @@ verify end-to-end reproducibility of representative workloads.
 from __future__ import annotations
 
 import ast
+import itertools
 import pathlib
 import re
 
@@ -320,6 +321,36 @@ class TestEngineLayering:
         assert not offenders, "\n".join(offenders)
         for reader in ("middleboxes/base.py", "core/operations.py"):
             assert pathlib.PurePath("repro", reader) in taxonomy_readers, f"{reader} no longer reads the taxonomy"
+
+
+class TestIdsAreNumberedByTheirOwner:
+    """No id lives in process-global state: a scenario's bytes depend on its seed and topology alone."""
+
+    def test_no_module_binds_a_mutable_id_counter(self):
+        """A counter belongs to the object owning what it numbers; a module-level one
+        (or ``global`` rebinding module state) numbers across every run in the process."""
+        offenders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in [*tree.body, *(node for node in ast.walk(tree) if isinstance(node, ast.Global))]:
+                calls = [ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)]
+                binds = isinstance(node, (ast.Assign, ast.AnnAssign))
+                if isinstance(node, ast.Global) or (binds and {"count", "itertools.count"} & set(calls)):
+                    offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno}: {ast.unparse(node)}")
+        assert not offenders, "\n".join(offenders)
+
+    def test_the_southbound_transcript_does_not_depend_on_what_ran_before(self):
+        """The southbound-golden scenario, 50 chaos scenarios, then the golden scenario
+        again, all in this process: the two transcripts are byte-identical."""
+        from test_southbound_golden import record
+
+        from repro.testing import ChaosSpec, run_chaos
+
+        first = record()
+        cells = itertools.cycle(itertools.product(("loss_free", "order_preserving"), ("snapshot", "precopy"), ("lossy", "chaotic")))
+        for seed, (guarantee, mode, profile) in zip(range(50), cells):
+            run_chaos(ChaosSpec(seed=seed, guarantee=guarantee, mode=mode, profile=profile)).assert_ok()
+        assert record() == first
 
 
 class TestSeededReproducibility:

@@ -1,14 +1,13 @@
 """Unit tests for the southbound wire protocol and control channels."""
 
 import base64
-import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import messages
+from repro.core import ControllerConfig, MBController, messages
 from repro.core.channel import ControlChannel
 from repro.core.chunks import encode_value
 from repro.core.errors import ProtocolError
@@ -16,6 +15,7 @@ from repro.core.events import Event, EventCode
 from repro.core.flowspace import FlowKey, FlowPattern
 from repro.core.messages import BATCHABLE_REQUESTS, SCHEMAS, Message, MessageType
 from repro.core.state import StateChunk, StateRole
+from repro.middleboxes import DummyMiddlebox
 from repro.net.packet import Packet, tcp_packet
 from repro.net.simulator import Simulator
 
@@ -52,10 +52,15 @@ class TestMessageEncoding:
         message = messages.get_config("mb1", "*")
         assert message.wire_size == len(message.encode())
 
-    def test_xids_are_unique(self):
-        a = messages.get_config("mb1", "*")
-        b = messages.get_config("mb1", "*")
-        assert a.xid != b.xid
+    def test_xids_are_numbered_by_their_sender(self):
+        """Two controllers in one process both start at 1; no sender (controller or agent) repeats an xid."""
+        for _ in range(2):
+            sim, replies = Simulator(), []
+            controller = MBController(sim, ControllerConfig())
+            controller.register(DummyMiddlebox(sim, "mb"))
+            assert [controller.send("mb", messages.get_config("mb", "*"), on_reply=replies.append) for _ in range(4)] == [1, 2, 3, 4]
+            sim.run()
+            assert sorted(reply.reply_to for reply in replies) == [1, 2, 3, 4] and len({reply.xid for reply in replies}) == 4
 
 
 class TestChunkCodecs:
@@ -502,9 +507,7 @@ def stamped(d: Draw, message: Message, body, fields):
 
 
 def comparable(value):
-    """Parsed fields with what a decoder numbers afresh (packet ids) or unwraps (inner frames) made comparable."""
-    if isinstance(value, Packet):
-        return dataclasses.replace(value, packet_id=0)
+    """Parsed fields with what a decoder unwraps (inner frames) made comparable."""
     if isinstance(value, Message):
         return (value.type, value.xid, value.mb, value.cseq, comparable(messages.parse(value)))
     if isinstance(value, dict):

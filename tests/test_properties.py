@@ -294,7 +294,8 @@ def test_cached_lookup_returns_the_rule_a_linear_scan_finds(ops, bound):
     model = []  # the oracle's own rule list, in installation order
 
     def check_lookups():
-        ordered = sorted(model, key=lambda r: (-r.priority, -r.pattern.specificity, -r.rule_id))
+        # Ties go to the later-installed rule: a stable sort of the reversed installation order.
+        ordered = sorted(reversed(model), key=lambda r: (-r.priority, -r.pattern.specificity))
         for _ in range(2):  # the second pass is answered from the cache (bound permitting)
             for probe in _PROBES:
                 expected = next((rule for rule in ordered if rule.pattern.matches(probe.flow_key())), None)
@@ -340,16 +341,14 @@ _packets = st.builds(
 
 @given(_packets)
 def test_packet_copy_carries_every_field(packet):
-    first, second = packet.copy(), packet.copy()
-    assert packet.packet_id < first.packet_id < second.packet_id  # fresh, strictly increasing
+    first = packet.copy()
+    assert first is not packet
     # Iterating the dataclass's own field list: a field added later and not
     # carried across by copy() fails here.
     for field in dataclasses.fields(Packet):
-        if field.name != "packet_id":
-            assert getattr(first, field.name) == getattr(packet, field.name), field.name
+        assert getattr(first, field.name) == getattr(packet, field.name), field.name
     assert vars(first).keys() == vars(packet).keys()
     assert first.annotations is not packet.annotations
     first.annotations["copy-only"] = 1
     packet.annotations["original-only"] = 2
     assert "copy-only" not in packet.annotations and "original-only" not in first.annotations
-    assert second.annotations == {k: v for k, v in packet.annotations.items() if k != "original-only"}

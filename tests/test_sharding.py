@@ -17,7 +17,6 @@ dispatcher (framing, per-channel FIFO, reply routing).
 from __future__ import annotations
 
 import pytest
-from conftest import pin_ids
 
 from repro.core import (
     ControllerConfig,
@@ -233,7 +232,6 @@ class TestSingleShardEquivalence:
     """
 
     def _workload(self, concurrency, chunks, events_rate=0.0, **config):
-        pin_ids()  # message sizes (hence transfer times) must match the capture environment
         sim = Simulator()
         controller = MBController(sim, ControllerConfig(quiescence_timeout=0.1, **config))
         nb = NorthboundAPI(controller)

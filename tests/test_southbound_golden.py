@@ -7,7 +7,8 @@ constructor and one parser in :mod:`repro.core.messages`, the agent one serve
 skeleton and the controller one request skeleton.  For two runs on one
 controller each it pins every message either side put on a control channel —
 ``[sim time, channel:direction, type, sha256 of the encoded bytes]`` — plus the
-simulator's executed-callback count (id counters and sealing nonces pinned):
+simulator's executed-callback count (sealing nonces pinned; every id is
+numbered by its owner, so nothing else needs pinning):
 
 * **plain** — config get/set/del, stats, enable/disable events, a snapshot
   move under fabricated re-process events, an order-preserving pre-copy move
@@ -31,7 +32,6 @@ import types
 from pathlib import Path
 
 import pytest
-from conftest import pin_ids
 
 import repro.core.crypto as crypto_module
 import repro.core.messages as messages_module
@@ -67,7 +67,6 @@ class Scenario:
     """One controller whose every control channel is tapped at the wire."""
 
     def __init__(self, dispatch_tick) -> None:
-        pin_ids()  # their digits are wire bytes
         self.sim = Simulator()
         self.controller = MBController(
             self.sim, ControllerConfig(quiescence_timeout=0.05, dispatch_tick=dispatch_tick)

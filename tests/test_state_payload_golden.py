@@ -30,7 +30,6 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import pin_ids
 
 import repro.core.crypto as crypto
 from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI
@@ -146,7 +145,6 @@ def payloads(mb_type: str) -> dict:
 
 def transfers(mb_type: str) -> dict:
     """Move (and clone / merge where the type has shared state) ``src`` -> ``dst`` through a controller."""
-    pin_ids()  # their digits are wire bytes
     sim = Simulator()
     src = WORLDS[mb_type](sim, "src", 20)
     dst = WORLDS[mb_type](sim, "dst", 21) if mb_type in BUSY_DESTINATIONS else type(src)(sim, "dst")
