@@ -8,14 +8,17 @@ the whole payload format: the one native object <-> payload codec
 (:func:`payload_codec`, derived from a dataclass's fields), the serialisation
 envelope (JSON with explicit support for ``bytes``, tuples and flow keys) and
 the helpers that turn payloads into :class:`~repro.core.state.StateChunk`
-instances and back.
+instances and back.  It also holds the one canonical JSON codec
+(:func:`canonical_json` / :func:`parse_json`) under every payload and every
+southbound message.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
-import json
+import json.encoder
+import json.scanner
 import sys
 import typing
 import zlib
@@ -29,6 +32,56 @@ from .state import StateChunk, StateRole
 
 #: ``(encode, decode)``: native value -> payload value and back.
 Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
+
+
+# -- the canonical JSON codec ---------------------------------------------------------
+#
+# One C encoder and one C scanner, built at import: ``json.dumps`` with
+# non-default arguments builds a fresh encoder per call and ``json.loads`` runs
+# Python wrapper frames, a fixed cost every message and payload used to pay.
+# Both are stateless between calls (no cycle markers; the scanner clears its
+# key memo after each call), so threads may share them.
+
+
+def _unencodable(value: Any) -> Any:
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+if json.encoder.c_make_encoder is None or json.scanner.c_make_scanner is None:
+    raise ImportError("the canonical JSON codec needs CPython's _json accelerator")
+_ENCODE = json.encoder.c_make_encoder(
+    None, _unencodable, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+)
+_SCAN = json.scanner.c_make_scanner(json.JSONDecoder())
+
+
+def canonical_json(value: Any) -> str:
+    """What ``json.dumps`` writes for *value* with ``sort_keys=True, separators=(",", ":")``, byte for byte.
+
+    Raises TypeError for a value JSON cannot carry and ValueError for one
+    nested too deeply or containing itself.
+    """
+    try:
+        return "".join(_ENCODE(value, 0))
+    except RecursionError:
+        raise ValueError("value nested too deeply (or circular) for JSON") from None
+
+
+def parse_json(text: str) -> Any:
+    """The one JSON document that is all of *text*; ValueError for anything else.
+
+    Stricter than ``json.loads`` in one respect: whitespace around the
+    document is refused (the encoder never writes it).
+    """
+    try:
+        value, end = _SCAN(text, 0)
+    except StopIteration:
+        raise ValueError("expecting a JSON value at offset 0") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if end != len(text):
+        raise ValueError(f"extra data after the JSON value at offset {end}")
+    return value
 
 
 def _identity(value: Any) -> Any:
@@ -204,7 +257,7 @@ def serialize_payload(payload: Any, *, compress: bool = False) -> bytes:
     Compression reproduces the paper's section 8.3 optimisation where state is
     compressed by roughly 38 % to reduce controller-side transfer time.
     """
-    raw = json.dumps(encode_value(payload), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    raw = canonical_json(encode_value(payload)).encode("utf-8")
     if compress:
         return b"Z" + zlib.compress(raw, level=6)
     return b"R" + raw
@@ -224,8 +277,8 @@ def deserialize_payload(data: bytes) -> Any:
     try:
         if marker == b"Z":
             body = zlib.decompress(body)
-        return decode_value(json.loads(body.decode("utf-8")))
-    except (ValueError, KeyError, TypeError, zlib.error) as exc:
+        return decode_value(parse_json(body.decode("utf-8")))
+    except (ValueError, KeyError, TypeError, RecursionError, zlib.error) as exc:
         raise StateError(f"malformed state payload: {exc!r}") from None
 
 

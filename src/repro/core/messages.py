@@ -11,12 +11,12 @@ controller-performance results (Figures 10a/10b).
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
+from .chunks import canonical_json, decode_value, encode_value, parse_json
 from .errors import ProtocolError
 from .flowspace import FlowKey, FlowPattern
 from .state import StateChunk, StateRole
@@ -28,8 +28,10 @@ from .state import StateChunk, StateRole
 # only.  It is assembled by splicing.  Text this module has already built (a
 # chunk, an array of chunks, a BATCH's inner frames) is a :class:`_Json`
 # fragment and is concatenated as is; everything else goes through
-# :func:`_json`.  ``tests/test_messages_channel.py`` holds the oracle: for
-# every constructor the bytes equal one ``json.dumps`` of the plain nested dict.
+# :func:`_json`, whose fallback is the one canonical encoder
+# (:func:`~repro.core.chunks.canonical_json`).  ``tests/test_messages_channel.py``
+# holds the oracle: for every constructor the bytes equal one ``json.dumps`` of
+# the plain nested dict.
 
 
 class _Json(str):
@@ -51,7 +53,7 @@ def _json(value: Any) -> str:
         return "true" if value else "false"
     if kind is dict and not value:
         return "{}"
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return canonical_json(value)
 
 
 def _array(items: Iterable[str]) -> _Json:
@@ -60,7 +62,7 @@ def _array(items: Iterable[str]) -> _Json:
 
 
 def _body_json(body: Any) -> str:
-    """A body that holds a fragment is joined member by member, in key order; any other is one ``json.dumps``.
+    """A body that holds a fragment is joined member by member, in key order; any other is one :func:`_json`.
 
     Fragments are spliced at the top level of a body only: nested inside a
     generic value one would be encoded as the string it subclasses.
@@ -144,6 +146,10 @@ class MessageType:
     FED_MOVE_DONE = "fed_move_done"
 
 
+def _ill_typed(name: str, want: str, value: Any) -> ProtocolError:
+    return ProtocolError(f"message field {name!r} must be {want}, got {value!r:.40}")
+
+
 @dataclass
 class Message:
     """One southbound protocol message."""
@@ -169,18 +175,32 @@ class Message:
 
     @classmethod
     def from_wire(cls, wire: Dict[str, Any]) -> "Message":
-        """Rebuild a message from its wire dict; raises ProtocolError when malformed."""
-        for required in ("type", "xid"):
-            if required not in wire:
-                raise ProtocolError(f"message missing field {required!r}")
-        return cls(
-            type=wire["type"],
-            xid=wire["xid"],
-            reply_to=wire.get("reply_to"),
-            mb=wire.get("mb", ""),
-            body=wire.get("body", {}),
-            cseq=wire.get("cseq"),
-        )
+        """Rebuild a message from its wire dict; raises ProtocolError when malformed.
+
+        The envelope is exactly typed (a bool is not an int here): ``type``
+        and ``xid`` are required, ``mb`` and ``body`` default to ``""`` and
+        ``{}``, ``reply_to`` and ``cseq`` are an int or absent.
+        """
+        if type(wire) is not dict:
+            raise ProtocolError(f"a message is a JSON object, got {type(wire).__name__}")
+        try:
+            kind, xid = wire["type"], wire["xid"]
+        except KeyError as exc:
+            raise ProtocolError(f"message missing field {exc}") from None
+        mb, body, reply_to, cseq = wire.get("mb", ""), wire.get("body", {}), wire.get("reply_to"), wire.get("cseq")
+        if type(kind) is not str:
+            raise _ill_typed("type", "str", kind)
+        if type(xid) is not int:
+            raise _ill_typed("xid", "int", xid)
+        if type(mb) is not str:
+            raise _ill_typed("mb", "str", mb)
+        if type(body) is not dict:
+            raise _ill_typed("body", "dict", body)
+        if type(reply_to) is not int and "reply_to" in wire:
+            raise _ill_typed("reply_to", "int", reply_to)
+        if type(cseq) is not int and "cseq" in wire:
+            raise _ill_typed("cseq", "int", cseq)
+        return cls(kind, xid, reply_to, mb, body, cseq)  # positionally: the field order, half the cost of keywords
 
     def wire_text(self) -> str:
         """The wire form as text: the fixed envelope, in key order, around the body.
@@ -206,8 +226,8 @@ class Message:
     def decode(cls, data: bytes) -> "Message":
         """Decode a message from its JSON wire form."""
         try:
-            wire = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            wire = parse_json(data.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError included
             raise ProtocolError(f"malformed message: {exc}") from exc
         return cls.from_wire(wire)
 
@@ -233,7 +253,7 @@ def encode_chunk(chunk: StateChunk) -> _Json:
 
     ``{"blob":…,"key":…,"metadata":…,"role":…}``; a shared chunk (``key is
     None``) carries no ``key``.  Base64 text needs no escaping, so only a
-    non-empty ``metadata`` costs a ``json.dumps``.
+    non-empty ``metadata`` costs a generic encode.
     """
     try:
         blob = base64.b64encode(chunk.blob).decode("ascii")
@@ -576,7 +596,6 @@ def batch_message(mb: str, frames: list) -> Message:
 # -- packet and event codecs ----------------------------------------------------------
 
 from ..net.packet import Packet  # noqa: E402  (placed here to keep the dependency local)
-from .chunks import decode_value, encode_value  # noqa: E402
 from .events import Event  # noqa: E402
 
 
@@ -841,7 +860,7 @@ def parse(message: Message, *only: str) -> Dict[str, Any]:
             raise ProtocolError(f"{message.type} is missing field {name!r}")
         try:
             fields[name] = None if raw is None else convert(raw)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
             raise ProtocolError(f"{message.type} has a malformed {name!r}: {exc!r}") from exc
     return fields
 

@@ -2,15 +2,16 @@
 
 import base64
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ControllerConfig, MBController, messages
+from repro.core import ControllerConfig, MBController, NorthboundAPI, TransferSpec, chunks, messages
 from repro.core.channel import ControlChannel
-from repro.core.chunks import encode_value
-from repro.core.errors import ProtocolError
+from repro.core.chunks import canonical_json, deserialize_payload, encode_value, parse_json
+from repro.core.errors import ProtocolError, StateError
 from repro.core.events import Event, EventCode
 from repro.core.flowspace import FlowKey, FlowPattern
 from repro.core.messages import BATCHABLE_REQUESTS, SCHEMAS, Message, MessageType
@@ -543,14 +544,19 @@ class TestSplicedEncoderAgainstTheOracle:
         message, body, _ = stamped(Draw(data.draw, wild=True), *CASES[type_](Draw(data.draw, wild=True)))
         encoded = message.encode()
         assert encoded == json.dumps(plain_wire(message, body), **CANONICAL).encode()
-        Message.decode(encoded)  # still one JSON object with a type and an xid
+        optional = [value for value in (message.reply_to, message.cseq) if value is not None]
+        if type(message.xid) is int and type(message.mb) is str and all(type(value) is int for value in optional):
+            Message.decode(encoded)  # one JSON object whose envelope is exactly typed
+        else:
+            with pytest.raises(ProtocolError):
+                Message.decode(encoded)
 
     @pytest.mark.parametrize("body", [None, 7, "text", [1, {"a": 2}], True, 1.5])
-    def test_a_body_that_is_not_a_dict_is_encoded_as_it_stands_and_refused_by_parse(self, body):
+    def test_a_body_that_is_not_a_dict_is_encoded_as_it_stands_and_refused_by_the_decoder(self, body):
         message = Message(T.PUT_PERFLOW, mb="mb", body=body, cseq=3)
         assert message.encode() == json.dumps(plain_wire(message, body), **CANONICAL).encode()
-        with pytest.raises(ProtocolError):
-            messages.parse(Message.decode(message.encode()))
+        with pytest.raises(ProtocolError, match="'body' must be dict"):
+            Message.decode(message.encode())
 
     def test_a_value_edited_in_after_construction_is_what_goes_on_the_wire(self):
         """The body dict is read at encode time: a replaced member is encoded, fragments beside it untouched."""
@@ -579,6 +585,204 @@ class TestSplicedEncoderAgainstTheOracle:
     def test_an_unencodable_value_raises_protocol_error_and_nothing_else(self, build):
         with pytest.raises(ProtocolError):
             build().encode()
+
+
+# =========================================================================================
+# The canonical JSON codec against its oracle
+# =========================================================================================
+#
+# ``canonical_json`` / ``parse_json`` are one C encoder and one C scanner built
+# at import; ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` and
+# ``json.loads`` are their reference.  Bytes must agree exactly; the one
+# deliberate difference is that ``parse_json`` refuses whitespace around the
+# document, which the encoder never writes.
+
+any_text = st.text(max_size=10)  # non-ASCII, quotes, backslashes and control characters
+oracle_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.integers(max_value=-(2**63)),
+    st.floats(),  # NaN and ±inf included
+    any_text,
+)
+oracle_values = st.recursive(
+    oracle_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(any_text, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=4),  # int keys are written as strings
+    ),
+    max_leaves=12,
+)
+
+
+def nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestCanonicalCodecAgainstTheOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(value=oracle_values)
+    def test_the_encoder_writes_what_json_dumps_writes(self, value):
+        assert canonical_json(value) == json.dumps(value, **CANONICAL)
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=oracle_values)
+    def test_the_scanner_reads_what_json_loads_reads(self, value):
+        text = canonical_json(value)
+        assert repr(parse_json(text)) == repr(json.loads(text))  # repr: NaN, 1 vs 1.0 and True vs 1 compare too
+
+    @pytest.mark.parametrize("value", [{"a": 1, 2: 3}, {"bad": object()}, b"bytes", {1, 2}])
+    def test_what_json_dumps_refuses_the_encoder_refuses_alike(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, **CANONICAL)
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
+    @pytest.mark.parametrize("text", [" 1", "1 ", "\n{}", "{}\t", " ", "", "1 2", "{}{}", '"a""b"', "[]]", "nul"])
+    def test_whitespace_around_the_document_a_second_document_and_empty_text_are_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_json(text)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b" " + b'{"type":"ack","xid":1}', b'{"type":"ack","xid":1}\n', b'{"type":"ack","xid":1}{"type":"ack","xid":2}', b""],
+    )
+    def test_message_decode_refuses_padding_two_documents_and_empty_bytes(self, data):
+        with pytest.raises(ProtocolError):
+            Message.decode(data)
+
+    @pytest.mark.parametrize("data", [b'{"type":"ack","xid":1,"mb":"\xff"}', b'{"type":"ack","xid":1,"mb":"\xed\xa0\x80"}'])
+    def test_message_decode_refuses_invalid_utf8(self, data):
+        with pytest.raises(ProtocolError):
+            Message.decode(data)
+
+
+class TestDeepNestingIsRefusedNotRaised:
+    """A recursion limit reached inside the codec is a refusal (``ProtocolError`` / ``StateError``), never ``RecursionError``.
+
+    Which limit is reached depends on the interpreter: the C scanner and
+    encoder count against ``sys.getrecursionlimit()`` up to 3.11 and against a
+    separate C limit from 3.12 on, and 3.12 inlines comprehensions, so
+    ``decode_value`` takes one frame per level instead of two.  The depths
+    here therefore lie beyond every such limit: ``DEEP`` for text the C
+    scanner or encoder walks, and the Python recursion limit plus a margin for
+    a value built in process and handed straight to ``decode_value``.
+    """
+
+    DEEP = 100_000
+
+    def test_decode_of_unbalanced_brackets(self):
+        with pytest.raises(ProtocolError):
+            Message.decode(b"[" * self.DEEP)
+
+    def test_decode_of_a_message_whose_body_is_nested_too_deeply(self):
+        body = "[" * self.DEEP + "]" * self.DEEP
+        with pytest.raises(ProtocolError):
+            Message.decode(f'{{"body":{{"a":{body}}},"mb":"mb","type":"ack","xid":1}}'.encode())
+
+    def test_deserialize_payload_of_a_payload_the_scanner_refuses(self):
+        with pytest.raises(StateError):
+            deserialize_payload(b"R" + b"[" * self.DEEP + b"]" * self.DEEP)
+
+    def test_deserialize_payload_of_a_value_the_payload_decoder_cannot_recurse_through(self, monkeypatch):
+        """The scanner is stubbed out, so only ``decode_value``'s own recursion can run out."""
+        monkeypatch.setattr(chunks, "parse_json", lambda text: nested(sys.getrecursionlimit() + 100))
+        with pytest.raises(StateError, match="RecursionError"):
+            deserialize_payload(b"R[]")
+
+    def test_parse_of_a_body_a_field_decoder_cannot_recurse_through(self):
+        """Nested beyond the recursion limit inside packet annotations: ``decode_value`` runs out of stack."""
+        annotations = {"a": nested(sys.getrecursionlimit() + 100)}
+        packet = {"nw_src": "10.0.0.1", "nw_dst": "10.0.0.2", "nw_proto": 6, "tp_src": 1, "tp_dst": 2, "annotations": annotations}
+        with pytest.raises(ProtocolError, match="RecursionError"):
+            messages.parse(Message(T.REPROCESS_PACKET, body={"packet": packet}))
+
+    def test_encode_of_a_body_nested_too_deeply(self):
+        with pytest.raises(ProtocolError):
+            Message(T.ACK, body={"a": nested(self.DEEP)}).encode()
+
+    def test_a_body_that_contains_itself_is_still_refused(self):
+        body: dict = {}
+        body["self"] = body
+        with pytest.raises(ProtocolError):
+            Message(T.ACK, body=body).encode()
+
+
+class TestTheEnvelopeIsExactlyTyped:
+    """``type`` str, ``xid`` int (not bool), ``reply_to`` / ``cseq`` int or absent, ``mb`` str, ``body`` object."""
+
+    GOOD = {"body": {}, "mb": "mb", "type": T.ACK, "xid": 1}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("type", 7),
+            ("xid", "7"),
+            ("xid", True),
+            ("xid", 1.0),
+            ("reply_to", 1.5),
+            ("reply_to", None),
+            ("cseq", "x"),
+            ("cseq", False),
+            ("mb", 3),
+            ("body", []),
+            ("body", None),
+        ],
+    )
+    def test_an_ill_typed_member_is_refused_at_decode_and_inside_a_batch(self, field, value):
+        frame = {**self.GOOD, field: value}
+        with pytest.raises(ProtocolError, match=repr(field)):
+            Message.decode(canonical_json(frame).encode())
+        batch = {**self.GOOD, "type": T.BATCH, "body": {"frames": [self.GOOD, frame]}}
+        decoded = Message.decode(canonical_json(batch).encode())
+        with pytest.raises(ProtocolError, match=repr(field)):
+            messages.parse(decoded)
+
+    def test_a_message_is_an_object(self):
+        for text in (b'"type xid"', b'["type","xid"]', b"7"):
+            with pytest.raises(ProtocolError):
+                Message.decode(text)
+
+    def test_absent_optional_members_take_their_defaults(self):
+        assert Message.decode(b'{"type":"ack","xid":2}') == Message(T.ACK, xid=2, reply_to=None, mb="", body={}, cseq=None)
+
+
+class TestOneEncodeAndTwoParsesPerChunk:
+    """The codec counts of a batched move: each chunk's payload is encoded once; it is parsed twice
+    (the controller's ``state_chunk`` decode and the destination's unseal) plus the batch frame's share."""
+
+    def test_a_4096_flow_move_in_batches_of_512(self, monkeypatch):
+        calls = {"encode": 0, "parse": 0}
+
+        def counted(kind, function):
+            def wrapper(value):
+                calls[kind] += 1
+                return function(value)
+
+            return wrapper
+
+        encode, parse = chunks.canonical_json, chunks.parse_json
+        for module in (chunks, messages):
+            monkeypatch.setattr(module, "canonical_json", counted("encode", encode))
+            monkeypatch.setattr(module, "parse_json", counted("parse", parse))
+        sim = Simulator()
+        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.05))
+        src, dst = DummyMiddlebox(sim, "src"), DummyMiddlebox(sim, "dst")
+        controller.register(src)
+        controller.register(dst)
+        for index in range(4096):
+            src.support_store.put(src.flow_key_for(index), {"index": index, "packets": 0})
+        handle = NorthboundAPI(controller).move_internal("src", "dst", None, spec=TransferSpec.precopy(batch_size=512))
+        record = sim.run_until(handle.finalized, limit=100)
+        assert record.puts_acked == len(dst.support_store) == 4096
+        assert calls["encode"] / record.puts_acked <= 1.01, calls
+        assert calls["parse"] / record.puts_acked <= 2.01, calls
 
 
 class TestPacketAndEventCodecs:

@@ -83,7 +83,7 @@ class TestEquivalenceObservables:
 
     def test_report_surfaces_mismatches_not_exceptions(self):
         report = run_equivalence(spec_for("no_guarantee", "snapshot", 1))
-        assert report.ok
+        report.assert_ok()  # lists the mismatches when it trips
         assert report.mismatches == []
         # Forge a mismatch to prove assert_ok actually trips on one.
         report.mismatches.append("forged")

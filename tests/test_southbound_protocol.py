@@ -259,13 +259,25 @@ class GarbageMiddlebox:
 class TestMalformedRepliesFailTheWaiter:
     @pytest.mark.parametrize(
         "reply_type, body",
-        [(T.CONFIG_VALUE, {"values": 7}), (T.ERROR, {"reason": 7}), (T.CONFIG_VALUE, None)],
+        [(T.CONFIG_VALUE, {"values": 7}), (T.ERROR, {"reason": 7}), (T.CONFIG_VALUE, {"values": [1]})],
     )
     def test_a_simple_request_future_fails_with_operation_error(self, sim, controller, reply_type, body):
         GarbageMiddlebox(sim, controller, "mb", reply_type, body)
         future = controller.read_config("mb")
         with pytest.raises(OperationError, match="malformed"):
             sim.run_until(future, limit=10)
+
+    def test_a_reply_whose_body_is_not_an_object_never_leaves_the_wire_decoder(self, sim, controller):
+        """The envelope is the decoder's: ``body: null`` is refused there, before any waiter sees it.
+
+        This is deliberate: the channel re-decodes on the sender's side, so an
+        ill-typed envelope is a sender-side ``ProtocolError`` that ends the
+        run, not one failed waiter as an ill-typed body field is.
+        """
+        GarbageMiddlebox(sim, controller, "mb", T.CONFIG_VALUE, None)
+        controller.read_config("mb")
+        with pytest.raises(ProtocolError, match="'body' must be dict"):
+            sim.run(until=1.0)
 
     def test_a_move_fails_with_operation_error(self, sim, controller):
         GarbageMiddlebox(sim, controller, "src", T.STATE_CHUNK, {"chunk": {"role": "supporting"}})
