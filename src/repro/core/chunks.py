@@ -303,7 +303,6 @@ class ChunkCodec:
         flow_key: Optional[FlowKey],
         payload: Any,
         role: StateRole,
-        metadata: Optional[dict] = None,
         *,
         compress: Optional[bool] = None,
     ) -> StateChunk:
@@ -316,7 +315,7 @@ class ChunkCodec:
         """
         use_compress = self.compress if compress is None else compress
         blob = crypto.seal(self.key, serialize_payload(payload, compress=use_compress))
-        return StateChunk(key=flow_key, role=role, blob=blob, metadata=dict(metadata) if metadata else {})
+        return StateChunk(key=flow_key, role=role, blob=blob)
 
     def unseal_perflow(self, chunk: StateChunk) -> Any:
         """Decrypt and deserialise one chunk (per-flow or shared)."""

@@ -131,7 +131,7 @@ class MBController:
         self._active_by_src: Dict[str, List[_StatefulOperation]] = {}
         #: Application subscribers for introspection events.
         self._event_subscribers: List[Callable[[Event], None]] = []
-        #: Monotonic sequence tokens stamped on PUT and REPROCESS messages; the
+        #: Monotonic sequence tokens stamped on ACKed installs and on replays; the
         #: relative order of a flow's last install and an event's last replay
         #: decides whether the event must be replayed (again).
         self._transfer_seq = itertools.count(1)
@@ -477,10 +477,6 @@ class MBController:
         """Register an application callback for introspection events."""
         self._event_subscribers.append(callback)
 
-    def next_transfer_seq(self) -> int:
-        """Reserve the next transfer sequence token (stamped on PUT/REPROCESS)."""
-        return next(self._transfer_seq)
-
     def note_perflow_installed(
         self, dst_mb: str, keys: Iterable[FlowKey], *, operation=None
     ) -> None:
@@ -559,7 +555,7 @@ class MBController:
 
         self.send(
             dst_mb,
-            messages.reprocess_message(dst_mb, event, shared=shared_override, seq=seq),
+            messages.reprocess_message(dst_mb, event, shared=shared_override),
             on_reply=on_replay_reply,
             shard=shard,
         )

@@ -50,7 +50,7 @@ class Event:
     packet: Optional[Packet] = None
     values: Dict[str, object] = field(default_factory=dict)
     raised_at: float = 0.0
-    event_id: int = 0  # numbered by whoever raises (or decodes) it
+    event_id: int = 0  # numbered by the controller that decodes (or raises) it; 0 until then
     #: True for shared-state re-process events (no per-flow key applies).
     shared: bool = False
 

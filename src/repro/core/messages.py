@@ -251,14 +251,14 @@ def _key_json(key: FlowKey) -> str:
 def encode_chunk(chunk: StateChunk) -> _Json:
     """The wire text of a chunk, built once per hop and spliced into whichever message carries it.
 
-    ``{"blob":…,"key":…,"metadata":…,"role":…}``; a shared chunk (``key is
-    None``) carries no ``key``.  Base64 text needs no escaping, so only a
-    non-empty ``metadata`` costs a generic encode.
+    ``{"blob":…,"key":…,"role":…}``; a shared chunk (``key is None``) carries
+    no ``key``.  Base64 text needs no escaping, so no member costs a generic
+    encode.
     """
     try:
         blob = base64.b64encode(chunk.blob).decode("ascii")
         key = "" if chunk.key is None else f'"key":{_key_json(chunk.key)},'
-        return _Json(f'{{"blob":"{blob}",{key}"metadata":{_json(chunk.metadata)},"role":{_json(chunk.role.value)}}}')
+        return _Json(f'{{"blob":"{blob}",{key}"role":{_json(chunk.role.value)}}}')
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"cannot encode state chunk: {exc}") from exc
 
@@ -276,14 +276,10 @@ def _role(raw: Any) -> StateRole:
 def decode_chunk(body: dict, *, shared: bool = False) -> StateChunk:
     """Inverse of :func:`encode_chunk` (parsed): per-flow messages require the ``key``, *shared* ones carry none."""
     try:
-        metadata = body.get("metadata", {})
-        if type(metadata) is not dict:
-            raise ValueError(f"metadata must be an object, got {metadata!r:.40}")
         return StateChunk(
             key=None if shared else FlowKey.from_dict(body["key"]),
             role=_role(body["role"]),
             blob=base64.b64decode(body["blob"]),
-            metadata=dict(metadata) if metadata else {},
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"malformed state chunk: {exc}") from exc
@@ -336,30 +332,24 @@ def get_perflow_delta(
     role: StateRole,
     pattern: FlowPattern,
     *,
-    round: Sequence[int],
     final: bool = False,
     compress: bool = False,
 ) -> Message:
     """Request the chunks dirtied since the last drain (one pre-copy round).
 
-    ``round`` is the (operation id, round index) pair identifying the round on
-    the wire — observability for traces; the source does not interpret it.
-    The authoritative round tags are stamped by the *controller* onto the
-    round's put messages, where the destination uses them to discard installs
-    a newer round superseded.  With ``final=True`` this is the stop-and-copy
-    round: the source additionally marks every pattern-matching flow for
-    re-process events and stops dirty tracking, so updates from that instant
-    on surface as events.  The reply is a chunk stream followed by
-    GET_COMPLETE carrying the count of pattern-matching flows re-dirtied while
-    the round was being exported (the controller's signal for whether another
-    round is worthwhile).  ``compress=True`` asks the source to seal the
-    round's chunks zlib-compressed, as in :func:`get_perflow`.
+    The source is not told which round this is: the *controller* stamps the
+    round tags onto the round's put messages, where the destination uses them
+    to discard installs a newer round superseded.  With ``final=True`` this
+    is the stop-and-copy round: the source additionally marks every
+    pattern-matching flow for re-process events and stops dirty tracking, so
+    updates from that instant on surface as events.  The reply is a chunk
+    stream followed by GET_COMPLETE carrying the number of pattern-matching
+    flows re-dirtied while the round was being exported (the controller's
+    signal for whether another round is worthwhile).  ``compress=True`` asks
+    the source to seal the round's chunks zlib-compressed, as in
+    :func:`get_perflow`.
     """
-    body: Dict[str, Any] = {
-        "role": role.value,
-        "pattern": pattern.as_dict(),
-        "round": list(round),
-    }
+    body: Dict[str, Any] = {"role": role.value, "pattern": pattern.as_dict()}
     if final:
         body["final"] = True
     if compress:
@@ -377,16 +367,13 @@ def put_perflow(
 ) -> Message:
     """Install one per-flow chunk; ``hold=True`` (order-preserving transfers)
     makes the destination queue fresh packets for the flow until its
-    TRANSFER_RELEASE arrives.  ``seq`` is the controller's transfer sequence
-    token, stamped for wire-level observability; the authoritative
-    replay-vs-install ordering uses the controller's ACK-time bookkeeping
-    (see :meth:`MBController.forward_event`).  ``round`` is the pre-copy round
-    tag — (operation id, round index) — the destination uses to discard puts
+    TRANSFER_RELEASE arrives.  ``round`` is the pre-copy round tag —
+    (operation id, round index) — the destination uses to discard puts
     superseded by a newer round; omitted for snapshot transfers."""
     body: Dict[str, Any] = {"chunk": encode_chunk(chunk)}
     if hold:
         body["hold"] = True
-    if seq is not None:
+    if seq is not None:  # written for the codec probes in benchmarks/perf/probes.py only; no receiver reads it
         body["seq"] = seq
     if round is not None:
         body["round"] = list(round)
@@ -400,30 +387,22 @@ def put_perflow_batch(
     hold: bool = False,
     seq: Optional[int] = None,
     round: Optional[Sequence[int]] = None,
-    compressed: bool = False,
 ) -> Message:
     """Install several per-flow chunks with a single message and a single ACK.
 
     Batching amortises the controller's per-message handling cost across
     ``len(chunks)`` chunks — the bulk-transfer optimization of the
-    :class:`~repro.core.transfer.TransferSpec` pipeline.  ``seq`` carries the
-    controller's transfer sequence token (wire-level observability; the
-    controller's ACK-time bookkeeping is authoritative for ordering); ``round``
-    is the pre-copy round tag applied to every chunk in the batch.
-    ``compressed`` marks the batch as carrying zlib-compressed chunk payloads
-    (observability only — each payload's marker byte is self-describing);
-    omitted from the wire when False so uncompressed transfers stay
-    byte-identical to the seed framing.
+    :class:`~repro.core.transfer.TransferSpec` pipeline.  ``round`` is the
+    pre-copy round tag applied to every chunk in the batch.  Whether a chunk's
+    payload is compressed is its own marker byte's business, not the batch's.
     """
     body: Dict[str, Any] = {"chunks": _array([encode_chunk(chunk) for chunk in chunks])}
     if hold:
         body["hold"] = True
-    if seq is not None:
+    if seq is not None:  # written for the codec probes in benchmarks/perf/probes.py only; no receiver reads it
         body["seq"] = seq
     if round is not None:
         body["round"] = list(round)
-    if compressed:
-        body["compressed"] = True
     return Message(MessageType.PUT_PERFLOW_BATCH, mb=mb, body=body)
 
 
@@ -532,9 +511,9 @@ def heartbeat(mb: str) -> Message:
 # -- reply constructors: each carries ``reply_to``, the xid of the request it answers ---------
 
 
-def ack(mb: str, reply_to: int, **receipt: Any) -> Message:
-    """Acknowledge a request; *receipt* is its small result (``count``, ``removed``, ``key``/``role``)."""
-    return Message(MessageType.ACK, reply_to=reply_to, mb=mb, body=receipt)
+def ack(mb: str, reply_to: int, removed: Optional[int] = None) -> Message:
+    """Acknowledge a request; a DEL_PERFLOW's carries the number of entries it ``removed``."""
+    return Message(MessageType.ACK, reply_to=reply_to, mb=mb, body={} if removed is None else {"removed": removed})
 
 
 def error(mb: str, reply_to: int, reason: str) -> Message:
@@ -558,9 +537,9 @@ def shared_state(mb: str, reply_to: int, chunk: StateChunk) -> Message:
     return Message(MessageType.SHARED_STATE, reply_to=reply_to, mb=mb, body={"chunk": encode_chunk(chunk)})
 
 
-def get_complete(mb: str, reply_to: int, role: StateRole, count: int, dirty: Optional[int] = None) -> Message:
-    """End of a chunk stream of *count* chunks; ``dirty`` (pre-copy rounds only) is omitted when None."""
-    body: Dict[str, Any] = {"role": role.value, "count": count}
+def get_complete(mb: str, reply_to: int, role: StateRole, dirty: Optional[int] = None) -> Message:
+    """End of a chunk stream; ``dirty`` (pre-copy rounds only) is omitted when None."""
+    body: Dict[str, Any] = {"role": role.value}
     if dirty is not None:
         body["dirty"] = dirty
     return Message(MessageType.GET_COMPLETE, reply_to=reply_to, mb=mb, body=body)
@@ -619,25 +598,41 @@ def encode_packet(packet: Packet) -> dict:
     return wire
 
 
+def _exactly(name: str, value: Any, *types: type) -> Any:
+    """*value* when its type is exactly one of *types* (a bool is not an int); TypeError otherwise."""
+    if type(value) not in types:
+        raise TypeError(f"packet member {name!r} must be {types[0].__name__}, got {value!r:.40}")
+    return value
+
+
 def decode_packet(body: dict) -> Packet:
+    """Inverse of :func:`encode_packet`, exactly typed as the envelope is: nothing is coerced.
+
+    Addresses are ``str``; ``nw_proto``, the ports, ``seq`` and
+    ``encoded_size`` are ints and not bools; ``flags`` is a list of ``str``;
+    ``created_at`` is an int or a float.  Anything else is a ProtocolError.
+    """
     try:
+        flags = _exactly("flags", body.get("flags", []), list)
+        for flag in flags:
+            _exactly("flags", flag, str)
         packet = Packet(
-            nw_src=body["nw_src"],
-            nw_dst=body["nw_dst"],
-            nw_proto=int(body["nw_proto"]),
-            tp_src=int(body["tp_src"]),
-            tp_dst=int(body["tp_dst"]),
-            payload=base64.b64decode(body.get("payload", "")),
-            flags=frozenset(body.get("flags", [])),
-            seq=int(body.get("seq", 0)),
-            created_at=float(body.get("created_at", 0.0)),
+            nw_src=_exactly("nw_src", body["nw_src"], str),
+            nw_dst=_exactly("nw_dst", body["nw_dst"], str),
+            nw_proto=_exactly("nw_proto", body["nw_proto"], int),
+            tp_src=_exactly("tp_src", body["tp_src"], int),
+            tp_dst=_exactly("tp_dst", body["tp_dst"], int),
+            payload=base64.b64decode(_exactly("payload", body.get("payload", ""), str)),
+            flags=frozenset(flags),
+            seq=_exactly("seq", body.get("seq", 0), int),
+            created_at=float(_exactly("created_at", body.get("created_at", 0.0), int, float)),
         )
-    except (KeyError, ValueError) as exc:
-        raise ProtocolError(f"malformed packet encoding: {exc}") from exc
+        if "encoded_size" in body:
+            packet.encoded_size = _exactly("encoded_size", body["encoded_size"], int)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed packet encoding: {exc!r}") from exc
     if "annotations" in body:
         packet.annotations = decode_value(body["annotations"])
-    if "encoded_size" in body:
-        packet.encoded_size = int(body["encoded_size"])
     return packet
 
 
@@ -645,7 +640,6 @@ def event_message(event: Event) -> Message:
     """Build the EVENT message a middlebox sends to the controller."""
     body: Dict[str, Any] = {
         "code": event.code,
-        "event_id": event.event_id,
         "raised_at": event.raised_at,
         "shared": event.shared,
         "values": dict(event.values),
@@ -658,42 +652,33 @@ def event_message(event: Event) -> Message:
 
 
 def decode_event(message: Message) -> Event:
-    """Reconstruct an :class:`Event` from an EVENT message.
-
-    The wire ``event_id`` is not read: the receiver numbers the event itself.
-    """
+    """Reconstruct an :class:`Event` from an EVENT message; the receiver numbers it."""
     return Event(mb_name=message.mb, **parse(message))
 
 
-def reprocess_message(
-    mb: str, event: Event, *, shared: Optional[bool] = None, seq: Optional[int] = None
-) -> Message:
+def reprocess_message(mb: str, event: Event, *, shared: Optional[bool] = None) -> Message:
     """Build the message the controller sends to the destination MB to replay a packet.
 
+    The packet carries its own five-tuple, so the event's key stays behind.
     ``shared`` overrides the event's own shared flag: a *re*-replay issued
     because a later state chunk overwrote the flow's per-flow state must not
     re-apply the shared-state component a previous replay already applied
-    (shared puts merge, so that component survived).  ``seq`` is the
-    controller's transfer sequence token for this replay (wire-level
-    observability; the controller re-stamps the token at replay-ACK time for
-    the authoritative ordering against state installs).
+    (shared puts merge, so that component survived).
     """
     body: Dict[str, Any] = {"shared": event.shared if shared is None else shared}
-    if event.key is not None:
-        body["key"] = event.key.as_dict()
     if event.packet is not None:
         body["packet"] = encode_packet(event.packet)
-    if seq is not None:
-        body["seq"] = seq
     return Message(MessageType.REPROCESS_PACKET, mb=mb, body=body)
 
 
 # -- controller <-> controller federation ---------------------------------------------
+#
+# The inter-domain link a frame arrives on names its sender, so no frame names
+# its own domain.
 
 
 def fed_gossip(
     peer: str,
-    domain: str,
     sent_at: float,
     *,
     heard: float,
@@ -714,29 +699,29 @@ def fed_gossip(
     map's constant-size count + checksum in section order; ``resync`` (on
     the wire only when set) asks the peer for its differing maps in full.
     """
-    body = {"domain": domain, "sent_at": sent_at, "heard": heard, "summary": list(summary)}
+    body = {"sent_at": sent_at, "heard": heard, "summary": list(summary)}
     body.update(membership=list(membership), liveness=list(liveness), ownership=list(ownership))
     if resync:
         body["resync"] = True
     return Message(MessageType.FED_GOSSIP, mb=peer, body=body)
 
 
-def fed_move_request(peer: str, domain: str, instance: str) -> Message:
+def fed_move_request(peer: str, instance: str) -> Message:
     """Ask *peer* to lend *instance* as the destination of a cross-domain move."""
-    return Message(MessageType.FED_MOVE_REQUEST, mb=peer, body={"domain": domain, "instance": instance})
+    return Message(MessageType.FED_MOVE_REQUEST, mb=peer, body={"instance": instance})
 
 
-def fed_move_grant(request: Message, peer: str, domain: str, *, granted: bool, reason: str = "") -> Message:
-    """Answer a FED_MOVE_REQUEST; ``reason`` is omitted from the wire when empty."""
-    body: Dict[str, Any] = {"domain": domain, "instance": parse(request)["instance"], "granted": granted}
+def fed_move_grant(request: Message, peer: str, *, granted: bool, reason: str = "") -> Message:
+    """Answer a FED_MOVE_REQUEST (matched by ``reply_to``); ``reason`` is omitted from the wire when empty."""
+    body: Dict[str, Any] = {"granted": granted}
     if reason:
         body["reason"] = reason
     return Message(MessageType.FED_MOVE_GRANT, reply_to=request.xid, mb=peer, body=body)
 
 
-def fed_move_done(peer: str, domain: str, instance: str, *, ok: bool) -> Message:
-    """Return a lent instance to its home domain after the move finished/aborted."""
-    return Message(MessageType.FED_MOVE_DONE, mb=peer, body={"domain": domain, "instance": instance, "ok": ok})
+def fed_move_done(peer: str, instance: str) -> Message:
+    """Return a lent instance to its home domain after the move finished or aborted."""
+    return Message(MessageType.FED_MOVE_DONE, mb=peer, body={"instance": instance})
 
 
 # -- body parsers -------------------------------------------------------------------------
@@ -774,8 +759,8 @@ _KEYS = (("keys", _each(FlowKey.from_dict), ()),)
 _PACKET = ("packet", decode_packet, None)
 _SHARED = ("shared", _flag, False)
 _SHARED_CHUNK = ("chunk", partial(decode_chunk, shared=True), REQUIRED)
-_PUT_TAGS = (("hold", _flag, False), ("seq", _int, None), ("round", tuple, None))
-_LENT = (("domain", _str, None), ("instance", _str, ""))
+_PUT_TAGS = (("hold", _flag, False), ("round", tuple, None))
+_INSTANCE = (("instance", _str, ""),)
 
 
 def _clock(value: Any) -> float:
@@ -810,9 +795,9 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.SET_CONFIG: (("key", _str, REQUIRED), ("values", list, ())),
     MessageType.DEL_CONFIG: (("key", _str, REQUIRED),),
     MessageType.GET_PERFLOW: (_ROLE, _PATTERN, ("transfer", _flag, False), ("track_dirty", _flag, False), _COMPRESS),
-    MessageType.GET_PERFLOW_DELTA: (_ROLE, _PATTERN, ("round", tuple, None), ("final", _flag, False), _COMPRESS),
+    MessageType.GET_PERFLOW_DELTA: (_ROLE, _PATTERN, ("final", _flag, False), _COMPRESS),
     MessageType.PUT_PERFLOW: (("chunk", decode_chunk, REQUIRED), *_PUT_TAGS),
-    MessageType.PUT_PERFLOW_BATCH: (("chunks", _each(decode_chunk), ()), *_PUT_TAGS, ("compressed", _flag, False)),
+    MessageType.PUT_PERFLOW_BATCH: (("chunks", _each(decode_chunk), ()), *_PUT_TAGS),
     MessageType.DEL_PERFLOW: (_ROLE, _PATTERN),
     MessageType.TRANSFER_HOLD: _KEYS,
     MessageType.TRANSFER_RELEASE: _KEYS,
@@ -822,21 +807,21 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.ENABLE_EVENTS: (("code", _str, REQUIRED), _OPTIONAL_PATTERN, ("until", _number, None)),
     MessageType.DISABLE_EVENTS: (("code", _str, REQUIRED), _OPTIONAL_PATTERN),
     MessageType.TRANSFER_END: (("dirty_only", _flag, False), ("shared_only", _flag, False)),
-    MessageType.REPROCESS_PACKET: (_PACKET, _SHARED, _KEY, ("seq", _int, None)),
+    MessageType.REPROCESS_PACKET: (_PACKET, _SHARED),
     MessageType.CONFIG_VALUE: (("values", dict, {}),),
     MessageType.STATE_CHUNK: (("chunk", decode_chunk, REQUIRED),),
     MessageType.SHARED_STATE: (_SHARED_CHUNK,),
-    MessageType.GET_COMPLETE: (("role", _str, None), ("count", _int, 0), ("dirty", _int, None)),
+    MessageType.GET_COMPLETE: (("role", _str, None), ("dirty", _int, None)),
     MessageType.STATS_REPLY: (("stats", dict, {}),),
-    MessageType.ACK: (("removed", _int, 0), ("count", _int, 0), _KEY, ("role", _str, None)),
+    MessageType.ACK: (("removed", _int, 0),),
     MessageType.ERROR: (("reason", _str, ""),),
     MessageType.EVENT: (("code", _str, ""), ("raised_at", float, 0.0), _SHARED, ("values", dict, {}), _KEY, _PACKET),
     MessageType.HEARTBEAT: (),
     MessageType.CHAN_ACK: (("cum", _int, 0),),
-    MessageType.FED_GOSSIP: (("domain", _str, ""), *_GOSSIP, *_DIGEST),
-    MessageType.FED_MOVE_REQUEST: _LENT,
-    MessageType.FED_MOVE_GRANT: (*_LENT, ("granted", _flag, False), ("reason", _str, "denied")),
-    MessageType.FED_MOVE_DONE: (*_LENT, ("ok", _flag, False)),
+    MessageType.FED_GOSSIP: (*_GOSSIP, *_DIGEST),
+    MessageType.FED_MOVE_REQUEST: _INSTANCE,
+    MessageType.FED_MOVE_GRANT: (("granted", _flag, False), ("reason", _str, "denied")),
+    MessageType.FED_MOVE_DONE: _INSTANCE,
 }
 
 

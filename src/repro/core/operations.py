@@ -622,21 +622,12 @@ class ChunkPipeline:
                     self._queue.popleft()
                     for _ in range(min(self.spec.batch_size, len(self._queue)))
                 ]
-                seq = self.op.controller.next_transfer_seq()
-                message = messages.put_perflow_batch(
-                    self.op.dst,
-                    batch,
-                    hold=hold,
-                    seq=seq,
-                    round=round_tag,
-                    compressed=self.spec.compress,
-                )
+                message = messages.put_perflow_batch(self.op.dst, batch, hold=hold, round=round_tag)
                 keys = tuple(chunk.key.bidirectional() for chunk in batch)
                 self.op.record.batches_sent += 1
             else:
                 chunk = self._queue.popleft()
-                seq = self.op.controller.next_transfer_seq()
-                message = messages.put_perflow(self.op.dst, chunk, hold=hold, seq=seq, round=round_tag)
+                message = messages.put_perflow(self.op.dst, chunk, hold=hold, round=round_tag)
                 keys = (chunk.key.bidirectional(),)
             self._in_flight += 1
             self.op.controller.send(
@@ -1065,12 +1056,7 @@ class MoveOperation(_StatefulOperation):
                 )
             else:
                 message = messages.get_perflow_delta(
-                    self.src,
-                    role,
-                    self.pattern,
-                    round=(self.record.op_id, self._round),
-                    final=self._in_final_phase,
-                    compress=self.spec.compress,
+                    self.src, role, self.pattern, final=self._in_final_phase, compress=self.spec.compress
                 )
             self.controller.send(self.src, message, on_reply=self._on_src_reply, shard=self.home_shard)
 

@@ -313,9 +313,6 @@ class SouthboundAgent:
         message.xid = next(self._xids)
         self.channel.send_to_controller(message)
 
-    def _ack(self, request: Message, **receipt: object) -> Message:
-        return messages.ack(self.middlebox.name, request.xid, **receipt)
-
     def _error(self, request: Message, reason: str) -> None:
         self.stats.errors_sent += 1
         self._send(messages.error(self.middlebox.name, request.xid, reason))
@@ -332,7 +329,7 @@ class SouthboundAgent:
         """
         if message.type != MessageType.BATCH:
             self.stats.requests_handled += 1
-        self._respond(message, self._accept, (message,), {})
+        self._respond(message, self._accept, (message,))
 
     def _accept(self, request: Message) -> object:
         """Parse *request* and hand its typed fields to the handler for its type."""
@@ -342,27 +339,25 @@ class SouthboundAgent:
         handler(self, request, **messages.parse(request))
         return _STREAMED
 
-    def _serve(
-        self, request: Message, cost: Optional[float], work: Callable, *args: object, lane=None, **receipt: object
-    ) -> None:
+    def _serve(self, request: Message, cost: Optional[float], work: Callable, *args: object, lane=None) -> None:
         """Charge *cost*, then answer *request* with the outcome of ``work(*args)``.
 
         The cost is a plain delay, or serialised time on *lane*; None runs the
-        work at once.  *receipt* is the body of the ACK sent when the work
-        returns no reply of its own (middlebox calls' results are not replies).
+        work at once.
         """
         if cost is None:
-            self._respond(request, work, args, receipt)
+            self._respond(request, work, args)
         elif lane is None:
-            self.sim.schedule(cost, self._respond, request, work, args, receipt)
+            self.sim.schedule(cost, self._respond, request, work, args)
         else:
-            lane.submit(cost, self._respond, request, work, args, receipt)
+            lane.submit(cost, self._respond, request, work, args)
 
-    def _respond(self, request: Message, work: Callable, args: tuple, receipt: dict) -> None:
-        """The one reply policy: the Message the work returns, otherwise an ACK — or one ERROR.
+    def _respond(self, request: Message, work: Callable, args: tuple) -> None:
+        """The one reply policy: the Message the work returns, otherwise an empty ACK — or one ERROR.
 
-        A malformed request (``ProtocolError``) and a middlebox refusal (any
-        other ``OpenMBError``) both end here.
+        A middlebox call's own result is not a reply.  A malformed request
+        (``ProtocolError``) and a middlebox refusal (any other
+        ``OpenMBError``) both end here.
         """
         try:
             reply = work(*args)
@@ -370,7 +365,7 @@ class SouthboundAgent:
             self._error(request, str(exc))
             return
         if reply is not _STREAMED:
-            self._send(reply if isinstance(reply, Message) else self._ack(request, **receipt))
+            self._send(reply if isinstance(reply, Message) else messages.ack(self.middlebox.name, request.xid))
 
     def _batch(self, request: Message, frames: List[Message]) -> None:
         """Unframe a BATCH and serve its inner requests in order.
@@ -427,7 +422,6 @@ class SouthboundAgent:
         request: Message,
         role: StateRole,
         pattern: FlowPattern,
-        round: Optional[tuple],
         final: bool,
         compress: bool,
     ) -> None:
@@ -469,7 +463,6 @@ class SouthboundAgent:
         role: StateRole,
         chunks: Iterator[StateChunk],
         dirty_pattern: Optional[FlowPattern],
-        sent: int = 0,
     ) -> object:
         """Stream an export iterator in bounded batches.
 
@@ -485,49 +478,32 @@ class SouthboundAgent:
         batch = list(islice(chunks, self.GET_STREAM_BATCH))
         for index, chunk in enumerate(batch):
             self.sim.schedule(costs.get_per_chunk * (index + 1), self._send_chunk, request, chunk)
-        sent += len(batch)
         if len(batch) == self.GET_STREAM_BATCH:
-            step = (request, role, chunks, dirty_pattern, sent)
-            self.sim.schedule(costs.get_per_chunk * len(batch), self._respond, request, self._pump_chunks, step, {})
+            step = (request, role, chunks, dirty_pattern)
+            self.sim.schedule(costs.get_per_chunk * len(batch), self._respond, request, self._pump_chunks, step)
         else:
-            self.sim.schedule(
-                costs.get_per_chunk * len(batch), self._send_get_complete, request, role, sent, dirty_pattern
-            )
+            self.sim.schedule(costs.get_per_chunk * len(batch), self._send_get_complete, request, role, dirty_pattern)
         return _STREAMED
 
     def _send_chunk(self, request: Message, chunk: StateChunk) -> None:
         self.stats.chunks_sent += 1
         self._send(messages.state_chunk(self.middlebox.name, request.xid, chunk))
 
-    def _send_get_complete(
-        self, request: Message, role: StateRole, count: int, dirty_pattern: Optional[FlowPattern] = None
-    ) -> None:
+    def _send_get_complete(self, request: Message, role: StateRole, dirty_pattern: Optional[FlowPattern]) -> None:
         # Dirt that accumulated while the chunks were being exported —
         # restricted to the transfer's pattern — is the controller's signal
         # for whether another pre-copy round pays off.
         dirty = None if dirty_pattern is None else self.middlebox.dirty_perflow_count(role, dirty_pattern)
-        self._send(messages.get_complete(self.middlebox.name, request.xid, role, count, dirty))
+        self._send(messages.get_complete(self.middlebox.name, request.xid, role, dirty))
 
-    def _put_perflow(
-        self, request: Message, chunk: StateChunk, hold: bool, seq: Optional[int], round: Optional[tuple]
-    ) -> None:
-        cost = self.middlebox.costs.put_per_chunk
-        receipt = {"key": chunk.key.as_dict(), "role": chunk.role.value}
-        self._serve(request, cost, self._install, [chunk], hold, round, lane=self._import, **receipt)
+    def _put_perflow(self, request: Message, chunk: StateChunk, hold: bool, round: Optional[tuple]) -> None:
+        self._serve(request, self.middlebox.costs.put_per_chunk, self._install, [chunk], hold, round, lane=self._import)
 
-    def _put_perflow_batch(
-        self,
-        request: Message,
-        chunks: List[StateChunk],
-        hold: bool,
-        seq: Optional[int],
-        round: Optional[tuple],
-        compressed: bool,
-    ) -> None:
+    def _put_perflow_batch(self, request: Message, chunks: List[StateChunk], hold: bool, round: Optional[tuple]) -> None:
         # Importing a batch occupies the single import thread for the sum of the
         # per-chunk costs, but produces a single ACK.
         cost = self.middlebox.costs.put_per_chunk * max(1, len(chunks))
-        self._serve(request, cost, self._install, chunks, hold, round, lane=self._import, count=len(chunks))
+        self._serve(request, cost, self._install, chunks, hold, round, lane=self._import)
 
     def _install(self, chunks: List[StateChunk], hold: bool, round: Optional[tuple]) -> None:
         """Import *chunks* in order, counting each one that made it, then hold their flows."""
@@ -540,7 +516,8 @@ class SouthboundAgent:
     def _del_perflow(self, request: Message, role: StateRole, pattern: FlowPattern) -> None:
         # Model the deletion cost as proportional to the number of entries scanned.
         cost = self.middlebox.costs.del_per_chunk * max(1, self.middlebox.perflow_count(role))
-        self._serve(request, cost, lambda: self._ack(request, removed=self.middlebox.del_perflow(role, pattern)))
+        removed = lambda: messages.ack(self.middlebox.name, request.xid, removed=self.middlebox.del_perflow(role, pattern))
+        self._serve(request, cost, removed)
 
     # shared state --------------------------------------------------------------------------
 
@@ -550,7 +527,7 @@ class SouthboundAgent:
     def _export_shared(self, request: Message, role: StateRole, transfer: bool) -> object:
         chunk = self.middlebox.get_shared(role, mark_transfer=transfer)
         if chunk is None:
-            return messages.get_complete(self.middlebox.name, request.xid, role, 0)
+            return messages.get_complete(self.middlebox.name, request.xid, role)
         reply = messages.shared_state(self.middlebox.name, request.xid, chunk)
         self.sim.schedule(self.middlebox.costs.shared_get_per_byte * chunk.size, self._send, reply)
         return _STREAMED
@@ -558,7 +535,7 @@ class SouthboundAgent:
     def _put_shared(self, request: Message, chunk: StateChunk) -> None:
         costs = self.middlebox.costs
         delay = costs.shared_put_base + costs.shared_put_per_byte * chunk.size
-        self._serve(request, delay, self.middlebox.put_shared, chunk, role=chunk.role.value)
+        self._serve(request, delay, self.middlebox.put_shared, chunk)
 
     # statistics, events, transfers -------------------------------------------------------------
 
@@ -588,14 +565,12 @@ class SouthboundAgent:
         self._serve(request, None, end)
 
     def _transfer_hold(self, request: Message, keys: List[FlowKey]) -> None:
-        self._serve(request, None, self.middlebox.hold_flows, keys, count=len(keys))
+        self._serve(request, None, self.middlebox.hold_flows, keys)
 
     def _transfer_release(self, request: Message, keys: List[FlowKey]) -> None:
-        self._serve(request, None, self.middlebox.release_flows, keys, count=len(keys))
+        self._serve(request, None, self.middlebox.release_flows, keys)
 
-    def _reprocess_packet(
-        self, request: Message, packet: Optional[Packet], shared: bool, key: Optional[FlowKey], seq: Optional[int]
-    ) -> None:
+    def _reprocess_packet(self, request: Message, packet: Optional[Packet], shared: bool) -> None:
         self._serve(request, self.middlebox.costs.reprocess_packet, self._replay, packet, shared)
 
     def _replay(self, packet: Optional[Packet], shared: bool) -> None:

@@ -33,7 +33,7 @@ operations read which cells a move, a clone or a merge may act on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from .errors import GranularityError, StateError
@@ -137,8 +137,8 @@ class StateChunk:
     """A unit of exported state: a flow key (per-flow state) and a sealed value blob.
 
     This is the ``[HeaderFieldList : EncryptedChunk]`` pair of the paper's
-    southbound API.  The blob is opaque to the controller; the only visible
-    metadata are the flow key, the role, and the blob size.  A chunk of
+    southbound API.  The blob is opaque to the controller; all it sees of a
+    chunk are the flow key, the role, and the blob size.  A chunk of
     *shared* state — one blob for the whole middlebox — is a chunk whose
     ``key`` is ``None``.
     """
@@ -146,7 +146,6 @@ class StateChunk:
     key: Optional[FlowKey]
     role: StateRole
     blob: bytes
-    metadata: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:

@@ -320,7 +320,7 @@ class FederatedDomain:
             sections[name] = [entry.as_wire() for entry in entries]
             if entries:
                 link.told_at = now
-        self._send(link, messages.fed_gossip(peer, self.name, now, heard=link.heard, summary=summary, resync=link.ask, **sections))
+        self._send(link, messages.fed_gossip(peer, now, heard=link.heard, summary=summary, resync=link.ask, **sections))
         link.ask = False
 
     def _check_suspicions(self, now: float) -> None:
@@ -437,13 +437,11 @@ class FederatedDomain:
         elif message.type == MessageType.FED_MOVE_REQUEST:
             self._on_move_request(peer, message, **fields)
         elif message.type == MessageType.FED_MOVE_GRANT:
-            self._on_move_grant(peer, message, fields["granted"], fields["reason"])
+            self._on_move_grant(peer, message, **fields)
         elif message.type == MessageType.FED_MOVE_DONE:
             self._on_move_done(fields["instance"])
 
-    def _absorb_digest(
-        self, link: PeerLink, domain: str, sent_at: float, heard: float, summary: list, resync: bool, **sections: list
-    ) -> None:
+    def _absorb_digest(self, link: PeerLink, sent_at: float, heard: float, summary: list, resync: bool, **sections: list) -> None:
         now = self.sim.now
         self.digests_received += 1
         link.observe(now - sent_at)
@@ -528,7 +526,7 @@ class FederatedDomain:
         if link is None:
             future.fail(ValueError(f"domain {self.name!r} has no peer {peer!r}"))
             return future
-        request = self._send(link, messages.fed_move_request(peer, self.name, dst_instance))
+        request = self._send(link, messages.fed_move_request(peer, dst_instance))
         self._outbound[request.xid] = {
             "future": future,
             "peer": peer,
@@ -540,18 +538,18 @@ class FederatedDomain:
         }
         return future
 
-    def _on_move_request(self, peer: str, message: Message, domain: Optional[str], instance: str) -> None:
+    def _on_move_request(self, peer: str, message: Message, instance: str) -> None:
         """Home-domain side: lend the requested instance (or refuse)."""
         link = self._peers[peer]
         if not self.controller.is_registered(instance) or instance in self._lent:
-            self._send(link, messages.fed_move_grant(message, peer, self.name, granted=False, reason=f"{instance!r} unavailable"))
+            self._send(link, messages.fed_move_grant(message, peer, granted=False, reason=f"{instance!r} unavailable"))
             return
         # Clean unregister: the instance leaves this controller for the
         # duration of the move (its object stays in ``_instances`` so it can
         # come home on FED_MOVE_DONE).
         self.controller.unregister(instance)
-        self._lent[instance] = domain or peer
-        self._send(link, messages.fed_move_grant(message, peer, self.name, granted=True))
+        self._lent[instance] = peer
+        self._send(link, messages.fed_move_grant(message, peer, granted=True))
 
     def _on_move_grant(self, peer: str, message: Message, granted: bool, reason: str) -> None:
         """Borrowing side: run the WAN move once the lend is granted."""
@@ -601,7 +599,7 @@ class FederatedDomain:
             self.controller.unregister(dst)
         link = self._peers.get(peer)
         if link is not None:
-            self._send(link, messages.fed_move_done(peer, self.name, dst, ok=ok))
+            self._send(link, messages.fed_move_done(peer, dst))
         if ok:
             future.succeed(handle.record)
         else:

@@ -27,7 +27,6 @@ modification": export and import are derived from the declaration.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -173,7 +172,6 @@ class Middlebox(Node, MiddleboxInterface):
         #: Simulated time until which an API call keeps the middlebox slightly slower.
         self._api_busy_until = 0.0
         self._event_sink: Optional[Callable[[Event], None]] = None
-        self._event_ids = itertools.count(1)
         #: Fixed egress port; when None the packet leaves by "the other" port.
         self.egress_port: Optional[int] = None
 
@@ -302,7 +300,6 @@ class Middlebox(Node, MiddleboxInterface):
         self._event_sink = sink
 
     def _emit(self, event: Event) -> None:
-        event.event_id = next(self._event_ids)
         if self._event_sink is not None:
             self._event_sink(event)
 

@@ -72,12 +72,15 @@ class RealtimeFuture(Future):
             self.sim.schedule(0.0, fire)
 
     def add_done_callback(self, callback: Callable[[Future], None]) -> None:
-        """Register *callback* (thread-safe); runs immediately if already done."""
+        """Register *callback* (thread-safe); if already done it runs at once on the owner thread, or is posted there."""
         with self._lock:
             if not self._done:
                 self._callbacks.append(callback)
                 return
-        callback(self)
+        if self.sim._on_owner_thread():
+            callback(self)
+        else:
+            self.sim.schedule(0.0, callback, self)
 
 
 class RealtimeRuntime(Simulator):

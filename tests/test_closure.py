@@ -73,7 +73,7 @@ def run_move(variant: str, flows: int, *, events: int):
     def traced_send(message):
         if message.type in TRACED:
             body = message.body
-            keys = body["keys"] if "keys" in body else [body["key"]]
+            keys = body["keys"] if "keys" in body else [body["packet"]]
             names = ",".join(f"{key['nw_src']}:{key['tp_src']}" for key in keys)
             trace.append(f"{message.type} {names}")
         return send(message)

@@ -196,6 +196,7 @@ class TestControllerEventDeduplication:
         controller.register(src)
         controller.register(dst)
         event = src.generate_reprocess_event(0)
+        event.event_id = next(controller._event_ids)  # numbered as the controller numbers what it decodes
         assert controller.forward_event("dst", event) == "sent"
         assert controller.forward_event("dst", event) == "covered"
 

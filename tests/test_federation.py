@@ -625,12 +625,12 @@ class TestSingleDomainGoldenEquivalence:
 
     def test_contended_workload_matches_the_golden_numbers(self):
         durations, received, sent, executed = self._workload(2, 50, events_rate=200.0)
-        assert durations == [0.016581392, 0.016621392]
+        assert durations == [0.01658128, 0.01662128]  # 112 ns under the seed: shorter ACKs and chunks
         assert (received, sent, executed) == (412, 206, 1440)
 
     def test_single_move_matches_the_golden_numbers(self):
         durations, received, sent, executed = self._workload(1, 80)
-        assert durations == [pytest.approx(0.013291392, abs=1e-9)]
+        assert durations == [pytest.approx(0.01329128, abs=1e-9)]  # 112 ns under the seed: shorter ACKs and chunks
         assert (received, sent, executed) == (322, 162, 1130)
 
 
@@ -953,7 +953,7 @@ class TestTombstoneExpiry:
         sim.run(until=authored + self.TTL / 2)
         link = dc0.peer_link("dc1")
         late = messages.fed_gossip(
-            "dc1", "dc0", sim.now, heard=link.heard, summary=dc0.summaries(),
+            "dc1", sim.now, heard=link.heard, summary=dc0.summaries(),
             membership=[], liveness=[dc0.gossip.liveness.get("mb").as_wire()], ownership=[],
         )  # fmt: skip
         sim.run(until=authored + self.TTL + 2 * self.INTERVAL)
@@ -991,7 +991,7 @@ class TestMalformedDigestsAreRefused:
     }
 
     def _frame(self, **overrides) -> Message:
-        body = {"domain": "dc0", "sent_at": 0.0, "heard": 0.0, "summary": ["", "", ""]}
+        body = {"sent_at": 0.0, "heard": 0.0, "summary": ["", "", ""]}
         body.update({section: [] for section in SECTIONS}, **overrides)
         return Message(messages.MessageType.FED_GOSSIP, mb="dc1", body=body)
 

@@ -66,18 +66,16 @@ class TestMessageEncoding:
 
 class TestChunkCodecs:
     def test_perflow_chunk_roundtrip(self):
-        chunk = StateChunk(key=KEY, role=StateRole.SUPPORTING, blob=b"\x00\x01binary", metadata={"n": 1})
-        decoded = messages.decode_chunk(json.loads(messages.encode_chunk(chunk)))
-        assert decoded.key == KEY
-        assert decoded.role is StateRole.SUPPORTING
-        assert decoded.blob == chunk.blob
-        assert decoded.metadata == {"n": 1}
+        chunk = StateChunk(key=KEY, role=StateRole.SUPPORTING, blob=b"\x00\x01binary")
+        wire = json.loads(messages.encode_chunk(chunk))
+        assert sorted(wire) == ["blob", "key", "role"]
+        assert messages.decode_chunk(wire) == chunk
 
     def test_shared_chunk_roundtrip(self):
         """A shared chunk is the keyless case: no ``key`` on the wire, none after decoding."""
         chunk = StateChunk(key=None, role=StateRole.REPORTING, blob=b"shared-bytes")
         wire = json.loads(messages.encode_chunk(chunk))
-        assert sorted(wire) == ["blob", "metadata", "role"]
+        assert sorted(wire) == ["blob", "role"]
         decoded = messages.decode_chunk(wire, shared=True)
         assert decoded.key is None
         assert decoded.role is StateRole.REPORTING
@@ -165,7 +163,6 @@ class Draw:
             key=None if shared else self.key(),
             role=self.draw(roles),
             blob=self.draw(st.binary(max_size=40)),
-            metadata=self.draw(json_objects),
         )
 
     def packet(self) -> Packet:
@@ -189,7 +186,7 @@ class Draw:
 
 
 def plain_chunk(chunk: StateChunk) -> dict:
-    plain = {"role": chunk.role.value, "blob": base64.b64encode(chunk.blob).decode("ascii"), "metadata": chunk.metadata}
+    plain = {"role": chunk.role.value, "blob": base64.b64encode(chunk.blob).decode("ascii")}
     if chunk.key is not None:
         plain["key"] = chunk.key.as_dict()
     return plain
@@ -258,26 +255,26 @@ def case_get_perflow(d):
 
 
 def case_get_perflow_delta(d):
-    role, pattern, round_, final, compress = d(roles), d(patterns), (d.int(), d.int()), d(st.booleans()), d(st.booleans())
-    message = messages.get_perflow_delta(d.text(), role, pattern, round=round_, final=final, compress=compress)
-    body = {"role": role.value, "pattern": pattern.as_dict(), "round": list(round_), **raised(final=final, compress=compress)}
-    return message, body, dict(role=role, pattern=pattern, round=round_, final=final, compress=compress)
+    role, pattern, final, compress = d(roles), d(patterns), d(st.booleans()), d(st.booleans())
+    message = messages.get_perflow_delta(d.text(), role, pattern, final=final, compress=compress)
+    body = {"role": role.value, "pattern": pattern.as_dict(), **raised(final=final, compress=compress)}
+    return message, body, dict(role=role, pattern=pattern, final=final, compress=compress)
 
 
 def case_put_perflow(d):
-    chunk, hold, seq, round_ = d.chunk(), d(st.booleans()), d.maybe(d.int()), d.round()
-    message = messages.put_perflow(d.text(), chunk, hold=hold, seq=seq, round=round_)
-    body = {"chunk": plain_chunk(chunk), **raised(hold=hold), **present(seq=seq, round=None if round_ is None else list(round_))}
-    return message, body, dict(chunk=chunk, hold=hold, seq=seq, round=round_)
+    chunk, hold, round_ = d.chunk(), d(st.booleans()), d.round()
+    message = messages.put_perflow(d.text(), chunk, hold=hold, round=round_)
+    body = {"chunk": plain_chunk(chunk), **raised(hold=hold), **present(round=None if round_ is None else list(round_))}
+    return message, body, dict(chunk=chunk, hold=hold, round=round_)
 
 
 def case_put_perflow_batch(d):
     chunks = [d.chunk() for _ in range(d(st.integers(0, 3)))]
-    hold, seq, round_, compressed = d(st.booleans()), d.maybe(d.int()), d.round(), d(st.booleans())
-    message = messages.put_perflow_batch(d.text(), chunks, hold=hold, seq=seq, round=round_, compressed=compressed)
-    tags = {**raised(hold=hold, compressed=compressed), **present(seq=seq, round=None if round_ is None else list(round_))}
+    hold, round_ = d(st.booleans()), d.round()
+    message = messages.put_perflow_batch(d.text(), chunks, hold=hold, round=round_)
+    tags = {**raised(hold=hold), **present(round=None if round_ is None else list(round_))}
     body = {"chunks": [plain_chunk(chunk) for chunk in chunks], **tags}
-    return message, body, dict(chunks=chunks, hold=hold, seq=seq, round=round_, compressed=compressed)
+    return message, body, dict(chunks=chunks, hold=hold, round=round_)
 
 
 def case_del_perflow(d):
@@ -331,15 +328,13 @@ def case_transfer_end(d):
 
 def case_reprocess_packet(d):
     event = Event("src", EventCode.REPROCESS, key=d.maybe(d.key()), packet=d.maybe(d.packet()), shared=d(st.booleans()))
-    shared, seq = d.maybe(d.flag()), d.maybe(d.int())
-    message = messages.reprocess_message(d.text(), event, shared=shared, seq=seq)
+    shared = d.maybe(d.flag())
+    message = messages.reprocess_message(d.text(), event, shared=shared)
     sent_shared = event.shared if shared is None else shared
-    body = {"shared": sent_shared, **present(seq=seq)}
-    if event.key is not None:
-        body["key"] = event.key.as_dict()
+    body = {"shared": sent_shared}  # the event's key stays behind: the packet carries its own five-tuple
     if event.packet is not None:
         body["packet"] = plain_packet(event.packet)
-    return message, body, dict(packet=event.packet, shared=sent_shared, key=event.key, seq=seq)
+    return message, body, dict(packet=event.packet, shared=sent_shared)
 
 
 def case_config_value(d):
@@ -356,9 +351,9 @@ def _case_chunk_reply(constructor, *, shared):
 
 
 def case_get_complete(d):
-    role, count, dirty = d(roles), d.int(), d.maybe(d.int())
-    message = messages.get_complete(d.text(), d.int(), role, count, dirty)
-    return message, {"role": role.value, "count": count, **present(dirty=dirty)}, dict(role=role.value, count=count, dirty=dirty)
+    role, dirty = d(roles), d.maybe(d.int())
+    message = messages.get_complete(d.text(), d.int(), role, dirty)
+    return message, {"role": role.value, **present(dirty=dirty)}, dict(role=role.value, dirty=dirty)
 
 
 def case_stats_reply(d):
@@ -367,11 +362,9 @@ def case_stats_reply(d):
 
 
 def case_ack(d):
-    key = d.maybe(d.key())
-    receipt = present(count=d.maybe(d.int()), removed=d.maybe(d.int()), role=d.maybe(d.text()))
-    wire_receipt = dict(receipt, **present(key=None if key is None else key.as_dict()))
-    fields = {"removed": 0, "count": 0, "role": None, **receipt, "key": key}
-    return messages.ack(d.text(), d.int(), **wire_receipt), wire_receipt, fields
+    removed = d.maybe(d.int())
+    body = present(removed=removed)
+    return messages.ack(d.text(), d.int(), removed), body, {"removed": 0, **body}
 
 
 def case_error(d):
@@ -389,7 +382,7 @@ def case_event(d):
         raised_at=d(st.floats(allow_nan=False)),
         shared=d.flag(),
     )
-    body = {"code": event.code, "event_id": event.event_id, "raised_at": event.raised_at, "shared": event.shared}
+    body = {"code": event.code, "raised_at": event.raised_at, "shared": event.shared}
     body["values"] = event.values
     if event.key is not None:
         body["key"] = event.key.as_dict()
@@ -413,36 +406,31 @@ def case_fed_gossip(d):
         version = d.int() if d.wild else d(st.integers(min_value=1))
         return {"key": d.text(), "origin": d.text(), "version": version, "value": d(json_objects), "at": d(st.floats(allow_nan=False))}
 
-    domain, sent_at, heard, resync = d.text(), d(st.floats(allow_nan=False)), d(st.floats(allow_nan=False)), d.flag()
+    sent_at, heard, resync = d(st.floats(allow_nan=False)), d(st.floats(allow_nan=False)), d.flag()
     summary = [d.text() for _ in range(3)]
     sections = {name: [entry() for _ in range(d(st.integers(0, 2)))] for name in ("membership", "liveness", "ownership")}
-    message = messages.fed_gossip(d.text(), domain, sent_at, heard=heard, summary=summary, resync=resync, **sections)
-    body = {"domain": domain, "sent_at": sent_at, "heard": heard, "summary": summary, **sections}
+    message = messages.fed_gossip(d.text(), sent_at, heard=heard, summary=summary, resync=resync, **sections)
+    body = {"sent_at": sent_at, "heard": heard, "summary": summary, **sections}
     if resync:
         body["resync"] = True  # on the wire only when set
     return message, body, dict(body, resync=resync)
 
 
-def case_fed_move_request(d):
-    domain, instance = d.text(), d.text()
-    body = {"domain": domain, "instance": instance}
-    return messages.fed_move_request(d.text(), domain, instance), body, dict(body)
+def _case_instance(constructor):
+    def case(d):
+        instance = d.text()
+        return constructor(d.text(), instance), {"instance": instance}, {"instance": instance}
+
+    return case
 
 
 def case_fed_move_grant(d):
-    request = Message.decode(messages.fed_move_request("peer", "home", d(texts)).encode())
-    domain, granted, reason = d.text(), d.flag(), d(texts)
-    message = messages.fed_move_grant(request, d.text(), domain, granted=granted, reason=reason)
-    instance = request.body["instance"]
-    body = {"domain": domain, "instance": instance, "granted": granted, **present(reason=reason or None)}
+    request = messages.fed_move_request("peer", d(texts))
+    granted, reason = d.flag(), d(texts)
+    message = messages.fed_move_grant(request, d.text(), granted=granted, reason=reason)
+    body = {"granted": granted, **present(reason=reason or None)}
     assert message.reply_to == request.xid
-    return message, body, dict(domain=domain, instance=instance, granted=granted, reason=reason or "denied")
-
-
-def case_fed_move_done(d):
-    domain, instance, ok = d.text(), d.text(), d.flag()
-    body = {"domain": domain, "instance": instance, "ok": ok}
-    return messages.fed_move_done(d.text(), domain, instance, ok=ok), body, dict(body)
+    return message, body, dict(granted=granted, reason=reason or "denied")
 
 
 BATCHABLE_CASES = {
@@ -492,9 +480,9 @@ CASES = {
     T.HEARTBEAT: case_heartbeat,
     T.CHAN_ACK: case_chan_ack,
     T.FED_GOSSIP: case_fed_gossip,
-    T.FED_MOVE_REQUEST: case_fed_move_request,
+    T.FED_MOVE_REQUEST: _case_instance(messages.fed_move_request),
     T.FED_MOVE_GRANT: case_fed_move_grant,
-    T.FED_MOVE_DONE: case_fed_move_done,
+    T.FED_MOVE_DONE: _case_instance(messages.fed_move_done),
 }
 
 
@@ -560,11 +548,11 @@ class TestSplicedEncoderAgainstTheOracle:
 
     def test_a_value_edited_in_after_construction_is_what_goes_on_the_wire(self):
         """The body dict is read at encode time: a replaced member is encoded, fragments beside it untouched."""
-        chunk = StateChunk(key=KEY, role=StateRole.SUPPORTING, blob=b"x", metadata={"é": ['"', "\\"]})
-        message = messages.put_perflow("mb", chunk, seq=1)
-        message.body["seq"] = {"nested": [1.5, None]}
+        chunk = StateChunk(key=KEY, role=StateRole.SUPPORTING, blob=b"x")
+        message = messages.put_perflow("mb", chunk, round=(1, 0))
+        message.body["round"] = {"nested": [1.5, None, "é", '"', "\\"]}
         message.body['quo"te'] = " "
-        plain = {"chunk": plain_chunk(chunk), "seq": {"nested": [1.5, None]}, 'quo"te': " "}
+        plain = {"chunk": plain_chunk(chunk), "round": {"nested": [1.5, None, "é", '"', "\\"]}, 'quo"te': " "}
         assert message.encode() == json.dumps(plain_wire(message, plain), **CANONICAL).encode()
 
     @pytest.mark.parametrize(
@@ -574,11 +562,11 @@ class TestSplicedEncoderAgainstTheOracle:
             lambda: Message(T.ACK, mb=object()),
             lambda: Message(T.ACK, xid={1, 2}),
             lambda: Message(T.ACK, body={"a": 1, 2: 3}),  # keys that do not sort
-            lambda: messages.put_perflow("mb", StateChunk(KEY, StateRole.SUPPORTING, b"x", {"bad": b"bytes"})),
-            lambda: messages.put_perflow("mb", StateChunk(KEY, StateRole.SUPPORTING, b"x"), seq=object()),
+            lambda: messages.put_perflow("mb", StateChunk(KEY, StateRole.SUPPORTING, b"x"), round=(b"bytes", 0)),
+            lambda: messages.put_perflow("mb", StateChunk(KEY, StateRole.SUPPORTING, b"x"), round=(object(), 0)),
             lambda: messages.state_chunk("mb", 1, StateChunk(KEY, StateRole.SUPPORTING, "not bytes")),
             lambda: messages.state_chunk("mb", 1, StateChunk(FlowKey(6, object(), "b", 1, 2), StateRole.SUPPORTING, b"x")),
-            lambda: messages.put_perflow_batch("mb", [StateChunk(None, StateRole.SUPPORTING, b"x", {"bad": {1, 2}})]),
+            lambda: messages.put_perflow_batch("mb", [StateChunk(FlowKey(6, "a", "b", 1, {1, 2}), StateRole.SUPPORTING, b"x")]),
             lambda: messages.batch_message("mb", [Message(T.DEL_PERFLOW, body={"bad": object()})]),
         ],
     )

@@ -398,6 +398,17 @@ class TestThreadSafeCompletion:
         finally:
             rt.close()
 
+    def test_a_callback_added_off_thread_to_a_done_future_runs_on_the_owner_thread(self, realtime):
+        """Done-callbacks run on the owner thread, even one a foreign thread adds after completion."""
+        future = realtime.event("done")
+        future.succeed("owner")
+        ran = []
+        adder = _from_thread(lambda: future.add_done_callback(lambda f: ran.append((f.result, threading.get_ident()))))
+        adder.join(timeout=5.0)
+        assert not adder.is_alive() and ran == []
+        realtime.run(until=realtime.now + 0.01)
+        assert ran == [("owner", threading.get_ident())]
+
     def test_racing_completions_complete_exactly_once(self):
         rt = RuntimeConfig(mode="realtime").create()
         try:

@@ -13,11 +13,14 @@
   event is dropped.
 * **The tables are complete.**  Every ``MessageType`` constant has exactly one
   constructor and one schema in ``messages.py``; every request type has exactly
-  one handler in the agent's table, whose parameters are the schema's fields.
+  one handler in the agent's table, whose parameters are the schema's fields,
+  and every field a handler is given is read: the wire carries only what a
+  receiver reads.
 """
 
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from repro.core.events import Event, EventCode
 from repro.core.messages import BATCHABLE_REQUESTS, SCHEMAS, Message, MessageType
 from repro.core.southbound import SouthboundAgent
 from repro.core.state import StateRole
+from repro.federation.domain import FederatedDomain
 from repro.middleboxes import NAT, DummyMiddlebox, PassiveMonitor, REEncoder
 from repro.net import Simulator, tcp_packet
 
@@ -46,9 +50,9 @@ def sample_requests(source: DummyMiddlebox) -> dict:
         T.SET_CONFIG: messages.set_config("mb", "Dummy.Key", [1]),
         T.DEL_CONFIG: messages.del_config("mb", "Dummy.Key"),
         T.GET_PERFLOW: messages.get_perflow("mb", StateRole.SUPPORTING, PATTERN, transfer=True, compress=True),
-        T.GET_PERFLOW_DELTA: messages.get_perflow_delta("mb", StateRole.SUPPORTING, PATTERN, round=(1, 1), final=True),
-        T.PUT_PERFLOW: messages.put_perflow("mb", chunk, hold=True, seq=3, round=(1, 0)),
-        T.PUT_PERFLOW_BATCH: messages.put_perflow_batch("mb", [chunk], hold=True, seq=4, round=(1, 0), compressed=True),
+        T.GET_PERFLOW_DELTA: messages.get_perflow_delta("mb", StateRole.SUPPORTING, PATTERN, final=True),
+        T.PUT_PERFLOW: messages.put_perflow("mb", chunk, hold=True, round=(1, 0)),
+        T.PUT_PERFLOW_BATCH: messages.put_perflow_batch("mb", [chunk], hold=True, round=(1, 0)),
         T.DEL_PERFLOW: messages.del_perflow("mb", StateRole.REPORTING, PATTERN),
         T.TRANSFER_HOLD: messages.transfer_hold("mb", [KEY]),
         T.TRANSFER_RELEASE: messages.transfer_release("mb", [KEY]),
@@ -58,7 +62,7 @@ def sample_requests(source: DummyMiddlebox) -> dict:
         T.ENABLE_EVENTS: messages.enable_events("mb", "dummy.code", PATTERN, until=2.0),
         T.DISABLE_EVENTS: messages.disable_events("mb", "dummy.code", PATTERN),
         T.TRANSFER_END: messages.transfer_end("mb", dirty_only=True),
-        T.REPROCESS_PACKET: messages.reprocess_message("mb", event, seq=5),
+        T.REPROCESS_PACKET: messages.reprocess_message("mb", event),
     }
     requests[T.BATCH] = messages.batch_message("mb", [requests[T.TRANSFER_HOLD], requests[T.TRANSFER_RELEASE]])
     return requests
@@ -161,16 +165,36 @@ class TestMalformedRequestsAreAnswered:
         wire = Wire()
         request = as_received(sample_requests(wire.middlebox)[type_])
         body = request.body
-        holder = {T.PUT_PERFLOW: lambda: body["chunk"]["key"], T.PUT_PERFLOW_BATCH: lambda: body["chunks"][0]["key"]}.get(
-            type_, lambda: body["keys"][0] if "keys" in body else body["key"]
-        )()
+        holder = {
+            T.PUT_PERFLOW: lambda: body["chunk"]["key"],
+            T.PUT_PERFLOW_BATCH: lambda: body["chunks"][0]["key"],
+            T.REPROCESS_PACKET: lambda: body["packet"],  # a replay's flow is its packet's own five-tuple
+        }.get(type_, lambda: body["keys"][0])()
         holder[member] = value
         flows_before = len(wire.middlebox.support_store)
         (reply,) = wire.final_replies(request)
         assert (reply.type, reply.reply_to) == (T.ERROR, request.xid)
-        assert "ill-typed flow key" in messages.parse(reply)["reason"]
+        refusal = "malformed packet" if type_ == T.REPROCESS_PACKET else "ill-typed flow key"
+        assert refusal in messages.parse(reply)["reason"]
         assert wire.agent.stats.chunks_received == 0 and len(wire.middlebox.support_store) == flows_before
         assert not wire.middlebox._held_packets and wire.middlebox.counters.packets_received == 0
+
+    #: A packet ``encode_packet`` writes, and members a coercing decoder would turn into something else.
+    PACKET = messages.encode_packet(tcp_packet(KEY.nw_src, KEY.nw_dst, 1024, 80, b"x", flags={"SYN"}, seq=7, created_at=1.5))
+    ILL_TYPED = [
+        ("flags", "SYN"), ("tp_dst", 80.9), ("nw_proto", True), ("tp_src", "1234"), ("seq", "7"), ("created_at", "1.5"), ("nw_src", 7)
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("member, value", ILL_TYPED)
+    @pytest.mark.parametrize("type_", [T.REPROCESS_PACKET, T.EVENT])
+    def test_an_ill_typed_packet_member_is_refused_not_coerced(self, type_, member, value):
+        """``"flags": "SYN"`` is not ``{'N', 'S', 'Y'}``, ``80.9`` not port 80, ``true`` not protocol 1,
+        a number in a string not a number, and ``7`` not an address."""
+        body = {"code": EventCode.REPROCESS, "packet": self.PACKET}
+        packet = messages.parse(Message(type_, mb="mb", body=body))["packet"]
+        assert (packet.flow_key(), packet.flags, packet.seq, packet.created_at) == (KEY, {"SYN"}, 7, 1.5)
+        with pytest.raises(ProtocolError, match=repr(member)):
+            messages.parse(Message(type_, mb="mb", body=dict(body, packet=dict(self.PACKET, **{member: value}))))
 
     def test_role_bogus_and_keys_seven(self):
         wire = Wire()
@@ -357,6 +381,22 @@ class TestTablesAreComplete:
         for type_, handler in table.items():
             parameters = list(inspect.signature(handler).parameters)
             assert parameters == ["self", "request"] + [name for name, _, _ in SCHEMAS[type_]], type_
+
+    def test_every_field_a_handler_is_given_is_read(self):
+        """A field parsed for a handler that never reads it is a field no receiver needs: it comes off the wire."""
+        handlers = [(SCHEMAS[type_], handler) for type_, handler in SouthboundAgent._HANDLERS.items()]
+        handlers += [
+            (SCHEMAS[T.FED_GOSSIP], FederatedDomain._absorb_digest),
+            (SCHEMAS[T.FED_MOVE_REQUEST], FederatedDomain._on_move_request),
+        ]
+        unread = []
+        for schema, handler in handlers:
+            function = ast.parse(textwrap.dedent(inspect.getsource(handler))).body[0]
+            loads = {node.id for node in ast.walk(function) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            given = [arg.arg for arg in function.args.args + function.args.kwonlyargs if arg.arg in {name for name, _, _ in schema}]
+            given += [function.args.kwarg.arg] if function.args.kwarg else []  # the schema fields not named one by one
+            unread += [f"{handler.__qualname__}: {name}" for name in given if name not in loads]
+        assert unread == []
 
     def test_only_requests_reach_a_handler(self):
         wire = Wire()

@@ -47,7 +47,7 @@ class TestBatchMessages:
         from repro.core.state import StateChunk, StateRole
 
         chunks = [
-            StateChunk(key=flow_key, role=StateRole.REPORTING, blob=b"x" * 10, metadata={})
+            StateChunk(key=flow_key, role=StateRole.REPORTING, blob=b"x" * 10)
             for _ in range(3)
         ]
         message = messages.put_perflow_batch("mb", chunks, hold=True)
