@@ -29,7 +29,7 @@ from .flowspace import FlowKey, FlowPattern, IPv4Prefix
 from .northbound import NorthboundAPI
 from .operations import OperationHandle, OperationRecord, OperationType, StandbyRetryHandle
 from .sharding import ControllerShard, ShardCoordinator, ShardRing, ShardStats
-from .southbound import MiddleboxInterface, ProcessingCosts, SouthboundAgent
+from .southbound import ProcessingCosts, SouthboundAgent
 from .state import (
     AccessMode,
     PerFlowStateStore,
@@ -63,7 +63,6 @@ __all__ = [
     "OperationHandle",
     "OperationRecord",
     "OperationType",
-    "MiddleboxInterface",
     "ProcessingCosts",
     "SouthboundAgent",
     "ControllerShard",

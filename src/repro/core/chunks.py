@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from . import crypto
-from .errors import SealError, StateError
+from .errors import StateError
 from .flowspace import FlowKey
 from .state import StateChunk, StateRole
 
@@ -319,8 +319,4 @@ class ChunkCodec:
 
     def unseal_perflow(self, chunk: StateChunk) -> Any:
         """Decrypt and deserialise one chunk (per-flow or shared)."""
-        try:
-            raw = crypto.unseal(self.key, chunk.blob)
-        except crypto.SealError as exc:
-            raise SealError(str(exc)) from exc
-        return deserialize_payload(raw)
+        return deserialize_payload(crypto.unseal(self.key, chunk.blob))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.simulator import Future, Simulator, all_of
 from . import messages
@@ -51,9 +51,12 @@ from .operations import (
     _StatefulOperation,
 )
 from .sharding import ControllerShard, ShardCoordinator
-from .southbound import MiddleboxInterface, SouthboundAgent
+from .southbound import SouthboundAgent
 from .stats import ControllerStats
 from .transfer import TransferSpec
+
+if TYPE_CHECKING:  # pragma: no cover - middleboxes import core, not the reverse
+    from ..middleboxes.base import Middlebox
 
 #: CPU time the controller spends forwarding one event (buffer lookup plus send).
 PER_EVENT_COST = 25e-6
@@ -104,7 +107,7 @@ class ControllerConfig:
 class _Registration:
     """Book-keeping for one registered middlebox."""
 
-    middlebox: MiddleboxInterface
+    middlebox: Middlebox
     channel: ControlChannel
     agent: SouthboundAgent
 
@@ -160,7 +163,7 @@ class MBController:
 
     # -- registration -----------------------------------------------------------------------
 
-    def register(self, middlebox: MiddleboxInterface, *, channel: Optional[ControlChannel] = None) -> ControlChannel:
+    def register(self, middlebox: Middlebox, *, channel: Optional[ControlChannel] = None) -> ControlChannel:
         """Connect a middlebox to the controller.
 
         Creates (or adopts) a control channel, binds the controller side, and

@@ -21,12 +21,10 @@ import hmac
 import os
 from dataclasses import dataclass
 
+from .errors import SealError
+
 _MAC_LEN = 32
 _NONCE_LEN = 16
-
-
-class SealError(Exception):
-    """Raised when a sealed blob fails authentication or is malformed."""
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:

@@ -2,31 +2,32 @@
 
 Control applications never talk to middleboxes directly; they use this facade
 over the :class:`~repro.core.controller.MBController`.  The six operations of
-the paper's section 5 are exposed under both their paper names (``readConfig``,
-``writeConfig``, ``stats``, ``moveInternal``, ``cloneSupport``,
-``mergeInternal``) and snake_case aliases.  All operations are asynchronous on
-the simulated clock: they return :class:`~repro.net.simulator.Future` objects
-(or :class:`~repro.core.operations.OperationHandle` for the stateful
-operations) that control-application processes ``yield`` on.
+the paper's section 5 (``readConfig``, ``writeConfig``, ``stats``,
+``moveInternal``, ``cloneSupport``, ``mergeInternal``) are the snake_case
+methods ``read_config``, ``write_config``, ``stats``, ``move_internal``,
+``clone_support`` and ``merge_internal``; each one's docstring names its paper
+call.  All operations are asynchronous on the simulated clock: they return
+:class:`~repro.net.simulator.Future` objects (or
+:class:`~repro.core.operations.OperationHandle` for the stateful operations)
+that control-application processes ``yield`` on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..net.simulator import Future
 from .controller import MBController
 from .flowspace import FlowPattern
 from .operations import OperationHandle
+from .transaction import PatternLike, Transaction
 from .transfer import TransferGuarantee, TransferSpec
-
-PatternLike = Union[FlowPattern, Dict[str, object], List[str], str, None]
 
 #: Values accepted for the ``spec`` argument of the stateful operations: a
 #: :class:`TransferSpec`, a :class:`TransferGuarantee` (or its string value,
-#: e.g. ``"order_preserving"``), a mapping of TransferSpec fields, or None for
-#: the seed-equivalent default (loss-free, pipelined per-chunk puts).
-SpecLike = Union[TransferSpec, TransferGuarantee, str, Dict[str, object], None]
+#: e.g. ``"order_preserving"``), or None for the seed-equivalent default
+#: (loss-free, pipelined per-chunk puts).
+SpecLike = Union[TransferSpec, TransferGuarantee, str, None]
 
 
 def _as_pattern(pattern: PatternLike) -> FlowPattern:
@@ -44,7 +45,7 @@ class NorthboundAPI:
 
     # -- transactions ----------------------------------------------------------------
 
-    def transaction(self) -> "Transaction":
+    def transaction(self) -> Transaction:
         """Begin a composite northbound transaction.
 
         Returns a :class:`~repro.core.transaction.Transaction` builder on
@@ -56,8 +57,6 @@ class NorthboundAPI:
         semantics.  The six paper primitives below are each equivalent to a
         single-step transaction.
         """
-        from .transaction import Transaction
-
         return Transaction(self)
 
     # -- configuration ---------------------------------------------------------------
@@ -181,13 +180,3 @@ class NorthboundAPI:
         """Disable generation of introspection events at a middlebox."""
         pattern = _as_pattern(header_fields) if header_fields is not None else None
         return self.controller.disable_events(mb_name, code, pattern)
-
-    # -- paper-style camelCase aliases -------------------------------------------------------
-
-    readConfig = read_config
-    writeConfig = write_config
-    cloneConfig = clone_config
-    moveInternal = move_internal
-    cloneSupport = clone_support
-    mergeInternal = merge_internal
-    endTransfer = end_transfer

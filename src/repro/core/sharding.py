@@ -43,7 +43,6 @@ from .flowspace import FlowKey, FlowPattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operations import _StatefulOperation
-    from .transaction import Transaction
 
 #: Virtual nodes per shard on the consistent-hash ring.  Enough replicas keep
 #: the per-shard share of the flow space within a few percent of uniform.
@@ -196,31 +195,26 @@ class ControllerShard:
 class ShardCoordinator:
     """Shared coordinator above the controller shards.
 
-    Owns the consistent-hash ring, places operations on home shards, tracks
-    the transactions currently executing against the sharded runtime, and
+    Owns the consistent-hash ring, places operations on home shards, and
     provides the cross-shard barrier transactions use to order steps that
     span shards (e.g. a merge behind moves homed on different shards).
     """
 
-    def __init__(self, sim: Simulator, num_shards: int = 1, *, replicas: int = DEFAULT_RING_REPLICAS) -> None:
+    def __init__(self, sim: Simulator, num_shards: int = 1) -> None:
         """Create the coordinator and its shards.
 
         Args:
             sim: the simulation kernel the shards schedule on.
             num_shards: number of controller shards (1 = the seed behaviour).
-            replicas: virtual ring nodes per shard.
 
         Raises:
-            ValueError: when ``num_shards`` or ``replicas`` is < 1.
+            ValueError: when ``num_shards`` is < 1.
         """
         self.sim = sim
-        self.ring = ShardRing(num_shards, replicas=replicas)
+        self.ring = ShardRing(num_shards)
         self.shards = [ControllerShard(sim, shard_id) for shard_id in range(num_shards)]
         #: Round-robin cursor spreading multi-shard operations across homes.
         self._placement = itertools.count()
-        #: Transactions currently executing (owned here so cross-shard state
-        #: has a single authority; released when the transaction resolves).
-        self.active_transactions: List["Transaction"] = []
         self.barriers_issued = 0
 
     @property
@@ -270,17 +264,6 @@ class ShardCoordinator:
         for shard in operation.shards:
             shard.unwatch(operation.src, operation)
 
-    # -- transactions -------------------------------------------------------------------
-
-    def adopt_transaction(self, transaction: "Transaction") -> None:
-        """Take ownership of a committing transaction (released on resolve)."""
-        self.active_transactions.append(transaction)
-
-    def release_transaction(self, transaction: "Transaction") -> None:
-        """Drop a transaction that finished (committed or aborted)."""
-        if transaction in self.active_transactions:
-            self.active_transactions.remove(transaction)
-
     # -- cross-shard barrier ------------------------------------------------------------
 
     def barrier(self, shard_ids: Optional[Sequence[int]] = None) -> Future:
@@ -313,11 +296,10 @@ class ShardCoordinator:
     # -- reporting ----------------------------------------------------------------------
 
     def summary(self) -> Dict[str, object]:
-        """Per-shard counters plus ring/transaction roll-ups (for benchmarks)."""
+        """Per-shard counters plus ring roll-ups (for benchmarks)."""
         return {
             "num_shards": self.num_shards,
             "barriers_issued": self.barriers_issued,
-            "active_transactions": len(self.active_transactions),
             "shards": [
                 {
                     "shard": shard.shard_id,

@@ -1,15 +1,13 @@
 """The MB-facing ("southbound") API.
 
-Two pieces live here:
+The API every OpenMB-enabled middlebox implements (paper section 4) is the
+public method set of :class:`~repro.middleboxes.base.Middlebox`. This module
+holds what sits between it and the controller:
 
-* :class:`MiddleboxInterface` — the abstract API every OpenMB-enabled
-  middlebox implements (paper section 4): configuration get/set/del, per-flow
-  and shared supporting/reporting state get/put/del, state statistics, event
-  subscription management, transfer marking, and side-effect-free packet
-  re-processing.
+* :class:`ProcessingCosts` — the simulated middlebox-side cost of each call;
 * :class:`SouthboundAgent` — the "common code base" the paper adds to each
   middlebox (~500 LOC in their prototype): it receives protocol messages from
-  the controller over the middlebox's control channel, invokes the interface,
+  the controller over the middlebox's control channel, invokes the middlebox,
   models the middlebox-side processing cost of each operation on the simulated
   clock, streams per-flow chunks back one message at a time, sends ACKs, and
   forwards every event the middlebox raises to the controller.
@@ -17,11 +15,10 @@ Two pieces live here:
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, islice
-from typing import Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from ..net.packet import Packet
 from ..net.simulator import Simulator
@@ -32,6 +29,9 @@ from .events import Event
 from .flowspace import FlowKey, FlowPattern
 from .messages import Message, MessageType
 from .state import StateChunk, StateRole
+
+if TYPE_CHECKING:  # pragma: no cover - middleboxes import core, not the reverse
+    from ..middleboxes.base import Middlebox
 
 
 @dataclass
@@ -71,174 +71,6 @@ class ProcessingCosts:
     reprocess_packet: float = 150e-6
 
 
-class MiddleboxInterface(abc.ABC):
-    """Abstract southbound API implemented by every OpenMB-enabled middlebox."""
-
-    name: str
-    mb_type: str
-    costs: ProcessingCosts
-
-    # -- configuration state (section 4.1.1) ------------------------------------
-
-    @abc.abstractmethod
-    def get_config(self, key: str) -> dict:
-        """Return the configuration subtree under *key* as a flat mapping."""
-
-    @abc.abstractmethod
-    def set_config(self, key: str, values: list) -> None:
-        """Set the ordered values stored under *key*."""
-
-    @abc.abstractmethod
-    def del_config(self, key: str) -> None:
-        """Delete *key* and its subtree."""
-
-    # -- per-flow state (sections 4.1.2-4.1.3) ------------------------------------
-
-    @abc.abstractmethod
-    def iter_perflow(
-        self,
-        role: StateRole,
-        pattern: FlowPattern,
-        *,
-        mark_transfer: bool = False,
-        track_dirty: bool = False,
-        compress: Optional[bool] = None,
-    ) -> Iterator[StateChunk]:
-        """Stream sealed per-flow chunks of the given role matching *pattern*.
-
-        The southbound agent pumps this iterator in bounded batches so a
-        million-flow export never resides in memory at once; callers that want
-        the whole export take ``list(...)`` of it.  ``mark_transfer`` flags the
-        exported flows so later packets touching them raise re-process events;
-        ``track_dirty`` instead arms dirty-key tracking at the snapshot instant
-        (the pre-copy bulk round), leaving the flows un-frozen; ``compress``
-        overrides the payload-compression default for this export.  Setup side
-        effects (arming tracking, marking) must happen at the *call*, not at
-        the first pull: implement this as an eager-setup generator.
-        """
-
-    @abc.abstractmethod
-    def iter_perflow_dirty(
-        self,
-        role: StateRole,
-        pattern: FlowPattern,
-        *,
-        mark_transfer: bool = False,
-        compress: Optional[bool] = None,
-    ) -> Iterator[StateChunk]:
-        """Stream chunks for flows dirtied since the last drain (pre-copy round).
-
-        ``mark_transfer`` makes this the final stop-and-copy round: every flow
-        matching *pattern* is flagged for re-process events and dirty tracking
-        stops — at the call, like :meth:`iter_perflow`'s setup.
-        """
-
-    def dirty_perflow_count(self, role: StateRole, pattern: Optional[FlowPattern] = None) -> int:
-        """Number of flows currently dirty in the store of the given role.
-
-        With *pattern* the count covers matching flows only (the convergence
-        signal for pattern-restricted pre-copy moves).
-        """
-        return 0
-
-    @abc.abstractmethod
-    def put_perflow(self, chunk: StateChunk, *, round: Optional[tuple] = None) -> None:
-        """Import one sealed per-flow chunk.
-
-        ``round`` is the pre-copy round tag; an implementation must drop the
-        chunk when a newer round already installed state for its flow.
-        """
-
-    @abc.abstractmethod
-    def del_perflow(self, role: StateRole, pattern: FlowPattern) -> int:
-        """Delete per-flow state of the given role matching *pattern*; returns count."""
-
-    # -- shared state ---------------------------------------------------------------
-
-    @abc.abstractmethod
-    def get_shared(self, role: StateRole, *, mark_transfer: bool = False) -> Optional[StateChunk]:
-        """Export the sealed shared state of the given role (None when the MB has none)."""
-
-    @abc.abstractmethod
-    def put_shared(self, chunk: StateChunk) -> None:
-        """Import shared state, merging with any existing shared state."""
-
-    # -- statistics, events, transfers ----------------------------------------------
-
-    @abc.abstractmethod
-    def state_stats(self, pattern: FlowPattern) -> dict:
-        """Counts and sizes of state matching *pattern* (the ``stats`` call)."""
-
-    @abc.abstractmethod
-    def enable_events(self, code: str, pattern: Optional[FlowPattern] = None, until: Optional[float] = None) -> None:
-        """Enable generation of introspection events with *code*."""
-
-    @abc.abstractmethod
-    def disable_events(self, code: str, pattern: Optional[FlowPattern] = None) -> None:
-        """Disable generation of introspection events with *code*."""
-
-    @abc.abstractmethod
-    def end_transfer(self) -> None:
-        """Clear transfer markers set by get operations (clone/merge completion)."""
-
-    def end_dirty_tracking(self) -> None:
-        """Stop pre-copy dirty tracking without touching transfer markers.
-
-        The scoped cleanup a failed pre-copy move owes its source.  Default:
-        no-op, for middleboxes without per-flow stores.
-        """
-
-    def end_shared_transfer(self) -> None:
-        """Clear only the shared-transfer flag (a clone/merge finalizing).
-
-        Per-flow transfer markers — owned by moves — survive.  The default
-        falls back to the whole-middlebox reset for implementations that
-        predate the scoped variant.
-        """
-        self.end_transfer()
-
-    def hold_flows(self, keys: List) -> None:
-        """Queue fresh packets for *keys* until :meth:`release_flows` is called.
-
-        Used by order-preserving transfers: the destination must not process
-        live packets for a moved flow until the controller has replayed the
-        flow's buffered events in order.  The default is a no-op so that
-        middleboxes without a data plane still accept order-preserving puts.
-        """
-
-    def release_flows(self, keys: List) -> None:
-        """End per-flow transfer involvement for *keys* (TRANSFER_RELEASE).
-
-        Lifts any packet hold installed by :meth:`hold_flows` (queued packets
-        are processed in arrival order) and clears the flows' transfer markers
-        so they stop raising re-process events.  Default: no-op.
-        """
-
-    def purge_transfer_state(self) -> int:
-        """Drop all transfer involvement locally (crash/teardown cleanup).
-
-        The controller calls this when the instance is unregistered or
-        declared dead mid-operation: holds, queued packets, install-round
-        tags, dirty tracking, and transfer markers must not outlive the
-        operations that owned them.  Returns the number of queued packets
-        discarded; the default (for middleboxes without a data plane) is a
-        no-op.
-        """
-        return 0
-
-    @abc.abstractmethod
-    def reprocess(self, packet: Packet, *, shared: bool) -> None:
-        """Re-process a replayed packet to update state, suppressing side effects."""
-
-    @abc.abstractmethod
-    def perflow_count(self, role: StateRole) -> int:
-        """Number of per-flow state entries of the given role (for scan-cost modelling)."""
-
-    @abc.abstractmethod
-    def set_event_sink(self, sink: Callable[[Event], None]) -> None:
-        """Register where raised events are delivered (the southbound agent)."""
-
-
 #: Returned by a request's work when it schedules its own reply (a chunk
 #: stream, a serialisation delay) instead of handing one back.
 _STREAMED = object()
@@ -258,7 +90,7 @@ class AgentStats:
 class SouthboundAgent:
     """Message-level adapter between one middlebox and its control channel."""
 
-    def __init__(self, sim: Simulator, middlebox: MiddleboxInterface, channel: ControlChannel) -> None:
+    def __init__(self, sim: Simulator, middlebox: Middlebox, channel: ControlChannel) -> None:
         self.sim = sim
         self.middlebox = middlebox
         self.channel = channel

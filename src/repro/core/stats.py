@@ -69,8 +69,7 @@ class ControllerStats:
         Returns a **new** :class:`ControllerStats`; neither ``self`` nor any
         of *others* is mutated.  Every integer counter is summed and the
         operation archives are concatenated (in argument order), so the
-        derived queries — :meth:`by_mode`,
-        :meth:`mean_duration`, :meth:`summary` — report across the whole
+        derived queries — :meth:`mean_duration`, :meth:`summary` — report across the whole
         federation exactly as they would for a single controller.  The counters
         are whatever ``dataclasses.fields`` lists, so one added here — or by a
         subclass, whose type the aggregate keeps — is never dropped.  Merging is
@@ -86,40 +85,6 @@ class ControllerStats:
         return merged
 
     # -- queries used by benchmarks and reports --------------------------------------
-
-    def by_mode(self) -> Dict[str, Dict[str, float]]:
-        """Per-mode aggregates: count, mean duration, mean freeze window, rounds.
-
-        The freeze window is the event-buffering span — the whole operation
-        for snapshot transfers, only the stop-and-copy round for pre-copy
-        transfers — so comparing ``mean_freeze_window`` across the two modes
-        quantifies what the iterative discipline buys.  A ``mean_*`` column
-        averages its attribute over the mode's records where it is set (0.0
-        when none is); any other column sums it.
-        """
-        columns = {
-            "mean_duration": "duration",
-            "mean_freeze_window": "freeze_window",
-            "rounds": "precopy_rounds",
-            "events_buffered": "events_buffered",
-        }
-        summary: Dict[str, Dict[str, float]] = {}
-        samples: Dict[tuple, int] = {}
-        for record in self.records:
-            if record.mode not in summary:
-                zeros = {column: 0.0 if column.startswith("mean_") else 0 for column in columns}
-                summary[record.mode] = {"operations": 0, **zeros}
-            bucket = summary[record.mode]
-            bucket["operations"] += 1
-            for column, attribute in columns.items():
-                value = getattr(record, attribute)
-                if value is not None:
-                    bucket[column] += value
-                    samples[record.mode, column] = samples.get((record.mode, column), 0) + 1
-        for (mode, column), count in samples.items():
-            if column.startswith("mean_"):
-                summary[mode][column] /= count
-        return summary
 
     def mean_duration(self, op_type: Optional[OperationType] = None) -> float:
         """Mean completion time of archived operations (seconds), 0.0 when none."""

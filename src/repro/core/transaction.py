@@ -333,6 +333,9 @@ class _RebalanceStep(_OperationStep):
     """Dynamic composite: measure load, move state off the busiest replica,
     and re-route once the moved state is installed (no move when balanced)."""
 
+    #: Smallest busiest-minus-idlest load gap (entries) worth a move.
+    MIN_IMBALANCE = 2
+
     def __init__(
         self,
         txn: "Transaction",
@@ -341,14 +344,12 @@ class _RebalanceStep(_OperationStep):
         update_routing: Callable[[str, FlowPattern], object],
         *,
         spec: Optional[TransferSpec] = None,
-        min_imbalance: int = 2,
     ) -> None:
         super().__init__(txn, f"rebalance({','.join(replicas)})")
         self.replicas = list(replicas)
         self.patterns_by_replica = dict(patterns_by_replica)
         self.update_routing = update_routing
         self.spec = spec
-        self.min_imbalance = min_imbalance
 
     def run(self) -> None:
         """Measure per-replica load, then decide whether (and what) to move."""
@@ -367,7 +368,7 @@ class _RebalanceStep(_OperationStep):
         self.record.detail["loads_before"] = dict(loads)
         busiest = max(loads, key=loads.get)
         idlest = min(loads, key=loads.get)
-        if busiest == idlest or loads[busiest] - loads[idlest] < self.min_imbalance:
+        if busiest == idlest or loads[busiest] - loads[idlest] < self.MIN_IMBALANCE:
             self.record.detail["balanced"] = True
             self._succeed(self.record.detail)
             return
@@ -728,7 +729,6 @@ class Transaction:
         *,
         pattern: PatternLike = None,
         spec=None,
-        merge_shared: bool = True,
         reroute: Optional[Callable[[FlowPattern], object]] = None,
         sdn=None,
         path: Optional[Sequence] = None,
@@ -741,11 +741,8 @@ class Transaction:
         resolved = self._pattern(pattern) or FlowPattern.wildcard()
         steps: Dict[str, _Step] = {}
         steps["move"] = self.move(src, dst, resolved, spec=spec)
-        previous: _Step = steps["move"]
-        if merge_shared:
-            steps["merge"] = self.merge(src, dst, spec=spec, after=previous)
-            previous = steps["merge"]
-        route_kwargs: Dict[str, object] = {"after": (previous, "done"), "pattern": resolved}
+        steps["merge"] = self.merge(src, dst, spec=spec, after=steps["move"])
+        route_kwargs: Dict[str, object] = {"after": (steps["merge"], "done"), "pattern": resolved}
         if reroute is not None:
             route_kwargs["apply"] = lambda: reroute(resolved)
         elif sdn is not None and path is not None:
@@ -770,24 +767,17 @@ class Transaction:
         update_routing: Callable[[str, FlowPattern], object],
         *,
         spec=None,
-        min_imbalance: int = 2,
         after=None,
     ) -> _RebalanceStep:
         """Measure per-replica load and move state from the busiest to the
         idlest replica, re-routing as soon as the moved state is installed."""
-        step = _RebalanceStep(
-            self, replicas, patterns_by_replica, update_routing, spec=TransferSpec.parse(spec), min_imbalance=min_imbalance
-        )
+        step = _RebalanceStep(self, replicas, patterns_by_replica, update_routing, spec=TransferSpec.parse(spec))
         return self._add(step, after)
 
     # -- committing ----------------------------------------------------------------------------
 
     def commit(self) -> TransactionHandle:
         """Freeze the operation graph and start executing it.
-
-        The committing transaction is adopted by the controller's
-        :class:`~repro.core.sharding.ShardCoordinator` (the shared authority
-        for cross-shard state) and released when it resolves either way.
 
         Returns:
             The :class:`TransactionHandle` tracking per-step progress.
@@ -803,9 +793,6 @@ class Transaction:
             self.status = "committed"
             self.handle.done.succeed(self.handle)
             return self.handle
-        coordinator = self.controller.coordinator
-        coordinator.adopt_transaction(self)
-        self.handle.done.add_done_callback(lambda _future: coordinator.release_transaction(self))
         for step in self.steps:
             self._wire(step)
         return self.handle

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Union
+from typing import Any, Union
 
 
 class TransferGuarantee(enum.Enum):
@@ -187,62 +187,27 @@ class TransferSpec:
     # -- parsing -----------------------------------------------------------------------
 
     @classmethod
-    def parse(cls, value: Union["TransferSpec", TransferGuarantee, str, Dict[str, Any], None]) -> "TransferSpec":
+    def parse(cls, value: Union["TransferSpec", TransferGuarantee, str, None]) -> "TransferSpec":
         """Coerce a user-supplied value into a spec.
 
-        Accepts an existing spec, a guarantee (enum or its string value), a
-        mapping of constructor fields, or None (the default spec).  Malformed
-        input raises :class:`~repro.core.errors.SpecError`.
+        Accepts an existing spec, a guarantee (enum or its string value), or
+        None (the default spec).  Anything else raises
+        :class:`~repro.core.errors.SpecError`.
         """
         from .errors import SpecError
-
-        def guarantee_of(raw: object) -> TransferGuarantee:
-            if isinstance(raw, TransferGuarantee):
-                return raw
-            try:
-                return TransferGuarantee(raw)
-            except ValueError:
-                known = ", ".join(g.value for g in TransferGuarantee)
-                raise SpecError(f"unknown transfer guarantee {raw!r} (expected one of {known})") from None
-
-        def mode_of(raw: object) -> TransferMode:
-            if isinstance(raw, TransferMode):
-                return raw
-            try:
-                return TransferMode(raw)
-            except ValueError:
-                known = ", ".join(m.value for m in TransferMode)
-                raise SpecError(f"unknown transfer mode {raw!r} (expected one of {known})") from None
 
         if value is None:
             return cls.default()
         if isinstance(value, cls):
             return value
-        if isinstance(value, (TransferGuarantee, str)):
-            return cls(guarantee=guarantee_of(value))
-        if isinstance(value, dict):
-            fields = dict(value)
-            guarantee = guarantee_of(fields.pop("guarantee", TransferGuarantee.LOSS_FREE))
-            mode = mode_of(fields.pop("mode", TransferMode.SNAPSHOT))
-            known_fields = {
-                "parallelism",
-                "batch_size",
-                "early_release",
-                "max_rounds",
-                "dirty_threshold",
-                "wan_pacing",
-                "compress",
-            }
-            unknown = sorted(set(fields) - known_fields)
-            if unknown:
-                raise SpecError(
-                    f"unknown TransferSpec field(s) {', '.join(map(repr, unknown))} "
-                    f"(expected guarantee, mode, {', '.join(sorted(known_fields))})"
-                )
+        if isinstance(value, TransferGuarantee):
+            return cls(guarantee=value)
+        if isinstance(value, str):
             try:
-                return cls(guarantee=guarantee, mode=mode, **fields)
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"malformed TransferSpec mapping {value!r}: {exc}") from exc
+                return cls(guarantee=TransferGuarantee(value))
+            except ValueError:
+                known = ", ".join(g.value for g in TransferGuarantee)
+                raise SpecError(f"unknown transfer guarantee {value!r} (expected one of {known})") from None
         raise SpecError(f"cannot interpret {value!r} as a TransferSpec")
 
     # -- derived properties ------------------------------------------------------------

@@ -9,10 +9,10 @@ provides:
 * the internal state containers of the taxonomy — a hierarchical configuration
   tree, per-flow supporting and reporting stores, and optional shared
   supporting/reporting slots — resolved through one lookup per Table 1 cell;
-* a full implementation of the southbound
-  :class:`~repro.core.southbound.MiddleboxInterface`: sealed export/import of
-  per-flow and shared chunks, deletes, statistics, event subscriptions,
-  transfer marking, and side-effect-free re-processing;
+* the southbound API the :class:`~repro.core.southbound.SouthboundAgent`
+  invokes (paper section 4): sealed export/import of per-flow and shared
+  chunks, deletes, statistics, event subscriptions, transfer marking, and
+  side-effect-free re-processing;
 * re-process event generation: when a packet updates state that is flagged as
   transferred (because a move or clone exported it), the middlebox raises a
   re-process event carrying the packet (paper section 4.2.1);
@@ -35,7 +35,7 @@ from ..core.config import HierarchicalConfig
 from ..core.errors import StateError
 from ..core.events import Event, EventCode, EventFilter
 from ..core.flowspace import FlowKey, FlowPattern
-from ..core.southbound import MiddleboxInterface, ProcessingCosts
+from ..core.southbound import ProcessingCosts
 from ..core.state import (
     PerFlowStateStore,
     SharedStateSlot,
@@ -118,8 +118,8 @@ class MiddleboxCounters:
         return self.processing_time_total / self.packets_received
 
 
-class Middlebox(Node, MiddleboxInterface):
-    """Base class for all OpenMB-enabled middleboxes."""
+class Middlebox(Node):
+    """Base class for all OpenMB-enabled middleboxes; its public methods are the southbound API."""
 
     #: Default middlebox type string; subclasses override.
     MB_TYPE = "generic"
@@ -297,6 +297,7 @@ class Middlebox(Node, MiddleboxInterface):
     # =====================================================================================
 
     def set_event_sink(self, sink: Callable[[Event], None]) -> None:
+        """Register where raised events are delivered (the southbound agent)."""
         self._event_sink = sink
 
     def _emit(self, event: Event) -> None:
@@ -324,9 +325,11 @@ class Middlebox(Node, MiddleboxInterface):
         return True
 
     def enable_events(self, code: str, pattern: Optional[FlowPattern] = None, until: Optional[float] = None) -> None:
+        """Enable generation of introspection events with *code*."""
         self.event_filter.enable(code, pattern, until=until)
 
     def disable_events(self, code: str, pattern: Optional[FlowPattern] = None) -> None:
+        """Disable generation of introspection events with *code*."""
         self.event_filter.disable(code, pattern)
 
     # =====================================================================================
@@ -334,14 +337,17 @@ class Middlebox(Node, MiddleboxInterface):
     # =====================================================================================
 
     def get_config(self, key: str = "*") -> dict:
+        """Return the configuration subtree under *key* as a flat mapping."""
         return self.config.export(key)
 
     def set_config(self, key: str, values: list) -> None:
+        """Set the ordered values stored under *key*."""
         self.config.set(key, values)
         self._note_api_activity(self.costs.config_op)
         self.on_config_changed(key)
 
     def del_config(self, key: str) -> None:
+        """Delete *key* and its subtree."""
         self.config.delete(key)
         self.on_config_changed(key)
 
@@ -388,6 +394,9 @@ class Middlebox(Node, MiddleboxInterface):
 
         API busy time accrues per sealed chunk from the stream's start, so
         the total is ``get_base + get_per_chunk * chunks`` whatever the pull pacing.
+        The southbound agent pumps this iterator in bounded batches so a
+        million-flow export never resides in memory at once; callers that want
+        the whole export take ``list(...)`` of it.
         """
         store, encode, _ = self._cell(role, StateScope.PER_FLOW)
         if track_dirty:
@@ -493,6 +502,7 @@ class Middlebox(Node, MiddleboxInterface):
         self._note_api_activity(self.costs.put_per_chunk)
 
     def del_perflow(self, role: StateRole, pattern: FlowPattern) -> int:
+        """Delete per-flow state of the given role matching *pattern*; returns count."""
         removed = self._cell(role, StateScope.PER_FLOW)[0].remove_matching(pattern)
         for key, obj in removed:
             self.on_perflow_deleted(role, key, obj)
@@ -512,6 +522,7 @@ class Middlebox(Node, MiddleboxInterface):
     # =====================================================================================
 
     def get_shared(self, role: StateRole, *, mark_transfer: bool = False) -> Optional[StateChunk]:
+        """Export the sealed shared state of the given role (None when the MB has none)."""
         slot, encode, _ = self._cell(role, StateScope.SHARED)
         if slot is None:
             return None
@@ -522,6 +533,7 @@ class Middlebox(Node, MiddleboxInterface):
         return chunk
 
     def put_shared(self, chunk: StateChunk) -> None:
+        """Import shared state, merging with any existing shared state."""
         slot, _, decode = self._cell(chunk.role, StateScope.SHARED)
         if slot is None:
             raise StateError(f"{self.name} has no shared {chunk.role.value} state to import into")
@@ -533,6 +545,7 @@ class Middlebox(Node, MiddleboxInterface):
     # =====================================================================================
 
     def state_stats(self, pattern: FlowPattern) -> dict:
+        """Counts and sizes of state matching *pattern* (the ``stats`` call)."""
         stats = {}
         for (role, scope), attr in _CELL_ATTRS.items():
             held = getattr(self, attr)
@@ -544,6 +557,7 @@ class Middlebox(Node, MiddleboxInterface):
         return stats
 
     def end_transfer(self) -> None:
+        """Clear transfer markers set by get operations (clone/merge completion)."""
         # Note: per-flow packet holds are deliberately NOT cleared here.  They
         # belong to an order-preserving move targeting this middlebox, and a
         # TRANSFER_END can arrive from an unrelated operation (a clone/merge
@@ -576,7 +590,11 @@ class Middlebox(Node, MiddleboxInterface):
         self._shared_transfer_active = False
 
     def hold_flows(self, keys: List[FlowKey]) -> None:
-        """Start queueing fresh packets for *keys* (order-preserving puts)."""
+        """Start queueing fresh packets for *keys* (order-preserving puts).
+
+        The destination must not process live packets for a moved flow until
+        the controller has replayed the flow's buffered events in order.
+        """
         for key in keys:
             self._held_flows.add(key.bidirectional())
 
@@ -643,6 +661,7 @@ class Middlebox(Node, MiddleboxInterface):
         self._after_processing(packet, result, in_port=None, suppress_side_effects=True)
 
     def perflow_count(self, role: StateRole) -> int:
+        """Number of per-flow state entries of the given role (for scan-cost modelling)."""
         return len(self._cell(role, StateScope.PER_FLOW)[0])
 
     def cell_size_bytes(self, role: StateRole, scope: StateScope, pattern: Optional[FlowPattern] = None) -> int:

@@ -97,6 +97,24 @@ def test_a_method_is_called_by_its_bare_name_and_reported_by_its_qualified_one(t
     assert findings == ["src/pkg/box.py:5: Box.unused (2 lines) is named by no code outside tests"]
 
 
+ALIASED = """\
+class Api:
+    def move_internal(self):
+        return 1
+
+    moveInternal = move_internal
+"""
+
+
+def test_a_class_body_alias_nobody_calls_is_reported(tmp_path):
+    findings = audit(tmp_path, {"src/pkg/api.py": ALIASED, "examples/use.py": "from pkg.api import Api\nApi().move_internal()\n"})
+    assert findings == ["src/pkg/api.py:5: Api.moveInternal (1 lines) is named by no code outside tests"]
+
+
+def test_a_class_body_alias_that_is_called_is_not_reported(tmp_path):
+    assert audit(tmp_path, {"src/pkg/api.py": ALIASED, "examples/use.py": "from pkg.api import Api\nApi().moveInternal()\n"}) == []
+
+
 def test_private_dunder_and_nested_definitions_are_not_audited(tmp_path):
     module = """\
     def _helper():

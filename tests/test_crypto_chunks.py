@@ -40,17 +40,17 @@ class TestSealUnseal:
     def test_tamper_detection(self):
         sealed = bytearray(crypto.seal(self.key, b"secret state"))
         sealed[20] ^= 0xFF
-        with pytest.raises(crypto.SealError):
+        with pytest.raises(SealError):
             crypto.unseal(self.key, bytes(sealed))
 
     def test_wrong_key_rejected(self):
         sealed = crypto.seal(self.key, b"secret state")
         other = crypto.SealingKey.derive("other")
-        with pytest.raises(crypto.SealError):
+        with pytest.raises(SealError):
             crypto.unseal(other, sealed)
 
     def test_too_short_blob_rejected(self):
-        with pytest.raises(crypto.SealError):
+        with pytest.raises(SealError):
             crypto.unseal(self.key, b"short")
 
     def test_nonce_must_be_correct_length(self):

@@ -31,7 +31,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI, messages
 from repro.core.channel import FaultPlan, FaultProfile
-from repro.core.errors import ProtocolError, SpecError
+from repro.core.errors import ProtocolError
 from repro.core.messages import Message
 from repro.core.southbound import ProcessingCosts
 from repro.core.stats import ControllerStats
@@ -484,13 +484,11 @@ class TestCrossDomainMove:
 
 class TestWanPacingSpec:
     def test_parse_and_validation(self):
-        spec = TransferSpec.parse({"mode": "precopy", "max_rounds": 2, "wan_pacing": 1.5})
+        spec = TransferSpec.precopy(max_rounds=2, wan_pacing=1.5)
         assert spec.wan_pacing == 1.5
         assert TransferSpec.precopy().wan_pacing == 0
         with pytest.raises(ValueError):
             TransferSpec.precopy(wan_pacing=-0.1)
-        with pytest.raises(SpecError):
-            TransferSpec.parse({"wan_spacing": 1.0})
 
     def _timed_move(self, wan_pacing: float) -> tuple[float, int]:
         """One dirtied multi-round precopy move; returns (duration, rounds run).

@@ -196,16 +196,6 @@ class TestCrossShardMergeBarrier:
         assert controller.coordinator.barriers_issued >= 1
         assert handle.status == "committed"
 
-    def test_coordinator_owns_transactions_for_their_lifetime(self):
-        sim, controller, nb, monitors = self._scenario()
-        txn = nb.transaction()
-        txn.move(monitors[0].name, monitors[2].name, None)
-        assert txn not in controller.coordinator.active_transactions
-        handle = txn.commit()
-        assert txn in controller.coordinator.active_transactions
-        sim.run_until(handle.done, limit=100)
-        assert txn not in controller.coordinator.active_transactions
-
     def test_shard_barrier_resolves_only_once_loops_drain(self):
         sim, controller, nb, boxes = build(4, pairs=4, chunks=80)
         handles = [nb.move_internal(src.name, dst.name, None) for src, dst in boxes]

@@ -2,7 +2,8 @@
 """Every public name in ``src/`` has a caller outside the tests, or a reason.
 
 A public def or class (module level, or a method of a module-level class; no
-leading underscore, no dunder) counts as called when its name appears as a
+leading underscore, no dunder) — or a public alias of such a method assigned in
+its class body (``moveInternal = move_internal``) — counts as called when its name appears as a
 code token — ``tokenize`` ``NAME``, so comments, docstrings and strings do not
 count — anywhere in ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``,
 except inside its own definition and in a package ``__init__.py``'s imports
@@ -58,22 +59,27 @@ KEEP = {
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """(qualified name, node) for each public module-level def/class and each public method of such a class."""
+    """(qualified name, node) for each public module-level def/class, each public method of such a class
+    and each public class-body alias of one of its methods."""
     found = []
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         found.append((node.name, node))
         if isinstance(node, ast.ClassDef):
+            methods = {member.name for member in node.body if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))}
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_"):
                     found.append((f"{node.name}.{member.name}", member))
+                elif isinstance(member, ast.Assign) and isinstance(member.value, ast.Name) and member.value.id in methods:
+                    aliases = [target.id for target in member.targets if isinstance(target, ast.Name)]
+                    found += [(f"{node.name}.{alias}", member) for alias in aliases if not alias.startswith("_")]
     return found
 
 
 def _span(node: ast.AST) -> tuple[int, int]:
     """First and last line of a definition, decorators included."""
-    first = min([node.lineno] + [decorator.lineno for decorator in node.decorator_list])
+    first = min([node.lineno] + [decorator.lineno for decorator in getattr(node, "decorator_list", [])])
     return first, node.end_lineno or node.lineno
 
 
