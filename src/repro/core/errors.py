@@ -51,7 +51,7 @@ class PatternError(ValidationError):
 
 class SpecError(ValidationError):
     """A :class:`~repro.core.transfer.TransferSpec` argument was malformed
-    (unknown guarantee string, unknown mapping key, out-of-range field)."""
+    (unknown guarantee string or an uninterpretable value)."""
 
 
 class OperationError(OpenMBError):

@@ -21,9 +21,9 @@ This module partitions that event loop:
 * :class:`ShardCoordinator` — the shared brain above the shards.  It owns the
   ring, assigns every stateful operation a *home shard* (the shard whose loop
   sends the operation's southbound requests and absorbs their replies),
-  routes incoming messages to shards, tracks active transactions, and
-  provides the cross-shard **barrier** primitive transactions use to order a
-  merge behind moves running on different shards.
+  routes incoming messages to shards, and provides the cross-shard
+  **barrier** primitive transactions use to order a merge behind moves
+  running on different shards.
 
 With ``num_shards=1`` (the default) the runtime collapses to the seed's
 single-CPU behaviour bit-for-bit: one shard, one CPU serialisation point, the

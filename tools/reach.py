@@ -8,9 +8,11 @@ per file is what makes the numbers whole):
 * **tier-1** — every ``tests/test_*.py``, through pytest;
 * **non-test** — what the system runs without its tests: every
   ``benchmarks/bench_*.py`` (through pytest with ``--benchmark-disable``; the
-  ``BENCH_*.json`` documents they write go to a temporary directory), every ``examples/*.py`` script, and
-  the four host-time benchmark workloads at ``--smoke`` size, each in-process
-  through ``benchmarks.perf worker``.
+  ``BENCH_*.json`` documents they write go to a temporary directory), every
+  ``examples/*.py`` script, each host-time benchmark workload at ``run --smoke``
+  size through the traced path the benchmark's per-layer run takes (in-process
+  ``benchmarks.perf worker --trace 1``, which also runs the untraced
+  iterations), and the isolated probes (``benchmarks.perf probes``).
 
 The report gives, per package, the share of executable ``src/`` lines (lines
 the compiler emits code for) each group reaches, then lists the functions
@@ -18,13 +20,12 @@ the compiler emits code for) each group reaches, then lists the functions
 tests enter: code the system does not run. It is a report, not a gate: the
 exit status is 1 only when a traced run could not be started or wrote nothing.
 
-Usage: ``python tools/reach.py [--jobs N]``
-(``--child`` is the internal entry point of one traced run).
+Usage: ``python tools/reach.py`` (``--child`` is the internal entry point of
+one traced run).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -39,9 +40,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = "src"
 GROUPS = ("tier1", "non-test")
-#: The host-time benchmark's workloads, run the way ``run --smoke`` runs them.
-WORKLOADS = ("bulk_move", "concurrent_moves", "faulted_moves", "dataplane_fct")
-SMOKE_ARGS = ["--seed", "12", "--iterations", "1", "--scale", "0.1", "--trace", "0"]
+#: Traced processes at once.
+JOBS = 2
+#: CPU seconds each isolated probe loops for, as ``run --smoke --trace`` runs them.
+SMOKE_PROBE_SECONDS = 0.05
 
 
 @dataclass
@@ -218,7 +220,15 @@ def jobs_for(group: str, root: Path = REPO_ROOT) -> list[tuple[str, str, list[st
     benches = sorted((root / "benchmarks").glob("bench_*.py"))
     runs = [("pytest", path.relative_to(root).as_posix(), ["--benchmark-disable"]) for path in benches]
     runs += [("script", path.relative_to(root).as_posix(), []) for path in sorted((root / "examples").glob("*.py"))]
-    runs += [("module", "benchmarks.perf", ["worker", "--workload", name, *SMOKE_ARGS]) for name in WORKLOADS]
+    # Imported here, not at the top: a child imports nothing of ``src/`` before its tracer starts.
+    sys.path.insert(0, str(root))
+    from benchmarks.perf import cli, harness
+
+    smoke = types.SimpleNamespace(smoke=True, iterations=None, scale=None)  # ``run --smoke``'s arguments
+    for name in cli.WORKLOADS:
+        args = ["--workload", name, "--seed", str(harness.DEFAULT_SEED), *cli._worker_args(smoke, name, trace=True)]
+        runs.append(("module", "benchmarks.perf", ["worker", *args]))
+    runs.append(("module", "benchmarks.perf", ["probes", "--seconds", str(SMOKE_PROBE_SECONDS)]))
     return runs
 
 
@@ -239,11 +249,11 @@ def _traced(job: tuple[str, str, list[str]], scratch: Path, index: int) -> Hits 
     return Hits(lines, {(relative(name), line) for name, line in document["entered"]})
 
 
-def collect(group: str, jobs: int) -> tuple[Hits, list[str]]:
+def collect(group: str) -> tuple[Hits, list[str]]:
     """Merged hits of every run in *group*, and the targets whose run wrote nothing."""
     runs = jobs_for(group)
     merged, failed = Hits(), []
-    with tempfile.TemporaryDirectory(prefix="reach-") as scratch, ThreadPoolExecutor(max_workers=jobs) as pool:
+    with tempfile.TemporaryDirectory(prefix="reach-") as scratch, ThreadPoolExecutor(max_workers=JOBS) as pool:
         results = pool.map(lambda item: _traced(item[1], Path(scratch), item[0]), enumerate(runs))
         for (kind, target, args), hits in zip(runs, results):
             if hits is None:
@@ -257,12 +267,9 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
         child(Path(argv[1]), argv[2], argv[3], argv[4:])
         return 0
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2, help="traced processes at once (default 2)")
-    args = parser.parse_args(argv)
     hits, failed = {}, []
     for group in GROUPS:
-        hits[group], missing = collect(group, args.jobs)
+        hits[group], missing = collect(group)
         failed += missing
     executable, functions = source_tree()
     for line in render(classify(executable, functions, hits["tier1"], hits["non-test"])):
