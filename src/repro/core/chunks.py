@@ -213,6 +213,9 @@ def payload_codec(native: Optional[type]) -> Codec:
 
 #: Exactly these types are JSON scalars as they stand; most payload leaves are.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+#: The one-key objects :func:`encode_value` writes for a non-JSON value.  A dict
+#: whose one key is among them is wrapped in ``__dict__``, so it decodes as a dict.
+_MARKERS = frozenset({"__bytes__", "__tuple__", "__flowkey__", "__dict__"})
 
 
 def encode_value(value: Any) -> Any:
@@ -226,7 +229,8 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, FlowKey):
         return {"__flowkey__": value.as_dict()}
     if isinstance(value, dict):
-        return {str(key): encode_value(item) for key, item in value.items()}
+        encoded = {str(key): encode_value(item) for key, item in value.items()}
+        return {"__dict__": encoded} if len(encoded) == 1 and not _MARKERS.isdisjoint(encoded) else encoded
     if isinstance(value, (list,)):
         return [encode_value(item) for item in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
@@ -245,6 +249,8 @@ def decode_value(value: Any) -> Any:
             return tuple(decode_value(item) for item in value["__tuple__"])
         if "__flowkey__" in value and len(value) == 1:
             return FlowKey.from_dict(value["__flowkey__"])
+        if "__dict__" in value and len(value) == 1 and type(value["__dict__"]) is dict:
+            value = value["__dict__"]
         return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [decode_value(item) for item in value]

@@ -6,7 +6,9 @@ only opaque blobs.  This module provides a small, dependency-free
 authenticated encryption scheme built from the standard library:
 
 * keystream: SHAKE-256 keyed by the middlebox's sealing key and the nonce;
-* integrity: HMAC-SHA-256 over nonce plus ciphertext (encrypt-then-MAC).
+* integrity: keyed BLAKE2b-256 (RFC 7693's MAC mode) over nonce plus
+  ciphertext (encrypt-then-MAC).  One keyed BLAKE2b call costs about a third
+  of OpenSSL's HMAC-SHA-256, which pays a fixed cost per tag even one-shot.
 
 The construction is deliberately simple — the point of the reproduction is the
 *architecture* (state crosses the API sealed, and tampering is detected), not
@@ -84,7 +86,7 @@ def seal(key: SealingKey, plaintext: bytes, *, nonce: bytes | None = None) -> by
     if len(nonce) != _NONCE_LEN:
         raise ValueError(f"nonce must be {_NONCE_LEN} bytes")
     ciphertext = _xor(plaintext, _keystream(key.enc_key, nonce, len(plaintext)))
-    tag = hmac.new(key.mac_key, nonce + ciphertext, hashlib.sha256).digest()
+    tag = hashlib.blake2b(nonce + ciphertext, key=key.mac_key, digest_size=_MAC_LEN).digest()
     return nonce + ciphertext + tag
 
 
@@ -95,7 +97,7 @@ def unseal(key: SealingKey, blob: bytes) -> bytes:
     nonce = blob[:_NONCE_LEN]
     tag = blob[-_MAC_LEN:]
     ciphertext = blob[_NONCE_LEN:-_MAC_LEN]
-    expected = hmac.new(key.mac_key, nonce + ciphertext, hashlib.sha256).digest()
+    expected = hashlib.blake2b(nonce + ciphertext, key=key.mac_key, digest_size=_MAC_LEN).digest()
     if not hmac.compare_digest(tag, expected):
         raise SealError("sealed blob failed authentication")
     return _xor(ciphertext, _keystream(key.enc_key, nonce, len(ciphertext)))

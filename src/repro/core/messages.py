@@ -14,7 +14,7 @@ import base64
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .chunks import canonical_json, decode_value, encode_value, parse_json
 from .errors import ProtocolError
@@ -150,7 +150,7 @@ def _ill_typed(name: str, want: str, value: Any) -> ProtocolError:
     return ProtocolError(f"message field {name!r} must be {want}, got {value!r:.40}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One southbound protocol message."""
 
@@ -167,11 +167,8 @@ class Message:
     cseq: Optional[int] = None
 
     def stamped(self, cseq: int) -> "Message":
-        """A shallow copy numbered *cseq* (no ``__init__`` re-run); this message stays as it is."""
-        copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__)
-        copy.cseq = cseq
-        return copy
+        """A shallow copy numbered *cseq*; this message stays as it is."""
+        return Message(self.type, self.xid, self.reply_to, self.mb, self.body, cseq)
 
     @classmethod
     def from_wire(cls, wire: Dict[str, Any]) -> "Message":
@@ -735,39 +732,55 @@ REQUIRED = object()
 
 
 def _typed(*types: type) -> Callable[[Any], Any]:
-    """A converter that passes instances of *types* through and rejects the rest."""
+    """A converter that passes values of exactly one of *types* through and rejects the rest.
+
+    Exactly: a bool is not an int here, and nothing is read out of a string.
+    """
 
     def check(value: Any) -> Any:
-        if not isinstance(value, types):
+        if type(value) not in types:
             raise TypeError(f"expected {types[0].__name__}, got {value!r}")
         return value
 
     return check
 
 
+_str, _flag, _int, _number, _list = _typed(str), _typed(bool), _typed(int), _typed(int, float), _typed(list)
+
+
+def _copied(kind: type) -> Callable[[Any], Any]:
+    """A converter that copies a value of exactly *kind*, so a default is never shared."""
+    check = _typed(kind)
+    return lambda raw: kind(check(raw))
+
+
 def _each(convert: Callable[[Any], Any]) -> Callable[[Any], list]:
-    return lambda raw: [convert(item) for item in raw]
+    return lambda raw: [convert(item) for item in _list(raw)]
 
 
-_str, _flag, _int, _number = _typed(str), _typed(bool), _typed(int), _typed(int, float)
+def _round(raw: Any) -> Tuple[int, ...]:
+    """A pre-copy round tag: a list of ints, compared as a tuple."""
+    if any(type(part) is not int for part in _list(raw)):
+        raise TypeError(f"expected a list of ints, got {raw!r}")
+    return tuple(raw)
+
+
+def _seconds(raw: Any) -> float:
+    """A time in seconds: exactly an int or a float, read as a float."""
+    return float(_number(raw))
+
+
 _ROLE = ("role", _role, REQUIRED)
 _PATTERN = ("pattern", FlowPattern.parse, {})
 _OPTIONAL_PATTERN = ("pattern", FlowPattern.parse, None)
 _COMPRESS = ("compress", _flag, False)
 _KEY = ("key", FlowKey.from_dict, None)
-_KEYS = (("keys", _each(FlowKey.from_dict), ()),)
+_KEYS = (("keys", _each(FlowKey.from_dict), []),)
 _PACKET = ("packet", decode_packet, None)
 _SHARED = ("shared", _flag, False)
 _SHARED_CHUNK = ("chunk", partial(decode_chunk, shared=True), REQUIRED)
-_PUT_TAGS = (("hold", _flag, False), ("round", tuple, None))
+_PUT_TAGS = (("hold", _flag, False), ("round", _round, None))
 _INSTANCE = (("instance", _str, ""),)
-
-
-def _clock(value: Any) -> float:
-    """A timestamp, exactly an int or a float: a bool is not a number here, nothing is read out of a string."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
 
 
 _DIGEST_ENTRY = (("key", str), ("origin", str), ("version", int), ("value", dict), ("at", int, float))
@@ -786,18 +799,18 @@ def _summaries(raw: Any) -> list:
     return raw
 
 
-_DIGEST = tuple((section, _each(_digest_entry), ()) for section in ("membership", "liveness", "ownership"))
-_GOSSIP = (("sent_at", _clock, REQUIRED), ("heard", _clock, REQUIRED), ("summary", _summaries, REQUIRED), ("resync", _flag, False))
+_DIGEST = tuple((section, _each(_digest_entry), []) for section in ("membership", "liveness", "ownership"))
+_GOSSIP = (("sent_at", _number, REQUIRED), ("heard", _number, REQUIRED), ("summary", _summaries, REQUIRED), ("resync", _flag, False))
 
 SCHEMAS: Dict[str, tuple] = {
-    MessageType.BATCH: (("frames", _each(Message.from_wire), ()),),
+    MessageType.BATCH: (("frames", _each(Message.from_wire), []),),
     MessageType.GET_CONFIG: (("key", _str, "*"),),
-    MessageType.SET_CONFIG: (("key", _str, REQUIRED), ("values", list, ())),
+    MessageType.SET_CONFIG: (("key", _str, REQUIRED), ("values", _copied(list), [])),
     MessageType.DEL_CONFIG: (("key", _str, REQUIRED),),
     MessageType.GET_PERFLOW: (_ROLE, _PATTERN, ("transfer", _flag, False), ("track_dirty", _flag, False), _COMPRESS),
     MessageType.GET_PERFLOW_DELTA: (_ROLE, _PATTERN, ("final", _flag, False), _COMPRESS),
     MessageType.PUT_PERFLOW: (("chunk", decode_chunk, REQUIRED), *_PUT_TAGS),
-    MessageType.PUT_PERFLOW_BATCH: (("chunks", _each(decode_chunk), ()), *_PUT_TAGS),
+    MessageType.PUT_PERFLOW_BATCH: (("chunks", _each(decode_chunk), []), *_PUT_TAGS),
     MessageType.DEL_PERFLOW: (_ROLE, _PATTERN),
     MessageType.TRANSFER_HOLD: _KEYS,
     MessageType.TRANSFER_RELEASE: _KEYS,
@@ -808,14 +821,14 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.DISABLE_EVENTS: (("code", _str, REQUIRED), _OPTIONAL_PATTERN),
     MessageType.TRANSFER_END: (("dirty_only", _flag, False), ("shared_only", _flag, False)),
     MessageType.REPROCESS_PACKET: (_PACKET, _SHARED),
-    MessageType.CONFIG_VALUE: (("values", dict, {}),),
+    MessageType.CONFIG_VALUE: (("values", _copied(dict), {}),),
     MessageType.STATE_CHUNK: (("chunk", decode_chunk, REQUIRED),),
     MessageType.SHARED_STATE: (_SHARED_CHUNK,),
     MessageType.GET_COMPLETE: (("role", _str, None), ("dirty", _int, None)),
-    MessageType.STATS_REPLY: (("stats", dict, {}),),
+    MessageType.STATS_REPLY: (("stats", _copied(dict), {}),),
     MessageType.ACK: (("removed", _int, 0),),
     MessageType.ERROR: (("reason", _str, ""),),
-    MessageType.EVENT: (("code", _str, ""), ("raised_at", float, 0.0), _SHARED, ("values", dict, {}), _KEY, _PACKET),
+    MessageType.EVENT: (("code", _str, ""), ("raised_at", _seconds, 0.0), _SHARED, ("values", _copied(dict), {}), _KEY, _PACKET),
     MessageType.HEARTBEAT: (),
     MessageType.CHAN_ACK: (("cum", _int, 0),),
     MessageType.FED_GOSSIP: (*_GOSSIP, *_DIGEST),

@@ -132,7 +132,7 @@ def state_class(role: StateRole, scope: StateScope) -> StateClass:
         raise StateError(f"no taxonomy entry for {role.value} / {scope.value}") from None
 
 
-@dataclass
+@dataclass(slots=True)
 class StateChunk:
     """A unit of exported state: a flow key (per-flow state) and a sealed value blob.
 
@@ -625,10 +625,24 @@ class PerFlowStateStore(Generic[T]):
                     yield key, value
 
     def remove_matching(self, pattern: FlowPattern) -> List[Tuple[FlowKey, T]]:
-        """Remove and return all entries matching *pattern*."""
+        """Remove and return all entries matching *pattern*.
+
+        A wildcard empties the store with one :meth:`clear` instead of one
+        :meth:`remove` per entry; the post-state is the per-key path's: the
+        removed keys are dirtied in match order while tracking, and an install
+        tag whose flow was never resident survives, as :meth:`remove` leaves it.
+        """
         matches = self.query(pattern)
-        for key, _ in matches:
-            self.remove(key)
+        if not pattern.is_wildcard:
+            for key, _ in matches:
+                self.remove(key)
+            return matches
+        orphan_tags = {key: tag for key, tag in self._install_rounds.items() if key not in self}
+        self.clear()
+        self._install_rounds.update(orphan_tags)
+        if self._tracking_dirty:
+            for key, _ in matches:
+                self.mark_dirty(key)
         return matches
 
     def _index_candidates(self, pattern: FlowPattern) -> Optional[set]:

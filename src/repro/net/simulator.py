@@ -335,7 +335,7 @@ class Simulator:
         early queue drain (nothing left that could ever complete it) from a
         blown time *limit*.
         """
-        while self._queue and not future.done:
+        while self._queue and not future._done:
             time, _, entry = self._queue[0]
             if time > limit:
                 raise self._stuck(future, reason="limit-exceeded", limit=limit)

@@ -1,5 +1,8 @@
 """Unit tests for chunk sealing (crypto) and chunk serialisation."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.core import crypto
@@ -62,6 +65,33 @@ class TestSealUnseal:
         assert crypto.seal(self.key, b"data", nonce=nonce) == crypto.seal(self.key, b"data", nonce=nonce)
 
 
+class TestSealConstruction:
+    """The blob is nonce || SHAKE-256-keystream ciphertext || keyed BLAKE2b-256 tag."""
+
+    key = crypto.SealingKey(bytes(range(32)), bytes(range(32, 64)))
+    nonce = bytes(range(16))
+    plaintext = b"per-flow state"
+
+    def test_known_answer(self):
+        blob = crypto.seal(self.key, self.plaintext, nonce=self.nonce)
+        assert blob.hex() == (
+            "000102030405060708090a0b0c0d0e0f"
+            "f5d4219bf2840ab5d00ffb2d6b3f"
+            "79a5db580efa905e80fec1bf455d1ca2401aa9a65e18fd03120d066153c8465f"
+        )
+        ciphertext = blob[16:-32]
+        keystream = hashlib.shake_256(self.key.enc_key + self.nonce).digest(len(self.plaintext))
+        assert ciphertext == bytes(p ^ k for p, k in zip(self.plaintext, keystream))
+        assert blob[-32:] == hashlib.blake2b(self.nonce + ciphertext, key=self.key.mac_key, digest_size=32).digest()
+        assert crypto.unseal(self.key, blob) == self.plaintext
+
+    def test_hmac_sha256_tag_refused(self):
+        body = crypto.seal(self.key, self.plaintext, nonce=self.nonce)[:-32]
+        blob = body + hmac.new(self.key.mac_key, body, hashlib.sha256).digest()
+        with pytest.raises(SealError):
+            crypto.unseal(self.key, blob)
+
+
 class TestPayloadSerialisation:
     def test_scalar_roundtrip(self):
         for payload in (1, 1.5, "text", True, None):
@@ -83,6 +113,14 @@ class TestPayloadSerialisation:
         key = FlowKey(6, "10.0.0.1", "192.0.2.1", 1, 2)
         payload = {"key": key}
         assert deserialize_payload(serialize_payload(payload))["key"] == key
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"__bytes__": "\x80"}, {"__tuple__": [1]}, {"__flowkey__": {}}, {"__dict__": 5}, {"a": {"__bytes__": b"x"}}],
+    )
+    def test_a_dict_keyed_by_a_marker_stays_a_dict(self, payload):
+        """A one-key dict spelled like the codec's bytes / tuple / key markers is not read as one."""
+        assert deserialize_payload(serialize_payload(payload)) == payload
 
     def test_compression_reduces_size_for_repetitive_payloads(self):
         payload = {"data": "A" * 5000}

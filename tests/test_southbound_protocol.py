@@ -196,6 +196,40 @@ class TestMalformedRequestsAreAnswered:
         with pytest.raises(ProtocolError, match=repr(member)):
             messages.parse(Message(type_, mb="mb", body=dict(body, packet=dict(self.PACKET, **{member: value}))))
 
+    #: (type, member, a well-typed value and what it reads as, a value a coercing converter used to accept).
+    COERCIBLE = [
+        (T.CHAN_ACK, "cum", 3, 3, True),
+        (T.ACK, "removed", 2, 2, True),
+        (T.GET_COMPLETE, "dirty", 0, 0, False),
+        (T.ENABLE_EVENTS, "until", 2, 2, True),
+        (T.EVENT, "raised_at", 1, 1.0, "1.5"),
+        (T.SET_CONFIG, "values", ["a"], ["a"], "ab"),
+        (T.CONFIG_VALUE, "values", {"a": 1}, {"a": 1}, [["a", 1]]),
+        (T.STATS_REPLY, "stats", {"a": 1}, {"a": 1}, [["a", 1]]),
+        (T.EVENT, "values", {"a": 1}, {"a": 1}, [["a", 1]]),
+        (T.PUT_PERFLOW, "round", [1, 0], (1, 0), "ab"),
+        (T.PUT_PERFLOW_BATCH, "round", [1, 0], (1, 0), [1, True]),
+    ]
+
+    @pytest.mark.parametrize("type_, member, good, reads, bad", COERCIBLE)
+    def test_an_ill_typed_body_member_is_refused_not_coerced(self, type_, member, good, reads, bad):
+        """``true`` is not the int 1, ``"1.5"`` not a time, ``"ab"`` not ``['a', 'b']`` or a round tag,
+        and a list of pairs not a dict."""
+        read = messages.parse(Message(type_, mb="mb", body={member: good}), member)[member]
+        assert read == reads and type(read) is type(reads)
+        with pytest.raises(ProtocolError, match=repr(member)):
+            messages.parse(Message(type_, mb="mb", body={member: bad}), member)
+
+    def test_an_ill_typed_round_tag_gets_an_error_instead_of_escaping_the_agent(self):
+        """A round of strings compared against an installed ``(1, 0)`` used to raise a bare ``TypeError``."""
+        wire = Wire()
+        tagged = sample_requests(wire.middlebox)[T.PUT_PERFLOW]
+        ill_tagged = as_received(tagged)
+        ill_tagged.body["round"] = ["a", "b"]
+        replies = {reply.reply_to: reply.type for reply in wire.final_replies(tagged, ill_tagged)}
+        assert replies == {tagged.xid: T.ACK, ill_tagged.xid: T.ERROR}
+        assert wire.agent.stats.chunks_received == 1
+
     def test_role_bogus_and_keys_seven(self):
         wire = Wire()
         bogus_role = Message(T.GET_PERFLOW, mb="mb", body={"role": "bogus"})

@@ -12,7 +12,7 @@ engine (or a deliberate semantic change that must be called out explicitly).
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -286,3 +286,56 @@ def test_a_promoted_bucket_exports_in_the_order_of_a_set_built_by_the_same_inser
             store.put(key, client)
             plain.add(store.canonical_key(key))
             assert [key for key, _ in store.query(FlowPattern(nw_dst=address))] == list(set(plain)), (server, client)
+
+
+def _twin_stores(indexed, shard_count, puts, tags, orphans, tracking, earlier_dirt):
+    """Two stores built by the same calls: resident flows, install tags (some on
+    flows never resident, as a failed unseal leaves them), and earlier dirt."""
+    stores = []
+    for _ in range(2):
+        store = PerFlowStateStore(indexed=indexed, shard_count=shard_count)
+        if tracking:
+            store.begin_dirty_tracking()
+        for index, (key, value) in enumerate(puts):
+            store.put(key, value)
+            if index in tags:
+                store.install_round(key, (1, index))
+        for key in orphans:
+            if key not in store:
+                store.install_round(key, (2, 0))
+        for key in earlier_dirt:
+            store.mark_dirty(key)
+        stores.append(store)
+    return stores
+
+
+@settings(deadline=None)
+@given(
+    indexed=st.booleans(),
+    shard_count=st.sampled_from((1, 16)),
+    puts=st.lists(st.tuples(skewed_keys, st.integers(0, 9)), max_size=40),
+    tags=st.sets(st.integers(0, 39)),
+    orphans=st.lists(skewed_keys, max_size=4),
+    tracking=st.booleans(),
+    earlier_dirt=st.lists(skewed_keys, max_size=6),
+)
+def test_a_wildcard_delete_leaves_what_per_key_removes_leave(indexed, shard_count, puts, tags, orphans, tracking, earlier_dirt):
+    """The bulk ``clear`` behind a wildcard ``remove_matching`` is the per-key ``remove`` loop, observably."""
+    bulk, per_key = _twin_stores(indexed, shard_count, puts, tags, orphans, tracking, earlier_dirt)
+    removed = bulk.remove_matching(FlowPattern.wildcard())
+    matches = per_key.query(FlowPattern.wildcard())
+    for key, _ in matches:
+        per_key.remove(key)
+    assert removed == matches
+    assert len(bulk) == len(per_key) == 0 and bulk.keys() == per_key.keys()
+    assert bulk.memory_stats() == per_key.memory_stats()
+    assert bulk.dirty_keys() == per_key.dirty_keys()
+    assert bulk.install_round_count == per_key.install_round_count
+    assert bulk._install_rounds == per_key._install_rounds
+    assert bulk.scan_steps == per_key.scan_steps
+    assert (bulk._by_src, bulk._by_port) == (per_key._by_src, per_key._by_port)
+    for key, value in puts[:5]:
+        bulk.put(key, value)
+        per_key.put(key, value)
+    for pattern in PINNED:
+        assert bulk.query(pattern) == per_key.query(pattern), pattern
