@@ -53,9 +53,6 @@ class ActivitySeries:
             )
         return rows
 
-    def total_packets(self) -> int:
-        return self.samples[-1].packets_received if self.samples else 0
-
 
 class ActivitySampler:
     """Periodically samples middlebox counters on the simulated clock."""
@@ -65,7 +62,6 @@ class ActivitySampler:
         self.middleboxes = list(middleboxes)
         self.interval = interval
         self.series: Dict[str, ActivitySeries] = {mb.name: ActivitySeries(mb.name) for mb in middleboxes}
-        self._stopped = False
 
     def start(self, duration: float) -> None:
         """Schedule samples covering the next *duration* seconds."""
@@ -74,8 +70,6 @@ class ActivitySampler:
             self.sim.schedule(index * self.interval, self._sample)
 
     def _sample(self) -> None:
-        if self._stopped:
-            return
         now = self.sim.now
         for middlebox in self.middleboxes:
             self.series[middlebox.name].samples.append(
@@ -86,9 +80,6 @@ class ActivitySampler:
                     reprocessed_packets=middlebox.counters.reprocessed_packets,
                 )
             )
-
-    def stop(self) -> None:
-        self._stopped = True
 
 
 @dataclass

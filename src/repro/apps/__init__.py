@@ -4,7 +4,7 @@ from .base import AppReport, ControlApplication
 from .failover import FailureRecoveryApp
 from .federation import FederationOverseerApp
 from .migration import PerFlowMigrationApp, REMigrationApp
-from .scaling import RebalanceApp, ScaleDownApp, ScaleUpApp
+from .scaling import ScaleDownApp, ScaleUpApp
 from .scenarios import (
     GUARANTEE_SCENARIOS,
     GuaranteeScenarioResult,
@@ -22,7 +22,6 @@ __all__ = [
     "FederationOverseerApp",
     "PerFlowMigrationApp",
     "REMigrationApp",
-    "RebalanceApp",
     "ScaleDownApp",
     "ScaleUpApp",
     "REMigrationScenario",

@@ -1,15 +1,13 @@
 """Elastic scaling control applications (paper section 6.2).
 
-Since the transactional-API redesign the three scaling applications are thin
+Since the transactional-API redesign the two scaling applications are thin
 wrappers over :meth:`~repro.core.northbound.NorthboundAPI.transaction`:
 
 * :class:`ScaleUpApp` declares one ``migrate`` composite — clone the
   configuration, then per subnet: stats → move → re-route — and commits;
 * :class:`ScaleDownApp` declares one ``drain`` composite — move everything,
   merge the shared reporting state, re-route, wait for finalisation,
-  terminate the spare;
-* :class:`RebalanceApp` declares one ``rebalance`` composite — measure load
-  and move state from the busiest to the idlest replica.
+  terminate the spare.
 
 The transaction coordinator supplies what the hand-sequenced versions could
 not: route installation ordered on the per-flow put-ACKs
@@ -127,48 +125,4 @@ class ScaleDownApp(ControlApplication):
         self.report.details["move"] = move_record
         self.report.details["merge"] = merge_record
         self.report.details["chunks_moved"] = move_record.chunks_transferred
-        return self.report
-
-
-class RebalanceApp(ControlApplication):
-    """Move in-progress flows between replicas to even out load (long-flow re-balancing)."""
-
-    name = "rebalance"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        northbound: NorthboundAPI,
-        *,
-        replicas: Sequence[str],
-        patterns_by_replica: dict,
-        update_routing: Callable[[str, FlowPattern], Future],
-        sdn: Optional[SDNController] = None,
-    ) -> None:
-        super().__init__(sim, northbound, sdn)
-        self.replicas = list(replicas)
-        self.patterns_by_replica = dict(patterns_by_replica)
-        self.update_routing = update_routing
-
-    def steps(self) -> Generator:
-        txn = self.nb.transaction()
-        txn.observer = self._log
-        step = txn.rebalance(self.replicas, self.patterns_by_replica, self.update_routing)
-        handle = txn.commit()
-        yield handle.done
-
-        detail = step.record.detail
-        self.report.details["loads_before"] = dict(detail.get("loads_before", {}))
-        if detail.get("balanced"):
-            self._log("load already balanced; nothing to do")
-            return self.report
-        if "no_pattern_for" in detail:
-            self._log(f"no re-balance pattern configured for {detail['no_pattern_for']}")
-            return self.report
-        record = step.handle.record
-        self._log(f"moved {record.chunks_transferred} chunks {detail['moved_from']} -> {detail['moved_to']}")
-        self.report.details["transaction"] = handle.aggregate()
-        self.report.details["moved_from"] = detail["moved_from"]
-        self.report.details["moved_to"] = detail["moved_to"]
-        self.report.details["chunks_moved"] = record.chunks_transferred
         return self.report

@@ -60,25 +60,14 @@ class _Node:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def to_dict(self) -> object:
-        if self.is_leaf:
-            return list(self.values)
-        return {name: child.to_dict() for name, child in sorted(self.children.items())}
-
 
 class HierarchicalConfig:
     """A middlebox's configuration state: a tree of keys with ordered values."""
 
     def __init__(self) -> None:
         self._root = _Node()
-        self._version = 0
 
     # -- basic operations (southbound getConfig/setConfig/delConfig) ---------
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter incremented by every successful write or delete."""
-        return self._version
 
     def set(self, key: str, values: Sequence[ConfigValue] | ConfigValue) -> None:
         """Set the ordered values stored under *key*, creating the path.
@@ -102,12 +91,6 @@ class HierarchicalConfig:
             raise ConfigError(f"key {key!r} has sub-keys and cannot hold values")
         node.values = list(values)
         node.has_values = True
-        self._version += 1
-
-    def get(self, key: str = WILDCARD_KEY) -> object:
-        """Return the values (leaf key) or the nested dict (interior key) at *key*."""
-        node = self._find(key)
-        return node.to_dict()
 
     def get_values(self, key: str) -> List[ConfigValue]:
         """Return the ordered value list stored at a leaf key."""
@@ -131,7 +114,6 @@ class HierarchicalConfig:
         parts = split_key(key)
         if not parts:
             self._root = _Node()
-            self._version += 1
             return
         node = self._root
         for part in parts[:-1]:
@@ -141,7 +123,6 @@ class HierarchicalConfig:
         if parts[-1] not in node.children:
             raise ConfigError(f"unknown configuration key {key!r}")
         del node.children[parts[-1]]
-        self._version += 1
 
     def has(self, key: str) -> bool:
         """Return True when *key* exists in the hierarchy."""
@@ -196,11 +177,6 @@ class HierarchicalConfig:
             yield prefix, node.values
         for name, child in node.children.items():
             yield from self._walk(child, prefix + (name,))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HierarchicalConfig):
-            return NotImplemented
-        return self.export() == other.export()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HierarchicalConfig({self.export()!r})"

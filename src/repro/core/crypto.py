@@ -61,11 +61,6 @@ class SealingKey:
     mac_key: bytes
 
     @classmethod
-    def generate(cls) -> "SealingKey":
-        """Create a fresh random key pair."""
-        return cls(os.urandom(32), os.urandom(32))
-
-    @classmethod
     def derive(cls, secret: str) -> "SealingKey":
         """Derive a deterministic key pair from a textual secret.
 

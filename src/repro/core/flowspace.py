@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 #: Header fields recognised in a pattern, in canonical order.
 FIELDS = ("nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst")
@@ -91,9 +91,6 @@ class IPv4Prefix:
     def contains_ip(self, address: str) -> bool:
         """Return True when *address* falls inside this prefix."""
         return (ip_to_int(address) & self.mask) == self.network
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{int_to_ip(self.network)}/{self.length}"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -253,14 +250,6 @@ class FlowPattern:
 
     # -- field access ---------------------------------------------------------
 
-    @property
-    def nw_src(self) -> Optional[str]:
-        return self._src_text
-
-    @property
-    def nw_dst(self) -> Optional[str]:
-        return self._dst_text
-
     def as_dict(self) -> dict:
         """Return only the specified fields as a plain dict (JSON friendly)."""
         result: dict = {}
@@ -350,9 +339,6 @@ class FlowPattern:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.as_dict().items())))
-
-    def __iter__(self) -> Iterator[Tuple[str, object]]:
-        return iter(self.as_dict().items())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value}" for name, value in self.as_dict().items())

@@ -228,11 +228,6 @@ class Message:
             raise ProtocolError(f"malformed message: {exc}") from exc
         return cls.from_wire(wire)
 
-    @property
-    def wire_size(self) -> int:
-        """Size of the encoded message in bytes."""
-        return len(self.encode())
-
 
 # -- body encoding helpers -------------------------------------------------------
 

@@ -51,7 +51,7 @@ class NorthboundAPI:
         Returns a :class:`~repro.core.transaction.Transaction` builder on
         which the application declares steps — ``clone_config``, ``move``,
         ``clone``, ``merge``, ``reroute``, ``barrier`` and the composite verbs
-        ``migrate`` / ``rebalance`` / ``drain`` — and then calls ``commit()``
+        ``migrate`` / ``drain`` — and then calls ``commit()``
         to run them with coordinated re-routing (routes install once the
         relevant per-flow put-ACKs arrive) and all-or-nothing failure
         semantics.  The six paper primitives below are each equivalent to a

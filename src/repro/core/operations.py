@@ -163,19 +163,14 @@ class OperationHandle:
         #: Back-reference for transaction abort; set by the operation itself.
         self._operation: Optional["_StatefulOperation"] = None
 
-    @property
-    def op_id(self) -> int:
-        """The operation's controller-assigned identifier."""
-        return self.record.op_id
-
 
 class StandbyRetryHandle:
     """Handle facade over a move that retries onto a standby destination.
 
     Crash-safe moves (``move_internal(..., standby=...)``) return this instead
     of a plain :class:`OperationHandle`.  It mirrors the handle surface —
-    ``record`` / ``op_id`` / ``state_installed`` / ``completed`` /
-    ``finalized`` — but the futures are *outer* futures: when the primary
+    ``record`` / ``state_installed`` / ``completed`` / ``finalized`` — but
+    the futures are *outer* futures: when the primary
     destination dies mid-move (:class:`~repro.core.errors.UnknownMiddleboxError`,
     which covers both crashes and unregisters) while the source and the
     standby are still alive, a fresh move is started against the standby and
@@ -216,11 +211,6 @@ class StandbyRetryHandle:
     def record(self) -> OperationRecord:
         """The current (latest) attempt's measurements."""
         return self.attempts[-1].record
-
-    @property
-    def op_id(self) -> int:
-        """The current attempt's controller-assigned operation id."""
-        return self.attempts[-1].op_id
 
     @property
     def _operation(self):

@@ -546,13 +546,6 @@ class PerFlowStateStore(Generic[T]):
         canonical = self.canonical_key(key)
         return canonical in self._shard_of(canonical)
 
-    def keys(self) -> List[FlowKey]:
-        """The stored canonical flow keys (a copy, safe to mutate around)."""
-        collected: List[FlowKey] = []
-        for shard in self._shards:
-            collected.extend(shard.keys())
-        return collected
-
     def items(self) -> Iterator[Tuple[FlowKey, T]]:
         """Iterate over a snapshot of (canonical key, state object) pairs."""
         collected: List[Tuple[FlowKey, T]] = []

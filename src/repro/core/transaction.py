@@ -9,7 +9,7 @@ recurring choreography into a first-class object:
 ``nb.transaction()`` yields a :class:`Transaction` builder on which an
 application declares **steps** — ``clone_config``, ``move``, ``clone``,
 ``merge``, ``reroute``, ``write_config``, ``end_transfer``, ``barrier``,
-``call`` — plus **composite verbs** (``migrate``, ``rebalance``, ``drain``)
+``call`` — plus **composite verbs** (``migrate``, ``drain``)
 that expand into the correct paper sequence.  A single ``commit()`` returns a
 :class:`TransactionHandle` with per-step progress, aggregate statistics, and
 all-or-nothing failure semantics.
@@ -71,13 +71,6 @@ class StepRecord:
     error: Optional[str] = None
     #: Step-specific measurements (operation records, route windows, ...).
     detail: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Seconds from step start to finish (None while pending/running)."""
-        if self.started_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
 
 
 # =========================================================================================
@@ -180,14 +173,11 @@ class _OperationStep(_Step):
     """A stateful operation (move/clone/merge) as one step.
 
     *launch* issues the northbound call and returns the operation's handle;
-    everything keyed on that handle — the record, abort, rollback, what
-    ``barrier(finalized=True)`` and ``after=`` see — is shared with the
-    re-balance step, whose operation is only chosen at run time.
+    the record, abort, rollback, what ``barrier(finalized=True)`` and
+    ``after=`` see are all keyed on that handle.
     """
 
-    def __init__(
-        self, txn: "Transaction", name: str, launch: Optional[Callable[[], OperationHandle]] = None, wait_finalized: bool = False
-    ) -> None:
+    def __init__(self, txn: "Transaction", name: str, launch: Callable[[], OperationHandle], wait_finalized: bool = False) -> None:
         super().__init__(txn, name)
         self.launch = launch
         self.wait_finalized = wait_finalized
@@ -209,8 +199,7 @@ class _OperationStep(_Step):
 
     @property
     def operation_record(self):
-        """The operation's measurement record (None before the step runs, or
-        when a re-balance needed no move)."""
+        """The operation's measurement record (None before the step runs)."""
         return None if self.handle is None else self.handle.record
 
     def abort_inflight(self, exc: Exception) -> None:
@@ -327,80 +316,6 @@ class _BarrierStep(_Step):
             self._resolve_future(all_of(self.txn.sim, futures))
         else:
             self._succeed(None)
-
-
-class _RebalanceStep(_OperationStep):
-    """Dynamic composite: measure load, move state off the busiest replica,
-    and re-route once the moved state is installed (no move when balanced)."""
-
-    #: Smallest busiest-minus-idlest load gap (entries) worth a move.
-    MIN_IMBALANCE = 2
-
-    def __init__(
-        self,
-        txn: "Transaction",
-        replicas: Sequence[str],
-        patterns_by_replica: Dict[str, object],
-        update_routing: Callable[[str, FlowPattern], object],
-        *,
-        spec: Optional[TransferSpec] = None,
-    ) -> None:
-        super().__init__(txn, f"rebalance({','.join(replicas)})")
-        self.replicas = list(replicas)
-        self.patterns_by_replica = dict(patterns_by_replica)
-        self.update_routing = update_routing
-        self.spec = spec
-
-    def run(self) -> None:
-        """Measure per-replica load, then decide whether (and what) to move."""
-        measurements = [self.txn.nb.stats(replica, None) for replica in self.replicas]
-        all_of(self.txn.sim, measurements).add_done_callback(self._on_loads)
-
-    def _on_loads(self, future: Future) -> None:
-        """With loads in hand: no-op when balanced, else move + reroute."""
-        if future.exception is not None:
-            self._fail(future.exception)
-            return
-        loads = {
-            replica: stats.get("perflow_supporting", 0) + stats.get("perflow_reporting", 0)
-            for replica, stats in zip(self.replicas, future.result)
-        }
-        self.record.detail["loads_before"] = dict(loads)
-        busiest = max(loads, key=loads.get)
-        idlest = min(loads, key=loads.get)
-        if busiest == idlest or loads[busiest] - loads[idlest] < self.MIN_IMBALANCE:
-            self.record.detail["balanced"] = True
-            self._succeed(self.record.detail)
-            return
-        pattern = self.patterns_by_replica.get(busiest)
-        if pattern is None:
-            self.record.detail["no_pattern_for"] = busiest
-            self._succeed(self.record.detail)
-            return
-        pattern = pattern if isinstance(pattern, FlowPattern) else FlowPattern.parse(pattern)
-        self.record.detail["moved_from"] = busiest
-        self.record.detail["moved_to"] = idlest
-        self.handle = self.txn.nb.move_internal(busiest, idlest, pattern, spec=self.spec)
-        self.record.detail["operation"] = self.handle.record
-        routed = self.txn.sim.event(name=f"{self.record.name}.routed")
-
-        def reroute(installed: Future) -> None:
-            # Coordinated re-routing: install the new route as soon as the
-            # moved state is fully installed, overlapping with the tail of
-            # the operation (releases/replays) instead of waiting for it.
-            if installed.exception is not None:
-                routed.fail(installed.exception)
-                return
-            result = self.update_routing(idlest, pattern)
-            if isinstance(result, Future):
-                result.add_done_callback(
-                    lambda f: routed.fail(f.exception) if f.exception is not None else routed.succeed(f._result)
-                )
-            else:
-                routed.succeed(result)
-
-        self.handle.state_installed.add_done_callback(reroute)
-        self._resolve_future(all_of(self.txn.sim, [self.handle.completed, routed]))
 
 
 # =========================================================================================
@@ -760,20 +675,6 @@ class Transaction:
             steps["terminate"] = self.call(terminate, name=f"terminate({src})", after=tail)
         return steps
 
-    def rebalance(
-        self,
-        replicas: Sequence[str],
-        patterns_by_replica: Dict[str, object],
-        update_routing: Callable[[str, FlowPattern], object],
-        *,
-        spec=None,
-        after=None,
-    ) -> _RebalanceStep:
-        """Measure per-replica load and move state from the busiest to the
-        idlest replica, re-routing as soon as the moved state is installed."""
-        step = _RebalanceStep(self, replicas, patterns_by_replica, update_routing, spec=TransferSpec.parse(spec))
-        return self._add(step, after)
-
     # -- committing ----------------------------------------------------------------------------
 
     def commit(self) -> TransactionHandle:
@@ -848,9 +749,8 @@ class Transaction:
                 other.cancel()
         # 2. In-flight steps are aborted (operations fail, releasing any
         #    destination packet holds; partially installed routes roll back).
-        #    The failing step itself is included: a composite step can fail on
-        #    one half (e.g. a rebalance's reroute) while its other half (the
-        #    move) is still running and must not finalise.
+        #    The failing step itself is included: a reroute that fails part way
+        #    rolls back the routes it did install.
         step.abort_inflight(abort_exc)
         for other in self.steps:
             if other is not step and other.record.status is StepStatus.RUNNING:

@@ -29,9 +29,6 @@ class OwnershipDirectory:
         #: The gossip layer merges, summarises and ships this map directly.
         self.map = VersionedMap()
 
-    def __len__(self) -> int:
-        return len(self.map)
-
     @staticmethod
     def token_of(key: FlowKey) -> str:
         """The directory token of a flow: its canonical bidirectional tuple."""

@@ -231,11 +231,6 @@ class FederatedDomain:
         self.gossip.liveness.put(middlebox.name, self.name, {"domain": self.name, "alive": True}, self.sim.now)
         return bound
 
-    def unregister(self, name: str, *, dead: bool = False) -> None:
-        """Unregister an instance and author its tombstone liveness fact."""
-        self.controller.unregister(name, dead=dead)
-        self.gossip.liveness.put(name, self.name, {"domain": self.name, "alive": False}, self.sim.now)
-
     def claim_flows(self, keys, *, domain: Optional[str] = None) -> List[str]:
         """Claim ownership of *keys* for *domain* (default: this domain)."""
         return self.directory.claim_flows(keys, domain or self.name, self.sim.now)

@@ -120,16 +120,6 @@ class VersionedMap:
         #: may still count the tombstone and is not comparable with ours.
         self.expired_to = float("-inf")
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> Optional[VersionedEntry]:
-        """The current winning entry for *key*, or None."""
-        return self._entries.get(key)
-
     def value_of(self, key: str) -> Optional[Dict[str, Any]]:
         """The current payload for *key*, or None."""
         entry = self._entries.get(key)

@@ -45,10 +45,6 @@ class Action:
     def drop(cls) -> "Action":
         return cls(ActionType.DROP)
 
-    @classmethod
-    def to_controller(cls) -> "Action":
-        return cls(ActionType.CONTROLLER)
-
 
 @dataclass(eq=False)
 class FlowRule:
@@ -102,26 +98,10 @@ class FlowTable:
         self._invalidate()
         return rule
 
-    def remove(self, rule: FlowRule) -> bool:
-        """Remove a specific rule; returns False when it was not present."""
-        try:
-            self._rules.remove(rule)
-        except ValueError:
-            return False
-        self._invalidate()
-        return True
-
     def remove_by_cookie(self, cookie: str) -> int:
         """Remove every rule with the given cookie; returns how many were removed."""
         before = len(self._rules)
         self._rules = [rule for rule in self._rules if rule.cookie != cookie]
-        self._invalidate()
-        return before - len(self._rules)
-
-    def remove_matching(self, pattern: FlowPattern) -> int:
-        """Remove every rule whose pattern equals *pattern*."""
-        before = len(self._rules)
-        self._rules = [rule for rule in self._rules if rule.pattern != pattern]
         self._invalidate()
         return before - len(self._rules)
 
@@ -142,9 +122,3 @@ class FlowTable:
     def rules(self) -> List[FlowRule]:
         """The installed rules in match order (a copy)."""
         return list(self._rules)
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __contains__(self, rule: FlowRule) -> bool:
-        return rule in self._rules

@@ -72,11 +72,6 @@ class LinkStats:
     #: Protection control frames (ACK/NACK) sent in this direction.
     ctrl_frames: int = 0
 
-    @property
-    def lost(self) -> int:
-        """Frames this direction lost on the wire (drops plus corruption)."""
-        return self.drops + self.corrupted
-
 
 # =========================================================================================
 # Fault model

@@ -78,19 +78,6 @@ class Packet:
         duplicate.annotations = dict(self.annotations)
         return duplicate
 
-    def reply(self, payload: bytes = b"", flags: FrozenSet[str] = frozenset()) -> "Packet":
-        """Build a packet in the reverse direction of this one."""
-        return Packet(
-            nw_src=self.nw_dst,
-            nw_dst=self.nw_src,
-            nw_proto=self.nw_proto,
-            tp_src=self.tp_dst,
-            tp_dst=self.tp_src,
-            payload=payload,
-            flags=flags,
-            created_at=self.created_at,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(sorted(flag[0] for flag in self.flags))
         return (

@@ -194,9 +194,3 @@ class Topology:
                 leg = leg[1:]
             full_path.extend(leg)
         return full_path
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)

@@ -18,7 +18,7 @@ cancellable handles, watermark lanes, generator processes, ``timeout`` /
 Everything executes on the thread that constructed the runtime: independent
 lanes overlap in *time* (watermark arithmetic on the wall clock), not in
 execution.  Timings differ from the simulator's, which is why the differential
-harness (:mod:`repro.testing.equivalence`) compares observable outcomes only.
+harness (``tests/equivalence.py``) compares observable outcomes only.
 """
 
 from __future__ import annotations

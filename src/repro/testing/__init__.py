@@ -1,4 +1,4 @@
-"""Testing harnesses: deterministic chaos injection, the invariant auditor, differential runtime equivalence."""
+"""Testing harnesses: deterministic chaos injection and the invariant auditor."""
 
 from .chaos import (
     FAULT_PROFILES,
@@ -16,7 +16,6 @@ from .chaos import (
     run_federated_chaos,
     strictly_increasing,
 )
-from .equivalence import EquivalenceReport, compare_results, run_equivalence
 
 __all__ = [
     "FAULT_PROFILES",
@@ -25,15 +24,12 @@ __all__ = [
     "ChaosMiddlebox",
     "ChaosResult",
     "ChaosSpec",
-    "EquivalenceReport",
     "InvariantViolation",
     "audit_conservation",
     "audit_journals",
     "audit_source_retention",
-    "compare_results",
     "lost_updates",
     "run_chaos",
-    "run_equivalence",
     "run_federated_chaos",
     "strictly_increasing",
 ]

@@ -229,11 +229,6 @@ class ChaosResult:
     #: harness compares these across runtimes.
     final_state: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held."""
-        return not self.violations
-
     def assert_ok(self) -> None:
         """Raise AssertionError listing every violation (for pytest use)."""
         if self.violations:

@@ -48,12 +48,6 @@ class FlowDurationModel:
         tail = self.tail_scale * (1.0 + rng.pareto(self.tail_alpha, size=count))
         return np.minimum(np.where(from_tail, tail, body), self.max_duration)
 
-    def fraction_exceeding(self, threshold: float, count: int = 200_000, seed: int = 7) -> float:
-        """Monte-Carlo estimate of the fraction of flows longer than *threshold*."""
-        rng = np.random.default_rng(seed)
-        samples = self.sample(count, rng)
-        return float(np.mean(samples > threshold))
-
 
 @dataclass
 class FlowSizeModel:
@@ -66,14 +60,6 @@ class FlowSizeModel:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         sizes = rng.lognormal(mean=np.log(self.median_bytes), sigma=self.sigma, size=count)
         return np.maximum(sizes, self.minimum_bytes).astype(np.int64)
-
-
-def quantile(values: Sequence[float], q: float) -> float:
-    """The *q*-quantile of *values* (0 <= q <= 1)."""
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        return 0.0
-    return float(np.quantile(array, q))
 
 
 def fraction_exceeding(values: Sequence[float], threshold: float) -> float:

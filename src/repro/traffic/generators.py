@@ -9,13 +9,10 @@ synthetic equivalents that preserve the properties the evaluation relies on:
   other (non-HTTP) flows, each a full TCP conversation (handshake, requests,
   responses, close), so an IDS sees realistic connection lifecycles and a
   monitor sees realistic per-flow counters.
-* :func:`datacenter_flow_durations` / :func:`datacenter_trace` — flows whose
-  durations follow a heavy-tailed distribution with ≈9 % of flows longer than
-  1500 s (Figure 8).
+* :func:`datacenter_flow_durations` — flow durations that follow a
+  heavy-tailed distribution with ≈9 % of flows longer than 1500 s (Figure 8).
 * :func:`redundancy_trace` — packets whose payloads repeat content blocks with
   a configurable redundancy ratio, exercising the RE encoder/decoder.
-* :func:`scan_trace` — one source probing many destinations (IDS scan
-  detection).
 * :func:`constant_rate_trace` — packets at a fixed aggregate rate across a set
   of flows (used for the event-generation experiments of Figure 9c/d).
 
@@ -228,47 +225,6 @@ def datacenter_flow_durations(
     return model.sample(count, rng)
 
 
-def datacenter_trace(
-    *,
-    flows: int = 200,
-    seed: int = 3,
-    client_subnet: str = "10.2.1",
-    server_subnet: str = "10.2.2",
-    model: Optional[FlowDurationModel] = None,
-    packets_per_flow: int = 6,
-    rng: Optional[np.random.Generator] = None,
-) -> Trace:
-    """A packet trace whose flow durations follow the data-center model.
-
-    Each flow contributes a handshake, sparse data packets spread across its
-    duration, and a close, so "when does the last flow finish" questions (the
-    held-up-middlebox experiment) can be asked of the trace directly.
-    """
-    durations = datacenter_flow_durations(flows, seed=seed, model=model, rng=rng)
-    rng = rng if rng is not None else np.random.default_rng(seed + 1)
-    records: List[TraceRecord] = []
-    for index, flow_duration in enumerate(durations):
-        client = f"{client_subnet}.{index % 250 + 1}"
-        server = f"{server_subnet}.{index % 50 + 1}"
-        spec = FlowSpec(
-            client=client,
-            server=server,
-            client_port=30_000 + index,
-            server_port=80,
-            start=float(rng.uniform(0.0, 10.0)),
-            duration=float(flow_duration),
-            requests=[(f"/dc/{index}/{i}", MAX_SEGMENT) for i in range(max(1, packets_per_flow // 3))],
-        )
-        records.extend(http_flow_records(spec))
-    return Trace.from_records(
-        records,
-        kind="datacenter",
-        flows=flows,
-        seed=seed,
-        durations=[float(value) for value in durations],
-    )
-
-
 def redundancy_trace(
     *,
     packets: int = 500,
@@ -323,29 +279,6 @@ def redundancy_trace(
         seed=seed,
         server_subnet=server_subnet,
     )
-
-
-def scan_trace(
-    *,
-    scanner: str = "10.9.9.9",
-    targets: int = 50,
-    target_subnet: str = "10.4.1",
-    port: int = 22,
-    interval: float = 0.01,
-) -> Trace:
-    """One source probing many destinations (SYN only) — triggers IDS scan detection."""
-    records = [
-        TraceRecord(
-            time=index * interval,
-            nw_src=scanner,
-            nw_dst=f"{target_subnet}.{index + 1}",
-            tp_src=60_000 + index,
-            tp_dst=port,
-            flags=[SYN],
-        )
-        for index in range(targets)
-    ]
-    return Trace.from_records(records, kind="scan", scanner=scanner, targets=targets)
 
 
 def constant_rate_trace(

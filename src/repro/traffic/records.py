@@ -58,31 +58,8 @@ class Trace:
     def __post_init__(self) -> None:
         self.records.sort(key=lambda record: record.time)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
-
-    @property
-    def duration(self) -> float:
-        """Time between the first and last packet (0.0 for empty traces)."""
-        if not self.records:
-            return 0.0
-        return self.records[-1].time - self.records[0].time
-
-    def total_bytes(self) -> int:
-        return sum(len(record.payload) for record in self.records)
-
-    def flows(self) -> List[FlowKey]:
-        """Distinct bidirectional flows in the trace, in first-seen order."""
-        seen: Dict[FlowKey, None] = {}
-        for record in self.records:
-            seen.setdefault(record.flow_key().bidirectional(), None)
-        return list(seen)
-
-    def flow_count(self) -> int:
-        return len(self.flows())
 
     def merged_with(self, other: "Trace") -> "Trace":
         """A new trace interleaving this trace and *other* by timestamp."""

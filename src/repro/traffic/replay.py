@@ -109,20 +109,3 @@ class TraceReplayer:
         self.stats.injected += 1
         self.stats.bytes += packet.wire_size
         self.inject(packet)
-
-
-def replay_trace_through(
-    sim: Simulator,
-    trace: Trace,
-    node: Node,
-    *,
-    in_port: int = 1,
-    speedup: float = 1.0,
-    run: bool = True,
-) -> ReplayStats:
-    """Convenience: replay a whole trace into *node* and (optionally) run the simulator."""
-    replayer = TraceReplayer.into_node(sim, trace, node, in_port=in_port, speedup=speedup)
-    replayer.schedule()
-    if run:
-        sim.run(until=replayer.stats.last_time + 1.0)
-    return replayer.stats

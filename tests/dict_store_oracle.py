@@ -212,7 +212,7 @@ class DictPerFlowStateStore(Generic[T]):
 
     def _index_candidates(self, pattern: FlowPattern) -> Optional[set]:
         """Candidate keys from the source/destination index, or None when unusable."""
-        for text in (pattern.nw_src, pattern.nw_dst):
+        for text in (pattern.as_dict().get("nw_src"), pattern.as_dict().get("nw_dst")):
             if text is not None and "/" not in text:
                 return set(self._by_src.get(text, set()))
         return None

@@ -43,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..net.simulator import Simulator
-from ..runtime import RuntimeConfig
-from .chaos import DST, SRC, ChaosResult, ChaosSpec, run_chaos, strictly_increasing
+from repro.net.simulator import Simulator
+from repro.runtime import RuntimeConfig
+from repro.testing.chaos import DST, SRC, ChaosResult, ChaosSpec, run_chaos, strictly_increasing
 
 
 @dataclass

@@ -107,7 +107,7 @@ class TestActivitySampler:
         sim.run()
         series = sampler.series["mon"]
         assert len(series.samples) >= 10
-        assert series.total_packets() == 20
+        assert series.samples[-1].packets_received == 20
         rates = series.rates()
         assert any(rate > 0 for _, rate, _, _ in rates)
 

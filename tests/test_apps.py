@@ -5,7 +5,6 @@ from repro.apps import (
     FailureRecoveryApp,
     PerFlowMigrationApp,
     REMigrationApp,
-    RebalanceApp,
     ScaleDownApp,
     ScaleUpApp,
     build_re_migration_scenario,
@@ -134,37 +133,6 @@ class TestScaleDownApp:
         # The remaining instance now accounts for all packets either instance saw.
         assert scenario.mb1.shared_report.value.total_packets >= packets_b
         assert len(scenario.mb2.report_store) == 0  # per-flow state moved away and deleted
-
-
-class TestRebalanceApp:
-    def test_rebalance_moves_from_busiest_to_idlest(self):
-        scenario = monitor_scenario()
-        trace = enterprise_cloud_trace(http_flows=20, other_flows=0, duration=10.0, seed=9)
-        scenario.inject(trace, speedup=40.0)
-        scenario.sim.run(until=0.4)
-        app = RebalanceApp(
-            scenario.sim,
-            scenario.northbound,
-            replicas=["mon1", "mon2"],
-            patterns_by_replica={"mon1": FlowPattern(nw_src="10.1.1.0/26"), "mon2": FlowPattern(nw_src="10.1.1.64/26")},
-            update_routing=lambda mb, p: scenario.route_via(mb, p),
-        )
-        report = scenario.sim.run_until(app.start(), limit=100)
-        assert report.details["moved_from"] == "mon1"
-        assert report.details["moved_to"] == "mon2"
-        assert report.details["chunks_moved"] > 0
-
-    def test_rebalance_noop_when_balanced(self):
-        scenario = monitor_scenario()
-        app = RebalanceApp(
-            scenario.sim,
-            scenario.northbound,
-            replicas=["mon1", "mon2"],
-            patterns_by_replica={},
-            update_routing=lambda mb, p: scenario.route_via(mb, p),
-        )
-        report = scenario.sim.run_until(app.start(), limit=100)
-        assert "moved_from" not in report.details
 
 
 class TestPerFlowMigrationApp:

@@ -21,9 +21,6 @@ class TestSealingKey:
     def test_derive_differs_per_secret(self):
         assert crypto.SealingKey.derive("monitor") != crypto.SealingKey.derive("ids")
 
-    def test_generate_produces_distinct_keys(self):
-        assert crypto.SealingKey.generate() != crypto.SealingKey.generate()
-
 
 class TestSealUnseal:
     key = crypto.SealingKey.derive("test")

@@ -177,7 +177,7 @@ class TestEngineLayering:
         links = SRC_ROOT / "repro" / "net" / "links.py"
         table_class, table_methods = methods(flowtable, "FlowTable")
         mutators = {name for name, node in table_methods.items() if name != "__init__" and writes(node, "_rules")}
-        assert {"add", "remove", "remove_by_cookie", "remove_matching"} <= mutators
+        assert {"add", "remove_by_cookie"} <= mutators
         for name in sorted(mutators):
             calls = [n for n in ast.walk(table_methods[name]) if isinstance(n, ast.Call) and is_attr(n.func, "_invalidate")]
             assert calls, f"FlowTable.{name} changes _rules without calling _invalidate()"

@@ -98,7 +98,7 @@ class TestVersionedMap:
         right.merge(entry_b, 1.0)
         right.merge(entry_a, 2.0)
         assert fingerprint(left) == fingerprint(right)
-        assert left.get("k").origin == "dc0"  # smaller origin wins the tie
+        assert dict(left.items())["k"].origin == "dc0"  # smaller origin wins the tie
 
     def test_put_bumps_the_version_monotonically(self):
         versioned = VersionedMap()
@@ -111,7 +111,7 @@ class TestVersionedMap:
         versioned.put("dead", "dc0", {"alive": False}, 0.0)
         assert versioned.expire(now=0.1, ttl=0.25) == []
         assert versioned.expire(now=0.3, ttl=0.25) == ["dead"]
-        assert "live" in versioned and "dead" not in versioned
+        assert [key for key, _ in versioned.items()] == ["live"]
 
     def test_exact_re_receipt_does_not_refresh_a_tombstone(self):
         """The TTL runs from the authoring time in the entry; hearing the fact again is not news."""
@@ -119,7 +119,7 @@ class TestVersionedMap:
         versioned.put("dead", "dc0", {"alive": False}, 0.0)
         before = versioned.summary
         assert versioned.merge(versioned.digest(), now=0.2) == []  # same (version, origin)
-        assert versioned.summary == before and versioned.get("dead").at == 0.0
+        assert versioned.summary == before and dict(versioned.items())["dead"].at == 0.0
         assert versioned.expire(now=0.25, ttl=0.25) == []  # the deadline itself is not past it
         assert versioned.expire(now=0.3, ttl=0.25) == ["dead"]
         assert versioned.summary == VersionedMap().summary and versioned.expired_to == 0.25
@@ -131,7 +131,7 @@ class TestVersionedMap:
         versioned.put("mb", "dc0", {"alive": False}, 0.1)
         tombstone = versioned.digest()
         assert late.merge(tombstone, now=0.5, ttl=0.25) == ["mb"]  # what it beats goes...
-        assert "mb" not in late and late.summary == VersionedMap().summary  # ...and it is not kept
+        assert late.value_of("mb") is None and late.summary == VersionedMap().summary  # ...and it is not kept
         assert late.merge(tombstone, now=0.5, ttl=0.25) == []
         assert VersionedMap().merge(tombstone, now=0.2, ttl=0.25) == ["mb"]  # still inside its TTL: installed
 
@@ -831,7 +831,7 @@ class TestGossipVolume:
             rounds += 1
         # One frame carries at most MAX_SECTION_ENTRIES per section; then one round in which nothing is said.
         assert rounds == -(-flows // MAX_SECTION_ENTRIES) + 1
-        assert wire.federation.converged() and len(wire.domains[1].directory) == flows
+        assert wire.federation.converged() and len(wire.domains[1].directory.map.items()) == flows
         return wire
 
     def test_a_zero_change_digest_is_the_same_size_at_50_and_at_2000_resident_flows(self):
@@ -875,7 +875,7 @@ class TestGossipVolume:
         # dc1 sees the mismatch first and asks; all it holds came from dc0, so it has
         # nothing to send back, and dc0 answers with its 41.
         assert carried == [[0, 0], [41, 0], [0, 0], [0, 0]]
-        assert wire.federation.converged() and len(wire.domains[1].directory) == 41
+        assert wire.federation.converged() and len(wire.domains[1].directory.map.items()) == 41
 
 
 def dissemination_bound(domains: int, fanout: int) -> int:
@@ -904,7 +904,7 @@ class TestDissemination:
             start = sim.now
             federation.domains["dc0"].gossip.liveness.put("fact", "dc0", {"domain": "dc0", "alive": True}, start)
             sim.run(until=start + dissemination_bound(domains, fanout) * interval + 2 * latency)
-            uninformed = [name for name, domain in federation.domains.items() if "fact" not in domain.gossip.liveness]
+            uninformed = [name for name, domain in federation.domains.items() if domain.gossip.liveness.value_of("fact") is None]
             assert not uninformed, (seed, uninformed)
 
 
@@ -923,16 +923,16 @@ class TestTombstoneExpiry:
         federation.connect_all(latency=2e-3)
         federation.domains["dc0"].register(DummyMiddlebox(sim, "mb"))
         federation.run_until_converged(max_rounds=20)
-        federation.domains["dc0"].unregister("mb")
+        federation.domains["dc0"].controller.declare_dead("mb")
         return sim, federation, sim.now
 
     def _holders(self, federation):
-        return [name for name, domain in federation.domains.items() if "mb" in domain.gossip.liveness]
+        return [name for name, domain in federation.domains.items() if domain.gossip.liveness.value_of("mb") is not None]
 
     def test_gone_everywhere_one_interval_after_the_deadline_with_converged_true_across_it(self):
         sim, federation, authored = self._federation_with_a_tombstone()
         sim.run(until=authored + self.TTL / 2)
-        tombstones = {name: domain.gossip.liveness.get("mb") for name, domain in federation.domains.items()}
+        tombstones = {name: dict(domain.gossip.liveness.items())["mb"] for name, domain in federation.domains.items()}
         assert all(entry.value["alive"] is False and entry.at == authored for entry in tombstones.values())
         polls = 0
         while sim.now < authored + self.TTL + 3 * self.INTERVAL:  # every 0.1 ms, in and out of phase with the ticks
@@ -952,7 +952,7 @@ class TestTombstoneExpiry:
         link = dc0.peer_link("dc1")
         late = messages.fed_gossip(
             "dc1", sim.now, heard=link.heard, summary=dc0.summaries(),
-            membership=[], liveness=[dc0.gossip.liveness.get("mb").as_wire()], ownership=[],
+            membership=[], liveness=[dict(dc0.gossip.liveness.items())["mb"].as_wire()], ownership=[],
         )  # fmt: skip
         sim.run(until=authored + self.TTL + 2 * self.INTERVAL)
         assert self._holders(federation) == []
@@ -1004,7 +1004,7 @@ class TestMalformedDigestsAreRefused:
         federation.domains["dc0"].peer_link("dc1").send(self._frame(**{section: [dict(self.GOOD, key="ok"), self.SHAPES[shape]]}))
         sim.run(until=sim.now + 0.05)
         assert receiver.frames_refused == 1 and receiver.summaries() == before
-        assert all("ok" not in versioned and "b" not in versioned for _, versioned, _ in receiver._sections)
+        assert all(versioned.value_of("ok") is None and versioned.value_of("b") is None for _, versioned, _ in receiver._sections)
         assert receiver.digests_received > 0 and federation.converged()  # the well-formed ones still flow
 
     @pytest.mark.parametrize(
@@ -1028,4 +1028,4 @@ class TestMalformedDigestsAreRefused:
         sim, federation = build_federation(2)
         receiver = federation.domains["dc1"]
         receiver._on_peer_message("dc0", Message.decode(self._frame(liveness=[self.GOOD]).encode()))
-        assert receiver.frames_refused == 0 and receiver.gossip.liveness.get("b").version == 9
+        assert receiver.frames_refused == 0 and dict(receiver.gossip.liveness.items())["b"].version == 9

@@ -96,7 +96,7 @@ class TestFlowPatternParsing:
 
     def test_parse_paper_notation(self):
         pattern = FlowPattern.parse(["nw_src=1.1.1.0/24"])
-        assert pattern.nw_src == "1.1.1.0/24"
+        assert pattern.as_dict() == {"nw_src": "1.1.1.0/24"}
         assert pattern.specificity == 1
 
     def test_parse_mapping(self):

@@ -49,10 +49,6 @@ class TestMessageEncoding:
         with pytest.raises(ProtocolError):
             message.encode()
 
-    def test_wire_size_is_encoded_length(self):
-        message = messages.get_config("mb1", "*")
-        assert message.wire_size == len(message.encode())
-
     def test_xids_are_numbered_by_their_sender(self):
         """Two controllers in one process both start at 1; no sender (controller or agent) repeats an xid."""
         for _ in range(2):
@@ -833,7 +829,7 @@ class TestControlChannel:
         sim, channel, _, mb_inbox = self._channel(latency=0.0, bandwidth=1000.0)
         message = messages.get_config("mb1", "*")
         delivery = channel.send_to_middlebox(message)
-        assert delivery == pytest.approx(message.wire_size / 1000.0)
+        assert delivery == pytest.approx(len(message.encode()) / 1000.0)
 
     def test_messages_reencoded_by_default(self):
         sim, channel, _, mb_inbox = self._channel()
@@ -849,7 +845,7 @@ class TestControlChannel:
         channel.send_to_middlebox(message)
         sim.run()
         assert channel.to_mb.messages == 1
-        assert channel.to_mb.bytes == message.wire_size
+        assert channel.to_mb.bytes == len(message.encode())
         assert channel.total_messages == 1
 
     def test_in_order_delivery_per_direction(self):

@@ -32,6 +32,10 @@ def make_packet(i=0, payload=b"x"):
     return tcp_packet(f"10.0.0.{i + 1}", "192.0.2.1", 1000 + i, 80, payload)
 
 
+def make_reply(i=0, payload=b""):
+    return tcp_packet("192.0.2.1", f"10.0.0.{i + 1}", 80, 1000 + i, payload)
+
+
 class TestPacketPath:
     def _wired(self):
         sim = Simulator()
@@ -53,7 +57,7 @@ class TestPacketPath:
 
     def test_reverse_direction_forwarded_back(self):
         sim, left, right, mb = self._wired()
-        right.send(make_packet().reply())
+        right.send(make_reply())
         sim.run()
         assert len(left.received) == 1
 
@@ -77,7 +81,7 @@ class TestPacketPath:
     def test_egress_port_override(self):
         sim, left, right, mb = self._wired()
         mb.egress_port = mb.port_to(left)
-        right.send(make_packet().reply())
+        right.send(make_reply())
         sim.run()
         # The reply came in from the right but is forced back out toward the left host.
         assert len(left.received) == 1

@@ -29,7 +29,7 @@ class TestFlowRecords:
         monitor = PassiveMonitor(Simulator(), "mon")
         packet = tcp_packet("10.0.0.1", "192.0.2.10", 1000, 80, b"req")
         monitor.process_packet(packet)
-        monitor.process_packet(packet.reply(b"resp"))
+        monitor.process_packet(tcp_packet("192.0.2.10", "10.0.0.1", 80, 1000, b"resp"))
         assert len(monitor.report_store) == 1
         record = monitor.flow_records()[0]
         assert record.packets == 2

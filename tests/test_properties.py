@@ -153,7 +153,7 @@ def test_config_export_import_roundtrip(entries):
         written[key] = list(values)
     clone = HierarchicalConfig()
     clone.import_flat(config.export())
-    assert clone == config
+    assert clone.export() == config.export()
     for key, values in written.items():
         if config.has(key):
             assert clone.get_values(key) == config.get_values(key)
@@ -179,7 +179,7 @@ def test_store_query_partitions_by_prefix(keys, length):
         store.put(key, index)
     pattern = FlowPattern(nw_src=f"{keys[0].nw_src}/{length}")
     matching = {key for key, _ in store.query(pattern)}
-    for key in store.keys():
+    for key, _ in store.items():
         if key in matching:
             assert pattern.matches_either_direction(key)
         else:
@@ -278,9 +278,7 @@ _table_adds = st.tuples(st.just("add"), _rule_patterns, st.sampled_from([50, 100
 _table_ops = st.one_of(
     _table_adds,
     _table_adds,  # twice: keep tables populated, so removals usually hit a rule some probe resolves to
-    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=30)),
     st.tuples(st.just("remove_by_cookie"), st.sampled_from("abc")),
-    st.tuples(st.just("remove_matching"), st.integers(min_value=0, max_value=30)),
 )
 
 
@@ -301,7 +299,7 @@ def test_cached_lookup_returns_the_rule_a_linear_scan_finds(ops, bound):
                 expected = next((rule for rule in ordered if rule.pattern.matches(probe.flow_key())), None)
                 assert table.lookup(probe) is expected
                 assert len(table._cache) <= bound
-        assert len(table) == len(model)
+        assert len(table.rules()) == len(model)
 
     with mock.patch.object(flowtable_module, "EXACT_MATCH_CACHE_LIMIT", bound):
         check_lookups()
@@ -309,17 +307,9 @@ def test_cached_lookup_returns_the_rule_a_linear_scan_finds(ops, bound):
             if op == "add":
                 pattern, priority, cookie = args
                 model.append(table.add(FlowRule(pattern, [Action.drop()], priority=priority, cookie=cookie)))
-            elif op == "remove":
-                victim = model[args[0] % len(model)] if model else FlowRule(FlowPattern(), [])
-                assert table.remove(victim) == (victim in model)
-                model = [rule for rule in model if rule is not victim]
-            elif op == "remove_by_cookie":
+            else:
                 assert table.remove_by_cookie(args[0]) == sum(rule.cookie == args[0] for rule in model)
                 model = [rule for rule in model if rule.cookie != args[0]]
-            else:  # the pattern of an installed rule, so that it usually removes something
-                pattern = model[args[0] % len(model)].pattern if model else FlowPattern(tp_dst=81)
-                assert table.remove_matching(pattern) == sum(rule.pattern == pattern for rule in model)
-                model = [rule for rule in model if rule.pattern != pattern]
             check_lookups()
 
 

@@ -2,7 +2,7 @@
 
 Each test runs one move-under-load scenario on the deterministic simulator
 and on the same kernel paced by the wall clock and asserts identical observable
-outcomes via :mod:`repro.testing.equivalence` — final state maps,
+outcomes via ``tests/equivalence.py`` — final state maps,
 per-guarantee invariants, operation outcomes.  Timings are deliberately not
 compared (see the harness's module docstring).
 """
@@ -12,8 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import RuntimeConfig
-from repro.testing import ChaosSpec, compare_results, run_equivalence, run_federated_chaos, strictly_increasing
-from repro.testing.equivalence import DST, SRC
+from repro.testing import ChaosSpec, run_federated_chaos, strictly_increasing
+
+from equivalence import DST, SRC, compare_results, run_equivalence
 
 GUARANTEES = ("no_guarantee", "loss_free", "order_preserving")
 MODES = ("snapshot", "precopy")

@@ -267,7 +267,7 @@ class TestPerFlowStateStore:
         store = PerFlowStateStore()
         store.put(key(0), "a")
         store.put(key(1), "b")
-        assert len(store.keys()) == 2
+        assert len(list(store.items())) == 2
         assert dict(store.items())[key(0).bidirectional()] == "a"
 
 

@@ -37,13 +37,9 @@ from repro.core.chunks import deserialize_payload, serialize_payload
 from repro.core.state import StateRole
 from repro.middleboxes import IDS, NAT, Firewall, LoadBalancer, PassiveMonitor, REDecoder, REEncoder
 from repro.net import Simulator
-from repro.traffic import (
-    constant_rate_trace,
-    enterprise_cloud_trace,
-    redundancy_trace,
-    replay_trace_through,
-    scan_trace,
-)
+from repro.traffic import constant_rate_trace, enterprise_cloud_trace, redundancy_trace
+
+from traces import replay_trace_through, scan_trace
 
 GOLDEN = Path(__file__).parent / "data" / "state_payloads.json"
 ROLES = (StateRole.SUPPORTING, StateRole.REPORTING)

@@ -45,14 +45,9 @@ KEEP = {
     # Surface a planned consumer or the verify recipe calls.
     "Switch.protect_port": "the call a corruption-detecting monitor app makes to switch link protection on",
     "udp_packet": "the packet constructor the data-plane verify recipe drives hosts with",
-    "run_equivalence": "the sim/wall-clock differential harness; repro.testing is the library test suites call",
-    # Table 2 middleboxes and the models and apps a day-shaped cluster scenario drives.
-    "Firewall": "Table 2 middlebox (configuration + per-flow supporting state)",
-    "LoadBalancer": "Table 2 middlebox (coarser-than-five-tuple granularity)",
-    "RebalanceApp": "the scaling app's rebalance composite, beside ScaleUpApp / ScaleDownApp",
-    "datacenter_trace": "heavy-tailed data-center traffic model (Fig. 8 duration CDF)",
-    "scan_trace": "port-scan traffic model that drives the IDS's scan detection",
-    "replay_trace_through": "one-call trace replay into a middlebox, used by the state-surface verify recipe",
+    # Columns of the Table 1 taxonomy table in docs/state-engine.md (check_docs checks it against each STATE).
+    "Firewall": "Table 1 taxonomy column (configuration + per-flow supporting state); the payload and southbound goldens record it",
+    "LoadBalancer": "Table 1 taxonomy column (coarser-than-five-tuple granularity); the payload and southbound goldens record it",
     # Exported configuration: deleting the method changes config bytes.
     "NAT.expire_idle_mappings": "applies the exported NAT.MappingTimeout configuration key",
 }

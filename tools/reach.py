@@ -15,10 +15,18 @@ per file is what makes the numbers whole):
   iterations), and the isolated probes (``benchmarks.perf probes``).
 
 The report gives, per package, the share of executable ``src/`` lines (lines
-the compiler emits code for) each group reaches, then lists the functions
-(named ``def``\\ s; lambdas and comprehensions are not counted) that only the
-tests enter: code the system does not run. It is a report, not a gate: the
-exit status is 1 only when a traced run could not be started or wrote nothing.
+the compiler emits code for) each group reaches, then counts the functions
+(named ``def``\\ s; lambdas and comprehensions are not counted) in two
+groups: **test-only** (tier-1 enters them, non-test code does not) and
+**never entered** (neither group does).
+
+It is a gate against :data:`KEEP_LIST`, which names every function ``src/``
+keeps in either group, under the group's section header, keyed
+``path qualname`` (no line number, so an unrelated edit does not move a
+key). The exit status is 1
+when a function is in a group but not listed there, when a listed entry is no
+longer in its group or no longer exists (so the list can only shrink as the
+system grows), or when a traced run could not be started or wrote nothing.
 
 Usage: ``python tools/reach.py`` (``--child`` is the internal entry point of
 one traced run).
@@ -44,6 +52,9 @@ GROUPS = ("tier1", "non-test")
 JOBS = 2
 #: CPU seconds each isolated probe loops for, as ``run --smoke --trace`` runs them.
 SMOKE_PROBE_SECONDS = 0.05
+#: The committed list of what ``src/`` keeps in each group, with the reasons as comments.
+KEEP_LIST = REPO_ROOT / "tools" / "reach_keep.txt"
+TEST_ONLY, NEVER_ENTERED = "test-only", "never entered"
 
 
 @dataclass
@@ -105,12 +116,14 @@ class Report:
     packages: dict[str, tuple[int, int, int]]
     functions: int
     entered: dict[str, int]
-    #: ``path:line qualname`` of each function tier-1 enters and non-test code does not.
+    #: Key of each function tier-1 enters and non-test code does not.
     test_only: list[str]
+    #: Key of each function neither group enters.
+    never_entered: list[str]
 
 
 def classify(executable: dict[str, set[int]], functions: dict[tuple[str, int], str], tier1: Hits, other: Hits) -> Report:
-    """Per-package line reach of both groups, and the functions only the tests enter."""
+    """Per-package line reach of both groups, and the functions only the tests enter or nothing enters."""
     counts: dict[str, list[int]] = {}
     for path, lines in sorted(executable.items()):
         row = counts.setdefault(package_of(path), [0, 0, 0])
@@ -119,14 +132,45 @@ def classify(executable: dict[str, set[int]], functions: dict[tuple[str, int], s
         row[2] += len(lines & other.lines.get(path, set()))
     packages = {name: tuple(row) for name, row in sorted(counts.items())}
     packages["total"] = tuple(sum(row[i] for row in counts.values()) for i in range(3))
-    test_only = [f"{path}:{line} {name}" for (path, line), name in sorted(functions.items())
-                 if (path, line) in tier1.entered and (path, line) not in other.entered]
+    keys = {(path, line): f"{path} {name}" for (path, line), name in functions.items()}
+    test_only = sorted(key for function, key in keys.items() if function in tier1.entered and function not in other.entered)
+    never_entered = sorted(key for function, key in keys.items() if function not in tier1.entered and function not in other.entered)
     entered = {
         "tier1": len(functions.keys() & tier1.entered),
         "non-test": len(functions.keys() & other.entered),
-        "neither": len(functions.keys() - tier1.entered - other.entered),
+        "neither": len(never_entered),
     }
-    return Report(packages, len(functions), entered, test_only)
+    return Report(packages, len(functions), entered, test_only, never_entered)
+
+
+def read_keep_list(text: str) -> dict[str, set[str]]:
+    """The keys listed under each ``[group]`` header; ``#`` starts a comment, blank lines are skipped."""
+    listed: dict[str, set[str]] = {TEST_ONLY: set(), NEVER_ENTERED: set()}
+    group = None
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            group = line[1:-1]
+            if group not in listed:
+                raise ValueError(f"line {number}: unknown section [{group}]")
+        elif group is None:
+            raise ValueError(f"line {number}: entry before the first section header")
+        else:
+            listed[group].add(" ".join(line.split()))
+    return listed
+
+
+def gate(report: Report, listed: dict[str, set[str]]) -> list[str]:
+    """One line per function in a group but not listed there, and one per listed entry no longer in its group."""
+    findings = []
+    for group, found in ((TEST_ONLY, set(report.test_only)), (NEVER_ENTERED, set(report.never_entered))):
+        findings += [f"[{group}] {key}: not on the keep-list; delete it, give it a caller, or list it with a reason"
+                     for key in sorted(found - listed[group])]
+        findings += [f"[{group}] {key}: listed but no longer in this group (or gone); drop the entry"
+                     for key in sorted(listed[group] - found)]
+    return findings
 
 
 def render(report: Report) -> list[str]:
@@ -139,9 +183,8 @@ def render(report: Report) -> list[str]:
     out.append("")
     out.append(
         f"functions: {report.functions}; tier-1 enters {report.entered['tier1']}, non-test code "
-        f"{report.entered['non-test']}, neither {report.entered['neither']}; only tests enter {len(report.test_only)}:"
+        f"{report.entered['non-test']}, neither {report.entered['neither']}; only tests enter {len(report.test_only)}"
     )
-    out += [f"  {entry}" for entry in report.test_only]
     return out
 
 
@@ -272,11 +315,16 @@ def main(argv: list[str]) -> int:
         hits[group], missing = collect(group)
         failed += missing
     executable, functions = source_tree()
-    for line in render(classify(executable, functions, hits["tier1"], hits["non-test"])):
+    report = classify(executable, functions, hits["tier1"], hits["non-test"])
+    findings = gate(report, read_keep_list(KEEP_LIST.read_text(encoding="utf-8")))
+    for line in render(report):
         print(line)
     for target in failed:
         print(f"no hits written by {target}")
-    return 1 if failed else 0
+    for finding in findings:
+        print(finding)
+    print(f"reach: {len(findings)} finding(s) against {KEEP_LIST.relative_to(REPO_ROOT).as_posix()}")
+    return 1 if failed or findings else 0
 
 
 if __name__ == "__main__":
