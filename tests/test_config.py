@@ -131,3 +131,10 @@ class TestExportImportClone:
     def test_keys_sorted(self):
         config = self._populated()
         assert config.keys() == sorted(config.keys())
+
+    def test_equality_differs_after_change(self):
+        a = self._populated()
+        b = self._populated()
+        assert a.export() == b.export()
+        b.set("IDS.ScanThreshold", [30])
+        assert a.export() != b.export()

@@ -233,6 +233,50 @@ class TestAbortAndRollback:
         reroute_record = next(r for r in handle.steps if r.name.startswith("reroute"))
         assert reroute_record.status is StepStatus.ROLLED_BACK
 
+    def test_reroute_failure_aborts_the_move_it_follows(self, sim):
+        """A reroute that fails after its move's state is installed aborts the
+        move with the transaction: the source delete is cancelled and the
+        source keeps its state."""
+        scenario = monitor_scenario(quiescence_timeout=0.3)
+        feed(scenario.sim, scenario.mb1, 30, flows=10)
+        scenario.sim.run(until=0.1)
+        state_before = len(scenario.mb1.report_store)
+
+        def failing_routing():
+            future = scenario.sim.event(name="failing-route")
+            scenario.sim.schedule(0.001, future.fail, StateError("route install failed"))
+            return future
+
+        txn = scenario.northbound.transaction()
+        move = txn.move("mon1", "mon2", FlowPattern(nw_src="10.1.1.0/24"))
+        txn.reroute(apply=failing_routing, after=move, label="reroute(mon2)")
+        handle = txn.commit()
+        with pytest.raises(TransactionAbortedError) as excinfo:
+            scenario.sim.run_until(handle.done, limit=100)
+        assert excinfo.value.step == "reroute(mon2)"
+        scenario.sim.run(until=scenario.sim.now + 2.0)
+        assert move.handle is not None
+        assert move.handle.record.finalized_at is None
+        assert len(scenario.mb1.report_store) == state_before
+
+    def test_finalized_barrier_covers_a_declared_move(self, sim):
+        """``barrier(finalized=True)`` waits for its move's post-quiescence
+        finalisation, not only for the move's completion."""
+        scenario = monitor_scenario(quiescence_timeout=0.3)
+        feed(scenario.sim, scenario.mb1, 30, flows=10)
+        scenario.sim.run(until=0.1)
+        txn = scenario.northbound.transaction()
+        move = txn.move("mon1", "mon2", FlowPattern(nw_src="10.1.1.0/24"))
+        txn.reroute(apply=lambda: scenario.sim.timeout(1e-4), after=move, label="reroute(mon2)")
+        txn.barrier([move], finalized=True)
+        handle = txn.commit()
+        scenario.sim.run_until(handle.done, limit=100)
+        assert handle.status == "committed"
+        assert move.handle is not None and move.handle.finalized.done
+        assert move.handle.record.finalized_at is not None
+        assert handle.operation_records == [move.handle.record]
+        assert len(scenario.mb1.report_store) == 0
+
     def test_pass_through_steps_keep_their_names_and_the_stats_detail(self, sim):
         scenario = monitor_scenario()
         feed(scenario.sim, scenario.mb1, 30, flows=10)
