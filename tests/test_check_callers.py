@@ -151,3 +151,19 @@ def test_a_keep_entry_for_a_name_nothing_defines_is_reported(tmp_path):
 def test_a_keep_entry_whose_name_has_a_caller_is_reported(tmp_path):
     findings = audit(tmp_path, {"src/pkg/mod.py": ORPHAN, "benchmarks/b.py": "orphan()\n"}, keep={"orphan": "reason"})
     assert findings == ["KEEP: orphan has a caller now; drop the entry"]
+
+
+def test_a_def_or_class_on_the_reach_keep_list_needs_no_keep_entry(tmp_path):
+    box = """\
+    class Box:
+        def __init__(self):
+            self.item = None
+
+
+    class Crate:
+        def __init__(self):
+            self.item = None
+    """
+    listed = "[test-only]\nsrc/pkg/mod.py orphan  # reason\nsrc/pkg/box.py Box.__init__\n"
+    findings = audit(tmp_path, {"src/pkg/mod.py": ORPHAN, "src/pkg/box.py": box, "tools/reach_keep.txt": listed})
+    assert findings == ["src/pkg/box.py:6: Crate (3 lines) is named by no code outside tests"]

@@ -1,5 +1,8 @@
 """The runnable examples under ``examples/`` run to completion and report
-what the paper's operations promise."""
+what the paper's operations promise.
+
+This is the examples' smoke run: each script runs in-process as ``__main__``,
+in every tier-1 run, so a broken example fails the suite locally as in CI."""
 
 import runpy
 from pathlib import Path

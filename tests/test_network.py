@@ -80,6 +80,8 @@ class TestLink:
         sim.run()
         assert link.stats_a_to_b.drops == 3
         assert link.stats_b_to_a.drops == 1
+        # A down-link drop is lost once, never also counted as corruption.
+        assert link.stats_a_to_b.drops + link.stats_a_to_b.corrupted == 3
         # Dropped frames never count as transmitted wire traffic.
         assert link.stats_a_to_b.packets == 0
         assert link.stats_b_to_a.packets == 0

@@ -78,7 +78,8 @@ class TestFlowTable:
         table.add(built_second)
         table.add(built_first)  # installed last, so it wins although it was built first
         assert table.lookup(self.packet()) is built_first
-        assert table.remove_by_cookie("first") == 1 and table.lookup(self.packet()) is built_second  # equal rules stay distinct
+        # Removing the later rule by its cookie leaves the earlier-installed one, which then wins.
+        assert table.remove_by_cookie("first") == 1 and table.lookup(self.packet()) is built_second
 
     def test_remove_by_cookie(self):
         table = FlowTable()

@@ -51,12 +51,6 @@ class TestTrace:
         trace = self._trace()
         assert [record.time for record in trace] == [1.0, 2.0, 3.0]
 
-    def test_flow_enumeration_is_bidirectional(self):
-        trace = self._trace()
-        reply = TraceRecord(4.0, "192.0.2.1", "10.0.0.2", 443, 1001, payload=b"r")
-        assert flow_count(trace) == 2
-        assert flow_count(trace.merged_with(Trace(records=[reply]))) == 2
-
     def test_merge_interleaves_by_time(self):
         trace = self._trace()
         later = Trace(records=[TraceRecord(1.5, "10.0.0.3", "192.0.2.1", 1002, 80, payload=b"d")])

@@ -12,10 +12,15 @@ for callers would do it: ``Topology.connect`` is called if any code says ``conne
 Tests do not count: an accessor whose only caller is its own unit test is
 surface nothing needs.
 
-A name reached only by string (``getattr(cell, "cloneable")``) or kept for a
-stated reason goes on :data:`KEEP` with one line saying why.  An entry that no
-longer names a definition, or whose name code now calls, is reported too, so
-the list cannot rot.
+A function ``src/`` keeps although only tests run it is listed, with its
+reason, once: in ``tools/reach_keep.txt``, the keep-list ``tools/reach.py``
+gates on and holds to account.  This audit reads that list too, and a class
+counts as listed when its ``__init__`` is.  What the traced gate cannot see
+stays here: a name reached only by string (``getattr(cell, "cloneable")``)
+goes on :data:`KEEP` with one line saying why, and a class-body alias, which
+shares its method's code, has no entry on either list.  A :data:`KEEP` entry
+that no longer names a definition, or whose name code now calls, is reported
+too, so the list cannot rot.
 
 Usage: ``python tools/check_callers.py``; exit status 1 when anything is found.
 """
@@ -37,20 +42,9 @@ KEEP = {
     # Reached by string, not by a name token.
     "StateClass.cloneable": "read as getattr(cell, 'cloneable') when a clone picks the roles Table 1 permits",
     "StateClass.mergeable": "read as getattr(cell, 'mergeable') when a merge picks the roles Table 1 permits",
-    # Probes of behaviour no other API exposes.
-    "Middlebox.transferred_flow_count": "the only view of which flows were handed over, asserted by re-process event tests",
-    "PassiveMonitor.flow_records": "the only read of the monitor's per-flow reporting rows, asserted by move tests",
-    "Switch.buffered_count": "the only count of packets a suspended pattern holds, asserted by the Split/Merge switch tests",
-    "MiddleboxCounters.mean_processing_latency": "the only per-packet latency figure, asserted by the transfer-slowdown tests",
-    # Surface a planned consumer or the verify recipe calls.
-    "Switch.protect_port": "the call a corruption-detecting monitor app makes to switch link protection on",
-    "udp_packet": "the packet constructor the data-plane verify recipe drives hosts with",
-    # Columns of the Table 1 taxonomy table in docs/state-engine.md (check_docs checks it against each STATE).
-    "Firewall": "Table 1 taxonomy column (configuration + per-flow supporting state); the payload and southbound goldens record it",
-    "LoadBalancer": "Table 1 taxonomy column (coarser-than-five-tuple granularity); the payload and southbound goldens record it",
-    # Exported configuration: deleting the method changes config bytes.
-    "NAT.expire_idle_mappings": "applies the exported NAT.MappingTimeout configuration key",
 }
+#: The ``tools/reach.py`` keep-list, relative to the audited root.
+REACH_KEEP_LIST = Path("tools") / "reach_keep.txt"
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
@@ -87,8 +81,20 @@ def _import_lines(tree: ast.Module) -> set[int]:
     return {line for node in imports for line in range(node.lineno, node.end_lineno + 1)}
 
 
+def _reach_listed(root: Path) -> set[str]:
+    """Every ``path qualname`` key of the ``tools/reach.py`` keep-list under *root*, both groups."""
+    path = root / REACH_KEEP_LIST
+    if not path.exists():
+        return set()
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from reach import read_keep_list
+
+    return set().union(*read_keep_list(path.read_text(encoding="utf-8")).values())
+
+
 def audit(root: Path = REPO_ROOT, keep: dict[str, str] = KEEP) -> list[str]:
-    """One line per public name under ``root`` without a caller, plus one per stale ``keep`` entry."""
+    """One line per public name under ``root`` without a caller and off both keep-lists, plus one per stale ``keep`` entry."""
+    listed = _reach_listed(root)
     definitions = []  # (qualified name, path, first line, last line)
     uses: dict[str, list[tuple[Path, int]]] = {}
     for base in CALLER_ROOTS:
@@ -109,7 +115,9 @@ def audit(root: Path = REPO_ROOT, keep: dict[str, str] = KEEP) -> list[str]:
             called_keeps.add(qualified)
         elif not called and qualified not in keep:
             shown = path.relative_to(root)
-            findings.append(f"{shown}:{first}: {qualified} ({last - first + 1} lines) is named by no code outside tests")
+            key = f"{shown.as_posix()} {qualified}"
+            if key not in listed and f"{key}.__init__" not in listed:
+                findings.append(f"{shown}:{first}: {qualified} ({last - first + 1} lines) is named by no code outside tests")
     defined = {qualified for qualified, *_ in definitions}
     findings += [f"KEEP: {name} is not defined in {DEFINED_IN}/; drop the entry" for name in sorted(set(keep) - defined)]
     findings += [f"KEEP: {name} has a caller now; drop the entry" for name in sorted(called_keeps)]

@@ -5,7 +5,9 @@ Two groups of runs are traced with ``sys.settrace``, each file in its own
 process (a single traced pytest process stops tracing partway, so one process
 per file is what makes the numbers whole):
 
-* **tier-1** — every ``tests/test_*.py``, through pytest;
+* **tier-1** — every ``tests/test_*.py``, through pytest (every traced
+  process runs with ``PYTHONHASHSEED=0`` and pytest with a fixed hypothesis
+  seed, so two runs on one tree enter the same functions);
 * **non-test** — what the system runs without its tests: every
   ``benchmarks/bench_*.py`` (through pytest with ``--benchmark-disable``; the
   ``BENCH_*.json`` documents they write go to a temporary directory), every
@@ -223,7 +225,9 @@ def _run_target(kind: str, target: str, args: list[str]) -> None:
     if kind == "pytest":
         import pytest
 
-        pytest.main(["-q", "-p", "no:cacheprovider", target, *args])
+        # A fixed hypothesis seed, like PYTHONHASHSEED below: a function only a drawn input reaches must not
+        # move between the groups from one run to the next.
+        pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", target, *args])
     elif kind == "script":
         runpy.run_path(target, run_name="__main__")
     else:
