@@ -127,31 +127,6 @@ def all_of(sim: "Simulator", futures: Iterable[Future]) -> Future:
     return combined
 
 
-class ScheduledCall:
-    """Handle for one scheduled callback; :meth:`cancel` prevents it running.
-
-    Cancellation is cheap and idempotent: the entry stays in the time-ordered
-    queue but is skipped (without counting as an executed event) when its
-    time comes.  Both runtimes return these from ``schedule``/``schedule_at``.
-    """
-
-    __slots__ = ("time", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, callback: Callable, args: tuple) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if it already ran)."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else f"at t={self.time}"
-        return f"<ScheduledCall {getattr(self.callback, '__name__', self.callback)} {state}>"
-
-
 class SimulatedLane:
     """A serialisation point (a CPU or a wire direction) on the simulated clock.
 
@@ -252,7 +227,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, ScheduledCall]] = []
+        self._queue: List[Tuple[float, int, Callable, tuple]] = []
         self._sequence = itertools.count()
         #: Number of callbacks executed so far (useful for determinism checks).
         self.executed_events = 0
@@ -264,23 +239,22 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> ScheduledCall:
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` *delay* simulated seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_at(self, time: float, callback: Callable, *args: Any) -> ScheduledCall:
+    def schedule_at(self, time: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulated *time*.
 
-        Returns a :class:`ScheduledCall` whose :meth:`~ScheduledCall.cancel`
-        prevents the callback from running.
+        The queue entry is the tuple ``(time, seq, callback, args)``: ``seq``
+        is unique, so the heap orders equal times by scheduling order and
+        never compares a callback.  A time in the past, or NaN, is refused.
         """
-        if time < self._now:
-            raise SimulationError(f"cannot schedule into the past (time={time}, now={self._now})")
-        entry = ScheduledCall(time, callback, args)
-        heapq.heappush(self._queue, (time, next(self._sequence), entry))
-        return entry
+        if not time >= self._now:
+            raise SimulationError(f"cannot schedule into the past or at NaN (time={time}, now={self._now})")
+        heapq.heappush(self._queue, (time, next(self._sequence), callback, args))
 
     def lane(self, name: str = "") -> SimulatedLane:
         """A new serialisation lane (CPU / wire direction) on this clock."""
@@ -310,17 +284,14 @@ class Simulator:
         simulator runs until the event queue is empty.  Returns the final
         simulated time.
         """
-        while self._queue:
-            time, _, entry = self._queue[0]
-            if until is not None and time > until:
+        queue, pop = self._queue, heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = max(self._now, until)
                 return self._now
-            heapq.heappop(self._queue)
-            if entry.cancelled:
-                continue
-            self._now = time
+            self._now, _, callback, args = pop(queue)
             self.executed_events += 1
-            entry.callback(*entry.args)
+            callback(*args)
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -335,16 +306,13 @@ class Simulator:
         early queue drain (nothing left that could ever complete it) from a
         blown time *limit*.
         """
-        while self._queue and not future._done:
-            time, _, entry = self._queue[0]
-            if time > limit:
+        queue, pop = self._queue, heapq.heappop
+        while queue and not future._done:
+            if queue[0][0] > limit:
                 raise self._stuck(future, reason="limit-exceeded", limit=limit)
-            heapq.heappop(self._queue)
-            if entry.cancelled:
-                continue
-            self._now = time
+            self._now, _, callback, args = pop(queue)
             self.executed_events += 1
-            entry.callback(*entry.args)
+            callback(*args)
         if not future.done:
             raise self._stuck(future, reason="queue-drained")
         return future.result

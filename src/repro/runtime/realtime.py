@@ -1,14 +1,15 @@
 """Wall-clock runtime: the simulator's event kernel paced by the monotonic clock.
 
 :class:`RealtimeRuntime` subclasses :class:`~repro.net.simulator.Simulator`
-and inherits the kernel — the ``(time, seq)`` heap with FIFO tie-breaking,
-cancellable handles, watermark lanes, generator processes, ``timeout`` /
+and inherits the kernel — the heap of ``(time, seq, callback, args)`` entries
+with FIFO tie-breaking, watermark lanes, generator processes, ``timeout`` /
 ``all_of``, the stuck-future diagnosis.  It overrides what the clock changes:
 
 * ``now`` is scaled ``time.monotonic()``, so it moves between any two statements;
 * ``schedule`` / ``schedule_at`` clamp a just-passed deadline to "now" instead
-  of raising, and may be called from **any thread**: a foreign thread's entry
-  is posted to the owner thread, which puts it on the heap;
+  of raising (a NaN deadline is still refused), and may be called from **any
+  thread**: a foreign thread's entry is posted to the owner thread, which puts
+  it on the heap;
 * ``event`` hands out :class:`RealtimeFuture`: completion is thread-safe and
   done-callbacks always run on the owner thread;
 * the drive loop behind ``run`` / ``run_until`` *waits* for the head's deadline
@@ -28,10 +29,10 @@ import math
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from ..core.errors import SimulationError
-from ..net.simulator import Future, ScheduledCall, Simulator
+from ..net.simulator import Future, Simulator
 
 #: Wall seconds before a deadline at which the drive loop stops sleeping and
 #: spins on the clock: a timed wait overshoots by about this much.
@@ -100,7 +101,7 @@ class RealtimeRuntime(Simulator):
         self._origin = time.monotonic()
         self._owner_thread = threading.get_ident()
         #: Entries scheduled by foreign threads, not yet in the heap.
-        self._posted: Deque[ScheduledCall] = deque()
+        self._posted: Deque[Tuple[float, Callable, tuple]] = deque()
         self._wake = threading.Event()
         self._processes: set = set()
         self._closed = False
@@ -113,27 +114,29 @@ class RealtimeRuntime(Simulator):
     def _on_owner_thread(self) -> bool:
         return threading.get_ident() == self._owner_thread
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> ScheduledCall:
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` *delay* runtime seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._push(ScheduledCall(self.now + delay, callback, args))
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past or at NaN (delay={delay})")
+        self._push(self.now + delay, callback, args)
 
-    def schedule_at(self, time_: float, callback: Callable, *args: Any) -> ScheduledCall:
+    def schedule_at(self, time_: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at absolute runtime time *time_*.
 
         A time already past is clamped to "now", not refused as the simulator
         does: the wall clock moves between computing a deadline and this call.
+        A NaN time is refused — ``max`` would keep it and break heap order.
         """
-        return self._push(ScheduledCall(max(time_, self.now), callback, args))
+        if math.isnan(time_):
+            raise SimulationError(f"cannot schedule at NaN (time={time_})")
+        self._push(max(time_, self.now), callback, args)
 
-    def _push(self, entry: ScheduledCall) -> ScheduledCall:
+    def _push(self, time_: float, callback: Callable, args: tuple) -> None:
         if self._on_owner_thread():
-            heapq.heappush(self._queue, (entry.time, next(self._sequence), entry))
+            heapq.heappush(self._queue, (time_, next(self._sequence), callback, args))
         else:
-            self._posted.append(entry)
+            self._posted.append((time_, callback, args))
             self._wake.set()
-        return entry
 
     def event(self, name: str = "") -> RealtimeFuture:
         """Create a pending thread-safe future bound to this runtime."""
@@ -187,18 +190,16 @@ class RealtimeRuntime(Simulator):
         idle_until: Optional[float] = None
         while future is None or not future.done:
             while posted:
-                entry = posted.popleft()
-                heapq.heappush(queue, (entry.time, next(self._sequence), entry))
-            while queue and queue[0][2].cancelled:
-                heapq.heappop(queue)
+                time_, callback, args = posted.popleft()
+                heapq.heappush(queue, (time_, next(self._sequence), callback, args))
             now = self.now
             wake_at = horizon
             if queue:
                 idle_until = None
                 if queue[0][0] <= now:
-                    entry = heapq.heappop(queue)[2]
+                    _, _, callback, args = heapq.heappop(queue)
                     self.executed_events += 1
-                    entry.callback(*entry.args)
+                    callback(*args)
                     continue
                 wake_at = min(wake_at, queue[0][0])
             elif future is not None or horizon == math.inf:
@@ -223,10 +224,9 @@ class RealtimeRuntime(Simulator):
         if self._closed:
             return {"processes_leaked": 0, "timers_pending": 0}
         self._closed = True
-        pending = [entry for _, _, entry in self._queue] + list(self._posted)
         return {
             "processes_leaked": len(self._processes),
-            "timers_pending": sum(1 for entry in pending if not entry.cancelled),
+            "timers_pending": len(self._queue) + len(self._posted),
         }
 
 

@@ -128,7 +128,7 @@ class TestEngineLayering:
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     definitions.setdefault(node.name, []).append((path.relative_to(SRC_ROOT), node))
-        for name in ("SimulatedLane", "_Process", "all_of", "ScheduledCall", "RealtimeRuntime"):
+        for name in ("SimulatedLane", "_Process", "all_of", "RealtimeRuntime"):
             where = [str(path) for path, _ in definitions.get(name, [])]
             assert len(where) == 1, f"{name} must be defined exactly once under src/, found {where}"
         (module, runtime_class), = definitions["RealtimeRuntime"]

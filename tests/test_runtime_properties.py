@@ -1,12 +1,14 @@
 """Property tests for the runtime scheduling contract, on both implementations.
 
-Seeded-random interleavings of ``schedule`` / ``cancel`` / ``process`` assert
-the three properties every component implicitly relies on:
+Seeded-random interleavings of ``schedule`` / ``process`` assert the three
+properties every component implicitly relies on:
 
 1. **same-time FIFO tie-breaking** — callbacks scheduled for the same time run
    in scheduling order;
-2. **no callback after cancellation** — a cancelled handle's callback never
-   fires, no matter when the cancel raced the schedule;
+2. **every entry runs once, in heap order** — a queue entry is the bare tuple
+   ``(time, seq, callback, args)``: the unique ``seq`` means the heap never
+   compares a callback, and a NaN deadline, which would break the order, is
+   refused on both clocks;
 3. **Future single-completion** — a future completes exactly once; the second
    completion raises and does not overwrite the first.
 
@@ -18,6 +20,7 @@ loop keeps the kernel's ordering, failure and diagnosis semantics.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -28,7 +31,7 @@ from repro.core.errors import SimulationError, StuckFutureError
 from repro.net.simulator import Simulator
 from repro.runtime import RealtimeRuntime, RuntimeConfig
 
-#: Far enough ahead that all scheduling/cancelling happens before anything
+#: Far enough ahead that all scheduling happens before anything
 #: fires, even on the wall clock; short enough to keep the suite fast.
 HORIZON = 0.05
 
@@ -85,84 +88,93 @@ class TestFifoTieBreaking:
         assert executed == list(range(10))
 
 
-class TestCancellation:
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_cancelled_callbacks_never_run(self, runtime, seed):
-        rng = random.Random(seed)
-        base = runtime.now + HORIZON
-        executed = []
-        handles = {}
-        for index in range(40):
-            handles[index] = runtime.schedule_at(base + rng.random() * 0.02, executed.append, index)
-        cancelled = set(rng.sample(sorted(handles), 15))
-        for index in cancelled:
-            handles[index].cancel()
-        drain(runtime)
-        assert set(executed) == set(handles) - cancelled
-
-    def test_cancel_from_within_a_callback(self, runtime):
-        # A callback cancelling a later-scheduled peer: the peer must not run.
-        base = runtime.now + HORIZON
-        executed = []
-        victim = runtime.schedule_at(base + 0.02, executed.append, "victim")
-        runtime.schedule_at(base, lambda: victim.cancel())
-        runtime.schedule_at(base + 0.02, executed.append, "survivor")
-        drain(runtime)
-        assert executed == ["survivor"]
-
-    def test_double_cancel_is_idempotent(self, runtime):
-        handle = runtime.schedule(HORIZON, lambda: pytest.fail("cancelled callback ran"))
-        handle.cancel()
-        handle.cancel()
-        drain(runtime)
-
-
-class TestScheduledCallHandle:
-    """What callers read from, and do with, the handle ``schedule`` returns."""
-
-    def test_fields_stay_readable(self, runtime):
-        due = runtime.now + HORIZON
-        handle = runtime.schedule_at(due, print, "a", 2)
-        assert (handle.time, handle.callback, handle.args, handle.cancelled) == (due, print, ("a", 2), False)
-        handle.cancel()
-        assert handle.cancelled and handle.time == due
-        drain(runtime)
-
-    def test_a_cancelled_entry_is_not_an_executed_event(self, runtime):
-        executed = []
-        kept = runtime.schedule(HORIZON, executed.append, "kept")
-        dropped = runtime.schedule(HORIZON, executed.append, "dropped")
-        dropped.cancel()
-        before = runtime.executed_events
-        drain(runtime)
-        assert executed == ["kept"]
-        assert runtime.executed_events == before + 1
-        assert not kept.cancelled
-
-    def test_cancel_after_the_callback_ran_is_a_no_op(self, runtime):
-        executed = []
-        handle = runtime.schedule(HORIZON, executed.append, "ran")
-        drain(runtime)
-        events = runtime.executed_events
-        handle.cancel()
-        handle.cancel()
-        drain(runtime)
-        assert executed == ["ran"]
-        assert runtime.executed_events == events
+class TestQueueEntries:
+    """What the heap entry ``(time, seq, callback, args)`` guarantees."""
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_entries_sharing_a_time_order_by_sequence_never_by_callback(self, runtime, seed):
         # Functions do not support "<": if the queue's ordering ever fell
-        # through to the callback (or the handle), pushing the second entry
-        # for one time would raise TypeError.
+        # through to the callback, pushing the second entry for one time
+        # would raise TypeError.  Two times, interleaved at random, so equal
+        # times meet inside the heap with other entries between them.
         rng = random.Random(seed)
-        due = runtime.now + HORIZON
+        base = runtime.now + HORIZON
         executed = []
-        handles = [runtime.schedule_at(due, (lambda i=i: executed.append(i))) for i in range(12)]
-        for victim in rng.sample(range(12), 4):
-            handles[victim].cancel()  # a cancelled entry must not disturb the order either
+        scheduled = []
+        for index in range(24):
+            bucket = rng.randrange(2)
+            scheduled.append((bucket, index))
+            runtime.schedule_at(base + bucket * 0.01, (lambda i=index: executed.append(i)))
         drain(runtime)
-        assert executed == [i for i in range(12) if not handles[i].cancelled]
+        assert executed == [index for _, index in sorted(scheduled)]
+
+    def test_a_nan_deadline_is_refused_and_the_queue_keeps_its_order(self, runtime):
+        # A NaN entry breaks the heap's order: on the simulator a later entry
+        # would overtake an earlier one, and on the wall clock an entry due
+        # after a NaN head would never run.
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            runtime.schedule_at(nan, pytest.fail, "NaN entry ran")
+        with pytest.raises(SimulationError):
+            runtime.schedule(nan, pytest.fail, "NaN entry ran")
+        executed = []
+        base = runtime.now + HORIZON
+        runtime.schedule_at(base + 0.001, executed.append, "later")
+        runtime.schedule_at(base, executed.append, "earlier")
+        drain(runtime)
+        assert executed == ["earlier", "later"]
+        assert not math.isnan(runtime.now)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_every_entry_runs_exactly_once_and_counts_once(self, runtime, seed):
+        rng = random.Random(seed)
+        base = runtime.now + HORIZON
+        executed = []
+        for index in range(40):
+            runtime.schedule_at(base + rng.random() * 0.02, executed.append, index)
+        before = runtime.executed_events
+        drain(runtime)
+        assert sorted(executed) == list(range(40))
+        assert runtime.executed_events == before + 40
+        assert runtime.pending_events == 0
+
+    def test_args_reach_the_callback_unchanged_and_no_handle_is_returned(self, runtime):
+        calls = []
+        due = runtime.now + HORIZON
+        assert runtime.schedule_at(due, lambda *args: calls.append(args), "a", 2, None) is None
+        assert runtime.schedule(HORIZON, lambda *args: calls.append(args)) is None
+        drain(runtime)
+        assert sorted(calls, key=len) == [(), ("a", 2, None)]
+
+    def test_an_entry_a_callback_schedules_for_now_runs_after_the_peers_already_due(self, runtime):
+        base = runtime.now + HORIZON
+        executed = []
+
+        def first():
+            executed.append("first")
+            runtime.schedule(0.0, executed.append, "scheduled-by-first")
+
+        runtime.schedule_at(base, first)
+        runtime.schedule_at(base, executed.append, "peer")
+        drain(runtime)
+        assert executed == ["first", "peer", "scheduled-by-first"]
+
+    def test_pending_events_counts_what_is_queued(self, runtime):
+        base = runtime.now + HORIZON
+        for offset in (0.0, 0.0, 0.01):
+            runtime.schedule_at(base + offset, lambda: None)
+        assert runtime.pending_events == 3
+        drain(runtime)
+        assert runtime.pending_events == 0
+
+    def test_run_until_leaves_what_falls_due_after_the_future_queued(self, runtime):
+        gate = runtime.event("gate")
+        base = runtime.now + HORIZON
+        executed = []
+        runtime.schedule_at(base, gate.succeed, "open")
+        runtime.schedule_at(base + 0.5, executed.append, "later")
+        assert runtime.run_until(gate, limit=base + 5.0) == "open"
+        assert executed == [] and runtime.pending_events == 1
 
 
 class TestFutureSingleCompletion:
@@ -340,20 +352,35 @@ class TestThreadSafeScheduling:
         realtime.run(until=start + 0.35)
         assert order == ["posted", "far"]
 
-    def test_foreign_cancel_before_the_deadline_prevents_the_callback(self, realtime):
+    def test_a_foreign_entry_keeps_its_args_and_a_past_deadline_is_clamped(self, realtime):
+        ran = []
         start = realtime.now
-        handles = []
-        poster = _from_thread(
-            lambda: handles.append(realtime.schedule(0.1, lambda: pytest.fail("cancelled callback ran")))
-        )
-        realtime.run(until=start + 0.03)
-        poster.join(timeout=5.0)
-        owner_handle = realtime.schedule(0.05, lambda: pytest.fail("cancelled callback ran"))
-        canceller = _from_thread(lambda: (handles[0].cancel(), owner_handle.cancel()))
-        realtime.run(until=start + 0.2)
-        canceller.join(timeout=5.0)
-        assert not poster.is_alive() and not canceller.is_alive()
+        thread = _from_thread(lambda: realtime.schedule_at(start - 1.0, lambda *args: ran.append(args), "x", 1))
+        realtime.run(until=start + 0.1)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert ran == [("x", 1)]
+
+    def test_a_foreign_thread_cannot_post_a_nan_deadline(self, realtime):
+        errors = []
+
+        def post():
+            try:
+                realtime.schedule_at(float("nan"), lambda: None)
+            except SimulationError as exc:
+                errors.append(exc)
+
+        thread = _from_thread(post)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive() and len(errors) == 1
         assert realtime.close() == {"processes_leaked": 0, "timers_pending": 0}
+
+    def test_close_counts_entries_a_foreign_thread_posted_but_no_drive_took(self, realtime):
+        realtime.schedule(10.0, lambda: None)
+        poster = _from_thread(lambda: realtime.schedule(10.0, lambda: None))
+        poster.join(timeout=5.0)
+        assert not poster.is_alive()
+        assert realtime.close() == {"processes_leaked": 0, "timers_pending": 2}
 
     def test_only_the_owner_thread_may_drive(self, realtime):
         errors = []
@@ -442,10 +469,9 @@ class TestSimulatorDeterminismUnderTheSharedInterface:
             order = []
             for index in range(20):
                 lane.submit(1e-4, lambda i=index: order.append(i))
-            handle = sim.schedule(0.5, order.append, "tail")
-            handle.cancel()
+            sim.schedule(0.5, order.append, "tail")
             sim.run()
-            assert order == list(range(20))
+            assert order == [*range(20), "tail"]
             return sim.executed_events
 
         assert program(Simulator()) == program(Simulator())
