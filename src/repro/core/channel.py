@@ -17,8 +17,8 @@ Two opt-in layers harden the channel for the chaos experiments:
   never gives up), so per-channel FIFO survives drops, duplicates, and
   reordering, and retransmitted requests are idempotent at the receiver.  The
   channel's own part is the wire format: a per-direction sequence number
-  (``cseq``) stamped on every payload message and lightweight cumulative
-  ``CHAN_ACK`` frames.
+  (``cseq``) spliced into each payload frame's one encoding, and cumulative
+  ``CHAN_ACK`` frames written straight to bytes.
 
 Both layers are off by default: a channel constructed without a fault plan
 (and without ``reliable=True``) behaves — and schedules — exactly like the
@@ -34,7 +34,7 @@ from typing import Callable, Dict, Optional
 
 from ..net.simulator import Simulator
 from ..runtime.arq import DEFAULT_RTO_LATENCY_MULTIPLE, ArqDirection, Fate, SeededFaultPlan
-from .messages import Message, MessageType, batch_message, chan_ack, parse
+from .messages import Message, MessageType, batch_message, encode_chan_ack, parse
 
 #: Default one-way control-channel latency (seconds): a LAN round trip share.
 DEFAULT_CONTROL_LATENCY = 200e-6
@@ -257,33 +257,29 @@ class ControlChannel:
         return self._send("to_controller", message)
 
     def _send(self, direction: str, message: Message) -> float:
-        """Put a payload message on the wire, sequenced when the channel is reliable.
+        """Encode a payload message once — numbered, when the channel is reliable — and put it on the wire.
 
-        The wire carries a stamped copy; the caller's object is left alone,
-        so sending it again cannot renumber a tracked entry.  CHAN_ACK frames
-        stay unsequenced (they are the ack channel itself).
+        The next ``cseq`` goes into the bytes, which the hold table keeps; the caller's object is left alone.
         """
-        if not self.reliable or message.type == MessageType.CHAN_ACK:
-            return self._transmit(direction, message)
+        if not self.reliable:
+            return self._transmit(direction, message.encode())
         arq = self._arq[direction]
-        return arq.send(message.stamped(arq.next_seq))
+        return arq.send(message.encode(arq.next_seq))
 
     # -- the wire ---------------------------------------------------------------------
 
     def _stats_for(self, direction: str) -> ChannelStats:
         return self.to_mb if direction == "to_mb" else self.to_controller
 
-    def _transmit(self, direction: str, message: Message, retry: bool = False) -> float:
-        """Serialise, apply faults, and schedule delivery of one message.
+    def _transmit(self, direction: str, encoded: bytes, retry: bool = False, ack: bool = False) -> float:
+        """Apply faults to one frame's bytes (*ack*: a CHAN_ACK, which scripted faults skip) and schedule delivery.
 
-        The receiver gets a message re-decoded from the wire bytes, never the
-        sender's object.
+        The receiver gets a message decoded from the bytes, never the sender's object.
         """
         stats = self._stats_for(direction)
         if retry:
             stats.retransmits += 1
         wire = self._wire[direction]
-        encoded = message.encode()
         stats.messages += 1
         stats.bytes += len(encoded)
         transfer = len(encoded) / self.bandwidth if self.bandwidth else 0.0
@@ -291,9 +287,7 @@ class ControlChannel:
         delivery_time = finish + self.latency
         receiver = self._receivers[direction]
         if self.faults is not None:
-            lost, delivery_time, reordered, duplicate_at = self.faults.decide(
-                direction, message.type != MessageType.CHAN_ACK, delivery_time, self.latency
-            )
+            lost, delivery_time, reordered, duplicate_at = self.faults.decide(direction, not ack, delivery_time, self.latency)
             if lost:
                 stats.dropped += 1
                 return finish + self.latency
@@ -326,9 +320,7 @@ class ControlChannel:
             self._stats_for(direction).dedup_discards += 1
         if not self._arq[reverse].closed:  # nobody left on the other end to ack to
             self._stats_for(reverse).chan_acks += 1
-            ack = chan_ack(self.name, arq.expected - 1)
-            ack.xid = next(self._xids)
-            self._transmit(reverse, ack)
+            self._transmit(reverse, encode_chan_ack(self.name, arq.expected - 1, next(self._xids)), ack=True)
 
     # -- accounting ------------------------------------------------------------------
 

@@ -166,10 +166,6 @@ class Message:
     #: whenever reliability is off.
     cseq: Optional[int] = None
 
-    def stamped(self, cseq: int) -> "Message":
-        """A shallow copy numbered *cseq*; this message stays as it is."""
-        return Message(self.type, self.xid, self.reply_to, self.mb, self.body, cseq)
-
     @classmethod
     def from_wire(cls, wire: Dict[str, Any]) -> "Message":
         """Rebuild a message from its wire dict; raises ProtocolError when malformed.
@@ -199,14 +195,16 @@ class Message:
             raise _ill_typed("cseq", "int", cseq)
         return cls(kind, xid, reply_to, mb, body, cseq)  # positionally: the field order, half the cost of keywords
 
-    def wire_text(self) -> str:
+    def wire_text(self, cseq: Optional[int] = None) -> str:
         """The wire form as text: the fixed envelope, in key order, around the body.
 
+        A *cseq* given here is spliced in place of the message's own.
         ``reply_to`` and ``cseq`` are omitted when None.  Raises ProtocolError
         — and nothing else — for a value JSON cannot carry.
         """
+        cseq = self.cseq if cseq is None else cseq
         try:
-            cseq = "" if self.cseq is None else f'"cseq":{_json(self.cseq)},'
+            cseq = "" if cseq is None else f'"cseq":{_json(cseq)},'
             reply_to = "" if self.reply_to is None else f'"reply_to":{_json(self.reply_to)},'
             return (
                 f'{{"body":{_body_json(self.body)},{cseq}"mb":{_json(self.mb)},{reply_to}'
@@ -215,9 +213,9 @@ class Message:
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"cannot encode message {self.type}: {exc}") from exc
 
-    def encode(self) -> bytes:
-        """Encode to the JSON wire form."""
-        return self.wire_text().encode("utf-8")
+    def encode(self, cseq: Optional[int] = None) -> bytes:
+        """Encode to the JSON wire form, numbered *cseq* when given (see :meth:`wire_text`)."""
+        return self.wire_text(cseq).encode("utf-8")
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
@@ -486,13 +484,13 @@ def transfer_end(mb: str, *, dirty_only: bool = False, shared_only: bool = False
     return Message(MessageType.TRANSFER_END, mb=mb, body=body)
 
 
-def chan_ack(channel_name: str, cumulative: int) -> Message:
-    """Channel-layer cumulative ack: every cseq up to *cumulative* was delivered.
+def encode_chan_ack(channel_name: str, cumulative: int, xid: int) -> bytes:
+    """A channel-layer cumulative ack (every cseq up to *cumulative* was delivered), written straight to wire bytes.
 
     Consumed by the :class:`~repro.core.channel.ControlChannel` itself — the
     controller and southbound agent never see these frames.
     """
-    return Message(MessageType.CHAN_ACK, mb=channel_name, body={"cum": cumulative})
+    return f'{{"body":{{"cum":{cumulative}}},"mb":{_quote(channel_name)},"type":"chan_ack","xid":{xid}}}'.encode()
 
 
 def heartbeat(mb: str) -> Message:

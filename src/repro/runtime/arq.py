@@ -76,8 +76,8 @@ class ArqDirection:
         self._copy = copy
         self._on_abandon = on_abandon
         # Sender half: the number the next frame carries, the hold table
-        # seq -> [frame, last transmission time, retries], and the frames
-        # paused behind a full table.
+        # seq -> [frame, last transmission time, retries] (filled in sequence
+        # order, so its keys ascend), and the frames paused behind a full table.
         self.next_seq = 1
         self.holds: Dict[int, list] = {}
         self.backlog: Deque[Tuple[int, Any]] = deque()
@@ -98,13 +98,13 @@ class ArqDirection:
         """Track *frame* — which the carrier stamped with :attr:`next_seq` — and attempt it.
 
         Returns the first attempt's result, or None while the frame waits in
-        the backlog.
+        the backlog, behind a full table or behind earlier waiting frames.
         """
         seq = self.next_seq
         self.next_seq = seq + 1
         if self.closed:
             return self._transmit(frame, False)
-        if self.window is not None and len(self.holds) >= self.window:
+        if self.backlog or (self.window is not None and len(self.holds) >= self.window):
             self.backlog.append((seq, frame))
             return None
         return self._launch(seq, frame)
@@ -161,9 +161,15 @@ class ArqDirection:
 
         *cum* acknowledges every number up to and including it; *have* lists
         numbers the receiver holds above its gap; *need* asks for re-sends.
+        The keys ascend, so the cumulative scan stops at the first one above *cum*.
         """
         holds = self.holds
-        for seq in [seq for seq in holds if seq <= cum]:
+        acked = []
+        for seq in holds:
+            if seq > cum:
+                break
+            acked.append(seq)
+        for seq in acked:
             del holds[seq]
         for seq in have:
             holds.pop(seq, None)

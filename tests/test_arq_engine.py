@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.net import Simulator
 from repro.runtime.arq import ArqDirection, ScriptedFault, SeededFaultPlan
@@ -219,6 +220,141 @@ class TestAnyFaultPattern:
             assert delivered == list(range(count))
         assert wire.arq.outstanding == 0 and not wire.arq.pending
         assert wire.arq.expected == count + 1
+
+
+# -- the engine as a state machine ----------------------------------------------------------
+
+
+class HeldWire(Wire):
+    """The scripted wire with the network in the test's hands.
+
+    Every attempt waits in ``in_flight`` until a rule delivers, drops,
+    duplicates or reorders it, and an acknowledgement travels only when a
+    rule sends one.
+    """
+
+    def __init__(self, **engine):
+        super().__init__(**engine)
+        self.in_flight = []
+
+    def transmit(self, frame, retry):
+        self.in_flight.append(frame)
+        return self.sim.now + LATENCY
+
+    def arrive(self, frame):
+        self.arq.receive(frame[0], frame, lambda ready: self.delivered.append(ready[1]))
+
+
+def _has_in_flight(machine):
+    return bool(machine.wire.in_flight)
+
+
+class ArqMachine(RuleBasedStateMachine):
+    """One :class:`ArqDirection` under any interleaving of sends, wire faults, acks, timer ticks and a close."""
+
+    def __init__(self):
+        super().__init__()
+        self.wire = None
+        self.sent = 0
+        #: The highest cumulative ack the sender has absorbed.
+        self.cum = 0
+
+    @initialize(window=st.sampled_from([None, 1, 3]), strict=st.booleans())
+    def build(self, window, strict):
+        self.wire = HeldWire(window=window, strict=strict)
+
+    @property
+    def arq(self):
+        return self.wire.arq
+
+    def _absorb(self, cum, have=(), need=()):
+        self.arq.absorb_ack(cum, have, need)
+        self.cum = max(self.cum, cum)
+
+    @rule()
+    def send(self):
+        self.wire.send(self.sent)
+        self.sent += 1
+
+    @precondition(_has_in_flight)
+    @rule()
+    def deliver(self):
+        self.wire.arrive(self.wire.in_flight.pop(0))
+
+    @precondition(_has_in_flight)
+    @rule(data=st.data())
+    def drop(self, data):
+        self.wire.in_flight.pop(data.draw(st.integers(0, len(self.wire.in_flight) - 1)))
+
+    @precondition(_has_in_flight)
+    @rule(data=st.data())
+    def duplicate(self, data):
+        in_flight = self.wire.in_flight
+        frame = in_flight[data.draw(st.integers(0, len(in_flight) - 1))]
+        in_flight.insert(data.draw(st.integers(0, len(in_flight))), frame)
+
+    @precondition(_has_in_flight)
+    @rule(data=st.data())
+    def reorder(self, data):
+        """One frame overtaken by everything behind it."""
+        in_flight = self.wire.in_flight
+        in_flight.append(in_flight.pop(data.draw(st.integers(0, len(in_flight) - 1))))
+
+    @rule(selective=st.booleans())
+    def ack(self, selective):
+        """The receiver's current acknowledgement: cumulative only (the control channel's) or with ``have`` and ``need``."""
+        if selective:
+            self._absorb(*self.arq.ack_state())
+        else:
+            self._absorb(self.arq.expected - 1)
+
+    @rule(data=st.data())
+    def stale_ack(self, data):
+        """An old cumulative ack arriving late, behind newer ones."""
+        self._absorb(data.draw(st.integers(0, self.arq.expected - 1)))
+
+    @rule(fraction=st.sampled_from([0.5, 1.0]))
+    def timer(self, fraction):
+        self.wire.sim.run(until=self.wire.sim.now + fraction * RTO)
+
+    @precondition(lambda machine: not machine.arq.closed)
+    @rule()
+    def close(self):
+        self.arq.close()
+
+    @precondition(lambda machine: not machine.arq.closed)
+    @rule()
+    def settle(self):
+        """The wire turns clean: everything sent is delivered, and the sender lets go of all of it."""
+        for _ in range(4 * self.sent + 4):
+            while self.wire.in_flight:
+                self.deliver()
+            self.ack(selective=False)
+            if not self.arq.outstanding:
+                break
+            self.timer(1.0)
+        assert self.arq.outstanding == 0
+        assert sorted(self.wire.delivered) == list(range(self.sent))
+
+    @invariant()
+    def holds_ascend_and_nothing_acknowledged_is_held(self):
+        holds, backlog = list(self.arq.holds), [seq for seq, _ in self.arq.backlog]
+        assert holds == sorted(holds)
+        assert backlog == sorted(backlog) and (not holds or not backlog or holds[-1] < backlog[0])
+        assert all(seq > self.cum for seq in holds + backlog)
+        assert self.arq.window is None or len(holds) <= self.arq.window
+        assert self.arq.outstanding == len(holds) + len(backlog)
+
+    @invariant()
+    def delivery_is_exactly_once_and_in_order_when_strict(self):
+        delivered = self.wire.delivered
+        assert len(set(delivered)) == len(delivered) <= self.sent
+        if self.arq.strict:
+            assert delivered == list(range(len(delivered)))
+
+
+ArqMachine.TestCase.settings = settings(max_examples=settings.default.max_examples, stateful_step_count=40, deadline=None)
+TestArqMachine = ArqMachine.TestCase
 
 
 # -- the fault-plan skeleton -----------------------------------------------------------------

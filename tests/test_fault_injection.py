@@ -175,20 +175,43 @@ class TestReliableDelivery:
         assert [message.body["index"] for message in to_controller] == list(range(1, 16))
 
     def test_resending_one_message_object_is_two_deliveries_in_order(self):
-        """The sender tracks a stamped copy, not the caller's object: sending
-        it again must not renumber the entry a retransmission re-encodes (the
-        receiver would see the second cseq twice and wait for the first forever)."""
+        """The sender holds the bytes it encoded, not the caller's object:
+        sending it again is the next number, and cannot renumber the entry a
+        retransmission re-sends (the receiver would see the second cseq twice
+        and wait for the first forever).  The caller's object stays unnumbered."""
         sim = Simulator()
         plan = FaultPlan(1, scripted=[ScriptedFault(kind="drop", direction="to_mb", nth=1)])
         channel, to_mb, _ = make_channel(sim, faults=plan)
         again = request(1)
-        for message in (again, request(2), again):
+        for message in (again, again, request(2), again):
             channel.send_to_middlebox(message)
+        assert again.cseq is None
         sim.run(until=1.0)
         assert channel.to_mb.dropped == 1 and channel.to_mb.retransmits == 1
-        assert [(message.body["index"], message.cseq) for message in to_mb] == [(1, 1), (2, 2), (1, 3)]
+        assert [(message.body["index"], message.cseq) for message in to_mb] == [(1, 1), (1, 2), (2, 3), (1, 4)]
         assert again.cseq is None
         assert sim.pending_events == 0
+
+    def test_a_retransmission_re_sends_the_first_attempt_s_bytes(self):
+        attempts = []
+
+        class Tapped(ControlChannel):
+            def _transmit(self, direction, encoded, retry=False, ack=False):
+                if not ack:
+                    attempts.append((direction, encoded, retry))
+                return super()._transmit(direction, encoded, retry, ack)
+
+        sim = Simulator()
+        plan = FaultPlan(1, scripted=[ScriptedFault(kind="drop", direction="to_mb", nth=1)])
+        channel = Tapped(sim, "chan-test", faults=plan)
+        to_mb = []
+        channel.bind_middlebox(to_mb.append)
+        channel.bind_controller(lambda message: None)
+        channel.send_to_middlebox(request(1))
+        sim.run(until=1.0)
+        assert [retry for _, _, retry in attempts] == [False, True]
+        assert attempts[0][1] == attempts[1][1] == request(1).encode(1)
+        assert [(message.body["index"], message.cseq) for message in to_mb] == [(1, 1)]
 
     def test_retransmissions_stop_after_cumulative_ack(self):
         """Once everything is acked, the channel goes idle (queue drains)."""

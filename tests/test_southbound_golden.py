@@ -78,10 +78,10 @@ class Scenario:
         channel = self.controller.register(middlebox)
         transmit = channel._transmit
 
-        def tapped(direction, message, retry=False):
-            digest = hashlib.sha256(message.encode()).hexdigest()
-            self.messages.append([self.sim.now, f"{channel.name}:{direction}", message.type, digest])
-            return transmit(direction, message, retry)
+        def tapped(direction, encoded, retry=False, ack=False):
+            digest = hashlib.sha256(encoded).hexdigest()
+            self.messages.append([self.sim.now, f"{channel.name}:{direction}", Message.decode(encoded).type, digest])
+            return transmit(direction, encoded, retry, ack)
 
         channel._transmit = tapped
         return middlebox
