@@ -26,7 +26,6 @@ class ActionType(enum.Enum):
 
     OUTPUT = "output"
     DROP = "drop"
-    CONTROLLER = "controller"
     BUFFER = "buffer"
 
 

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence
 from ..core.errors import NetworkError
 from ..core.flowspace import FlowPattern
 from .flowtable import Action, FlowRule
-from .packet import Packet
 from .simulator import Future, Simulator, all_of
 from .switch import Switch
 from .topology import Node, Topology
@@ -94,21 +93,12 @@ class SDNController:
         self.rule_install_latency = rule_install_latency
         self.routes: Dict[int, RouteHandle] = {}
         self._route_ids = itertools.count(1)
-        self.packet_ins: List[Packet] = []
         self.rules_installed = 0
         self.routing_updates = 0
         #: Programming messages pushed to switches: one per (switch, update),
         #: each possibly carrying several rules (the batched route dispatch —
         #: a multi-pattern swap programs each switch once, not once per rule).
         self.switch_updates = 0
-        for node in topology.nodes.values():
-            if isinstance(node, Switch):
-                node.set_packet_in_handler(self._on_packet_in)
-
-    # -- packet-in handling -------------------------------------------------------
-
-    def _on_packet_in(self, switch: Switch, packet: Packet, in_port: int) -> None:
-        self.packet_ins.append(packet)
 
     # -- route installation ----------------------------------------------------------
 

@@ -21,8 +21,7 @@ exclusively through ``now`` / ``schedule`` / ``schedule_at`` / ``event`` /
 ``timeout`` / ``process`` / ``lane`` / ``run`` / ``run_until``, so the same
 controller, channels, and middleboxes run unchanged on the wall-clock
 :class:`~repro.runtime.RealtimeRuntime` — a subclass that keeps this kernel
-and replaces only the clock and the wait (futures are therefore created
-through :meth:`Simulator.event`, the seam it overrides).
+and replaces only the clock and the wait.  Both run on one thread.
 """
 
 from __future__ import annotations

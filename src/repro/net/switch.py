@@ -1,15 +1,15 @@
 """OpenFlow-style switch.
 
 A switch forwards packets according to its :class:`~repro.net.flowtable.FlowTable`.
-Misses go to the registered packet-in handler (the SDN controller) or are
-dropped.  The switch also implements packet buffering for patterns the
-Split/Merge baseline suspends, and keeps counters used by the evaluation.
+A miss takes the switch's default action (drop, unless configured).  The
+switch also implements packet buffering for patterns the Split/Merge baseline
+suspends, and keeps counters used by the evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.errors import NetworkError
 from ..core.flowspace import FlowPattern
@@ -32,7 +32,6 @@ class SwitchStats:
     packets_in: int = 0
     packets_forwarded: int = 0
     packets_dropped: int = 0
-    packets_to_controller: int = 0
     packets_buffered: int = 0
     bytes_forwarded: int = 0
     table_misses: int = 0
@@ -61,14 +60,9 @@ class Switch(Node):
         self.forward_latency = forward_latency
         self.default_action = default_action
         self.stats = SwitchStats()
-        self._packet_in_handler: Optional[Callable[["Switch", Packet, int], None]] = None
         self._buffers: Dict[FlowPattern, List[_BufferedPacket]] = {}
 
     # -- control-plane interface -------------------------------------------------
-
-    def set_packet_in_handler(self, handler: Callable[["Switch", Packet, int], None]) -> None:
-        """Register the handler invoked for CONTROLLER actions and table misses."""
-        self._packet_in_handler = handler
 
     def install_rule(self, rule: FlowRule) -> FlowRule:
         """Install a flow rule immediately (the SDN controller adds install latency)."""
@@ -164,10 +158,6 @@ class Switch(Node):
                 self.send_out(action.port, packet)
             elif action.type is ActionType.DROP:
                 self.stats.packets_dropped += 1
-            elif action.type is ActionType.CONTROLLER:
-                self.stats.packets_to_controller += 1
-                if self._packet_in_handler is not None:
-                    self._packet_in_handler(self, packet, in_port)
             elif action.type is ActionType.BUFFER:
                 self._buffers.setdefault(FlowPattern.from_flow(packet.flow_key()), []).append(
                     _BufferedPacket(packet, in_port, self.sim.now)

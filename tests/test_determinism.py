@@ -28,12 +28,12 @@ GLOBAL_RANDOM = re.compile(r"(?<![.\w])random\.(?!Random\b)\w+\s*\(")
 #: Generator (seeded object construction).
 GLOBAL_NP_RANDOM = re.compile(r"np\.random\.(?!default_rng\b|Generator\b)\w+\s*\(")
 
-#: Wall-clock reads, real sleeps and threads: only the realtime runtime
-#: package may touch them; everywhere else must schedule through the shared
+#: Wall-clock reads and real sleeps: only the realtime runtime package may
+#: touch them; everywhere else must schedule through the shared
 #: runtime interface to keep simulated runs deterministic.
 WALL_CLOCK = re.compile(r"(?<![.\w])time\.(time|monotonic|perf_counter|sleep)\s*\(")
 
-#: The one package allowed to read the wall clock / block / use threads.
+#: The one package allowed to read the wall clock or block.
 RUNTIME_PACKAGE = pathlib.PurePath("repro", "runtime")
 
 
@@ -91,16 +91,15 @@ class TestNoAmbientRandomness:
             "determinism; use the runtime's `now`/`schedule` instead:\n" + "\n".join(offenders)
         )
 
-    def test_no_asyncio_anywhere_and_no_threads_outside_the_runtime_package(self):
-        """There is one event kernel (a second event loop is a second
-        scheduler), and only its wall-clock half may know about threads."""
+    def test_no_asyncio_and_no_threading_anywhere(self):
+        """There is one event kernel on one thread under both clocks: a second
+        event loop is a second scheduler, and a thread is a second driver."""
         offenders = []
         for path in sorted(SRC_ROOT.rglob("*.py")):
-            relative = path.relative_to(SRC_ROOT)
             roots = {name.split(".")[0] for name in _imported_modules(ast.parse(path.read_text()), [])}
-            if "asyncio" in roots or ("threading" in roots and RUNTIME_PACKAGE not in relative.parents):
-                offenders.append(str(relative))
-        assert not offenders, f"asyncio / threading imported where it may not be: {offenders}"
+            if roots & {"asyncio", "threading"}:
+                offenders.append(str(path.relative_to(SRC_ROOT)))
+        assert not offenders, f"asyncio / threading imported under src/: {offenders}"
 
 
 class TestEngineLayering:
@@ -119,9 +118,9 @@ class TestEngineLayering:
         """One heap, one lane, one process driver, one stuck diagnosis.
 
         ``RealtimeRuntime`` may override what the clock changes (``now``,
-        ``schedule``/``schedule_at``, ``event``, the drive loop) but must
-        inherit the rest of the kernel, and no second copy of a kernel class
-        may appear anywhere under ``src/``.
+        ``schedule``/``schedule_at``, the drive loop) but must inherit the
+        rest of the kernel — futures included — and no second copy of a kernel
+        class may appear anywhere under ``src/``.
         """
         definitions: dict = {}
         for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -134,9 +133,9 @@ class TestEngineLayering:
         (module, runtime_class), = definitions["RealtimeRuntime"]
         assert [ast.unparse(base) for base in runtime_class.bases] == ["Simulator"]
         classes = [n.name for n in ast.parse((SRC_ROOT / module).read_text()).body if isinstance(n, ast.ClassDef)]
-        assert classes == ["RealtimeFuture", "RealtimeRuntime"], f"{module} defines {classes}"
+        assert classes == ["RealtimeRuntime"], f"{module} defines {classes}"
         own = {node.name for node in runtime_class.body if isinstance(node, ast.FunctionDef)}
-        reimplemented = own & {"lane", "timeout", "_stuck", "pending_events"}
+        reimplemented = own & {"event", "lane", "timeout", "_stuck", "pending_events"}
         assert not reimplemented, f"RealtimeRuntime re-implements inherited kernel parts: {sorted(reimplemented)}"
 
     def test_what_a_frame_reuses_has_one_writer(self):

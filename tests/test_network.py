@@ -6,7 +6,6 @@ from repro.core.errors import NetworkError
 from repro.core.flowspace import FlowPattern
 from repro.net import (
     Action,
-    ActionType,
     FlowRule,
     SDNController,
     Simulator,
@@ -253,15 +252,6 @@ class TestSwitch:
         sim.run()
         assert h1.received == []
         assert sw.stats.packets_dropped == 1
-
-    def test_controller_action_invokes_packet_in(self):
-        sim, topo, h1, h2, sw = self._wire()
-        seen = []
-        sw.set_packet_in_handler(lambda switch, packet, port: seen.append((switch.name, port)))
-        sw.install_rule(FlowRule(FlowPattern.wildcard(), [Action(ActionType.CONTROLLER)]))
-        h1.send(tcp_packet("10.0.0.1", "192.0.2.1", 1, 80))
-        sim.run()
-        assert seen == [("s1", sw.port_to(h1))]
 
     def test_buffer_and_release_pattern(self):
         sim, topo, h1, h2, sw = self._wire()

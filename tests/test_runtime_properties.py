@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 import random
-import threading
-import time
 
 import pytest
 
 from repro.core.errors import SimulationError, StuckFutureError
-from repro.net.simulator import Simulator
+from repro.net.simulator import Future, Simulator
 from repro.runtime import RealtimeRuntime, RuntimeConfig
+from repro.runtime import realtime as realtime_module
 
 #: Far enough ahead that all scheduling happens before anything
 #: fires, even on the wall clock; short enough to keep the suite fast.
@@ -57,6 +56,10 @@ class TestInterface:
         before = runtime.now
         runtime.run(until=runtime.now + 0.01)
         assert runtime.now >= before
+
+    def test_event_hands_out_the_kernels_plain_future(self, runtime):
+        future = runtime.event("plain")
+        assert type(future) is Future and future.sim is runtime and not future.done
 
 
 class TestFifoTieBreaking:
@@ -125,6 +128,11 @@ class TestQueueEntries:
         assert executed == ["earlier", "later"]
         assert not math.isnan(runtime.now)
 
+    def test_a_negative_delay_is_refused_and_nothing_is_queued(self, runtime):
+        with pytest.raises(SimulationError, match="past"):
+            runtime.schedule(-0.001, pytest.fail, "negative-delay entry ran")
+        assert runtime.pending_events == 0
+
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_every_entry_runs_exactly_once_and_counts_once(self, runtime, seed):
         rng = random.Random(seed)
@@ -175,6 +183,14 @@ class TestQueueEntries:
         runtime.schedule_at(base + 0.5, executed.append, "later")
         assert runtime.run_until(gate, limit=base + 5.0) == "open"
         assert executed == [] and runtime.pending_events == 1
+
+    def test_run_with_a_horizon_leaves_what_falls_due_after_it_queued(self, runtime):
+        base = runtime.now + HORIZON
+        executed = []
+        runtime.schedule_at(base, executed.append, "due")
+        runtime.schedule_at(base + 0.5, executed.append, "after-the-horizon")
+        assert runtime.run(until=base + 0.01) >= base + 0.01
+        assert executed == ["due"] and runtime.pending_events == 1
 
 
 class TestFutureSingleCompletion:
@@ -316,85 +332,49 @@ def realtime():
     rt.close()
 
 
-def _from_thread(fn):
-    """Run *fn* on a foreign thread a few ms from now; returns the started thread."""
-    thread = threading.Thread(target=lambda: (time.sleep(0.005), fn()))
-    thread.start()
-    return thread
+class _StubClock:
+    """Stands in for the wall-clock runtime's ``time`` module: ``monotonic``
+    moves when ``sleep`` is called, and a sleep overshoots by 1 ms.  With a
+    *tick*, every read of ``monotonic`` also moves it by that much, so a
+    drive loop spinning on the clock gets somewhere."""
+
+    def __init__(self, tick: float = 0.0) -> None:
+        self.t = 0.0
+        self.tick = tick
+        self.sleeps = []
+
+    def monotonic(self) -> float:
+        self.t += self.tick
+        return self.t
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.t += seconds + 1e-3
 
 
-class TestThreadSafeScheduling:
-    """Realtime-only: the post seam a socket reader thread would use."""
+class TestWallClockDrive:
+    """Realtime-only: what the wall clock changes about scheduling and driving."""
 
-    def test_foreign_schedule_wakes_a_sleeping_drive_loop(self, realtime):
-        # The owner sleeps toward a far horizon on an empty queue; the posted
-        # callback must run on the owner thread now, not at the horizon.
+    def test_a_past_deadline_is_clamped_and_the_entry_keeps_its_args(self, realtime):
+        # Clamped to "now", the late entry sorts after one already due at
+        # start; unclamped, its earlier deadline would run it first.
         ran = []
         start = realtime.now
-        thread = _from_thread(
-            lambda: realtime.schedule(0.0, lambda: ran.append((realtime.now - start, threading.get_ident())))
-        )
-        realtime.run(until=start + 0.5)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert len(ran) == 1
-        assert ran[0][0] < 0.25, f"posted callback waited for the horizon: ran at +{ran[0][0]:.3f}s"
-        assert ran[0][1] == threading.get_ident()
+        realtime.schedule_at(start, ran.append, ("on-time",))
+        realtime.schedule_at(start - 1.0, lambda *args: ran.append(args), "x", 1)
+        realtime.run()
+        assert ran == [("on-time",), ("x", 1)]
 
-    def test_foreign_schedule_interrupts_the_wait_for_a_far_timer(self, realtime):
-        order = []
-        start = realtime.now
-        realtime.schedule_at(start + 0.3, order.append, "far")
-        thread = _from_thread(lambda: realtime.schedule(0.0, order.append, "posted"))
-        realtime.run(until=start + 0.1)
-        thread.join(timeout=5.0)
-        assert order == ["posted"]
-        realtime.run(until=start + 0.35)
-        assert order == ["posted", "far"]
-
-    def test_a_foreign_entry_keeps_its_args_and_a_past_deadline_is_clamped(self, realtime):
-        ran = []
-        start = realtime.now
-        thread = _from_thread(lambda: realtime.schedule_at(start - 1.0, lambda *args: ran.append(args), "x", 1))
-        realtime.run(until=start + 0.1)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert ran == [("x", 1)]
-
-    def test_a_foreign_thread_cannot_post_a_nan_deadline(self, realtime):
-        errors = []
-
-        def post():
-            try:
-                realtime.schedule_at(float("nan"), lambda: None)
-            except SimulationError as exc:
-                errors.append(exc)
-
-        thread = _from_thread(post)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive() and len(errors) == 1
-        assert realtime.close() == {"processes_leaked": 0, "timers_pending": 0}
-
-    def test_close_counts_entries_a_foreign_thread_posted_but_no_drive_took(self, realtime):
-        realtime.schedule(10.0, lambda: None)
-        poster = _from_thread(lambda: realtime.schedule(10.0, lambda: None))
-        poster.join(timeout=5.0)
-        assert not poster.is_alive()
-        assert realtime.close() == {"processes_leaked": 0, "timers_pending": 2}
-
-    def test_only_the_owner_thread_may_drive(self, realtime):
-        errors = []
-
-        def drive():
-            try:
-                realtime.run(until=realtime.now + 0.01)
-            except SimulationError as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=drive)
-        thread.start()
-        thread.join(timeout=5.0)
-        assert len(errors) == 1 and "owner thread" in str(errors[0])
+    def test_an_empty_queue_is_waited_on_only_up_to_an_explicit_horizon(self, monkeypatch):
+        clock = _StubClock()
+        monkeypatch.setattr(realtime_module, "time", clock)
+        rt = RealtimeRuntime()
+        assert rt.run() == 0.0 and clock.sleeps == []
+        assert rt.run(until=0.5) >= 0.5 and len(clock.sleeps) == 1
+        with pytest.raises(StuckFutureError) as excinfo:
+            rt.run_until(rt.event("pending"), limit=10.0)
+        assert excinfo.value.reason == "queue-drained" and len(clock.sleeps) == 1
+        assert rt.close() == {"processes_leaked": 0, "timers_pending": 0}
 
     def test_a_closed_runtime_cannot_be_driven(self):
         rt = RuntimeConfig(mode="realtime").create()
@@ -406,58 +386,87 @@ class TestThreadSafeScheduling:
         with pytest.raises(SimulationError, match="closed"):
             rt.run_until(rt.event("never"))
 
+    def test_close_counts_the_timers_and_processes_still_outstanding(self, realtime):
+        def finishes():
+            yield 0.0
+            return "done"
 
-class TestThreadSafeCompletion:
-    """Realtime-only: futures completed off-thread must marshal safely."""
+        def waits_forever():
+            yield realtime.event("never")
 
-    def test_off_thread_succeed_completes_the_future(self):
-        rt = RuntimeConfig(mode="realtime").create()
-        try:
-            future = rt.event("cross-thread")
-            fired = []
-            future.add_done_callback(lambda f: fired.append(f.result))
-            thread = threading.Thread(target=lambda: future.succeed("from-thread"))
-            thread.start()
-            assert rt.run_until(future, limit=rt.now + 5.0) == "from-thread"
-            thread.join()
-            rt.run(until=rt.now + 0.01)  # let the marshalled callback land
-            assert fired == ["from-thread"]
-        finally:
-            rt.close()
-
-    def test_a_callback_added_off_thread_to_a_done_future_runs_on_the_owner_thread(self, realtime):
-        """Done-callbacks run on the owner thread, even one a foreign thread adds after completion."""
-        future = realtime.event("done")
-        future.succeed("owner")
-        ran = []
-        adder = _from_thread(lambda: future.add_done_callback(lambda f: ran.append((f.result, threading.get_ident()))))
-        adder.join(timeout=5.0)
-        assert not adder.is_alive() and ran == []
+        finished = realtime.process(finishes())
+        realtime.process(waits_forever())
+        realtime.schedule(10.0, lambda: None)
         realtime.run(until=realtime.now + 0.01)
-        assert ran == [("owner", threading.get_ident())]
+        assert finished.result == "done"
+        assert realtime.close() == {"processes_leaked": 1, "timers_pending": 1}
 
-    def test_racing_completions_complete_exactly_once(self):
-        rt = RuntimeConfig(mode="realtime").create()
-        try:
-            future = rt.event("race")
-            losers = []
+    def test_a_future_a_timer_completes_fires_its_callbacks_within_the_drive_call(self, realtime):
+        future = realtime.event("completed-by-a-timer")
+        fired = []
+        future.add_done_callback(lambda f: fired.append(f.result))
+        realtime.schedule(0.005, future.succeed, "from-timer")
+        assert realtime.run_until(future, limit=realtime.now + 5.0) == "from-timer"
+        assert fired == ["from-timer"]
 
-            def complete(value):
-                try:
-                    future.succeed(value)
-                except SimulationError:
-                    losers.append(value)
+    def test_a_timer_a_callback_arms_interrupts_the_wait_for_a_far_timer(self, monkeypatch):
+        # The loop re-reads the queue's head after every callback: once the
+        # callback at 0.01 arms a timer 50 ms out, the wait is for that timer,
+        # not for the far one at 0.3, and the horizon at 0.1 still stops it.
+        clock = _StubClock()
+        monkeypatch.setattr(realtime_module, "time", clock)
+        rt = RealtimeRuntime()
+        order = []
+        rt.schedule_at(0.3, order.append, "far")
+        rt.schedule_at(0.01, lambda: rt.schedule(0.05, order.append, "armed"))
+        assert rt.run(until=0.1) < 0.3
+        assert order == ["armed"] and rt.pending_events == 1
+        assert len(clock.sleeps) == 3 and max(clock.sleeps) < 0.05
+        rt.close()
 
-            threads = [threading.Thread(target=complete, args=(i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert future.done
-            assert len(losers) == 3
-            assert future.result not in losers
-        finally:
-            rt.close()
+    def test_what_is_due_runs_even_when_a_wait_overshot_the_horizon(self, monkeypatch):
+        # The sleep toward 0.1 overshoots to 0.1008; the entry at 0.1005 is
+        # due by then and runs, although it lies past the horizon.
+        clock = _StubClock()
+        monkeypatch.setattr(realtime_module, "time", clock)
+        rt = RealtimeRuntime()
+        order = []
+        rt.schedule_at(0.1, order.append, "at-horizon")
+        rt.schedule_at(0.1005, order.append, "overshot")
+        rt.schedule_at(0.2, order.append, "later")
+        rt.run(until=0.1)
+        assert order == ["at-horizon", "overshot"] and rt.pending_events == 1
+        assert len(clock.sleeps) == 1
+        rt.close()
+
+    def test_a_wait_below_the_spin_threshold_spins_instead_of_sleeping(self, monkeypatch):
+        clock = _StubClock(tick=1e-5)
+        monkeypatch.setattr(realtime_module, "time", clock)
+        rt = RealtimeRuntime()
+        ran = []
+        rt.schedule(realtime_module._SPIN_BELOW / 2, ran.append, "near")
+        rt.run()
+        assert ran == ["near"] and clock.sleeps == []
+        rt.schedule(0.1, ran.append, "far")
+        rt.run()
+        assert ran == ["near", "far"] and len(clock.sleeps) == 1
+        assert clock.sleeps[0] == pytest.approx(0.1 - realtime_module._SPIN_BELOW, abs=1e-4)
+        rt.close()
+
+    def test_time_scale_stretches_every_wait_and_shrinks_now(self, monkeypatch):
+        clock = _StubClock()
+        monkeypatch.setattr(realtime_module, "time", clock)
+        rt = RealtimeRuntime(time_scale=2.0)
+        rt.schedule(0.1, lambda: None)
+        rt.run()
+        assert clock.sleeps == [pytest.approx(0.2 - realtime_module._SPIN_BELOW)]
+        assert rt.now == pytest.approx(clock.t / 2.0)
+        rt.close()
+
+    def test_a_non_positive_time_scale_is_refused(self):
+        for scale in (0.0, -1.0):
+            with pytest.raises(SimulationError, match="time_scale"):
+                RealtimeRuntime(time_scale=scale)
 
 
 class TestSimulatorDeterminismUnderTheSharedInterface:
