@@ -27,7 +27,7 @@ from .errors import (
 from .events import Event, EventCode, EventFilter
 from .flowspace import FlowKey, FlowPattern, IPv4Prefix
 from .northbound import NorthboundAPI
-from .operations import OperationHandle, OperationRecord, OperationType, StandbyRetryHandle
+from .operations import OperationHandle, OperationRecord, OperationType
 from .sharding import ControllerShard, ShardCoordinator, ShardRing, ShardStats
 from .southbound import ProcessingCosts, SouthboundAgent
 from .state import (
@@ -49,7 +49,6 @@ __all__ = [
     "FaultProfile",
     "ScriptedFault",
     "InstanceDeadError",
-    "StandbyRetryHandle",
     "HierarchicalConfig",
     "ControllerConfig",
     "MBController",

@@ -5,7 +5,9 @@ northbound API) and middleboxes (which speak the southbound message protocol):
 
 * it owns one control channel per registered middlebox;
 * it translates each northbound call into the corresponding sequence of
-  southbound requests (the state machines in :mod:`repro.core.operations`);
+  southbound requests (the state machines in :mod:`repro.core.operations`,
+  which reach the world only through the port this class implements: the
+  runtime's clock, :meth:`send`, :meth:`forward_event` and a few more);
 * it buffers re-process events until the destination has ACKed the put for the
   affected state, then forwards them (paper Figure 5);
 * it runs message handling on one or more **controller shards**
@@ -31,25 +33,11 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set,
 from ..net.simulator import Future, Simulator, all_of
 from . import messages
 from .channel import DEFAULT_CONTROL_BANDWIDTH, DEFAULT_CONTROL_LATENCY, ControlChannel
-from .errors import (
-    InstanceDeadError,
-    OperationAbortedError,
-    OperationError,
-    ProtocolError,
-    UnknownMiddleboxError,
-)
+from .errors import OperationAbortedError, OperationError, ProtocolError, UnknownMiddleboxError
 from .events import Event, EventCode
 from .flowspace import FlowKey, FlowPattern
 from .messages import BATCHABLE_REQUESTS, Message, MessageType
-from .operations import (
-    CloneOperation,
-    MergeOperation,
-    MoveOperation,
-    OperationHandle,
-    OperationRecord,
-    StandbyRetryHandle,
-    _StatefulOperation,
-)
+from .operations import CloneOperation, MergeOperation, MoveOperation, OperationHandle, OperationRecord, _StatefulOperation
 from .sharding import ControllerShard, ShardCoordinator
 from .southbound import SouthboundAgent
 from .stats import ControllerStats
@@ -117,15 +105,18 @@ class MBController:
 
     def __init__(self, sim: Simulator, config: Optional[ControllerConfig] = None) -> None:
         self.sim = sim
+        #: The operations' clock, straight from the runtime.
+        self.schedule, self.event = sim.schedule, sim.event
         self.config = config or ControllerConfig()
         self.stats = ControllerStats()
         #: Sharded runtime: the coordinator owns the consistent-hash ring, the
         #: per-shard event loops, operation placement, and cross-shard barriers.
         self.coordinator = ShardCoordinator(sim, self.config.num_shards)
         self._registrations: Dict[str, _Registration] = {}
-        #: Reply routing: (mb name, request xid) -> (shard id whose loop the
-        #: reply is charged to, callback) for each reply message.
-        self._reply_handlers: Dict[Tuple[str, int], Tuple[int, Callable[[Message], None]]] = {}
+        #: Reply routing, as data: (mb name, request xid) -> (shard id whose
+        #: loop the reply is charged to, callback, its extra arguments); each
+        #: reply message runs ``callback(reply, *arguments)``.
+        self._reply_handlers: Dict[Tuple[str, int], Tuple[int, Callable[..., None], tuple]] = {}
         #: Batched southbound dispatch: per-middlebox queues of coalescible
         #: requests and the set of middleboxes with a flush already scheduled.
         self._outbox: Dict[str, List[Message]] = {}
@@ -204,22 +195,19 @@ class MBController:
         pre-copy install-round tags are dropped locally instead of leaking.
         """
         registration = self._registrations.pop(name, None)
-        exc_type = InstanceDeadError if dead else UnknownMiddleboxError
-        verb = "died" if dead else "was unregistered"
         # Operations still transferring state through the removed middlebox can
-        # never finish (their replies are about to be discarded): fail them now
-        # rather than leaving their futures pending forever.  Operations that
-        # already completed are left to finalise; they tolerate a missing
-        # middlebox (the post-quiescence delete/transfer-end catches it).
+        # never finish (their replies are about to be discarded): they fail now
+        # rather than leaving their futures pending forever.
         for operations in list(self._active_by_src.values()):
             for operation in list(operations):
-                if name in (operation.src, operation.dst) and not operation.handle.completed.done:
-                    operation._fail(
-                        exc_type(f"middlebox {name!r} {verb} during {operation.record.type.value}")
-                    )
+                operation.instance_down(name, dead)
         self._active_by_src.pop(name, None)
         for key in [key for key in self._reply_handlers if key[0] == name]:
-            del self._reply_handlers[key]
+            owner = getattr(self._reply_handlers.pop(key)[1], "__self__", None)
+            if isinstance(owner, _StatefulOperation):
+                # A reply that will never come: a move awaiting it to start
+                # its standby retry fails its handle instead of hanging.
+                owner.instance_down(name, dead)
         self._outbox.pop(name, None)
         self._flush_scheduled.discard(name)
         self._last_seen.pop(name, None)
@@ -263,7 +251,7 @@ class MBController:
         """Declare a registered instance dead: crash-safe abort + notification.
 
         Every in-flight operation touching the instance fails with
-        :class:`InstanceDeadError` (standby retries catch exactly this), the
+        :class:`InstanceDeadError` (a standby retry starts on exactly this), the
         orphaned instance object is purged of transfer involvement (no leaked
         holds or round tags), and applications subscribed to introspection
         events receive an ``openmb.instance_down`` event so failover logic
@@ -315,10 +303,15 @@ class MBController:
         return self._registration(name).channel
 
     def _registration(self, name: str) -> _Registration:
-        try:
-            return self._registrations[name]
-        except KeyError:
-            raise UnknownMiddleboxError(f"middlebox {name!r} is not registered with the controller") from None
+        registration = self._registrations.get(name)
+        if registration is None:
+            raise UnknownMiddleboxError(f"middlebox {name!r} is not registered with the controller")
+        return registration
+
+    @property
+    def now(self) -> float:
+        """The runtime's current time (the operations' clock)."""
+        return self.sim.now
 
     # -- message plumbing --------------------------------------------------------------------------
 
@@ -326,32 +319,34 @@ class MBController:
         self,
         mb_name: str,
         message: Message,
-        on_reply: Optional[Callable[[Message], None]] = None,
-        *,
+        on_reply: Optional[Callable[..., None]] = None,
+        *args: object,
         shard: Optional[ControllerShard] = None,
     ) -> int:
         """Send a southbound request to a middlebox; optionally route its replies.
 
-        Returns the request xid.  The reply handler is invoked for *every*
-        message the middlebox sends with ``reply_to`` equal to that xid
-        (chunk streams produce many) up to and including the reply that ends
-        the request — anything but a ``STATE_CHUNK`` — after which the handler
-        is forgotten.  *shard* names the controller shard
-        whose loop the replies are charged to — stateful operations pass
-        their home shard; by default the middlebox's hash-assigned shard is
-        used.  With ``dispatch_tick`` configured, hot-path request types are
-        coalesced into one framed BATCH per destination per tick instead of
-        being sent immediately.
-
-        Raises:
-            UnknownMiddleboxError: when *mb_name* is not registered.
+        Returns the request's xid (never 0), or False, sending nothing, when
+        *mb_name* is not registered — post-quiescence and cleanup messages
+        whose target may have been terminated (e.g. scale-down) in the
+        meantime just skip it.
+        ``on_reply(reply, *args)`` runs for *every* message the middlebox
+        sends with ``reply_to`` equal to the request's xid (chunk streams
+        produce many) up to and including the reply that ends the request —
+        anything but a ``STATE_CHUNK`` — after which the entry is forgotten.
+        *shard* names the controller shard whose loop the replies are charged
+        to — stateful operations pass their home shard; by default the
+        middlebox's hash-assigned shard is used.  With ``dispatch_tick``
+        configured, hot-path request types are coalesced into one framed
+        BATCH per destination per tick instead of being sent immediately.
         """
-        registration = self._registration(mb_name)
+        registration = self._registrations.get(mb_name)
+        if registration is None:
+            return False
         if shard is None:
             shard = self.coordinator.shard_for_name(mb_name)
         message.xid = next(self._xids)
         if on_reply is not None:
-            self._reply_handlers[(mb_name, message.xid)] = (shard.shard_id, on_reply)
+            self._reply_handlers[(mb_name, message.xid)] = (shard.shard_id, on_reply, args)
         self.stats.messages_sent += 1
         if self.config.dispatch_tick is not None and message.type in BATCHABLE_REQUESTS:
             self._outbox.setdefault(mb_name, []).append(message)
@@ -379,26 +374,6 @@ class MBController:
             self.stats.batches_dispatched += 1
             self.stats.messages_coalesced += len(queued)
         registration.channel.send_many_to_middlebox(queued)
-
-    def try_send(
-        self,
-        mb_name: str,
-        message: Message,
-        on_reply: Optional[Callable[[Message], None]] = None,
-        *,
-        shard: Optional[ControllerShard] = None,
-    ) -> bool:
-        """Like :meth:`send`, but tolerate an unregistered middlebox.
-
-        Returns False (instead of raising) when *mb_name* is no longer
-        registered — the idiom for post-quiescence and cleanup messages whose
-        target may have been terminated (e.g. scale-down) in the meantime.
-        """
-        try:
-            self.send(mb_name, message, on_reply=on_reply, shard=shard)
-        except UnknownMiddleboxError:
-            return False
-        return True
 
     def _shard_for_message(self, mb_name: str, message: Message) -> ControllerShard:
         """Route an incoming message to the shard whose loop must handle it.
@@ -458,7 +433,7 @@ class MBController:
                 # the handler with it, or a long-lived controller retains every
                 # operation it ever ran (and a duplicated reply is handled twice).
                 del self._reply_handlers[request]
-            entry[1](message)
+            entry[1](message, *entry[2])
 
     def _handle_event(self, mb_name: str, event: Event, shard: ControllerShard) -> None:
         self.stats.events_received += 1
@@ -480,9 +455,7 @@ class MBController:
         """Register an application callback for introspection events."""
         self._event_subscribers.append(callback)
 
-    def note_perflow_installed(
-        self, dst_mb: str, keys: Iterable[FlowKey], *, operation=None
-    ) -> None:
+    def note_perflow_installed(self, dst_mb: str, keys: Iterable[FlowKey], *, operation=None) -> None:
         """Record that per-flow state for *keys* was installed (put ACKed) at *dst_mb*.
 
         Replays of an event are suppressed only while no install for the
@@ -500,8 +473,8 @@ class MBController:
         self,
         dst_mb: str,
         event: Event,
-        on_reply: Optional[Callable[[Message], None]] = None,
-        *,
+        on_reply: Optional[Callable[..., None]] = None,
+        *args: object,
         shard: Optional[ControllerShard] = None,
     ) -> str:
         """Replay *event*'s packet at *dst_mb*, exactly once per state install.
@@ -509,7 +482,7 @@ class MBController:
         Returns ``"sent"`` when the re-process message was actually sent and
         ``"covered"`` when the event's update is already ensured at the
         destination by a previous replay (no message goes out and *on_reply*
-        never fires).  The common case is one replay per (event, destination):
+        never runs).  The common case is one replay per (event, destination):
         concurrent operations sharing a destination (e.g. a move and a merge
         with the same source) do not double-replay.  The exception closes the
         cross-operation coordination bug: when a per-flow state chunk was
@@ -519,9 +492,12 @@ class MBController:
         (instead of overwriting) and the earlier replay's shared update
         therefore survived.
 
-        ``on_reply`` routes the destination's ACK back to the caller
-        (order-preserving transfers wait for replay ACKs before releasing a
-        flow's packet hold).
+        ``on_reply(reply, *args)`` routes the destination's ACK back to the
+        caller (order-preserving transfers wait for replay ACKs before
+        releasing a flow's packet hold).
+
+        Raises:
+            UnknownMiddleboxError: when *dst_mb* is not registered.
         """
         token = (event.event_id, dst_mb)
         last_replay = self._forwarded_events.get(token)
@@ -541,28 +517,28 @@ class MBController:
         seq = next(self._transfer_seq)
         self._forwarded_events[token] = seq
         self._replays_in_flight.add(token)
-
-        def on_replay_reply(message: Message) -> None:
-            # Re-stamp the token when the destination ACKs the replay: ACKs
-            # travel back on the same FIFO channel the puts' ACKs use, so
-            # token order now mirrors the order the destination actually
-            # *applied* replay vs. chunk.  Without this, a replay sent in a
-            # put's send→ACK window (but applied after the chunk) would look
-            # older than the install and be re-issued — a double apply.
-            if self._forwarded_events.get(token) == seq:
-                self._replays_in_flight.discard(token)
-            if message.type == MessageType.ACK and self._forwarded_events.get(token) == seq:
-                self._forwarded_events[token] = next(self._transfer_seq)
-            if on_reply is not None:
-                on_reply(message)
-
-        self.send(
-            dst_mb,
-            messages.reprocess_message(dst_mb, event, shared=shared_override),
-            on_reply=on_replay_reply,
-            shard=shard,
-        )
+        replay = messages.reprocess_message(dst_mb, event, shared=shared_override)
+        if not self.send(dst_mb, replay, self._on_replay_reply, token, seq, on_reply, args, shard=shard):
+            self._registration(dst_mb)  # raises UnknownMiddleboxError
         return "sent"
+
+    def _on_replay_reply(
+        self, message: Message, token: Tuple[int, str], seq: int, on_reply: Optional[Callable[..., None]], args: tuple
+    ) -> None:
+        """Re-stamp a replay's dedup token on its ACK, then run the caller's ``on_reply(message, *args)``.
+
+        ACKs travel back on the same FIFO channel the puts' ACKs use, so
+        token order then mirrors the order the destination actually *applied*
+        replay vs. chunk.  Without this, a replay sent in a put's send→ACK
+        window (but applied after the chunk) would look older than the
+        install and be re-issued — a double apply.
+        """
+        if self._forwarded_events.get(token) == seq:
+            self._replays_in_flight.discard(token)
+        if message.type == MessageType.ACK and self._forwarded_events.get(token) == seq:
+            self._forwarded_events[token] = next(self._transfer_seq)
+        if on_reply is not None:
+            on_reply(message, *args)
 
     # -- simple northbound operations --------------------------------------------------------------------
 
@@ -584,7 +560,8 @@ class MBController:
             elif kind == MessageType.ERROR:
                 future.fail(OperationError(fields["reason"] or f"{message.type} failed"))
 
-        self.send(mb_name, message, on_reply=on_reply)
+        if not self.send(mb_name, message, on_reply):
+            self._registration(mb_name)  # raises UnknownMiddleboxError
         return future
 
     def read_config(self, mb_name: str, key: str = "*") -> Future:
@@ -655,44 +632,64 @@ class MBController:
         destination dies (crash or unregister) mid-move, the move is retried
         from scratch against the standby instead of failing outright — the
         source's state is untouched by the failed attempt, so the retry is
-        loss-free.  The returned handle then aggregates both attempts.
+        loss-free.  The returned handle then follows the retry.
         """
         self._registration(src)
         self._registration(dst)
         if standby is not None:
             self._registration(standby)
-            return StandbyRetryHandle(self, src, dst, pattern, spec, standby)
-        operation = MoveOperation(self, src, dst, pattern, spec)
-        return self._start(operation)
+        return self.start_move(src, dst, pattern, spec, standby=standby)
+
+    def start_move(
+        self,
+        src: str,
+        dst: str,
+        pattern: FlowPattern,
+        spec: Optional[TransferSpec] = None,
+        *,
+        standby: Optional[str] = None,
+        handle: Optional[OperationHandle] = None,
+    ) -> OperationHandle:
+        """Build and start one move attempt; a standby retry passes the *handle* it continues."""
+        precopy_live = any(operation.precopy for operation in self._active_by_src.get(src, ()))
+        return self._start(MoveOperation, src, dst, pattern, spec, precopy_live=precopy_live, standby=standby, handle=handle)
 
     def clone_support(self, src: str, dst: str, spec: Optional[TransferSpec] = None) -> OperationHandle:
         """cloneSupport: clone shared supporting state from src to dst."""
         self._registration(src)
         self._registration(dst)
-        operation = CloneOperation(self, src, dst, spec=spec)
-        return self._start(operation)
+        return self._start(CloneOperation, src, dst, None, spec)
 
     def merge_internal(self, src: str, dst: str, spec: Optional[TransferSpec] = None) -> OperationHandle:
         """mergeInternal: merge shared supporting and reporting state of src into dst."""
         self._registration(src)
         self._registration(dst)
-        operation = MergeOperation(self, src, dst, spec=spec)
-        return self._start(operation)
+        return self._start(MergeOperation, src, dst, None, spec)
 
-    def _start(self, operation: _StatefulOperation) -> OperationHandle:
+    def _start(self, kind: type, src: str, dst: str, pattern, spec, **extra) -> OperationHandle:
+        """Build an operation with the values the controller fixes for it, then start it."""
+        home_shard = self.coordinator.home_shard(pattern)
+        operation = kind(
+            self,
+            src,
+            dst,
+            pattern,
+            spec,
+            op_id=next(self.op_ids),
+            home_shard=home_shard,
+            shards=self.coordinator.shards_for_pattern(pattern),
+            quiescence_timeout=self.config.quiescence_timeout,
+            buffer_events=self.config.buffer_events,
+            **extra,
+        )
         self.stats.operations_started += 1
-        self._active_by_src.setdefault(operation.src, []).append(operation)
+        self._active_by_src.setdefault(src, []).append(operation)
         # Broadcast the operation's event interest to every shard its pattern
         # could own flows on (one shard for an exact five-tuple, all shards
         # for wildcard/prefix patterns).
         self.coordinator.register_operation(operation)
-        operation.handle.completed.add_done_callback(lambda future: self._on_completed(operation, future))
         operation.start()
         return operation.handle
-
-    def _on_completed(self, operation: _StatefulOperation, future: Future) -> None:
-        if future.exception is not None:
-            self.stats.operations_failed += 1
 
     def abort_operation(self, handle: OperationHandle, reason: str = "operation aborted") -> bool:
         """Abort the operation behind *handle* (transaction rollback support).
@@ -707,7 +704,7 @@ class MBController:
             return False
         return operation.abort(OperationAbortedError(reason))
 
-    def _operation_finished(self, operation: _StatefulOperation) -> None:
+    def operation_finished(self, operation: _StatefulOperation) -> None:
         """Called by an operation when it has fully finalised (or failed)."""
         active = self._active_by_src.get(operation.src, [])
         if operation in active:

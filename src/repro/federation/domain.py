@@ -588,7 +588,7 @@ class FederatedDomain:
         """Borrowing side epilogue: claim ownership, return the instance."""
         ok = done.exception is None
         if ok:
-            moved = sorted(handle._operation.pipeline._all_flows)
+            moved = sorted(handle._operation.flows)
             self.directory.claim_flows(moved, peer, self.sim.now)
         if self.controller.is_registered(dst):
             self.controller.unregister(dst)

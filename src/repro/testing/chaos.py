@@ -749,7 +749,7 @@ class _Scenario:
             result.error = str(handle.completed.exception)
         if not handle.finalized.done:
             violations.append(InvariantViolation("termination", "completed but never finalized (quiescence step stuck)"))
-        result.retried_on_standby = bool(getattr(handle, "retried", False))
+        result.retried_on_standby = self.controller.stats.standby_retries > 0
         self.topology.audit(result)
         _account_channels(result, self.channels)
         if self.data_paths is not None:

@@ -1,6 +1,6 @@
 """Order-preserving closure: the release schedule is pinned, its host work is linear.
 
-Two properties of :class:`~repro.core.operations.OrderPreservingPolicy`:
+Two properties of an order-preserving :class:`~repro.core.operations.MoveOperation`:
 
 * **what it sends** — the ordered ``REPROCESS_PACKET`` / ``TRANSFER_RELEASE`` /
   ``TRANSFER_HOLD`` stream towards the destination of a two-role Dummy move
@@ -44,8 +44,8 @@ def run_move(variant: str, flows: int, *, events: int):
 
     Returns ``(record, trace, reopened, dst)``: *trace* lists, in send order,
     ``"<message type> <flow>[,<flow>...]"`` for every traced message the
-    controller put on the destination's channel; *reopened* counts the
-    policy's ``on_flow_reopened`` calls.
+    controller put on the destination's channel; *reopened* is the record's
+    ``flows_reopened`` (frozen flows a late chunk re-held after their ACK).
     """
     sim = Simulator()
     controller = MBController(sim, ControllerConfig(quiescence_timeout=0.1))
@@ -90,18 +90,9 @@ def run_move(variant: str, flows: int, *, events: int):
         sim.schedule(rng.uniform(0.0, span), src.generate_reprocess_event, rng.randrange(flows))
 
     handle = northbound.move_internal("closure-src", "closure-dst", None, spec=SPECS[variant])
-    reopened = [0]
-    policy = handle._operation.policy
-    on_flow_reopened = policy.on_flow_reopened
-
-    def counting_reopen(canonical):
-        reopened[0] += 1
-        on_flow_reopened(canonical)
-
-    policy.on_flow_reopened = counting_reopen
     record = sim.run_until(handle.finalized, limit=1_000)
     sim.run(until=sim.now + 0.5)
-    return record, trace, reopened[0], dst
+    return record, trace, record.flows_reopened, dst
 
 
 def golden_traces():

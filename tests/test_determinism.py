@@ -46,6 +46,8 @@ def _imported_modules(tree: ast.AST, package: list) -> set:
         elif isinstance(node, ast.ImportFrom):
             base = package[: len(package) - (node.level - 1)] if node.level else []
             imported.add(".".join(base + ([node.module] if node.module else [])))
+            if not node.module:  # ``from . import name`` imports a module too
+                imported.update(".".join(base + [alias.name]) for alias in node.names)
     return imported
 
 
@@ -113,6 +115,32 @@ class TestEngineLayering:
         imported = _imported_modules(ast.parse(path.read_text()), ["repro", "runtime"])
         offenders = sorted(name for name in imported if name.split(".")[0] == "repro")
         assert not offenders, f"repro.runtime.arq needs only the standard library, but imports {offenders}"
+
+    def test_an_operation_reaches_the_world_only_through_its_port(self):
+        """``core/operations.py`` holds no closure and imports no kernel, wire or controller.
+
+        A pending reply is a bound method and its arguments, never a
+        ``lambda`` or nested ``def`` (data that can be hashed and compared);
+        the runtime, channel, sharding, southbound agent and controller are
+        reached through the port only, so a move runs bare behind a fake one.
+        Imports under ``if TYPE_CHECKING:`` are annotations, not dependencies.
+        """
+        path = SRC_ROOT / "repro" / "core" / "operations.py"
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        nested = {inner.lineno for outer in functions for inner in ast.walk(outer) if inner is not outer and inner in functions}
+        lambdas = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)}
+        assert not nested and not lambdas, f"operations.py defines closures: nested defs at {sorted(nested)}, lambdas at {sorted(lambdas)}"
+        annotations_only = [
+            node for node in tree.body if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        ]
+        runtime = ast.Module(body=[node for node in tree.body if node not in annotations_only], type_ignores=[])
+        imported = _imported_modules(runtime, ["repro", "core"])
+        banned = ("repro.net", "repro.runtime") + tuple(
+            f"repro.core.{name}" for name in ("controller", "channel", "sharding", "southbound")
+        )
+        offenders = sorted(name for name in imported if name.startswith(banned))
+        assert not offenders, f"repro.core.operations reaches past its port: imports {offenders}"
 
     def test_the_realtime_runtime_is_the_simulator_kernel_under_another_clock(self):
         """One heap, one lane, one process driver, one stuck diagnosis.

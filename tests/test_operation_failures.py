@@ -11,7 +11,9 @@ Covers the satellite fixes of the transfer-strategy refactor:
   finishes instead of growing without bound;
 * the request table (``_reply_handlers``) forgets a request with the reply
   that ends it, so a finished operation is collectable and a duplicated reply
-  reaches its handler once.
+  reaches its handler once;
+* a standby retry whose source or standby dies before the retry starts fails
+  its handle instead of hanging or raising out of the kernel.
 """
 
 import gc
@@ -21,7 +23,8 @@ import pytest
 
 from repro.core import ControllerConfig, MBController, NorthboundAPI, TransferSpec, messages
 from repro.core.channel import ControlChannel, FaultPlan, FaultProfile
-from repro.core.errors import OperationError, StateError, TransactionAbortedError
+from repro.core.errors import OperationError, StateError, TransactionAbortedError, UnknownMiddleboxError
+from repro.core.flowspace import FlowPattern
 from repro.core.messages import MessageType
 from repro.middleboxes import DummyMiddlebox
 from repro.net import tcp_packet
@@ -314,6 +317,45 @@ class TestStrandedStateCleanup:
         assert controller.stats.instances_declared_dead == 1
         assert dst.support_store.install_round_count == 0
         assert not controller.is_registered("pdst")
+
+
+class TestStandbyRetryWindow:
+    """A second death between the standby-retry decision and the source's release ACK.
+
+    Killing the destination at 1.5 ms makes the move decide to retry on the
+    standby; the retry waits for the source to ACK a release of the failed
+    attempt's markers (≈ 1.2 ms later).  Killing the source or the standby
+    inside that window must fail the handle — not leave it pending forever
+    and not raise out of the kernel.
+    """
+
+    def _window(self, sim, second):
+        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.05))
+        boxes = {name: DummyMiddlebox(sim, name, chunk_count=20) for name in ("src", "dst", "stby")}
+        for middlebox in boxes.values():
+            controller.register(middlebox)
+        handle = controller.move_internal("src", "dst", FlowPattern.wildcard(), standby="stby")
+        sim.schedule(1.5e-3, controller.kill, "dst")
+        sim.schedule(1.6e-3, controller.kill, second)
+        sim.run(until=1.0)  # must not raise
+        assert controller.stats.standby_retries == 1
+        assert controller.stats.operations_started == 1  # the retry never started
+        for future in (handle.state_installed, handle.completed, handle.finalized):
+            assert future.done and isinstance(future.exception, UnknownMiddleboxError)
+        return controller, boxes, handle
+
+    def test_source_death_fails_the_handle(self, sim):
+        from repro.core.errors import InstanceDeadError
+
+        _, _, handle = self._window(sim, "src")
+        assert isinstance(handle.completed.exception, InstanceDeadError)
+        assert "'src' died" in str(handle.completed.exception)
+
+    def test_standby_death_fails_the_handle_and_the_source_keeps_its_state(self, sim):
+        controller, boxes, handle = self._window(sim, "stby")
+        assert "'stby'" in str(handle.completed.exception)
+        assert len(boxes["src"].support_store) == 20 and len(boxes["src"].report_store) == 20
+        assert controller._reply_handlers == {} and controller.active_operations() == []
 
 
 class TestForwardedEventPruning:

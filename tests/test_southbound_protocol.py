@@ -103,7 +103,7 @@ class Wire:
     def serve(self, *requests: Message, framed: bool = False):
         for request in requests:  # numbered as the controller numbers what it sends
             request.xid = next(self.controller._xids)
-            self.controller._reply_handlers[("mb", request.xid)] = (0, self.replies.append)
+            self.controller._reply_handlers[("mb", request.xid)] = (0, self.replies.append, ())
         if framed:
             self.channel.send_many_to_middlebox(list(requests))
         else:
