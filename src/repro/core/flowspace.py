@@ -15,7 +15,7 @@ operation applies to).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Tuple
 
@@ -67,11 +67,14 @@ class IPv4Prefix:
 
     network: int
     length: int
+    #: The netmask of :attr:`length` as a 32-bit int, computed once.
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.length <= 32:
             raise ValueError(f"prefix length out of range: {self.length}")
-        mask = self.mask
+        mask = (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "network", self.network & mask)
 
     @classmethod
@@ -81,12 +84,6 @@ class IPv4Prefix:
             addr, _, length = text.partition("/")
             return cls(ip_to_int(addr), int(length))
         return cls(ip_to_int(text), 32)
-
-    @property
-    def mask(self) -> int:
-        if self.length == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF
 
     def contains_ip(self, address: str) -> bool:
         """Return True when *address* falls inside this prefix."""
@@ -129,8 +126,8 @@ class FlowKey:
         """The ``proto|src|dst|sport|dport`` string of this key as given.
 
         Taken of the :meth:`bidirectional` key it is the canonical flow token
-        that the shard ring, the state store's shard index and the federation's
-        ownership directory all hash or index by.
+        that the shard ring and the federation's ownership directory hash or
+        index by.
         """
         return f"{self.nw_proto}|{self.nw_src}|{self.nw_dst}|{self.tp_src}|{self.tp_dst}"
 
@@ -176,7 +173,7 @@ class FlowPattern:
     which the per-flow state stores use to honour the paper's granularity rule.
     """
 
-    __slots__ = ("nw_proto", "_src_prefix", "_dst_prefix", "tp_src", "tp_dst", "_src_text", "_dst_text")
+    __slots__ = ("nw_proto", "tp_src", "tp_dst", "_src_text", "_dst_text", "_src_net", "_src_mask", "_dst_net", "_dst_mask")
 
     def __init__(
         self,
@@ -191,8 +188,15 @@ class FlowPattern:
         self.tp_dst = tp_dst
         self._src_text = nw_src
         self._dst_text = nw_dst
-        self._src_prefix = IPv4Prefix.parse(nw_src) if nw_src is not None else None
-        self._dst_prefix = IPv4Prefix.parse(nw_dst) if nw_dst is not None else None
+        # An address field is matched as ``ip & mask == net``; both ints are
+        # taken from the parsed prefix once, here.  None: the field is a wildcard.
+        self._src_net = self._src_mask = self._dst_net = self._dst_mask = None
+        if nw_src is not None:
+            prefix = IPv4Prefix.parse(nw_src)
+            self._src_net, self._src_mask = prefix.network, prefix.mask
+        if nw_dst is not None:
+            prefix = IPv4Prefix.parse(nw_dst)
+            self._dst_net, self._dst_mask = prefix.network, prefix.mask
 
     # -- construction helpers -------------------------------------------------
 
@@ -284,8 +288,8 @@ class FlowPattern:
         host, else None.  Asked of the parsed prefix, so ``"10.0.0.1/32"`` and
         ``"10.0.0.1"`` are the same host — the form flow keys carry."""
         return tuple(
-            int_to_ip(prefix.network) if prefix is not None and prefix.length == 32 else None
-            for prefix in (self._src_prefix, self._dst_prefix)
+            int_to_ip(network) if mask == 0xFFFFFFFF else None
+            for network, mask in ((self._src_net, self._src_mask), (self._dst_net, self._dst_mask))
         )
 
     def exact_key(self) -> Optional[FlowKey]:
@@ -295,7 +299,7 @@ class FlowPattern:
         both addresses are hosts (:meth:`pinned_hosts`).  The one definition
         the shard ring and the per-flow stores share: were they to disagree,
         the controller would home an operation on one shard while the store
-        scanned all of them.
+        scanned every entry instead of looking one up.
         """
         src, dst = self.pinned_hosts()
         if None in (self.nw_proto, src, dst, self.tp_src, self.tp_dst):
@@ -310,25 +314,31 @@ class FlowPattern:
 
     def matches(self, key: FlowKey) -> bool:
         """Return True when the concrete flow *key* falls inside this pattern."""
-        if self.nw_proto is not None and key.nw_proto != self.nw_proto:
-            return False
-        if self.tp_src is not None and key.tp_src != self.tp_src:
-            return False
-        if self.tp_dst is not None and key.tp_dst != self.tp_dst:
-            return False
-        if self._src_prefix is not None and not self._src_prefix.contains_ip(key.nw_src):
-            return False
-        if self._dst_prefix is not None and not self._dst_prefix.contains_ip(key.nw_dst):
-            return False
-        return True
+        return self._matches_fields(key.nw_proto, key.nw_src, key.nw_dst, key.tp_src, key.tp_dst)
 
     def matches_either_direction(self, key: FlowKey) -> bool:
         """Return True when the pattern matches *key* or its reverse direction.
 
         Middleboxes index connection state bidirectionally, so state selection
-        by pattern must consider both packet directions.
+        by pattern must consider both packet directions.  The reverse is tested
+        on the swapped fields in place: no reversed ``FlowKey`` is built.
         """
-        return self.matches(key) or self.matches(key.reversed())
+        proto, src, dst, sport, dport = key.nw_proto, key.nw_src, key.nw_dst, key.tp_src, key.tp_dst
+        return self._matches_fields(proto, src, dst, sport, dport) or self._matches_fields(proto, dst, src, dport, sport)
+
+    def _matches_fields(self, proto: int, src: str, dst: str, sport: int, dport: int) -> bool:
+        """:meth:`matches` on the five fields of one packet direction."""
+        if self.nw_proto is not None and proto != self.nw_proto:
+            return False
+        if self.tp_src is not None and sport != self.tp_src:
+            return False
+        if self.tp_dst is not None and dport != self.tp_dst:
+            return False
+        if self._src_mask is not None and ip_to_int(src) & self._src_mask != self._src_net:
+            return False
+        if self._dst_mask is not None and ip_to_int(dst) & self._dst_mask != self._dst_net:
+            return False
+        return True
 
     # -- dunder protocol ------------------------------------------------------
 

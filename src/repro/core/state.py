@@ -12,11 +12,9 @@ every OpenMB-enabled middlebox uses internally:
 
 * :class:`PerFlowStateStore` — native per-flow state objects indexed by
   :class:`~repro.core.flowspace.FlowKey`, queried by
-  :class:`~repro.core.flowspace.FlowPattern`.  The store is **sharded**: the
-  entries live in an array of hash shards keyed by the canonical flow token
-  (the same token :class:`~repro.core.sharding.ShardRing` hashes), so a fully
-  specified query touches one shard instead of the whole store, and iteration
-  for streaming export proceeds shard by shard with bounded transient memory.
+  :class:`~repro.core.flowspace.FlowPattern`.  The entries live in one
+  insertion-ordered ``dict`` keyed by the canonical flow key, so a fully
+  specified query is one lookup and every scan yields in insertion order.
   Optional per-field secondary indexes (``indexed=True``) generalise the
   original source-address index to destination addresses and ports — the
   "wildcard match techniques" the paper suggests as an improvement.  The store
@@ -38,7 +36,6 @@ from typing import Callable, Collection, Dict, Generic, Iterator, List, Optional
 
 from .errors import GranularityError, StateError
 from .flowspace import FlowKey, FlowPattern
-from .sharding import stable_hash as _stable_hash
 
 T = TypeVar("T")
 
@@ -153,13 +150,8 @@ class StateChunk:
         return len(self.blob)
 
 
-#: Default number of hash shards in a :class:`PerFlowStateStore`.  Enough to
-#: keep any single shard's scan bounded without making tiny stores pay for an
-#: array of empty dicts.
-DEFAULT_SHARD_COUNT = 16
-
 #: Accounted overhead per resident entry beyond the value object itself: the
-#: canonical ``FlowKey`` (slotted, five fields) plus its shard-dict slot.
+#: canonical ``FlowKey`` (slotted, five fields) plus its entry-dict slot.
 ENTRY_SLOT_BYTES = 176
 #: Accounted size of one resident value: a small native state object (a dict
 #: header with its first key table plus a few short members on CPython 3.11).
@@ -171,10 +163,10 @@ DIRTY_SLOT_BYTES = 120
 #: Accounted overhead per pre-copy install tag (key reference, tuple, slot).
 TAG_SLOT_BYTES = 168
 #: Accounted overhead per secondary-index posting (a bucket-map slot holding the
-#: key itself, or a set member plus its share of the set and that slot).
+#: key itself, or a bucket-dict member plus its share of that dict and that slot).
 INDEX_POSTING_BYTES = 96
 
-#: Sentinel distinguishing "absent" from a stored ``None`` value inside shard
+#: Sentinel distinguishing "absent" from a stored ``None`` value inside entry
 #: lookups, so accounting and dirty marks stay exact even for falsy objects.
 _MISSING = object()
 
@@ -206,8 +198,6 @@ class StoreMemoryStats:
     index_postings: int
     #: Accounted bytes of the secondary indexes.
     index_bytes: int
-    #: Number of hash shards the entries are spread over.
-    shard_count: int
     #: Lifetime high-water mark of :attr:`total_bytes`.
     peak_total_bytes: int
 
@@ -218,21 +208,22 @@ class StoreMemoryStats:
 
 
 class PerFlowStateStore(Generic[T]):
-    """Sharded per-flow state objects indexed by flow key.
+    """Per-flow state objects indexed by flow key.
 
     The store records which header fields the owning middlebox uses to
     identify per-flow state (its *granularity*); queries at a finer
     granularity raise :class:`GranularityError`, as required by the paper.
 
-    Entries live in ``shard_count`` hash shards keyed by the canonical flow
-    token (:meth:`~repro.core.flowspace.FlowKey.token`, which the shard ring
-    also hashes with :func:`~repro.core.sharding.stable_hash`, so placement is
-    stable across processes).  Pattern lookups scan shard by shard — the same
-    linear cost as the paper's prototype for partial patterns on a default
-    store — but a fully specified concrete pattern is routed to its single
-    owning shard, and ``indexed=True`` additionally maintains per-field
-    secondary indexes (source/destination address and source/destination
-    port), generalising the original source-address-only index.
+    Entries live in one ``dict`` keyed by the canonical (direction-normalised)
+    flow key, so :meth:`put`, :meth:`get`, :meth:`get_or_create`,
+    :meth:`remove` and membership are one dict operation each and every scan
+    yields in insertion order, whatever the process's hash seed.  Pattern
+    lookups scan the entries — the same linear cost as the paper's prototype
+    for partial patterns on a default store — but a fully specified concrete
+    pattern is one lookup of its canonical key, and ``indexed=True``
+    additionally maintains per-field secondary indexes (source/destination
+    address and source/destination port), generalising the original
+    source-address-only index.
 
     The store also supports **versioned dirty-key tracking** for iterative
     pre-copy transfers: between :meth:`begin_dirty_tracking` and
@@ -254,17 +245,13 @@ class PerFlowStateStore(Generic[T]):
         granularity: Tuple[str, ...] = ("nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst"),
         *,
         indexed: bool = False,
-        shard_count: int = DEFAULT_SHARD_COUNT,
     ) -> None:
-        if shard_count < 1:
-            raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         self.granularity = tuple(granularity)
-        self.shard_count = shard_count
-        self._shards: List[Dict[FlowKey, T]] = [{} for _ in range(shard_count)]
-        self._count = 0
+        self._entries: Dict[FlowKey, T] = {}
         self._indexed = indexed
         #: Address index: nw_src *and* nw_dst of every canonical key map to it.
-        #: A bucket is one ``FlowKey`` or a ``set`` of two or more (``_index_add``).
+        #: A bucket is one ``FlowKey`` or an insertion-ordered ``dict`` of two
+        #: or more keys to ``None`` (``_index_add``).
         self._by_src: Dict[str, object] = {}
         #: Port index: tp_src and tp_dst of every canonical key map to it.
         self._by_port: Dict[int, object] = {}
@@ -281,24 +268,12 @@ class PerFlowStateStore(Generic[T]):
         self._install_rounds: Dict[FlowKey, Tuple[int, ...]] = {}
         self._peak_total_bytes = 0
 
-    # -- sharding --------------------------------------------------------------
-
-    def _shard_index(self, canonical: FlowKey) -> int:
-        """Owning shard of a canonical key (stable token hash, as the ring's)."""
-        if self.shard_count == 1:
-            return 0
-        return _stable_hash(canonical.token()) % self.shard_count
-
-    def _shard_of(self, canonical: FlowKey) -> Dict[FlowKey, T]:
-        """The shard dict holding (or destined to hold) *canonical*."""
-        return self._shards[self._shard_index(canonical)]
-
     # -- memory accounting -----------------------------------------------------
 
     def _current_total_bytes(self) -> int:
         """Current accounted footprint across entries, dirt, tags, indexes."""
         return (
-            self._count * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES)
+            len(self._entries) * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES)
             + len(self._dirty) * DIRTY_SLOT_BYTES
             + len(self._install_rounds) * TAG_SLOT_BYTES
             + self._index_postings * INDEX_POSTING_BYTES
@@ -313,15 +288,14 @@ class PerFlowStateStore(Generic[T]):
     def memory_stats(self) -> StoreMemoryStats:
         """O(1) snapshot of the store's accounted memory footprint."""
         return StoreMemoryStats(
-            entries=self._count,
-            entry_bytes=self._count * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES),
+            entries=len(self._entries),
+            entry_bytes=len(self._entries) * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES),
             dirty_entries=len(self._dirty),
             dirty_bytes=len(self._dirty) * DIRTY_SLOT_BYTES,
             install_tags=len(self._install_rounds),
             install_tag_bytes=len(self._install_rounds) * TAG_SLOT_BYTES,
             index_postings=self._index_postings,
             index_bytes=self._index_postings * INDEX_POSTING_BYTES,
-            shard_count=self.shard_count,
             peak_total_bytes=max(self._peak_total_bytes, self._current_total_bytes()),
         )
 
@@ -439,30 +413,31 @@ class PerFlowStateStore(Generic[T]):
         """Add a freshly inserted canonical key to every secondary index.
 
         A bucket is the key itself while its value names one flow — a client
-        address, an ephemeral port: nearly all of them — and becomes a ``set``
-        when a second posting arrives.  The resident key goes in first, so the
-        set iterates (and a move exports) as one built by the same insertions.
+        address, an ephemeral port: nearly all of them — and becomes a ``dict``
+        used as an insertion-ordered set when a second posting arrives.  The
+        resident key goes in first, so a bucket lists its keys in the order
+        they entered the store, which is the order a move exports them in.
         """
         for bucket_map, value in self._index_fields(canonical):
             bucket = bucket_map.get(value)
             if bucket is None:
                 bucket_map[value] = canonical
-            elif bucket is canonical or (type(bucket) is set and canonical in bucket):
+            elif bucket is canonical or (type(bucket) is dict and canonical in bucket):
                 # Posted a moment ago: one value in two fields (tp_src == tp_dst).
                 # A fresh key is in no bucket otherwise, so identity is enough.
                 continue
-            elif type(bucket) is set:
-                bucket.add(canonical)
+            elif type(bucket) is dict:
+                bucket[canonical] = None
             else:
-                bucket_map[value] = {bucket, canonical}
+                bucket_map[value] = {bucket: None, canonical: None}
             self._index_postings += 1
 
     def _index_discard(self, canonical: FlowKey) -> None:
         """Remove a deleted canonical key from every secondary index."""
         for bucket_map, value in self._index_fields(canonical):
             bucket = bucket_map.get(value)
-            if type(bucket) is set and canonical in bucket:
-                bucket.discard(canonical)
+            if type(bucket) is dict and canonical in bucket:
+                del bucket[canonical]
                 if len(bucket) == 1:
                     (bucket_map[value],) = bucket
             elif bucket is canonical or (type(bucket) is FlowKey and bucket == canonical):
@@ -480,19 +455,15 @@ class PerFlowStateStore(Generic[T]):
     def put(self, key: FlowKey, value: T) -> None:
         """Insert or replace the state object for a flow."""
         key = self.canonical_key(key)
-        shard = self._shard_of(key)
-        if key not in shard:
-            self._count += 1
-            if self._indexed:
-                self._index_add(key)
-        shard[key] = value
+        if self._indexed and key not in self._entries:
+            self._index_add(key)
+        self._entries[key] = value
         self.mark_dirty(key)
         self._note_memory()
 
     def get(self, key: FlowKey) -> Optional[T]:
         """Return the state object for a flow, or None when absent."""
-        canonical = self.canonical_key(key)
-        return self._shard_of(canonical).get(canonical)
+        return self._entries.get(self.canonical_key(key))
 
     def get_or_create(self, key: FlowKey, factory: Callable[[], T]) -> T:
         """Return the state object for a flow, creating it via *factory* if missing.
@@ -502,23 +473,21 @@ class PerFlowStateStore(Generic[T]):
         object in place.
         """
         canonical = self.canonical_key(key)
-        shard = self._shard_of(canonical)
-        existing = shard.get(canonical, _MISSING)
+        existing = self._entries.get(canonical, _MISSING)
         if existing is _MISSING:
-            self.put(canonical, factory())
-            return shard[canonical]
-        self.mark_dirty(canonical)
+            existing = factory()
+            self.put(canonical, existing)
+        else:
+            self.mark_dirty(canonical)
         return existing
 
     def remove(self, key: FlowKey) -> Optional[T]:
         """Remove and return the state object for a flow (None when absent)."""
         canonical = self.canonical_key(key)
-        shard = self._shard_of(canonical)
-        value = shard.pop(canonical, _MISSING)
+        value = self._entries.pop(canonical, _MISSING)
         self._install_rounds.pop(canonical, None)
         if value is _MISSING:
             return None
-        self._count -= 1
         self.mark_dirty(canonical)
         if self._indexed:
             self._index_discard(canonical)
@@ -527,9 +496,7 @@ class PerFlowStateStore(Generic[T]):
 
     def clear(self) -> None:
         """Drop every entry (with its index and install tag); dirty tracking is unaffected."""
-        for shard in self._shards:
-            shard.clear()
-        self._count = 0
+        self._entries.clear()
         self._by_src.clear()
         self._by_port.clear()
         self._index_postings = 0
@@ -539,19 +506,15 @@ class PerFlowStateStore(Generic[T]):
 
     def __len__(self) -> int:
         """Number of per-flow entries in the store."""
-        return self._count
+        return len(self._entries)
 
     def __contains__(self, key: FlowKey) -> bool:
         """Whether the store holds state for the flow (canonical form)."""
-        canonical = self.canonical_key(key)
-        return canonical in self._shard_of(canonical)
+        return self.canonical_key(key) in self._entries
 
     def items(self) -> Iterator[Tuple[FlowKey, T]]:
-        """Iterate over a snapshot of (canonical key, state object) pairs."""
-        collected: List[Tuple[FlowKey, T]] = []
-        for shard in self._shards:
-            collected.extend(shard.items())
-        return iter(collected)
+        """Iterate over a snapshot of (canonical key, state object) pairs in insertion order."""
+        return iter(list(self._entries.items()))
 
     def _check_granularity(self, pattern: FlowPattern) -> None:
         """Reject patterns finer than the middlebox's per-flow granularity."""
@@ -573,49 +536,43 @@ class PerFlowStateStore(Generic[T]):
         return list(self.iter_matching(pattern))
 
     def iter_matching(self, pattern: FlowPattern) -> Iterator[Tuple[FlowKey, T]]:
-        """Lazily yield (key, value) pairs matching *pattern*.
+        """Lazily yield (key, value) pairs matching *pattern*, in insertion order.
 
         Same matching semantics and ``scan_steps`` totals as :meth:`query`,
         but entries stream out as they are found: callers that seal chunks
-        batch-by-batch never hold the full match list.  Each shard is
-        snapshotted just before it is walked, so mutations to *other* flows
-        during iteration are safe; removing a yielded flow mid-stream is also
-        safe (the value was captured at snapshot time).
+        batch-by-batch never hold the full match list.  The entries (or the
+        index candidates) are snapshotted before the walk, so mutations to
+        *other* flows during iteration are safe; removing a yielded flow
+        mid-stream is also safe (the value was captured at snapshot time).
         """
         self._check_granularity(pattern)
+        entries = self._entries
         if pattern.is_wildcard:
-            for shard in self._shards:
-                self.scan_steps += len(shard)
-                yield from list(shard.items())
+            self.scan_steps += len(entries)
+            yield from list(entries.items())
+            return
+        # A pattern that pins one flow names at most two resident keys (itself
+        # and its reverse); both share one canonical form, so one lookup decides.
+        exact = pattern.exact_key()
+        if exact is not None:
+            self.scan_steps += 1
+            canonical = self.canonical_key(exact)
+            value = entries.get(canonical, _MISSING)
+            if value is not _MISSING:
+                yield canonical, value
             return
         if self._indexed:
             candidates = self._index_candidates(pattern)
             if candidates is not None:
                 self.scan_steps += len(candidates)
                 for key in candidates:
-                    # Pattern first: a rejected candidate's shard is never hashed for.
-                    if pattern.matches_either_direction(key):
-                        shard = self._shard_of(key)
-                        if key in shard:
-                            yield key, shard[key]
+                    if pattern.matches_either_direction(key) and key in entries:
+                        yield key, entries[key]
                 return
-        # A pattern that pins one flow names at most two resident keys (itself
-        # and its reverse); both share one canonical form, so the scan is
-        # restricted to the owning shard whether or not the store is indexed.
-        exact = pattern.exact_key()
-        if exact is not None:
-            canonical = self.canonical_key(exact)
-            shard = self._shard_of(canonical)
-            for key, value in list(shard.items()):
-                self.scan_steps += 1
-                if pattern.matches_either_direction(key):
-                    yield key, value
-            return
-        for shard in self._shards:
-            for key, value in list(shard.items()):
-                self.scan_steps += 1
-                if pattern.matches_either_direction(key):
-                    yield key, value
+        for key, value in list(entries.items()):
+            self.scan_steps += 1
+            if pattern.matches_either_direction(key):
+                yield key, value
 
     def remove_matching(self, pattern: FlowPattern) -> List[Tuple[FlowKey, T]]:
         """Remove and return all entries matching *pattern*.
@@ -630,7 +587,7 @@ class PerFlowStateStore(Generic[T]):
             for key, _ in matches:
                 self.remove(key)
             return matches
-        orphan_tags = {key: tag for key, tag in self._install_rounds.items() if key not in self}
+        orphan_tags = {key: tag for key, tag in self._install_rounds.items() if key not in self._entries}
         self.clear()
         self._install_rounds.update(orphan_tags)
         if self._tracking_dirty:
@@ -638,13 +595,13 @@ class PerFlowStateStore(Generic[T]):
                 self.mark_dirty(key)
         return matches
 
-    def _index_candidates(self, pattern: FlowPattern) -> Optional[set]:
-        """Smallest usable secondary-index posting set, or None when no index applies.
+    def _index_candidates(self, pattern: FlowPattern) -> Optional[List[FlowKey]]:
+        """Smallest usable secondary-index posting list, or None when no index applies.
 
         Host (/32, however written) source/destination addresses consult the
         address index; pinned transport ports consult the port index.  When several
-        indexed fields are pinned the smallest posting set wins, keeping the
-        candidate filter pass minimal.
+        indexed fields are pinned the smallest posting bucket wins, keeping the
+        candidate filter pass minimal.  The list is a snapshot in insertion order.
         """
         best: Optional[Collection[FlowKey]] = None
         for host in pattern.pinned_hosts():
@@ -659,7 +616,7 @@ class PerFlowStateStore(Generic[T]):
                     best = postings
         if best is None:
             return None
-        return set(best)
+        return list(best)
 
 
 class SharedStateSlot(Generic[T]):

@@ -1,4 +1,4 @@
-"""The seed's single-dict per-flow store: the differential oracle of the sharded store.
+"""The seed's single-dict per-flow store: the differential oracle of ``PerFlowStateStore``.
 
 Moved here verbatim from ``repro.core.state`` — no runtime code path uses it;
 ``test_state_properties.py`` replays seeded random operation sequences
@@ -14,15 +14,15 @@ T = TypeVar("T")
 
 
 class DictPerFlowStateStore(Generic[T]):
-    """The pre-shard single-dict store, kept verbatim as a differential oracle.
+    """The seed's single-dict store, kept verbatim as a differential oracle.
 
     This is the seed implementation of :class:`PerFlowStateStore` — one flat
     dict, a source-address-only index when ``indexed=True``, and a full linear
     scan for every partial pattern.  It is *not* used by any runtime code
     path; ``tests/test_state_properties.py`` replays seeded random operation
-    sequences against both stores and asserts identical results and identical
-    dirty-key drain order, so any behavioural drift in the sharded store is
-    caught mechanically rather than by inspection.
+    sequences against both stores and asserts identical results, in the same
+    order, and identical dirty-key drain order, so any behavioural drift in
+    the store is caught mechanically rather than by inspection.
     """
 
     def __init__(

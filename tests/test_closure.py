@@ -57,8 +57,8 @@ def run_move(variant: str, flows: int, *, events: int):
     costs = ProcessingCosts(**{**vars(DummyMiddlebox.DEFAULT_COSTS), "get_per_chunk": GET_PER_CHUNK})
     src = DummyMiddlebox(sim, "closure-src", costs=costs)
     dst = DummyMiddlebox(sim, "closure-dst")
-    src.support_store = PerFlowStateStore(src.support_store.granularity, shard_count=1)
-    src.report_store = PerFlowStateStore(src.report_store.granularity, shard_count=1)
+    src.support_store = PerFlowStateStore(src.support_store.granularity)
+    src.report_store = PerFlowStateStore(src.report_store.granularity)
     for index in range(flows):
         src.support_store.put(src.flow_key_for(index), {"index": index, "data": "x" * src.chunk_bytes})
     for index in reversed(range(flows)):

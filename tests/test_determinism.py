@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import ast
 import itertools
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 
@@ -416,3 +420,65 @@ class TestSeededReproducibility:
         assert first.settled_at == second.settled_at
         assert first.retransmits == second.retransmits
         assert first.drops == second.drops
+
+
+#: A small ``concurrent_moves``: four order-preserving ``/25`` moves on four
+#: controller shards with live re-process events, every store ``indexed=True``
+#: — so each get exports the server address's posting bucket, filtered by the
+#: ``/25``, in whatever order that bucket iterates.  Prints what it observed.
+INDEXED_MOVES = """
+import json, random
+from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI, PerFlowStateStore
+from repro.middleboxes import DummyMiddlebox
+from repro.net import Simulator
+
+rng = random.Random(12)
+sim = Simulator()
+controller = MBController(sim, ControllerConfig(quiescence_timeout=0.1, num_shards=4, dispatch_tick=0.5e-3))
+northbound = NorthboundAPI(controller)
+pairs = []
+for index in range(4):
+    src = DummyMiddlebox(sim, f"src-{index}", subnet=f"10.{index}")
+    dst = DummyMiddlebox(sim, f"dst-{index}", subnet=f"10.{index}")
+    for middlebox in (src, dst):
+        middlebox.support_store = PerFlowStateStore(middlebox.support_store.granularity, indexed=True)
+        middlebox.report_store = PerFlowStateStore(middlebox.report_store.granularity, indexed=True)
+    src.populate(100)
+    controller.register(src)
+    controller.register(dst)
+    pairs.append((src, dst))
+for src, _ in pairs:
+    phase = rng.random() / 400.0
+    for n in range(20):
+        sim.schedule(phase + (n + 1) / 400.0, src.generate_reprocess_event, rng.randrange(100))
+handles = [
+    northbound.move_internal(src.name, dst.name, FlowPattern(nw_src=f"{src.subnet}.1.0/25", nw_dst="192.0.2.10"), spec="order_preserving")
+    for src, dst in pairs
+]
+for handle in handles:
+    sim.run_until(handle.finalized, limit=5_000)
+sim.run(until=sim.now + 2.0)
+channels = [controller.channel_for(middlebox.name) for pair in pairs for middlebox in pair]
+print(json.dumps({
+    "events": sim.executed_events,
+    "bytes": [stats.bytes for channel in channels for stats in (channel.to_mb, channel.to_controller)],
+    "durations": [handle.record.finalized_at - handle.record.started_at for handle in handles],
+    "chunks": [handle.record.chunks_transferred for handle in handles],
+}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_an_indexed_move_schedule_does_not_depend_on_the_hash_seed(self):
+        """String hashing is salted per process, so a ``set`` of flow keys iterates in a
+        different order under each ``PYTHONHASHSEED``.  Export order is wire order: were an
+        index bucket a ``set``, the events, bytes and durations below would differ between
+        the two processes.  A bucket is insertion-ordered, so they are identical."""
+        observed = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC_ROOT)}
+            done = subprocess.run([sys.executable, "-c", INDEXED_MOVES], env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            observed.append(json.loads(done.stdout))
+        assert observed[0]["chunks"] == [200] * 4
+        assert observed[0] == observed[1]

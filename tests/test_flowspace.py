@@ -1,5 +1,7 @@
 """Unit tests for flow keys, prefixes, and header-field patterns."""
 
+import ipaddress
+
 import pytest
 
 from repro.core.flowspace import (
@@ -142,6 +144,12 @@ class TestFlowPatternMatching:
         assert not reverse_only.matches(self.key)
         assert reverse_only.matches_either_direction(self.key)
 
+    def test_prefix_mask_is_computed_once_and_is_not_part_of_equality(self):
+        assert [IPv4Prefix.parse(f"10.1.2.3/{length}").mask for length in (0, 1, 24, 31, 32)] == [
+            0, 0x80000000, 0xFFFFFF00, 0xFFFFFFFE, 0xFFFFFFFF,
+        ]
+        assert IPv4Prefix.parse("10.1.2.3/24") == IPv4Prefix(ip_to_int("10.1.2.0"), 24)
+
     def test_combined_fields_all_must_match(self):
         pattern = FlowPattern(nw_src="10.1.0.0/16", nw_dst="172.16.0.0/16", tp_dst=80)
         assert pattern.matches(self.key)
@@ -183,3 +191,76 @@ class TestFlowPatternRelations:
         assert pattern.matches(key) and pattern.reversed().matches(key.reversed())
         assert not pattern.reversed().matches(key)
         assert FlowPattern.wildcard().reversed().is_wildcard
+
+
+#: One pattern per field shape: each field wildcarded, pinned to a value either
+#: direction of the probe flows carries, or pinned to one neither does; each
+#: address as a host, a /32, a real prefix and /0; then mixtures.
+SHAPES = [
+    {},
+    {"nw_proto": 6},
+    {"nw_proto": 17},
+    {"nw_src": "10.1.1.5"},
+    {"nw_src": "10.1.1.5/32"},
+    {"nw_src": "10.1.1.0/24"},
+    {"nw_src": "0.0.0.0/0"},
+    {"nw_src": "172.16.1.9"},
+    {"nw_src": "172.16.0.0/12"},
+    {"nw_src": "10.1.2.0/24"},
+    {"nw_dst": "172.16.1.9"},
+    {"nw_dst": "172.16.1.9/32"},
+    {"nw_dst": "10.1.0.0/16"},
+    {"nw_dst": "192.0.2.0/24"},
+    {"tp_src": 40000},
+    {"tp_src": 80},
+    {"tp_src": 443},
+    {"tp_dst": 80},
+    {"tp_dst": 40000},
+    {"tp_dst": 22},
+    {"nw_src": "10.1.1.0/24", "tp_dst": 80},
+    {"nw_src": "172.16.1.9", "tp_src": 80},
+    {"nw_src": "172.16.1.9", "tp_dst": 80},
+    {"nw_src": "10.1.1.0/25", "nw_dst": "172.16.1.9"},
+    {"nw_src": "172.16.1.9", "nw_dst": "10.1.1.0/25"},
+    {"nw_proto": 6, "nw_src": "10.1.1.5", "nw_dst": "172.16.1.9", "tp_src": 40000, "tp_dst": 80},
+    {"nw_proto": 6, "nw_src": "172.16.1.9", "nw_dst": "10.1.1.5", "tp_src": 80, "tp_dst": 40000},
+    {"nw_proto": 6, "nw_src": "172.16.1.9", "nw_dst": "10.1.1.5", "tp_src": 40000, "tp_dst": 80},
+]
+PROBES = [
+    FlowKey(PROTO_TCP, "10.1.1.5", "172.16.1.9", 40000, 80),
+    FlowKey(PROTO_UDP, "10.1.1.200", "172.16.1.9", 80, 80),
+    FlowKey(PROTO_TCP, "10.1.1.5", "10.1.1.5", 40000, 40000),
+]
+
+
+def _reference_match(fields, key):
+    """The one-direction match, written against :mod:`ipaddress` rather than the masks."""
+    for name in ("nw_proto", "tp_src", "tp_dst"):
+        if name in fields and getattr(key, name) != fields[name]:
+            return False
+    for name in ("nw_src", "nw_dst"):
+        if name in fields and ipaddress.ip_address(getattr(key, name)) not in ipaddress.ip_network(fields[name], strict=False):
+            return False
+    return True
+
+
+class TestMatchingEveryFieldShapeInBothDirections:
+    """``matches_either_direction`` tests the reverse direction on the swapped fields in
+    place; these pin it to a reference built on ``FlowKey.reversed`` and ``ipaddress``."""
+
+    @pytest.mark.parametrize("fields", SHAPES, ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()) or "*")
+    def test_the_in_place_reverse_agrees_with_a_reversed_key(self, fields):
+        pattern = FlowPattern(**fields)
+        for probe in PROBES:
+            for key in (probe, probe.reversed()):
+                forward = _reference_match(fields, key)
+                assert pattern.matches(key) is forward, key
+                expected = forward or _reference_match(fields, key.reversed())
+                assert pattern.matches_either_direction(key) is expected, key
+                assert pattern.matches_either_direction(key.reversed()) is expected, key
+
+    def test_the_table_is_not_vacuous(self):
+        """Only the two shapes that span every flow accept every probe direction."""
+        keys = [key for probe in PROBES for key in (probe, probe.reversed())]
+        total = [fields for fields in SHAPES if all(FlowPattern(**fields).matches(key) for key in keys)]
+        assert total == [{}, {"nw_src": "0.0.0.0/0"}]

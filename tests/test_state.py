@@ -186,9 +186,9 @@ class TestPerFlowStateStore:
 
     def test_exact_pattern_scans_single_shard_without_index(self):
         """Regression companion: a fully pinned concrete pattern on a plain
-        (non-indexed) store is routed to the single shard owning the canonical
-        key instead of walking all shards."""
-        store = PerFlowStateStore(shard_count=16)
+        (non-indexed) store is one lookup of its canonical key, not a walk of
+        the entries."""
+        store = PerFlowStateStore()
         for i in range(320):
             store.put(key(i % 250, src_subnet=f"10.{i // 250}.0"), i)
         total = len(store)
@@ -203,9 +203,8 @@ class TestPerFlowStateStore:
                 tp_dst=target.tp_dst,
             )
         )
-        assert len(matches) == 1
-        # Only the owning shard was walked — a small fraction of the store.
-        assert 0 < store.scan_steps < total / 2
+        assert matches == [(target.bidirectional(), 7)]
+        assert store.scan_steps == 1 < total
 
     @staticmethod
     def _two_thousand(store):
@@ -219,11 +218,14 @@ class TestPerFlowStateStore:
         """Regression: the store tested ``"/" in text`` where the shard ring
         asked the parsed prefix, so a host written ``a.b.c.d/32`` was homed on
         one shard by the controller and scanned across all 2 000 entries by
-        the store.  Both now ask :meth:`FlowPattern.exact_key`."""
+        the store.  Both now ask :meth:`FlowPattern.exact_key`, and the store
+        answers it with one lookup."""
         store = self._two_thousand(PerFlowStateStore())
         pattern = FlowPattern(6, "10.0.0.6" + suffix, "192.0.2.10" + suffix, 1005, 80)
         assert [value for _, value in store.query(pattern)] == [5]
-        assert 0 < store.scan_steps <= 115
+        assert store.scan_steps == 1
+        assert store.query(pattern.reversed()) == store.query(pattern)
+        assert store.query(FlowPattern(6, "10.0.0.6" + suffix, "192.0.2.10" + suffix, 1005, 81)) == []
 
     @pytest.mark.parametrize("suffix", ["", "/32"])
     def test_slash32_host_uses_the_address_index_like_the_bare_spelling(self, suffix):

@@ -1,12 +1,13 @@
-"""Differential property tests: sharded store vs. the single-dict oracle.
+"""Differential property tests: the per-flow store vs. the seed's single-dict oracle.
 
-The sharded :class:`PerFlowStateStore` replaced the original flat-dict
-implementation; :class:`DictPerFlowStateStore` preserves that original code
-verbatim as an executable oracle.  These tests drive both implementations with
-the same seeded random operation sequences and require identical observable
-behaviour: query results, lengths, membership, removal returns, dirty-key
-*order*, and install-round verdicts.  Any divergence is a bug in the sharded
-engine (or a deliberate semantic change that must be called out explicitly).
+:class:`DictPerFlowStateStore` preserves the seed's flat-dict store verbatim
+as an executable oracle.  These tests drive it and :class:`PerFlowStateStore`
+with the same seeded random operation sequences and require identical
+observable behaviour: query results *in order* (both stores are one
+insertion-ordered dict, so a non-indexed scan lists matches in insertion
+order), lengths, membership, removal returns, dirty-key *order*, and
+install-round verdicts.  Any divergence is a bug in the store (or a
+deliberate semantic change that must be called out explicitly).
 """
 
 import random
@@ -88,7 +89,9 @@ def apply_op(store, rng: random.Random):
         return ("get_or_create", store.get_or_create(k, lambda: default))
     if op == 6:
         pattern = random_pattern(rng)
-        return ("query", canonical_sorted(store.query(pattern)))
+        matches = store.query(pattern)
+        # The oracle's indexed path iterates a ``set``, whose order is the hash seed's.
+        return ("query", canonical_sorted(matches) if store._indexed else matches)
     if op == 7:
         k = random_key(rng)
         store.mark_dirty(k)
@@ -101,80 +104,73 @@ def apply_op(store, rng: random.Random):
     return ("contains", k in store)
 
 
-def run_sequence(seed: int, ops: int, *, indexed: bool, shard_count: int):
-    """Drive oracle and sharded store through one identical random sequence."""
-    sharded = PerFlowStateStore(indexed=indexed, shard_count=shard_count)
+def run_sequence(seed: int, ops: int, *, indexed: bool):
+    """Drive oracle and store through one identical random sequence."""
+    store = PerFlowStateStore(indexed=indexed)
     oracle = DictPerFlowStateStore(indexed=indexed)
-    sharded.begin_dirty_tracking()
+    store.begin_dirty_tracking()
     oracle.begin_dirty_tracking()
     for step in range(ops):
         rng_a = random.Random(seed * 1_000_003 + step)
         rng_b = random.Random(seed * 1_000_003 + step)
-        out_sharded = apply_op(sharded, rng_a)
+        out_store = apply_op(store, rng_a)
         out_oracle = apply_op(oracle, rng_b)
-        assert out_sharded == out_oracle, f"divergence at step {step} (seed {seed})"
+        assert out_store == out_oracle, f"divergence at step {step} (seed {seed})"
         if step % 97 == 0:
             # Dirty keys must drain in the *same order* from both stores —
             # delta rounds replay them and ordering affects the wire schedule.
-            assert sharded.dirty_keys() == oracle.dirty_keys(), f"dirty order @ {step}"
-    return sharded, oracle
+            assert store.dirty_keys() == oracle.dirty_keys(), f"dirty order @ {step}"
+    return store, oracle
 
 
 class TestDifferentialRandomSequences:
     @pytest.mark.parametrize("seed", [1, 7, 42, 1234, 99991])
-    def test_sharded_matches_oracle(self, seed):
-        sharded, oracle = run_sequence(seed, 600, indexed=False, shard_count=16)
-        assert canonical_sorted(sharded.items()) == canonical_sorted(oracle.items())
-        assert sorted(key for key, _ in sharded.items()) == sorted(oracle.keys())
-        assert sharded.dirty_keys() == oracle.dirty_keys()
+    def test_store_matches_oracle_in_order(self, seed):
+        store, oracle = run_sequence(seed, 600, indexed=False)
+        assert list(store.items()) == list(oracle.items())
+        assert [key for key, _ in store.items()] == oracle.keys()
+        assert store.dirty_keys() == oracle.dirty_keys()
 
     @pytest.mark.parametrize("seed", [3, 17, 2026])
-    def test_indexed_sharded_matches_indexed_oracle(self, seed):
-        sharded, oracle = run_sequence(seed, 600, indexed=True, shard_count=16)
-        assert canonical_sorted(sharded.items()) == canonical_sorted(oracle.items())
-
-    @pytest.mark.parametrize("shard_count", [1, 2, 5, 64])
-    def test_shard_count_is_invisible(self, shard_count):
-        sharded, oracle = run_sequence(11, 400, indexed=False, shard_count=shard_count)
-        assert canonical_sorted(sharded.items()) == canonical_sorted(oracle.items())
+    def test_indexed_store_matches_indexed_oracle(self, seed):
+        store, oracle = run_sequence(seed, 600, indexed=True)
+        assert list(store.items()) == list(oracle.items())
 
     def test_drain_dirty_order_identical(self):
-        sharded = PerFlowStateStore()
+        store = PerFlowStateStore()
         oracle = DictPerFlowStateStore()
         rng = random.Random(5)
         keys = [random_key(rng) for _ in range(200)]
-        for store in (sharded, oracle):
-            store.begin_dirty_tracking()
+        for either in (store, oracle):
+            either.begin_dirty_tracking()
         for k in keys:
-            sharded.put(k, 1)
+            store.put(k, 1)
             oracle.put(k, 1)
-        assert sharded.drain_dirty() == oracle.drain_dirty()
-        assert sharded.drain_dirty() == oracle.drain_dirty() == []
+        assert store.drain_dirty() == oracle.drain_dirty()
+        assert store.drain_dirty() == oracle.drain_dirty() == []
 
     def test_remove_matching_identical(self):
-        sharded, oracle = run_sequence(23, 300, indexed=False, shard_count=16)
+        store, oracle = run_sequence(23, 300, indexed=False)
         pattern = FlowPattern(nw_src="10.0.1.0/24")
-        assert canonical_sorted(sharded.remove_matching(pattern)) == canonical_sorted(
-            oracle.remove_matching(pattern)
-        )
-        assert len(sharded) == len(oracle)
+        assert store.remove_matching(pattern) == oracle.remove_matching(pattern)
+        assert len(store) == len(oracle)
 
     def test_granularity_errors_identical(self):
-        sharded = PerFlowStateStore(granularity=("nw_src",))
+        store = PerFlowStateStore(granularity=("nw_src",))
         oracle = DictPerFlowStateStore(granularity=("nw_src",))
         fine = FlowPattern(nw_src="10.0.0.1", tp_src=1000)
         with pytest.raises(GranularityError):
-            sharded.query(fine)
+            store.query(fine)
         with pytest.raises(GranularityError):
             oracle.query(fine)
 
     def test_clear_resets_both(self):
-        sharded, oracle = run_sequence(31, 200, indexed=True, shard_count=8)
-        sharded.clear()
+        store, oracle = run_sequence(31, 200, indexed=True)
+        store.clear()
         oracle.clear()
-        assert len(sharded) == len(oracle) == 0
-        assert canonical_sorted(sharded.query(FlowPattern())) == []
-        assert sharded.memory_stats().entry_bytes == 0
+        assert len(store) == len(oracle) == 0
+        assert store.query(FlowPattern()) == []
+        assert store.memory_stats().entry_bytes == 0
 
 
 # =========================================================================================
@@ -207,12 +203,19 @@ PINNED = (
 
 
 def expected_postings(keys):
-    """``(by address, by port)``: field value -> the resident keys carrying it."""
+    """``(by address, by port)``: field value -> the resident keys carrying it, in insertion order."""
     by_src, by_port = {}, {}
     for key in keys:
         for bucket_map, value in ((by_src, key.nw_src), (by_src, key.nw_dst), (by_port, key.tp_src), (by_port, key.tp_dst)):
-            bucket_map.setdefault(value, set()).add(key)
+            bucket = bucket_map.setdefault(value, [])
+            if key not in bucket:
+                bucket.append(key)
     return by_src, by_port
+
+
+def in_insertion_order(oracle, pattern):
+    """The oracle's entries matching *pattern*, in the order they entered it."""
+    return [(key, value) for key, value in oracle.items() if pattern.matches_either_direction(key)]
 
 
 class CompactBucketMachine(RuleBasedStateMachine):
@@ -220,7 +223,7 @@ class CompactBucketMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store = PerFlowStateStore(indexed=True, shard_count=4)
+        self.store = PerFlowStateStore(indexed=True)
         self.oracle = DictPerFlowStateStore(indexed=True)
 
     @rule(key=skewed_keys, value=st.integers(0, 9), reverse=st.booleans())
@@ -237,7 +240,9 @@ class CompactBucketMachine(RuleBasedStateMachine):
 
     @rule(pattern=st.sampled_from(PINNED))
     def remove_matching(self, pattern):
-        assert canonical_sorted(self.store.remove_matching(pattern)) == canonical_sorted(self.oracle.remove_matching(pattern))
+        expected = in_insertion_order(self.oracle, pattern)
+        assert self.store.remove_matching(pattern) == expected
+        assert canonical_sorted(self.oracle.remove_matching(pattern)) == canonical_sorted(expected)
 
     @rule()
     def clear(self):
@@ -245,22 +250,26 @@ class CompactBucketMachine(RuleBasedStateMachine):
         self.oracle.clear()
 
     @invariant()
-    def answers_like_the_oracle(self):
+    def answers_like_the_oracle_in_insertion_order(self):
+        """A bucket lists its keys in the order they entered the store, so an indexed
+        query yields its candidates in the order a linear scan of the oracle does."""
         assert len(self.store) == len(self.oracle)
         for pattern in PINNED:
-            assert canonical_sorted(self.store.query(pattern)) == canonical_sorted(self.oracle.query(pattern)), pattern
+            matches = self.store.query(pattern)
+            assert matches == in_insertion_order(self.oracle, pattern), pattern
+            assert canonical_sorted(matches) == canonical_sorted(self.oracle.query(pattern)), pattern
 
     @invariant()
-    def a_bucket_is_a_key_or_a_set_of_two_or_more(self):
+    def a_bucket_is_a_key_or_an_ordered_dict_of_two_or_more(self):
         """Read through the private maps: the one test allowed to know the two shapes."""
         postings = 0
-        for actual, expected in zip((self.store._by_src, self.store._by_port), expected_postings([key for key, _ in self.store.items()])):
-            assert actual.keys() == expected.keys()  # an emptied bucket is gone, not an empty set
+        for actual, expected in zip((self.store._by_src, self.store._by_port), expected_postings(self.oracle.keys())):
+            assert actual.keys() == expected.keys()  # an emptied bucket is gone, not an empty dict
             for value, bucket in actual.items():
-                if type(bucket) is set:
-                    assert len(bucket) >= 2 and bucket == expected[value], value
+                if type(bucket) is dict:
+                    assert len(bucket) >= 2 and list(bucket) == expected[value], value
                 else:
-                    assert type(bucket) is FlowKey and {bucket} == expected[value], value
+                    assert type(bucket) is FlowKey and [bucket] == expected[value], value
                 postings += len(expected[value])
         # The oracle indexes source addresses only, so the count is made here:
         # distinct (field value, key) pairs over the resident keys.
@@ -271,29 +280,32 @@ CompactBucketMachine.TestCase.settings = settings(max_examples=settings.default.
 TestCompactBuckets = CompactBucketMachine.TestCase
 
 
-def test_a_promoted_bucket_exports_in_the_order_of_a_set_built_by_the_same_insertions():
-    """Iteration order of a posting set is chunk export order, i.e. wire order.  A
-    bucket that grew 1 -> 2 -> N must iterate as the plain ``set`` the store kept
-    before (copied once, as ``_index_candidates`` copies it).  Which of two keys
-    comes first depends on insertion order only when they collide in the set's
-    table, and string hashes differ per process, so 64 buckets are walked: at
-    least one collides (all but 0.02 % of hash seeds)."""
+def test_a_promoted_bucket_exports_in_insertion_order():
+    """Iteration order of a posting bucket is chunk export order, i.e. wire order.  A
+    bucket that grew 1 -> 2 -> N, lost keys and gained them back must list its keys
+    in the order they (last) entered the store — never in a ``set``'s order, which
+    string hashing makes differ from process to process."""
     store = PerFlowStateStore(indexed=True)
     for server in range(64):
-        address, plain = f"192.0.2.{server}", set()
+        address, order = f"192.0.2.{server}", []
         for client in range(12):
             key = FlowKey(6, f"10.{server}.{client}.1", address, 40000 + 64 * client + server, 80)
-            store.put(key, client)
-            plain.add(store.canonical_key(key))
-            assert [key for key, _ in store.query(FlowPattern(nw_dst=address))] == list(set(plain)), (server, client)
+            store.put(key if client % 2 else key.reversed(), client)
+            order.append(store.canonical_key(key))
+            if client % 5 == 4:  # out and back in: it moves to the end
+                store.remove(order[1])
+                store.put(order[1], 1)
+                order.append(order.pop(1))
+            assert [key for key, _ in store.query(FlowPattern(nw_dst=address))] == order, (server, client)
+            assert [key for key, _ in store.query(FlowPattern(tp_dst=80))][-len(order):] == order
 
 
-def _twin_stores(indexed, shard_count, puts, tags, orphans, tracking, earlier_dirt):
+def _twin_stores(indexed, puts, tags, orphans, tracking, earlier_dirt):
     """Two stores built by the same calls: resident flows, install tags (some on
     flows never resident, as a failed unseal leaves them), and earlier dirt."""
     stores = []
     for _ in range(2):
-        store = PerFlowStateStore(indexed=indexed, shard_count=shard_count)
+        store = PerFlowStateStore(indexed=indexed)
         if tracking:
             store.begin_dirty_tracking()
         for index, (key, value) in enumerate(puts):
@@ -312,16 +324,15 @@ def _twin_stores(indexed, shard_count, puts, tags, orphans, tracking, earlier_di
 @settings(deadline=None)
 @given(
     indexed=st.booleans(),
-    shard_count=st.sampled_from((1, 16)),
     puts=st.lists(st.tuples(skewed_keys, st.integers(0, 9)), max_size=40),
     tags=st.sets(st.integers(0, 39)),
     orphans=st.lists(skewed_keys, max_size=4),
     tracking=st.booleans(),
     earlier_dirt=st.lists(skewed_keys, max_size=6),
 )
-def test_a_wildcard_delete_leaves_what_per_key_removes_leave(indexed, shard_count, puts, tags, orphans, tracking, earlier_dirt):
+def test_a_wildcard_delete_leaves_what_per_key_removes_leave(indexed, puts, tags, orphans, tracking, earlier_dirt):
     """The bulk ``clear`` behind a wildcard ``remove_matching`` is the per-key ``remove`` loop, observably."""
-    bulk, per_key = _twin_stores(indexed, shard_count, puts, tags, orphans, tracking, earlier_dirt)
+    bulk, per_key = _twin_stores(indexed, puts, tags, orphans, tracking, earlier_dirt)
     removed = bulk.remove_matching(FlowPattern.wildcard())
     matches = per_key.query(FlowPattern.wildcard())
     for key, _ in matches:

@@ -1,6 +1,6 @@
 """Memory-accounted scale tier: loss-free moves from 10k up to a million flows.
 
-The tentpole claim of the sharded state engine is that move cost decomposes as
+The claim of the state engine is that move cost decomposes as
 
 * bulk copy — O(total state), streamed in bounded chunk batches, and
 * freeze window — O(dirtied flows), independent of store size,
