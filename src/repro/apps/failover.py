@@ -228,8 +228,8 @@ class FailureRecoveryApp(ControlApplication):
         static = self._static_values(self.shadow)
         # 2+3. Restore configuration and critical state into the replacement
         # and re-route to it — one transaction, so a half-restored replacement
-        # never receives live traffic: if any write fails, the routing change
-        # is rolled back along with it.  A fully pre-synced standby needs no
+        # never receives live traffic: if any write fails, the re-route (the
+        # last step) is cancelled before it runs.  A fully pre-synced standby needs no
         # state write at all; failover degenerates to the routing flip.
         txn = self.nb.transaction()
         txn.observer = self._log

@@ -7,9 +7,10 @@ Two applications live here, both written on the transactional northbound API:
   new RE decoder in DC B, clone the original decoder's cache, add a second
   cache at the encoder, re-route the migrated subnet, and finally tell the
   encoder to use the second cache for traffic to DC B.  The whole numbered
-  sequence is one transaction: a failure anywhere (say, the encoder rejecting
-  the cache switch) rolls the routing change back instead of leaving DC B's
-  traffic pointed at a decoder the encoder is not feeding.
+  sequence is one transaction: a failure anywhere aborts the steps not yet
+  run.  The re-route goes through the application's routing callback, which
+  a transaction cannot undo, so a failure after it (say, the encoder
+  rejecting the cache switch) leaves DC B's traffic on the new decoder.
 * :class:`PerFlowMigrationApp` — the generic per-flow middlebox migration used
   with the IDS in the VM-snapshot comparison (section 8.1.2): one ``migrate``
   composite (clone the configuration, move the per-flow state, re-route once

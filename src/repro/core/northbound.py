@@ -14,7 +14,7 @@ that control-application processes ``yield`` on.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..net.simulator import Future
 from .controller import MBController
@@ -42,6 +42,19 @@ class NorthboundAPI:
 
     def __init__(self, controller: MBController) -> None:
         self.controller = controller
+        #: A transaction's port (see :mod:`repro.core.transaction`): the
+        #: controller's clock, and its abort of a move/clone/merge.
+        self.schedule, self.event, self.abort_operation = controller.schedule, controller.event, controller.abort_operation
+
+    @property
+    def now(self) -> float:
+        """The controller's current time (a transaction's clock)."""
+        return self.controller.now
+
+    def quiesce(self, handles: List[OperationHandle]) -> Future:
+        """The cross-shard barrier over the shards hosting *handles*' operations (every shard when none ran)."""
+        operations = [handle._operation for handle in handles if handle._operation is not None]
+        return self.controller.coordinator.barrier([shard.shard_id for op in operations for shard in op.shards] or None)
 
     # -- transactions ----------------------------------------------------------------
 
@@ -54,10 +67,10 @@ class NorthboundAPI:
         ``migrate`` / ``drain`` — and then calls ``commit()``
         to run them with coordinated re-routing (routes install once the
         relevant per-flow put-ACKs arrive) and all-or-nothing failure
-        semantics.  The six paper primitives below are each equivalent to a
-        single-step transaction.
+        semantics.  This API is the transaction's port.  The six paper
+        primitives below are each equivalent to a single-step transaction.
         """
-        return Transaction(self)
+        return Transaction(self, next(self.controller.txn_ids))
 
     # -- configuration ---------------------------------------------------------------
 

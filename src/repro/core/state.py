@@ -333,11 +333,9 @@ class PerFlowStateStore(Generic[T]):
         leaves no store-level trace, so the data plane reports those updates
         explicitly via ``ProcessResult.updated_flows``).
         """
-        if not self._tracking_dirty:
-            return
-        self._dirty_version += 1
-        self._dirty[self.canonical_key(key)] = self._dirty_version
-        self._note_memory()
+        if self._tracking_dirty:
+            self._dirty[self.canonical_key(key)] = self._dirty_version = self._dirty_version + 1
+            self._note_memory()
 
     def dirty_keys(self) -> List[FlowKey]:
         """Currently dirty canonical keys in dirtying order (oldest first)."""
@@ -458,7 +456,8 @@ class PerFlowStateStore(Generic[T]):
         if self._indexed and key not in self._entries:
             self._index_add(key)
         self._entries[key] = value
-        self.mark_dirty(key)
+        if self._tracking_dirty:
+            self._dirty[key] = self._dirty_version = self._dirty_version + 1
         self._note_memory()
 
     def get(self, key: FlowKey) -> Optional[T]:

@@ -6,13 +6,32 @@ control application: clone the configuration, query stats, move state, and
 only then re-route — hand-sequenced with raw futures.  This module turns that
 recurring choreography into a first-class object:
 
-``nb.transaction()`` yields a :class:`Transaction` builder on which an
-application declares **steps** — ``clone_config``, ``move``, ``clone``,
-``merge``, ``reroute``, ``write_config``, ``end_transfer``, ``barrier``,
-``call`` — plus **composite verbs** (``migrate``, ``drain``)
-that expand into the correct paper sequence.  A single ``commit()`` returns a
+``nb.transaction()`` yields a :class:`Transaction` on which an application
+declares **steps** — ``clone_config``, ``write_config``, ``stats``,
+``end_transfer``, ``move``, ``clone``, ``merge``, ``reroute``, ``barrier``,
+``call`` — plus the **composite verbs** ``migrate`` and ``drain``, which
+expand into the paper's sequences.  ``commit()`` returns a
 :class:`TransactionHandle` with per-step progress, aggregate statistics, and
 all-or-nothing failure semantics.
+
+A transaction reaches the world only through its *port*, which
+:class:`~repro.core.northbound.NorthboundAPI` implements and a test can fake:
+
+* the clock — ``now``, ``schedule(delay, fn, *args)`` and ``event(name)``;
+* the operation launchers ``move_internal``, ``clone_support`` and
+  ``merge_internal``, each returning an
+  :class:`~repro.core.operations.OperationHandle`, and ``abort_operation``;
+* the pass-through calls ``clone_config``, ``write_config``, ``stats`` and
+  ``end_transfer``, each returning a future;
+* ``quiesce(handles)``, the cross-shard barrier.
+
+A step is data: its kind, its arguments, its ``(step, point)`` dependency
+edges, and its :class:`StepRecord`.  There are four kinds — *call* (run a
+function and await the future it returns), *operation* (a move, clone or
+merge), *reroute* (a declarative route swap through an SDN controller, undone
+on abort) and *barrier*.  The transaction counts each step's unmet edges; a
+pending completion is a bound method and its arguments, never a closure, and
+the only future a transaction creates is ``handle.done``.
 
 Three behaviours distinguish a transaction from hand-sequencing:
 
@@ -26,8 +45,8 @@ Three behaviours distinguish a transaction from hand-sequencing:
   of the operation graph;
 * **all-or-nothing failure** — the first failing step aborts the whole
   transaction: pending steps are cancelled, in-flight operations are failed
-  (releasing any order-preserving destination packet holds), installed routes
-  are rolled back, and completed-but-unfinalised operations have their
+  (releasing any order-preserving destination packet holds), declarative
+  routes are removed, and completed-but-unfinalised operations have their
   destructive post-quiescence step (the source delete) cancelled so the
   source keeps its state.
 
@@ -39,13 +58,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..net.simulator import Future, all_of
 from .errors import TransactionAbortedError, TransactionError
 from .flowspace import FlowPattern
-from .operations import OperationHandle
 from .transfer import TransferSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..net.simulator import Future
+    from .operations import OperationHandle
 
 
 class StepStatus(enum.Enum):
@@ -69,258 +91,41 @@ class StepRecord:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: Optional[str] = None
-    #: Step-specific measurements (operation records, route windows, ...).
+    #: Step-specific measurements (operation records, stats replies, ...).
     detail: Dict[str, object] = field(default_factory=dict)
 
 
-# =========================================================================================
-# Steps
-# =========================================================================================
+#: The two points of a step a dependency edge can wait for: its completion,
+#: or its state-installed point (an operation's put-ACKs; any other step's
+#: completion).
+DONE, INSTALLED = "done", "installed"
 
 
-class _Step:
-    """One node of the operation graph."""
+@dataclass(eq=False)
+class Step:
+    """One node of the operation graph: what runs, and on which points it waits.
 
-    def __init__(self, txn: "Transaction", name: str) -> None:
-        self.txn = txn
-        self.record = StepRecord(step_id=len(txn.steps) + 1, name=name)
-        #: (step, mode) dependency edges; mode "done" waits for the step's
-        #: completion, mode "installed" for its state_installed point.
-        self.deps: List[Tuple["_Step", str]] = []
-        #: Resolves when the step completes (or fails).
-        self.gate: Future = txn.sim.event(name=f"txn{txn.txn_id}.{self.record.step_id}:{name}")
-        #: Resolves at the step's state-installed point (operation steps
-        #: bridge it to the operation handle; other steps alias the gate).
-        self.installed: Future = txn.sim.event(name=f"txn{txn.txn_id}.{self.record.step_id}:{name}.installed")
-        self._exception: Optional[BaseException] = None
-
-    # -- lifecycle ---------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Mark the step running and launch it; a launch error fails the txn."""
-        self.record.status = StepStatus.RUNNING
-        self.record.started_at = self.txn.sim.now
-        self.txn._notify(self, "start")
-        try:
-            self.run()
-        except Exception as exc:  # a step that cannot even launch fails the txn
-            self._fail(exc)
-
-    def run(self) -> None:
-        """Launch the step's work (subclass hook)."""
-        raise NotImplementedError
-
-    def _succeed(self, result: object = None) -> None:
-        """Complete the step: resolve the gate and notify the coordinator."""
-        if self.gate.done:
-            return
-        self.record.status = StepStatus.DONE
-        self.record.finished_at = self.txn.sim.now
-        if not self.installed.done:
-            self.installed.succeed(result)
-        self.txn._notify(self, "done")
-        self.gate.succeed(result)
-
-    def _fail(self, exc: BaseException) -> None:
-        """Fail the step: record the error and trigger the transaction abort."""
-        if self.gate.done:
-            return
-        self.record.status = StepStatus.FAILED
-        self.record.finished_at = self.txn.sim.now
-        self.record.error = str(exc)
-        self._exception = exc
-        if not self.installed.done:
-            self.installed.fail(exc)
-        self.txn._notify(self, "failed")
-        self.gate.fail(exc)
-
-    def _resolve_future(self, future: Future) -> None:
-        """Tie the step's outcome to *future*."""
-        future.add_done_callback(
-            lambda f: self._fail(f.exception) if f.exception is not None else self._succeed(f._result)
-        )
-
-    # -- abort support ------------------------------------------------------------------
-
-    def cancel(self) -> None:
-        """Called for PENDING steps when the transaction aborts."""
-        self.record.status = StepStatus.CANCELLED
-
-    def abort_inflight(self, exc: Exception) -> None:
-        """Called for RUNNING steps when another step failed; default: nothing."""
-
-    def rollback(self) -> None:
-        """Called (reverse order) for DONE steps when the transaction aborts."""
-
-
-class _CallStep(_Step):
-    """Run an arbitrary callable; a returned future is awaited."""
-
-    def __init__(self, txn: "Transaction", name: str, fn: Callable[[], object]) -> None:
-        super().__init__(txn, name)
-        self.fn = fn
-
-    def run(self) -> None:
-        """Invoke the callable; await its result when it returns a future."""
-        result = self.fn()
-        if isinstance(result, Future):
-            self._resolve_future(result)
-        else:
-            self._succeed(result)
-
-
-class _OperationStep(_Step):
-    """A stateful operation (move/clone/merge) as one step.
-
-    *launch* issues the northbound call and returns the operation's handle;
-    the record, abort, rollback, what ``barrier(finalized=True)`` and
-    ``after=`` see are all keyed on that handle.
+    ``args`` are the arguments of the transaction's ``_run_<kind>`` method:
+    ``(fn, fn_args, detail_key)`` for a call, ``(launcher, launch_args,
+    wait_finalized)`` for an operation, ``(sdn, pattern, path, priority)`` for
+    a reroute, and ``(operation steps, finalized, quiesce_shards)`` for a
+    barrier.  The fields after ``record`` are progress, kept while it runs.
     """
 
-    def __init__(self, txn: "Transaction", name: str, launch: Callable[[], OperationHandle], wait_finalized: bool = False) -> None:
-        super().__init__(txn, name)
-        self.launch = launch
-        self.wait_finalized = wait_finalized
-        self.handle: Optional[OperationHandle] = None
-
-    def run(self) -> None:
-        """Start the operation and bridge its futures to the step's own."""
-        self.handle = self.launch()
-        self.record.detail["operation"] = self.handle.record
-        # Bridge the operation's state-installed point to the step's own
-        # future so coordinated reroutes can be declared before the operation
-        # exists.
-        self.handle.state_installed.add_done_callback(
-            lambda f: None
-            if self.installed.done
-            else (self.installed.fail(f.exception) if f.exception is not None else self.installed.succeed(f._result))
-        )
-        self._resolve_future(self.handle.finalized if self.wait_finalized else self.handle.completed)
-
-    @property
-    def operation_record(self):
-        """The operation's measurement record (None before the step runs)."""
-        return None if self.handle is None else self.handle.record
-
-    def abort_inflight(self, exc: Exception) -> None:
-        """Fail the running operation (releases destination packet holds)."""
-        if self.handle is not None:
-            self.txn.controller.abort_operation(self.handle, str(exc))
-
-    def rollback(self) -> None:
-        """Cancel the completed operation's destructive post-quiescence step.
-
-        A completed operation cannot be un-done, but the delete at the source
-        can still be cancelled so the source keeps its state after the abort.
-        """
-        if self.handle is not None:
-            if self.txn.controller.abort_operation(self.handle, "transaction rolled back"):
-                self.record.status = StepStatus.ROLLED_BACK
-
-
-RouteChange = Tuple[FlowPattern, Sequence]
-
-
-class _RerouteStep(_Step):
-    """Install routing for one or more patterns, with rollback on abort.
-
-    Two forms:
-
-    * **declarative** (full rollback): ``sdn`` plus ``changes`` — a list of
-      ``(pattern, path)`` pairs handed to
-      :meth:`~repro.net.sdn.SDNController.swap_routes` (atomic validation,
-      make-before-break replacement);
-    * **callback**: ``apply()`` returns a future (or a
-      :class:`~repro.net.sdn.RouteHandle`); rollback is possible only when
-      the callback's result is a route handle and ``sdn`` was provided.
-    """
-
-    def __init__(
-        self,
-        txn: "Transaction",
-        *,
-        label: str,
-        sdn=None,
-        changes: Optional[List[RouteChange]] = None,
-        replace: Sequence = (),
-        priority: int = 100,
-        apply: Optional[Callable[[], object]] = None,
-    ) -> None:
-        super().__init__(txn, label)
-        self.sdn = sdn
-        self.changes = changes
-        self.replace = list(replace)
-        self.priority = priority
-        self.apply = apply
-        self._swap = None
-        self._route_handles: List = []
-
-    def run(self) -> None:
-        """Install the routes (declarative swap or application callback)."""
-        self.record.detail["requested_at"] = self.txn.sim.now
-        if self.changes is not None:
-            if self.sdn is None:
-                raise TransactionError("reroute with explicit paths requires the sdn controller")
-            self._swap = self.sdn.swap_routes(self.changes, priority=self.priority, replace=self.replace)
-            self._route_handles = list(self._swap.routes)
-            self._resolve_future(self._swap.installed)
-            return
-        if self.apply is None:
-            raise TransactionError("reroute needs either (sdn, pattern, path) or an apply callback")
-        result = self.apply()
-        from ..net.sdn import RouteHandle
-
-        if isinstance(result, RouteHandle):
-            self._route_handles = [result]
-            self._resolve_future(result.installed if result.installed is not None else self.txn.sim.timeout(0.0))
-        elif isinstance(result, Future):
-            self._resolve_future(result)
-        else:
-            self._succeed(result)
-
-    def _succeed(self, result: object = None) -> None:
-        """Stamp the route-install time before completing the step."""
-        self.record.detail["installed_at"] = self.txn.sim.now
-        super()._succeed(result)
-
-    def abort_inflight(self, exc: Exception) -> None:
-        """Partially installed routes roll back like completed ones."""
-        self.rollback()
-
-    def rollback(self) -> None:
-        """Remove installed routes (re-installing any the swap replaced)."""
-        rolled = False
-        if self._swap is not None:
-            self._swap.rollback()
-            rolled = True
-        elif self.sdn is not None and self._route_handles:
-            for handle in self._route_handles:
-                self.sdn.remove_route(handle)
-            rolled = True
-        if rolled and self.record.status in (StepStatus.DONE, StepStatus.RUNNING):
-            self.record.status = StepStatus.ROLLED_BACK
-
-
-class _BarrierStep(_Step):
-    """Synchronisation point: completes when all its dependencies have."""
-
-    def __init__(self, txn: "Transaction", label: str = "barrier") -> None:
-        super().__init__(txn, label)
-        #: Extra futures (e.g. operation ``finalized``) gathered at start.
-        self._extra: List[Callable[[], Optional[Future]]] = []
-
-    def run(self) -> None:
-        """Gather the extra futures (finalisation, shard quiesce) and wait."""
-        futures = [future for thunk in self._extra if (future := thunk()) is not None]
-        if futures:
-            self._resolve_future(all_of(self.txn.sim, futures))
-        else:
-            self._succeed(None)
-
-
-# =========================================================================================
-# Handle and coordinator
-# =========================================================================================
+    kind: str
+    args: tuple
+    deps: List[Tuple["Step", str]]
+    record: StepRecord
+    #: The operation's handle, once an operation step launched it.
+    handle: Optional["OperationHandle"] = None
+    #: The route swap a reroute step installed (what its rollback undoes).
+    swap: object = None
+    #: Unmet dependency edges before it starts; unresolved futures of a running barrier.
+    waiting: int = 0
+    #: Whether the step passed its state-installed point / finished (either way).
+    installed: bool = False
+    settled: bool = False
+    error: Optional[BaseException] = None
 
 
 class TransactionHandle:
@@ -330,7 +135,7 @@ class TransactionHandle:
         self._txn = txn
         #: Resolves with this handle when every step is done; fails with
         #: :class:`TransactionAbortedError` after rollback on the first error.
-        self.done: Future = txn.sim.event(name=f"txn{txn.txn_id}.done")
+        self.done: Future = txn.port.event(f"txn{txn.txn_id}.done")
 
     @property
     def steps(self) -> List[StepRecord]:
@@ -345,12 +150,7 @@ class TransactionHandle:
     @property
     def operation_records(self) -> List:
         """Records of every stateful operation the transaction ran."""
-        records = []
-        for step in self._txn.steps:
-            record = getattr(step, "operation_record", None)
-            if record is not None:
-                records.append(record)
-        return records
+        return [step.handle.record for step in self._txn.steps if step.handle is not None]
 
     def aggregate(self) -> Dict[str, object]:
         """Roll-up statistics across every operation step."""
@@ -374,116 +174,84 @@ PatternLike = Union[FlowPattern, Dict[str, object], List[str], str, None]
 class Transaction:
     """Builder + coordinator for one composite northbound transaction."""
 
-    def __init__(self, northbound) -> None:
-        self.nb = northbound
-        self.controller = northbound.controller
-        self.sim = self.controller.sim
-        self.txn_id = next(self.controller.txn_ids)
-        self.steps: List[_Step] = []
+    def __init__(self, port, txn_id: int) -> None:
+        self.port = port
+        self.txn_id = txn_id
+        self.steps: List[Step] = []
+        #: ``building``, then ``running``, then ``committed`` or ``aborted``.
         self.status = "building"
         self.handle: Optional[TransactionHandle] = None
         #: Optional callable receiving human-readable step progress messages.
         self.observer: Optional[Callable[[str], None]] = None
-        self._aborting = False
         self._done_count = 0
+        #: (step id, point) -> the steps waiting on that point, one entry per
+        #: edge, in declaration order.
+        self._dependents: Dict[Tuple[int, str], List[Step]] = {}
 
     # -- building -------------------------------------------------------------------------
 
     @staticmethod
-    def _normalize_deps(after, op_mode: str = "done") -> List[Tuple[_Step, str]]:
-        """Coerce ``after=`` into (step, mode) edges.
+    def _edges(after, op_mode: str = DONE) -> List[Tuple[Step, str]]:
+        """Coerce ``after=`` into (step, point) edges.
 
-        Accepts a step, a ``(step, mode)`` tuple, or a list of either.  A bare
+        Accepts a step, a ``(step, point)`` tuple, or a list of either.  A bare
         step means its completion, except that *operation* steps referenced
-        from a reroute (``op_mode="installed"``) mean their state-installed
+        from a reroute (``op_mode=INSTALLED``) mean their state-installed
         point — the coordinated re-route edge.
         """
-        if isinstance(after, tuple) and len(after) == 2 and isinstance(after[1], str):
+        if isinstance(after, Step) or (isinstance(after, tuple) and len(after) == 2 and isinstance(after[1], str)):
             after = [after]
-        elif isinstance(after, _Step):
-            after = [after]
-        edges: List[Tuple[_Step, str]] = []
-        for dep in after:
-            if isinstance(dep, tuple):
-                edges.append(dep)
-            elif isinstance(dep, _OperationStep):
-                edges.append((dep, op_mode))
-            else:
-                edges.append((dep, "done"))
-        return edges
+        return [dep if isinstance(dep, tuple) else (dep, op_mode if dep.kind == "operation" else DONE) for dep in after]
 
-    def _add(self, step: _Step, after=None, *, op_mode: str = "done") -> _Step:
-        """Append *step* with its dependency edges (default: previous step)."""
+    def _add(self, kind: str, name: str, args: tuple, after=None, *, op_mode: str = DONE) -> Step:
+        """Append a step with its dependency edges (default: the previous step's completion)."""
         if self.status != "building":
             raise TransactionError("cannot add steps after commit()")
-        if after is None:
-            if self.steps:
-                step.deps.append((self.steps[-1], "done"))
+        if after is not None:
+            deps = self._edges(after, op_mode)
         else:
-            step.deps.extend(self._normalize_deps(after, op_mode))
+            deps = [(self.steps[-1], DONE)] if self.steps else []
+        step = Step(kind, args, deps, StepRecord(step_id=len(self.steps) + 1, name=name))
         self.steps.append(step)
         return step
 
-    def _pattern(self, pattern: PatternLike) -> Optional[FlowPattern]:
+    @staticmethod
+    def _pattern(pattern: PatternLike) -> Optional[FlowPattern]:
         """Coerce a PatternLike into a FlowPattern, passing None through."""
         if pattern is None or isinstance(pattern, FlowPattern):
             return pattern
         return FlowPattern.parse(pattern)
 
-    def clone_config(self, src: str, dst: str, key: str = "*", *, after=None) -> _Step:
+    def clone_config(self, src: str, dst: str, key: str = "*", *, after=None) -> Step:
         """Duplicate *src*'s configuration (sub)tree onto *dst*."""
-        return self.call(lambda: self.nb.clone_config(src, dst, key), name=f"clone_config({src}->{dst})", after=after)
+        return self._add("call", f"clone_config({src}->{dst})", (self.port.clone_config, (src, dst, key), None), after)
 
-    def write_config(self, mb: str, key: str, values, *, after=None) -> _Step:
+    def write_config(self, mb: str, key: str, values, *, after=None) -> Step:
         """Set configuration values on a middlebox."""
-        return self.call(lambda: self.nb.write_config(mb, key, values), name=f"write_config({mb},{key})", after=after)
+        return self._add("call", f"write_config({mb},{key})", (self.port.write_config, (mb, key, values), None), after)
 
-    def stats(self, mb: str, pattern: PatternLike = None, *, after=None) -> _Step:
-        """Query state statistics (result lands in the step's ``detail``)."""
-        resolved = self._pattern(pattern)
+    def stats(self, mb: str, pattern: PatternLike = None, *, after=None) -> Step:
+        """Query state statistics (the reply lands in the step's ``detail["stats"]``)."""
+        return self._add("call", f"stats({mb})", (self.port.stats, (mb, self._pattern(pattern)), "stats"), after)
 
-        def query() -> Future:
-            def stash(future: Future) -> None:
-                if future.exception is None:
-                    step.record.detail["stats"] = future.result
-
-            future = self.nb.stats(mb, resolved)
-            future.add_done_callback(stash)
-            return future
-
-        step = self.call(query, name=f"stats({mb})", after=after)
-        return step
-
-    def end_transfer(self, mb: str, *, after=None) -> _Step:
+    def end_transfer(self, mb: str, *, after=None) -> Step:
         """Tell *mb* an in-progress clone/merge transfer has completed."""
-        return self.call(lambda: self.nb.end_transfer(mb), name=f"end_transfer({mb})", after=after)
+        return self._add("call", f"end_transfer({mb})", (self.port.end_transfer, (mb,), None), after)
 
-    def move(
-        self,
-        src: str,
-        dst: str,
-        pattern: PatternLike = None,
-        *,
-        spec=None,
-        wait_finalized: bool = False,
-        after=None,
-    ) -> _OperationStep:
-        """moveInternal as a step; exposes ``installed`` for coordinated reroutes."""
-        spec, pattern = TransferSpec.parse(spec), self._pattern(pattern)
-        launch = lambda: self.nb.move_internal(src, dst, pattern, spec=spec)
-        return self._add(_OperationStep(self, f"move({src}->{dst})", launch, wait_finalized), after)
+    def move(self, src: str, dst: str, pattern: PatternLike = None, *, spec=None, wait_finalized: bool = False, after=None) -> Step:
+        """moveInternal as a step; a reroute ``after=`` it starts at its state-installed point."""
+        launch_args = (src, dst, self._pattern(pattern), TransferSpec.parse(spec))
+        return self._add("operation", f"move({src}->{dst})", (self.port.move_internal, launch_args, wait_finalized), after)
 
-    def clone(self, src: str, dst: str, *, spec=None, wait_finalized: bool = False, after=None) -> _OperationStep:
+    def clone(self, src: str, dst: str, *, spec=None, wait_finalized: bool = False, after=None) -> Step:
         """cloneSupport as a step."""
-        spec = TransferSpec.parse(spec)
-        launch = lambda: self.nb.clone_support(src, dst, spec=spec)
-        return self._add(_OperationStep(self, f"clone({src}->{dst})", launch, wait_finalized), after)
+        launch_args = (src, dst, TransferSpec.parse(spec))
+        return self._add("operation", f"clone({src}->{dst})", (self.port.clone_support, launch_args, wait_finalized), after)
 
-    def merge(self, src: str, dst: str, *, spec=None, wait_finalized: bool = False, after=None) -> _OperationStep:
+    def merge(self, src: str, dst: str, *, spec=None, wait_finalized: bool = False, after=None) -> Step:
         """mergeInternal as a step."""
-        spec = TransferSpec.parse(spec)
-        launch = lambda: self.nb.merge_internal(src, dst, spec=spec)
-        return self._add(_OperationStep(self, f"merge({src}->{dst})", launch, wait_finalized), after)
+        launch_args = (src, dst, TransferSpec.parse(spec))
+        return self._add("operation", f"merge({src}->{dst})", (self.port.merge_internal, launch_args, wait_finalized), after)
 
     def reroute(
         self,
@@ -491,51 +259,41 @@ class Transaction:
         pattern: PatternLike = None,
         path: Optional[Sequence] = None,
         *,
-        changes: Optional[List[RouteChange]] = None,
-        replace: Sequence = (),
         priority: int = 100,
         apply: Optional[Callable[[], object]] = None,
         after=None,
         label: Optional[str] = None,
-    ) -> _RerouteStep:
-        """Install routing for the affected flows, with rollback on abort.
+    ) -> Step:
+        """Re-route the affected flows.
 
-        ``reroute(sdn, pattern, path)`` swaps routes atomically through the
-        SDN controller (full rollback); ``reroute(apply=callback)`` defers to
-        an application callback (rollback only when the callback returns a
-        :class:`~repro.net.sdn.RouteHandle` and ``sdn`` is given).  When
-        ``after=`` names a move/clone/merge step, the reroute starts at that
-        operation's *state-installed* point — after the relevant per-flow
-        put-ACKs — rather than after whole-operation completion.
+        ``reroute(sdn, pattern, path)`` swaps the route in through the SDN
+        controller (:meth:`~repro.net.sdn.SDNController.swap_routes`), and an
+        abort removes it again.  ``reroute(apply=callback)`` is a call step:
+        the callback's future is awaited, and nothing can undo what it did.
+        When ``after=`` names a move/clone/merge step, either form starts at
+        that operation's *state-installed* point — after the relevant
+        per-flow put-ACKs — rather than after whole-operation completion.
         """
         resolved = self._pattern(pattern)
-        if changes is None and path is not None:
-            if resolved is None:
-                raise TransactionError("reroute with a path requires a pattern")
-            changes = [(resolved, list(path))]
-        step = _RerouteStep(
-            self,
-            label=label or f"reroute({resolved!r})",
-            sdn=sdn,
-            changes=changes,
-            replace=replace,
-            priority=priority,
-            apply=apply,
-        )
-        return self._add(step, after, op_mode="installed")
+        name = label or f"reroute({resolved!r})"
+        if apply is not None:
+            return self._add("call", name, (apply, (), None), after, op_mode=INSTALLED)
+        if sdn is None or resolved is None or path is None:
+            raise TransactionError("reroute needs either (sdn, pattern, path) or an apply callback")
+        return self._add("reroute", name, (sdn, resolved, list(path), priority), after, op_mode=INSTALLED)
 
-    def call(self, fn: Callable[[], object], *, name: str = "call", after=None) -> _Step:
+    def call(self, fn: Callable[[], object], *, name: str = "call", after=None) -> Step:
         """Run an arbitrary callable as a step (a returned future is awaited)."""
-        return self._add(_CallStep(self, name, fn), after)
+        return self._add("call", name, (fn, (), None), after)
 
     def barrier(
         self,
-        steps: Optional[Sequence[_Step]] = None,
+        steps: Optional[Sequence[Step]] = None,
         *,
         finalized: bool = False,
         quiesce_shards: bool = False,
         after=None,
-    ) -> _Step:
+    ) -> Step:
         """Wait for *steps* (default: every step declared so far) to complete.
 
         Args:
@@ -559,34 +317,11 @@ class Transaction:
         Raises:
             TransactionError: when called after :meth:`commit`.
         """
-        if self.status != "building":
-            raise TransactionError("cannot add steps after commit()")
         covered = list(steps) if steps is not None else list(self.steps)
-        barrier = _BarrierStep(self)
-        for dep in covered:
-            barrier.deps.append((dep, "done"))
-        if after is not None:
-            barrier.deps.extend(self._normalize_deps(after))
-        if finalized:
-            for dep in covered:
-                if isinstance(dep, _OperationStep):
-                    barrier._extra.append(lambda d=dep: None if d.handle is None else d.handle.finalized)
-        if quiesce_shards:
-            operation_steps = [dep for dep in covered if isinstance(dep, _OperationStep)]
-
-            def shard_barrier() -> Future:
-                shard_ids: List[int] = []
-                for dep in operation_steps:
-                    operation = None if dep.handle is None else dep.handle._operation
-                    if operation is not None:
-                        shard_ids.extend(shard.shard_id for shard in operation.shards)
-                return self.controller.coordinator.barrier(shard_ids or None)
-
-            barrier._extra.append(shard_barrier)
-        # A barrier's edges are all explicit; bypass the default previous-step
-        # edge _add() would attach.
-        self.steps.append(barrier)
-        return barrier
+        # A barrier's edges are all explicit: no default previous-step edge.
+        edges = [(dep, DONE) for dep in covered] + (self._edges(after) if after is not None else [])
+        operations = tuple(dep for dep in covered if dep.kind == "operation")
+        return self._add("barrier", "barrier", (operations, finalized, quiesce_shards), edges)
 
     # -- composite verbs ---------------------------------------------------------------------
 
@@ -596,41 +331,29 @@ class Transaction:
         dst: str,
         patterns: Sequence[PatternLike],
         *,
+        reroute: Callable[[FlowPattern], object],
         clone_configuration: bool = True,
         spec=None,
-        reroute: Optional[Callable[[FlowPattern], object]] = None,
-        sdn=None,
-        paths: Optional[Dict[FlowPattern, Sequence]] = None,
         query_stats: bool = False,
         wait_for_finalize: bool = False,
-    ) -> List[_OperationStep]:
+    ) -> List[Step]:
         """The paper's migration sequence for each pattern: (cloneConfig once,)
         stats → moveInternal → re-route after the per-flow put-ACKs.
 
-        ``reroute`` is a per-pattern callback (``reroute(pattern) -> future``);
-        alternatively ``sdn`` + ``paths`` give declarative routes with full
-        rollback.  Returns the move steps, in pattern order.
+        ``reroute`` is a per-pattern callback (``reroute(pattern) -> future``).
+        Returns the move steps, in pattern order.
         """
         if clone_configuration:
             self.clone_config(src, dst)
-        moves: List[_OperationStep] = []
-        previous: Optional[_Step] = None
+        moves: List[Step] = []
+        previous: Optional[Step] = None
         for raw in patterns:
             pattern = self._pattern(raw)
-            deps = [(previous, "done")] if previous is not None else None
+            deps = [(previous, DONE)] if previous is not None else None
             if query_stats:
-                stat = self.stats(src, pattern, after=deps)
-                deps = [(stat, "done")]
+                deps = [(self.stats(src, pattern, after=deps), DONE)]
             move = self.move(src, dst, pattern, spec=spec, wait_finalized=wait_for_finalize, after=deps)
-            route_kwargs: Dict[str, object] = {"after": move}
-            if reroute is not None:
-                route_kwargs["apply"] = lambda p=pattern: reroute(p)
-            elif sdn is not None and paths is not None:
-                route_kwargs["sdn"] = sdn
-                route_kwargs["changes"] = [(pattern, list(paths[pattern]))]
-            else:
-                raise TransactionError("migrate needs a reroute callback or sdn + paths")
-            route = self.reroute(pattern=pattern, **route_kwargs)
+            route = self._add("call", f"reroute({pattern!r})", (reroute, (pattern,), None), move, op_mode=INSTALLED)
             # The next pattern starts only once this one has both returned
             # and been re-routed (the sequential paper choreography).
             previous = self.barrier([move, route])
@@ -642,34 +365,23 @@ class Transaction:
         src: str,
         dst: str,
         *,
+        reroute: Callable[[FlowPattern], object],
         pattern: PatternLike = None,
         spec=None,
-        reroute: Optional[Callable[[FlowPattern], object]] = None,
-        sdn=None,
-        path: Optional[Sequence] = None,
         terminate: Optional[Callable[[], object]] = None,
         wait_for_finalize: bool = True,
-    ) -> Dict[str, _Step]:
+    ) -> Dict[str, Step]:
         """Consolidate *src* into *dst* (the scale-down sequence): move all
         per-flow state, merge the shared state, re-route, wait for
         finalisation, then terminate the drained instance."""
         resolved = self._pattern(pattern) or FlowPattern.wildcard()
-        steps: Dict[str, _Step] = {}
+        steps: Dict[str, Step] = {}
         steps["move"] = self.move(src, dst, resolved, spec=spec)
         steps["merge"] = self.merge(src, dst, spec=spec, after=steps["move"])
-        route_kwargs: Dict[str, object] = {"after": (steps["merge"], "done"), "pattern": resolved}
-        if reroute is not None:
-            route_kwargs["apply"] = lambda: reroute(resolved)
-        elif sdn is not None and path is not None:
-            route_kwargs["sdn"] = sdn
-            route_kwargs["changes"] = [(resolved, list(path))]
-        else:
-            raise TransactionError("drain needs a reroute callback or sdn + path")
-        steps["reroute"] = self.reroute(**route_kwargs)
-        tail: _Step = steps["reroute"]
+        steps["reroute"] = self._add("call", f"reroute({resolved!r})", (reroute, (resolved,), None), (steps["merge"], DONE))
+        tail = steps["reroute"]
         if wait_for_finalize:
-            operation_steps = [s for s in steps.values() if isinstance(s, _OperationStep)]
-            steps["finalized"] = self.barrier([*operation_steps, tail], finalized=True)
+            steps["finalized"] = self.barrier([steps["move"], steps["merge"], tail], finalized=True)
             tail = steps["finalized"]
         if terminate is not None:
             steps["terminate"] = self.call(terminate, name=f"terminate({src})", after=tail)
@@ -679,6 +391,9 @@ class Transaction:
 
     def commit(self) -> TransactionHandle:
         """Freeze the operation graph and start executing it.
+
+        Every step without dependencies starts on the next scheduling round;
+        the others start when their last dependency point is reached.
 
         Returns:
             The :class:`TransactionHandle` tracking per-step progress.
@@ -695,69 +410,169 @@ class Transaction:
             self.handle.done.succeed(self.handle)
             return self.handle
         for step in self.steps:
-            self._wire(step)
+            step.waiting = len(step.deps)
+            for dep, point in step.deps:
+                self._dependents.setdefault((dep.record.step_id, point), []).append(step)
+            if not step.deps:
+                self.port.schedule(0.0, self._start, step)
         return self.handle
 
-    def _wire(self, step: _Step) -> None:
-        """Arm *step* to start once its dependency futures all resolve."""
-        if not step.deps:
-            self.sim.schedule(0.0, step.start)
+    # -- running ------------------------------------------------------------------------------
+
+    def _start(self, step: Step) -> None:
+        """Mark *step* running and launch it; a launch error fails the transaction."""
+        if self.status != "running":
+            return  # aborted while the step was still pending
+        step.record.status = StepStatus.RUNNING
+        step.record.started_at = self.port.now
+        self._report(step, "start")
+        try:
+            getattr(self, f"_run_{step.kind}")(step, *step.args)
+        except Exception as exc:  # a step that cannot even launch fails the txn
+            self._fail(step, exc)
+
+    def _run_call(self, step: Step, fn: Callable, fn_args: tuple, detail_key: Optional[str]) -> None:
+        """Invoke the function; await its result when it is a future."""
+        result = fn(*fn_args)
+        if hasattr(result, "add_done_callback"):
+            result.add_done_callback(partial(self._on_future, step, detail_key))
+        else:
+            self._succeed(step)
+
+    def _run_operation(self, step: Step, launcher: Callable, launch_args: tuple, wait_finalized: bool) -> None:
+        """Launch the operation; its state-installed point and its end become the step's."""
+        handle = step.handle = launcher(*launch_args)
+        step.record.detail["operation"] = handle.record
+        handle.state_installed.add_done_callback(partial(self._on_installed, step))
+        (handle.finalized if wait_finalized else handle.completed).add_done_callback(partial(self._on_future, step, None))
+
+    def _run_reroute(self, step: Step, sdn, pattern: FlowPattern, path: list, priority: int) -> None:
+        """Swap the route in; the step completes once every switch applied it."""
+        step.swap = sdn.swap_routes([(pattern, path)], priority=priority)
+        step.swap.installed.add_done_callback(partial(self._on_future, step, None))
+
+    def _run_barrier(self, step: Step, operations: Tuple[Step, ...], finalized: bool, quiesce_shards: bool) -> None:
+        """Wait for the covered operations' finalisation and the shard barrier, when asked."""
+        handles = [dep.handle for dep in operations if dep.handle is not None]
+        futures = [handle.finalized for handle in handles] if finalized else []
+        if quiesce_shards:
+            futures.append(self.port.quiesce(handles))
+        if not futures:
+            self._succeed(step)
             return
-        futures = [dep.gate if mode == "done" else dep.installed for dep, mode in step.deps]
+        step.waiting = len(futures)
+        for future in futures:
+            future.add_done_callback(partial(self._on_barrier_future, step))
 
-        def on_ready(future: Future) -> None:
-            if self._aborting or future.exception is not None:
-                return  # the failing dependency already triggered the abort
-            step.start()
+    def _on_installed(self, step: Step, future: Future) -> None:
+        """An operation step's state-installed point: start what waits on it."""
+        if step.installed:
+            return
+        step.installed = True
+        if future.exception is None:
+            self._release(step, INSTALLED)
 
-        all_of(self.sim, futures).add_done_callback(on_ready)
+    def _on_future(self, step: Step, detail_key: Optional[str], future: Future) -> None:
+        """The future a step awaits resolved: the step succeeds or fails with it."""
+        if future.exception is not None:
+            self._fail(step, future.exception)
+            return
+        if detail_key is not None:
+            step.record.detail[detail_key] = future.result
+        self._succeed(step)
 
-    def _notify(self, step: _Step, phase: str) -> None:
-        """Per-step progress hook: drives completion/abort and the observer."""
-        if phase == "failed":
-            self._on_step_failed(step)
-        elif phase == "done":
-            self._on_step_done(step)
+    def _on_barrier_future(self, step: Step, future: Future) -> None:
+        """One future a barrier waits on resolved: the first failure fails it, the last success completes it."""
+        if step.settled:
+            return
+        if future.exception is not None:
+            self._fail(step, future.exception)
+            return
+        step.waiting -= 1
+        if step.waiting == 0:
+            self._succeed(step)
+
+    def _release(self, step: Step, point: str) -> None:
+        """*step* reached *point*: start each dependent whose last unmet edge this was."""
+        for dependent in self._dependents.get((step.record.step_id, point), ()):
+            dependent.waiting -= 1
+            if dependent.waiting == 0:
+                self._start(dependent)
+
+    def _succeed(self, step: Step) -> None:
+        """Complete *step*: installed-edge dependents, the commit check, then done-edge dependents."""
+        if step.settled:
+            return
+        step.settled = True
+        step.record.status = StepStatus.DONE
+        step.record.finished_at = self.port.now
+        if not step.installed:
+            step.installed = True
+            self._release(step, INSTALLED)
+        if self.status == "running":
+            self._done_count += 1
+            if self._done_count == len(self.steps):
+                self.status = "committed"
+                self.handle.done.succeed(self.handle)
+        self._report(step, "done")
+        self._release(step, DONE)
+
+    def _fail(self, step: Step, exc: BaseException) -> None:
+        """Fail *step*: the first failure aborts the transaction."""
+        if step.settled:
+            return
+        step.settled = step.installed = True
+        step.record.status = StepStatus.FAILED
+        step.record.finished_at = self.port.now
+        step.record.error = str(exc)
+        step.error = exc
+        if self.status == "running":
+            self._abort(step)
+        self._report(step, "failed")
+
+    def _report(self, step: Step, phase: str) -> None:
+        """Tell the observer, if any, how *step* progressed."""
         if self.observer is not None:
             self.observer(f"txn step {step.record.step_id}/{len(self.steps)} {step.record.name}: {phase}")
 
-    def _on_step_done(self, step: _Step) -> None:
-        """Commit the transaction once the last step completes."""
-        if self._aborting:
-            return
-        self._done_count += 1
-        if self._done_count == len(self.steps):
-            self.status = "committed"
-            if not self.handle.done.done:
-                self.handle.done.succeed(self.handle)
+    # -- abort -----------------------------------------------------------------------------------
 
-    def _on_step_failed(self, step: _Step) -> None:
-        """First failure: cancel pending, abort running, roll back done steps."""
-        if self._aborting:
-            return
-        self._aborting = True
+    def _abort(self, failed: Step) -> None:
+        """First failure: cancel pending steps, abort running ones, roll back done ones."""
         self.status = "aborted"
-        cause = step._exception or Exception(step.record.error or "step failed")
         abort_exc = TransactionAbortedError(
-            f"transaction aborted: step {step.record.name!r} failed: {cause}",
-            step=step.record.name,
-            cause=cause,
+            f"transaction aborted: step {failed.record.name!r} failed: {failed.error}",
+            step=failed.record.name,
+            cause=failed.error,
         )
         # 1. Pending steps never start.
-        for other in self.steps:
-            if other.record.status is StepStatus.PENDING:
-                other.cancel()
+        for step in self.steps:
+            if step.record.status is StepStatus.PENDING:
+                step.record.status = StepStatus.CANCELLED
         # 2. In-flight steps are aborted (operations fail, releasing any
-        #    destination packet holds; partially installed routes roll back).
-        #    The failing step itself is included: a reroute that fails part way
-        #    rolls back the routes it did install.
-        step.abort_inflight(abort_exc)
-        for other in self.steps:
-            if other is not step and other.record.status is StepStatus.RUNNING:
-                other.abort_inflight(abort_exc)
+        #    destination packet holds; a half-installed route swap is removed).
+        #    The failing step itself is included.
+        self._undo(failed, str(abort_exc), in_flight=True)
+        for step in self.steps:
+            if step is not failed and step.record.status is StepStatus.RUNNING:
+                self._undo(step, str(abort_exc), in_flight=True)
         # 3. Completed steps roll back in reverse declaration order.
-        for other in reversed(self.steps):
-            if other is not step and other.record.status in (StepStatus.DONE, StepStatus.ROLLED_BACK):
-                other.rollback()
-        if self.handle is not None and not self.handle.done.done:
-            self.handle.done.fail(abort_exc)
+        for step in reversed(self.steps):
+            if step is not failed and step.record.status in (StepStatus.DONE, StepStatus.ROLLED_BACK):
+                self._undo(step, "transaction rolled back", in_flight=False)
+        self.handle.done.fail(abort_exc)
+
+    def _undo(self, step: Step, reason: str, *, in_flight: bool) -> None:
+        """Abort or roll back one step; only operations and declarative reroutes have anything to undo.
+
+        An in-flight operation is failed outright.  A completed one cannot be
+        un-done, but its destructive post-quiescence step (the source delete)
+        can still be cancelled, so the source keeps its state.
+        """
+        if step.kind == "operation":
+            if step.handle is not None and self.port.abort_operation(step.handle, reason) and not in_flight:
+                step.record.status = StepStatus.ROLLED_BACK
+        elif step.kind == "reroute" and step.swap is not None:
+            step.swap.rollback()
+            if step.record.status in (StepStatus.DONE, StepStatus.RUNNING):
+                step.record.status = StepStatus.ROLLED_BACK

@@ -108,7 +108,6 @@ class SDNController:
         path: Sequence[Node | str],
         *,
         priority: int = 100,
-        bidirectional: bool = False,
     ) -> RouteHandle:
         """Install forwarding rules for *pattern* along *path*.
 
@@ -121,13 +120,9 @@ class SDNController:
         names = [node.name if isinstance(node, Node) else node for node in path]
         route_id = next(self._route_ids)
         prepared = self._prepare_rules(pattern, names, priority, f"route-{route_id}")
-        handle, pending = self._register_route(route_id, pattern, names, prepared)
-        if bidirectional:
-            reverse = self.install_route(pattern.reversed(), list(reversed(names)), priority=priority)
-            handle.rules.extend(reverse.rules)
-            if reverse.installed is not None:
-                pending.append(reverse.installed)
-        handle.installed = all_of(self.sim, pending)
+        by_switch: Dict[Switch, List[FlowRule]] = {}
+        handle, _ = self._register_prepared(route_id, pattern, names, prepared, by_switch)
+        handle.installed = all_of(self.sim, [self._push_rules(switch, rules) for switch, rules in by_switch.items()])
         return handle
 
     def _register_prepared(
@@ -157,21 +152,6 @@ class SDNController:
         self.routes[route_id] = handle
         self.routing_updates += 1
         return handle, switches
-
-    def _register_route(
-        self, route_id: int, pattern: FlowPattern, names: List[str], prepared: List[tuple]
-    ) -> tuple:
-        """Push pre-validated (switch, rule) pairs and register one route.
-
-        Rules destined for the same switch are grouped into a single
-        programming update.  Returns ``(handle, pending)``; the caller
-        combines *pending* into the handle's ``installed`` future (it may add
-        more, e.g. a reverse route).
-        """
-        by_switch: Dict[Switch, List[FlowRule]] = {}
-        handle, _ = self._register_prepared(route_id, pattern, names, prepared, by_switch)
-        pending: List[Future] = [self._push_rules(switch, rules) for switch, rules in by_switch.items()]
-        return handle, pending
 
     def _prepare_rules(
         self, pattern: FlowPattern, names: List[str], priority: int, cookie: str
@@ -308,7 +288,6 @@ class SDNController:
         waypoints: Sequence[Node | str] = (),
         *,
         priority: int = 100,
-        bidirectional: bool = False,
     ) -> RouteHandle:
         """Route flows matching *pattern* from *ingress* to *egress* via *waypoints*.
 
@@ -317,4 +296,4 @@ class SDNController:
         middlebox waypoints), and the SDN controller programs the switches.
         """
         path = self.topology.path_through(ingress, list(waypoints), egress)
-        return self.install_route(pattern, path, priority=priority, bidirectional=bidirectional)
+        return self.install_route(pattern, path, priority=priority)

@@ -21,6 +21,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -120,21 +121,23 @@ class TestEngineLayering:
         offenders = sorted(name for name in imported if name.split(".")[0] == "repro")
         assert not offenders, f"repro.runtime.arq needs only the standard library, but imports {offenders}"
 
-    def test_an_operation_reaches_the_world_only_through_its_port(self):
-        """``core/operations.py`` holds no closure and imports no kernel, wire or controller.
+    @pytest.mark.parametrize("module", ["operations", "transaction"])
+    def test_an_operation_reaches_the_world_only_through_its_port(self, module):
+        """``core/operations.py`` and ``core/transaction.py`` hold no closure and import no kernel, wire or controller.
 
-        A pending reply is a bound method and its arguments, never a
-        ``lambda`` or nested ``def`` (data that can be hashed and compared);
-        the runtime, channel, sharding, southbound agent and controller are
-        reached through the port only, so a move runs bare behind a fake one.
-        Imports under ``if TYPE_CHECKING:`` are annotations, not dependencies.
+        A pending reply or completion is a bound method and its arguments,
+        never a ``lambda`` or nested ``def`` (data that can be hashed and
+        compared); the runtime, channel, sharding, southbound agent and
+        controller are reached through the port only, so a move and a
+        transaction each run bare behind a fake one.  Imports under
+        ``if TYPE_CHECKING:`` are annotations, not dependencies.
         """
-        path = SRC_ROOT / "repro" / "core" / "operations.py"
+        path = SRC_ROOT / "repro" / "core" / f"{module}.py"
         tree = ast.parse(path.read_text())
         functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         nested = {inner.lineno for outer in functions for inner in ast.walk(outer) if inner is not outer and inner in functions}
         lambdas = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)}
-        assert not nested and not lambdas, f"operations.py defines closures: nested defs at {sorted(nested)}, lambdas at {sorted(lambdas)}"
+        assert not nested and not lambdas, f"{module}.py defines closures: nested defs at {sorted(nested)}, lambdas at {sorted(lambdas)}"
         annotations_only = [
             node for node in tree.body if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
         ]
@@ -144,7 +147,7 @@ class TestEngineLayering:
             f"repro.core.{name}" for name in ("controller", "channel", "sharding", "southbound")
         )
         offenders = sorted(name for name in imported if name.startswith(banned))
-        assert not offenders, f"repro.core.operations reaches past its port: imports {offenders}"
+        assert not offenders, f"repro.core.{module} reaches past its port: imports {offenders}"
 
     def test_the_realtime_runtime_is_the_simulator_kernel_under_another_clock(self):
         """One heap, one lane, one process driver, one stuck diagnosis.

@@ -389,11 +389,3 @@ class TestSDNController:
         sim, topo, sdn, h1, *_ = self._scenario()
         with pytest.raises(NetworkError):
             sdn.install_route(FlowPattern.wildcard(), [h1])
-
-    def test_bidirectional_route(self):
-        sim, topo, sdn, h1, h2, s1, s2, mb = self._scenario()
-        handle = sdn.route(FlowPattern(nw_dst="192.0.2.0/24"), h1, h2, bidirectional=True)
-        sim.run_until(handle.installed)
-        h2.send(tcp_packet("192.0.2.1", "10.0.0.5", 80, 1))
-        sim.run()
-        assert len(h1.received) == 1

@@ -180,7 +180,7 @@ class TestCoordinatedReroute:
         # The second pattern's move may not start before the first is routed.
         first_route = next(r for r in handle.steps if r.name.startswith("reroute") and "10.1.1.0/28" in r.name)
         second_move = moves[1].record
-        assert second_move.started_at >= first_route.detail["requested_at"]
+        assert second_move.started_at >= first_route.finished_at
 
 
 class TestAbortAndRollback:
