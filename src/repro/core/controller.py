@@ -37,7 +37,7 @@ from .errors import OperationAbortedError, OperationError, ProtocolError, Unknow
 from .events import Event, EventCode
 from .flowspace import FlowKey, FlowPattern
 from .messages import BATCHABLE_REQUESTS, Message, MessageType
-from .operations import CloneOperation, MergeOperation, MoveOperation, OperationHandle, OperationRecord, _StatefulOperation
+from .operations import CloneOperation, MergeOperation, MoveOperation, OperationHandle, OperationRecord, _lost, _StatefulOperation
 from .sharding import ControllerShard, ShardCoordinator
 from .southbound import SouthboundAgent
 from .stats import ControllerStats
@@ -186,8 +186,9 @@ class MBController:
         events from the terminated instance are discarded instead of being
         dispatched through stale handlers.  ``dead`` marks a crash (the
         instance vanished rather than being terminated on purpose): in-flight
-        operations then fail with :class:`InstanceDeadError` instead of
-        :class:`UnknownMiddleboxError`.
+        operations — and pending plain requests (``readConfig``, ``writeConfig``,
+        ``stats``, ``endTransfer``) — then fail with :class:`InstanceDeadError`
+        instead of :class:`UnknownMiddleboxError`.
 
         Either way the orphaned instance object is purged of transfer
         involvement afterwards: the failing operations' cleanup messages can
@@ -202,12 +203,17 @@ class MBController:
             for operation in list(operations):
                 operation.instance_down(name, dead)
         self._active_by_src.pop(name, None)
+        # A reply that will never come: a move awaiting it to start its standby
+        # retry fails its handle, a plain request (:meth:`_request`) its future
+        # — once the instance is torn down below — instead of hanging.
+        stranded: List[Future] = []
         for key in [key for key in self._reply_handlers if key[0] == name]:
-            owner = getattr(self._reply_handlers.pop(key)[1], "__self__", None)
+            _, handler, args = self._reply_handlers.pop(key)
+            owner = getattr(handler, "__self__", None)
             if isinstance(owner, _StatefulOperation):
-                # A reply that will never come: a move awaiting it to start
-                # its standby retry fails its handle instead of hanging.
                 owner.instance_down(name, dead)
+            elif handler == self._on_request_reply:
+                stranded.append(args[0])
         self._outbox.pop(name, None)
         self._flush_scheduled.discard(name)
         self._last_seen.pop(name, None)
@@ -220,6 +226,9 @@ class MBController:
             # the round tags and holds the purge below removes).
             registration.channel.set_middlebox_down()
             registration.middlebox.purge_transfer_state()
+        for future in stranded:
+            if not future.done:
+                future.fail(_lost(name, dead, f"before replying to {future.name}"))
 
     # -- liveness ---------------------------------------------------------------------
 
@@ -552,17 +561,18 @@ class MBController:
         :class:`OperationError` on ERROR.
         """
         future = self.sim.event(name=name)
-
-        def on_reply(reply: Message) -> None:
-            kind, fields = messages.parse_reply(reply)
-            if kind == expect:
-                future.succeed(fields[extract] if extract else True)
-            elif kind == MessageType.ERROR:
-                future.fail(OperationError(fields["reason"] or f"{message.type} failed"))
-
-        if not self.send(mb_name, message, on_reply):
+        if not self.send(mb_name, message, self._on_request_reply, future, expect, extract, message.type):
             self._registration(mb_name)  # raises UnknownMiddleboxError
         return future
+
+    @staticmethod
+    def _on_request_reply(reply: Message, future: Future, expect: str, extract: str, request_type: str) -> None:
+        """Resolve a :meth:`_request` future from its reply: *extract* (or True) on *expect*, failed on ERROR."""
+        kind, fields = messages.parse_reply(reply)
+        if kind == expect:
+            future.succeed(fields[extract] if extract else True)
+        elif kind == MessageType.ERROR:
+            future.fail(OperationError(fields["reason"] or f"{request_type} failed"))
 
     def read_config(self, mb_name: str, key: str = "*") -> Future:
         """readConfig: fetch a middlebox's configuration subtree."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Tuple
 
 #: Header fields recognised in a pattern, in canonical order.
@@ -88,6 +89,17 @@ class IPv4Prefix:
     def contains_ip(self, address: str) -> bool:
         """Return True when *address* falls inside this prefix."""
         return (ip_to_int(address) & self.mask) == self.network
+
+
+@lru_cache(maxsize=ADDRESS_MEMO_SIZE)
+def _address_field(text: str) -> Tuple[int, int, Optional[str]]:
+    """``(network, mask, host)`` of a pattern's address field; *host* is the bare
+    address when the prefix is one host (``"10.0.0.1/32"`` too), else None.
+
+    Memoised like :func:`ip_to_int`: patterns name the same few addresses.
+    """
+    prefix = IPv4Prefix.parse(text)
+    return prefix.network, prefix.mask, int_to_ip(prefix.network) if prefix.length == 32 else None
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -173,7 +185,10 @@ class FlowPattern:
     which the per-flow state stores use to honour the paper's granularity rule.
     """
 
-    __slots__ = ("nw_proto", "tp_src", "tp_dst", "_src_text", "_dst_text", "_src_net", "_src_mask", "_dst_net", "_dst_mask")
+    __slots__ = (
+        "nw_proto", "tp_src", "tp_dst", "_src_text", "_dst_text", "_src_net", "_src_mask", "_dst_net", "_dst_mask",
+        "_fields", "_hosts", "_exact",
+    )
 
     def __init__(
         self,
@@ -190,13 +205,18 @@ class FlowPattern:
         self._dst_text = nw_dst
         # An address field is matched as ``ip & mask == net``; both ints are
         # taken from the parsed prefix once, here.  None: the field is a wildcard.
-        self._src_net = self._src_mask = self._dst_net = self._dst_mask = None
+        # What the stores and the shard ring ask of a pattern is decided here
+        # too — a pattern is never changed after it is built: the fields it
+        # pins, the host each address field pins, and the one flow it pins.
+        self._src_net = self._src_mask = self._dst_net = self._dst_mask = src = dst = None
         if nw_src is not None:
-            prefix = IPv4Prefix.parse(nw_src)
-            self._src_net, self._src_mask = prefix.network, prefix.mask
+            self._src_net, self._src_mask, src = _address_field(nw_src)
         if nw_dst is not None:
-            prefix = IPv4Prefix.parse(nw_dst)
-            self._dst_net, self._dst_mask = prefix.network, prefix.mask
+            self._dst_net, self._dst_mask, dst = _address_field(nw_dst)
+        pinned = (nw_proto is not None, nw_src is not None, nw_dst is not None, tp_src is not None, tp_dst is not None)
+        self._fields = tuple(compress(FIELDS, pinned))
+        self._hosts = (src, dst)
+        self._exact = None if None in (nw_proto, src, dst, tp_src, tp_dst) else FlowKey(nw_proto, src, dst, tp_src, tp_dst)
 
     # -- construction helpers -------------------------------------------------
 
@@ -272,25 +292,21 @@ class FlowPattern:
     @property
     def specificity(self) -> int:
         """Number of constrained fields (prefixes count as constrained)."""
-        return len(self.as_dict())
+        return len(self._fields)
 
     @property
     def is_wildcard(self) -> bool:
-        return self.specificity == 0
+        return not self._fields
 
     def specified_fields(self) -> Tuple[str, ...]:
         """Names of the fields this pattern constrains, in canonical order."""
-        present = self.as_dict()
-        return tuple(field for field in FIELDS if field in present)
+        return self._fields
 
     def pinned_hosts(self) -> Tuple[Optional[str], Optional[str]]:
         """``(source, destination)``: the bare address where the field pins one
         host, else None.  Asked of the parsed prefix, so ``"10.0.0.1/32"`` and
         ``"10.0.0.1"`` are the same host — the form flow keys carry."""
-        return tuple(
-            int_to_ip(network) if mask == 0xFFFFFFFF else None
-            for network, mask in ((self._src_net, self._src_mask), (self._dst_net, self._dst_mask))
-        )
+        return self._hosts
 
     def exact_key(self) -> Optional[FlowKey]:
         """The single concrete flow this pattern pins, or None when it spans many.
@@ -301,10 +317,7 @@ class FlowPattern:
         the controller would home an operation on one shard while the store
         scanned every entry instead of looking one up.
         """
-        src, dst = self.pinned_hosts()
-        if None in (self.nw_proto, src, dst, self.tp_src, self.tp_dst):
-            return None
-        return FlowKey(self.nw_proto, src, dst, self.tp_src, self.tp_dst)
+        return self._exact
 
     def reversed(self) -> "FlowPattern":
         """The pattern matching the opposite packet direction of the same flows."""

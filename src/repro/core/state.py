@@ -237,7 +237,15 @@ class PerFlowStateStore(Generic[T]):
 
     Byte-level memory accounting is per-slot constants times population
     counts; :meth:`memory_stats` returns an O(1) snapshot including the
-    lifetime peak, which every mutation keeps up to date.
+    lifetime peak.  The accounted total never falls between two shrinks, so
+    the peak is sampled only where it can stop growing: before each shrink
+    (:meth:`remove`, :meth:`clear`, the dirty-set resets and the install-tag
+    clears) and when read.  A write (:meth:`put`, :meth:`mark_dirty`,
+    :meth:`install_round`) does no accounting.
+
+    Each operation touches each map once per key: a flow key's hash is a
+    Python-level call, and the write path is the hot path of every flow a
+    data plane sees and every chunk a move installs.
     """
 
     def __init__(
@@ -280,7 +288,7 @@ class PerFlowStateStore(Generic[T]):
         )
 
     def _note_memory(self) -> None:
-        """Update the lifetime peak after a mutation."""
+        """Fold the current total into the lifetime peak; called before every shrink."""
         total = self._current_total_bytes()
         if total > self._peak_total_bytes:
             self._peak_total_bytes = total
@@ -317,11 +325,13 @@ class PerFlowStateStore(Generic[T]):
         Called at the instant a pre-copy bulk get snapshots the store, so every
         later mutation is guaranteed to be either in the snapshot or dirty.
         """
+        self._note_memory()
         self._tracking_dirty = True
         self._dirty.clear()
 
     def end_dirty_tracking(self) -> None:
         """Stop recording mutations and drop the dirty set (transfer froze)."""
+        self._note_memory()
         self._tracking_dirty = False
         self._dirty.clear()
 
@@ -335,7 +345,6 @@ class PerFlowStateStore(Generic[T]):
         """
         if self._tracking_dirty:
             self._dirty[self.canonical_key(key)] = self._dirty_version = self._dirty_version + 1
-            self._note_memory()
 
     def dirty_keys(self) -> List[FlowKey]:
         """Currently dirty canonical keys in dirtying order (oldest first)."""
@@ -348,6 +357,7 @@ class PerFlowStateStore(Generic[T]):
         drain lands in the next round's set.
         """
         keys = self.dirty_keys()
+        self._note_memory()
         self._dirty.clear()
         return keys
 
@@ -368,11 +378,11 @@ class PerFlowStateStore(Generic[T]):
         if existing is not None and existing > tag:
             return False
         self._install_rounds[canonical] = tag
-        self._note_memory()
         return True
 
     def clear_install_round(self, key: FlowKey) -> None:
         """Forget the install tag for one flow (its transfer involvement ended)."""
+        self._note_memory()
         self._install_rounds.pop(self.canonical_key(key), None)
 
     def clear_install_rounds(self) -> int:
@@ -382,6 +392,7 @@ class PerFlowStateStore(Generic[T]):
         middlebox crashed or was unregistered mid-transfer — so no orphaned
         ``(op_id, round)`` tags survive an operation that will never release
         them."""
+        self._note_memory()
         count = len(self._install_rounds)
         self._install_rounds.clear()
         return count
@@ -397,15 +408,20 @@ class PerFlowStateStore(Generic[T]):
         """Key under which state for *key* is stored (bidirectional canonical form)."""
         return key.bidirectional()
 
-    def _index_fields(self, canonical: FlowKey) -> Tuple[Tuple[dict, object], ...]:
-        """The four (bucket map, field value) pairs a canonical key is posted under."""
+    def _index_fields(self, canonical: FlowKey) -> List[Tuple[dict, object]]:
+        """The distinct (bucket map, field value) pairs a canonical key is posted under.
+
+        Two or four: a key whose two addresses (or two ports) are one value is
+        posted once under it, so each bucket holds a key at most once.
+        """
+        src, dst, sport, dport = canonical.nw_src, canonical.nw_dst, canonical.tp_src, canonical.tp_dst
         by_src, by_port = self._by_src, self._by_port
-        return (
-            (by_src, canonical.nw_src),
-            (by_src, canonical.nw_dst),
-            (by_port, canonical.tp_src),
-            (by_port, canonical.tp_dst),
-        )
+        fields = [(by_src, src), (by_port, sport)]
+        if dst != src:
+            fields.append((by_src, dst))
+        if dport != sport:
+            fields.append((by_port, dport))
+        return fields
 
     def _index_add(self, canonical: FlowKey) -> None:
         """Add a freshly inserted canonical key to every secondary index.
@@ -415,50 +431,50 @@ class PerFlowStateStore(Generic[T]):
         used as an insertion-ordered set when a second posting arrives.  The
         resident key goes in first, so a bucket lists its keys in the order
         they entered the store, which is the order a move exports them in.
+        A fresh key is in no bucket, so each posting is one write, unprobed.
         """
-        for bucket_map, value in self._index_fields(canonical):
+        fields = self._index_fields(canonical)
+        for bucket_map, value in fields:
             bucket = bucket_map.get(value)
             if bucket is None:
                 bucket_map[value] = canonical
-            elif bucket is canonical or (type(bucket) is dict and canonical in bucket):
-                # Posted a moment ago: one value in two fields (tp_src == tp_dst).
-                # A fresh key is in no bucket otherwise, so identity is enough.
-                continue
             elif type(bucket) is dict:
                 bucket[canonical] = None
             else:
                 bucket_map[value] = {bucket: None, canonical: None}
-            self._index_postings += 1
+        self._index_postings += len(fields)
 
     def _index_discard(self, canonical: FlowKey) -> None:
-        """Remove a deleted canonical key from every secondary index."""
-        for bucket_map, value in self._index_fields(canonical):
-            bucket = bucket_map.get(value)
-            if type(bucket) is dict and canonical in bucket:
+        """Remove a deleted canonical key from every secondary index: one delete per bucket."""
+        fields = self._index_fields(canonical)
+        for bucket_map, value in fields:
+            bucket = bucket_map[value]
+            if type(bucket) is dict:
                 del bucket[canonical]
                 if len(bucket) == 1:
                     (bucket_map[value],) = bucket
-            elif bucket is canonical or (type(bucket) is FlowKey and bucket == canonical):
-                del bucket_map[value]
             else:
-                continue  # already gone: one value in two fields
-            self._index_postings -= 1
+                del bucket_map[value]
+        self._index_postings -= len(fields)
 
     @staticmethod
     def _postings(bucket_map: dict, value: object) -> Collection[FlowKey]:
         """The postings of one field value, whichever of the two shapes its bucket has."""
-        bucket = bucket_map.get(value, ())
-        return (bucket,) if type(bucket) is FlowKey else bucket
+        bucket = bucket_map.get(value)
+        if bucket is None:
+            return ()
+        return bucket if type(bucket) is dict else (bucket,)
 
     def put(self, key: FlowKey, value: T) -> None:
-        """Insert or replace the state object for a flow."""
+        """Insert or replace the state object for a flow: one write of the entry map."""
         key = self.canonical_key(key)
-        if self._indexed and key not in self._entries:
+        entries = self._entries
+        size = len(entries)
+        entries[key] = value
+        if self._indexed and len(entries) > size:
             self._index_add(key)
-        self._entries[key] = value
         if self._tracking_dirty:
             self._dirty[key] = self._dirty_version = self._dirty_version + 1
-        self._note_memory()
 
     def get(self, key: FlowKey) -> Optional[T]:
         """Return the state object for a flow, or None when absent."""
@@ -483,6 +499,7 @@ class PerFlowStateStore(Generic[T]):
     def remove(self, key: FlowKey) -> Optional[T]:
         """Remove and return the state object for a flow (None when absent)."""
         canonical = self.canonical_key(key)
+        self._note_memory()
         value = self._entries.pop(canonical, _MISSING)
         self._install_rounds.pop(canonical, None)
         if value is _MISSING:
@@ -490,11 +507,11 @@ class PerFlowStateStore(Generic[T]):
         self.mark_dirty(canonical)
         if self._indexed:
             self._index_discard(canonical)
-        self._note_memory()
         return value
 
     def clear(self) -> None:
         """Drop every entry (with its index and install tag); dirty tracking is unaffected."""
+        self._note_memory()
         self._entries.clear()
         self._by_src.clear()
         self._by_port.clear()
@@ -517,13 +534,11 @@ class PerFlowStateStore(Generic[T]):
 
     def _check_granularity(self, pattern: FlowPattern) -> None:
         """Reject patterns finer than the middlebox's per-flow granularity."""
-        requested = set(pattern.specified_fields())
-        available = set(self.granularity)
-        finer = requested - available
+        finer = set(pattern.specified_fields()).difference(self.granularity)
         if finer:
             raise GranularityError(
                 "request is finer than the middlebox's per-flow granularity: "
-                f"extra fields {sorted(finer)}; available {sorted(available)}"
+                f"extra fields {sorted(finer)}; available {sorted(set(self.granularity))}"
             )
 
     def query(self, pattern: FlowPattern) -> List[Tuple[FlowKey, T]]:
@@ -565,8 +580,10 @@ class PerFlowStateStore(Generic[T]):
             if candidates is not None:
                 self.scan_steps += len(candidates)
                 for key in candidates:
-                    if pattern.matches_either_direction(key) and key in entries:
-                        yield key, entries[key]
+                    if pattern.matches_either_direction(key):
+                        value = entries.get(key, _MISSING)
+                        if value is not _MISSING:
+                            yield key, value
                 return
         for key, value in list(entries.items()):
             self.scan_steps += 1

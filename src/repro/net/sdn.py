@@ -46,36 +46,22 @@ class RouteHandle:
 class RouteSwap:
     """Bookkeeping for one atomic multi-pattern route swap.
 
-    ``routes`` are the newly installed routes (one per pattern/path pair) and
-    ``replaced`` the routes scheduled for removal once every new rule has been
-    applied (make-before-break).  ``rollback()`` undoes the swap: the new
-    routes are removed and, if the replaced routes were already torn down,
-    they are re-installed.
+    ``routes`` are the newly installed routes (one per pattern/path pair);
+    ``rollback()`` undoes the swap by removing them.
     """
 
     controller: "SDNController"
     routes: List[RouteHandle] = field(default_factory=list)
-    replaced: List[RouteHandle] = field(default_factory=list)
     installed: Optional[Future] = None
-    _replaced_removed: bool = False
     _rolled_back: bool = False
 
     def rollback(self) -> None:
-        """Remove the swap's new routes and restore any replaced ones."""
+        """Remove the swap's new routes (once)."""
         if self._rolled_back:
             return
         self._rolled_back = True
         for handle in self.routes:
             self.controller.remove_route(handle)
-        if self._replaced_removed:
-            for handle in self.replaced:
-                restored = self.controller.install_route(
-                    handle.pattern, handle.path, priority=handle.rules[0].priority if handle.rules else 100
-                )
-                handle.route_id = restored.route_id
-                handle.cookie = restored.cookie
-                handle.rules = restored.rules
-                handle.installed = restored.installed
 
 
 class SDNController:
@@ -180,28 +166,17 @@ class SDNController:
             prepared.append((node, rule))
         return prepared
 
-    def swap_routes(
-        self,
-        changes: Sequence[tuple],
-        *,
-        priority: int = 100,
-        replace: Sequence[RouteHandle] = (),
-    ) -> RouteSwap:
-        """Atomically install routes for several patterns, replacing old ones.
+    def swap_routes(self, changes: Sequence[tuple], *, priority: int = 100) -> RouteSwap:
+        """Atomically install routes for several patterns.
 
         ``changes`` is a sequence of ``(pattern, path)`` pairs (*path* as in
-        :meth:`install_route`).  Atomicity has two halves:
-
-        * **validation first** — every pair is resolved to concrete switch
-          rules before any rule is pushed, so a malformed path leaves the
-          network untouched;
-        * **make-before-break** — the routes in ``replace`` are removed only
-          once every new rule has been applied, so no pattern is ever without
-          a route during the swap.
+        :meth:`install_route`).  Every pair is resolved to concrete switch
+        rules before any rule is pushed, so a malformed path leaves the
+        network untouched.
 
         Returns a :class:`RouteSwap` whose ``installed`` future completes when
         every switch applied its rules and whose ``rollback()`` removes the
-        new routes (re-installing replaced ones if they were already removed).
+        new routes.
         """
         prepared: List[tuple] = []
         for pattern, path in changes:
@@ -214,7 +189,7 @@ class SDNController:
         # target switch and program each switch exactly once, so a
         # multi-pattern swap costs O(switches) updates instead of
         # O(patterns x path length).
-        swap = RouteSwap(controller=self, replaced=list(replace))
+        swap = RouteSwap(controller=self)
         by_switch: Dict[Switch, List[FlowRule]] = {}
         route_switch_sets: List[tuple] = []
         for pattern, names, route_id, rules in prepared:
@@ -225,15 +200,6 @@ class SDNController:
         for handle, switches in route_switch_sets:
             handle.installed = all_of(self.sim, [update_futures[switch] for switch in switches])
         swap.installed = all_of(self.sim, list(update_futures.values()))
-
-        def break_old(future: Future) -> None:
-            if future.exception is not None or swap._rolled_back:
-                return
-            for old in swap.replaced:
-                self.remove_route(old)
-            swap._replaced_removed = True
-
-        swap.installed.add_done_callback(break_old)
         return swap
 
     @staticmethod

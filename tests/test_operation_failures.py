@@ -197,10 +197,11 @@ class TestUnregisterCleanup:
         channel = controller.channel_for("mon2")
         controller.unregister("mon2")
         assert not any(name == "mon2" for name, _ in controller._reply_handlers)
-        # The late reply is dropped instead of being dispatched through the
-        # stale binding (and must not crash the simulation).
+        # The pending read fails at once; the late reply is dropped instead of
+        # being dispatched through the stale binding (it would complete the
+        # future a second time and crash the simulation).
+        assert future.done and type(future.exception) is UnknownMiddleboxError
         sim.run(until=sim.now + 1.0)
-        assert not future.done
         assert channel._handlers["to_controller"] is None
 
     def test_unregistered_middlebox_events_are_dropped(self, sim, controller, monitor_pair):

@@ -273,6 +273,104 @@ class TestPerFlowStateStore:
         assert dict(store.items())[key(0).bidirectional()] == "a"
 
 
+class CountingKey(FlowKey):
+    """A canonical flow key that counts how often any key of its kind is hashed.
+
+    Every key a test puts must be one (a ``FlowKey`` never equals a subclass
+    instance) and canonical, so the store keeps the object it was given."""
+
+    __slots__ = ()
+    hashes = 0
+
+    def __hash__(self) -> int:
+        CountingKey.hashes += 1
+        return FlowKey.__hash__(self)
+
+
+def hashes_of(operation) -> int:
+    """Flow-key hashes one call makes."""
+    CountingKey.hashes = 0
+    operation()
+    return CountingKey.hashes
+
+
+class TestOneDictOperationPerMapPerKey:
+    """A store operation hashes the flow key once per map it touches.
+
+    The fixture's fresh flow shares its server address and service port with
+    three resident flows (two posting dicts) and has a client address and an
+    ephemeral port of its own (two single-key buckets)."""
+
+    @staticmethod
+    def indexed_store():
+        store = PerFlowStateStore(indexed=True)
+        for client in range(3):
+            store.put(CountingKey(6, f"10.0.0.{client + 1}", "192.0.2.10", 1000 + client, 80), client)
+        return store, CountingKey(6, "10.0.0.9", "192.0.2.10", 1009, 80)
+
+    def test_plain_put_get_remove_hash_once(self):
+        store, fresh = PerFlowStateStore(), CountingKey(6, "10.0.0.9", "192.0.2.10", 1009, 80)
+        assert hashes_of(lambda: store.put(fresh, 1)) == 1
+        assert hashes_of(lambda: store.put(fresh, 2)) == 1
+        assert hashes_of(lambda: store.get(fresh)) == 1
+        assert hashes_of(lambda: store.remove(fresh)) == 1
+
+    def test_indexed_put_and_remove_hash_once_per_map(self):
+        store, fresh = self.indexed_store()
+        assert hashes_of(lambda: store.put(fresh, 9)) == 3  # the entry map and two posting dicts
+        assert hashes_of(lambda: store.put(fresh, 10)) == 1  # resident already: the index is untouched
+        assert hashes_of(lambda: store.remove(fresh)) == 3
+        assert store.memory_stats().index_postings == 3 * 4 and len(store) == 3
+
+    def test_an_indexed_scan_candidate_is_one_lookup(self):
+        store, fresh = self.indexed_store()
+        store.put(fresh, 9)
+        pattern = FlowPattern(nw_src=fresh.nw_src)  # the client's one-key bucket: one candidate
+        assert hashes_of(lambda: store.query(pattern)) == 1
+        assert store.query(pattern) == [(fresh, 9)]
+
+    def test_dirty_tracking_and_install_tags_add_one_each(self):
+        store, fresh = self.indexed_store()
+        store.begin_dirty_tracking()
+        assert hashes_of(lambda: store.put(fresh, 9)) == 4
+        assert hashes_of(lambda: store.install_round(fresh, (1, 0))) == 2  # read, then write
+        assert hashes_of(lambda: store.remove(fresh)) == 5  # entry, tag, dirt, two posting dicts
+
+
+def _grown_store() -> PerFlowStateStore:
+    """An indexed store at its accounted peak: entries, postings, dirt and tags."""
+    store = PerFlowStateStore(indexed=True)
+    store.begin_dirty_tracking()
+    for i in range(4):
+        store.put(key(i), i)
+        store.install_round(key(i), (1, i))
+    return store
+
+
+#: Every operation that can shrink the accounted footprint.
+SHRINKS = {
+    "remove": lambda store: store.remove(key(3)),
+    "remove_matching": lambda store: store.remove_matching(FlowPattern(nw_src=key(3).nw_src)),
+    "clear": lambda store: store.clear(),
+    "begin_dirty_tracking": lambda store: store.begin_dirty_tracking(),
+    "end_dirty_tracking": lambda store: store.end_dirty_tracking(),
+    "drain_dirty": lambda store: store.drain_dirty(),
+    "clear_install_round": lambda store: store.clear_install_round(key(3)),
+    "clear_install_rounds": lambda store: store.clear_install_rounds(),
+}
+
+
+@pytest.mark.parametrize("shrink", sorted(SHRINKS))
+def test_a_shrink_keeps_the_peak_the_writes_before_it_reached(shrink):
+    """Writes do no accounting: the peak is taken before each shrink (and on read)."""
+    store = _grown_store()
+    peak = store.memory_stats().total_bytes
+    SHRINKS[shrink](store)
+    stats = store.memory_stats()
+    assert stats.total_bytes < peak
+    assert stats.peak_total_bytes == peak
+
+
 class TestSharedStateSlot:
     def test_replace(self):
         slot = SharedStateSlot({"count": 1})

@@ -10,16 +10,25 @@ install-round verdicts.  Any divergence is a bug in the store (or a
 deliberate semantic change that must be called out explicitly).
 """
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from repro.core.errors import GranularityError
 from repro.core.flowspace import FlowKey, FlowPattern
-from repro.core.state import PerFlowStateStore
+from repro.core.state import (
+    DIRTY_SLOT_BYTES,
+    ENTRY_SLOT_BYTES,
+    INDEX_POSTING_BYTES,
+    TAG_SLOT_BYTES,
+    VALUE_SLOT_BYTES,
+    PerFlowStateStore,
+    StoreMemoryStats,
+)
 
 from dict_store_oracle import DictPerFlowStateStore
 
@@ -219,23 +228,36 @@ def in_insertion_order(oracle, pattern):
 
 
 class CompactBucketMachine(RuleBasedStateMachine):
-    """An indexed store against the single-dict oracle under the skewed universe."""
+    """An indexed store against the single-dict oracle under the skewed universe.
+
+    Dirty tracking and install tags run too, so every site where the accounted
+    footprint shrinks is stepped through; the memory snapshot is checked field
+    by field against counts made here, its peak against the running maximum
+    of the total this machine recomputes after every step.  (The oracle's
+    indexed scan iterates a ``set``, so dirty keys it drains after a
+    ``remove_matching`` compare as sets.)  Per-key rules draw a key once put
+    (or tagged) as often as a fresh one, so removes and tag clears mostly hit.
+    """
+
+    keys = Bundle("keys")
 
     def __init__(self):
         super().__init__()
         self.store = PerFlowStateStore(indexed=True)
         self.oracle = DictPerFlowStateStore(indexed=True)
+        self.peak = 0
 
-    @rule(key=skewed_keys, value=st.integers(0, 9), reverse=st.booleans())
+    @rule(target=keys, key=skewed_keys, value=st.integers(0, 9), reverse=st.booleans())
     def put(self, key, value, reverse):
         key = key.reversed() if reverse else key
         self.store.put(key, value)
         self.oracle.put(key, value)
+        return key
 
-    @rule(key=skewed_keys, reverse=st.booleans())
+    @rule(key=st.one_of(keys, skewed_keys), reverse=st.booleans())
     def remove(self, key, reverse):
         """By a freshly built key: equal to the one a bucket holds, never that object."""
-        key = key.reversed() if reverse else key
+        key = key.reversed() if reverse else dataclasses.replace(key)
         assert self.store.remove(key) == self.oracle.remove(key)
 
     @rule(pattern=st.sampled_from(PINNED))
@@ -248,6 +270,63 @@ class CompactBucketMachine(RuleBasedStateMachine):
     def clear(self):
         self.store.clear()
         self.oracle.clear()
+
+    @rule()
+    def begin_dirty_tracking(self):
+        self.store.begin_dirty_tracking()
+        self.oracle.begin_dirty_tracking()
+
+    @rule()
+    def end_dirty_tracking(self):
+        self.store.end_dirty_tracking()
+        self.oracle.end_dirty_tracking()
+
+    @rule(key=st.one_of(keys, skewed_keys))
+    def mark_dirty(self, key):
+        self.store.mark_dirty(key)
+        self.oracle.mark_dirty(key)
+
+    @rule()
+    def drain_dirty(self):
+        assert sorted(self.store.drain_dirty()) == sorted(self.oracle.drain_dirty())
+
+    @rule(target=keys, key=st.one_of(keys, skewed_keys), tag=st.tuples(st.integers(0, 2), st.integers(0, 3)))
+    def install_round(self, key, tag):
+        assert self.store.install_round(key, tag) == self.oracle.install_round(key, tag)
+        return key
+
+    @rule(key=st.one_of(keys, skewed_keys))
+    def clear_install_round(self, key):
+        self.store.clear_install_round(key)
+        self.oracle.clear_install_round(key)
+
+    @rule()
+    def clear_install_rounds(self):
+        assert self.store.clear_install_rounds() == self.oracle.clear_install_rounds()
+
+    @invariant()
+    def accounts_memory_field_by_field(self):
+        """The snapshot is population counts times slot constants, and its peak is
+        the highest total any step left behind — however many writes went by
+        unaccounted in between."""
+        entries, dirty, tags = len(self.oracle), self.oracle.dirty_count, self.oracle.install_round_count
+        # The oracle indexes source addresses only, so the postings are counted
+        # here: distinct (field value, key) pairs over the resident keys.
+        postings = sum(len(bucket) for index in expected_postings(self.oracle.keys()) for bucket in index.values())
+        entry_bytes, dirty_bytes = entries * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES), dirty * DIRTY_SLOT_BYTES
+        tag_bytes, index_bytes = tags * TAG_SLOT_BYTES, postings * INDEX_POSTING_BYTES
+        self.peak = max(self.peak, entry_bytes + dirty_bytes + tag_bytes + index_bytes)
+        assert self.store.memory_stats() == StoreMemoryStats(
+            entries=entries,
+            entry_bytes=entry_bytes,
+            dirty_entries=dirty,
+            dirty_bytes=dirty_bytes,
+            install_tags=tags,
+            install_tag_bytes=tag_bytes,
+            index_postings=postings,
+            index_bytes=index_bytes,
+            peak_total_bytes=self.peak,
+        )
 
     @invariant()
     def answers_like_the_oracle_in_insertion_order(self):
@@ -262,7 +341,6 @@ class CompactBucketMachine(RuleBasedStateMachine):
     @invariant()
     def a_bucket_is_a_key_or_an_ordered_dict_of_two_or_more(self):
         """Read through the private maps: the one test allowed to know the two shapes."""
-        postings = 0
         for actual, expected in zip((self.store._by_src, self.store._by_port), expected_postings(self.oracle.keys())):
             assert actual.keys() == expected.keys()  # an emptied bucket is gone, not an empty dict
             for value, bucket in actual.items():
@@ -270,10 +348,6 @@ class CompactBucketMachine(RuleBasedStateMachine):
                     assert len(bucket) >= 2 and list(bucket) == expected[value], value
                 else:
                     assert type(bucket) is FlowKey and [bucket] == expected[value], value
-                postings += len(expected[value])
-        # The oracle indexes source addresses only, so the count is made here:
-        # distinct (field value, key) pairs over the resident keys.
-        assert self.store.memory_stats().index_postings == postings
 
 
 CompactBucketMachine.TestCase.settings = settings(max_examples=settings.default.max_examples // 2, stateful_step_count=40, deadline=None)

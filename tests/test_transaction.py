@@ -21,7 +21,7 @@ from repro.core import (
     TransferGuarantee,
     TransferSpec,
 )
-from repro.core.errors import StateError, UnknownMiddleboxError
+from repro.core.errors import InstanceDeadError, StateError, UnknownMiddleboxError
 from repro.middleboxes import DummyMiddlebox, PassiveMonitor
 from repro.net import tcp_packet
 
@@ -334,24 +334,20 @@ class TestSwapRoutes:
         scenario.sim.run(until=scenario.sim.now + 0.1)
         assert scenario.sdn.rules_installed == rules_before
 
-    def test_swap_is_make_before_break_and_rolls_back(self, sim):
+    def test_swap_installs_new_routes_and_rolls_them_back(self, sim):
         scenario = monitor_scenario()
         pattern = FlowPattern(nw_dst="172.16.0.0/16")
-        old = scenario.routes[0]
+        existing = set(scenario.sdn.routes)
         path = [scenario.client_gw, scenario.ingress, scenario.mb2, scenario.egress, scenario.server_gw]
-        swap = scenario.sdn.swap_routes([(pattern, path)], priority=400, replace=[old])
-        # Before install completes the replaced route is still present.
-        assert old.route_id in scenario.sdn.routes
+        swap = scenario.sdn.swap_routes([(pattern, path)], priority=400)
         scenario.sim.run_until(swap.installed)
-        scenario.sim.run(until=scenario.sim.now + 0.1)
-        assert old.route_id not in scenario.sdn.routes
         assert all(route.route_id in scenario.sdn.routes for route in swap.routes)
-        # Rollback removes the new routes and restores the replaced one.
+        assert all(rule.priority == 400 for route in swap.routes for rule in route.rules)
+        # Rollback removes the new routes and leaves every earlier one in place.
         swap.rollback()
+        swap.rollback()  # idempotent
         scenario.sim.run(until=scenario.sim.now + 0.1)
-        assert all(route.route_id not in scenario.sdn.routes for route in swap.routes)
-        assert any(handle.pattern == pattern and handle.path == old.path for handle in scenario.sdn.routes.values())
-
+        assert set(scenario.sdn.routes) == existing
 
 class TestCloneConfigFailurePaths:
     def test_clone_config_fails_future_when_destination_vanishes(self, sim):
@@ -386,10 +382,25 @@ class TestCloneConfigFailurePaths:
         controller.register(src)
         controller.register(dst)
         future = northbound.clone_config("cc-src", "cc-dst")
-        controller.unregister("cc-src")  # its reply is discarded: read never fires
+        controller.unregister("cc-src")  # its reply is discarded: the read can never succeed
         sim.run(until=sim.now + 1.0)
-        # The read can never complete; the clone future must not block a
-        # transaction forever when the caller resolves it externally.
-        assert not future.done  # still pending is acceptable for a dead read...
-        future.fail(UnknownMiddleboxError("cc-src vanished"))  # caller cancels
+        # Unregistering fails the pending read, and the clone with it.
         assert future.done
+        assert type(future.exception) is UnknownMiddleboxError
+        assert not controller._reply_handlers
+
+    def test_killing_a_middlebox_aborts_a_transaction_awaiting_its_stats(self, sim, dummy_txn):
+        """A plain request (``stats``) whose middlebox dies before replying fails its
+        step with ``InstanceDeadError``, so the transaction aborts instead of running for ever."""
+        controller, northbound, _, _ = dummy_txn
+        txn = northbound.transaction()
+        txn.stats("t-dst", None)
+        handle = txn.commit()
+        sim.run(until=sim.now)  # the request is on the wire
+        assert len(controller._reply_handlers) == 1
+        controller.kill("t-dst")
+        with pytest.raises(TransactionAbortedError):
+            sim.run_until(handle.done, limit=10)
+        assert handle.status == "aborted"
+        assert isinstance(handle.done.exception.cause, InstanceDeadError)
+        assert [record.status for record in handle.steps] == [StepStatus.FAILED]
