@@ -7,9 +7,12 @@ northbound API) and middleboxes (which speak the southbound message protocol):
 * it translates each northbound call into the corresponding sequence of
   southbound requests (the state machines in :mod:`repro.core.operations`,
   which reach the world only through the port this class implements: the
-  runtime's clock, :meth:`send`, :meth:`forward_event` and a few more);
-* it buffers re-process events until the destination has ACKed the put for the
-  affected state, then forwards them (paper Figure 5);
+  runtime's clock, :meth:`send` and a few more);
+* it hands re-process events to the live operations of their source, which
+  buffer them until the destination has ACKed the put for the affected state
+  and then replay them (paper Figure 5), once per state install at each
+  destination: live operations targeting one destination share its
+  :class:`~repro.core.operations.ReplayLedger`;
 * it runs message handling on one or more **controller shards**
   (:mod:`repro.core.sharding`): each shard is a simulated CPU with a
   per-message processing cost.  With the default single shard, concurrent
@@ -28,16 +31,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.simulator import Future, Simulator, all_of
 from . import messages
 from .channel import DEFAULT_CONTROL_BANDWIDTH, DEFAULT_CONTROL_LATENCY, ControlChannel
 from .errors import OperationAbortedError, OperationError, ProtocolError, UnknownMiddleboxError
 from .events import Event, EventCode
-from .flowspace import FlowKey, FlowPattern
+from .flowspace import FlowPattern
 from .messages import BATCHABLE_REQUESTS, Message, MessageType
-from .operations import CloneOperation, MergeOperation, MoveOperation, OperationHandle, OperationRecord, _lost, _StatefulOperation
+from .operations import CloneOperation, MergeOperation, MoveOperation, OperationHandle, OperationRecord, ReplayLedger
+from .operations import _lost, _StatefulOperation
 from .sharding import ControllerShard, ShardCoordinator
 from .southbound import SouthboundAgent
 from .stats import ControllerStats
@@ -121,32 +125,15 @@ class MBController:
         #: requests and the set of middleboxes with a flush already scheduled.
         self._outbox: Dict[str, List[Message]] = {}
         self._flush_scheduled: Set[str] = set()
-        #: Operations currently in flight, keyed by source MB name.
+        #: The live operations — from start until they finish — by source MB name, in start order.
         self._active_by_src: Dict[str, List[_StatefulOperation]] = {}
+        #: One replay ledger per destination, kept while a live operation targets it.
+        self._ledgers: Dict[str, ReplayLedger] = {}
         #: Application subscribers for introspection events.
         self._event_subscribers: List[Callable[[Event], None]] = []
-        #: Monotonic sequence tokens stamped on ACKed installs and on replays; the
-        #: relative order of a flow's last install and an event's last replay
-        #: decides whether the event must be replayed (again).
-        self._transfer_seq = itertools.count(1)
         #: Ids it numbers: its requests, the events it decodes, its operations and transactions.
         self._xids, self._event_ids = itertools.count(1), itertools.count(1)
         self.op_ids, self.txn_ids = itertools.count(1), itertools.count(1)
-        #: (event id, destination) -> sequence token of the most recent replay.
-        #: An event routed to several concurrent operations (e.g. a move and a
-        #: merge sharing the same source) is replayed once per state install —
-        #: usually exactly once, but a replay is *re-issued* when a later state
-        #: chunk overwrote the flow's state at the destination.
-        self._forwarded_events: Dict[Tuple[int, str], int] = {}
-        #: Replays sent but not yet ACKed, keyed like ``_forwarded_events``.
-        #: While a replay is in flight, re-issue decisions are deferred: an
-        #: install whose ACK we have already processed was applied *before*
-        #: the in-flight replay (the destination ACKs on one FIFO channel),
-        #: so the replay's update supersedes it and must not be doubled.
-        self._replays_in_flight: Set[Tuple[int, str]] = set()
-        #: (destination, canonical flow key) -> sequence token of the last
-        #: ACKed per-flow state install at that destination.
-        self._installed_state: Dict[Tuple[str, FlowKey], int] = {}
         #: Liveness: last simulated time any message arrived from each
         #: registered middlebox, and whether the periodic sweep is scheduled.
         self._last_seen: Dict[str, float] = {}
@@ -202,7 +189,6 @@ class MBController:
         for operations in list(self._active_by_src.values()):
             for operation in list(operations):
                 operation.instance_down(name, dead)
-        self._active_by_src.pop(name, None)
         # A reply that will never come: a move awaiting it to start its standby
         # retry fails its handle, a plain request (:meth:`_request`) its future
         # — once the instance is torn down below — instead of hanging.
@@ -448,12 +434,12 @@ class MBController:
         self.stats.events_received += 1
         shard.stats.events += 1
         if event.is_reprocess:
-            # Deliver to the operations that broadcast interest in this
-            # source onto the shard owning the event's flow.  With one shard
-            # this is exactly the seed's every-operation-with-this-source
-            # delivery; with several, an exact-pattern operation only sees
-            # events its own shard owns.
-            for operation in shard.operations_for(mb_name):
+            # Deliver to the live operations from this source whose pattern
+            # could own flows on the shard owning the event's flow, in start
+            # order.  With one shard that is every operation from the source;
+            # with several, an exact-pattern operation only sees events its
+            # own shard owns.
+            for operation in [op for op in self._active_by_src.get(mb_name, ()) if shard in op.shards]:
                 operation.on_event(event)
         else:
             self.stats.introspection_events += 1
@@ -463,91 +449,6 @@ class MBController:
     def subscribe_events(self, callback: Callable[[Event], None]) -> None:
         """Register an application callback for introspection events."""
         self._event_subscribers.append(callback)
-
-    def note_perflow_installed(self, dst_mb: str, keys: Iterable[FlowKey], *, operation=None) -> None:
-        """Record that per-flow state for *keys* was installed (put ACKed) at *dst_mb*.
-
-        Replays of an event are suppressed only while no install for the
-        event's flow happened after the last replay; stamping installs here is
-        what lets :meth:`forward_event` re-issue a replay whose effect a later
-        chunk overwrote.
-        """
-        for key in keys:
-            token = (dst_mb, key)
-            self._installed_state[token] = next(self._transfer_seq)
-            if operation is not None:
-                operation._install_tokens.add(token)
-
-    def forward_event(
-        self,
-        dst_mb: str,
-        event: Event,
-        on_reply: Optional[Callable[..., None]] = None,
-        *args: object,
-        shard: Optional[ControllerShard] = None,
-    ) -> str:
-        """Replay *event*'s packet at *dst_mb*, exactly once per state install.
-
-        Returns ``"sent"`` when the re-process message was actually sent and
-        ``"covered"`` when the event's update is already ensured at the
-        destination by a previous replay (no message goes out and *on_reply*
-        never runs).  The common case is one replay per (event, destination):
-        concurrent operations sharing a destination (e.g. a move and a merge
-        with the same source) do not double-replay.  The exception closes the
-        cross-operation coordination bug: when a per-flow state chunk was
-        installed *after* the event's last replay, that chunk overwrote the
-        replayed update at the destination, so the replay is issued again —
-        with the shared-state component stripped, because shared puts merge
-        (instead of overwriting) and the earlier replay's shared update
-        therefore survived.
-
-        ``on_reply(reply, *args)`` routes the destination's ACK back to the
-        caller (order-preserving transfers wait for replay ACKs before
-        releasing a flow's packet hold).
-
-        Raises:
-            UnknownMiddleboxError: when *dst_mb* is not registered.
-        """
-        token = (event.event_id, dst_mb)
-        last_replay = self._forwarded_events.get(token)
-        shared_override: Optional[bool] = None
-        if last_replay is not None:
-            key = event.key.bidirectional() if event.key is not None else None
-            installed = self._installed_state.get((dst_mb, key), 0) if key is not None else 0
-            if last_replay >= installed:
-                return "covered"  # nothing installed since the last replay: still applied
-            if token in self._replays_in_flight:
-                # The previous replay is still on the wire.  Any install whose
-                # ACK we have seen was applied before it (ACKs share one FIFO
-                # channel), so that chunk did NOT overwrite the replay — the
-                # replay lands after it.  Re-issuing here would double-apply.
-                return "covered"
-            shared_override = False  # re-replay only the overwritten per-flow component
-        seq = next(self._transfer_seq)
-        self._forwarded_events[token] = seq
-        self._replays_in_flight.add(token)
-        replay = messages.reprocess_message(dst_mb, event, shared=shared_override)
-        if not self.send(dst_mb, replay, self._on_replay_reply, token, seq, on_reply, args, shard=shard):
-            self._registration(dst_mb)  # raises UnknownMiddleboxError
-        return "sent"
-
-    def _on_replay_reply(
-        self, message: Message, token: Tuple[int, str], seq: int, on_reply: Optional[Callable[..., None]], args: tuple
-    ) -> None:
-        """Re-stamp a replay's dedup token on its ACK, then run the caller's ``on_reply(message, *args)``.
-
-        ACKs travel back on the same FIFO channel the puts' ACKs use, so
-        token order then mirrors the order the destination actually *applied*
-        replay vs. chunk.  Without this, a replay sent in a put's send→ACK
-        window (but applied after the chunk) would look older than the
-        install and be re-issued — a double apply.
-        """
-        if self._forwarded_events.get(token) == seq:
-            self._replays_in_flight.discard(token)
-        if message.type == MessageType.ACK and self._forwarded_events.get(token) == seq:
-            self._forwarded_events[token] = next(self._transfer_seq)
-        if on_reply is not None:
-            on_reply(message, *args)
 
     # -- simple northbound operations --------------------------------------------------------------------
 
@@ -568,6 +469,8 @@ class MBController:
     @staticmethod
     def _on_request_reply(reply: Message, future: Future, expect: str, extract: str, request_type: str) -> None:
         """Resolve a :meth:`_request` future from its reply: *extract* (or True) on *expect*, failed on ERROR."""
+        if future.done:
+            return  # the caller gave up on the request (or failed it) before the reply came
         kind, fields = messages.parse_reply(reply)
         if kind == expect:
             future.succeed(fields[extract] if extract else True)
@@ -688,16 +591,13 @@ class MBController:
             op_id=next(self.op_ids),
             home_shard=home_shard,
             shards=self.coordinator.shards_for_pattern(pattern),
+            ledger=self._ledgers.setdefault(dst, ReplayLedger()),
             quiescence_timeout=self.config.quiescence_timeout,
             buffer_events=self.config.buffer_events,
             **extra,
         )
         self.stats.operations_started += 1
         self._active_by_src.setdefault(src, []).append(operation)
-        # Broadcast the operation's event interest to every shard its pattern
-        # could own flows on (one shard for an exact five-tuple, all shards
-        # for wildcard/prefix patterns).
-        self.coordinator.register_operation(operation)
         operation.start()
         return operation.handle
 
@@ -715,37 +615,15 @@ class MBController:
         return operation.abort(OperationAbortedError(reason))
 
     def operation_finished(self, operation: _StatefulOperation) -> None:
-        """Called by an operation when it has fully finalised (or failed)."""
-        active = self._active_by_src.get(operation.src, [])
-        if operation in active:
-            active.remove(operation)
-        self.coordinator.release_operation(operation)
-        # Prune the operation's replay-dedup and install-sequence tokens so
-        # _forwarded_events / _installed_state stay bounded.  A concurrent
-        # operation with the same destination may still be holding the same
-        # event in its buffer (it forwards only when its flow is ACKed), so
-        # tokens for a destination another active operation targets are
-        # inherited by that operation instead of being dropped — they are
-        # pruned when it finishes.
-        still_active = [op for ops in self._active_by_src.values() for op in ops]
-
-        def heir_for(dst: str) -> Optional[_StatefulOperation]:
-            return next((op for op in still_active if op.dst == dst), None)
-
-        for token in operation._forward_tokens:
-            heir = heir_for(token[1])
-            if heir is not None:
-                heir._forward_tokens.add(token)
-            else:
-                self._forwarded_events.pop(token, None)
-        operation._forward_tokens.clear()
-        for token in operation._install_tokens:
-            heir = heir_for(token[0])
-            if heir is not None:
-                heir._install_tokens.add(token)
-            else:
-                self._installed_state.pop(token, None)
-        operation._install_tokens.clear()
+        """Called by an operation when it has fully finalised (or failed): it is live no more."""
+        live = self._active_by_src[operation.src]
+        live.remove(operation)
+        if not live:
+            del self._active_by_src[operation.src]
+        # Another live operation targeting the destination may still hold one
+        # of the ledger's events in its buffer: the ledger goes with the last.
+        if not any(op.dst == operation.dst for ops in self._active_by_src.values() for op in ops):
+            del self._ledgers[operation.dst]
         self.stats.archive(operation.record)
 
     # -- convenience ---------------------------------------------------------------------------------------

@@ -13,13 +13,15 @@ An operation touches the world only through its *port*, which
 * ``send(mb, message, on_reply, *args, shard=...)``, which returns False for
   an unregistered instance; a pending reply is data — the bound method the
   reply goes to and its arguments — never a closure;
-* ``forward_event``, ``note_perflow_installed``, ``is_registered``,
-  ``start_move`` (a standby retry), ``operation_finished`` and the ``stats``
-  counters.
+* ``is_registered``, ``start_move`` (a standby retry), ``operation_finished``
+  and the ``stats`` counters.
 
-What else an operation needs — op id, home shard, shards, the quiescence
-timeout, the ``buffer_events`` switch, whether another pre-copy from the same
-source is live — is fixed when the controller builds it.
+What else an operation needs — op id, home shard, shards, the destination's
+:class:`ReplayLedger`, the quiescence timeout, the ``buffer_events`` switch,
+whether another pre-copy from the same source is live — is fixed when the
+controller builds it.  An operation sends its own replays: the ledger it
+shares with every live operation targeting the same destination says whether
+an event still needs one.
 
 * **move** (Figure 5): issue per-flow supporting and reporting gets at the
   source; stream every chunk to the destination through the spec's pipeline —
@@ -47,6 +49,7 @@ loss-free with puts issued as chunks stream in.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
@@ -184,6 +187,59 @@ def _lost(name: str, dead: bool, when: str) -> UnknownMiddleboxError:
     return (InstanceDeadError if dead else UnknownMiddleboxError)(f"middlebox {name!r} {verb} {when}")
 
 
+class ReplayLedger:
+    """One destination's replays: each event is replayed there once per state install.
+
+    Live operations sharing a destination (a move and a merge with the same
+    source, say) share one ledger, so an event routed to several of them is
+    replayed once.  ACKed per-flow installs and replays draw tokens from one
+    counter, and a replay is re-stamped when its ACK arrives: ACKs share one
+    FIFO channel with the puts' ACKs, so token order is the order in which the
+    destination applied replay and chunk.  A replay is re-issued when a chunk
+    for the event's flow was installed after it (the chunk overwrote the
+    update), carrying the per-flow component only: shared puts merge, so the
+    earlier replay's shared update survived.
+    """
+
+    def __init__(self) -> None:
+        self._tokens = itertools.count(1)
+        #: Event id -> token of its most recent replay.
+        self.replays: Dict[int, int] = {}
+        #: Event ids whose most recent replay is not yet answered.  While one
+        #: is, an install whose ACK has been seen was applied *before* it, so
+        #: that chunk did not overwrite it: re-issuing would double-apply.
+        self.in_flight: Set[int] = set()
+        #: Canonical flow key -> token of its last ACKed per-flow install.
+        self.installs: Dict[FlowKey, int] = {}
+
+    def installed(self, keys: Tuple[FlowKey, ...]) -> None:
+        """Stamp an ACKed per-flow install of the canonical *keys*."""
+        for key in keys:
+            self.installs[key] = next(self._tokens)
+
+    def claim(self, event: Event) -> Optional[Tuple[int, Optional[bool]]]:
+        """``(token, shared override)`` for replaying *event* now; None when a replay already covers it."""
+        last = self.replays.get(event.event_id)
+        if last is None:
+            return next(self._tokens), None
+        installed = self.installs.get(event.key.bidirectional(), 0) if event.key is not None else 0
+        if last >= installed or event.event_id in self.in_flight:
+            return None
+        return next(self._tokens), False
+
+    def sent(self, event_id: int, token: int) -> None:
+        """The replay claimed with *token* went out."""
+        self.replays[event_id] = token
+        self.in_flight.add(event_id)
+
+    def answered(self, event_id: int, token: int, acked: bool) -> None:
+        """The destination answered the replay sent with *token*: re-stamp it when *acked*."""
+        if self.replays.get(event_id) == token:
+            self.in_flight.discard(event_id)
+            if acked:
+                self.replays[event_id] = next(self._tokens)
+
+
 def _roles_where(scope: StateScope, permitted: str) -> Tuple[StateRole, ...]:
     """Roles whose *scope* cell Table 1 marks *permitted* (``movable`` / ``cloneable`` / ``mergeable``), in its order."""
     return tuple(cell.role for cell in TAXONOMY.values() if cell.scope is scope and getattr(cell, permitted))
@@ -207,6 +263,7 @@ class _StatefulOperation:
         op_id: int,
         home_shard,
         shards,
+        ledger: ReplayLedger,
         quiescence_timeout: float,
         buffer_events: bool,
         handle: Optional[OperationHandle] = None,
@@ -219,9 +276,11 @@ class _StatefulOperation:
         #: Home shard: the controller loop that sends this operation's
         #: southbound requests and absorbs their replies/ACKs.
         self.home_shard = home_shard
-        #: Every shard the operation's pattern could own flows on; the
-        #: controller broadcasts its event interest to all of them.
+        #: Every shard the operation's pattern could own flows on: the
+        #: controller hands it the source's events that arrive on these.
         self.shards = shards
+        #: The replays at the destination, shared with every live operation targeting it.
+        self.ledger = ledger
         self.quiescence_timeout = quiescence_timeout
         self.buffer_events = buffer_events
         self.record = OperationRecord(
@@ -249,12 +308,6 @@ class _StatefulOperation:
         self._finalize_scheduled = False
         self._finalized = False
         self._archived = False
-        #: (event id, destination) replay-dedup tokens this operation added;
-        #: pruned from the controller when the operation finishes.
-        self._forward_tokens: Set[Tuple[int, str]] = set()
-        #: (destination, flow key) install-sequence tokens this operation
-        #: stamped; pruned alongside the replay tokens.
-        self._install_tokens: Set[Tuple[str, FlowKey]] = set()
 
     # -- inputs from the controller ----------------------------------------------------
 
@@ -333,18 +386,30 @@ class _StatefulOperation:
         self._archived = True
         self.port.operation_finished(self)
 
-    def _forward(self, event: Event, on_reply=None, *args: object) -> bool:
-        """Ensure *event* is replayed at the destination; True when a message went out.
+    def _forward(self, event: Event, canonical: Optional[FlowKey] = None) -> bool:
+        """Ensure *event* is replayed at the destination; True when a replay went out.
 
         ``events_forwarded`` counts events whose replay at the destination
-        this operation ensured — including ones a concurrent operation's
-        replay already covers (``"covered"``), where no duplicate message is
-        sent and ``on_reply(reply, *args)`` will never run.
+        this operation ensured — including ones the ledger says a replay
+        already covers, where no duplicate is sent and no reply will come.  A
+        replay the destination can no longer receive (it is gone, say after
+        the move completed) is counted in ``events_dropped`` instead.
+        *canonical* names the flow whose ordered release awaits the reply.
         """
-        disposition = self.port.forward_event(self.dst, event, on_reply, *args, shard=self.home_shard)
+        claim = self.ledger.claim(event)
+        if claim is not None:
+            token, shared = claim
+            replay = messages.reprocess_message(self.dst, event, shared=shared)
+            if not self.port.send(self.dst, replay, self._on_replay_reply, event.event_id, token, canonical, shard=self.home_shard):
+                self.record.events_dropped += 1
+                return False
+            self.ledger.sent(event.event_id, token)
         self.record.events_forwarded += 1
-        self._forward_tokens.add((event.event_id, self.dst))
-        return disposition == "sent"
+        return claim is not None
+
+    def _on_replay_reply(self, message: Message, event_id: int, token: int, canonical: Optional[FlowKey]) -> None:
+        """Re-stamp the replay in the ledger when the destination ACKs it."""
+        self.ledger.answered(event_id, token, message.type == MessageType.ACK)
 
     # -- quiescence ------------------------------------------------------------------------
 
@@ -681,10 +746,10 @@ class MoveOperation(_StatefulOperation):
             return
         self._in_flight -= 1
         self.record.puts_acked += len(keys)
-        # Stamp the install sequence *before* the per-flow flushes run:
-        # replays issued below must compare as ordered after this install
-        # (they are applied at the destination after it).
-        self.port.note_perflow_installed(self.dst, keys, operation=self)
+        # Stamp the install *before* the per-flow flushes run: replays issued
+        # below must compare as ordered after it (the destination applies
+        # them after it).
+        self.ledger.installed(keys)
         for canonical in keys:
             remaining = self._pending_chunks.get(canonical, 0) - 1
             if remaining <= 0:
@@ -806,7 +871,7 @@ class MoveOperation(_StatefulOperation):
         closure = self._closures[canonical]
         sent = 0
         for event in self._buffered.pop(canonical, ()):
-            if self._forward(event, self._on_replay_reply, canonical):
+            if self._forward(event, canonical):
                 sent += 1
         if sent:
             if not closure.replays:
@@ -815,9 +880,10 @@ class MoveOperation(_StatefulOperation):
         elif not closure.replays:
             self._send_release(canonical)
 
-    def _on_replay_reply(self, message: Message, canonical: FlowKey) -> None:
-        """Count down the flow's in-flight replays; release when they drain."""
-        if self._archived or message.type not in (MessageType.ACK, MessageType.ERROR):
+    def _on_replay_reply(self, message: Message, event_id: int, token: int, canonical: Optional[FlowKey]) -> None:
+        """As for any operation; then count down an ordered flow's in-flight replays and release it when they drain."""
+        super()._on_replay_reply(message, event_id, token, canonical)
+        if canonical is None or self._archived or message.type not in (MessageType.ACK, MessageType.ERROR):
             return
         closure = self._closures[canonical]
         if closure.replays > 1:

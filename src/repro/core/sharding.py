@@ -15,9 +15,7 @@ This module partitions that event loop:
   matching flows across the whole ring, so pattern-scoped work is broadcast
   to all matching shards).
 * :class:`ControllerShard` — one controller event/ACK loop: its own simulated
-  CPU (the per-message handling cost is charged here, not globally) and its
-  own interest registry mapping a source middlebox to the operations that
-  want its re-process events.
+  CPU (the per-message handling cost is charged here, not globally).
 * :class:`ShardCoordinator` — the shared brain above the shards.  It owns the
   ring, assigns every stateful operation a *home shard* (the shard whose loop
   sends the operation's southbound requests and absorbs their replies),
@@ -36,13 +34,10 @@ import bisect
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.simulator import Future, Simulator
 from .flowspace import FlowKey, FlowPattern
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .operations import _StatefulOperation
 
 #: Virtual nodes per shard on the consistent-hash ring.  Enough replicas keep
 #: the per-shard share of the flow space within a few percent of uniform.
@@ -142,7 +137,7 @@ class ShardStats:
 
 
 class ControllerShard:
-    """One partition of the controller: a CPU, its queue, and event interest.
+    """One partition of the controller: a CPU and its queue.
 
     Every message routed to a shard is charged to *this* shard's simulated
     CPU; two shards never contend with each other, which is what converts the
@@ -157,8 +152,6 @@ class ControllerShard:
         #: Watermark arithmetic on the runtime's clock: shards overlap in
         #: (simulated or wall) time, the one kernel thread runs their work.
         self._cpu = sim.lane(f"shard-{shard_id}")
-        #: Source middlebox name -> operations registered for its events.
-        self._interest: Dict[str, List["_StatefulOperation"]] = {}
 
     # -- CPU model ---------------------------------------------------------------------
 
@@ -172,24 +165,6 @@ class ControllerShard:
     def idle_at(self) -> float:
         """Earliest runtime time at which this shard's CPU queue is empty."""
         return self._cpu.idle_at
-
-    # -- event interest ----------------------------------------------------------------
-
-    def watch(self, src: str, operation: "_StatefulOperation") -> None:
-        """Register *operation* for re-process events raised by *src* on this shard."""
-        self._interest.setdefault(src, []).append(operation)
-
-    def unwatch(self, src: str, operation: "_StatefulOperation") -> None:
-        """Drop a previously registered interest (no-op when absent)."""
-        operations = self._interest.get(src)
-        if operations and operation in operations:
-            operations.remove(operation)
-            if not operations:
-                del self._interest[src]
-
-    def operations_for(self, src: str) -> List["_StatefulOperation"]:
-        """Operations interested in events from *src*, in registration order."""
-        return list(self._interest.get(src, []))
 
 
 class ShardCoordinator:
@@ -251,18 +226,6 @@ class ShardCoordinator:
             shard = candidates[next(self._placement) % len(candidates)]
         shard.stats.operations_homed += 1
         return shard
-
-    # -- operation interest -------------------------------------------------------------
-
-    def register_operation(self, operation: "_StatefulOperation") -> None:
-        """Broadcast *operation*'s event interest to every matching shard."""
-        for shard in operation.shards:
-            shard.watch(operation.src, operation)
-
-    def release_operation(self, operation: "_StatefulOperation") -> None:
-        """Remove a finished operation's interest from its shards."""
-        for shard in operation.shards:
-            shard.unwatch(operation.src, operation)
 
     # -- cross-shard barrier ------------------------------------------------------------
 

@@ -255,6 +255,8 @@ class PerFlowStateStore(Generic[T]):
         indexed: bool = False,
     ) -> None:
         self.granularity = tuple(granularity)
+        #: The granularity as a set, built once: every query checks a pattern against it.
+        self._granular = frozenset(self.granularity)
         self._entries: Dict[FlowKey, T] = {}
         self._indexed = indexed
         #: Address index: nw_src *and* nw_dst of every canonical key map to it.
@@ -534,11 +536,11 @@ class PerFlowStateStore(Generic[T]):
 
     def _check_granularity(self, pattern: FlowPattern) -> None:
         """Reject patterns finer than the middlebox's per-flow granularity."""
-        finer = set(pattern.specified_fields()).difference(self.granularity)
-        if finer:
+        fields = pattern.specified_fields()
+        if not self._granular.issuperset(fields):
             raise GranularityError(
                 "request is finer than the middlebox's per-flow granularity: "
-                f"extra fields {sorted(finer)}; available {sorted(set(self.granularity))}"
+                f"extra fields {sorted(set(fields) - self._granular)}; available {sorted(self._granular)}"
             )
 
     def query(self, pattern: FlowPattern) -> List[Tuple[FlowKey, T]]:

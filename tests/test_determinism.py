@@ -149,6 +149,19 @@ class TestEngineLayering:
         offenders = sorted(name for name in imported if name.startswith(banned))
         assert not offenders, f"repro.core.{module} reaches past its port: imports {offenders}"
 
+    def test_the_shard_layer_knows_no_operation(self):
+        """``core/sharding.py`` imports nothing from ``core.operations``, not even under ``if TYPE_CHECKING:``.
+
+        A shard is a CPU lane and a ring position; the controller keeps the
+        one table of live operations and decides which of them an event
+        reaches, so the layers depend one way: operations never reach a
+        shard's internals, and a shard never names an operation.
+        """
+        path = SRC_ROOT / "repro" / "core" / "sharding.py"
+        imported = _imported_modules(ast.parse(path.read_text()), ["repro", "core"])
+        offenders = sorted(name for name in imported if name == "repro.core.operations" or name.startswith("repro.core.operations."))
+        assert not offenders, f"repro.core.sharding imports {offenders}"
+
     def test_the_realtime_runtime_is_the_simulator_kernel_under_another_clock(self):
         """One heap, one lane, one process driver, one stuck diagnosis.
 

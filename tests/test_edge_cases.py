@@ -188,17 +188,24 @@ class TestControllerEventDeduplication:
         # Each raised event is replayed at most once at the destination.
         assert dst.counters.reprocessed_packets <= src.counters.reprocess_events_raised
 
-    def test_forward_event_is_idempotent(self):
+    def test_forwarding_is_idempotent_across_operations_sharing_a_destination(self):
+        """Live operations targeting one destination share its replay ledger: an event is replayed there once."""
         sim = Simulator()
         controller = MBController(sim, ControllerConfig(quiescence_timeout=0.2))
+        nb = NorthboundAPI(controller)
         src = DummyMiddlebox(sim, "src", chunk_count=1)
         dst = DummyMiddlebox(sim, "dst")
         controller.register(src)
         controller.register(dst)
+        move, merge = (handle._operation for handle in (nb.move_internal("src", "dst", None), nb.merge_internal("src", "dst")))
+        assert move.ledger is merge.ledger
         event = src.generate_reprocess_event(0)
         event.event_id = next(controller._event_ids)  # numbered as the controller numbers what it decodes
-        assert controller.forward_event("dst", event) == "sent"
-        assert controller.forward_event("dst", event) == "covered"
+        sent = controller.stats.messages_sent
+        assert move._forward(event) is True
+        assert merge._forward(event) is False  # covered: no second replay goes out
+        assert controller.stats.messages_sent == sent + 1
+        assert move.record.events_forwarded == merge.record.events_forwarded == 1
 
 
 class TestChannelAndConfigOverrides:

@@ -10,15 +10,19 @@ The fix has two halves, both covered here:
 
 * clone/merge operations only handle events whose packet updated *shared*
   state in transfer (a pure per-flow event is the concurrent move's job);
-* the controller's replay dedup is sequence-token based: ACKed installs and
-  replays draw tokens from one monotonic counter the controller keeps to
-  itself, and a replay is re-issued (per-flow component only) when a chunk
-  for the event's flow was installed after the event's last replay.
+* replay dedup is sequence-token based: one ``ReplayLedger`` per destination,
+  shared by every live operation targeting it, in which ACKed installs and
+  replays draw tokens from one monotonic counter; a replay is re-issued
+  (per-flow component only) when a chunk for the event's flow was installed
+  after the event's last replay.
 """
 
 
-from repro.core import ControllerConfig, MBController, NorthboundAPI
-from repro.middleboxes import PassiveMonitor
+from repro.core import ControllerConfig, FlowPattern, MBController, NorthboundAPI
+from repro.core.events import Event, EventCode
+from repro.core.flowspace import FlowKey
+from repro.core.operations import ReplayLedger
+from repro.middleboxes import DummyMiddlebox, PassiveMonitor
 from repro.net import tcp_packet
 
 
@@ -109,65 +113,102 @@ class TestInterleavedMoveAndClone:
         assert dst.counters.reprocessed_packets <= 2 * raised
 
 
+def replay(ledger, event):
+    """Replay *event* as an operation does: claim it, and send when the ledger says it is due."""
+    claim = ledger.claim(event)
+    if claim is not None:
+        ledger.sent(event.event_id, claim[0])
+    return claim
+
+
 class TestSequenceTokens:
-    def test_forward_event_still_idempotent_without_new_install(self, sim):
-        from repro.middleboxes import DummyMiddlebox
+    """One destination's :class:`ReplayLedger`, driven as the operations drive it."""
 
-        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.2))
-        src = DummyMiddlebox(sim, "s", chunk_count=1)
-        dst = DummyMiddlebox(sim, "d")
-        controller.register(src)
-        controller.register(dst)
-        event = src.generate_reprocess_event(0)
-        event.event_id = next(controller._event_ids)  # numbered as the controller numbers what it decodes
-        assert controller.forward_event("d", event) == "sent"
-        assert controller.forward_event("d", event) == "covered"
+    EVENT = Event("s", EventCode.REPROCESS, key=FlowKey(6, "10.0.0.1", "192.0.2.10", 1000, 80), event_id=1)
 
-    def test_forward_event_reissued_after_state_install(self, sim):
-        from repro.middleboxes import DummyMiddlebox
+    def test_a_replay_covers_the_event_without_a_new_install(self):
+        ledger = ReplayLedger()
+        token, shared = replay(ledger, self.EVENT)
+        assert shared is None  # the first replay carries the event's own shared flag
+        assert replay(ledger, self.EVENT) is None
+        ledger.answered(self.EVENT.event_id, token, acked=True)
+        assert replay(ledger, self.EVENT) is None
 
-        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.2))
-        src = DummyMiddlebox(sim, "s", chunk_count=1)
-        dst = DummyMiddlebox(sim, "d")
-        controller.register(src)
-        controller.register(dst)
-        event = src.generate_reprocess_event(0)
-        event.event_id = next(controller._event_ids)  # numbered as the controller numbers what it decodes
-        assert controller.forward_event("d", event) == "sent"
-        sim.run(until=sim.now + 1.0)  # drain the replay's ACK
+    def test_a_replay_is_reissued_after_a_state_install(self):
+        ledger = ReplayLedger()
+        token, _ = replay(ledger, self.EVENT)
+        ledger.answered(self.EVENT.event_id, token, acked=True)  # the replay's ACK
         # A chunk for the event's flow lands at the destination afterwards:
-        # it overwrote the replayed update, so the replay must be re-issued.
-        controller.note_perflow_installed("d", [event.key.bidirectional()])
-        assert controller.forward_event("d", event) == "sent"
+        # it overwrote the replayed update, so the replay must be re-issued,
+        # without the shared component (shared puts merge, it survived).
+        ledger.installed((self.EVENT.key.bidirectional(),))
+        token, shared = replay(ledger, self.EVENT)
+        assert shared is False
         # ... but only once per install.
-        sim.run(until=sim.now + 1.0)
-        assert controller.forward_event("d", event) == "covered"
+        ledger.answered(self.EVENT.event_id, token, acked=True)
+        assert replay(ledger, self.EVENT) is None
 
-    def test_forward_event_defers_while_replay_in_flight(self, sim):
+    def test_a_reissue_waits_while_the_replay_is_in_flight(self):
         """An install ACKed while a replay is still on the wire was applied
         *before* that replay (one FIFO ACK channel), so it did not overwrite
         the replay and no re-issue may happen — that was a double apply."""
-        from repro.middleboxes import DummyMiddlebox
-
-        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.2))
-        src = DummyMiddlebox(sim, "s", chunk_count=1)
-        dst = DummyMiddlebox(sim, "d")
-        controller.register(src)
-        controller.register(dst)
-        event = src.generate_reprocess_event(0)
-        event.event_id = next(controller._event_ids)  # numbered as the controller numbers what it decodes
-        assert controller.forward_event("d", event) == "sent"
+        ledger = ReplayLedger()
+        replay(ledger, self.EVENT)
         # The replay has not ACKed yet; an install stamped now happened first.
-        controller.note_perflow_installed("d", [event.key.bidirectional()])
-        assert controller.forward_event("d", event) == "covered"
+        ledger.installed((self.EVENT.key.bidirectional(),))
+        assert replay(ledger, self.EVENT) is None
 
-    def test_install_tokens_pruned_with_operation(self, sim):
+    def test_the_ledger_goes_with_the_operation(self, sim):
         controller, northbound, src, dst = make_pair(sim)
         feed(sim, src, 20, spacing=0.0)
         sim.run(until=0.05)
         handle = northbound.move_internal("coord-src", "coord-dst", None)
+        assert handle._operation.ledger is controller._ledgers["coord-dst"]
         feed(sim, src, 10, spacing=0.0005)
-        sim.run_until(handle.finalized, limit=100)
+        record = sim.run_until(handle.finalized, limit=100)
         sim.run(until=sim.now + 1.0)
-        assert len(controller._forwarded_events) == 0
-        assert len(controller._installed_state) == 0
+        assert record.events_forwarded > 0
+        assert controller._ledgers == {}
+
+    def test_the_ledger_outlives_the_first_operation_and_goes_with_the_last(self, sim):
+        """A move and a merge sharing a destination share its ledger until both are done."""
+        controller, northbound, src, dst = make_pair(sim)
+        feed(sim, src, 20, spacing=0.0)
+        sim.run(until=0.05)
+        move = northbound.move_internal("coord-src", "coord-dst", None)
+        merge = northbound.merge_internal("coord-src", "coord-dst")
+        ledger = controller._ledgers["coord-dst"]
+        assert move._operation.ledger is merge._operation.ledger is ledger
+        feed(sim, src, 10, spacing=0.0005)
+        sim.run_until(move.completed, limit=100)
+        sim.run_until(merge.completed, limit=100)
+        assert controller.abort_operation(move)  # the move finishes first, its delete cancelled
+        assert controller._ledgers == {"coord-dst": ledger}
+        assert ledger.replays  # the move's replays still cover their events for the merge
+        sim.run_until(merge.finalized, limit=100)
+        assert controller._ledgers == {}
+
+
+class TestShardedDelivery:
+    def test_an_exact_move_sees_no_event_of_a_flow_another_shard_owns(self, sim):
+        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.2, num_shards=4))
+        src = DummyMiddlebox(sim, "s", chunk_count=16)
+        controller.register(src)
+        controller.register(DummyMiddlebox(sim, "d"))
+        moved = src.flow_key_for(0)
+        handle = controller.move_internal("s", "d", FlowPattern.from_flow(moved))
+        operation = handle._operation
+        home = controller.coordinator.shard_for_key(moved)
+        assert operation.shards == [home]
+        seen = []
+        deliver = operation.on_event
+        operation.on_event = lambda event: (seen.append(event.key), deliver(event))
+        sim.run_until(handle.completed, limit=100)
+        keys = [src.flow_key_for(index) for index in range(16)]
+        for index in range(16):
+            src.generate_reprocess_event(index)
+        sim.run_until(handle.finalized, limit=100)
+        owned = [key for key in keys if controller.coordinator.shard_for_key(key) is home]
+        assert len(owned) < len(keys)  # some flows live on other shards
+        assert seen == owned
+        assert handle.record.events_received == len(owned)

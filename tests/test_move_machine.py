@@ -1,12 +1,15 @@
 """One move, run bare: a :class:`~repro.core.operations.MoveOperation` behind a fake port.
 
-The move touches the world only through its port (the clock, ``send``,
-``forward_event`` and a few more), so this file drives it with no
-``Simulator``, ``ControlChannel``, ``SouthboundAgent`` or ``MBController``.
+The move touches the world only through its port (the clock, ``send`` and a
+few more), so this file drives it with no ``Simulator``, ``ControlChannel``,
+``SouthboundAgent`` or ``MBController``.
 :class:`FakePort` stands in for all four: each request is served the moment
 it is sent (a channel is FIFO, so the serving order is the send order) by a
 :class:`Box` — a middlebox reduced to per-flow journals of update seqs — and
-its replies queue in that box's FIFO until a rule delivers them.  A source
+its replies queue in that box's FIFO until a rule delivers them.  The move
+runs the real :class:`~repro.core.operations.ReplayLedger`, one per
+destination, and its replays go out as ``REPROCESS_PACKET`` requests: an
+update's event carries a packet whose ``seq`` is the update.  A source
 get snapshots (and, for a frozen transfer, marks) its flows at once, but
 streams the chunks out one rule at a time, so an update's event can overtake
 the chunk that lacks it, as it does on the wire.  A packet updates a flow's
@@ -22,11 +25,12 @@ that hole.)
 :class:`MoveMachine` interleaves, adversarially: delivering the head of the
 source's or a destination's reply FIFO, streaming the source's next chunk,
 updating a moved flow at the source, firing the next timer, and — with a
-standby registered — killing the destination or the standby.  At teardown it drains the world
-and checks the chaos invariants on the bare move: every handle future
-resolved; after a completed move, ``audit_journals`` finds nothing on the
-surviving destination and no packet hold is left; after a
-failed one, ``audit_source_retention`` finds nothing on the source.
+standby registered — killing the destination or the standby.  At teardown it
+drains the world and checks the chaos invariants on the bare move: every
+handle future resolved and no replay ledger left; after a completed move,
+``audit_journals`` finds nothing on the surviving destination and no packet
+hold is left; after a failed one, ``audit_source_retention`` finds nothing on
+the source.
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule, run_state_machine_as_test
 
 from repro.core import TransferGuarantee, TransferSpec, messages
-from repro.core.errors import UnknownMiddleboxError
 from repro.core.events import Event, EventCode
 from repro.core.flowspace import FlowKey, FlowPattern
 from repro.core.messages import Message, MessageType
-from repro.core.operations import MoveOperation, _StatefulOperation
+from repro.core.operations import MoveOperation, ReplayLedger, _StatefulOperation
 from repro.core.state import StateChunk, StateRole
 from repro.core.stats import ControllerStats
+from repro.net.packet import Packet
 from repro.net.simulator import Future
 from repro.testing import audit_journals, audit_source_retention
 
@@ -119,6 +123,9 @@ class Box:
             else:
                 self.held -= keys
                 self.marked -= keys
+        elif kind == MessageType.REPROCESS_PACKET:
+            packet = fields["packet"]  # a packet updates the supporting state only
+            self.journals.setdefault((StateRole.SUPPORTING, packet.flow_key()), []).append(packet.seq)
         elif kind == MessageType.TRANSFER_END:
             self.dirty = {role: None for role in ROLES}
         elif kind == MessageType.DEL_PERFLOW:
@@ -155,6 +162,8 @@ class FakePort:
         self.handlers = {}
         self.timers = []
         self.active = []
+        #: One replay ledger per destination, kept while a live move targets it.
+        self.ledgers = {}
         self._xids, self._seqs, self._event_ids, self._op_ids = (itertools.count(1) for _ in range(4))
         #: Flow -> every seq the source applied (what the owner must end up with).
         self.sent = {key: [] for key in FLOWS}
@@ -177,19 +186,6 @@ class FakePort:
         self.boxes[mb].serve(_wire(message))
         return message.xid
 
-    def forward_event(self, dst, event, on_reply=None, *args, shard=None) -> str:
-        if dst not in self.alive:
-            raise UnknownMiddleboxError(f"middlebox {dst!r} is not registered with the controller")
-        box, xid = self.boxes[dst], next(self._xids)
-        box.journals.setdefault((StateRole.SUPPORTING, event.key), []).append(event.values["seq"])
-        if on_reply is not None:
-            self.handlers[dst, xid] = (on_reply, args)
-        box.fifo.append(_wire(messages.ack(dst, xid)))
-        return "sent"
-
-    def note_perflow_installed(self, dst, keys, *, operation=None) -> None:
-        pass
-
     def is_registered(self, name: str) -> bool:
         return name in self.alive
 
@@ -203,6 +199,7 @@ class FakePort:
             op_id=next(self._op_ids),
             home_shard=_Shard,
             shards=(_Shard,),
+            ledger=self.ledgers.setdefault(dst, ReplayLedger()),
             quiescence_timeout=QUIESCENCE,
             buffer_events=self.buffer_events,
             precopy_live=any(operation.precopy for operation in self.active if operation.src == src),
@@ -216,6 +213,8 @@ class FakePort:
 
     def operation_finished(self, operation) -> None:
         self.active.remove(operation)
+        if not any(each.dst == operation.dst for each in self.active):
+            del self.ledgers[operation.dst]
         self.stats.archive(operation.record)
 
     # -- the world -----------------------------------------------------------------------
@@ -229,8 +228,9 @@ class FakePort:
             src.dirty[StateRole.SUPPORTING].add(key)
         self.sent[key].append(seq)
         if key in src.marked:
-            values = {"seq": seq}
-            src.fifo.append(Event("src", EventCode.REPROCESS, key=key, values=values, raised_at=self.now, event_id=next(self._event_ids)))
+            packet = Packet(key.nw_src, key.nw_dst, key.nw_proto, key.tp_src, key.tp_dst, seq=seq)
+            event_id = next(self._event_ids)
+            src.fifo.append(Event("src", EventCode.REPROCESS, key=key, packet=packet, raised_at=self.now, event_id=event_id))
 
     def deliver(self, name: str) -> None:
         """The controller dispatches the head of *name*'s FIFO: an event to the moves, a reply to its entry."""
@@ -349,6 +349,7 @@ def audit(port: FakePort, guarantee: str) -> list:
     """The bare move's termination invariants: every handle future resolved, no update lost or doubled."""
     handle = port.handle
     assert all(future.done for future in (handle.state_installed, handle.completed, handle.finalized))
+    assert not port.active and not port.ledgers  # the last move to finish took its destination's ledger
     if handle.completed.exception is not None:
         violations = audit_source_retention(port.sent, port.boxes["src"].flow_seqs())
     else:

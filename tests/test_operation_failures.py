@@ -7,8 +7,9 @@ Covers the satellite fixes of the transfer-strategy refactor:
   quiescence timer later fires);
 * ``unregister`` drops the removed middlebox's reply handlers and detaches the
   channel's controller binding so late replies are discarded;
-* replay-dedup tokens in ``_forwarded_events`` are pruned when an operation
-  finishes instead of growing without bound;
+* a destination's replay ledger is dropped with the last live operation
+  targeting it instead of growing without bound, and a replay towards a
+  destination that is gone is counted as dropped, not raised;
 * the request table (``_reply_handlers``) forgets a request with the reply
   that ends it, so a finished operation is collectable and a duplicated reply
   reaches its handler once;
@@ -177,6 +178,13 @@ class TestRequestTableShrinks:
             sim.run_until(handle.done, limit=100)
         sim.run()
         assert handle.status == "aborted" and controller._reply_handlers == {}
+
+    def test_a_late_reply_to_a_request_its_caller_failed_is_ignored(self, sim, controller, monitor_pair):
+        future = controller.read_config("mon1")
+        future.fail(OperationError("the caller gave up"))
+        sim.run()  # the reply arrives for a done future: nothing escapes the kernel
+        assert str(future.exception) == "the caller gave up"
+        assert controller._reply_handlers == {}
 
     def test_a_duplicated_ack_reaches_its_handler_once(self, sim, controller):
         plan = FaultPlan(1, to_controller=FaultProfile(duplicate=1.0))
@@ -360,7 +368,7 @@ class TestStandbyRetryWindow:
 
 
 class TestForwardedEventPruning:
-    def test_tokens_pruned_when_operation_finishes(self, sim, controller, northbound, monitor_pair):
+    def test_ledger_dropped_when_operation_finishes(self, sim, controller, northbound, monitor_pair):
         mon1, _ = monitor_pair
         handle = northbound.move_internal("mon1", "mon2", None)
         for index in range(20):
@@ -369,4 +377,19 @@ class TestForwardedEventPruning:
         record = sim.run_until(handle.finalized, limit=100)
         sim.run(until=sim.now + 1.0)
         assert record.events_forwarded > 0
-        assert len(controller._forwarded_events) == 0
+        assert controller._ledgers == {}
+
+    def test_a_replay_to_a_dead_destination_is_counted_not_raised(self, sim, controller, northbound):
+        """A completed move still forwards the source's events until it finalises; its destination may be gone by then."""
+        src = DummyMiddlebox(sim, "s", chunk_count=4)
+        controller.register(src)
+        controller.register(DummyMiddlebox(sim, "d"))
+        handle = northbound.move_internal("s", "d", FlowPattern.wildcard())
+        sim.run_until(handle.completed, limit=100)
+        controller.kill("d")
+        src.generate_reprocess_event(0)
+        sim.run()  # the replay finds no destination: nothing escapes the kernel
+        record = handle.record
+        assert (record.events_received, record.events_forwarded, record.events_dropped) == (1, 0, 1)
+        assert handle.finalized.done and handle.finalized.exception is None
+        assert controller.stats.events_dropped == 1 and controller._ledgers == {}
