@@ -182,16 +182,16 @@ def test_failure_recovery_under_chaos(once):
 
     # Acceptance criteria (the issue's hard claims).
     lossy = profiles["lossy"]
-    assert lossy["completed"] == SEEDS and lossy["lost"] == 0
-    assert lossy["drops"] > 0 and lossy["retransmits"] > 0
-    assert lossy["retransmits"] < lossy["messages"] / 5, "retransmissions must stay bounded"
-    assert crashes["abort"]["failed"] == SEEDS and crashes["abort"]["lost"] == 0
-    assert crashes["standby retry"]["completed"] == SEEDS
-    assert crashes["standby retry"]["retried"] == SEEDS
-    assert crashes["standby retry"]["lost"] == 0
-    assert failover["preserved"] == failover["mappings"]
-    assert failover["replayed"] >= 1
-    assert failover["presynced"] + failover["replayed"] == failover["mappings"]
+    assert lossy["completed"] == SEEDS and lossy["lost"] == 0, "§2 (R6): every lossy-channel move completes with zero lost updates"
+    assert lossy["drops"] > 0 and lossy["retransmits"] > 0, "§2 (R6): the channel dropped and the ARQ retransmitted"
+    assert lossy["retransmits"] < lossy["messages"] / 5, "§2 (R6): retransmissions stay under a fifth of the messages"
+    assert crashes["abort"]["failed"] == SEEDS and crashes["abort"]["lost"] == 0, "§2 (R6): a mid-move crash aborts with zero lost updates"
+    assert crashes["standby retry"]["completed"] == SEEDS, "§2 (R6): every standby retry completes"
+    assert crashes["standby retry"]["retried"] == SEEDS, "§2 (R6): every crash is retried on the standby"
+    assert crashes["standby retry"]["lost"] == 0, "§2 (R6): the standby retry loses no update"
+    assert failover["preserved"] == failover["mappings"], "§2 (R6): NAT failover preserves every mapping"
+    assert failover["replayed"] >= 1, "§2 (R6): the failover replays the delta since the clone"
+    assert failover["presynced"] + failover["replayed"] == failover["mappings"], "§2 (R6): each mapping is pre-synced or replayed"
 
 
 def _results_payload(profiles: dict, crashes: dict, failover: dict, base_seed: int) -> dict:

@@ -169,20 +169,20 @@ def test_federation_crossdc_adaptive_pacing(once):
     for run in adaptive["runs"]:
         # The measured link (5 ms + jitter) is far above the LAN reference, so
         # every adaptive move must have run with a real pacing gain applied.
-        assert run["wan_pacing"] > 0.0
-        assert run["rounds"] >= 2 and run["chunks"] >= FLOWS
+        assert run["wan_pacing"] > 0.0, "Federation extension: an adaptive move runs with a pacing gain"
+        assert run["rounds"] >= 2 and run["chunks"] >= FLOWS, "Federation extension: a cross-DC pre-copy moves every flow in ≥ 2 rounds"
         # The moved flows belong to dc-b in every surviving view, and the
         # borrowed instance went home.
-        assert run["owners"] == {"dc-b"}
-        assert run["returned_home"]
+        assert run["owners"] == {"dc-b"}, "Federation extension: the moved flows belong to dc-b in every view"
+        assert run["returned_home"], "Federation extension: the borrowed instance went home"
     for run in unpaced["runs"]:
-        assert run["wan_pacing"] == 0.0
-        assert run["owners"] == {"dc-b"} and run["returned_home"]
+        assert run["wan_pacing"] == 0.0, "Federation extension: the unpaced baseline applies no gain"
+        assert run["owners"] == {"dc-b"} and run["returned_home"], "Federation extension: the baseline also re-homes the flows"
     # Pacing trades time for bytes: the paced rounds wait out the measured gap,
     # so the move is slower, and fewer flows are re-dirtied between rounds, so
     # it resends fewer chunks.
-    assert adaptive["move"]["p50_ms"] > unpaced["move"]["p50_ms"]
-    assert sum(adaptive["chunks"]) <= sum(unpaced["chunks"])
+    assert adaptive["move"]["p50_ms"] > unpaced["move"]["p50_ms"], "Federation extension: adaptive pacing makes the move slower"
+    assert sum(adaptive["chunks"]) <= sum(unpaced["chunks"]), "Federation extension: adaptive pacing resends no more chunks"
 
 
 def main() -> None:

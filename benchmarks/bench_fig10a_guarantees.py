@@ -135,26 +135,26 @@ def test_fig10a_guarantee_optimization_matrix(once):
     # Batched and parallel pipelines beat the sequential strawman by a wide
     # margin, and batching (one ACK per 32 chunks) also strictly beats the
     # seed's pipelined per-chunk default.
-    assert batched < default < sequential
-    assert parallel < sequential
-    assert min(batched, parallel) < default
+    assert batched < default < sequential, "Fig. 10(a) extension: batched < pipelined < sequential move time"
+    assert parallel < sequential, "Fig. 10(a) extension: a parallel window beats the sequential move"
+    assert min(batched, parallel) < default, "Fig. 10(a) extension: batching or parallelism beats the default pipeline"
 
     # Stronger guarantees cost move time: NO_GUARANTEE <= LOSS_FREE <= ORDER_PRESERVING.
     ng = guarantee[TransferGuarantee.NO_GUARANTEE.value]["duration"]
     lf = guarantee[TransferGuarantee.LOSS_FREE.value]["duration"]
     op = guarantee[TransferGuarantee.ORDER_PRESERVING.value]["duration"]
-    assert ng <= lf <= op
+    assert ng <= lf <= op, "Fig. 10(a) extension: no-guarantee ≤ loss-free ≤ order-preserving move time"
 
     # Loss-free (and order-preserving) moves lose zero per-flow updates under
     # live traffic; no-guarantee moves drop every in-transfer event.
-    assert loss[TransferGuarantee.LOSS_FREE.value].updates_lost == 0
-    assert loss[TransferGuarantee.LOSS_FREE.value].record.events_dropped == 0
-    assert loss[TransferGuarantee.ORDER_PRESERVING.value].updates_lost == 0
-    assert loss[TransferGuarantee.NO_GUARANTEE.value].record.events_dropped > 0
-    assert loss[TransferGuarantee.NO_GUARANTEE.value].updates_lost > 0
+    assert loss[TransferGuarantee.LOSS_FREE.value].updates_lost == 0, "Fig. 10(a) extension: loss-free loses no update"
+    assert loss[TransferGuarantee.LOSS_FREE.value].record.events_dropped == 0, "Fig. 10(a) extension: loss-free drops no event"
+    assert loss[TransferGuarantee.ORDER_PRESERVING.value].updates_lost == 0, "Fig. 10(a) extension: order-preserving loses no update"
+    assert loss[TransferGuarantee.NO_GUARANTEE.value].record.events_dropped > 0, "Fig. 10(a) extension: no-guarantee drops events"
+    assert loss[TransferGuarantee.NO_GUARANTEE.value].updates_lost > 0, "Fig. 10(a) extension: no-guarantee loses updates"
 
     # Order-preserving mode releases every moved flow (flows whose second
     # state role streamed in after the first was released are re-released).
     assert (
         guarantee[TransferGuarantee.ORDER_PRESERVING.value]["releases"] >= CHUNK_COUNT
-    )
+    ), "Fig. 10(a) extension: order-preserving releases every moved flow"

@@ -101,14 +101,14 @@ def test_fig10a_move_time_vs_chunks(once):
 
     durations = [results[(count, False)]["duration"] for count in CHUNK_COUNTS]
     # Linear growth with the number of chunks.
-    assert durations[0] < durations[1] < durations[2]
-    assert 1.5 < durations[2] / durations[1] < 2.6
+    assert durations[0] < durations[1] < durations[2], "Fig. 10(a): move time grows with the chunk count"
+    assert 1.5 < durations[2] / durations[1] < 2.6, "Fig. 10(a): move time roughly doubles with the chunk count"
     # Events add overhead, but only a modest fraction (the paper reports at most ~9%).
     for chunk_count in CHUNK_COUNTS:
         without = results[(chunk_count, False)]["duration"]
         with_events = results[(chunk_count, True)]["duration"]
-        assert with_events >= without
-        assert with_events <= without * 1.30
+        assert with_events >= without, "Fig. 10(a): events add move time"
+        assert with_events <= without * 1.30, "Fig. 10(a): events add at most 30 % (paper: ≈ 9 %)"
 
 
 # =========================================================================================
@@ -191,13 +191,17 @@ def test_fig10a_precopy_freeze_window(once):
 
     for rate in TRAFFIC_RATES:
         # Loss-free must not lose a single update in either mode.
-        assert results[("snapshot", rate)]["updates_lost"] == 0
-        assert results[("precopy", rate)]["updates_lost"] == 0
+        assert results[("snapshot", rate)]["updates_lost"] == 0, "Fig. 10(a) mode axis: a loss-free snapshot move loses no update"
+        assert results[("precopy", rate)]["updates_lost"] == 0, "Fig. 10(a) mode axis: a loss-free pre-copy move loses no update"
     # The acceptance point: >=2x smaller freeze window at the highest rate.
     top = max(TRAFFIC_RATES)
-    assert results[("precopy", top)]["freeze_window"] * 2 <= results[("snapshot", top)]["freeze_window"]
+    assert results[("precopy", top)]["freeze_window"] * 2 <= results[("snapshot", top)]["freeze_window"], (
+        "Fig. 10(a) mode axis: pre-copy shrinks the freeze window ≥ 2× at the top rate"
+    )
     # Pre-copy pays for the shrink with resent chunks (the documented trade).
-    assert results[("precopy", top)]["chunks"] >= results[("snapshot", top)]["chunks"]
+    assert results[("precopy", top)]["chunks"] >= results[("snapshot", top)]["chunks"], (
+        "Fig. 10(a) mode axis: pre-copy pays in resent chunks"
+    )
 
 
 # =========================================================================================
@@ -319,10 +323,10 @@ def test_fig10a_flowscale_freeze_window_flat(once):
     )
     base = payload["series"][0]
     for point in payload["series"]:
-        assert point["updates_lost"] == 0
-        assert 0.8 <= point["freeze_ms"] / base["freeze_ms"] <= 1.2
-        assert point["peak_over_resident"] < 2.0
-        assert point["dst_peak_over_resident"] <= 2.0
+        assert point["updates_lost"] == 0, "Fig. 10(a) flow-scale axis: loss-free at every store size"
+        assert 0.8 <= point["freeze_ms"] / base["freeze_ms"] <= 1.2, "Fig. 10(a) flow-scale axis: the freeze window stays flat (± 20 %)"
+        assert point["peak_over_resident"] < 2.0, "Fig. 10(a) flow-scale axis: the source peak stays under 2× resident"
+        assert point["dst_peak_over_resident"] <= 2.0, "Fig. 10(a) flow-scale axis: the destination peak stays within 2× resident"
 
 
 def main() -> None:

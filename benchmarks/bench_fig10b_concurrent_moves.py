@@ -137,14 +137,16 @@ def assert_no_lost_or_reordered_updates(result: dict) -> None:
     in-transfer events is its documented behaviour), so only the chunk
     accounting applies there.
     """
-    assert result["puts_acked"] == result["chunks"]
+    assert result["puts_acked"] == result["chunks"], "Fig. 10(b): every put is ACKed"
     if result["guarantee"] == "no_guarantee":
         return
-    assert result["events_dropped"] == 0
-    assert result["events_received"] == result["events_generated"]
-    assert result["events_forwarded"] >= result["events_received"]
+    assert result["events_dropped"] == 0, "Fig. 10(b): no event is dropped"
+    assert result["events_received"] == result["events_generated"], "Fig. 10(b): every raised event reaches the controller"
+    assert result["events_forwarded"] >= result["events_received"], "Fig. 10(b): every received event is replayed (nothing lost)"
     if result["guarantee"] == "order_preserving":
-        assert result["releases_sent"] >= result["unique_flows"]
+        assert result["releases_sent"] >= result["unique_flows"], (
+            "Fig. 10(b): order-preserving releases every moved flow (nothing reordered)"
+        )
 
 
 def test_fig10b_concurrent_moves(once):
@@ -173,10 +175,10 @@ def test_fig10b_concurrent_moves(once):
     for chunks in CHUNKS_PER_PAIR:
         series = [results[(concurrency, chunks)] for concurrency in CONCURRENCY_LEVELS]
         # Average per-move time grows with the number of simultaneous operations.
-        assert series[0] < series[1] < series[2] < series[3]
+        assert series[0] < series[1] < series[2] < series[3], "Fig. 10(b): mean move time grows with simultaneous moves"
     # And with the number of chunks per operation.
     for concurrency in CONCURRENCY_LEVELS:
-        assert results[(concurrency, 1000)] > results[(concurrency, 500)]
+        assert results[(concurrency, 1000)] > results[(concurrency, 500)], "Fig. 10(b): mean move time grows with the chunks per move"
 
 
 def test_shard_scaling_64_concurrent_moves(once):
@@ -223,11 +225,11 @@ def test_shard_scaling_64_concurrent_moves(once):
     )
 
     # >= 2x operation throughput at 4 shards vs 1 shard, 64 concurrent moves.
-    assert by_shards[4]["throughput"] >= 2.0 * by_shards[1]["throughput"]
+    assert by_shards[4]["throughput"] >= 2.0 * by_shards[1]["throughput"], "Fig. 10(b): ≥ 2× throughput at 4 shards"
     # Monotone: adding shards never slows the workload down.
-    assert by_shards[2]["throughput"] >= by_shards[1]["throughput"]
+    assert by_shards[2]["throughput"] >= by_shards[1]["throughput"], "Fig. 10(b): adding shards never slows the workload"
     # The event stream spread across several shard loops at 4 shards.
-    assert sum(1 for count in by_shards[4]["shard_events"] if count > 0) >= 2
+    assert sum(1 for count in by_shards[4]["shard_events"] if count > 0) >= 2, "Fig. 10(b): events spread over ≥ 2 shard loops at 4 shards"
     # Safety is not traded for speed: zero lost updates at every shard count.
     for result in results:
         assert_no_lost_or_reordered_updates(result)
@@ -246,7 +248,7 @@ def test_shard_scaling_order_preserving_correctness(once):
     for result in (sharded, single):
         assert_no_lost_or_reordered_updates(result)
     # The guarantee holds while sharding still relieves the contention.
-    assert sharded["makespan"] < single["makespan"]
+    assert sharded["makespan"] < single["makespan"], "Fig. 10(b): sharding relieves the contention under order-preserving"
 
 
 def main() -> None:

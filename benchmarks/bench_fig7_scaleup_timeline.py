@@ -70,14 +70,16 @@ def test_fig7_scaleup_timeline(once):
     move = windows[0]
     # 1. HTTP packets are processed by the original MB until (slightly after) the
     #    final put completes, then the new MB takes over.
-    assert old.counters.packets_received > 0
-    assert new.counters.packets_received > 0
+    assert old.counters.packets_received > 0, "Fig. 7: the original monitor processes packets"
+    assert new.counters.packets_received > 0, "Fig. 7: the new monitor takes over packet processing"
     new_before_move = [
         s.packets_received for s in sampler.series[new.name].samples if s.time < move.started_at
     ]
-    assert new_before_move and new_before_move[-1] == 0
+    assert new_before_move and new_before_move[-1] == 0, "Fig. 7: the new monitor sees nothing before the move"
     # 2. The original MB raises re-process events soon after the get begins and the
     #    new MB consumes them after the corresponding state has been put.
-    assert old.counters.reprocess_events_raised > 0
-    assert new.counters.reprocessed_packets > 0
-    assert new.counters.reprocessed_packets <= old.counters.reprocess_events_raised
+    assert old.counters.reprocess_events_raised > 0, "Fig. 7: the original monitor raises re-process events"
+    assert new.counters.reprocessed_packets > 0, "Fig. 7: the new monitor re-processes them"
+    assert new.counters.reprocessed_packets <= old.counters.reprocess_events_raised, (
+        "Fig. 7: no more re-processed packets than events raised"
+    )

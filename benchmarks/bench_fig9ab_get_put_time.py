@@ -106,10 +106,10 @@ def test_fig9ab_get_and_put_time(once):
         puts = [results[(label, flows)][1] for flows in CHUNK_COUNTS]
         # Linear growth: time increases with the chunk count and roughly doubles
         # when the chunk count doubles (within 40% tolerance).
-        assert gets[0] < gets[1] < gets[2]
-        assert puts[0] < puts[1] < puts[2]
-        assert 1.3 < gets[2] / gets[1] < 2.7
+        assert gets[0] < gets[1] < gets[2], "Fig. 9(a): get time grows with the chunk count"
+        assert puts[0] < puts[1] < puts[2], "Fig. 9(b): put time grows with the chunk count"
+        assert 1.3 < gets[2] / gets[1] < 2.7, "Fig. 9(a): get time roughly doubles with the chunk count"
         # Puts are several times cheaper than gets (the paper observes ~6x).
-        assert gets[2] / puts[2] > 3.0
+        assert gets[2] / puts[2] > 3.0, "Fig. 9(a)/(b): a get costs > 3× a put (paper: ≈ 6×)"
     # The IDS's deeper per-flow state makes its gets slower than the monitor's.
-    assert results[("ids", 1000)][0] > results[("monitor", 1000)][0]
+    assert results[("ids", 1000)][0] > results[("monitor", 1000)][0], "Fig. 9(a): the IDS's gets are slower than the monitor's"

@@ -79,7 +79,7 @@ def test_fig9cd_events_vs_packet_rate(once):
         for flows in CHUNK_COUNTS:
             events = [results[(label, flows, rate)][0] for rate in PACKET_RATES]
             # More packets per second during the transfer window -> more events.
-            assert events[0] < events[1] < events[2]
+            assert events[0] < events[1] < events[2], "Fig. 9(c)/(d): events grow with the packet rate"
         # A larger move keeps the window open longer, so it generates more events
         # at the same packet rate.
-        assert results[(label, 1000, 2500.0)][0] > results[(label, 250, 2500.0)][0]
+        assert results[(label, 1000, 2500.0)][0] > results[(label, 250, 2500.0)][0], "Fig. 9(c)/(d): a larger move raises more events"

@@ -258,18 +258,20 @@ def test_linkguardian_fct_acceptance(once):
     unprotected = matrix["0.001/unprotected"]
     protected = matrix["0.001/protected"]
     # The wire genuinely corrupted frames in both runs.
-    assert unprotected["wire"]["lost_on_wire"] > 0
-    assert protected["wire"]["lost_on_wire"] > 0
-    assert protected["wire"]["link_retransmits"] > 0
-    assert protected["wire"]["abandoned"] == 0
+    assert unprotected["wire"]["lost_on_wire"] > 0, "LinkGuardian: the wire corrupts frames without protection"
+    assert protected["wire"]["lost_on_wire"] > 0, "LinkGuardian: the wire corrupts frames with protection"
+    assert protected["wire"]["link_retransmits"] > 0, "LinkGuardian: the link repairs losses by retransmission"
+    assert protected["wire"]["abandoned"] == 0, "LinkGuardian: no hold is abandoned"
     # Acceptance: effective end-to-end loss rate drops >= 100x ...
-    assert unprotected["effective_loss_rate"] > 0
-    assert _loss_reduction(matrix, 1e-3) >= 100.0
+    assert unprotected["effective_loss_rate"] > 0, "LinkGuardian: loss reaches the transport without protection"
+    assert _loss_reduction(matrix, 1e-3) >= 100.0, "LinkGuardian: ≥ 100× lower effective loss at 10⁻³"
     # ... and the FCT tail improves (p99 pays no end-to-end timeouts).
-    assert protected["fct"]["p99_ms"] < unprotected["fct"]["p99_ms"]
-    assert percentile(protected["fcts"], 99.0) < E2E_RTO + percentile(matrix["0.001/protected"]["fcts"], 50.0)
+    assert protected["fct"]["p99_ms"] < unprotected["fct"]["p99_ms"], "LinkGuardian: protection improves the FCT p99"
+    assert percentile(protected["fcts"], 99.0) < E2E_RTO + percentile(matrix["0.001/protected"]["fcts"], 50.0), (
+        "LinkGuardian: the protected p99 pays no end-to-end timeout"
+    )
     # Goodput does not regress when protection is on.
-    assert protected["goodput_mbps"] >= unprotected["goodput_mbps"]
+    assert protected["goodput_mbps"] >= unprotected["goodput_mbps"], "LinkGuardian: goodput does not regress"
 
 
 def main() -> None:

@@ -99,10 +99,10 @@ def test_sec812_split_merge(once):
 
     # Shape: suspension buffers hundreds of packets and adds orders of magnitude
     # more latency than OpenMB's slowdown during gets.
-    assert sm_report.details["buffered_packets"] > 50
-    assert sm_report.details["mean_added_latency"] > 0.01
-    assert sm_report.details["mean_added_latency"] > 100 * openmb_added
+    assert sm_report.details["buffered_packets"] > 50, "§8.1.2: Split/Merge buffers packets while suspended"
+    assert sm_report.details["mean_added_latency"] > 0.01, "§8.1.2: suspension adds > 10 ms per packet"
+    assert sm_report.details["mean_added_latency"] > 100 * openmb_added, "§8.1.2: Split/Merge adds 100× OpenMB's latency"
     # The analytical model agrees with the simulation to first order.
     assert abs(sm_report.details["buffered_packets"] - expected_buffered_packets(PACKET_RATE, move_duration)) <= max(
         0.5 * expected_buffered_packets(PACKET_RATE, move_duration), 20
-    )
+    ), "§8.1.2: the buffered-packet model agrees with the simulation to first order"

@@ -94,12 +94,14 @@ def test_sec812_vm_snapshot(once):
 
     # Shape checks mirroring the paper's observations:
     # 1. The full snapshot carries far more state than either substream needs.
-    assert results["full_size"] > results["http_size"] > results["base_size"]
-    assert results["full_size"] > results["other_size"]
+    assert results["full_size"] > results["http_size"] > results["base_size"], (
+        "§8.1.2: a full snapshot carries more than the HTTP substream needs"
+    )
+    assert results["full_size"] > results["other_size"], "§8.1.2: a full snapshot carries more than the other substream needs"
     # 2. SDMBN moves only the per-flow state of the migrated flows — less than the
     #    full snapshot delta.
-    assert 0 < results["sdmbn_moved"] < results["full_size"] - results["base_size"]
+    assert 0 < results["sdmbn_moved"] < results["full_size"] - results["base_size"], "§8.1.2: OpenMB moves less than the snapshot delta"
     # 3. Both snapshot copies produce incorrect entries; OpenMB's migration produces
     #    none (shown by bench_sec82_correctness).
-    assert results["incorrect_original"] > 0
-    assert results["incorrect_migrated"] > 0
+    assert results["incorrect_original"] > 0, "§8.1.2: the original snapshot copy logs incorrect entries"
+    assert results["incorrect_migrated"] > 0, "§8.1.2: the migrated snapshot copy logs incorrect entries"

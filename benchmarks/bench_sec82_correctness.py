@@ -119,7 +119,7 @@ def test_sec82_correctness(once):
         )
     )
 
-    assert ids_cmp["conn_log"].identical
-    assert ids_cmp["http_log"].identical
-    assert monitor_mismatches == {}
-    assert undecodable == 0
+    assert ids_cmp["conn_log"].identical, "§8.2: the IDS conn.log is identical under migration"
+    assert ids_cmp["http_log"].identical, "§8.2: the IDS http.log is identical under migration"
+    assert monitor_mismatches == {}, "§8.2: the monitor's flow records are identical under migration"
+    assert undecodable == 0, "§8.2: the RE decoder decodes every byte under migration"

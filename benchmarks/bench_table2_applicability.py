@@ -62,10 +62,10 @@ def test_table2_applicability(once):
     )
 
     # SDMBN fully supports everything; each alternative falls short somewhere.
-    assert all(value == "yes" for value in APPLICABILITY_MATRIX["SDMBN (OpenMB)"].values())
+    assert all(value == "yes" for value in APPLICABILITY_MATRIX["SDMBN (OpenMB)"].values()), "Table 2: SDMBN supports every scenario"
     for scheme, capabilities in APPLICABILITY_MATRIX.items():
         if scheme != "SDMBN (OpenMB)":
-            assert any(value != "yes" for value in capabilities.values())
+            assert any(value != "yes" for value in capabilities.values()), "Table 2: every alternative falls short somewhere"
     # And the SDMBN row is backed by actual completed operations in this run.
-    assert up_report.details["chunks_moved"] > 0
-    assert down_report.details["merge"].chunks_transferred >= 1
+    assert up_report.details["chunks_moved"] > 0, "Table 2: the scale-up row is backed by a completed move"
+    assert down_report.details["merge"].chunks_transferred >= 1, "Table 2: the scale-down row is backed by a completed merge"

@@ -99,6 +99,6 @@ def test_table3_re_migration(once):
     # Shape of Table 3: OpenMB decodes everything; the baseline cannot decode the
     # encoded bytes of the migrated subnet and also eliminates less redundancy
     # (its new cache starts cold).
-    assert sdmbn_undecodable == 0
-    assert baseline_undecodable > 0
-    assert baseline.encoder.encoded_bytes < sdmbn.encoder.encoded_bytes
+    assert sdmbn_undecodable == 0, "Table 3: OpenMB leaves no byte undecodable"
+    assert baseline_undecodable > 0, "Table 3: config+routing leaves undecodable bytes"
+    assert baseline.encoder.encoded_bytes < sdmbn.encoder.encoded_bytes, "Table 3: config+routing eliminates less redundancy"

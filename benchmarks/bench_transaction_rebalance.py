@@ -226,19 +226,19 @@ def test_transaction_rebalance_vs_manual(once):
         )
     )
     manual, txn = results["manual sequencing"], results["transaction"]
-    assert manual["updates_lost"] == 0
-    assert txn["updates_lost"] == 0
+    assert manual["updates_lost"] == 0, "Transaction extension: manual sequencing loses no update"
+    assert txn["updates_lost"] == 0, "Transaction extension: the transaction loses no update"
     # The coordinated reroute opens a strictly shorter window and therefore
     # fewer packets hit the stale instance.
-    assert txn["window"] < manual["window"]
-    assert txn["stale_deliveries"] <= manual["stale_deliveries"]
+    assert txn["window"] < manual["window"], "Transaction extension: the coordinated reroute opens a shorter window"
+    assert txn["stale_deliveries"] <= manual["stale_deliveries"], "Transaction extension: no more stale deliveries than manual"
     # The failure path: abort, then every step undone.
-    assert rollback["status"] == "aborted" and rollback["failed_step"] == "stats(mon2)"
+    assert rollback["status"] == "aborted" and rollback["failed_step"] == "stats(mon2)", "Transaction extension: the failing step aborts"
     assert rollback["steps"] == {
         "move(mon1->mon2)": "rolled_back",
         "reroute(FlowPattern(nw_src=10.1.1.0/24))": "rolled_back",
         "stats(mon2)": "failed",
-    }
-    assert rollback["routes_restored"]
-    assert rollback["source_flows_kept"] and rollback["source_delete_cancelled"]
-    assert rollback["updates_lost"] == 0
+    }, "Transaction extension: every step before the failure is rolled back"
+    assert rollback["routes_restored"], "Transaction extension: rollback restores the routes"
+    assert rollback["source_flows_kept"] and rollback["source_delete_cancelled"], "Transaction extension: the source keeps its state"
+    assert rollback["updates_lost"] == 0, "Transaction extension: rollback loses no update"

@@ -139,19 +139,21 @@ def test_wallclock_get_put_latency(once):
     _print(result)
     _persist(result)
 
-    assert result["close"]["processes_leaked"] == 0
+    assert result["close"]["processes_leaked"] == 0, "Wall-clock extension: the runtime leaks no process"
     summary = summarize(result)
     for op, stats in summary.items():
         # Real latencies: strictly positive, ordered percentiles, sane rate.
-        assert stats["count"] == ITERATIONS
-        assert 0 < stats["p50_ms"] <= stats["p99_ms"]
-        assert stats["ops_per_sec"] > 0
+        assert stats["count"] == ITERATIONS, "Wall-clock extension: every iteration is timed"
+        assert 0 < stats["p50_ms"] <= stats["p99_ms"], "Wall-clock extension: latencies are real and ordered"
+        assert stats["ops_per_sec"] > 0, "Wall-clock extension: a positive rate"
         # Pacing fidelity: the wall clock cannot beat the model, and the drive
         # loop's waiting may not multiply it.
-        assert 1.0 <= stats["ratio_to_model"] <= MAX_RATIO_TO_MODEL, (op, stats)
+        assert 1.0 <= stats["ratio_to_model"] <= MAX_RATIO_TO_MODEL, f"Wall-clock extension: {op} paced within the model bound ({stats})"
     # A wildcard get streams every chunk back plus completion, so it cannot be
     # cheaper than a single-chunk put at the median.
-    assert summary["get"]["p50_ms"] >= summary["put"]["p50_ms"] * 0.5
+    assert summary["get"]["p50_ms"] >= summary["put"]["p50_ms"] * 0.5, (
+        "Wall-clock extension: a get is not cheaper than half a put (Fig. 9(a)/(b))"
+    )
 
 
 def main() -> None:

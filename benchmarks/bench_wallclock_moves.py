@@ -120,15 +120,15 @@ def test_wallclock_concurrent_moves(once):
     for result in results:
         # Completeness: every chunk was exported, put, and ACKed.
         expected = result["concurrency"] * result["chunks_per_move"]
-        assert result["chunks_transferred"] == expected
-        assert result["puts_acked"] == expected
+        assert result["chunks_transferred"] == expected, "Wall-clock extension: every chunk is exported"
+        assert result["puts_acked"] == expected, "Wall-clock extension: every put is ACKed"
         # The runtime shut down without leaking scheduled work.
-        assert result["close"]["processes_leaked"] == 0
+        assert result["close"]["processes_leaked"] == 0, "Wall-clock extension: the runtime leaks no process"
         # Internal consistency: record-derived makespan happened inside the
         # wall bracket, and the clock actually advanced (real time, not ticks).
-        assert 0 < result["makespan"] <= result["wall_elapsed"] * 1.05
+        assert 0 < result["makespan"] <= result["wall_elapsed"] * 1.05, "Wall-clock extension: the makespan is real time"
         stats = duration_stats(result["durations"])
-        assert stats["p99_ms"] >= stats["p50_ms"] > 0
+        assert stats["p99_ms"] >= stats["p50_ms"] > 0, "Wall-clock extension: move durations are real and ordered"
 
 
 def main() -> None:

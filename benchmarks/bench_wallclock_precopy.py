@@ -128,18 +128,20 @@ def test_wallclock_precopy_freeze_window(once):
 
     for runs in by_mode.values():
         for result in runs:
-            assert result["updates_lost"] == 0
-            assert result["chunks"] >= CHUNKS * 2
-            assert result["close"]["processes_leaked"] == 0
+            assert result["updates_lost"] == 0, "Wall-clock extension: a loss-free move loses no update"
+            assert result["chunks"] >= CHUNKS * 2, "Wall-clock extension: every chunk of both roles moves"
+            assert result["close"]["processes_leaked"] == 0, "Wall-clock extension: the runtime leaks no process"
             # Freeze is a real sub-span of the move's wall time.
-            assert 0 < result["freeze_window"] <= result["duration"] <= result["wall_elapsed"] * 1.05
+            assert 0 < result["freeze_window"] <= result["duration"] <= result["wall_elapsed"] * 1.05, (
+                "Wall-clock extension: the freeze is a sub-span of the move"
+            )
     snapshot_freeze = freeze_stats([r["freeze_window"] for r in by_mode["snapshot"]])
     precopy_freeze = freeze_stats([r["freeze_window"] for r in by_mode["precopy"]])
     # The PR-4 claim, now in wall time: the final-delta freeze beats the
     # whole-transfer freeze at the median (p99 is left to the JSON trail —
     # single outliers on shared CI runners should not fail the suite).
-    assert precopy_freeze["p50_ms"] < snapshot_freeze["p50_ms"]
-    assert all(r["rounds"] >= 1 for r in by_mode["precopy"])
+    assert precopy_freeze["p50_ms"] < snapshot_freeze["p50_ms"], "Fig. 10(a) mode axis, wall clock: pre-copy freezes shorter at the median"
+    assert all(r["rounds"] >= 1 for r in by_mode["precopy"]), "Wall-clock extension: every pre-copy move runs a round"
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.core import ControllerConfig, MBController, NorthboundAPI, OperationAbortedError
+from repro.core import ControllerConfig, MBController, NorthboundAPI, OperationAbortedError, OperationType
 from repro.middleboxes import PassiveMonitor
 from repro.middleboxes.monitor import EVENT_FLOW_SEEN
 from repro.net import Simulator
@@ -94,7 +94,9 @@ def main() -> None:
     except OperationAbortedError as exc:
         print(f"second move aborted after {back.record.chunks_transferred} chunks ({exc}); "
               f"monitor-b kept {len(mon_b.report_store)} of {held} flow records")
-    print(f"controller summary: {controller.stats.summary()}")
+    report, mean_move = controller.snapshot()["controller"], controller.stats.mean_duration(OperationType.MOVE)
+    print(f"controller: {report['operations_started']} operations started, {report['operations_completed']} completed, "
+          f"{report['operations_failed']} failed; {report['chunks_transferred']} chunks moved; mean move {mean_move * 1000:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ class FederationOverseerApp(ControlApplication):
                 "takeovers": adoptions,
                 "instances": self.instance_rosters(),
                 "ownership": self.ownership_counts(),
-                "fleet": self.federation.merged_stats().summary(),
+                "fleet": self.federation.snapshot()["fleet"],
             }
         )
         return self.report

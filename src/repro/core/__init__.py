@@ -28,7 +28,7 @@ from .events import Event, EventCode, EventFilter
 from .flowspace import FlowKey, FlowPattern, IPv4Prefix
 from .northbound import NorthboundAPI
 from .operations import OperationHandle, OperationRecord, OperationType
-from .sharding import ControllerShard, ShardCoordinator, ShardRing, ShardStats
+from .sharding import ControllerShard, ShardCoordinator, ShardRing
 from .southbound import ProcessingCosts, SouthboundAgent
 from .state import (
     AccessMode,
@@ -67,7 +67,6 @@ __all__ = [
     "ControllerShard",
     "ShardCoordinator",
     "ShardRing",
-    "ShardStats",
     "AccessMode",
     "PerFlowStateStore",
     "SharedStateSlot",

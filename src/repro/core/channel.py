@@ -33,6 +33,7 @@ from itertools import count
 from typing import Callable, Dict, Optional
 
 from ..net.simulator import Simulator
+from ..obs import Counters
 from ..runtime.arq import DEFAULT_RTO_LATENCY_MULTIPLE, ArqDirection, Fate, SeededFaultPlan
 from .messages import Message, MessageType, batch_message, encode_chan_ack, parse
 
@@ -97,25 +98,19 @@ class FaultPlan(SeededFaultPlan):
 # =========================================================================================
 
 
-@dataclass
-class ChannelStats:
-    """Counters for one direction of a control channel."""
-
-    messages: int = 0
-    bytes: int = 0
+#: Counters for one direction of a control channel.
+CHANNEL_COUNTERS = (
+    "messages", "bytes",
     #: BATCH frames among ``messages`` (each counts as one wire message).
-    batches: int = 0
+    "batches",
     #: Requests delivered inside those BATCH frames.
-    framed_messages: int = 0
+    "framed_messages",
     #: Fault injection: messages lost / delivered twice / delayed out of order.
-    dropped: int = 0
-    duplicated: int = 0
-    reordered: int = 0
+    "dropped", "duplicated", "reordered",
     #: Reliable delivery: retransmitted payloads, duplicates discarded at the
     #: receiver, and CHAN_ACK frames sent in this direction.
-    retransmits: int = 0
-    dedup_discards: int = 0
-    chan_acks: int = 0
+    "retransmits", "dedup_discards", "chan_acks",
+)
 
 
 # =========================================================================================
@@ -146,8 +141,8 @@ class ControlChannel:
         #: operation, and a clean channel needs no sequencing overhead.
         self.reliable = (faults is not None) if reliable is None else reliable
         self.retransmit_timeout = max(DEFAULT_RTO_LATENCY_MULTIPLE * latency, 1e-4)
-        self.to_mb = ChannelStats()
-        self.to_controller = ChannelStats()
+        self.to_mb = Counters(*CHANNEL_COUNTERS)
+        self.to_controller = Counters(*CHANNEL_COUNTERS)
         #: Sequencing state per direction: unbounded window, never gives up,
         #: strict order.  A direction is *closed* while its receiving endpoint
         #: is gone — the middlebox crashed (``to_mb``) or the controller side
@@ -268,7 +263,7 @@ class ControlChannel:
 
     # -- the wire ---------------------------------------------------------------------
 
-    def _stats_for(self, direction: str) -> ChannelStats:
+    def _stats_for(self, direction: str) -> Counters:
         return self.to_mb if direction == "to_mb" else self.to_controller
 
     def _transmit(self, direction: str, encoded: bytes, retry: bool = False, ack: bool = False) -> float:
@@ -331,13 +326,3 @@ class ControlChannel:
     @property
     def total_bytes(self) -> int:
         return self.to_mb.bytes + self.to_controller.bytes
-
-    @property
-    def total_retransmits(self) -> int:
-        """Retransmitted payload messages across both directions."""
-        return self.to_mb.retransmits + self.to_controller.retransmits
-
-    @property
-    def total_dropped(self) -> int:
-        """Messages lost to injected faults across both directions."""
-        return self.to_mb.dropped + self.to_controller.dropped

@@ -632,6 +632,40 @@ class MBController:
         """Records of operations that have started but not yet finalised."""
         return [op.record for ops in self._active_by_src.values() for op in ops]
 
+    # -- the stats document ---------------------------------------------------------------------------------
+
     def shard_summary(self) -> Dict[str, object]:
-        """Per-shard load counters (messages, events, busy time, homed ops)."""
-        return self.coordinator.summary()
+        """The snapshot's ``sharding`` section: shard count, barriers issued, and each shard's load counters."""
+        coordinator = self.coordinator
+        return {
+            "num_shards": coordinator.num_shards,
+            "barriers_issued": coordinator.barriers_issued,
+            "shards": [{"shard": shard.shard_id, **shard.stats.as_dict()} for shard in coordinator.shards],
+        }
+
+    def snapshot(self) -> Dict[str, object]:
+        """Everything this controller counts, as one JSON-serialisable document.
+
+        ``controller``: its own counters plus the chunks and bytes its archived
+        operations moved; ``sharding``: :meth:`shard_summary`; ``instances``:
+        per registered middlebox, its channel's two directions, its southbound
+        agent, its data-plane counters and each state store's memory gauges.
+        """
+        stats = self.stats
+        instances = {}
+        for name, registration in sorted(self._registrations.items()):
+            channel, middlebox = registration.channel, registration.middlebox
+            instances[name] = {
+                "channel": {"to_mb": channel.to_mb.as_dict(), "to_controller": channel.to_controller.as_dict()},
+                "agent": registration.agent.stats.as_dict(),
+                "middlebox": middlebox.counters.as_dict(),
+                "stores": {
+                    "support": middlebox.support_store.memory_stats().as_dict(),
+                    "report": middlebox.report_store.memory_stats().as_dict(),
+                },
+            }
+        return {
+            "controller": {**stats.as_dict(), "chunks_transferred": stats.total_chunks(), "bytes_transferred": stats.total_bytes()},
+            "sharding": self.shard_summary(),
+            "instances": instances,
+        }

@@ -33,10 +33,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..net.simulator import Future, Simulator
+from ..obs import Counters
 from .flowspace import FlowKey, FlowPattern
 
 #: Virtual nodes per shard on the consistent-hash ring.  Enough replicas keep
@@ -122,18 +122,17 @@ class ShardRing:
         return tuple(range(self.num_shards))
 
 
-@dataclass
-class ShardStats:
-    """Counters kept by one controller shard's event loop."""
-
+#: Counters kept by one controller shard's event loop.
+SHARD_COUNTERS = (
     #: Messages (replies, ACKs, events) whose handling this shard's CPU ran.
-    messages: int = 0
+    "messages",
     #: Re-process/introspection events among those messages.
-    events: int = 0
+    "events",
     #: Total simulated CPU time this shard spent handling messages.
-    busy_time: float = 0.0
+    "busy_time",
     #: Stateful operations whose home loop this shard is/was.
-    operations_homed: int = 0
+    "operations_homed",
+)
 
 
 class ControllerShard:
@@ -147,7 +146,7 @@ class ControllerShard:
     def __init__(self, sim: Simulator, shard_id: int) -> None:
         self.sim = sim
         self.shard_id = shard_id
-        self.stats = ShardStats()
+        self.stats = Counters(*SHARD_COUNTERS)
         #: This shard's CPU: a runtime lane serialising all message handling.
         #: Watermark arithmetic on the runtime's clock: shards overlap in
         #: (simulated or wall) time, the one kernel thread runs their work.
@@ -256,31 +255,11 @@ class ShardCoordinator:
         self.sim.schedule(0.0, check)
         return future
 
-    # -- reporting ----------------------------------------------------------------------
-
-    def summary(self) -> Dict[str, object]:
-        """Per-shard counters plus ring roll-ups (for benchmarks)."""
-        return {
-            "num_shards": self.num_shards,
-            "barriers_issued": self.barriers_issued,
-            "shards": [
-                {
-                    "shard": shard.shard_id,
-                    "messages": shard.stats.messages,
-                    "events": shard.stats.events,
-                    "busy_time": shard.stats.busy_time,
-                    "operations_homed": shard.stats.operations_homed,
-                }
-                for shard in self.shards
-            ],
-        }
-
 
 __all__ = [
     "DEFAULT_RING_REPLICAS",
     "ControllerShard",
     "ShardCoordinator",
     "ShardRing",
-    "ShardStats",
     "stable_hash",
 ]

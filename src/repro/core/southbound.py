@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from ..net.packet import Packet
 from ..net.simulator import Simulator
+from ..obs import Counters
 from . import messages
 from .channel import ControlChannel
 from .errors import ConfigError, OpenMBError, ProtocolError
@@ -76,15 +77,8 @@ class ProcessingCosts:
 _STREAMED = object()
 
 
-@dataclass
-class AgentStats:
-    """Counters kept by a southbound agent."""
-
-    requests_handled: int = 0
-    chunks_sent: int = 0
-    chunks_received: int = 0
-    events_sent: int = 0
-    errors_sent: int = 0
+#: Counters kept by a southbound agent.
+AGENT_COUNTERS = ("requests_handled", "chunks_sent", "chunks_received", "events_sent", "errors_sent")
 
 
 class SouthboundAgent:
@@ -94,7 +88,7 @@ class SouthboundAgent:
         self.sim = sim
         self.middlebox = middlebox
         self.channel = channel
-        self.stats = AgentStats()
+        self.stats = Counters(*AGENT_COUNTERS)
         # The middlebox handles state-import work sequentially (a single control
         # thread in the paper's prototype), so puts queue behind one another:
         # one runtime lane serialises them.

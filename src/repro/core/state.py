@@ -18,7 +18,7 @@ every OpenMB-enabled middlebox uses internally:
   Optional per-field secondary indexes (``indexed=True``) generalise the
   original source-address index to destination addresses and ports — the
   "wildcard match techniques" the paper suggests as an improvement.  The store
-  also keeps byte-level memory accounting (:class:`StoreMemoryStats`) so a
+  also keeps byte-level memory accounting (:meth:`PerFlowStateStore.memory_stats`) so a
   million-flow transfer can assert its resident and peak footprint.
 * :class:`SharedStateSlot` — a single shared state object with the merge hook
   supplied by the middlebox.
@@ -34,6 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
+from ..obs import Counters
 from .errors import GranularityError, StateError
 from .flowspace import FlowKey, FlowPattern
 
@@ -171,42 +172,6 @@ INDEX_POSTING_BYTES = 96
 _MISSING = object()
 
 
-@dataclass(frozen=True)
-class StoreMemoryStats:
-    """Byte-level accounting snapshot of one :class:`PerFlowStateStore`.
-
-    All byte figures are *accounted* estimates — a per-slot constant times a
-    population count — so reading them is O(1) and removing everything always
-    returns them to zero.  ``peak_total_bytes`` is the high-water mark of
-    ``total_bytes`` over the store's lifetime — the number the million-flow
-    tier bounds against resident state size.
-    """
-
-    #: Resident per-flow entries.
-    entries: int
-    #: Accounted bytes of resident entries (keys, slots, values).
-    entry_bytes: int
-    #: Flows currently in the dirty set (pre-copy tracking).
-    dirty_entries: int
-    #: Accounted bytes of the dirty set.
-    dirty_bytes: int
-    #: Flows carrying a pre-copy install-round tag.
-    install_tags: int
-    #: Accounted bytes of the install-tag map.
-    install_tag_bytes: int
-    #: Secondary-index postings (0 unless the store was built ``indexed=True``).
-    index_postings: int
-    #: Accounted bytes of the secondary indexes.
-    index_bytes: int
-    #: Lifetime high-water mark of :attr:`total_bytes`.
-    peak_total_bytes: int
-
-    @property
-    def total_bytes(self) -> int:
-        """Current accounted footprint: entries + dirty set + tags + indexes."""
-        return self.entry_bytes + self.dirty_bytes + self.install_tag_bytes + self.index_bytes
-
-
 class PerFlowStateStore(Generic[T]):
     """Per-flow state objects indexed by flow key.
 
@@ -295,18 +260,33 @@ class PerFlowStateStore(Generic[T]):
         if total > self._peak_total_bytes:
             self._peak_total_bytes = total
 
-    def memory_stats(self) -> StoreMemoryStats:
-        """O(1) snapshot of the store's accounted memory footprint."""
-        return StoreMemoryStats(
-            entries=len(self._entries),
-            entry_bytes=len(self._entries) * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES),
-            dirty_entries=len(self._dirty),
-            dirty_bytes=len(self._dirty) * DIRTY_SLOT_BYTES,
-            install_tags=len(self._install_rounds),
-            install_tag_bytes=len(self._install_rounds) * TAG_SLOT_BYTES,
-            index_postings=self._index_postings,
-            index_bytes=self._index_postings * INDEX_POSTING_BYTES,
-            peak_total_bytes=max(self._peak_total_bytes, self._current_total_bytes()),
+    def memory_stats(self) -> Counters:
+        """O(1) snapshot of the store's accounted memory footprint.
+
+        All byte figures are *accounted* estimates — a per-slot constant times
+        a population count — so reading them is O(1) and removing everything
+        always returns them to zero.
+        """
+        entries, dirty, tags, postings = len(self._entries), len(self._dirty), len(self._install_rounds), self._index_postings
+        total = self._current_total_bytes()
+        return Counters(
+            # Resident per-flow entries and their accounted bytes (keys, slots, values).
+            entries=entries,
+            entry_bytes=entries * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES),
+            # Flows currently in the dirty set (pre-copy tracking) and its bytes.
+            dirty_entries=dirty,
+            dirty_bytes=dirty * DIRTY_SLOT_BYTES,
+            # Flows carrying a pre-copy install-round tag and the tag map's bytes.
+            install_tags=tags,
+            install_tag_bytes=tags * TAG_SLOT_BYTES,
+            # Secondary-index postings (0 unless the store was built ``indexed=True``) and their bytes.
+            index_postings=postings,
+            index_bytes=postings * INDEX_POSTING_BYTES,
+            # Lifetime high-water mark of ``total_bytes`` — the number the
+            # million-flow tier bounds against resident state size.
+            peak_total_bytes=max(self._peak_total_bytes, total),
+            # Current accounted footprint: entries + dirty set + tags + indexes.
+            total_bytes=total,
         )
 
     # -- dirty tracking --------------------------------------------------------

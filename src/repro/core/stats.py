@@ -3,55 +3,50 @@
 The evaluation section measures the controller itself: how long operations
 take, how many are in flight, how many events were buffered versus forwarded,
 and how much state crossed the control channels.  :class:`ControllerStats`
-aggregates those measurements; every completed
+holds those counters; every finished
 :class:`~repro.core.operations.OperationRecord` is archived here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Optional
 
+from ..obs import Counters
 from .operations import OperationRecord, OperationType
 
-
-@dataclass
-class ControllerStats:
-    """Aggregate counters and the archive of completed operations."""
-
-    messages_received: int = 0
-    messages_sent: int = 0
+#: The controller's counters, in report order.
+CONTROLLER_COUNTERS = (
+    "messages_received", "messages_sent",
     #: BATCH frames produced by the southbound dispatcher (each replaces
     #: several channel messages) and the requests coalesced into them.
-    batches_dispatched: int = 0
-    messages_coalesced: int = 0
-    events_received: int = 0
-    events_forwarded: int = 0
-    events_buffered: int = 0
-    events_dropped: int = 0
-    introspection_events: int = 0
+    "batches_dispatched", "messages_coalesced",
+    "events_received", "events_forwarded", "events_buffered", "events_dropped", "introspection_events",
     #: Liveness: heartbeat beacons received, instances crashed via ``kill``,
     #: and instances declared dead (by the sweep or an explicit declaration).
-    heartbeats_received: int = 0
-    instances_killed: int = 0
-    instances_declared_dead: int = 0
+    "heartbeats_received", "instances_killed", "instances_declared_dead",
     #: Moves re-driven onto a standby destination after the primary died.
-    standby_retries: int = 0
-    operations_started: int = 0
-    operations_completed: int = 0
-    operations_failed: int = 0
+    "standby_retries",
+    #: Operations started, and of those finished the ones whose ``completed``
+    #: future succeeded and the ones that failed (a standby retry's failed
+    #: attempt included); the rest are live.
+    "operations_started", "operations_completed", "operations_failed",
     #: Pre-copy aggregates: copy rounds run before freezes, chunks/bytes
     #: resent by delta + stop-and-copy rounds (the pre-copy wire overhead).
-    precopy_operations: int = 0
-    precopy_rounds_total: int = 0
-    precopy_delta_chunks: int = 0
-    precopy_delta_bytes: int = 0
-    records: List[OperationRecord] = field(default_factory=list)
+    "precopy_operations", "precopy_rounds_total", "precopy_delta_chunks", "precopy_delta_bytes",
+)
+
+
+class ControllerStats(Counters):
+    """The controller's counters plus the archive of finished operations (``records``)."""
+
+    def __init__(self, **values: object) -> None:
+        super().__init__(*CONTROLLER_COUNTERS, records=[], **values)
 
     def archive(self, record: OperationRecord) -> None:
-        """Store a finished operation's record."""
+        """Store a finished operation's record; it counts as completed when it reached completion."""
         self.records.append(record)
-        self.operations_completed += 1
+        if record.completed_at is not None:
+            self.operations_completed += 1
         self.events_buffered += record.events_buffered
         self.events_forwarded += record.events_forwarded
         self.events_dropped += record.events_dropped
@@ -62,27 +57,6 @@ class ControllerStats:
                 if round_stats.get("round", 0) > 0:
                     self.precopy_delta_chunks += round_stats.get("chunks", 0)
                     self.precopy_delta_bytes += round_stats.get("bytes", 0)
-
-    def merge(self, *others: "ControllerStats") -> "ControllerStats":
-        """Fold one or more controllers' stats into a fleet-wide aggregate.
-
-        Returns a **new** :class:`ControllerStats`; neither ``self`` nor any
-        of *others* is mutated.  Every integer counter is summed and the
-        operation archives are concatenated (in argument order), so the
-        derived queries — :meth:`mean_duration`, :meth:`summary` — report across the whole
-        federation exactly as they would for a single controller.  The counters
-        are whatever ``dataclasses.fields`` lists, so one added here — or by a
-        subclass, whose type the aggregate keeps — is never dropped.  Merging is
-        associative and merging with a fresh instance is the identity, so
-        multi-domain benchmarks can fold domains in any grouping.
-        """
-        merged = type(self)()
-        for stats in (self, *others):
-            for counter in fields(self):
-                if counter.name != "records":
-                    setattr(merged, counter.name, getattr(merged, counter.name) + getattr(stats, counter.name))
-            merged.records.extend(stats.records)
-        return merged
 
     # -- queries used by benchmarks and reports --------------------------------------
 
@@ -102,24 +76,3 @@ class ControllerStats:
 
     def total_bytes(self) -> int:
         return sum(record.bytes_transferred for record in self.records)
-
-    def summary(self) -> Dict[str, float]:
-        """A flat summary dictionary convenient for reports."""
-        return {
-            "operations_started": self.operations_started,
-            "operations_completed": self.operations_completed,
-            "operations_failed": self.operations_failed,
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "events_received": self.events_received,
-            "events_forwarded": self.events_forwarded,
-            "events_buffered": self.events_buffered,
-            "events_dropped": self.events_dropped,
-            "chunks_transferred": self.total_chunks(),
-            "bytes_transferred": self.total_bytes(),
-            "mean_move_duration": self.mean_duration(OperationType.MOVE),
-            "precopy_operations": self.precopy_operations,
-            "precopy_rounds_total": self.precopy_rounds_total,
-            "precopy_delta_chunks": self.precopy_delta_chunks,
-            "precopy_delta_bytes": self.precopy_delta_bytes,
-        }

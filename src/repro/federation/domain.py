@@ -47,9 +47,9 @@ from ..core.controller import ControllerConfig, MBController
 from ..core.errors import ProtocolError
 from ..core.events import EventCode
 from ..core.messages import Message, MessageType
-from ..core.stats import ControllerStats
 from ..core.transfer import TransferMode, TransferSpec
 from ..net.simulator import Future, Simulator
+from ..obs import Counters
 from .directory import OwnershipDirectory
 from .election import elect_successor
 from .gossip import GossipConfig, GossipState, choose_peers
@@ -687,11 +687,22 @@ class Federation:
         for domain in self.domains.values():
             domain.stop()
 
-    def merged_stats(self) -> ControllerStats:
-        """Fleet-wide counters: every domain's stats folded with
-        :meth:`ControllerStats.merge`."""
-        stats = [domain.controller.stats for domain in self.domains.values()]
-        return stats[0].merge(*stats[1:]) if stats else ControllerStats()
+    def snapshot(self) -> Dict[str, object]:
+        """Everything the federation counts, as one JSON-serialisable document.
+
+        ``domains``: each domain controller's
+        :meth:`~repro.core.controller.MBController.snapshot`; ``fleet``: their
+        ``controller`` sections summed counter by counter; ``gossip``: per
+        inter-domain channel, its two directions' counters.
+        """
+        domains = {name: domain.controller.snapshot() for name, domain in self.domains.items()}
+        fleet = Counters().merge(*(Counters(**snapshot["controller"]) for snapshot in domains.values()))
+        gossip = {}
+        for domain in self.domains.values():
+            for link in domain._peers.values():
+                channel = link.channel
+                gossip[channel.name] = {"to_mb": channel.to_mb.as_dict(), "to_controller": channel.to_controller.as_dict()}
+        return {"domains": domains, "fleet": fleet.as_dict(), "gossip": gossip}
 
     def converged(self) -> bool:
         """True when every live domain agrees on membership, liveness, and ownership:

@@ -1,6 +1,6 @@
 """Middlebox substrate: OpenMB-enabled middleboxes built from scratch."""
 
-from .base import FULL_GRANULARITY, Middlebox, MiddleboxCounters, ProcessResult, Verdict
+from .base import FULL_GRANULARITY, Middlebox, ProcessResult, Verdict
 from .dummy import DummyMiddlebox
 from .firewall import ConnectionEntry, Firewall, FirewallRule
 from .ids import IDS, ConnLogEntry, Connection, HttpLogEntry, HttpTransaction, ScanTable
@@ -19,7 +19,6 @@ from .re import (
 __all__ = [
     "FULL_GRANULARITY",
     "Middlebox",
-    "MiddleboxCounters",
     "ProcessResult",
     "Verdict",
     "DummyMiddlebox",

@@ -47,6 +47,7 @@ from ..core.state import (
 from ..net.packet import Packet
 from ..net.simulator import Simulator
 from ..net.topology import Node
+from ..obs import Counters
 
 FULL_GRANULARITY = ("nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst")
 
@@ -92,30 +93,16 @@ class ProcessResult:
     updated_shared: bool = False
 
 
-@dataclass
-class MiddleboxCounters:
-    """Per-middlebox data-plane counters used by the evaluation."""
-
-    packets_received: int = 0
-    packets_forwarded: int = 0
-    packets_dropped: int = 0
-    bytes_received: int = 0
-    reprocessed_packets: int = 0
-    packets_held: int = 0
+#: Per-middlebox data-plane counters used by the evaluation.
+MIDDLEBOX_COUNTERS = (
+    "packets_received", "packets_forwarded", "packets_dropped", "bytes_received", "reprocessed_packets", "packets_held",
     #: Held packets discarded by a crash/teardown purge (they died with the
     #: instance — the chaos harness's conservation invariant accounts them).
-    packets_purged: int = 0
-    reprocess_events_raised: int = 0
-    introspection_events_raised: int = 0
-    processing_time_total: float = 0.0
+    "packets_purged",
+    "reprocess_events_raised", "introspection_events_raised", "processing_time_total",
     #: Pre-copy puts ignored because a newer round already installed the flow.
-    stale_round_puts: int = 0
-
-    @property
-    def mean_processing_latency(self) -> float:
-        if self.packets_received == 0:
-            return 0.0
-        return self.processing_time_total / self.packets_received
+    "stale_round_puts",
+)
 
 
 class Middlebox(Node):
@@ -157,7 +144,7 @@ class Middlebox(Node):
         self.shared_support: Optional[SharedStateSlot] = None
         self.shared_report: Optional[SharedStateSlot] = None
         self.event_filter = EventFilter()
-        self.counters = MiddleboxCounters()
+        self.counters = Counters(*MIDDLEBOX_COUNTERS)
         #: Flows whose exported per-flow state is flagged for re-process events.
         self._transferred_flows: set = set()
         #: Flows held by an order-preserving transfer: packets queue until release.

@@ -2,19 +2,12 @@
 
 from ..runtime.arq import ScriptedFault
 from .flowtable import Action, ActionType, FlowRule, FlowTable
-from .links import (
-    DEFAULT_BANDWIDTH,
-    DEFAULT_LATENCY,
-    Link,
-    LinkFaultPlan,
-    LinkFaultProfile,
-    LinkStats,
-)
+from .links import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Link, LinkFaultPlan, LinkFaultProfile
 from .packet import ACK, FIN, PSH, RST, SYN, Packet, tcp_packet, udp_packet
-from .protection import LinkProtection, ProtectionConfig, ProtectionStats, ProtectionSummary, summarize
+from .protection import LinkProtection, ProtectionConfig, summarize
 from .sdn import DEFAULT_RULE_INSTALL_LATENCY, RouteHandle, SDNController
 from .simulator import Future, Simulator, all_of
-from .switch import Switch, SwitchStats
+from .switch import Switch
 from .topology import Host, Node, Topology
 
 __all__ = [
@@ -25,12 +18,9 @@ __all__ = [
     "Link",
     "LinkFaultPlan",
     "LinkFaultProfile",
-    "LinkStats",
     "ScriptedFault",
     "LinkProtection",
     "ProtectionConfig",
-    "ProtectionStats",
-    "ProtectionSummary",
     "summarize",
     "DEFAULT_BANDWIDTH",
     "DEFAULT_LATENCY",
@@ -49,7 +39,6 @@ __all__ = [
     "Simulator",
     "all_of",
     "Switch",
-    "SwitchStats",
     "Host",
     "Node",
     "Topology",

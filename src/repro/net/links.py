@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..obs import Counters
 from ..runtime.arq import Fate, SeededFaultPlan
 from .packet import Packet
 from .simulator import Simulator
@@ -53,24 +54,22 @@ A_TO_B = "a_to_b"
 B_TO_A = "b_to_a"
 
 
-@dataclass
-class LinkStats:
-    """Counters kept per link direction (indexed by the transmitting end)."""
-
-    packets: int = 0
-    bytes: int = 0
+#: Counters kept per link direction (indexed by the transmitting end).
+LINK_COUNTERS = (
+    "packets", "bytes",
     #: Frames lost outright: downed link, or the fault plan's random loss.
-    drops: int = 0
+    "drops",
     #: Frames lost to corruption (failed CRC at the receiver's MAC): the
     #: receiving end sees *that* something arrived but not what — the loss
     #: class LinkGuardian-style protection detects by sequence gap.
-    corrupted: int = 0
+    "corrupted",
     #: Frames the fault plan delayed past a successor's delivery window.
-    reordered: int = 0
+    "reordered",
     #: Frames re-sent by the link-local protection protocol in this direction.
-    retransmits: int = 0
+    "retransmits",
     #: Protection control frames (ACK/NACK) sent in this direction.
-    ctrl_frames: int = 0
+    "ctrl_frames",
+)
 
 
 # =========================================================================================
@@ -129,7 +128,7 @@ class Link:
     """A bidirectional point-to-point link.
 
     What a frame needs from its sending end — direction label, that
-    direction's :class:`LinkStats`, the receiving node, its in-port and the
+    direction's counters (:data:`LINK_COUNTERS`), the receiving node, its in-port and the
     direction's serialisation lane — depends on the two attached ends only, so
     it is resolved once at construction (``_ends``) and a transmission pays one
     lookup by sender identity.
@@ -158,8 +157,8 @@ class Link:
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
         self.up = True
         self.faults = faults
-        self.stats_a_to_b = LinkStats()
-        self.stats_b_to_a = LinkStats()
+        self.stats_a_to_b = Counters(*LINK_COUNTERS)
+        self.stats_b_to_a = Counters(*LINK_COUNTERS)
         #: LinkGuardian-style link-local protection; None = unprotected.
         self.protection: Optional["LinkProtection"] = None
         #: Per sending end ``(direction, stats, receiver, in_port, lane)``, keyed
@@ -196,7 +195,7 @@ class Link:
             return B_TO_A
         raise ValueError(f"{node.name} is not attached to link {self.name}")
 
-    def stats_for(self, direction: str) -> LinkStats:
+    def stats_for(self, direction: str) -> Counters:
         """The counters of one direction by label."""
         return self.stats_a_to_b if direction == A_TO_B else self.stats_b_to_a
 

@@ -34,9 +34,10 @@ wall-clock realtime runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
+from ..obs import Counters
 from ..runtime.arq import DEFAULT_RTO_LATENCY_MULTIPLE, ArqDirection
 from .links import A_TO_B, B_TO_A
 from .packet import Packet
@@ -71,22 +72,21 @@ class ProtectionConfig:
     max_retries: int = 30
 
 
-@dataclass
-class ProtectionStats:
-    """Protocol counters for one direction of a protected link."""
-
+#: Protocol counters for one direction of a protected link.
+PROTECTION_COUNTERS = (
     #: Data frames delivered up to the node (after resequencing/dedup).
-    delivered: int = 0
+    "delivered",
     #: Duplicate arrivals discarded by the receiver half.
-    dup_discards: int = 0
+    "dup_discards",
     #: Missing sequence numbers NACKed (one count per NACKed seq).
-    nacked: int = 0
+    "nacked",
     #: Frames delivered out of sequence order (strict_order=False only).
-    out_of_order: int = 0
+    "out_of_order",
     #: Frames that arrived out of order but were resequenced before delivery.
-    resequenced: int = 0
+    "resequenced",
     #: Holds abandoned after ``max_retries`` (unmaskable persistent loss).
-    abandoned: int = 0
+    "abandoned",
+)
 
 
 class LinkProtection:
@@ -100,7 +100,7 @@ class LinkProtection:
         #: Session number, bumped each time the link comes back up; a frame
         #: stamped with another one is a straggler of a session that is gone.
         self.epoch = 0
-        self._stats: Dict[str, ProtectionStats] = {A_TO_B: ProtectionStats(), B_TO_A: ProtectionStats()}
+        self._stats: Dict[str, Counters] = {A_TO_B: Counters(*PROTECTION_COUNTERS), B_TO_A: Counters(*PROTECTION_COUNTERS)}
         self._arq: Dict[str, ArqDirection] = {}
         self._deliver: Dict[str, Callable[[Packet], None]] = {}
         self._wire_up()
@@ -153,7 +153,7 @@ class LinkProtection:
         """True for the protocol's own ACK/NACK frames."""
         return CTRL_KEY in packet.annotations
 
-    def stats_for(self, direction: str) -> ProtectionStats:
+    def stats_for(self, direction: str) -> Counters:
         """Protocol counters of one direction (by links.A_TO_B / B_TO_A label)."""
         return self._stats[direction]
 
@@ -238,23 +238,9 @@ class LinkProtection:
             self._wire_up()
 
 
-@dataclass
-class ProtectionSummary:
-    """Aggregated view of a protected link's loss/recovery accounting."""
-
-    sent: int = 0
-    lost_on_wire: int = 0
-    retransmits: int = 0
-    delivered: int = 0
-    abandoned: int = 0
-    ctrl_frames: int = 0
-    dup_discards: int = 0
-    details: Dict[str, ProtectionStats] = field(default_factory=dict)
-
-
-def summarize(link: "Link") -> ProtectionSummary:
-    """Build a :class:`ProtectionSummary` from a (protected) link's counters."""
-    summary = ProtectionSummary()
+def summarize(link: "Link") -> Counters:
+    """A (protected) link's loss/recovery accounting, both directions folded together."""
+    summary = Counters("sent", "lost_on_wire", "retransmits", "delivered", "abandoned", "ctrl_frames", "dup_discards")
     for direction in (A_TO_B, B_TO_A):
         stats = link.stats_for(direction)
         summary.sent += stats.packets - stats.ctrl_frames
@@ -266,5 +252,4 @@ def summarize(link: "Link") -> ProtectionSummary:
             summary.delivered += protocol.delivered
             summary.abandoned += protocol.abandoned
             summary.dup_discards += protocol.dup_discards
-            summary.details[direction] = protocol
     return summary

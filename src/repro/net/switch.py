@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.errors import NetworkError
 from ..core.flowspace import FlowPattern
+from ..obs import Counters
 from .flowtable import Action, ActionType, FlowRule, FlowTable
 from .packet import Packet
 from .simulator import Simulator
@@ -25,16 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_FORWARD_LATENCY = 5e-6
 
 
-@dataclass
-class SwitchStats:
-    """Aggregate counters for one switch."""
-
-    packets_in: int = 0
-    packets_forwarded: int = 0
-    packets_dropped: int = 0
-    packets_buffered: int = 0
-    bytes_forwarded: int = 0
-    table_misses: int = 0
+#: Aggregate counters for one switch.
+SWITCH_COUNTERS = ("packets_in", "packets_forwarded", "packets_dropped", "packets_buffered", "bytes_forwarded", "table_misses")
 
 
 @dataclass
@@ -59,7 +52,7 @@ class Switch(Node):
         self.table = FlowTable()
         self.forward_latency = forward_latency
         self.default_action = default_action
-        self.stats = SwitchStats()
+        self.stats = Counters(*SWITCH_COUNTERS)
         self._buffers: Dict[FlowPattern, List[_BufferedPacket]] = {}
 
     # -- control-plane interface -------------------------------------------------

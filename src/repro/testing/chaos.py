@@ -804,11 +804,12 @@ def run_federated_chaos(spec: ChaosSpec, *, runtime=None) -> ChaosResult:
 def _account_channels(result: ChaosResult, channels: Dict[str, ControlChannel]) -> None:
     """Fold every control channel's fault/recovery counters into the result."""
     for channel in channels.values():
-        result.messages += channel.total_messages
-        result.drops += channel.total_dropped
-        result.retransmits += channel.total_retransmits
-        result.dedup_discards += channel.to_mb.dedup_discards + channel.to_controller.dedup_discards
-        result.duplicates += channel.to_mb.duplicated + channel.to_controller.duplicated
+        both = channel.to_mb.merge(channel.to_controller)
+        result.messages += both.messages
+        result.drops += both.dropped
+        result.retransmits += both.retransmits
+        result.dedup_discards += both.dedup_discards
+        result.duplicates += both.duplicated
 
 
 def _account_data_paths(result: ChaosResult, paths: Dict[str, _DataPath]) -> None:

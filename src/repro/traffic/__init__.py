@@ -11,7 +11,7 @@ from .generators import (
     redundancy_trace,
 )
 from .records import Trace, TraceRecord
-from .replay import ReplayStats, TraceReplayer
+from .replay import TraceReplayer
 
 __all__ = [
     "FlowDurationModel",
@@ -26,6 +26,5 @@ __all__ = [
     "redundancy_trace",
     "Trace",
     "TraceRecord",
-    "ReplayStats",
     "TraceReplayer",
 ]

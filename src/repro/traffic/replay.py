@@ -8,23 +8,17 @@ switch port — the equivalent of a tap feeding a middlebox) or via a host's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..net.packet import Packet
 from ..net.simulator import Simulator
 from ..net.topology import Host, Node
+from ..obs import Counters
 from .records import Trace, TraceRecord
 
 
-@dataclass
-class ReplayStats:
-    """Counters describing one replay."""
-
-    injected: int = 0
-    bytes: int = 0
-    first_time: float = 0.0
-    last_time: float = 0.0
+#: Counters describing one replay.
+REPLAY_COUNTERS = ("injected", "bytes", "first_time", "last_time")
 
 
 class TraceReplayer:
@@ -48,7 +42,7 @@ class TraceReplayer:
         self.start_at = start_at
         self.speedup = speedup
         self.limit = limit
-        self.stats = ReplayStats()
+        self.stats = Counters(*REPLAY_COUNTERS)
 
     # -- convenience constructors ------------------------------------------------------------------
 

@@ -13,13 +13,12 @@ must not move:
 * **protected link** — for one strict-order and one loose-order run (seeded
   loss + corruption + reordering in both directions, a four-frame hold buffer,
   one scripted corruption): the full ``(time, index)`` delivery schedule at
-  the receiving host plus every ``LinkStats`` / ``ProtectionStats`` counter.
+  the receiving host plus every link and protection counter (``as_dict()``).
 
 Re-record it (only when the protocol is meant to change) with
 ``PYTHONPATH=src python tests/test_arq_golden.py``.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -100,8 +99,8 @@ def link_fingerprint(strict_order: bool) -> dict:
         "schedule": schedule,
         "reverse_schedule": reverse,
         "executed_events": sim.executed_events,
-        "link": {d: dataclasses.asdict(link.stats_for(d)) for d in (A_TO_B, B_TO_A)},
-        "protection": {d: dataclasses.asdict(protection.stats_for(d)) for d in (A_TO_B, B_TO_A)},
+        "link": {d: link.stats_for(d).as_dict() for d in (A_TO_B, B_TO_A)},
+        "protection": {d: protection.stats_for(d).as_dict() for d in (A_TO_B, B_TO_A)},
     }
 
 

@@ -15,8 +15,8 @@ and loose link protection:
   (``install_rule`` / ``remove_rules_by_cookie``): on ``s1`` the shadow drops
   one flow for a window, on ``s2`` it forwards to the same port — a stale
   exact-match entry would show in the deliveries or the per-rule counters;
-* every ``LinkStats`` / ``ProtectionStats`` counter of all three links, both
-  switches' ``SwitchStats`` and per-rule ``packets_matched`` /
+* every link and protection counter of all three links, both switches'
+  counters (all read with ``as_dict()``) and per-rule ``packets_matched`` /
   ``bytes_matched``, and ``sim.executed_events``.
 
 No link flap: what a protected link does across down → up is changed on
@@ -26,7 +26,6 @@ Re-record it (only when the schedule is meant to change) with
 ``PYTHONPATH=src python tests/test_dataplane_golden.py``.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -137,12 +136,12 @@ def fingerprint(strict_order: bool) -> dict:
         "executed_events": sim.executed_events,
         "removed": removed,
         "links": {
-            name: {d: dataclasses.asdict(link.stats_for(d)) for d in (A_TO_B, B_TO_A)}
+            name: {d: link.stats_for(d).as_dict() for d in (A_TO_B, B_TO_A)}
             for name, link in (("h1-s1", edge1), ("s1-s2", middle), ("s2-h2", edge2))
         },
-        "protection": {d: dataclasses.asdict(protection.stats_for(d)) for d in (A_TO_B, B_TO_A)},
+        "protection": {d: protection.stats_for(d).as_dict() for d in (A_TO_B, B_TO_A)},
         "outstanding": {d: protection.outstanding(d) for d in (A_TO_B, B_TO_A)},
-        "switches": {switch.name: dataclasses.asdict(switch.stats) for switch in (s1, s2)},
+        "switches": {switch.name: switch.stats.as_dict() for switch in (s1, s2)},
         "rules": {
             switch.name: {rule.cookie: [rule.packets_matched, rule.bytes_matched] for rule in switch.table.rules()}
             for switch in (s1, s2)

@@ -369,6 +369,31 @@ class TestEngineLayering:
         for reader in ("middleboxes/base.py", "core/operations.py"):
             assert pathlib.PurePath("repro", reader) in taxonomy_readers, f"{reader} no longer reads the taxonomy"
 
+    def test_the_counters_type_exists_once(self):
+        """Telemetry is ``repro.obs.Counters``: no ``*Stats`` / ``*Counters`` / ``*Summary`` dataclass under ``src/``.
+
+        ``MonitorStats`` is Table 1 middlebox state (the monitor's shared
+        report, moved and merged like any other state), so it stays a
+        dataclass.  ``ControllerStats`` is a ``Counters`` with the operation
+        archive beside it.
+        """
+        offenders, controller_bases = [], None
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                decorators = [ast.unparse(item.func if isinstance(item, ast.Call) else item) for item in node.decorator_list]
+                dataclass = any(name.split(".")[-1] == "dataclass" for name in decorators)
+                if dataclass and node.name.endswith(("Stats", "Counters", "Summary")) and node.name != "MonitorStats":
+                    offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno} {node.name}")
+                if node.name == "ControllerStats":
+                    controller_bases = [ast.unparse(base) for base in node.bases]
+        assert not offenders, f"stats dataclasses beside repro.obs.Counters: {offenders}"
+        from repro.core.stats import ControllerStats
+        from repro.obs import Counters
+
+        assert controller_bases == ["Counters"] and issubclass(ControllerStats, Counters)
+
 
 class TestIdsAreNumberedByTheirOwner:
     """No id lives in process-global state: a scenario's bytes depend on its seed and topology alone."""

@@ -14,7 +14,9 @@ Covers the satellite fixes of the transfer-strategy refactor:
   that ends it, so a finished operation is collectable and a duplicated reply
   reaches its handler once;
 * a standby retry whose source or standby dies before the retry starts fails
-  its handle instead of hanging or raising out of the kernel.
+  its handle instead of hanging or raising out of the kernel;
+* every started operation is counted once: completed (its ``completed``
+  future succeeded), failed, or still live.
 """
 
 import gc
@@ -24,7 +26,13 @@ import pytest
 
 from repro.core import ControllerConfig, MBController, NorthboundAPI, TransferSpec, messages
 from repro.core.channel import ControlChannel, FaultPlan, FaultProfile
-from repro.core.errors import OperationError, StateError, TransactionAbortedError, UnknownMiddleboxError
+from repro.core.errors import (
+    OperationAbortedError,
+    OperationError,
+    StateError,
+    TransactionAbortedError,
+    UnknownMiddleboxError,
+)
 from repro.core.flowspace import FlowPattern
 from repro.core.messages import MessageType
 from repro.middleboxes import DummyMiddlebox
@@ -365,6 +373,55 @@ class TestStandbyRetryWindow:
         assert "'stby'" in str(handle.completed.exception)
         assert len(boxes["src"].support_store) == 20 and len(boxes["src"].report_store) == 20
         assert controller._reply_handlers == {} and controller.active_operations() == []
+
+
+class TestEveryStartedOperationIsCountedOnce:
+    """``operations_started`` is ``operations_completed + operations_failed`` plus the live ones.
+
+    A finished operation counts as completed only when its ``completed``
+    future succeeded, so a failed move is never counted twice.
+    """
+
+    @staticmethod
+    def counts(controller):
+        stats = controller.stats
+        assert stats.operations_started == stats.operations_completed + stats.operations_failed + len(controller.active_operations())
+        return stats.operations_started, stats.operations_completed, stats.operations_failed
+
+    def test_a_failing_move(self, sim, failing_move):
+        controller, northbound, _, _ = failing_move
+        handle = northbound.move_internal("fsrc", "fdst", None)
+        with pytest.raises(OperationError):
+            sim.run_until(handle.completed, limit=100)
+        sim.run(until=sim.now + 1.0)
+        assert self.counts(controller) == (1, 0, 1)
+
+    def test_an_aborted_move(self, sim, controller, dummy_pair):
+        handle = controller.move_internal("dummy-src", "dummy-dst", FlowPattern.wildcard())
+        sim.run(until=sim.now + 0.002)  # part way: some chunks already moved
+        assert not handle.completed.done and self.counts(controller) == (1, 0, 0)
+        controller.abort_operation(handle, "operator cancelled the move")
+        with pytest.raises(OperationAbortedError):
+            sim.run_until(handle.completed, limit=100)
+        sim.run(until=sim.now + 1.0)
+        assert self.counts(controller) == (1, 0, 1)
+
+    def test_a_standby_retry(self, sim):
+        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.05))
+        for name in ("src", "dst", "stby"):
+            controller.register(DummyMiddlebox(sim, name, chunk_count=20 if name == "src" else 0))
+        handle = controller.move_internal("src", "dst", FlowPattern.wildcard(), standby="stby")
+        sim.schedule(1.5e-3, controller.kill, "dst")
+        sim.run_until(handle.finalized, limit=100)
+        assert controller.stats.standby_retries == 1
+        assert self.counts(controller) == (2, 1, 1)  # the failed attempt and the retry that completed
+
+    def test_a_clean_move(self, sim, controller, dummy_pair):
+        handle = controller.move_internal("dummy-src", "dummy-dst", FlowPattern.wildcard())
+        sim.run_until(handle.completed, limit=100)
+        assert self.counts(controller) == (1, 0, 0)  # completed, live until it finalises
+        sim.run_until(handle.finalized, limit=100)
+        assert self.counts(controller) == (1, 1, 0)
 
 
 class TestForwardedEventPruning:

@@ -4,7 +4,7 @@
   an empty body, each field in turn replaced by a value its converter rejects,
   and chunk dicts with a member missing — alone and inside a ``BATCH`` frame —
   reach the agent over a real channel.  Each gets exactly one ``ERROR`` (counted
-  in ``AgentStats.errors_sent``) or, when every field is optional, its normal
+  in the agent's ``errors_sent`` counter) or, when every field is optional, its normal
   reply; nothing escapes ``sim.run()``.  Before the bodies had one parser an
   empty ``GET_PERFLOW`` escaped as ``KeyError('role')`` and a garbage chunk as
   ``ProtocolError``.

@@ -27,7 +27,6 @@ from repro.core.state import (
     TAG_SLOT_BYTES,
     VALUE_SLOT_BYTES,
     PerFlowStateStore,
-    StoreMemoryStats,
 )
 
 from dict_store_oracle import DictPerFlowStateStore
@@ -315,8 +314,9 @@ class CompactBucketMachine(RuleBasedStateMachine):
         postings = sum(len(bucket) for index in expected_postings(self.oracle.keys()) for bucket in index.values())
         entry_bytes, dirty_bytes = entries * (ENTRY_SLOT_BYTES + VALUE_SLOT_BYTES), dirty * DIRTY_SLOT_BYTES
         tag_bytes, index_bytes = tags * TAG_SLOT_BYTES, postings * INDEX_POSTING_BYTES
-        self.peak = max(self.peak, entry_bytes + dirty_bytes + tag_bytes + index_bytes)
-        assert self.store.memory_stats() == StoreMemoryStats(
+        total = entry_bytes + dirty_bytes + tag_bytes + index_bytes
+        self.peak = max(self.peak, total)
+        assert self.store.memory_stats().as_dict() == dict(
             entries=entries,
             entry_bytes=entry_bytes,
             dirty_entries=dirty,
@@ -326,6 +326,7 @@ class CompactBucketMachine(RuleBasedStateMachine):
             index_postings=postings,
             index_bytes=index_bytes,
             peak_total_bytes=self.peak,
+            total_bytes=total,
         )
 
     @invariant()
@@ -413,7 +414,7 @@ def test_a_wildcard_delete_leaves_what_per_key_removes_leave(indexed, puts, tags
         per_key.remove(key)
     assert removed == matches
     assert len(bulk) == len(per_key) == 0 and list(bulk.items()) == list(per_key.items())
-    assert bulk.memory_stats() == per_key.memory_stats()
+    assert bulk.memory_stats().as_dict() == per_key.memory_stats().as_dict()
     assert bulk.dirty_keys() == per_key.dirty_keys()
     assert bulk.install_round_count == per_key.install_round_count
     assert bulk._install_rounds == per_key._install_rounds

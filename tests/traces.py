@@ -5,7 +5,8 @@ from __future__ import annotations
 from repro.net.packet import SYN
 from repro.net.simulator import Simulator
 from repro.net.topology import Node
-from repro.traffic import ReplayStats, Trace, TraceRecord, TraceReplayer
+from repro.obs import Counters
+from repro.traffic import Trace, TraceRecord, TraceReplayer
 
 
 def scan_trace(
@@ -39,7 +40,7 @@ def replay_trace_through(
     in_port: int = 1,
     speedup: float = 1.0,
     run: bool = True,
-) -> ReplayStats:
+) -> Counters:
     """Convenience: replay a whole trace into *node* and (optionally) run the simulator."""
     replayer = TraceReplayer.into_node(sim, trace, node, in_port=in_port, speedup=speedup)
     replayer.schedule()

@@ -44,6 +44,7 @@ DOCSTRING_MODULES = [
     "src/repro/core/sharding.py",
     "src/repro/core/operations.py",
     "src/repro/core/state.py",
+    "src/repro/obs.py",
 ]
 
 FAIL_UNDER = 100.0
