@@ -48,6 +48,8 @@ def measure_get_put(mb_factory, label, role, flows):
             chunks.append(messages.decode_chunk(message.body["chunk"]))
         elif message.type == MessageType.GET_COMPLETE:
             done.succeed(sim.now - started_at)
+        else:  # a STATE_CHUNK_BATCH (a get with a batch cap) would time a different stream than Fig. 9's
+            raise AssertionError(f"unexpected {message.type} reply to a one-chunk-per-message get")
 
     controller.send(src.name, messages.get_perflow(src.name, role, FlowPattern.wildcard()), on_reply=on_get_reply)
     get_time = sim.run_until(done, limit=200)

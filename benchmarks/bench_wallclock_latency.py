@@ -64,6 +64,8 @@ def _round_trips(runtime, clock, iterations: int, chunks: int) -> dict:
                 received.append(messages.decode_chunk(message.body["chunk"]))
             elif message.type == MessageType.GET_COMPLETE:
                 done.succeed(None)
+            else:  # a STATE_CHUNK_BATCH (a get with a batch cap) would time a different stream
+                raise AssertionError(f"unexpected {message.type} reply to a one-chunk-per-message get")
 
         started = clock()
         controller.send(

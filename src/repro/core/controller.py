@@ -53,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - middleboxes import core, not the reverse
 #: CPU time the controller spends forwarding one event (buffer lookup plus send).
 PER_EVENT_COST = 25e-6
 
+#: Replies that carry part of a get's stream and so do not end its request.
+_STREAM_REPLIES = (MessageType.STATE_CHUNK, MessageType.STATE_CHUNK_BATCH)
+
 
 @dataclass
 class ControllerConfig:
@@ -327,7 +330,8 @@ class MBController:
         ``on_reply(reply, *args)`` runs for *every* message the middlebox
         sends with ``reply_to`` equal to the request's xid (chunk streams
         produce many) up to and including the reply that ends the request —
-        anything but a ``STATE_CHUNK`` — after which the entry is forgotten.
+        anything but a ``STATE_CHUNK`` or ``STATE_CHUNK_BATCH`` — after which
+        the entry is forgotten.
         *shard* names the controller shard whose loop the replies are charged
         to — stateful operations pass their home shard; by default the
         middlebox's hash-assigned shard is used.  With ``dispatch_tick``
@@ -423,7 +427,7 @@ class MBController:
         request = (mb_name, message.reply_to)
         entry = self._reply_handlers.get(request)
         if entry is not None:
-            if message.type != MessageType.STATE_CHUNK:
+            if message.type not in _STREAM_REPLIES:
                 # Every reply but a chunk of a stream ends its request: forget
                 # the handler with it, or a long-lived controller retains every
                 # operation it ever ran (and a duplicated reply is handled twice).

@@ -114,6 +114,8 @@ class MessageType:
     # middlebox -> controller responses
     CONFIG_VALUE = "config_value"
     STATE_CHUNK = "state_chunk"
+    #: Several chunks of one get's stream in one reply (a get whose ``batch`` cap is above 1).
+    STATE_CHUNK_BATCH = "state_chunk_batch"
     SHARED_STATE = "shared_state"
     GET_COMPLETE = "get_complete"
     STATS_REPLY = "stats_reply"
@@ -298,6 +300,7 @@ def get_perflow(
     transfer: bool = False,
     track_dirty: bool = False,
     compress: bool = False,
+    batch: int = 1,
 ) -> Message:
     """Request per-flow state; ``transfer=True`` marks exported chunks for re-process events.
 
@@ -306,14 +309,18 @@ def get_perflow(
     tracking at the snapshot instant and keeps processing packets normally.
     ``compress=True`` asks the source to seal each exported chunk with its
     payload zlib-compressed (the :class:`~repro.core.transfer.TransferSpec`
-    negotiation).  Both fields are omitted from the wire when False so
-    plain snapshot transfers stay byte-identical to the seed protocol.
+    negotiation).  ``batch`` caps the chunks the source packs into one
+    STATE_CHUNK_BATCH reply; at 1 it streams one STATE_CHUNK per chunk.  All
+    three are omitted from the wire at their defaults so plain snapshot
+    transfers stay byte-identical to the seed protocol.
     """
     body: Dict[str, Any] = {"role": role.value, "pattern": pattern.as_dict(), "transfer": transfer}
     if track_dirty:
         body["track_dirty"] = True
     if compress:
         body["compress"] = True
+    if batch > 1:
+        body["batch"] = batch
     return Message(MessageType.GET_PERFLOW, mb=mb, body=body)
 
 
@@ -324,6 +331,7 @@ def get_perflow_delta(
     *,
     final: bool = False,
     compress: bool = False,
+    batch: int = 1,
 ) -> Message:
     """Request the chunks dirtied since the last drain (one pre-copy round).
 
@@ -336,14 +344,16 @@ def get_perflow_delta(
     stream followed by GET_COMPLETE carrying the number of pattern-matching
     flows re-dirtied while the round was being exported (the controller's
     signal for whether another round is worthwhile).  ``compress=True`` asks
-    the source to seal the round's chunks zlib-compressed, as in
-    :func:`get_perflow`.
+    the source to seal the round's chunks zlib-compressed, and ``batch``
+    caps its chunk batches, as in :func:`get_perflow`.
     """
     body: Dict[str, Any] = {"role": role.value, "pattern": pattern.as_dict()}
     if final:
         body["final"] = True
     if compress:
         body["compress"] = True
+    if batch > 1:
+        body["batch"] = batch
     return Message(MessageType.GET_PERFLOW_DELTA, mb=mb, body=body)
 
 
@@ -521,6 +531,12 @@ def stats_reply(mb: str, reply_to: int, stats: dict) -> Message:
 
 def state_chunk(mb: str, reply_to: int, chunk: StateChunk) -> Message:
     return Message(MessageType.STATE_CHUNK, reply_to=reply_to, mb=mb, body={"chunk": encode_chunk(chunk)})
+
+
+def state_chunk_batch(mb: str, reply_to: int, chunks: list) -> Message:
+    """Several chunks of one get's stream in one reply, spliced as :func:`put_perflow_batch` splices them."""
+    body = {"chunks": _array([encode_chunk(chunk) for chunk in chunks])}
+    return Message(MessageType.STATE_CHUNK_BATCH, reply_to=reply_to, mb=mb, body=body)
 
 
 def shared_state(mb: str, reply_to: int, chunk: StateChunk) -> Message:
@@ -767,6 +783,7 @@ _ROLE = ("role", _role, REQUIRED)
 _PATTERN = ("pattern", FlowPattern.parse, {})
 _OPTIONAL_PATTERN = ("pattern", FlowPattern.parse, None)
 _COMPRESS = ("compress", _flag, False)
+_BATCH = ("batch", _int, 1)
 _KEY = ("key", FlowKey.from_dict, None)
 _KEYS = (("keys", _each(FlowKey.from_dict), []),)
 _PACKET = ("packet", decode_packet, None)
@@ -800,8 +817,8 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.GET_CONFIG: (("key", _str, "*"),),
     MessageType.SET_CONFIG: (("key", _str, REQUIRED), ("values", _copied(list), [])),
     MessageType.DEL_CONFIG: (("key", _str, REQUIRED),),
-    MessageType.GET_PERFLOW: (_ROLE, _PATTERN, ("transfer", _flag, False), ("track_dirty", _flag, False), _COMPRESS),
-    MessageType.GET_PERFLOW_DELTA: (_ROLE, _PATTERN, ("final", _flag, False), _COMPRESS),
+    MessageType.GET_PERFLOW: (_ROLE, _PATTERN, ("transfer", _flag, False), ("track_dirty", _flag, False), _COMPRESS, _BATCH),
+    MessageType.GET_PERFLOW_DELTA: (_ROLE, _PATTERN, ("final", _flag, False), _COMPRESS, _BATCH),
     MessageType.PUT_PERFLOW: (("chunk", decode_chunk, REQUIRED), *_PUT_TAGS),
     MessageType.PUT_PERFLOW_BATCH: (("chunks", _each(decode_chunk), []), *_PUT_TAGS),
     MessageType.DEL_PERFLOW: (_ROLE, _PATTERN),
@@ -816,6 +833,7 @@ SCHEMAS: Dict[str, tuple] = {
     MessageType.REPROCESS_PACKET: (_PACKET, _SHARED),
     MessageType.CONFIG_VALUE: (("values", _copied(dict), {}),),
     MessageType.STATE_CHUNK: (("chunk", decode_chunk, REQUIRED),),
+    MessageType.STATE_CHUNK_BATCH: (("chunks", _each(decode_chunk), REQUIRED),),
     MessageType.SHARED_STATE: (_SHARED_CHUNK,),
     MessageType.GET_COMPLETE: (("role", _str, None), ("dirty", _int, None)),
     MessageType.STATS_REPLY: (("stats", _copied(dict), {}),),

@@ -52,7 +52,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import messages
 from .errors import InstanceDeadError, OperationError, UnknownMiddleboxError
@@ -483,7 +483,8 @@ class MoveOperation(_StatefulOperation):
 
     The chunk pipeline: ``parallelism`` bounds the put/batch messages awaiting
     an ACK (0 = unbounded, the seed's put-on-arrival); ``batch_size`` packs
-    chunks into one ``PUT_PERFLOW_BATCH``.  When the last chunk of a flow is
+    chunks into one ``PUT_PERFLOW_BATCH``, and caps the source's
+    ``STATE_CHUNK_BATCH`` replies alike.  When the last chunk of a flow is
     ACKed, the guarantee acts on that flow: loss-free flushes its buffered
     events; order-preserving replays them (each replay ACKed) and then sends
     the flow's ``TRANSFER_RELEASE``, completing once every moved flow is
@@ -602,10 +603,11 @@ class MoveOperation(_StatefulOperation):
                     transfer=not self.precopy,
                     track_dirty=self.precopy,
                     compress=self.spec.compress,
+                    batch=self.spec.batch_size,
                 )
             else:
                 message = messages.get_perflow_delta(
-                    self.src, role, self.pattern, final=self._in_final_phase, compress=self.spec.compress
+                    self.src, role, self.pattern, final=self._in_final_phase, compress=self.spec.compress, batch=self.spec.batch_size
                 )
             self.port.send(self.src, message, self._on_src_reply, shard=self.home_shard)
 
@@ -681,12 +683,9 @@ class MoveOperation(_StatefulOperation):
         if fields is None:
             return
         if message.type == MessageType.STATE_CHUNK:
-            chunk = fields["chunk"]
-            self.record.chunks_transferred += 1
-            self.record.bytes_transferred += chunk.size
-            self._round_chunks += 1
-            self._round_bytes += chunk.size
-            self._add_chunk(chunk)
+            self._add_chunks((fields["chunk"],))
+        elif message.type == MessageType.STATE_CHUNK_BATCH:
+            self._add_chunks(fields["chunks"])
         elif message.type == MessageType.GET_COMPLETE:
             if fields["dirty"] is not None:
                 self._round_dirty[fields["role"]] = fields["dirty"]
@@ -698,19 +697,24 @@ class MoveOperation(_StatefulOperation):
 
     # -- the chunk pipeline --------------------------------------------------------------
 
-    def _add_chunk(self, chunk: StateChunk) -> None:
-        """Accept one streamed chunk and dispatch it when the window allows."""
-        canonical = chunk.key.bidirectional()
-        if canonical in self._acked_flows:
-            # A flow's supporting and reporting chunks stream from two
-            # independent gets, so a second chunk can arrive after the first
-            # was already ACKed (and the flow's events flushed/released).
-            # Reopen the flow: events buffer again until this chunk is ACKed.
-            self._acked_flows.discard(canonical)
-            self._flow_reopened(canonical)
-        self.flows.add(canonical)
-        self._pending_chunks[canonical] = self._pending_chunks.get(canonical, 0) + 1
-        self._queue.append(chunk)
+    def _add_chunks(self, chunks: Iterable[StateChunk]) -> None:
+        """Accept streamed chunks and dispatch them as the window allows."""
+        for chunk in chunks:
+            self.record.chunks_transferred += 1
+            self.record.bytes_transferred += chunk.size
+            self._round_chunks += 1
+            self._round_bytes += chunk.size
+            canonical = chunk.key.bidirectional()
+            if canonical in self._acked_flows:
+                # A flow's supporting and reporting chunks stream from two
+                # independent gets, so a second chunk can arrive after the first
+                # was already ACKed (and the flow's events flushed/released).
+                # Reopen the flow: events buffer again until this chunk is ACKed.
+                self._acked_flows.discard(canonical)
+                self._flow_reopened(canonical)
+            self.flows.add(canonical)
+            self._pending_chunks[canonical] = self._pending_chunks.get(canonical, 0) + 1
+            self._queue.append(chunk)
         self._dispatch()
 
     def _dispatch(self) -> None:

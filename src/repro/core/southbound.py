@@ -9,8 +9,9 @@ holds what sits between it and the controller:
   middlebox (~500 LOC in their prototype): it receives protocol messages from
   the controller over the middlebox's control channel, invokes the middlebox,
   models the middlebox-side processing cost of each operation on the simulated
-  clock, streams per-flow chunks back one message at a time, sends ACKs, and
-  forwards every event the middlebox raises to the controller.
+  clock, streams per-flow chunks back (one message per chunk, or one per
+  group of up to the get's ``batch`` cap), sends ACKs, and forwards every
+  event the middlebox raises to the controller.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ class SouthboundAgent:
     # per-flow state ----------------------------------------------------------------------
 
     def _get_perflow(
-        self, request: Message, role: StateRole, pattern: FlowPattern, transfer: bool, track_dirty: bool, compress: bool
+        self, request: Message, role: StateRole, pattern: FlowPattern, transfer: bool, track_dirty: bool, compress: bool, batch: int
     ) -> None:
         export = partial(
             self.middlebox.iter_perflow,
@@ -241,7 +242,7 @@ class SouthboundAgent:
             track_dirty=track_dirty,
             compress=compress or None,
         )
-        self._serve_get(request, role, self.middlebox.perflow_count(role), export, pattern if track_dirty else None)
+        self._serve_get(request, role, self.middlebox.perflow_count(role), export, pattern if track_dirty else None, batch)
 
     def _get_perflow_delta(
         self,
@@ -250,6 +251,7 @@ class SouthboundAgent:
         pattern: FlowPattern,
         final: bool,
         compress: bool,
+        batch: int,
     ) -> None:
         """One pre-copy round: stream the dirtied chunks, report residual dirt.
 
@@ -268,15 +270,15 @@ class SouthboundAgent:
         export = partial(
             self.middlebox.iter_perflow_dirty, role, pattern, mark_transfer=final, compress=compress or None
         )
-        self._serve_get(request, role, self.middlebox.dirty_perflow_count(role, pattern), export, pattern)
+        self._serve_get(request, role, self.middlebox.dirty_perflow_count(role, pattern), export, pattern, batch)
 
     def _serve_get(
-        self, request: Message, role: StateRole, scanned: int, export: Callable, dirty_pattern: Optional[FlowPattern]
+        self, request: Message, role: StateRole, scanned: int, export: Callable, dirty_pattern: Optional[FlowPattern], batch: int
     ) -> None:
-        """Charge the pre-scan over *scanned* entries, then open *export* and stream it."""
+        """Charge the pre-scan over *scanned* entries, then open *export* and stream it in groups of ≤ *batch*."""
         costs = self.middlebox.costs
         scan_cost = costs.get_base + costs.get_scan_per_entry * scanned
-        self._serve(request, scan_cost, lambda: self._pump_chunks(request, role, export(), dirty_pattern))
+        self._serve(request, scan_cost, lambda: self._pump_chunks(request, role, export(), dirty_pattern, batch))
 
     #: Chunks drawn from a middlebox export iterator per pump step.  Bounds the
     #: agent's resident set during a get to one batch of sealed chunks, however
@@ -289,23 +291,31 @@ class SouthboundAgent:
         role: StateRole,
         chunks: Iterator[StateChunk],
         dirty_pattern: Optional[FlowPattern],
+        cap: int,
     ) -> object:
-        """Stream an export iterator in bounded batches.
+        """Stream an export iterator in bounded slices.
 
-        Draws up to :data:`GET_STREAM_BATCH` chunks, schedules each one chunk
-        per message spaced by the per-chunk serialisation cost, and re-arms
-        itself after the batch's worth of cost.  The resulting wire schedule is
-        identical to materialising the whole list up front — chunk *j* still
-        leaves at ``t0 + (j + 1) * get_per_chunk`` and GET_COMPLETE at
-        ``t0 + n * get_per_chunk`` — but peak memory is O(batch), not O(flows).
-        A step the middlebox fails ends the get with one ERROR.
+        Draws up to :data:`GET_STREAM_BATCH` chunks and re-arms itself after
+        the slice's worth of per-chunk serialisation cost.  Chunk *j* is
+        exported at ``t0 + (j + 1) * get_per_chunk`` and GET_COMPLETE leaves
+        at ``t0 + n * get_per_chunk`` — the schedule of materialising the
+        whole list up front — but peak memory is O(slice), not O(flows).  At
+        *cap* 1 each chunk leaves as one STATE_CHUNK at its export instant;
+        above 1 the slice leaves in groups of ≤ *cap*, each one
+        STATE_CHUNK_BATCH at the export instant of its last chunk.  A step
+        the middlebox fails ends the get with one ERROR.
         """
         costs = self.middlebox.costs
         batch = list(islice(chunks, self.GET_STREAM_BATCH))
-        for index, chunk in enumerate(batch):
-            self.sim.schedule(costs.get_per_chunk * (index + 1), self._send_chunk, request, chunk)
+        if cap > 1:
+            for start in range(0, len(batch), cap):
+                group = batch[start : start + cap]
+                self.sim.schedule(costs.get_per_chunk * (start + len(group)), self._send_chunks, request, group)
+        else:
+            for index, chunk in enumerate(batch):
+                self.sim.schedule(costs.get_per_chunk * (index + 1), self._send_chunk, request, chunk)
         if len(batch) == self.GET_STREAM_BATCH:
-            step = (request, role, chunks, dirty_pattern)
+            step = (request, role, chunks, dirty_pattern, cap)
             self.sim.schedule(costs.get_per_chunk * len(batch), self._respond, request, self._pump_chunks, step)
         else:
             self.sim.schedule(costs.get_per_chunk * len(batch), self._send_get_complete, request, role, dirty_pattern)
@@ -314,6 +324,10 @@ class SouthboundAgent:
     def _send_chunk(self, request: Message, chunk: StateChunk) -> None:
         self.stats.chunks_sent += 1
         self._send(messages.state_chunk(self.middlebox.name, request.xid, chunk))
+
+    def _send_chunks(self, request: Message, group: List[StateChunk]) -> None:
+        self.stats.chunks_sent += len(group)
+        self._send(messages.state_chunk_batch(self.middlebox.name, request.xid, group))
 
     def _send_get_complete(self, request: Message, role: StateRole, dirty_pattern: Optional[FlowPattern]) -> None:
         # Dirt that accumulated while the chunks were being exported —

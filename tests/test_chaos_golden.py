@@ -22,6 +22,11 @@ What the rewrite must not move is therefore the master RNG's draw order, the
 relative order of ``sim.schedule`` calls (``executed_events``, ``settled_at``,
 the durations), every counter, and the order of ``result.violations``.
 
+It was re-recorded once when a get started to carry its spec's batch
+cap: the 19 ``batch_size=8`` cells stream ``STATE_CHUNK_BATCH`` replies
+(fewer frames on the faulted channels, one controller message cost per
+group); the four federated cells, at batch 1, did not move.
+
 Re-record it (only when a scenario is meant to change) with
 ``PYTHONPATH=src python tests/test_chaos_golden.py``.
 """

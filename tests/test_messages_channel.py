@@ -242,19 +242,30 @@ def case_del_config(d):
     return messages.del_config(d.text(), key), {"key": key}, {"key": key}
 
 
+def _batch_cap(d):
+    """A get's chunk-batch cap and what goes on the wire for it: nothing at 1 (the one-chunk stream)."""
+    batch = d(st.integers(1, 1024))
+    return batch, present(batch=batch if batch > 1 else None)
+
+
 def case_get_perflow(d):
     role, pattern, transfer, track_dirty, compress = d(roles), d(patterns), d.flag(), d(st.booleans()), d(st.booleans())
-    message = messages.get_perflow(d.text(), role, pattern, transfer=transfer, track_dirty=track_dirty, compress=compress)
+    batch, batch_member = _batch_cap(d)
+    message = messages.get_perflow(
+        d.text(), role, pattern, transfer=transfer, track_dirty=track_dirty, compress=compress, batch=batch
+    )
     body = {"role": role.value, "pattern": pattern.as_dict(), "transfer": transfer}
-    body.update(raised(track_dirty=track_dirty, compress=compress))
-    return message, body, dict(role=role, pattern=pattern, transfer=transfer, track_dirty=track_dirty, compress=compress)
+    body.update(raised(track_dirty=track_dirty, compress=compress), **batch_member)
+    fields = dict(role=role, pattern=pattern, transfer=transfer, track_dirty=track_dirty, compress=compress, batch=batch)
+    return message, body, fields
 
 
 def case_get_perflow_delta(d):
     role, pattern, final, compress = d(roles), d(patterns), d(st.booleans()), d(st.booleans())
-    message = messages.get_perflow_delta(d.text(), role, pattern, final=final, compress=compress)
-    body = {"role": role.value, "pattern": pattern.as_dict(), **raised(final=final, compress=compress)}
-    return message, body, dict(role=role, pattern=pattern, final=final, compress=compress)
+    batch, batch_member = _batch_cap(d)
+    message = messages.get_perflow_delta(d.text(), role, pattern, final=final, compress=compress, batch=batch)
+    body = {"role": role.value, "pattern": pattern.as_dict(), **raised(final=final, compress=compress), **batch_member}
+    return message, body, dict(role=role, pattern=pattern, final=final, compress=compress, batch=batch)
 
 
 def case_put_perflow(d):
@@ -344,6 +355,12 @@ def _case_chunk_reply(constructor, *, shared):
         return constructor(d.text(), d.int(), chunk), {"chunk": plain_chunk(chunk)}, {"chunk": chunk}
 
     return case
+
+
+def case_state_chunk_batch(d):
+    chunks = [d.chunk() for _ in range(d(st.integers(0, 3)))]
+    message = messages.state_chunk_batch(d.text(), d.int(), chunks)
+    return message, {"chunks": [plain_chunk(chunk) for chunk in chunks]}, {"chunks": chunks}
 
 
 def case_get_complete(d):
@@ -462,6 +479,7 @@ CASES = {
     T.REPROCESS_PACKET: case_reprocess_packet,
     T.CONFIG_VALUE: case_config_value,
     T.STATE_CHUNK: _case_chunk_reply(messages.state_chunk, shared=False),
+    T.STATE_CHUNK_BATCH: case_state_chunk_batch,
     T.SHARED_STATE: _case_chunk_reply(messages.shared_state, shared=True),
     T.GET_COMPLETE: case_get_complete,
     T.STATS_REPLY: case_stats_reply,
@@ -572,6 +590,9 @@ class TestSplicedEncoderAgainstTheOracle:
             lambda: messages.state_chunk("mb", 1, StateChunk(KEY, StateRole.SUPPORTING, "not bytes")),
             lambda: messages.state_chunk("mb", 1, StateChunk(FlowKey(6, object(), "b", 1, 2), StateRole.SUPPORTING, b"x")),
             lambda: messages.put_perflow_batch("mb", [StateChunk(FlowKey(6, "a", "b", 1, {1, 2}), StateRole.SUPPORTING, b"x")]),
+            lambda: messages.state_chunk_batch(
+                "mb", 1, [StateChunk(KEY, StateRole.SUPPORTING, b"x"), StateChunk(KEY, StateRole.SUPPORTING, "not bytes")]
+            ),
             lambda: messages.batch_message("mb", [Message(T.DEL_PERFLOW, body={"bad": object()})]),
         ],
     )
@@ -748,7 +769,7 @@ class TestTheEnvelopeIsExactlyTyped:
 
 class TestOneEncodeAndTwoParsesPerChunk:
     """The codec counts of a batched move: each chunk's payload is encoded once; it is parsed twice
-    (the controller's ``state_chunk`` decode and the destination's unseal) plus the batch frame's share."""
+    (the controller's ``state_chunk_batch`` decode and the destination's unseal) plus the batch frames' share."""
 
     def test_a_4096_flow_move_in_batches_of_512(self, monkeypatch):
         calls = {"encode": 0, "parse": 0}

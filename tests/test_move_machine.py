@@ -11,8 +11,10 @@ runs the real :class:`~repro.core.operations.ReplayLedger`, one per
 destination, and its replays go out as ``REPROCESS_PACKET`` requests: an
 update's event carries a packet whose ``seq`` is the update.  A source
 get snapshots (and, for a frozen transfer, marks) its flows at once, but
-streams the chunks out one rule at a time, so an update's event can overtake
-the chunk that lacks it, as it does on the wire.  A packet updates a flow's
+streams the chunks out one rule at a time — one ``STATE_CHUNK``, or, when the
+get's ``batch`` cap is above 1, a ``STATE_CHUNK_BATCH`` of a drawn number of
+chunks up to the cap — so an update's event can overtake the chunk that lacks
+it, as it does on the wire.  A packet updates a flow's
 supporting state only, as every shipped middlebox's per-packet path does; the
 reporting chunk still travels, so a flow reopens when it lands after the
 supporting chunk's ACK.  The source exports one get at a time, in request
@@ -23,7 +25,7 @@ supporting chunk arrives, an update forwarded in between is overwritten —
 that hole.)
 
 :class:`MoveMachine` interleaves, adversarially: delivering the head of the
-source's or a destination's reply FIFO, streaming the source's next chunk,
+source's or a destination's reply FIFO, streaming the source's next chunks,
 updating a moved flow at the source, firing the next timer, and — with a
 standby registered — killing the destination or the standby.  At teardown it
 drains the world and checks the chaos invariants on the bare move: every
@@ -86,7 +88,7 @@ class Box:
         self.held = set()
         #: Replies and events on the wire towards the controller, in order.
         self.fifo = deque()
-        #: Source gets still exporting: ``[xid, role, chunks not yet sent]`` each.
+        #: Source gets still exporting: ``[xid, role, chunks not yet sent, batch cap]`` each.
         self.streams = []
 
     def flow_seqs(self) -> dict:
@@ -109,7 +111,7 @@ class Box:
             if freeze:
                 self.marked.update(key for each, key in self.journals if each is role)
             chunks = deque(StateChunk(key, role, json.dumps(self.journals[role, key]).encode()) for key in keys)
-            self.streams.append([request.xid, role, chunks])
+            self.streams.append([request.xid, role, chunks, fields["batch"]])
             return
         if kind in (MessageType.PUT_PERFLOW, MessageType.PUT_PERFLOW_BATCH):
             for chunk in fields["chunks"] if kind == MessageType.PUT_PERFLOW_BATCH else [fields["chunk"]]:
@@ -137,11 +139,19 @@ class Box:
             raise AssertionError(f"a move sent an unexpected {kind}")
         self.fifo.append(_wire(reply))
 
-    def stream(self) -> None:
-        """The source puts the next message of its oldest get on the wire: a chunk, or the completion."""
-        xid, role, chunks = self.streams[0]
-        if chunks:
+    def stream(self, size: int = 1) -> None:
+        """The source puts the next message of its oldest get on the wire: its next chunks, or the completion.
+
+        At cap 1 that is one STATE_CHUNK; above, one STATE_CHUNK_BATCH of the
+        next ``min(size, cap)`` chunks.
+        """
+        xid, role, chunks, cap = self.streams[0]
+        if chunks and cap == 1:
             self.fifo.append(_wire(messages.state_chunk(self.name, xid, chunks.popleft())))
+            return
+        if chunks:
+            group = [chunks.popleft() for _ in range(min(size, cap, len(chunks)))]
+            self.fifo.append(_wire(messages.state_chunk_batch(self.name, xid, group)))
             return
         dirty = self.dirty[role]  # what re-dirtied while the round streamed
         self.fifo.append(_wire(messages.get_complete(self.name, xid, role, None if dirty is None else len(dirty))))
@@ -242,7 +252,7 @@ class FakePort:
         entry = self.handlers.get((name, head.reply_to))
         if entry is None:
             return
-        if head.type != MessageType.STATE_CHUNK:
+        if head.type not in (MessageType.STATE_CHUNK, MessageType.STATE_CHUNK_BATCH):
             del self.handlers[name, head.reply_to]
         entry[0](head, *entry[1])
 
@@ -316,9 +326,9 @@ class MoveMachine(RuleBasedStateMachine):
         self.port.deliver(names[-1] if standby else names[0])
 
     @precondition(lambda self: self._has("src", "streams"))
-    @rule()
-    def stream_a_chunk(self):
-        self.port.boxes["src"].stream()
+    @rule(size=st.integers(1, 4))
+    def stream_chunks(self, size):
+        self.port.boxes["src"].stream(size)
 
     @rule(flow=st.sampled_from(FLOWS))
     def update_at_the_source(self, flow):

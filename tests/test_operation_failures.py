@@ -35,6 +35,7 @@ from repro.core.errors import (
 )
 from repro.core.flowspace import FlowPattern
 from repro.core.messages import MessageType
+from repro.core.state import StateRole
 from repro.middleboxes import DummyMiddlebox
 from repro.net import tcp_packet
 
@@ -147,7 +148,22 @@ class TestMoveFailurePaths:
 
 
 class TestRequestTableShrinks:
-    """Every reply type but ``STATE_CHUNK`` ends its request; the handler goes with it."""
+    """Every reply type but ``STATE_CHUNK`` and ``STATE_CHUNK_BATCH`` ends its request; the handler goes with it."""
+
+    def test_a_chunk_batch_does_not_end_its_request(self, sim, controller):
+        controller.register(DummyMiddlebox(sim, "src", chunk_count=10))
+        seen = []
+
+        def on_reply(reply):
+            still_registered = ("src", reply.reply_to) in controller._reply_handlers
+            seen.append((reply.type, len(reply.body.get("chunks", ())), still_registered))
+
+        get = messages.get_perflow("src", StateRole.SUPPORTING, FlowPattern.wildcard(), batch=4)
+        controller.send("src", get, on_reply)
+        sim.run()
+        batch, complete = MessageType.STATE_CHUNK_BATCH, MessageType.GET_COMPLETE
+        assert seen == [(batch, 4, True), (batch, 4, True), (batch, 2, True), (complete, 0, False)]
+        assert controller._reply_handlers == {}
 
     def test_empty_after_a_finalized_move_and_the_operation_is_collectable(self, sim, controller, northbound):
         controller.register(DummyMiddlebox(sim, "src", chunk_count=1000))

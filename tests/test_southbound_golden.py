@@ -19,7 +19,9 @@ numbered by its owner, so nothing else needs pinning):
 * **batched** — the order-preserving and the snapshot move again with
   ``dispatch_tick=0.0``, so hot-path requests travel inside ``BATCH`` frames.
 
-Together the runs carry all 18 request types, all 7 reply types and events.
+Together the runs carry all 18 request types, all 8 reply types and events.
+It was re-recorded once when a get started to carry its spec's batch cap:
+the two ``batch_size=32`` moves now stream ``STATE_CHUNK_BATCH`` replies.
 Re-record it (only when the protocol is meant to change) with
 ``PYTHONPATH=src python tests/test_southbound_golden.py``.
 """
@@ -54,6 +56,7 @@ REQUEST_TYPES = {
 REPLY_TYPES = {
     MessageType.CONFIG_VALUE,
     MessageType.STATE_CHUNK,
+    MessageType.STATE_CHUNK_BATCH,
     MessageType.SHARED_STATE,
     MessageType.GET_COMPLETE,
     MessageType.STATS_REPLY,

@@ -21,11 +21,12 @@
 import ast
 import inspect
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.core import ControllerConfig, FlowKey, FlowPattern, MBController, messages
+from repro.core import ControllerConfig, FlowKey, FlowPattern, MBController, NorthboundAPI, TransferSpec, messages
 from repro.core.errors import OperationError, ProtocolError
 from repro.core.events import Event, EventCode
 from repro.core.messages import BATCHABLE_REQUESTS, SCHEMAS, Message, MessageType
@@ -49,8 +50,8 @@ def sample_requests(source: DummyMiddlebox) -> dict:
         T.GET_CONFIG: messages.get_config("mb", "*"),
         T.SET_CONFIG: messages.set_config("mb", "Dummy.Key", [1]),
         T.DEL_CONFIG: messages.del_config("mb", "Dummy.Key"),
-        T.GET_PERFLOW: messages.get_perflow("mb", StateRole.SUPPORTING, PATTERN, transfer=True, compress=True),
-        T.GET_PERFLOW_DELTA: messages.get_perflow_delta("mb", StateRole.SUPPORTING, PATTERN, final=True),
+        T.GET_PERFLOW: messages.get_perflow("mb", StateRole.SUPPORTING, PATTERN, transfer=True, compress=True, batch=2),
+        T.GET_PERFLOW_DELTA: messages.get_perflow_delta("mb", StateRole.SUPPORTING, PATTERN, final=True, batch=2),
         T.PUT_PERFLOW: messages.put_perflow("mb", chunk, hold=True, round=(1, 0)),
         T.PUT_PERFLOW_BATCH: messages.put_perflow_batch("mb", [chunk], hold=True, round=(1, 0)),
         T.DEL_PERFLOW: messages.del_perflow("mb", StateRole.REPORTING, PATTERN),
@@ -92,10 +93,10 @@ def rejected_value(convert):
 class Wire:
     """A Dummy middlebox behind a real control channel, replies collected in arrival order."""
 
-    def __init__(self) -> None:
+    def __init__(self, chunks: int = 3) -> None:
         self.sim = Simulator()
         self.controller = MBController(self.sim, ControllerConfig(quiescence_timeout=0.1))
-        self.middlebox = DummyMiddlebox(self.sim, "mb", chunk_count=3)
+        self.middlebox = DummyMiddlebox(self.sim, "mb", chunk_count=chunks)
         self.channel = self.controller.register(self.middlebox)
         self.agent = self.controller._registration("mb").agent
         self.replies = []
@@ -115,7 +116,7 @@ class Wire:
     def final_replies(self, *requests: Message, framed: bool = False):
         """The one terminal reply per request (chunk streams skipped), in arrival order."""
         replies = self.serve(*requests, framed=framed)
-        return [reply for reply in replies if reply.type not in (T.STATE_CHUNK, T.SHARED_STATE)]
+        return [reply for reply in replies if reply.type not in (T.STATE_CHUNK, T.STATE_CHUNK_BATCH, T.SHARED_STATE)]
 
 
 class TestMalformedRequestsAreAnswered:
@@ -267,6 +268,77 @@ class TestMalformedRequestsAreAnswered:
         assert (reply.type, reply.reply_to) == (T.ERROR, request.xid)
 
 
+class TestBatchedGetStream:
+    """A get at cap *k* sends each slice of ≤ ``GET_STREAM_BATCH`` chunks as ⌈slice / k⌉ replies.
+
+    Each reply leaves at the export instant of its last chunk, so chunk *j*
+    and GET_COMPLETE keep the instants of the one-message-per-chunk stream.
+    """
+
+    CHUNKS = 600  # two full slices of 256 and one of 88
+
+    @pytest.mark.parametrize("cap", [1, 7, 100, 512])
+    def test_each_reply_leaves_at_the_export_instant_of_its_last_chunk(self, cap):
+        wire = Wire(chunks=self.CHUNKS)
+        opened, sent = [], []
+        export = wire.middlebox.iter_perflow
+        wire.middlebox.iter_perflow = lambda *args, **kwargs: opened.append(wire.sim.now) or export(*args, **kwargs)
+        send = wire.channel.send_to_controller
+
+        def traced(message):
+            sent.append((wire.sim.now, message.type, wire.agent.stats.chunks_sent))
+            send(message)
+
+        wire.channel.send_to_controller = traced
+        wire.serve(messages.get_perflow("mb", StateRole.SUPPORTING, FlowPattern.wildcard(), batch=cap))
+
+        per_chunk, full = wire.middlebox.costs.get_per_chunk, SouthboundAgent.GET_STREAM_BATCH
+        reply_type = T.STATE_CHUNK if cap == 1 else T.STATE_CHUNK_BATCH
+        expected, slice_at, exported, slices = [], opened[0], 0, []
+        while True:
+            size = min(full, self.CHUNKS - exported)
+            slices.append(size)
+            for count in range(1, size + 1):
+                if count % cap == 0 or count == size:
+                    expected.append((slice_at + count * per_chunk, reply_type, exported + count))
+            slice_at, exported = slice_at + size * per_chunk, exported + size
+            if size < full:
+                break
+        expected.append((slice_at, T.GET_COMPLETE, self.CHUNKS))
+        assert slices == [256, 256, 88]
+        assert len(sent) == sum(-(-size // cap) for size in slices) + 1
+        assert sent == expected
+        assert sent[-1][0] == pytest.approx(opened[0] + self.CHUNKS * per_chunk, rel=1e-12)
+        assert [reply.type for reply in wire.replies] == [message_type for _, message_type, _ in expected]
+
+    @staticmethod
+    def upstream_messages(batch_size: int, flows: int) -> Counter:
+        """Message types the source sent to the controller during one snapshot move of *flows* supporting chunks."""
+        sim = Simulator()
+        controller = MBController(sim, ControllerConfig(quiescence_timeout=0.05))
+        src, dst = DummyMiddlebox(sim, "src"), DummyMiddlebox(sim, "dst")
+        for index in range(flows):
+            src.support_store.put(src.flow_key_for(index), {"index": index, "packets": 0})
+        channel = controller.register(src)
+        controller.register(dst)
+        sent, send = Counter(), channel.send_to_controller
+        channel.send_to_controller = lambda message: sent.update([message.type]) or send(message)
+        handle = NorthboundAPI(controller).move_internal("src", "dst", None, spec=TransferSpec.batched(batch_size))
+        record = sim.run_until(handle.finalized, limit=100)
+        assert record.chunks_transferred == record.puts_acked == len(dst.support_store) == flows
+        return sent
+
+    def test_a_batch_512_move_sends_one_reply_per_slice(self):
+        # 2 000 chunks are seven full slices of GET_STREAM_BATCH (256) and one of
+        # 208; a cap above the slice sends each slice as one batch.
+        sent = self.upstream_messages(512, 2000)
+        assert (sent[T.STATE_CHUNK], sent[T.STATE_CHUNK_BATCH], sent[T.GET_COMPLETE]) == (0, 8, 2)
+
+    def test_a_batch_1_move_sends_one_state_chunk_per_chunk(self):
+        sent = self.upstream_messages(1, 2000)
+        assert (sent[T.STATE_CHUNK], sent[T.STATE_CHUNK_BATCH], sent[T.GET_COMPLETE]) == (2000, 0, 2)
+
+
 class TestUnusableConfigValuesAreRefused:
     """A config hook interprets operator-supplied values; whatever it raises is an ERROR reply.
 
@@ -337,11 +409,19 @@ class TestMalformedRepliesFailTheWaiter:
         with pytest.raises(ProtocolError, match="'body' must be dict"):
             sim.run(until=1.0)
 
-    def test_a_move_fails_with_operation_error(self, sim, controller):
-        GarbageMiddlebox(sim, controller, "src", T.STATE_CHUNK, {"chunk": {"role": "supporting"}})
+    @pytest.mark.parametrize(
+        "reply_type, body",
+        [
+            (T.STATE_CHUNK, {"chunk": {"role": "supporting"}}),
+            (T.STATE_CHUNK_BATCH, {"chunks": [{"role": "supporting"}]}),
+            (T.STATE_CHUNK_BATCH, {"chunks": 7}),
+        ],
+    )
+    def test_a_move_fails_with_operation_error(self, sim, controller, reply_type, body):
+        GarbageMiddlebox(sim, controller, "src", reply_type, body)
         controller.register(DummyMiddlebox(sim, "dst"))
-        handle = controller.move_internal("src", "dst", FlowPattern.wildcard())
-        with pytest.raises(OperationError, match="malformed state_chunk reply"):
+        handle = controller.move_internal("src", "dst", FlowPattern.wildcard(), TransferSpec.batched(8))
+        with pytest.raises(OperationError, match=f"malformed {reply_type} reply"):
             sim.run_until(handle.completed, limit=10)
         sim.run(until=sim.now + 1.0)
         assert controller.stats.operations_failed == 1 and not controller.active_operations()
