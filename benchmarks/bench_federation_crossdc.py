@@ -16,7 +16,8 @@ Both variants are measured across several seeds:
   back-to-back round schedule).
 
 Results persist to ``BENCH_federation_crossdc.json`` (ops/sec, freeze-window
-and move-duration percentiles, measured pacing gains, chunks moved per run).
+and move-duration percentiles, measured pacing gains, chunks moved and the
+time from completion until the instance was home and the views agreed, per run).
 Pacing is a bytes-for-time trade: the paced move is slower and resends fewer
 re-dirtied chunks, and the test asserts both.  Run as a script::
 
@@ -52,6 +53,11 @@ PACKETS = 80
 #: bulk round's export window is then long enough for live writes to dirty
 #: flows, so the delta rounds (and the WAN pacing between them) actually run.
 SRC_COSTS = ProcessingCosts()
+#: After the move completes, the run steps the clock in ``SETTLE_STEP``
+#: increments until the borrowed instance is home and every live view names
+#: one owner for the moved flows — at most ``SETTLE_LIMIT`` simulated seconds.
+SETTLE_STEP = 1e-3
+SETTLE_LIMIT = 1.0
 
 
 def asymmetric_plan(seed: int) -> FaultPlan:
@@ -100,17 +106,25 @@ def run_crossdc_move(seed: int, *, adaptive: bool = True) -> dict:
     )
     sim.run_until(future, limit=60.0)
     record = future.result
-    sim.run(until=sim.now + 0.1)  # FED_MOVE_DONE + homecoming settle
+
+    def owners() -> set:
+        return {domain.directory.owner_of(src.flow_key_for(0)) for domain in federation.live_domains()}
+
+    # FED_MOVE_DONE, the homecoming and the ownership claim cross the lossy WAN.
+    completed_at = sim.now
+    while sim.now < completed_at + SETTLE_LIMIT and not (home.controller.is_registered("core-dst") and len(owners()) == 1):
+        sim.run(until=sim.now + SETTLE_STEP)
+    settle = sim.now - completed_at
     federation.stop()
     sim.run(until=sim.now + 0.05)
-    owners = {domain.directory.owner_of(src.flow_key_for(0)) for domain in federation.live_domains()}
     return {
         "duration": record.duration,
         "freeze_window": record.freeze_window,
         "wan_pacing": record.wan_pacing,
         "rounds": len(record.rounds),
         "chunks": record.chunks_transferred,
-        "owners": owners,
+        "settle": settle,
+        "owners": owners(),
         "returned_home": home.controller.is_registered("core-dst"),
     }
 
@@ -124,6 +138,7 @@ def run_variant(adaptive: bool, base_seed: int) -> dict:
         "freeze": freeze_stats([run["freeze_window"] for run in runs]),
         "pacing_gains": [round(run["wan_pacing"], 4) for run in runs],
         "chunks": [run["chunks"] for run in runs],
+        "settle_ms": [round(run["settle"] * 1e3, 4) for run in runs],
     }
 
 
@@ -133,8 +148,9 @@ def _results_payload(adaptive: dict, unpaced: dict, base_seed: int) -> dict:
         "seeds": SEEDS,
         "wan": {"latency_s": WAN_LATENCY, "bandwidth_bytes_per_s": WAN_BANDWIDTH},
         "workload": {"flows": FLOWS, "packets": PACKETS},
-        "adaptive": {key: adaptive[key] for key in ("move", "freeze", "pacing_gains", "chunks")},
-        "unpaced": {key: unpaced[key] for key in ("move", "freeze", "pacing_gains", "chunks")},
+        "settle": {"step_s": SETTLE_STEP, "limit_s": SETTLE_LIMIT},
+        "adaptive": {key: adaptive[key] for key in ("move", "freeze", "pacing_gains", "chunks", "settle_ms")},
+        "unpaced": {key: unpaced[key] for key in ("move", "freeze", "pacing_gains", "chunks", "settle_ms")},
     }
 
 

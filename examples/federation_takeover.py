@@ -15,6 +15,13 @@ the same winner), and the winner adopts the dead domain's instances and flow
 ownership.  The orphaned middlebox keeps its per-flow state throughout: zero
 updates are lost across the takeover.
 
+A suspicion can be false.  A peer is alive while its frames arrive (one held
+above a retransmission gap counts), so only an outage longer than the
+suspicion timeout fools a survivor: the example then cuts dc-west's frames to
+dc-east for 50 ms.  dc-east suspects the live dc-west and adopts its instance;
+the first frame after the outage disproves the obituary, the adoption is
+handed back, and ``false_suspicions`` counts the healed obituary.
+
 Run it with::
 
     PYTHONPATH=src python examples/federation_takeover.py
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from repro.apps import FederationOverseerApp
 from repro.core import ControllerConfig
-from repro.core.channel import FaultPlan
+from repro.core.channel import FaultPlan, FaultProfile
 from repro.federation import Federation, FederationConfig, GossipConfig
 from repro.net import Simulator, tcp_packet
 from repro.testing import ChaosMiddlebox
@@ -81,6 +88,18 @@ def main() -> None:
     journal_after = sum(len(seqs) for seqs in victim_mb.flow_seqs().values())
     print(f"per-flow update journal: {journal_before} entries before the crash, {journal_after} after "
           f"({'zero lost updates' if journal_after >= journal_before else 'UPDATES LOST'})")
+    # A one-way WAN outage between the survivors, longer than the suspicion
+    # timeout: dc-west -> dc-east is the to_controller direction of their link.
+    east, west = federation.domains["dc-east"], federation.domains["dc-west"]
+    channel = east.peer_link("dc-west").channel
+    wan_faults, channel.faults = channel.faults, FaultPlan(1, to_controller=FaultProfile(drop=1.0))
+    sim.run(until=sim.now + 0.05)
+    print(f"one-way outage dc-west -> dc-east: dc-east suspects dc-west and adopted "
+          f"{sorted(set(east.controller.middlebox_names()) & set(west.controller.middlebox_names()))}")
+    channel.faults = wan_faults
+    details = FederationOverseerApp(sim, federation).run(limit=sim.now + 1.0).details
+    print(f"outage over: {east.false_suspicions} false suspicion healed; dc-east: {details['instances']['dc-east']}, "
+          f"dc-west: {details['instances']['dc-west']}; takeovers {details['takeovers']}, views converged: {details['converged']}")
     fleet = details["fleet"]
     gossip_rounds = sum(domain.gossip_rounds for domain in federation.domains.values())
     digests = sum(domain.digests_received for domain in federation.domains.values())

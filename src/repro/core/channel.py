@@ -156,6 +156,8 @@ class ControlChannel:
         #: occupancy (``reserve``) and delivers in order (``dispatch_at``).
         self._wire = {direction: sim.lane(f"{name}:{direction}") for direction in REVERSE}
         self._xids = count(1)  # numbers the channel's own frames: BATCH and CHAN_ACK
+        #: Per direction, when a frame new to its receiver last arrived: the sender's liveness evidence.
+        self.heard_at = dict.fromkeys(REVERSE, sim.now)
 
     def _new_direction(self, direction: str) -> ArqDirection:
         return ArqDirection(self.sim, self.retransmit_timeout, partial(self._transmit, direction))
@@ -171,6 +173,7 @@ class ControlChannel:
         reused channel starts a fresh, consistent session.
         """
         self._handlers["to_controller"] = handler
+        self.heard_at["to_controller"] = self.sim.now
         if self.controller_detached:
             self._arq["to_controller"] = self._new_direction("to_controller")
 
@@ -194,6 +197,7 @@ class ControlChannel:
         closed and silently stop tracking/retransmitting.
         """
         self._handlers["to_mb"] = handler
+        self.heard_at["to_mb"] = self.sim.now
         if self.middlebox_down:
             self._arq["to_mb"] = self._new_direction("to_mb")
 
@@ -297,7 +301,9 @@ class ControlChannel:
     # -- receiving ----------------------------------------------------------------------
 
     def _receive(self, direction: str, message: Message) -> None:
-        """Arrival at an endpoint: ack absorption, or in-sequence dispatch and a cumulative ack."""
+        """Arrival at an endpoint: ack absorption, or in-sequence dispatch and a cumulative ack.
+
+        The one liveness rule: a frame new to its receiver, even one held above a gap, moves ``heard_at``."""
         handler = self._handlers[direction]
         if handler is None or self._arq[direction].closed:
             return  # crashed middlebox / detached controller: discard silently
@@ -306,10 +312,13 @@ class ControlChannel:
             self._arq[reverse].absorb_ack(parse(message)["cum"])
             return
         if not self.reliable or message.cseq is None:
+            self.heard_at[direction] = self.sim.now
             handler(message)
             return
         arq = self._arq[direction]
-        if not arq.receive(message.cseq, message, handler):
+        if arq.receive(message.cseq, message, handler):
+            self.heard_at[direction] = self.sim.now
+        else:
             # Retransmission of something already delivered (or already
             # buffered): discarded, but re-acked so the sender stops resending.
             self._stats_for(direction).dedup_discards += 1

@@ -93,8 +93,8 @@ class ControllerConfig:
     heartbeat_interval: Optional[float] = None
     #: Liveness: silence threshold after which an instance is declared dead
     #: (its operations abort crash-safe, applications are notified).  Only
-    #: meaningful with ``heartbeat_interval`` set; expressed in seconds of
-    #: simulated time since the last message received from the instance.
+    #: meaningful with ``heartbeat_interval`` set; simulated seconds since a
+    #: frame new to the controller arrived, delivered yet or not (``ControlChannel.heard_at``).
     liveness_timeout: float = 0.01
 
 
@@ -137,9 +137,7 @@ class MBController:
         #: Ids it numbers: its requests, the events it decodes, its operations and transactions.
         self._xids, self._event_ids = itertools.count(1), itertools.count(1)
         self.op_ids, self.txn_ids = itertools.count(1), itertools.count(1)
-        #: Liveness: last simulated time any message arrived from each
-        #: registered middlebox, and whether the periodic sweep is scheduled.
-        self._last_seen: Dict[str, float] = {}
+        #: Liveness: whether the periodic sweep is scheduled.
         self._liveness_sweep_armed = False
 
     # -- registration -----------------------------------------------------------------------
@@ -163,7 +161,6 @@ class MBController:
         agent = SouthboundAgent(self.sim, middlebox, channel)
         self._registrations[middlebox.name] = _Registration(middlebox, channel, agent)
         if self.config.heartbeat_interval is not None:
-            self._last_seen[middlebox.name] = self.sim.now
             agent.start_heartbeats(self.config.heartbeat_interval)
             self._arm_liveness_sweep()
         return channel
@@ -205,7 +202,6 @@ class MBController:
                 stranded.append(args[0])
         self._outbox.pop(name, None)
         self._flush_scheduled.discard(name)
-        self._last_seen.pop(name, None)
         if registration is not None:
             registration.agent.stop_heartbeats()
             registration.channel.unbind_controller()
@@ -278,12 +274,10 @@ class MBController:
         self.sim.schedule(self.config.heartbeat_interval, self._liveness_sweep)
 
     def _liveness_sweep(self) -> None:
-        """Declare dead every instance silent for longer than the timeout."""
+        """Declare dead every instance whose channel brought no new frame for longer than the timeout."""
         self._liveness_sweep_armed = False
-        if self.config.heartbeat_interval is None:
-            return
         deadline = self.sim.now - self.config.liveness_timeout
-        for name in [name for name, seen in self._last_seen.items() if seen < deadline]:
+        for name in [name for name, reg in self._registrations.items() if reg.channel.heard_at["to_controller"] < deadline]:
             self.declare_dead(name)
         # The sweep stays armed only while instances remain registered, so an
         # emptied controller lets the simulator's event queue drain.
@@ -396,9 +390,6 @@ class MBController:
     def _receive(self, mb_name: str, message: Message) -> None:
         """Entry point for every message arriving from a middlebox."""
         self.stats.messages_received += 1
-        if mb_name in self._last_seen:
-            # Any received message proves liveness, not just heartbeats.
-            self._last_seen[mb_name] = self.sim.now
         if message.type == MessageType.HEARTBEAT:
             self.stats.heartbeats_received += 1
             return  # liveness beacon only; nothing to dispatch

@@ -251,7 +251,7 @@ def encode_chunk(chunk: StateChunk) -> _Json:
         blob = base64.b64encode(chunk.blob).decode("ascii")
         key = "" if chunk.key is None else f'"key":{_key_json(chunk.key)},'
         return _Json(f'{{"blob":"{blob}",{key}"role":{_json(chunk.role.value)}}}')
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ProtocolError(f"cannot encode state chunk: {exc}") from exc
 
 

@@ -11,13 +11,13 @@ gossip layer (:mod:`repro.federation.gossip`) the domain implements:
   for its own instances (built from the controller's PR 5 heartbeat state via
   the ``INSTANCE_DOWN`` introspection event) and a membership fact for
   itself; gossip spreads both federation-wide;
-* **gossip-elected takeover** — a domain silent for longer than the suspicion
-  timeout is declared dead; every survivor runs the deterministic rendezvous
-  election (:mod:`repro.federation.election`) over its converged membership
-  view, and the unique winner adopts the orphans: each instance is purged of
-  in-flight transfer involvement (the PR 5 crash-safe purge path) and
-  re-registered with the winner's controller, and the ownership directory is
-  re-homed;
+* **gossip-elected takeover** — a domain whose link brought no new frame for
+  longer than the suspicion timeout is declared dead; every survivor runs the
+  deterministic rendezvous election (:mod:`repro.federation.election`) over
+  its converged membership view, and the unique winner adopts the orphans:
+  each instance is purged of in-flight transfer involvement (the
+  crash-safe purge path) and re-registered with the winner's controller,
+  and the ownership directory is re-homed;
 * **WAN-aware cross-domain moves** — ``move_to`` borrows the destination
   instance from its home domain (FED_MOVE_REQUEST/GRANT), registers it over a
   dedicated WAN channel carrying the caller's (possibly asymmetric)
@@ -70,9 +70,9 @@ class FederationConfig:
     """Federation-level tunables layered on top of :class:`GossipConfig`."""
 
     gossip: GossipConfig = dataclass_field(default_factory=GossipConfig)
-    #: A direct peer silent for longer than this is declared dead (and the
-    #: takeover election runs).  Should cover several gossip intervals so a
-    #: lossy channel's drops do not look like a death.
+    #: A direct peer whose link brought no new frame (one held above a gap
+    #: counts) for longer than this is declared dead and the takeover election
+    #: runs.  Should cover several gossip intervals so drops do not look like a death.
     suspicion_timeout: float = 2e-2
     #: Upper bound on the adaptive ``wan_pacing`` gain.
     max_pacing_gain: float = 4.0
@@ -159,7 +159,6 @@ class FederatedDomain:
         self.gossip = GossipState()
         self.directory = OwnershipDirectory()
         self._peers: Dict[str, PeerLink] = {}
-        self._last_heard: Dict[str, float] = {}
         #: Middlebox objects ever registered here (incl. currently-lent ones);
         #: the takeover path resolves orphans through the federation registry.
         self._instances: Dict[str, Any] = {}
@@ -174,6 +173,7 @@ class FederatedDomain:
         self.gossip_rounds = 0
         self.digests_received = 0
         self.frames_refused = 0  # inter-domain frames ``messages.parse`` refused
+        self.false_suspicions = 0  # obituaries of a peer healed by hearing from it
         #: (name, map, tombstone TTL — None where nothing is garbage collected) per section.
         maps = (self.gossip.membership, self.gossip.liveness, self.directory.map)
         self._sections = tuple(zip(SECTIONS, maps, (None, self.config.gossip.ttl, None)))
@@ -247,7 +247,6 @@ class FederatedDomain:
     def add_peer(self, link: PeerLink) -> None:
         """Attach an inter-domain link (built by :meth:`Federation.connect`)."""
         self._peers[link.peer] = link
-        self._last_heard[link.peer] = self.sim.now
         self.gossip.membership.put(link.peer, self.name, {"alive": True}, self.sim.now)
         self._arm_gossip()
 
@@ -319,12 +318,12 @@ class FederatedDomain:
         link.ask = False
 
     def _check_suspicions(self, now: float) -> None:
-        """Declare silent direct peers dead and run the takeover election."""
-        for peer in sorted(self._peers):
+        """Declare dead every direct peer whose link brought no new frame for too long; run the takeover election."""
+        for peer, link in sorted(self._peers.items()):
             entry = self.gossip.membership.value_of(peer)
             if entry is not None and not entry.get("alive"):
                 continue
-            if now - self._last_heard.get(peer, now) <= self.config.suspicion_timeout:
+            if now - link.channel.heard_at["to_controller" if link.side == "a" else "to_mb"] <= self.config.suspicion_timeout:
                 continue
             self.gossip.membership.put(peer, self.name, {"alive": False}, now)
             self._run_election(peer)
@@ -411,7 +410,6 @@ class FederatedDomain:
         """Dispatch one message arriving on an inter-domain channel."""
         if self._crashed:
             return
-        self._last_heard[peer] = self.sim.now
         entry = self.gossip.membership.value_of(peer)
         if entry is not None and not entry.get("alive"):
             # Hearing from a peer we had declared dead disproves the obituary
@@ -419,6 +417,7 @@ class FederatedDomain:
             # false suspicion can produce this).  Re-author the entry and
             # revive the gossip timer, which stops when no live peer remains.
             self.gossip.membership.put(peer, self.name, {"alive": True}, self.sim.now)
+            self.false_suspicions += 1
             if peer in self.takeovers:
                 self._revert_takeover(peer)
             self._arm_gossip()

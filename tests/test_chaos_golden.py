@@ -27,6 +27,13 @@ cap: the 19 ``batch_size=8`` cells stream ``STATE_CHUNK_BATCH`` replies
 (fewer frames on the faulted channels, one controller message cost per
 group); the four federated cells, at batch 1, did not move.
 
+It was re-recorded once more when both failure detectors began to read the
+channel's ``heard_at`` (a frame new to its receiver, even one held above a
+retransmission gap, proves the sender alive): on ``federated/lossy`` the
+survivor dc1 had falsely suspected dc0 at 66 ms, and on ``federated/chaotic``
+dc0 had suspected dc1 at 133 ms, each followed by a revert.  Only their
+``executed_events`` moved (1837 → 1835 and 1964 → 1963).
+
 Re-record it (only when a scenario is meant to change) with
 ``PYTHONPATH=src python tests/test_chaos_golden.py``.
 """

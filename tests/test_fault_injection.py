@@ -254,6 +254,77 @@ class TestReliableDelivery:
         assert channel.to_controller.chan_acks > 0
 
 
+class TestLivenessEvidence:
+    """A peer is alive while its frames arrive: ``ControlChannel.heard_at``.
+
+    A frame new to its receiver moves the sending end's ``heard_at`` on
+    arrival, even while it waits above a retransmission gap; a duplicate and
+    a ``CHAN_ACK`` do not, and binding the receiving end resets it.  Both
+    failure detectors (the controller's liveness sweep and the federation's
+    suspicion check) read nothing else.
+    """
+
+    def test_a_frame_held_above_a_gap_moves_heard_at_before_it_is_delivered(self):
+        sim = Simulator()
+        plan = FaultPlan(1, scripted=[ScriptedFault(kind="drop", direction="to_controller", nth=1)])
+        channel, _, to_controller = make_channel(sim, faults=plan, latency=1e-3)
+        channel.send_to_controller(request(1))
+        arrival = channel.send_to_controller(request(2))
+        sim.run(until=arrival + 1e-3)  # long before the RTO re-sends frame 1
+        assert to_controller == [] and channel.to_controller.retransmits == 0
+        assert channel.heard_at["to_controller"] == arrival > 0
+        assert channel.heard_at["to_mb"] == 0.0
+
+    def test_a_duplicate_and_a_chan_ack_do_not_move_heard_at(self):
+        sim = Simulator()
+        plan = FaultPlan(1, to_controller=FaultProfile(duplicate=1.0, jitter=2.0))
+        channel, _, to_controller = make_channel(sim, faults=plan, latency=1e-3)
+        arrival = channel.send_to_controller(request(1))
+        sim.run(until=1.0)
+        assert len(to_controller) == 1 and channel.to_controller.dedup_discards == 1
+        assert channel.heard_at["to_controller"] == arrival > 0
+        # The receiver's CHAN_ACK travelled to_mb: no evidence about the controller side.
+        assert channel.to_mb.chan_acks == 2 and channel.to_mb.messages == 2
+        assert channel.heard_at["to_mb"] == 0.0
+
+    def test_binding_the_receiving_end_resets_heard_at(self):
+        sim = Simulator()
+        channel, _, _ = make_channel(sim, reliable=True)
+        channel.send_to_controller(request(1))
+        channel.send_to_middlebox(request(2))
+        sim.run(until=0.01)
+        assert 0 < channel.heard_at["to_controller"] < 0.01 and 0 < channel.heard_at["to_mb"] < 0.01
+        channel.unbind_controller()
+        channel.set_middlebox_down()
+        sim.run(until=0.5)
+        channel.bind_controller(lambda message: None)
+        channel.bind_middlebox(lambda message: None)
+        assert channel.heard_at == {"to_mb": 0.5, "to_controller": 0.5}
+
+    def test_a_live_instance_whose_frames_wait_above_a_gap_is_not_declared_dead(self):
+        """Heartbeats every 1 ms; the second is lost, and the RTO (8 ms) re-sends
+        it only after the 4 ms liveness timeout.  Nothing is delivered for ~9 ms,
+        but heartbeats 3, 4, ... keep arriving above the gap: the instance lives."""
+        from repro.core import ControllerConfig, MBController
+        from repro.middleboxes import DummyMiddlebox
+
+        sim = Simulator()
+        controller = MBController(sim, ControllerConfig(heartbeat_interval=1e-3, liveness_timeout=4e-3))
+        plan = FaultPlan(1, scripted=[ScriptedFault(kind="drop", direction="to_controller", nth=2)])
+        channel = ControlChannel(sim, "chan-mb", latency=1e-3, faults=plan)
+        assert channel.retransmit_timeout > controller.config.liveness_timeout
+        controller.register(DummyMiddlebox(sim, "mb"), channel=channel)
+        delivered = []
+        handler = channel._handlers["to_controller"]
+        channel._handlers["to_controller"] = lambda message: (delivered.append(sim.now), handler(message))
+        sim.run(until=0.03)
+        assert controller.is_registered("mb") and controller.stats.instances_declared_dead == 0
+        gaps = [later - earlier for earlier, later in zip(delivered, delivered[1:])]
+        assert channel.to_controller.dropped == 1 and channel.to_controller.retransmits == 1
+        assert max(gaps) > controller.config.liveness_timeout  # delivery stalled past the timeout
+        controller.unregister("mb")
+
+
 class TestOperationsOverFaultyChannels:
     """End-to-end: a full move over lossy channels still completes exactly-once."""
 

@@ -399,6 +399,7 @@ class TestFalseSuspicionRevert:
         victim._running = True
         victim._arm_gossip()
         sim.run(until=sim.now + 0.05)
+        assert (suspector.false_suspicions, victim.false_suspicions) == (1, 0)  # the one healed obituary
         assert "dc0" not in suspector.takeovers
         assert not suspector.controller.is_registered("survivor-mb")
         assert victim.controller.is_registered("survivor-mb")

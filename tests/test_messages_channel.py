@@ -593,6 +593,10 @@ class TestSplicedEncoderAgainstTheOracle:
             lambda: messages.state_chunk_batch(
                 "mb", 1, [StateChunk(KEY, StateRole.SUPPORTING, b"x"), StateChunk(KEY, StateRole.SUPPORTING, "not bytes")]
             ),
+            # A role that is not a StateRole: refused as ProtocolError, not AttributeError.
+            lambda: messages.state_chunk_batch("mb", 1, [StateChunk(KEY, StateRole.SUPPORTING, b"x"), StateChunk(KEY, None, b"x")]),
+            lambda: messages.put_perflow("mb", StateChunk(KEY, None, b"x"), round=(1, 0)),
+            lambda: messages.state_chunk("mb", 1, StateChunk(KEY, "supporting", b"x")),
             lambda: messages.batch_message("mb", [Message(T.DEL_PERFLOW, body={"bad": object()})]),
         ],
     )
