@@ -23,6 +23,11 @@ Two opt-in layers harden the channel for the chaos experiments:
 Both layers are off by default: a channel constructed without a fault plan
 (and without ``reliable=True``) behaves — and schedules — exactly like the
 seed implementation, byte-for-byte on the wire.
+
+A death — of an instance, a controller or a federation domain — is one call,
+:meth:`ControlChannel.close` of the dead end: nothing reaches it, and it sends,
+re-sends and schedules nothing more.  Only a frame it sent before it died can
+still arrive at the live end.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set
 
 from ..net.simulator import Simulator
 from ..obs import Counters
@@ -144,9 +149,7 @@ class ControlChannel:
         self.to_mb = Counters(*CHANNEL_COUNTERS)
         self.to_controller = Counters(*CHANNEL_COUNTERS)
         #: Sequencing state per direction: unbounded window, never gives up,
-        #: strict order.  A direction is *closed* while its receiving endpoint
-        #: is gone — the middlebox crashed (``to_mb``) or the controller side
-        #: was detached by an unregister (``to_controller``).
+        #: strict order.  Both are *closed* — hold nothing — from a :meth:`close` to the next bind.
         self._arq: Dict[str, ArqDirection] = {direction: self._new_direction(direction) for direction in REVERSE}
         #: The endpoint handler bound at the receiving end of each direction,
         #: and the arrival callback its wire dispatches to.
@@ -158,6 +161,9 @@ class ControlChannel:
         self._xids = count(1)  # numbers the channel's own frames: BATCH and CHAN_ACK
         #: Per direction, when a frame new to its receiver last arrived: the sender's liveness evidence.
         self.heard_at = dict.fromkeys(REVERSE, sim.now)
+        #: The dead ends, each named by the direction that delivers to it, and the closes so far.
+        self._dead: Set[str] = set()
+        self.session = 0
 
     def _new_direction(self, direction: str) -> ArqDirection:
         return ArqDirection(self.sim, self.retransmit_timeout, partial(self._transmit, direction))
@@ -165,60 +171,32 @@ class ControlChannel:
     # -- wiring ---------------------------------------------------------------------
 
     def bind_controller(self, handler: Callable[[Message], None]) -> None:
-        """Register the controller-side message handler.
-
-        Re-binding after :meth:`unbind_controller` revives the channel: the
-        MB→controller direction's state is reset wholesale (both the closed
-        sender half and the receiver's resequencing expectations) so a
-        reused channel starts a fresh, consistent session.
-        """
-        self._handlers["to_controller"] = handler
-        self.heard_at["to_controller"] = self.sim.now
-        if self.controller_detached:
-            self._arq["to_controller"] = self._new_direction("to_controller")
-
-    def unbind_controller(self) -> None:
-        """Detach the controller side (the middlebox was unregistered).
-
-        Subsequent middlebox->controller messages — late replies, lingering
-        events from a terminated instance — are silently dropped instead of
-        being dispatched through a stale binding.  The middlebox-side reliable
-        sender stops retransmitting: there is no controller left to ack.
-        """
-        self._handlers["to_controller"] = None
-        self._arq["to_controller"].close()
+        """Register the controller-side message handler (see :meth:`_bind`)."""
+        self._bind("to_controller", handler)
 
     def bind_middlebox(self, handler: Callable[[Message], None]) -> None:
-        """Register the middlebox-side message handler.
+        """Register the middlebox-side message handler (see :meth:`_bind`)."""
+        self._bind("to_mb", handler)
 
-        Re-binding after :meth:`set_middlebox_down` (an instance revived or a
-        channel object reused for a replacement) resets the controller→MB
-        direction's state wholesale — without this the sender half would stay
-        closed and silently stop tracking/retransmitting.
+    def _bind(self, direction: str, handler: Callable[[Message], None]) -> None:
+        """Bind the end *direction* delivers to; after a :meth:`close`, both directions start a fresh session."""
+        self._handlers[direction] = handler
+        self._dead.discard(direction)
+        self.heard_at[direction] = self.sim.now
+        if self._arq[direction].closed:
+            self._arq = {each: self._new_direction(each) for each in REVERSE}
+
+    def close(self, end: str) -> None:
+        """The process at *end* (``"controller"`` or ``"middlebox"``) died: the channel's one teardown.
+
+        Nothing reaches the dead end and it sends nothing more; neither
+        direction holds or re-sends anything.  :attr:`session` moves on, so the
+        work an agent scheduled in the old session is void.
         """
-        self._handlers["to_mb"] = handler
-        self.heard_at["to_mb"] = self.sim.now
-        if self.middlebox_down:
-            self._arq["to_mb"] = self._new_direction("to_mb")
-
-    def set_middlebox_down(self) -> None:
-        """The middlebox instance crashed: stop delivering (and retransmitting) to it.
-
-        Controller->middlebox deliveries already in flight are discarded at
-        arrival; the controller-side reliable sender drops its unacked queue
-        so a dead instance cannot keep retransmission timers alive forever.
-        """
-        self._arq["to_mb"].close()
-
-    @property
-    def middlebox_down(self) -> bool:
-        """True once the middlebox side of the channel was declared crashed."""
-        return self._arq["to_mb"].closed
-
-    @property
-    def controller_detached(self) -> bool:
-        """True once the controller side was detached (middlebox unregistered)."""
-        return self._arq["to_controller"].closed
+        self._dead.add("to_controller" if end == "controller" else "to_mb")
+        self.session += 1
+        for arq in self._arq.values():
+            arq.close()
 
     # -- sending ---------------------------------------------------------------------
 
@@ -250,8 +228,6 @@ class ControlChannel:
     def send_to_controller(self, message: Message) -> float:
         """Send a message from the middlebox to the controller; returns delivery time."""
         if self._handlers["to_controller"] is None:
-            if self.controller_detached:
-                return self.sim.now  # unregistered middlebox: drop silently
             raise RuntimeError(f"channel {self.name} has no controller handler bound")
         return self._send("to_controller", message)
 
@@ -259,7 +235,10 @@ class ControlChannel:
         """Encode a payload message once — numbered, when the channel is reliable — and put it on the wire.
 
         The next ``cseq`` goes into the bytes, which the hold table keeps; the caller's object is left alone.
+        A dead end sends nothing.
         """
+        if REVERSE[direction] in self._dead:
+            return self.sim.now
         if not self.reliable:
             return self._transmit(direction, message.encode())
         arq = self._arq[direction]
@@ -304,9 +283,9 @@ class ControlChannel:
         """Arrival at an endpoint: ack absorption, or in-sequence dispatch and a cumulative ack.
 
         The one liveness rule: a frame new to its receiver, even one held above a gap, moves ``heard_at``."""
+        if direction in self._dead:
+            return  # nothing reaches a dead end
         handler = self._handlers[direction]
-        if handler is None or self._arq[direction].closed:
-            return  # crashed middlebox / detached controller: discard silently
         reverse = REVERSE[direction]
         if message.type == MessageType.CHAN_ACK:
             self._arq[reverse].absorb_ack(parse(message)["cum"])

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.simulator import Future, Simulator, all_of
@@ -157,9 +158,9 @@ class MBController:
                 latency=DEFAULT_CONTROL_LATENCY,
                 bandwidth=self.config.channel_bandwidth,
             )
-        channel.bind_controller(lambda message, mb=middlebox.name: self._receive(mb, message))
         agent = SouthboundAgent(self.sim, middlebox, channel)
-        self._registrations[middlebox.name] = _Registration(middlebox, channel, agent)
+        registration = self._registrations[middlebox.name] = _Registration(middlebox, channel, agent)
+        channel.bind_controller(partial(self._receive, registration))
         if self.config.heartbeat_interval is not None:
             agent.start_heartbeats(self.config.heartbeat_interval)
             self._arm_liveness_sweep()
@@ -168,10 +169,10 @@ class MBController:
     def unregister(self, name: str, *, dead: bool = False) -> None:
         """Remove a middlebox (e.g. after scale-down terminates the instance).
 
-        Drops the registration, any in-flight reply routing for the removed
-        middlebox, and the channel's controller binding, so late replies and
-        events from the terminated instance are discarded instead of being
-        dispatched through stale handlers.  ``dead`` marks a crash (the
+        Drops the registration and any in-flight reply routing for the
+        removed middlebox, and closes the channel's middlebox end: the
+        instance does nothing more, and what it sent before is discarded on
+        arrival.  ``dead`` marks a crash (the
         instance vanished rather than being terminated on purpose): in-flight
         operations — and pending plain requests (``readConfig``, ``writeConfig``,
         ``stats``, ``endTransfer``) — then fail with :class:`InstanceDeadError`
@@ -203,13 +204,9 @@ class MBController:
         self._outbox.pop(name, None)
         self._flush_scheduled.discard(name)
         if registration is not None:
-            registration.agent.stop_heartbeats()
-            registration.channel.unbind_controller()
-            # Tear down the delivery direction too: control requests still in
-            # flight towards the instance are discarded, not processed — an
-            # unregistered instance must not install late chunks (re-creating
+            # An unregistered instance must not install late chunks (re-creating
             # the round tags and holds the purge below removes).
-            registration.channel.set_middlebox_down()
+            registration.channel.close("middlebox")
             registration.middlebox.purge_transfer_state()
         for future in stranded:
             if not future.done:
@@ -218,10 +215,10 @@ class MBController:
     # -- liveness ---------------------------------------------------------------------
 
     def kill(self, name: str, *, declare: bool = True) -> bool:
-        """Crash a middlebox instance: sever its channel as if the process died.
+        """Crash a middlebox instance: close its channel's middlebox end, as if the process died.
 
-        In-flight deliveries to the instance are discarded, its heartbeats
-        stop, and retransmissions towards it are abandoned.  With ``declare``
+        In-flight deliveries to the instance are discarded, and it sends,
+        installs and retransmits nothing more.  With ``declare``
         (the default) the controller also declares the instance dead
         immediately; with ``declare=False`` the crash is only discovered by
         the liveness sweep once the instance misses its heartbeat deadline —
@@ -234,12 +231,20 @@ class MBController:
         registration = self._registrations.get(name)
         if registration is None:
             return False
-        registration.agent.stop_heartbeats()
-        registration.channel.set_middlebox_down()
+        registration.channel.close("middlebox")
         self.stats.instances_killed += 1
         if declare or self.config.heartbeat_interval is None:
             self.declare_dead(name, reason="killed")
         return True
+
+    def crash(self) -> None:
+        """This controller's process died: close the controller end of every channel and forget every instance.
+
+        The orphans live on for a peer to adopt; the liveness sweep, with nothing to sweep, stops.
+        """
+        for registration in self._registrations.values():
+            registration.channel.close("controller")
+        self._registrations.clear()
 
     def declare_dead(self, name: str, reason: str = "liveness timeout") -> bool:
         """Declare a registered instance dead: crash-safe abort + notification.
@@ -387,8 +392,11 @@ class MBController:
                 return self.coordinator.shards[entry[0]]
         return self.coordinator.shard_for_name(mb_name)
 
-    def _receive(self, mb_name: str, message: Message) -> None:
-        """Entry point for every message arriving from a middlebox."""
+    def _receive(self, registration: _Registration, message: Message) -> None:
+        """Entry point for every message arriving from a middlebox (dropped once *registration* is over)."""
+        mb_name = registration.middlebox.name
+        if self._registrations.get(mb_name) is not registration:
+            return
         self.stats.messages_received += 1
         if message.type == MessageType.HEARTBEAT:
             self.stats.heartbeats_received += 1

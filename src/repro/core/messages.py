@@ -124,8 +124,8 @@ class MessageType:
 
     # middlebox -> controller notifications
     EVENT = "event"
-    #: Periodic liveness beacon (middlebox -> controller); carries no body.
-    #: The controller refreshes the sender's last-seen clock and drops it.
+    #: Periodic liveness beacon (middlebox -> controller); carries no body.  Like any
+    #: frame new to its receiver it moves the channel's ``heard_at``; the controller drops it.
     HEARTBEAT = "heartbeat"
 
     # channel-level control (never dispatched to the controller or agent)

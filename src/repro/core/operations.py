@@ -968,11 +968,12 @@ class MoveOperation(_StatefulOperation):
         if self._archived:
             return
         flows = sorted(self.flows)  # key order, so the cleanup does not vary with PYTHONHASHSEED
-        if self._order and flows:
-            # Order-preserving puts installed per-flow packet holds at the
-            # destination; release every flow the pipeline touched so a failed
-            # move does not blackhole their traffic.  Releasing a flow that
-            # was never held (or already released) is a harmless no-op.
+        if (self._order or self.precopy) and flows:
+            # Order-preserving puts held per-flow packets at the destination,
+            # pre-copy puts tagged each flow with its install round: release
+            # every flow the pipeline touched so a failed move neither
+            # blackholes their traffic nor orphans a tag.  Releasing a flow
+            # that was never held (or already released) is a harmless no-op.
             if self.port.send(self.dst, messages.transfer_release(self.dst, flows), shard=self.home_shard):
                 self.record.releases_sent += 1
         if self.precopy:

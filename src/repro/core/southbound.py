@@ -99,6 +99,8 @@ class SouthboundAgent:
         self._heartbeat_interval: Optional[float] = None
         self._xids = count(1)  # of every message this agent sends
         channel.bind_middlebox(self.handle_message)
+        #: The channel session this agent serves: once either end closes, the agent does no more work.
+        self._session = channel.session
         middlebox.set_event_sink(self.send_event)
 
     # -- liveness ----------------------------------------------------------------------
@@ -106,8 +108,8 @@ class SouthboundAgent:
     def start_heartbeats(self, interval: float) -> None:
         """Begin sending periodic HEARTBEAT beacons to the controller.
 
-        The loop stops by itself when the instance crashes or is unregistered,
-        so a dead agent cannot keep the simulator's event queue alive.
+        The loop stops by itself once the channel session ends, so a dead
+        agent cannot keep the simulator's event queue alive.
         """
         if self._heartbeat_interval is not None:
             self._heartbeat_interval = interval
@@ -115,19 +117,10 @@ class SouthboundAgent:
         self._heartbeat_interval = interval
         self.sim.schedule(interval, self._heartbeat_tick)
 
-    def stop_heartbeats(self) -> None:
-        """Stop the heartbeat loop (instance terminated or crashed)."""
-        self._heartbeat_interval = None
-
     def _heartbeat_tick(self) -> None:
-        """Send one beacon and reschedule, unless the agent is dead/detached."""
-        if self._heartbeat_interval is None:
-            return
-        if self.channel.middlebox_down or self.channel.controller_detached:
-            self._heartbeat_interval = None
-            return
-        self._send(messages.heartbeat(self.middlebox.name))
-        self.sim.schedule(self._heartbeat_interval, self._heartbeat_tick)
+        """Send one beacon and reschedule, while the session lasts."""
+        if self._send(messages.heartbeat(self.middlebox.name)):
+            self.sim.schedule(self._heartbeat_interval, self._heartbeat_tick)
 
     # -- middlebox -> controller -------------------------------------------------------
 
@@ -136,9 +129,13 @@ class SouthboundAgent:
         self.stats.events_sent += 1
         self._send(messages.event_message(event))
 
-    def _send(self, message: Message) -> None:
+    def _send(self, message: Message) -> bool:
+        """Send *message* to the controller; False, sending nothing, once the session ended."""
+        if self.channel.session != self._session:
+            return False
         message.xid = next(self._xids)
         self.channel.send_to_controller(message)
+        return True
 
     def _error(self, request: Message, reason: str) -> None:
         self.stats.errors_sent += 1
@@ -184,8 +181,11 @@ class SouthboundAgent:
 
         A middlebox call's own result is not a reply.  A malformed request
         (``ProtocolError``) and a middlebox refusal (any other
-        ``OpenMBError``) both end here.
+        ``OpenMBError``) both end here.  An agent whose session ended does
+        no work: an install queued on its import lane never runs.
         """
+        if self.channel.session != self._session:
+            return
         try:
             reply = work(*args)
         except OpenMBError as exc:

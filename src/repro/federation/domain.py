@@ -81,9 +81,9 @@ class FederationConfig:
 class PeerLink:
     """One inter-domain channel endpoint plus its WAN quality estimate.
 
-    The two ends of a :class:`ControlChannel` are asymmetric (a "controller"
-    side and a "middlebox" side); ``side`` records which half this domain
-    bound so :meth:`send` picks the right direction.  Every received gossip
+    The two ends of a :class:`ControlChannel` are asymmetric (``side`` "a" is
+    the "controller" end, "b" the "middlebox" end), so :meth:`send` and
+    :meth:`close` pick by ``side``.  Every received gossip
     digest carries the sender's simulated send time, and :meth:`observe`
     folds the resulting one-way delay sample into RFC 6298-style smoothed
     delay (``srtt``) and jitter estimates — the measurement the cross-domain
@@ -128,11 +128,8 @@ class PeerLink:
             self.srtt = 0.875 * self.srtt + 0.125 * sample
 
     def close(self) -> None:
-        """Tear down this domain's half of the link (crash/shutdown path)."""
-        if self.side == "a":
-            self.channel.unbind_controller()
-        else:
-            self.channel.set_middlebox_down()
+        """This domain died: close its end of the link."""
+        self.channel.close("controller" if self.side == "a" else "middlebox")
 
 
 class FederatedDomain:
@@ -200,19 +197,16 @@ class FederatedDomain:
     def crash(self) -> None:
         """Kill this domain's controller process (the chaos domain-death).
 
-        No cleanup messages are sent — that is the point.  Instance agents
-        stop beaconing into the void and every channel's controller half is
-        detached, exactly as if the process died; recovery is entirely the
-        peers' job (suspicion, election, adoption with the PR 5 purge path).
+        No cleanup messages are sent — that is the point.  The controller and
+        every peer link close this domain's channel ends, as if the process
+        died; recovery is entirely the peers' job (suspicion, election,
+        adoption with the crash-safe purge path).
         """
         if self._crashed:
             return
         self._crashed = True
         self._running = False
-        for name in list(self.controller.middlebox_names()):
-            registration = self.controller._registrations[name]
-            registration.agent.stop_heartbeats()
-            registration.channel.unbind_controller()
+        self.controller.crash()
         for link in self._peers.values():
             link.close()
         self.gossip.membership.put(self.name, self.name, {"alive": False}, self.sim.now)
@@ -284,7 +278,7 @@ class FederatedDomain:
         self._check_suspicions(self.sim.now)
         # Target selection deliberately ignores the membership view for
         # directly-connected peers: a digest to a truly crashed peer is
-        # dropped at its closed channel half, while one to a falsely-suspected
+        # discarded at its closed channel end, while one to a falsely-suspected
         # peer reaches it and triggers the obituary-healing path.  Gating on
         # liveness here deadlocks when two survivors suspect each other in the
         # same window (neither sends, so neither can ever heal).
@@ -368,7 +362,7 @@ class FederatedDomain:
         """Undo the takeover of a falsely-suspected (actually alive) domain.
 
         Hearing from *peer* proves the obituary wrong — a genuinely crashed
-        domain's channel halves are closed, so nothing it "sends" can arrive.
+        domain closed its end of the link, so nothing it "sends" can arrive.
         Every effect of the adoption is handed back: the instances we
         registered are unregistered here (their home registrations were never
         dropped — the domain was alive the whole time), their event feeds are
@@ -413,8 +407,8 @@ class FederatedDomain:
         entry = self.gossip.membership.value_of(peer)
         if entry is not None and not entry.get("alive"):
             # Hearing from a peer we had declared dead disproves the obituary
-            # (a crashed domain's link halves are closed, so only jitter or a
-            # false suspicion can produce this).  Re-author the entry and
+            # (a crashed domain closed its end of the link and sends nothing
+            # more, so only jitter or a false suspicion can produce this).  Re-author the entry and
             # revive the gossip timer, which stops when no live peer remains.
             self.gossip.membership.put(peer, self.name, {"alive": True}, self.sim.now)
             self.false_suspicions += 1

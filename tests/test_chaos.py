@@ -45,7 +45,8 @@ from repro.testing import (
     run_federated_chaos,
     strictly_increasing,
 )
-from repro.testing.chaos import DST, SRC
+from repro.federation.domain import FederatedDomain
+from repro.testing.chaos import DST, MOVE_AT, SRC
 
 GUARANTEES = ("no_guarantee", "loss_free", "order_preserving")
 MODES = ("snapshot", "precopy")
@@ -613,6 +614,109 @@ class TestLivenessSweeps:
             if false_suspicions(federations[-1]):
                 suspected.append(seed)
         assert (failed, dual, suspected) == ([], [], [])
+
+
+#: Kill instants per (guarantee, mode) cell of the kill-instant sweep: one per
+#: ``KILL_STEP`` from ``MOVE_AT + KILL_STEP`` to the clean run's completion.
+KILL_STEP = 50e-6
+KILL_POINTS = {
+    ("loss_free", "snapshot"): 27,
+    ("loss_free", "precopy"): 48,
+    ("order_preserving", "snapshot"): 45,
+    ("order_preserving", "precopy"): 70,
+}
+#: Which instance dies, and whether a standby takes over the move.
+KILLS = {"src": ("src", False), "dst": ("dst", False), "dst+standby": ("dst", True)}
+
+
+def crash_cell(guarantee: str, mode: str, **kill) -> ChaosSpec:
+    """The clean cell the kill-instant sweep and the crash regressions run in."""
+    return ChaosSpec(guarantee=guarantee, mode=mode, flows=10, packets=40, detect="declare", **kill)
+
+
+class TestKillInstantSweep:
+    """An instance may die at any instant of a move (ROADMAP item 20, grid form).
+
+    Each cell kills the source, the destination, or the destination with a
+    standby registered, at every ``KILL_STEP`` of the move, and every run must
+    satisfy the four invariants.  Before a crash closed the dead endpoint's
+    channel end, 55 of the 570 runs leaked (a killed destination's queued
+    install re-created a packet hold or a round tag after the purge; a failed
+    pre-copy left its tags on the live destination).
+
+    The grid starts one step after ``MOVE_AT``: a kill at the move's very
+    first instant leaves the live source's dirty tracking armed (ROADMAP
+    3(e)(i), still open).
+    """
+
+    @pytest.mark.parametrize("kill", sorted(KILLS))
+    @pytest.mark.parametrize("guarantee, mode", sorted(KILL_POINTS))
+    def test_every_kill_instant_is_clean(self, guarantee, mode, kill):
+        victim, standby = KILLS[kill]
+        clean = run_chaos(crash_cell(guarantee, mode))
+        completion = MOVE_AT + clean.move_duration
+        instants = [MOVE_AT + step * KILL_STEP for step in range(1, int((completion - MOVE_AT) / KILL_STEP + 1e-6) + 1)]
+        assert len(instants) == KILL_POINTS[guarantee, mode]
+        dirty = {}
+        for instant in instants:
+            result = run_chaos(crash_cell(guarantee, mode, kill=victim, kill_time=instant, standby=standby))
+            if result.violations:
+                dirty[round(instant * 1e6)] = [str(violation) for violation in result.violations]
+        assert dirty == {}
+
+
+class TestCrashMeansStopped:
+    """A crashed instance or controller stops acting: one close of its channel end."""
+
+    @pytest.mark.parametrize("standby", (False, True), ids=("alone", "standby"))
+    def test_a_killed_destination_s_queued_install_never_runs(self, standby):
+        """ROADMAP 3(e)(iii): an install already on the dead agent's import lane
+        ran after the crash purge and re-created a packet hold on the killed destination."""
+        result = run_chaos(crash_cell("order_preserving", "snapshot", kill="dst", kill_time=1.85e-3, standby=standby))
+        result.assert_ok()
+        assert result.outcome == ("completed" if standby else "failed")
+
+    def test_a_failed_pre_copy_move_releases_its_flows_at_the_live_destination(self):
+        """ROADMAP 3(e)(ii): the source dies mid-move; the live destination kept
+        10 orphaned (op_id, round) install tags, since only order-preserving moves released."""
+        result = run_chaos(crash_cell("loss_free", "precopy", kill="src", kill_time=2.0e-3))
+        result.assert_ok()
+        assert result.outcome == "failed"
+
+    def test_a_crashed_domain_s_links_re_send_nothing(self, monkeypatch):
+        """ROADMAP 3(c): the dead domain's ARQ senders re-sent 13 frames per link after the crash."""
+        at_crash = {}
+        crash = FederatedDomain.crash
+
+        def counted_crash(domain):
+            at_crash.update({link.peer: (link, sent_by(link).retransmits) for link in domain._peers.values()})
+            crash(domain)
+
+        def sent_by(link):
+            return link.channel.to_mb if link.side == "a" else link.channel.to_controller
+
+        monkeypatch.setattr(FederatedDomain, "crash", counted_crash)
+        result = run_federated_chaos(ChaosSpec(seed=0, mode="precopy", profile="lossy", flows=50, packets=40))
+        result.assert_ok()
+        assert sorted(at_crash) == ["chaos-dc0", "chaos-dc1"]
+        assert {peer: sent_by(link).retransmits - before for peer, (link, before) in at_crash.items()} == {
+            "chaos-dc0": 0,
+            "chaos-dc1": 0,
+        }
+
+    def test_a_crashed_controller_declares_nothing_dead(self, monkeypatch):
+        """A crashed domain's controller kept sweeping: at 8 ms it declared its own
+        orphan dead and purged it from a dead process."""
+        crashed = []
+        crash = FederatedDomain.crash
+        monkeypatch.setattr(FederatedDomain, "crash", lambda domain: (crashed.append(domain), crash(domain))[1])
+        spec = ChaosSpec(
+            seed=7, guarantee="loss_free", mode="precopy", profile="jittery", kill="dst", kill_at_round=1, detect="liveness", standby=True
+        )
+        result = run_federated_chaos(spec)
+        result.assert_ok()
+        assert [domain.name for domain in crashed] == ["chaos-dc2"]
+        assert crashed[0].controller.stats.instances_declared_dead == 0
 
 
 class TestLossyDataPlaneProfile:

@@ -34,6 +34,18 @@ survivor dc1 had falsely suspected dc0 at 66 ms, and on ``federated/chaotic``
 dc0 had suspected dc1 at 133 ms, each followed by a revert.  Only their
 ``executed_events`` moved (1837 → 1835 and 1964 → 1963).
 
+It was re-recorded once more when a crash came to close the dead endpoint's
+channel end (``ControlChannel.close``): a killed instance and a crashed
+domain stop re-sending what they had in flight, and a crashed controller
+stops sweeping.  Only counters of the crash cells moved: ``dst-kill/standby``
+sends two retransmits fewer (messages 966 → 964, retransmits and dedup
+discards 20 → 18, executed events 1956 → 1951), and the three federated
+cells with a domain death lose the dead domain's WAN retransmissions
+(executed events 1871 → 1823 on ``federated/domain-death``, 1835 → 1789 on
+``federated/lossy``, 1963 → 1832 on ``federated/chaotic``, which also settles
+one drain step earlier, 0.22 → 0.21 s, after 318 gossip rounds instead of
+338).  Every outcome, duration, freeze window and violation is unchanged.
+
 Re-record it (only when a scenario is meant to change) with
 ``PYTHONPATH=src python tests/test_chaos_golden.py``.
 """

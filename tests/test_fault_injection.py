@@ -227,7 +227,7 @@ class TestReliableDelivery:
         sim = Simulator()
         channel, to_mb, _ = make_channel(sim, faults=FaultPlan(1, to_mb=FaultProfile(drop=1.0)))
         channel.send_to_middlebox(request(1))
-        channel.set_middlebox_down()
+        channel.close("middlebox")
         sim.run(until=5.0)
         assert sim.pending_events == 0
         assert to_mb == []
@@ -238,7 +238,7 @@ class TestReliableDelivery:
             sim, faults=FaultPlan(1, to_controller=FaultProfile(drop=1.0))
         )
         channel.send_to_controller(Message(MessageType.EVENT, mb="mb"))
-        channel.unbind_controller()
+        channel.close("controller")
         sim.run(until=5.0)
         assert sim.pending_events == 0
         assert to_controller == []
@@ -252,6 +252,67 @@ class TestReliableDelivery:
         assert all(message.type != MessageType.CHAN_ACK for message in to_mb)
         assert all(message.type != MessageType.CHAN_ACK for message in to_controller)
         assert channel.to_controller.chan_acks > 0
+
+
+class TestClose:
+    """A death is one call: ``ControlChannel.close(end)`` stops the dead end.
+
+    Nothing reaches the dead end and it sends nothing more; neither direction
+    holds or re-sends anything; a frame it sent before it died still arrives
+    at the live end; binding the end again opens a fresh session.
+    """
+
+    @pytest.mark.parametrize("dead", ["middlebox", "controller"])
+    def test_nothing_reaches_the_dead_end_and_it_sends_nothing(self, dead):
+        sim = Simulator()
+        channel, to_mb, to_controller = make_channel(sim, reliable=True)
+        channel.close(dead)
+        channel.send_to_middlebox(request(1))
+        channel.send_to_controller(request(2))
+        sim.run()
+        assert to_mb == [] and to_controller == []
+        # Only the live end's frame went on the wire, towards the dead end, and was discarded on arrival.
+        towards_dead, from_dead = (channel.to_mb, channel.to_controller)[:: 1 if dead == "middlebox" else -1]
+        assert (towards_dead.messages, from_dead.messages) == (1, 0)
+        assert channel.session == 1
+
+    @pytest.mark.parametrize("dead", ["middlebox", "controller"])
+    def test_neither_direction_holds_or_resends_after_a_close(self, dead):
+        sim = Simulator()
+        channel, _, _ = make_channel(sim, faults=FaultPlan.symmetric(1, drop=1.0))
+        channel.send_to_middlebox(request(1))
+        channel.send_to_controller(request(2))
+        channel.close(dead)
+        channel.send_to_middlebox(request(3))
+        channel.send_to_controller(request(4))
+        sim.run(until=5.0)
+        assert sim.pending_events == 0
+        assert channel.to_mb.retransmits == channel.to_controller.retransmits == 0
+
+    def test_a_frame_sent_before_the_death_still_arrives_at_the_live_end(self):
+        sim = Simulator()
+        channel, to_mb, to_controller = make_channel(sim, reliable=True)
+        channel.send_to_controller(request(1))
+        channel.send_to_middlebox(request(2))
+        channel.close("middlebox")
+        sim.run()
+        assert [message.body["index"] for message in to_controller] == [1]
+        assert to_mb == []
+        # The live end acknowledges nothing towards the dead one.
+        assert channel.to_mb.chan_acks == 0
+
+    def test_a_later_bind_opens_a_fresh_session(self):
+        sim = Simulator()
+        channel, _, _ = make_channel(sim, reliable=True)
+        channel.send_to_middlebox(request(1))
+        channel.send_to_controller(request(2))
+        sim.run()
+        channel.close("middlebox")
+        to_mb = []
+        channel.bind_middlebox(to_mb.append)
+        channel.send_to_middlebox(request(3))
+        sim.run()
+        assert [(message.body["index"], message.cseq) for message in to_mb] == [(3, 1)]
 
 
 class TestLivenessEvidence:
@@ -294,8 +355,8 @@ class TestLivenessEvidence:
         channel.send_to_middlebox(request(2))
         sim.run(until=0.01)
         assert 0 < channel.heard_at["to_controller"] < 0.01 and 0 < channel.heard_at["to_mb"] < 0.01
-        channel.unbind_controller()
-        channel.set_middlebox_down()
+        channel.close("controller")
+        channel.close("middlebox")
         sim.run(until=0.5)
         channel.bind_controller(lambda message: None)
         channel.bind_middlebox(lambda message: None)

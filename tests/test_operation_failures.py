@@ -233,8 +233,9 @@ class TestUnregisterCleanup:
         # being dispatched through the stale binding (it would complete the
         # future a second time and crash the simulation).
         assert future.done and type(future.exception) is UnknownMiddleboxError
+        received = controller.stats.messages_received
         sim.run(until=sim.now + 1.0)
-        assert channel._handlers["to_controller"] is None
+        assert channel.session == 1 and controller.stats.messages_received == received
 
     def test_unregistered_middlebox_events_are_dropped(self, sim, controller, monitor_pair):
         mon1, _ = monitor_pair

@@ -22,6 +22,11 @@ numbered by its owner, so nothing else needs pinning):
 Together the runs carry all 18 request types, all 8 reply types and events.
 It was re-recorded once when a get started to carry its spec's batch cap:
 the two ``batch_size=32`` moves now stream ``STATE_CHUNK_BATCH`` replies.
+It was re-recorded once more when a failed pre-copy move began to release
+its flows at the destination (their install-round tags stayed behind): the
+aborted ``doomed`` move now sends ``doomed-dst`` one ``transfer_release``,
+which the destination ACKs; the source's cleanup messages carry the next
+xids, so their hashes moved too (executed events 4146 → 4149).
 Re-record it (only when the protocol is meant to change) with
 ``PYTHONPATH=src python tests/test_southbound_golden.py``.
 """
