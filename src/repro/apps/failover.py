@@ -192,7 +192,6 @@ class FailureRecoveryApp(ControlApplication):
         replacement_mb: str,
         *,
         update_routing: Callable[[], Future],
-        config_keys_to_copy: Tuple[str, ...] = DEFAULT_CONFIG_KEYS,
     ) -> Future:
         """Bootstrap *replacement_mb* from the shadow table and re-route traffic to it.
 
@@ -204,7 +203,6 @@ class FailureRecoveryApp(ControlApplication):
         self._recovering = True
         self.replacement_mb = replacement_mb
         self._update_routing = update_routing
-        self._config_keys = config_keys_to_copy
         return self.start()
 
     def steps(self) -> Generator:
@@ -224,7 +222,7 @@ class FailureRecoveryApp(ControlApplication):
                 values = yield self.nb.read_config(self.protected_mb, "*")
             except Exception:
                 values = {}
-            restorable = {key: vals for key, vals in (values or {}).items() if key in self._config_keys}
+            restorable = {key: vals for key, vals in (values or {}).items() if key in DEFAULT_CONFIG_KEYS}
         static = self._static_values(self.shadow)
         # 2+3. Restore configuration and critical state into the replacement
         # and re-route to it — one transaction, so a half-restored replacement

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.controller import ControllerConfig, MBController
 from ..core.flowspace import FlowPattern, IPv4Prefix
 from ..core.northbound import NorthboundAPI
-from ..core.operations import OperationHandle, OperationRecord
+from ..core.operations import OperationRecord
 from ..core.transfer import TransferGuarantee, TransferSpec
 from ..middleboxes.base import Middlebox
 from ..middleboxes.monitor import PassiveMonitor
@@ -72,37 +72,25 @@ class TwoInstanceScenario(ScenarioBase):
 
     # -- routing ------------------------------------------------------------------------------------
 
-    def route_via(self, middlebox: Middlebox | str, pattern: FlowPattern, *, bidirectional: bool = True) -> Future:
+    def route_via(self, middlebox: Middlebox | str, pattern: FlowPattern) -> Future:
         """Route flows matching *pattern* through the given instance.
 
-        Installs a forward route (client gateway to server gateway) and, when
-        ``bidirectional``, the corresponding reverse route for return traffic.
-        Returns a future that completes when every switch has applied its rules.
+        Installs a forward route (client gateway to server gateway) and the
+        corresponding reverse route for return traffic.  Returns a future that
+        completes when every switch has applied its rules.
         """
         name = middlebox.name if isinstance(middlebox, Middlebox) else middlebox
         priority = self.next_priority()
         forward = self.sdn.route(
             pattern, self.client_gw, self.server_gw, waypoints=[name], priority=priority
         )
-        self.routes.append(forward)
-        futures = [forward.installed]
-        if bidirectional:
-            reverse = self.sdn.route(
-                pattern.reversed(), self.server_gw, self.client_gw, waypoints=[name], priority=priority
-            )
-            self.routes.append(reverse)
-            futures.append(reverse.installed)
+        reverse = self.sdn.route(
+            pattern.reversed(), self.server_gw, self.client_gw, waypoints=[name], priority=priority
+        )
+        self.routes += [forward, reverse]
         from ..net.simulator import all_of
 
-        return all_of(self.sim, futures)
-
-    # -- stateful operations --------------------------------------------------------------------------
-
-    def move_with_spec(
-        self, pattern: FlowPattern | Dict[str, object] | List[str] | str | None, spec: Optional[TransferSpec] = None
-    ) -> OperationHandle:
-        """moveInternal mb1 -> mb2 under a specific transfer spec."""
-        return self.northbound.move_internal(self.mb1.name, self.mb2.name, pattern, spec=spec)
+        return all_of(self.sim, [forward.installed, reverse.installed])
 
     # -- traffic -------------------------------------------------------------------------------------
 
@@ -414,7 +402,7 @@ def run_guarantee_scenario(
     sim.run(until=sim.now + 0.0005 * flows + 0.05)
     packets_before = sum(rec.packets for _, rec in src.report_store.items())
 
-    handle = scenario.move_with_spec(None, resolved)
+    handle = scenario.northbound.move_internal(src.name, dst.name, None, spec=resolved)
     # Keep traffic arriving for the *moved* flows while the transfer runs, so
     # the source raises re-process events the guarantee policy must handle.
     for index in range(packets_during_move):

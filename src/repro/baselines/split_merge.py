@@ -16,7 +16,7 @@ for it (Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from ..apps.base import ControlApplication
 from ..apps.scenarios import TwoInstanceScenario
@@ -63,19 +63,12 @@ class SplitMergeMigration(ControlApplication):
 
     name = "split-merge-migration"
 
-    def __init__(
-        self,
-        scenario: TwoInstanceScenario,
-        *,
-        pattern: FlowPattern | list | dict | str,
-        src_mb: Optional[str] = None,
-        dst_mb: Optional[str] = None,
-    ) -> None:
+    def __init__(self, scenario: TwoInstanceScenario, *, pattern: FlowPattern | list | dict | str) -> None:
         super().__init__(scenario.sim, scenario.northbound, scenario.sdn)
         self.scenario = scenario
         self.pattern = pattern if isinstance(pattern, FlowPattern) else FlowPattern.parse(pattern)
-        self.src_mb = src_mb or scenario.mb1.name
-        self.dst_mb = dst_mb or scenario.mb2.name
+        #: The scenario's two instances: state moves from the first to the second.
+        self.src_mb, self.dst_mb = scenario.mb1.name, scenario.mb2.name
         self.suspension = SuspensionReport(buffered_packets=0)
 
     def steps(self) -> Generator:

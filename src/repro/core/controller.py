@@ -4,10 +4,13 @@ The controller is the broker between control applications (which speak the
 northbound API) and middleboxes (which speak the southbound message protocol):
 
 * it owns one control channel per registered middlebox;
-* it translates each northbound call into the corresponding sequence of
-  southbound requests (the state machines in :mod:`repro.core.operations`,
-  which reach the world only through the port this class implements: the
-  runtime's clock, :meth:`send` and a few more);
+* it carries out each northbound call of
+  :class:`~repro.core.northbound.NorthboundAPI`, which defines them: a plain
+  call is one request and its reply (:meth:`request`), a stateful one an
+  operation it launches (:meth:`start_move`, :meth:`start_operation`) — the
+  state machines in :mod:`repro.core.operations`, which reach the world only
+  through the port this class implements: the runtime's clock, :meth:`send`
+  and a few more;
 * it hands re-process events to the live operations of their source, which
   buffer them until the destination has ACKed the put for the affected state
   and then replay them (paper Figure 5), once per state install at each
@@ -34,14 +37,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
-from ..net.simulator import Future, Simulator, all_of
+from ..net.simulator import Future, Simulator
 from . import messages
 from .channel import DEFAULT_CONTROL_BANDWIDTH, DEFAULT_CONTROL_LATENCY, ControlChannel
 from .errors import OperationAbortedError, OperationError, ProtocolError, UnknownMiddleboxError
 from .events import Event, EventCode
 from .flowspace import FlowPattern
 from .messages import BATCHABLE_REQUESTS, Message, MessageType
-from .operations import CloneOperation, MergeOperation, MoveOperation, OperationHandle, OperationRecord, ReplayLedger
+from .operations import MoveOperation, OperationHandle, OperationRecord, ReplayLedger
 from .operations import _lost, _StatefulOperation
 from .sharding import ControllerShard, ShardCoordinator
 from .southbound import SouthboundAgent
@@ -191,7 +194,7 @@ class MBController:
             for operation in list(operations):
                 operation.instance_down(name, dead)
         # A reply that will never come: a move awaiting it to start its standby
-        # retry fails its handle, a plain request (:meth:`_request`) its future
+        # retry fails its handle, a plain request (:meth:`request`) its future
         # — once the instance is torn down below — instead of hanging.
         stranded: List[Future] = []
         for key in [key for key in self._reply_handlers if key[0] == name]:
@@ -453,16 +456,18 @@ class MBController:
         """Register an application callback for introspection events."""
         self._event_subscribers.append(callback)
 
-    # -- simple northbound operations --------------------------------------------------------------------
+    # -- plain requests --------------------------------------------------------------------
 
-    def _request(
+    def request(
         self, mb_name: str, message: Message, name: str, expect: str = MessageType.ACK, extract: str = ""
     ) -> Future:
-        """Send *message* and return a future for its one reply.
+        """Send *message* and return a future, named *name*, for its one reply.
 
         The future yields the reply's *extract* field (True when none is
         named) once a reply of type *expect* arrives, and fails with
-        :class:`OperationError` on ERROR.
+        :class:`OperationError` on ERROR.  The northbound API's plain calls
+        (``readConfig``, ``writeConfig``, ``stats``, ``endTransfer`` and the
+        event switches) each build their request and send it through here.
         """
         future = self.sim.event(name=name)
         if not self.send(mb_name, message, self._on_request_reply, future, expect, extract, message.type):
@@ -471,7 +476,7 @@ class MBController:
 
     @staticmethod
     def _on_request_reply(reply: Message, future: Future, expect: str, extract: str, request_type: str) -> None:
-        """Resolve a :meth:`_request` future from its reply: *extract* (or True) on *expect*, failed on ERROR."""
+        """Resolve a :meth:`request` future from its reply: *extract* (or True) on *expect*, failed on ERROR."""
         if future.done:
             return  # the caller gave up on the request (or failed it) before the reply came
         kind, fields = messages.parse_reply(reply)
@@ -480,81 +485,7 @@ class MBController:
         elif kind == MessageType.ERROR:
             future.fail(OperationError(fields["reason"] or f"{request_type} failed"))
 
-    def read_config(self, mb_name: str, key: str = "*") -> Future:
-        """readConfig: fetch a middlebox's configuration subtree."""
-        request = messages.get_config(mb_name, key)
-        return self._request(mb_name, request, f"readConfig({mb_name},{key})", MessageType.CONFIG_VALUE, "values")
-
-    def write_config(self, mb_name: str, key: str, values: list) -> Future:
-        """writeConfig: set configuration values on a middlebox."""
-        return self._request(mb_name, messages.set_config(mb_name, key, values), f"writeConfig({mb_name},{key})")
-
-    def write_config_tree(self, mb_name: str, values: Dict[str, list]) -> Future:
-        """writeConfig with a whole exported configuration tree (key ``"*"`` usage)."""
-        futures = [self.write_config(mb_name, key, list(entry)) for key, entry in values.items()]
-        return all_of(self.sim, futures)
-
-    def query_stats(self, mb_name: str, pattern: Optional[FlowPattern] = None) -> Future:
-        """stats: how much state matching *pattern* exists at a middlebox."""
-        request = messages.get_stats(mb_name, pattern or FlowPattern.wildcard())
-        return self._request(mb_name, request, f"stats({mb_name})", MessageType.STATS_REPLY, "stats")
-
-    def enable_events(
-        self,
-        mb_name: str,
-        code: str,
-        pattern: Optional[FlowPattern] = None,
-        until: Optional[float] = None,
-    ) -> Future:
-        """Enable introspection events with *code* at a middlebox."""
-        request = messages.enable_events(mb_name, code, pattern, until)
-        return self._request(mb_name, request, f"enableEvents({mb_name},{code})")
-
-    def end_transfer(self, mb_name: str) -> Future:
-        """Tell a middlebox that an in-progress clone/merge transfer is over.
-
-        Clears the middlebox's transfer markers so it stops raising re-process
-        events.  Control applications call this once the routing change (and
-        any related configuration switch) has taken effect; the controller also
-        sends it automatically after the quiescence timeout as a fallback.
-        """
-        return self._request(mb_name, messages.transfer_end(mb_name), f"endTransfer({mb_name})")
-
-    def disable_events(self, mb_name: str, code: str, pattern: Optional[FlowPattern] = None) -> Future:
-        """Disable introspection events with *code* at a middlebox."""
-        request = messages.disable_events(mb_name, code, pattern)
-        return self._request(mb_name, request, f"disableEvents({mb_name},{code})")
-
-    # -- stateful northbound operations --------------------------------------------------------------------
-
-    def move_internal(
-        self,
-        src: str,
-        dst: str,
-        pattern: FlowPattern,
-        spec: Optional[TransferSpec] = None,
-        *,
-        standby: Optional[str] = None,
-    ) -> OperationHandle:
-        """moveInternal: move per-flow supporting and reporting state from src to dst.
-
-        *spec* selects the transfer guarantee (no-guarantee / loss-free /
-        order-preserving), the copy mode (single-pass snapshot or iterative
-        pre-copy with bounded dirty-delta rounds), and pipeline optimizations
-        (parallelism, batching, early release); None keeps the seed's
-        loss-free snapshot pipelined default.
-
-        *standby* names a registered fallback destination: when the primary
-        destination dies (crash or unregister) mid-move, the move is retried
-        from scratch against the standby instead of failing outright — the
-        source's state is untouched by the failed attempt, so the retry is
-        loss-free.  The returned handle then follows the retry.
-        """
-        self._registration(src)
-        self._registration(dst)
-        if standby is not None:
-            self._registration(standby)
-        return self.start_move(src, dst, pattern, spec, standby=standby)
+    # -- stateful operations: the launchers behind moveInternal, cloneSupport and mergeInternal --------------
 
     def start_move(
         self,
@@ -568,22 +499,10 @@ class MBController:
     ) -> OperationHandle:
         """Build and start one move attempt; a standby retry passes the *handle* it continues."""
         precopy_live = any(operation.precopy for operation in self._active_by_src.get(src, ()))
-        return self._start(MoveOperation, src, dst, pattern, spec, precopy_live=precopy_live, standby=standby, handle=handle)
+        return self.start_operation(MoveOperation, src, dst, pattern, spec, precopy_live=precopy_live, standby=standby, handle=handle)
 
-    def clone_support(self, src: str, dst: str, spec: Optional[TransferSpec] = None) -> OperationHandle:
-        """cloneSupport: clone shared supporting state from src to dst."""
-        self._registration(src)
-        self._registration(dst)
-        return self._start(CloneOperation, src, dst, None, spec)
-
-    def merge_internal(self, src: str, dst: str, spec: Optional[TransferSpec] = None) -> OperationHandle:
-        """mergeInternal: merge shared supporting and reporting state of src into dst."""
-        self._registration(src)
-        self._registration(dst)
-        return self._start(MergeOperation, src, dst, None, spec)
-
-    def _start(self, kind: type, src: str, dst: str, pattern, spec, **extra) -> OperationHandle:
-        """Build an operation with the values the controller fixes for it, then start it."""
+    def start_operation(self, kind: type, src: str, dst: str, pattern, spec, **extra) -> OperationHandle:
+        """Build an operation of *kind* with the values the controller fixes for it, then start it."""
         home_shard = self.coordinator.home_shard(pattern)
         operation = kind(
             self,

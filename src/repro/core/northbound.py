@@ -6,7 +6,11 @@ the paper's section 5 (``readConfig``, ``writeConfig``, ``stats``,
 ``moveInternal``, ``cloneSupport``, ``mergeInternal``) are the snake_case
 methods ``read_config``, ``write_config``, ``stats``, ``move_internal``,
 ``clone_support`` and ``merge_internal``; each one's docstring names its paper
-call.  All operations are asynchronous on the simulated clock: they return
+call.  This class is the only place they are defined: a plain call builds its
+southbound request and sends it through :meth:`MBController.request
+<repro.core.controller.MBController.request>`, a stateful one checks that its
+instances are registered and hands the controller's launcher the operation.
+All operations are asynchronous on the simulated clock: they return
 :class:`~repro.net.simulator.Future` objects (or
 :class:`~repro.core.operations.OperationHandle` for the stateful operations)
 that control-application processes ``yield`` on.
@@ -16,10 +20,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from ..net.simulator import Future
+from ..net.simulator import Future, all_of
+from . import messages
 from .controller import MBController
 from .flowspace import FlowPattern
-from .operations import OperationHandle
+from .messages import MessageType
+from .operations import CloneOperation, MergeOperation, OperationHandle
 from .transaction import PatternLike, Transaction
 from .transfer import TransferGuarantee, TransferSpec
 
@@ -56,6 +62,11 @@ class NorthboundAPI:
         operations = [handle._operation for handle in handles if handle._operation is not None]
         return self.controller.coordinator.barrier([shard.shard_id for op in operations for shard in op.shards] or None)
 
+    def _registered(self, *names: str) -> None:
+        """Raise :class:`~repro.core.errors.UnknownMiddleboxError` for the first of *names* not registered."""
+        for name in names:
+            self.controller.channel_for(name)  # raises for an unknown name
+
     # -- transactions ----------------------------------------------------------------
 
     def transaction(self) -> Transaction:
@@ -76,7 +87,8 @@ class NorthboundAPI:
 
     def read_config(self, src_mb: str, key: str = "*") -> Future:
         """``readConfig(SrcMB, HierarchicalKey)`` — returns a future of the flat config mapping."""
-        return self.controller.read_config(src_mb, key)
+        request = messages.get_config(src_mb, key)
+        return self.controller.request(src_mb, request, f"readConfig({src_mb},{key})", MessageType.CONFIG_VALUE, "values")
 
     def write_config(self, dst_mb: str, key: str, values: Union[list, Dict[str, list]]) -> Future:
         """``writeConfig(DstMB, HierarchicalKey, [values...])``.
@@ -88,19 +100,30 @@ class NorthboundAPI:
         if key in ("*", ""):
             if not isinstance(values, dict):
                 raise TypeError("writeConfig with key '*' requires a mapping of key -> values")
-            return self.controller.write_config_tree(dst_mb, values)
+            return self._write_tree(dst_mb, values)
         if isinstance(values, dict):
             raise TypeError("writeConfig with a specific key requires a list of values")
-        return self.controller.write_config(dst_mb, key, list(values))
+        return self._write_key(dst_mb, key, list(values))
+
+    def _write_key(self, dst_mb: str, key: str, values: list) -> Future:
+        """One SET_CONFIG of *values* under *key*."""
+        return self.controller.request(dst_mb, messages.set_config(dst_mb, key, values), f"writeConfig({dst_mb},{key})")
+
+    def _write_tree(self, dst_mb: str, values: Dict[str, list]) -> Future:
+        """One SET_CONFIG per key of a flat configuration mapping; the future ends with the last."""
+        futures = [self._write_key(dst_mb, key, list(entry)) for key, entry in values.items()]
+        return all_of(self.controller.sim, futures)
 
     def clone_config(self, src_mb: str, dst_mb: str, key: str = "*") -> Future:
         """Composition of readConfig and writeConfig (the paper's cloneConfig).
 
-        Every failure path resolves the returned future: a failed (or
-        cancelled) read propagates its error, and an error raised while
-        issuing the write — e.g. the destination was unregistered between the
-        read and the write — fails the future instead of leaking an unresolved
-        simulator event (and corrupting the read future's callback chain).
+        The read returns the subtree under *key* as a flat mapping, which is
+        written back key by key.  Every failure path resolves the returned
+        future: a failed (or cancelled) read propagates its error, and an
+        error raised while issuing the write — e.g. the destination was
+        unregistered between the read and the write — fails the future
+        instead of leaking an unresolved simulator event (and corrupting the
+        read future's callback chain).
         """
         result = self.controller.sim.event(name=f"cloneConfig({src_mb}->{dst_mb})")
 
@@ -112,10 +135,7 @@ class NorthboundAPI:
                 return
             values = read_future.result
             try:
-                if key in ("*", ""):
-                    write_future = self.controller.write_config_tree(dst_mb, values)
-                else:
-                    write_future = self.controller.write_config(dst_mb, key, list(values))
+                write_future = self._write_tree(dst_mb, values)
             except Exception as exc:
                 result.fail(exc)
                 return
@@ -124,7 +144,7 @@ class NorthboundAPI:
             )
 
         try:
-            self.controller.read_config(src_mb, key).add_done_callback(on_read)
+            self.read_config(src_mb, key).add_done_callback(on_read)
         except Exception as exc:
             result.fail(exc)
         return result
@@ -133,33 +153,52 @@ class NorthboundAPI:
 
     def stats(self, src_mb: str, header_fields: PatternLike = None) -> Future:
         """``stats(SrcMB, HeaderFieldList)`` — how much state exists for a key."""
-        return self.controller.query_stats(src_mb, _as_pattern(header_fields))
+        request = messages.get_stats(src_mb, _as_pattern(header_fields))
+        return self.controller.request(src_mb, request, f"stats({src_mb})", MessageType.STATS_REPLY, "stats")
 
     # -- stateful operations ------------------------------------------------------------
 
     def move_internal(
-        self, src_mb: str, dst_mb: str, header_fields: PatternLike = None, spec: SpecLike = None
+        self,
+        src_mb: str,
+        dst_mb: str,
+        header_fields: PatternLike = None,
+        spec: SpecLike = None,
+        *,
+        standby: Optional[str] = None,
     ) -> OperationHandle:
         """``moveInternal(SrcMB, DstMB, HeaderFieldList[, TransferSpec])``.
 
         ``spec`` tunes the transfer: guarantee ``no_guarantee`` /
-        ``loss_free`` / ``order_preserving`` plus the pipeline optimizations
-        ``parallelism`` (put window; 0 = unbounded, 1 = sequential),
-        ``batch_size`` (chunks per PUT_PERFLOW_BATCH), and ``early_release``
-        (per-flow TRANSFER_RELEASE at the source once a flow is moved).
-        Omitting it keeps the seed's behaviour (loss-free, pipelined puts).
+        ``loss_free`` / ``order_preserving``, the copy mode (single-pass
+        snapshot or iterative pre-copy with bounded dirty-delta rounds), plus
+        the pipeline optimizations ``parallelism`` (put window; 0 = unbounded,
+        1 = sequential), ``batch_size`` (chunks per PUT_PERFLOW_BATCH), and
+        ``early_release`` (per-flow TRANSFER_RELEASE at the source once a flow
+        is moved).  Omitting it keeps the seed's behaviour (loss-free,
+        pipelined puts).
+
+        ``standby`` names a registered fallback destination: when the primary
+        destination dies (crash or unregister) mid-move, the move is retried
+        from scratch against the standby instead of failing outright — the
+        source's state is untouched by the failed attempt, so the retry is
+        loss-free.  The returned handle then follows the retry.
         """
-        return self.controller.move_internal(
-            src_mb, dst_mb, _as_pattern(header_fields), TransferSpec.parse(spec)
-        )
+        pattern, transfer = _as_pattern(header_fields), TransferSpec.parse(spec)
+        self._registered(src_mb, dst_mb, *([standby] if standby is not None else []))
+        return self.controller.start_move(src_mb, dst_mb, pattern, transfer, standby=standby)
 
     def clone_support(self, src_mb: str, dst_mb: str, spec: SpecLike = None) -> OperationHandle:
-        """``cloneSupport(SrcMB, DstMB[, TransferSpec])``."""
-        return self.controller.clone_support(src_mb, dst_mb, TransferSpec.parse(spec))
+        """``cloneSupport(SrcMB, DstMB[, TransferSpec])``: copy shared supporting state from src to dst."""
+        transfer = TransferSpec.parse(spec)
+        self._registered(src_mb, dst_mb)
+        return self.controller.start_operation(CloneOperation, src_mb, dst_mb, None, transfer)
 
     def merge_internal(self, src_mb: str, dst_mb: str, spec: SpecLike = None) -> OperationHandle:
-        """``mergeInternal(SrcMB, DstMB[, TransferSpec])``."""
-        return self.controller.merge_internal(src_mb, dst_mb, TransferSpec.parse(spec))
+        """``mergeInternal(SrcMB, DstMB[, TransferSpec])``: merge shared supporting and reporting state of src into dst."""
+        transfer = TransferSpec.parse(spec)
+        self._registered(src_mb, dst_mb)
+        return self.controller.start_operation(MergeOperation, src_mb, dst_mb, None, transfer)
 
     def end_transfer(self, src_mb: str) -> Future:
         """Tell *src_mb* that a clone/merge transfer has completed.
@@ -168,8 +207,9 @@ class NorthboundAPI:
         stays up to date while the transaction is in progress; once the control
         application has switched routing (and any related configuration) it
         calls this so the source stops replaying its own traffic to the clone.
+        The controller also sends it after the quiescence timeout as a fallback.
         """
-        return self.controller.end_transfer(src_mb)
+        return self.controller.request(src_mb, messages.transfer_end(src_mb), f"endTransfer({src_mb})")
 
     # -- events -----------------------------------------------------------------------------
 
@@ -187,9 +227,11 @@ class NorthboundAPI:
     ) -> Future:
         """Enable generation of introspection events at a middlebox."""
         pattern = _as_pattern(header_fields) if header_fields is not None else None
-        return self.controller.enable_events(mb_name, code, pattern, until)
+        request = messages.enable_events(mb_name, code, pattern, until)
+        return self.controller.request(mb_name, request, f"enableEvents({mb_name},{code})")
 
     def disable_events(self, mb_name: str, code: str, header_fields: PatternLike = None) -> Future:
         """Disable generation of introspection events at a middlebox."""
         pattern = _as_pattern(header_fields) if header_fields is not None else None
-        return self.controller.disable_events(mb_name, code, pattern)
+        request = messages.disable_events(mb_name, code, pattern)
+        return self.controller.request(mb_name, request, f"disableEvents({mb_name},{code})")

@@ -47,6 +47,7 @@ from ..core.controller import ControllerConfig, MBController
 from ..core.errors import ProtocolError
 from ..core.events import EventCode
 from ..core.messages import Message, MessageType
+from ..core.northbound import NorthboundAPI
 from ..core.transfer import TransferMode, TransferSpec
 from ..net.simulator import Future, Simulator
 from ..obs import Counters
@@ -225,9 +226,9 @@ class FederatedDomain:
         self.gossip.liveness.put(middlebox.name, self.name, {"domain": self.name, "alive": True}, self.sim.now)
         return bound
 
-    def claim_flows(self, keys, *, domain: Optional[str] = None) -> List[str]:
-        """Claim ownership of *keys* for *domain* (default: this domain)."""
-        return self.directory.claim_flows(keys, domain or self.name, self.sim.now)
+    def claim_flows(self, keys) -> List[str]:
+        """Claim ownership of *keys* for this domain."""
+        return self.directory.claim_flows(keys, self.name, self.sim.now)
 
     def _on_introspection(self, event) -> None:
         """PR 5 liveness feed: declared-dead instances become tombstones."""
@@ -563,7 +564,7 @@ class FederatedDomain:
         )
         self.controller.register(obj, channel=wan_channel)
         spec = self._wan_spec(pending["spec"], peer)
-        handle = self.controller.move_internal(pending["src"], dst, pending["pattern"], spec)
+        handle = NorthboundAPI(self.controller).move_internal(pending["src"], dst, pending["pattern"], spec)
         handle.finalized.add_done_callback(
             lambda done: self._finish_cross_move(peer, dst, handle, future, done)
         )

@@ -224,12 +224,10 @@ class GossipState:
         """Domains currently believed alive, sorted."""
         return sorted(key for key, entry in self.membership.items() if entry.value.get("alive"))
 
-    def instances_of(self, domain: str, *, alive: bool = True) -> List[str]:
-        """Instances homed in *domain* (optionally only live ones), sorted."""
+    def instances_of(self, domain: str) -> List[str]:
+        """Live instances homed in *domain*, sorted."""
         return sorted(
-            key
-            for key, entry in self.liveness.items()
-            if entry.value.get("domain") == domain and (not alive or entry.value.get("alive"))
+            key for key, entry in self.liveness.items() if entry.value.get("domain") == domain and entry.value.get("alive")
         )
 
 

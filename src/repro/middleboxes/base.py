@@ -131,15 +131,14 @@ class Middlebox(Node):
         *,
         costs: Optional[ProcessingCosts] = None,
         granularity: Sequence[str] = FULL_GRANULARITY,
-        indexed_store: bool = False,
     ) -> None:
         Node.__init__(self, sim, name)
         self.mb_type = self.MB_TYPE
         self.costs = costs or ProcessingCosts()
         self.config = HierarchicalConfig()
         self.codec = ChunkCodec.for_mb_type(self.mb_type)
-        self.support_store: PerFlowStateStore = PerFlowStateStore(tuple(granularity), indexed=indexed_store)
-        self.report_store: PerFlowStateStore = PerFlowStateStore(tuple(granularity), indexed=indexed_store)
+        self.support_store: PerFlowStateStore = PerFlowStateStore(tuple(granularity))
+        self.report_store: PerFlowStateStore = PerFlowStateStore(tuple(granularity))
         #: Shared supporting / reporting slots; subclasses assign these when they have shared state.
         self.shared_support: Optional[SharedStateSlot] = None
         self.shared_report: Optional[SharedStateSlot] = None

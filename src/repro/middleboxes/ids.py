@@ -157,14 +157,12 @@ class IDS(Middlebox):
         *,
         costs: Optional[ProcessingCosts] = None,
         granularity: Sequence[str] = FULL_GRANULARITY,
-        indexed_store: bool = False,
     ) -> None:
         super().__init__(
             sim,
             name,
             costs=costs or ProcessingCosts(**vars(self.DEFAULT_COSTS)),
             granularity=granularity,
-            indexed_store=indexed_store,
         )
         self.shared_support = SharedStateSlot(ScanTable(), merge=ScanTable.merge)
         self.conn_log: List[ConnLogEntry] = []

@@ -124,14 +124,12 @@ class PassiveMonitor(Middlebox):
         *,
         costs: Optional[ProcessingCosts] = None,
         granularity: Sequence[str] = FULL_GRANULARITY,
-        indexed_store: bool = False,
     ) -> None:
         super().__init__(
             sim,
             name,
             costs=costs or ProcessingCosts(**vars(self.DEFAULT_COSTS)),
             granularity=granularity,
-            indexed_store=indexed_store,
         )
         self.shared_report = SharedStateSlot(MonitorStats(), merge=MonitorStats.merge)
         self.config.set("Monitor.PromiscuousMode", [True])

@@ -6,8 +6,8 @@ computes paths over the :class:`~repro.net.topology.Topology` graph (optionally
 through middlebox waypoints) and installs prioritized flow rules on every
 switch along the path.
 
-Rule installation is not instantaneous: each switch applies the rule after a
-configurable installation latency, which is exactly what creates the windows
+Rule installation is not instantaneous: each switch applies the rule after
+``DEFAULT_RULE_INSTALL_LATENCY``, which is exactly what creates the windows
 in which packets are still delivered to the *old* middlebox after a control
 application has requested a re-route — the races OpenMB's re-process events
 are designed to absorb.
@@ -67,16 +67,9 @@ class RouteSwap:
 class SDNController:
     """Computes paths and programs switches."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        *,
-        rule_install_latency: float = DEFAULT_RULE_INSTALL_LATENCY,
-    ) -> None:
+    def __init__(self, sim: Simulator, topology: Topology) -> None:
         self.sim = sim
         self.topology = topology
-        self.rule_install_latency = rule_install_latency
         self.routes: Dict[int, RouteHandle] = {}
         self._route_ids = itertools.count(1)
         self.rules_installed = 0
@@ -229,7 +222,7 @@ class SDNController:
             self.rules_installed += len(rules)
             future.succeed(rules)
 
-        self.sim.schedule(self.rule_install_latency, apply_rules)
+        self.sim.schedule(DEFAULT_RULE_INSTALL_LATENCY, apply_rules)
         return future
 
     def remove_route(self, handle: RouteHandle) -> None:
@@ -241,7 +234,7 @@ class SDNController:
                 if isinstance(topo_node, Switch):
                     topo_node.remove_rules_by_cookie(handle.cookie)
 
-        self.sim.schedule(self.rule_install_latency, remove)
+        self.sim.schedule(DEFAULT_RULE_INSTALL_LATENCY, remove)
         self.routes.pop(handle.route_id, None)
 
     # -- higher-level routing used by control applications -----------------------------

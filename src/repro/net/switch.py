@@ -1,9 +1,9 @@
 """OpenFlow-style switch.
 
-A switch forwards packets according to its :class:`~repro.net.flowtable.FlowTable`.
-A miss takes the switch's default action (drop, unless configured).  The
-switch also implements packet buffering for patterns the Split/Merge baseline
-suspends, and keeps counters used by the evaluation.
+A switch forwards packets according to its :class:`~repro.net.flowtable.FlowTable`;
+a table miss drops the packet.  The switch also implements packet buffering
+for patterns the Split/Merge baseline suspends, and keeps counters used by the
+evaluation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Per-packet forwarding latency through the switch fabric (seconds).
 DEFAULT_FORWARD_LATENCY = 5e-6
 
+#: What a table miss does: drop the packet.
+_MISS_ACTIONS = [Action.drop()]
+
 
 #: Aggregate counters for one switch.
 SWITCH_COUNTERS = ("packets_in", "packets_forwarded", "packets_dropped", "packets_buffered", "bytes_forwarded", "table_misses")
@@ -40,18 +43,9 @@ class _BufferedPacket:
 class Switch(Node):
     """A programmable switch with a single flow table."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        *,
-        forward_latency: float = DEFAULT_FORWARD_LATENCY,
-        default_action: Action = Action.drop(),
-    ) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
         self.table = FlowTable()
-        self.forward_latency = forward_latency
-        self.default_action = default_action
         self.stats = Counters(*SWITCH_COUNTERS)
         self._buffers: Dict[FlowPattern, List[_BufferedPacket]] = {}
 
@@ -77,7 +71,7 @@ class Switch(Node):
         Released packets take the same path as a fresh arrival: they are
         re-checked against the patterns still buffering (a packet matching an
         overlapping suspended pattern is re-buffered, preserving Split/Merge
-        suspend semantics) and otherwise pay the ``forward_latency`` hop
+        suspend semantics) and otherwise pay the ``DEFAULT_FORWARD_LATENCY`` hop
         before the table lookup — release is not a free shortcut through the
         fabric.
 
@@ -91,7 +85,7 @@ class Switch(Node):
             released.append((entry.packet, duration))
             if self._buffer_if_matched(entry.packet, entry.in_port):
                 continue
-            self.sim.schedule(self.forward_latency, self._apply_pipeline, entry.packet, entry.in_port)
+            self.sim.schedule(DEFAULT_FORWARD_LATENCY, self._apply_pipeline, entry.packet, entry.in_port)
         return released
 
     def buffered_count(self, pattern: Optional[FlowPattern] = None) -> int:
@@ -128,13 +122,13 @@ class Switch(Node):
         self.stats.packets_in += 1
         if self._buffer_if_matched(packet, in_port):
             return
-        self.sim.schedule(self.forward_latency, self._apply_pipeline, packet, in_port)
+        self.sim.schedule(DEFAULT_FORWARD_LATENCY, self._apply_pipeline, packet, in_port)
 
     def _apply_pipeline(self, packet: Packet, in_port: int) -> None:
         rule = self.table.lookup(packet)
         if rule is None:
             self.stats.table_misses += 1
-            self._apply_actions(packet, in_port, [self.default_action])
+            self._apply_actions(packet, in_port, _MISS_ACTIONS)
             return
         rule.record(packet)
         self._apply_actions(packet, in_port, rule.actions)

@@ -244,21 +244,21 @@ class ArqDirection:
 # =========================================================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptedFault:
     """One deterministic, one-shot fault from a scenario's script.
 
     The wire loses the *nth* payload frame (1-based; a carrier's own
     acknowledgement frames are not counted) transmitted in *direction*;
     *kind* says how it is accounted — ``"drop"``, or ``"corrupt"`` on wires
-    that tell the two apart.
+    that tell the two apart.  A plan's per-direction ordinals only grow, so
+    the fault fires once per plan; the script itself is never written, and
+    every plan built from it fires it.
     """
 
     kind: str
     direction: str
     nth: int
-    #: Set once the fault has fired (one-shot bookkeeping).
-    fired: bool = False
 
 
 #: What :meth:`SeededFaultPlan.decide` returns: how the frame was lost (None =
@@ -313,8 +313,7 @@ class SeededFaultPlan:
         if payload:
             self._ordinal[direction] = ordinal = self._ordinal[direction] + 1
             for fault in self.scripted:
-                if not fault.fired and fault.direction == direction and fault.nth == ordinal:
-                    fault.fired = True
+                if fault.direction == direction and fault.nth == ordinal:
                     return fault.kind, at, False, None
         if direction not in self._active:
             return None, at, False, None

@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core import ControllerConfig, MBController
+from ..core import ControllerConfig, MBController, NorthboundAPI
 from ..core.channel import ControlChannel, FaultPlan
 from ..core.events import EventCode
 from ..core.flowspace import FlowKey, FlowPattern
@@ -693,7 +693,8 @@ class _Scenario:
 
     def _start_move(self) -> None:
         standby = STANDBY if self.spec.standby else None
-        self.handle = self.controller.move_internal(SRC, DST, FlowPattern.wildcard(), self.spec.transfer_spec(), standby=standby)
+        northbound = NorthboundAPI(self.controller)
+        self.handle = northbound.move_internal(SRC, DST, FlowPattern.wildcard(), self.spec.transfer_spec(), standby=standby)
         if self.spec.reroute_enabled:
             self.handle.state_installed.add_done_callback(self.driver.on_state_installed)
 

@@ -386,7 +386,6 @@ class TestSeededFaultPlan:
             plan.decide("out", True, 1.0, LATENCY),
         ]
         assert [lost for lost, *_ in fates] == [None, None, None, "corrupt", None]
-        assert plan.scripted[0].fired
 
     def test_a_direction_with_no_rates_draws_nothing(self):
         plan = CoinPlan(5, out=CoinProfile(lose=0.5))

@@ -1,4 +1,4 @@
-"""Tests for ``tools/check_callers.py``: every public name in ``src/`` has a caller outside the tests, or a reason.
+"""Tests for ``tools/check_callers.py``: every public name and every option in ``src/`` has a caller outside the tests, or a reason.
 
 Each case builds a small repository under ``tmp_path`` and audits it with an
 explicit keep-list, so the rules (what counts as a call, what is audited, how
@@ -167,3 +167,60 @@ def test_a_def_or_class_on_the_reach_keep_list_needs_no_keep_entry(tmp_path):
     listed = "[test-only]\nsrc/pkg/mod.py orphan  # reason\nsrc/pkg/box.py Box.__init__\n"
     findings = audit(tmp_path, {"src/pkg/mod.py": ORPHAN, "src/pkg/box.py": box, "tools/reach_keep.txt": listed})
     assert findings == ["src/pkg/box.py:6: Crate (3 lines) is named by no code outside tests"]
+
+
+OPTIONED = """\
+class Box:
+    def __init__(self, size, *, colour="red", lid=None):
+        self.size, self.colour, self.lid = size, colour, lid
+
+
+def build(size, retries=3):
+    return Box(size)
+"""
+
+
+def test_a_keyword_only_option_no_code_passes_is_reported(tmp_path):
+    files = {"src/pkg/box.py": OPTIONED, "examples/use.py": "from pkg.box import build\nbuild(1, retries=2)\n"}
+    files["tests/test_box.py"] = "from pkg.box import Box\nBox(1, colour='blue', lid=True)\n"
+    findings = audit(tmp_path, files)
+    assert findings == [
+        "src/pkg/box.py:2: Box.__init__(colour=) is passed by name by no code outside tests",
+        "src/pkg/box.py:2: Box.__init__(lid=) is passed by name by no code outside tests",
+    ]
+
+
+def test_an_option_passed_by_any_caller_root_is_set(tmp_path):
+    files = {"src/pkg/box.py": OPTIONED, "tools/use.py": "from pkg.box import Box, build\nbuild(Box(1, colour='blue', lid=1))\n"}
+    assert audit(tmp_path, files) == []
+
+
+def test_handing_an_option_on_under_its_own_name_does_not_set_it(tmp_path):
+    crate = """\
+    from pkg.box import Box
+
+
+    class Crate(Box):
+        def __init__(self, size, *, colour="red", lid=None):
+            super().__init__(size, colour=colour, lid=lid)
+
+
+    def paint(size, colour):
+        return Crate(size, colour=colour)
+    """
+    use = "from pkg import box, crate\nbox.build(crate.paint(1, 'red'))\n"
+    files = {"src/pkg/box.py": OPTIONED, "src/pkg/crate.py": crate, "examples/use.py": use}
+    findings = audit(tmp_path, files)
+    assert [finding.split(": ", 1)[1] for finding in findings] == [
+        "Box.__init__(lid=) is passed by name by no code outside tests",
+        "Crate.__init__(lid=) is passed by name by no code outside tests",
+    ]
+
+
+def test_a_keep_entry_silences_an_option_and_is_held_to_account(tmp_path):
+    files = {"src/pkg/box.py": OPTIONED, "benchmarks/b.py": "from pkg.box import Box, build\nbuild(Box(1, colour='blue'))\n"}
+    keep = {"Box.__init__(lid=)": "tests only", "Box.__init__(colour=)": "stale", "Box.__init__(hinge=)": "gone"}
+    assert audit(tmp_path, files, keep) == [
+        "KEEP: Box.__init__(hinge=) is not defined in src/; drop the entry",
+        "KEEP: Box.__init__(colour=) has a caller now; drop the entry",
+    ]

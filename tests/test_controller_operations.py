@@ -47,6 +47,14 @@ class TestConfigOperations:
         sim.run_until(northbound.clone_config("mon1", "mon2"))
         assert mon2.config.get_scalar("Monitor.Extra") == 7
 
+    def test_clone_config_of_one_subtree_copies_its_values(self, sim, controller, northbound, monitor_pair):
+        """The read of a subtree is a flat mapping; the clone writes its values, not its key names."""
+        mon1, mon2 = monitor_pair
+        mon1.config.set("Monitor.Extra.Depth", [7, 8])
+        cloned = sim.run_until(northbound.clone_config("mon1", "mon2", "Monitor.Extra"))
+        assert cloned == {"Monitor.Extra.Depth": [7, 8]}
+        assert mon2.config.export("Monitor.Extra") == {"Monitor.Extra.Depth": [7, 8]}
+
     def test_write_config_star_requires_mapping(self, northbound):
         with pytest.raises(TypeError):
             northbound.write_config("mon1", "*", [1, 2])
@@ -60,9 +68,9 @@ class TestConfigOperations:
         with pytest.raises(OperationError):
             sim.run_until(future)
 
-    def test_unknown_middlebox_rejected(self, controller):
+    def test_unknown_middlebox_rejected(self, northbound):
         with pytest.raises(UnknownMiddleboxError):
-            controller.read_config("ghost")
+            northbound.read_config("ghost")
 
 
 class TestStatsOperation:

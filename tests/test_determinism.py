@@ -162,6 +162,36 @@ class TestEngineLayering:
         offenders = sorted(name for name in imported if name == "repro.core.operations" or name.startswith("repro.core.operations."))
         assert not offenders, f"repro.core.sharding imports {offenders}"
 
+    def test_each_northbound_call_is_defined_once_on_the_northbound_api(self):
+        """The paper's calls belong to ``NorthboundAPI``; ``MBController`` carries them out and re-exports none.
+
+        None of the ten names is an attribute of ``MBController``, and under
+        ``src/repro/core`` each is a method of exactly one class,
+        ``NorthboundAPI``.  ``Transaction.write_config`` / ``end_transfer``
+        declare a transaction step that runs the northbound call later, and
+        ``core/messages.py``'s module-level ``enable_events`` /
+        ``disable_events`` build a wire request: neither issues the call, so
+        neither counts.
+        """
+        from repro.core import MBController
+
+        calls = [
+            *("read_config", "write_config", "write_config_tree", "query_stats", "enable_events"),
+            *("disable_events", "end_transfer", "move_internal", "clone_support", "merge_internal"),
+        ]
+        assert [name for name in calls if hasattr(MBController, name)] == []
+        owners = {name: [] for name in calls}
+        for path in sorted((SRC_ROOT / "repro" / "core").glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.ClassDef) and node.name != "Transaction":
+                    for member in node.body:
+                        if isinstance(member, ast.FunctionDef) and member.name in owners:
+                            owners[member.name].append(f"{path.name}:{node.name}")
+        expected = {name: ["northbound.py:NorthboundAPI"] for name in calls}
+        for name in ("write_config_tree", "query_stats"):  # the controller's spellings; the API's are write_config and stats
+            expected[name] = []
+        assert owners == expected
+
     def test_the_realtime_runtime_is_the_simulator_kernel_under_another_clock(self):
         """One heap, one lane, one process driver, one stuck diagnosis.
 

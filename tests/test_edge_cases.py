@@ -216,7 +216,7 @@ class TestChannelAndConfigOverrides:
         channel = ControlChannel(sim, "slow-chan", latency=5e-3, bandwidth=1e6)
         returned = controller.register(monitor, channel=channel)
         assert returned is channel
-        future = controller.read_config("mon", "*")
+        future = NorthboundAPI(controller).read_config("mon", "*")
         sim.run_until(future)
         # The slow channel's latency dominates: at least two 5 ms one-way trips.
         assert sim.now >= 0.01

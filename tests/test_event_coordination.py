@@ -196,7 +196,7 @@ class TestShardedDelivery:
         controller.register(src)
         controller.register(DummyMiddlebox(sim, "d"))
         moved = src.flow_key_for(0)
-        handle = controller.move_internal("s", "d", FlowPattern.from_flow(moved))
+        handle = NorthboundAPI(controller).move_internal("s", "d", FlowPattern.from_flow(moved))
         operation = handle._operation
         home = controller.coordinator.shard_for_key(moved)
         assert operation.shards == [home]

@@ -103,6 +103,17 @@ class TestRandomFaults:
         assert [message.body["index"] for message in to_mb] == [1, 3]
         assert channel.to_mb.dropped == 1
 
+    def test_one_script_drives_every_plan_built_from_it(self):
+        """A scripted fault is part of the script, not of one plan: two plans built from one list both fire it."""
+        script = [ScriptedFault(kind="drop", direction="to_mb", nth=2)]
+        for plan in (FaultPlan(1, scripted=script), FaultPlan(1, scripted=script)):
+            channel, to_mb, _ = make_channel(Simulator(), faults=plan, reliable=False)
+            for index in range(1, 4):
+                channel.send_to_middlebox(request(index))
+            channel.sim.run()
+            assert [message.body["index"] for message in to_mb] == [1, 3]
+            assert channel.to_mb.dropped == 1
+
     def test_scripted_drop_counts_payloads_not_acks(self):
         """With reliability on, 'the nth message' means the nth payload frame.
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import NetworkError
 from repro.core.flowspace import FlowPattern
 from repro.net import (
+    DEFAULT_RULE_INSTALL_LATENCY,
     Action,
     FlowRule,
     SDNController,
@@ -14,6 +15,7 @@ from repro.net import (
     tcp_packet,
 )
 from repro.net.links import Link
+from repro.net.switch import DEFAULT_FORWARD_LATENCY
 from repro.net.topology import Node
 
 
@@ -271,7 +273,7 @@ class TestSwitch:
 
     def test_release_pays_forward_latency(self):
         # Regression: released packets used to be fed straight into the
-        # pipeline, skipping the forward_latency hop every fresh arrival pays.
+        # pipeline, skipping the fabric hop every fresh arrival pays.
         sim, topo, h1, h2, sw = self._wire()
         pattern = FlowPattern(nw_dst="192.0.2.0/24")
         sw.install_rule(FlowRule(pattern, [Action.output(sw.port_to(h2))]))
@@ -285,7 +287,7 @@ class TestSwitch:
         # Delivery happens strictly after release + the fabric hop (plus the
         # egress link's latency), never at the release instant itself.
         assert h2.received[0].created_at < release_time
-        assert sim.now >= release_time + sw.forward_latency
+        assert sim.now >= release_time + DEFAULT_FORWARD_LATENCY
 
     def test_release_rebuffers_into_overlapping_pattern(self):
         # Regression: a packet released while an overlapping pattern was
@@ -363,7 +365,7 @@ class TestSDNController:
         sdn.route(FlowPattern.wildcard(), h1, h2)
         # Before the install latency elapses, the switch still misses.
         h1.send(tcp_packet("10.0.0.1", "192.0.2.1", 1, 80))
-        sim.run(until=sdn.rule_install_latency / 2)
+        sim.run(until=DEFAULT_RULE_INSTALL_LATENCY / 2)
         assert len(s1.table.rules()) == 0
         sim.run()
         assert len(s1.table.rules()) == 1

@@ -192,7 +192,7 @@ def three_domains():
         src, dst = DummyMiddlebox(sim, f"src{index}", chunk_count=10 * (index + 1)), DummyMiddlebox(sim, f"dst{index}")
         domain.register(src)
         domain.register(dst)
-        domain.controller.move_internal(src.name, dst.name, FlowPattern.wildcard())
+        NorthboundAPI(domain.controller).move_internal(src.name, dst.name, FlowPattern.wildcard())
     sim.run(until=0.2)
     federation.stop()
     return federation

@@ -203,8 +203,8 @@ class TestRequestTableShrinks:
         sim.run()
         assert handle.status == "aborted" and controller._reply_handlers == {}
 
-    def test_a_late_reply_to_a_request_its_caller_failed_is_ignored(self, sim, controller, monitor_pair):
-        future = controller.read_config("mon1")
+    def test_a_late_reply_to_a_request_its_caller_failed_is_ignored(self, sim, controller, northbound, monitor_pair):
+        future = northbound.read_config("mon1")
         future.fail(OperationError("the caller gave up"))
         sim.run()  # the reply arrives for a done future: nothing escapes the kernel
         assert str(future.exception) == "the caller gave up"
@@ -368,7 +368,7 @@ class TestStandbyRetryWindow:
         boxes = {name: DummyMiddlebox(sim, name, chunk_count=20) for name in ("src", "dst", "stby")}
         for middlebox in boxes.values():
             controller.register(middlebox)
-        handle = controller.move_internal("src", "dst", FlowPattern.wildcard(), standby="stby")
+        handle = NorthboundAPI(controller).move_internal("src", "dst", FlowPattern.wildcard(), standby="stby")
         sim.schedule(1.5e-3, controller.kill, "dst")
         sim.schedule(1.6e-3, controller.kill, second)
         sim.run(until=1.0)  # must not raise
@@ -413,8 +413,8 @@ class TestEveryStartedOperationIsCountedOnce:
         sim.run(until=sim.now + 1.0)
         assert self.counts(controller) == (1, 0, 1)
 
-    def test_an_aborted_move(self, sim, controller, dummy_pair):
-        handle = controller.move_internal("dummy-src", "dummy-dst", FlowPattern.wildcard())
+    def test_an_aborted_move(self, sim, controller, northbound, dummy_pair):
+        handle = northbound.move_internal("dummy-src", "dummy-dst", FlowPattern.wildcard())
         sim.run(until=sim.now + 0.002)  # part way: some chunks already moved
         assert not handle.completed.done and self.counts(controller) == (1, 0, 0)
         controller.abort_operation(handle, "operator cancelled the move")
@@ -427,14 +427,14 @@ class TestEveryStartedOperationIsCountedOnce:
         controller = MBController(sim, ControllerConfig(quiescence_timeout=0.05))
         for name in ("src", "dst", "stby"):
             controller.register(DummyMiddlebox(sim, name, chunk_count=20 if name == "src" else 0))
-        handle = controller.move_internal("src", "dst", FlowPattern.wildcard(), standby="stby")
+        handle = NorthboundAPI(controller).move_internal("src", "dst", FlowPattern.wildcard(), standby="stby")
         sim.schedule(1.5e-3, controller.kill, "dst")
         sim.run_until(handle.finalized, limit=100)
         assert controller.stats.standby_retries == 1
         assert self.counts(controller) == (2, 1, 1)  # the failed attempt and the retry that completed
 
-    def test_a_clean_move(self, sim, controller, dummy_pair):
-        handle = controller.move_internal("dummy-src", "dummy-dst", FlowPattern.wildcard())
+    def test_a_clean_move(self, sim, controller, northbound, dummy_pair):
+        handle = northbound.move_internal("dummy-src", "dummy-dst", FlowPattern.wildcard())
         sim.run_until(handle.completed, limit=100)
         assert self.counts(controller) == (1, 0, 0)  # completed, live until it finalises
         sim.run_until(handle.finalized, limit=100)

@@ -361,7 +361,7 @@ class TestUnusableConfigValuesAreRefused:
     def test_write_config_fails_the_future_instead_of_escaping(self, sim, controller, build, key, values, refused):
         controller.register(build(sim, "mb"))
         agent = controller._registration("mb").agent
-        future = controller.write_config("mb", key, values)
+        future = NorthboundAPI(controller).write_config("mb", key, values)
         sim.run(until=1.0)  # must not raise
         assert future.done and (future.exception is not None) == refused
         assert isinstance(future.exception, OperationError) == refused
@@ -393,7 +393,7 @@ class TestMalformedRepliesFailTheWaiter:
     )
     def test_a_simple_request_future_fails_with_operation_error(self, sim, controller, reply_type, body):
         GarbageMiddlebox(sim, controller, "mb", reply_type, body)
-        future = controller.read_config("mb")
+        future = NorthboundAPI(controller).read_config("mb")
         with pytest.raises(OperationError, match="malformed"):
             sim.run_until(future, limit=10)
 
@@ -405,7 +405,7 @@ class TestMalformedRepliesFailTheWaiter:
         run, not one failed waiter as an ill-typed body field is.
         """
         GarbageMiddlebox(sim, controller, "mb", T.CONFIG_VALUE, None)
-        controller.read_config("mb")
+        NorthboundAPI(controller).read_config("mb")
         with pytest.raises(ProtocolError, match="'body' must be dict"):
             sim.run(until=1.0)
 
@@ -420,7 +420,7 @@ class TestMalformedRepliesFailTheWaiter:
     def test_a_move_fails_with_operation_error(self, sim, controller, reply_type, body):
         GarbageMiddlebox(sim, controller, "src", reply_type, body)
         controller.register(DummyMiddlebox(sim, "dst"))
-        handle = controller.move_internal("src", "dst", FlowPattern.wildcard(), TransferSpec.batched(8))
+        handle = NorthboundAPI(controller).move_internal("src", "dst", FlowPattern.wildcard(), TransferSpec.batched(8))
         with pytest.raises(OperationError, match=f"malformed {reply_type} reply"):
             sim.run_until(handle.completed, limit=10)
         sim.run(until=sim.now + 1.0)
